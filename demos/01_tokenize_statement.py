@@ -9,14 +9,14 @@ classified, then derives the four Halstead counts from the stream.
 
 from collections import Counter
 
-from poumetrics import TokenClass, tokenize_st
+from poumetrics import TokenClass, st_fragment_facts
 
 # A single conditional assignment. Note the pieces that fold together:
 # IF/THEN/END_IF is one compound operator, and the call parentheses of
 # Limit(...) belong to the invocation operator itself.
 SOURCE = "IF level > hi THEN level := Limit(mn := 0, in := level, mx := hi); END_IF;"
 
-tokens = tokenize_st(SOURCE)
+tokens = st_fragment_facts(SOURCE).tokens
 
 print("source:", SOURCE)
 print()

@@ -16,7 +16,6 @@ from .aggregate import (
     UNIFORM_PROFILE,
     Grouping,
     GroupStats,
-    PouResult,
     SampleEntry,
     WeightProfile,
     aggregate,
@@ -26,9 +25,7 @@ from .aggregate import (
 from .chart import render_chart
 from .config import AnalysisConfig, config_from_mapping, load_config
 from .errors import (
-    SKIP_CODES,
     AnalysisError,
-    AnalysisWarning,
     EmptySample,
     InvalidConfig,
     NoPousFound,
@@ -52,11 +49,10 @@ from .ir import (
     VarSection,
     validate_pou,
 )
-from .load import LoadedSample, discover_inputs, load_sample
+from .load import load_sample
 from .metrics import (
     COMPLEXITY_CLASSES,
     DEFAULT_WEIGHT_TABLE,
-    METRIC_CLASSES,
     METRIC_KEYS,
     MetricVector,
     WeightTable,
@@ -68,48 +64,37 @@ from .metrics import (
     program_length,
     vocabulary,
 )
-from .report import RunResult, analyze_paths, emit_csv, emit_json, fmt4, render_table
-from .st import StSource, count_decisions_st, parse_st_pou, tokenize_st
-from .typesys import ELEMENTARY_TYPES, STANDARD_FBS, TypeContext, TypeSpec
+from .report import analyze_paths, emit_csv, emit_json, fmt4, render_table
+from .st import StSource, parse_st_pou, st_fragment_facts
 
 __all__ = [
     "__version__",
     "AnalysisConfig",
     "AnalysisError",
-    "AnalysisWarning",
     "BodyFacts",
     "CallSite",
     "COMPLEXITY_CLASSES",
     "DEFAULT_WEIGHT_TABLE",
     "DecisionSpan",
-    "ELEMENTARY_TYPES",
     "EmptySample",
     "Grouping",
     "GroupStats",
     "InvalidConfig",
     "Language",
-    "LoadedSample",
-    "METRIC_CLASSES",
     "METRIC_KEYS",
     "MetricVector",
     "NoPousFound",
     "ParseError",
     "Pou",
     "PouKind",
-    "PouResult",
-    "RunResult",
     "SampleEntry",
     "SFC_PROFILE",
-    "SKIP_CODES",
-    "STANDARD_FBS",
     "SourceRef",
     "StSource",
     "SubVariable",
     "Token",
     "TokenClass",
     "TypeClass",
-    "TypeContext",
-    "TypeSpec",
     "UNIFORM_PROFILE",
     "VariableDecl",
     "VarSection",
@@ -121,12 +106,10 @@ __all__ = [
     "analyze_paths",
     "compute_vector",
     "config_from_mapping",
-    "count_decisions_st",
     "cyclomatic_complexity",
     "data_structure_weight",
     "default_profile",
     "difficulty",
-    "discover_inputs",
     "emit_csv",
     "emit_json",
     "fmt4",
@@ -138,7 +121,7 @@ __all__ = [
     "program_length",
     "render_chart",
     "render_table",
-    "tokenize_st",
+    "st_fragment_facts",
     "validate_pou",
     "vocabulary",
 ]

@@ -11,7 +11,7 @@ still sum to exactly 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -227,21 +227,7 @@ def aggregate(
         if top > 0:
             scale = Fraction(100) / top
     if scale != 1:
-        raw_results = [
-            PouResult(
-                name=r.name,
-                kind=r.kind,
-                language=r.language,
-                vector=r.vector,
-                group=r.group,
-                relative=r.relative,
-                weights=r.weights,
-                oc_rel=r.oc_rel * scale,
-                scale=scale,
-                tag=r.tag,
-            )
-            for r in raw_results
-        ]
+        raw_results = [replace(r, oc_rel=r.oc_rel * scale, scale=scale) for r in raw_results]
 
     raw_results.sort(key=lambda r: (r.oc_rel, r.name))
     stats_list = [stats_by_label[label] for label in sorted(stats_by_label)]

@@ -37,6 +37,10 @@ class VarSection(Enum):
     GLOBAL = "Global"
 
 
+# Sections that form a POU's interface to its callers.
+INTERFACE_SECTIONS = (VarSection.INPUT, VarSection.OUTPUT, VarSection.IN_OUT)
+
+
 class TypeClass(Enum):
     SIMPLE = "Simple"
     COMPLEX = "Complex"

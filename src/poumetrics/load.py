@@ -13,13 +13,11 @@ from pathlib import Path
 
 from . import plcopen, st
 from .errors import AnalysisError, AnalysisWarning, ParseError, XmlMalformed
-from .ir import Pou, PouKind, VarSection
-from .typesys import FbMember, TypeContext
+from .ir import Pou, PouKind
+from .typesys import TypeContext
 
 ST_SUFFIXES = frozenset({".st", ".iecst", ".scl", ".pou", ".typ", ".gvl"})
 XML_SUFFIXES = frozenset({".xml"})
-
-_INTERFACE_SECTIONS = (VarSection.INPUT, VarSection.OUTPUT, VarSection.IN_OUT)
 
 
 @dataclass
@@ -100,25 +98,19 @@ def load_sample(paths, array_sub_cap: int | None = None) -> LoadedSample:
             warnings.append(AnalysisWarning("pou-parse-error", str(exc), label, ""))
             continue
         for unit in units:
-            if unit.kind == "types":
-                st.parse_type_block(unit, context, label)
-            elif unit.kind == "globals":
-                global_names.update(n.casefold() for n in st.parse_global_names(unit, label))
-            else:
-                try:
-                    name, kind, decls, _ = st.interface_of_unit(unit, label)
-                except ParseError as exc:
-                    warnings.append(AnalysisWarning("pou-parse-error", str(exc), label, ""))
-                    continue
-                pou_names.add(name.casefold())
-                if kind is PouKind.FUNCTION_BLOCK:
-                    members = tuple(
-                        FbMember(d.name, d.spec.render(), d.section)
-                        for d in decls
-                        if d.section in _INTERFACE_SECTIONS
-                    )
-                    context.register_fb(name, members)
-                st_units.append((unit, label))
+            try:
+                if unit.kind == "types":
+                    st.parse_type_block(unit, context, label)
+                elif unit.kind == "globals":
+                    global_names.update(n.casefold() for n in st.parse_global_names(unit, label))
+                else:
+                    name, kind, decls, _, _ = st.interface_of_unit(unit, label)
+                    pou_names.add(name.casefold())
+                    if kind is PouKind.FUNCTION_BLOCK:
+                        context.register_fb(name, decls)
+                    st_units.append((unit, label))
+            except ParseError as exc:
+                warnings.append(AnalysisWarning("pou-parse-error", str(exc), label, ""))
 
     frozen_globals = frozenset(global_names)
     frozen_names = frozenset(pou_names)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidConfig
-from .ir import BodyFacts, Pou, TokenClass, TypeClass, VarSection
+from .ir import INTERFACE_SECTIONS, BodyFacts, Pou, TokenClass, TypeClass, VarSection
 
 METRIC_KEYS = (
     "program_length",
@@ -41,9 +41,6 @@ METRIC_CLASSES = {
 }
 
 COMPLEXITY_CLASSES = ("Size", "Control Flow", "Information Flow", "Software Science", "Data Structure")
-
-_INTERFACE_SECTIONS = (VarSection.INPUT, VarSection.OUTPUT, VarSection.IN_OUT)
-
 
 @dataclass(frozen=True)
 class WeightTable:
@@ -76,7 +73,7 @@ class WeightTable:
             raise InvalidConfig("sub-variable weights must not depend on the type class")
 
     def variable_weight(self, section: VarSection, type_class: TypeClass) -> int:
-        interface = section in _INTERFACE_SECTIONS
+        interface = section in INTERFACE_SECTIONS
         complex_ = type_class is TypeClass.COMPLEX
         if interface:
             return self.interface_complex if complex_ else self.interface_simple
@@ -178,9 +175,6 @@ class MetricVector:
             self.difficulty,
             self.data_structure,
         )
-
-    def __getitem__(self, index: int):
-        return self.as_tuple()[index]
 
 
 def compute_vector(pou: Pou, table: WeightTable = DEFAULT_WEIGHT_TABLE) -> MetricVector:

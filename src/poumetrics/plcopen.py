@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 from .errors import AnalysisWarning, XmlMalformed
 from .ir import (
-    BodyFacts,
     CallSite,
     DecisionSpan,
     Language,
@@ -37,11 +36,10 @@ from .ir import (
     PouKind,
     SourceRef,
     Token,
-    VariableDecl,
     VarSection,
 )
-from .st import external_candidates, external_filter, fb_instance_map, st_fragment_facts
-from .typesys import FbMember, TypeContext, TypeSpec, named
+from .st import _BodyResult, fb_instance_map, finalize_body, st_fragment_facts
+from .typesys import RawDecl, TypeContext, TypeSpec, named
 
 _POU_TYPE_MAP = {
     "program": PouKind.PROGRAM,
@@ -147,14 +145,7 @@ def _type_spec_of(type_el: ET.Element | None) -> TypeSpec:
     return named(tag.upper())
 
 
-@dataclass
-class _XmlVar:
-    name: str
-    section: VarSection
-    spec: TypeSpec
-
-
-def _interface_vars(pou_el: ET.Element) -> tuple[list[_XmlVar], TypeSpec | None, bool]:
+def _interface_vars(pou_el: ET.Element) -> tuple[list[RawDecl], TypeSpec | None, bool]:
     """Collect declared variables and the return type of one <pou>.
 
     The last element reports whether an <interface> element was present
@@ -163,7 +154,7 @@ def _interface_vars(pou_el: ET.Element) -> tuple[list[_XmlVar], TypeSpec | None,
     interface = _first(pou_el, "interface")
     if interface is None:
         return [], None, False
-    out: list[_XmlVar] = []
+    out: list[RawDecl] = []
     return_spec: TypeSpec | None = None
     for section_el in interface:
         tag = _local(section_el.tag)
@@ -174,7 +165,7 @@ def _interface_vars(pou_el: ET.Element) -> tuple[list[_XmlVar], TypeSpec | None,
         if section is None:
             continue
         for var in _children(section_el, "variable"):
-            out.append(_XmlVar(var.get("name", ""), section, _type_spec_of(_first(var, "type"))))
+            out.append(RawDecl(var.get("name", ""), section, _type_spec_of(_first(var, "type"))))
     return out, return_spec, True
 
 
@@ -191,12 +182,7 @@ def register_project_types(root: ET.Element, context: TypeContext) -> None:
         if not name:
             continue
         decls, _, _ = _interface_vars(pou_el)
-        members = tuple(
-            FbMember(v.name, v.spec.render(), v.section)
-            for v in decls
-            if v.section in (VarSection.INPUT, VarSection.OUTPUT, VarSection.IN_OUT)
-        )
-        context.register_fb(name, members)
+        context.register_fb(name, decls)
 
 
 def project_global_names(root: ET.Element) -> list[str]:
@@ -218,22 +204,17 @@ def project_pou_names(root: ET.Element) -> list[str]:
 # ------------------------- graphical bodies -------------------------
 
 
-@dataclass
-class _Acc:
-    """Mutable collector the network walker and merged fragments fill."""
+@dataclass(kw_only=True)
+class _Acc(_BodyResult):
+    """Mutable collector the network walker and merged fragments fill.
+    Graphical call sites go to `fixed_calls`, whose counts are final."""
 
     path: str
     pou: str
     fb_instances: dict[str, frozenset[str]]
     pou_names: frozenset[str]
     context: TypeContext
-    tokens: list[Token] = field(default_factory=list)
-    decisions: list[DecisionSpan] = field(default_factory=list)
-    st_calls: list = field(default_factory=list)
     fixed_calls: list[CallSite] = field(default_factory=list)
-    reads: set[str] = field(default_factory=set)
-    writes: set[str] = field(default_factory=set)
-    member_reads: dict[str, set[str]] = field(default_factory=dict)
     warnings: list[AnalysisWarning] = field(default_factory=list)
     merged_refs: set[str] = field(default_factory=set)
 
@@ -247,7 +228,7 @@ class _Acc:
         res = st_fragment_facts(text, self.path, self.fb_instances, value_context=value_context)
         self.tokens.extend(res.tokens)
         self.decisions.extend(res.decisions)
-        self.st_calls.extend(res.calls)
+        self.calls.extend(res.calls)
         self.reads |= res.reads
         self.writes |= res.writes
         for inst, members in res.member_reads.items():
@@ -533,34 +514,6 @@ def _check_reachability(acc, step_names: dict[str, str], edges: dict[str, set[st
 # ------------------------- POU extraction -------------------------
 
 
-def _finish_body(acc: _Acc, variables, global_names: frozenset[str]) -> BodyFacts:
-    pending = {inst: len(members) for inst, members in acc.member_reads.items()}
-    sites: list[CallSite] = []
-    for call in acc.st_calls:
-        extra = pending.pop(call.key, 0)
-        sites.append(CallSite(call.callee, call.args, call.returns + extra))
-    sites.extend(acc.fixed_calls)
-    candidates = external_candidates(variables, global_names)
-    return BodyFacts.build(
-        tokens=acc.tokens,
-        decisions=acc.decisions,
-        calls=sites,
-        external_reads=external_filter(acc.reads, candidates, "im"),
-        external_writes=external_filter(acc.writes, candidates, "qm"),
-    )
-
-
-def _build_variable(
-    raw: _XmlVar, context: TypeContext, pou_name: str
-) -> tuple[VariableDecl, list[AnalysisWarning]]:
-    type_class, subs, warnings = context.classify(raw.spec, raw.name)
-    warnings = [AnalysisWarning(w.code, w.message, w.path, pou_name) for w in warnings]
-    return (
-        VariableDecl(raw.name, raw.section, type_class, raw.spec.render(), subs),
-        warnings,
-    )
-
-
 def extract_pous(
     root: ET.Element,
     path: str,
@@ -587,15 +540,8 @@ def extract_pous(
         if not has_interface:
             warnings.append(AnalysisWarning("missing-interface", "pou has no interface element", path, name))
 
-        variables: list[VariableDecl] = []
-        if kind is PouKind.FUNCTION and return_spec is not None:
-            var, ws = _build_variable(_XmlVar(name, VarSection.OUTPUT, return_spec), context, name)
-            variables.append(var)
-            warnings.extend(ws)
-        for raw in raw_vars:
-            var, ws = _build_variable(raw, context, name)
-            variables.append(var)
-            warnings.extend(ws)
+        variables, ws = context.declare(name, raw_vars, return_spec if kind is PouKind.FUNCTION else None)
+        warnings.extend(ws)
 
         body_el = _first(pou_el, "body")
         language = Language.ST
@@ -642,7 +588,7 @@ def extract_pous(
                     _walk_network(acc, lang_el, language, pou_el)
 
         warnings.extend(acc.warnings)
-        body = _finish_body(acc, variables, global_names)
+        body = finalize_body(acc, variables, global_names, acc.fixed_calls)
         pous.append(
             Pou(
                 name=name,

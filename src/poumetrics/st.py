@@ -40,10 +40,9 @@ from .ir import (
     PouKind,
     SourceRef,
     Token,
-    VariableDecl,
     VarSection,
 )
-from .typesys import TypeContext, TypeSpec, named
+from .typesys import RawDecl, TypeContext, TypeSpec, named
 
 # ---------------------- raw lexer ----------------------
 
@@ -183,16 +182,13 @@ def lex(text: str, path: str = "") -> list[RawTok]:
 # ---------------------- body walker ----------------------
 
 _STMT_START = frozenset({"IF", "CASE", "FOR", "WHILE", "REPEAT", "RETURN", "EXIT", "CONTINUE"})
-_BOOL_BINARY = {"AND": "and", "OR": "or", "XOR": "xor", "MOD": "mod"}
+# binary operators and their identities
+_BINARY_WORDS = {"AND": "and", "OR": "or", "XOR": "xor", "MOD": "mod"}
+_BINARY_SYMBOLS = {op: op for op in ("=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/", "**")} | {"&": "and"}
 # words that can never be part of a CASE label group
 _LABEL_BREAKERS = _STMT_START | frozenset(
     {"ELSE", "ELSIF", "THEN", "DO", "OF", "TO", "BY", "UNTIL", "AND", "OR", "XOR", "NOT", "MOD"}
 )
-_COMPARE_OPS = frozenset({"=", "<>", "<", "<=", ">", ">="})
-_ADD_OPS = frozenset({"+", "-"})
-_MUL_OPS = frozenset({"*", "/"})
-
-_DECISION_CONSTRUCTS = frozenset({"if", "elsif", "for", "while", "repeat", "exit"})
 
 
 @dataclass
@@ -203,8 +199,10 @@ class _RawCall:
     returns: int
 
 
-@dataclass
+@dataclass(kw_only=True)
 class _BodyResult:
+    """What one body walk collects before the POU's declarations are known."""
+
     tokens: list[Token] = field(default_factory=list)
     decisions: list[DecisionSpan] = field(default_factory=list)
     calls: list[_RawCall] = field(default_factory=list)
@@ -215,22 +213,22 @@ class _BodyResult:
 
 _EOF = RawTok("eof", "", 0, 0)
 
+# Deepest nesting of blocks, brackets, argument lists and ARRAY/STRUCT
+# types a parser accepts.  Deeper input is a ParseError, not a
+# RecursionError: one level costs the walk about 7 interpreter frames,
+# so the limit stays well inside Python's default recursion limit.
+_MAX_NESTING = 100
 
-class _BodyParser:
-    """Statement-list walker over raw tokens.  Emits classified tokens in
-    source order; never builds an AST."""
 
-    def __init__(self, toks: list[RawTok], path: str, fb_instances: dict[str, frozenset[str]] | None = None):
+class _Cursor:
+    """Position in a token sequence, shared by the declaration parser and
+    the body walker."""
+
+    def __init__(self, toks: list[RawTok] | tuple[RawTok, ...], path: str):
         self.toks = toks
         self.path = path
         self.i = 0
-        self.res = _BodyResult()
-        # casefolded instance name -> casefolded output member names
-        self.fb_instances = fb_instances or {}
-        # set when the last parsed statement was a bare invocation
-        self.last_bare_call: _RawCall | None = None
-
-    # --- token plumbing ---
+        self.depth = 0
 
     def cur(self) -> RawTok:
         return self.toks[self.i] if self.i < len(self.toks) else _EOF
@@ -248,17 +246,66 @@ class _BodyParser:
         t = self.cur()
         return ParseError(message, self.path, t.line, t.col)
 
+    def at_op(self, op: str) -> bool:
+        t = self.cur()
+        return t.kind == "op" and t.text == op
+
+    def at_kw(self, word: str) -> bool:
+        return self.cur().up() == word
+
     def expect_kw(self, word: str) -> RawTok:
         t = self.cur()
         if t.up() != word:
-            raise self.fail("expected %s, found %r" % (word, t.text or "end of body"))
+            raise self.fail("expected %s, found %r" % (word, t.text or "end of input"))
         return self.take()
 
     def expect_op(self, op: str) -> RawTok:
         t = self.cur()
         if not (t.kind == "op" and t.text == op):
-            raise self.fail("expected %r, found %r" % (op, t.text or "end of body"))
+            raise self.fail("expected %r, found %r" % (op, t.text or "end of input"))
         return self.take()
+
+    def expect_ident(self) -> RawTok:
+        t = self.cur()
+        if t.kind != "ident":
+            raise self.fail("expected identifier, found %r" % (t.text or "end of input"))
+        return self.take()
+
+    def skip_initializer(self):
+        """Consume `:= <value>` up to the terminating ';' at depth 0."""
+        depth = 0
+        while True:
+            t = self.cur()
+            if t.kind == "eof":
+                raise self.fail("unterminated initializer")
+            if t.kind == "op":
+                if t.text in ("(", "["):
+                    depth += 1
+                elif t.text in (")", "]"):
+                    depth -= 1
+                elif t.text == ";" and depth == 0:
+                    return
+            self.take()
+
+    def descend(self):
+        """Enter one nested construct; leave it with `self.depth -= 1`.
+        A parse that fails is abandoned, so no unwinding is needed."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise self.fail("nesting deeper than %d levels" % _MAX_NESTING)
+
+
+class _BodyParser(_Cursor):
+    """Statement-list walker over raw tokens.  Emits classified tokens in
+    source order; never builds an AST."""
+
+    def __init__(self, toks: list[RawTok] | tuple[RawTok, ...], path: str, fb_instances: dict[str, frozenset[str]] | None = None):
+        super().__init__(toks, path)
+        self.res = _BodyResult()
+        # casefolded instance name -> casefolded output member names
+        self.fb_instances = fb_instances or {}
+        # set when the last parsed statement was a bare invocation
+        self.last_bare_call: _RawCall | None = None
 
     # --- emission ---
 
@@ -275,13 +322,15 @@ class _BodyParser:
 
     def parse_body(self):
         self.stmt_list(frozenset())
-        if self.cur() is not _EOF and self.i < len(self.toks):
+        if self.i < len(self.toks):
             raise self.fail("unexpected %r" % self.cur().text)
 
     def stmt_list(self, stop: frozenset[str]):
+        self.descend()
         while True:
             t = self.cur()
             if t.kind == "eof" or (t.kind == "ident" and t.up() in stop):
+                self.depth -= 1
                 return
             self.statement()
 
@@ -348,7 +397,7 @@ class _BodyParser:
                 ref.call.returns += 1  # the value feeds a larger expression
         else:
             self.register_ref_read(ref)
-        self.continue_binary(0)
+        self.continue_binary()
         self.end_of_statement()
 
     def if_statement(self):
@@ -417,11 +466,11 @@ class _BodyParser:
             raise self.fail("expected CASE label")
 
     def stmt_list_until_label(self, stop: frozenset[str]):
+        self.descend()
         while True:
             t = self.cur()
-            if t.kind == "eof" or (t.kind == "ident" and t.up() in stop):
-                return
-            if self.looks_like_case_label():
+            if t.kind == "eof" or (t.kind == "ident" and t.up() in stop) or self.looks_like_case_label():
+                self.depth -= 1
                 return
             self.statement()
 
@@ -489,67 +538,48 @@ class _BodyParser:
 
     # --- expressions ---
 
-    def binary_info(self, t: RawTok) -> tuple[str, int] | None:
-        """Return (identity, precedence) when t is a binary operator."""
-        if t.kind == "ident":
-            word = t.up()
-            if word == "OR":
-                return "or", 1
-            if word == "XOR":
-                return "xor", 2
-            if word == "AND":
-                return "and", 3
-            if word == "MOD":
-                return "mod", 6
-            return None
-        if t.kind != "op":
-            return None
-        if t.text == "&":
-            return "and", 3
-        if t.text in _COMPARE_OPS and t.text != "=>":
-            return t.text, 4 if t.text in ("=", "<>") else 5
-        if t.text in _ADD_OPS:
-            return t.text, 6
-        if t.text in _MUL_OPS:
-            return t.text, 7
-        if t.text == "**":
-            return "**", 8
-        return None
-
-    def expression(self, min_prec: int = 0):
+    def expression(self):
         self.unary()
-        self.continue_binary(min_prec)
+        self.continue_binary()
 
-    def continue_binary(self, min_prec: int):
+    def continue_binary(self):
+        # Tokens are emitted in source order and no tree is built, so
+        # operator precedence never changes the result: an expression is
+        # a flat `unary {binary-operator unary}` sequence.
         while True:
-            info = self.binary_info(self.cur())
-            if info is None or info[1] < min_prec:
+            t = self.cur()
+            if t.kind == "ident":
+                identity = _BINARY_WORDS.get(t.up())
+            elif t.kind == "op":
+                identity = _BINARY_SYMBOLS.get(t.text)
+            else:
+                identity = None
+            if identity is None:
                 return
-            identity, prec = info
             self.op(self.take(), identity)
-            self.unary_then_binary(prec + 1)
-
-    def unary_then_binary(self, min_prec: int):
-        self.unary()
-        self.continue_binary(min_prec)
+            self.unary()
 
     def unary(self):
+        # Prefix operators are consumed in a loop: a chain of them is
+        # not nesting and needs no recursion.
         t = self.cur()
-        if t.kind == "ident" and t.up() == "NOT":
-            self.op(self.take(), "not")
-            self.unary()
-            return
-        if t.kind == "op" and t.text in ("-", "+"):
-            self.op(self.take())
-            self.unary()
-            return
+        while True:
+            if t.kind == "ident" and t.up() == "NOT":
+                self.op(self.take(), "not")
+            elif t.kind == "op" and t.text in ("-", "+"):
+                self.op(self.take())
+            else:
+                break
+            t = self.cur()
         self.primary()
 
     def primary(self):
         t = self.cur()
         if t.kind == "op" and t.text == "(":
             self.op(self.take(), "()")
+            self.descend()
             self.expression()
+            self.depth -= 1
             self.expect_op(")")
             return
         if t.kind in ("number", "string"):
@@ -613,10 +643,12 @@ class _BodyParser:
             elif nxt.kind == "op" and nxt.text == "[":
                 self.op(self.take(), "[]")
                 saw_subscript = True
+                self.descend()
                 self.expression()
                 while self.cur().kind == "op" and self.cur().text == ",":
                     self.op(self.take())
                     self.expression()
+                self.depth -= 1
                 self.expect_op("]")
             else:
                 break
@@ -659,10 +691,12 @@ class _BodyParser:
         call = _RawCall(lexeme, path[0].text.casefold(), 0, 0)
         self.res.calls.append(call)
         if not (self.cur().kind == "op" and self.cur().text == ")"):
+            self.descend()
             self.argument(call)
             while self.cur().kind == "op" and self.cur().text == ",":
                 self.op(self.take())
                 self.argument(call)
+            self.depth -= 1
         self.expect_op(")")
         return self._Ref(call.key, True, call=call)
 
@@ -686,11 +720,11 @@ class _BodyParser:
         self.expression()
 
 
-# ---------------------- fragment entry points ----------------------
+# ---------------------- fragment entry point ----------------------
 
 
 def _run_body(
-    raw: list[RawTok],
+    raw: list[RawTok] | tuple[RawTok, ...],
     path: str,
     fb_instances: dict[str, frozenset[str]] | None = None,
     value_context: bool = False,
@@ -704,48 +738,17 @@ def _run_body(
     return parser.res
 
 
-def _finalize_calls(res: _BodyResult) -> tuple[CallSite, ...]:
-    """Attach distinct FB output reads to the instance's first call."""
-    pending = {inst: len(members) for inst, members in res.member_reads.items()}
-    sites: list[CallSite] = []
-    for call in res.calls:
-        extra = pending.pop(call.key, 0)
-        sites.append(CallSite(call.callee, call.args, call.returns + extra))
-    return tuple(sites)
-
-
-def tokenize_st(text: str, path: str = "") -> tuple[Token, ...]:
-    """Classify every lexical element of an ST statement list or expression."""
-    res = _run_body(lex(text, path), path)
-    return tuple(res.tokens)
-
-
-def count_decisions_st(text: str, path: str = "") -> tuple[int, tuple[DecisionSpan, ...]]:
-    res = _run_body(lex(text, path), path)
-    spans = tuple(res.decisions)
-    return len(spans), spans
-
-
-def extract_calls_st(
-    text: str,
-    path: str = "",
-    fb_instances: dict[str, frozenset[str]] | None = None,
-    value_consumed: bool = False,
-) -> tuple[CallSite, ...]:
-    """Call sites of a fragment.  value_consumed marks a bare expression
-    fragment whose result feeds a surrounding context."""
-    res = _run_body(lex(text, path), path, fb_instances, value_context=value_consumed)
-    return _finalize_calls(res)
-
-
 def st_fragment_facts(
     text: str,
     path: str = "",
     fb_instances: dict[str, frozenset[str]] | None = None,
     value_context: bool = False,
 ) -> _BodyResult:
-    """Full extraction result for an embedded ST fragment (used by the
-    XML frontend for bodies, transition conditions and inline actions)."""
+    """Walk an ST statement list or expression: its classified `.tokens`,
+    `.decisions` (kind and position of each decision point), calls and
+    accessed names.  The XML frontend feeds bodies, transition conditions
+    and inline actions through here; `value_context` marks a bare
+    expression whose result a surrounding construct consumes."""
     return _run_body(lex(text, path), path, fb_instances, value_context=value_context)
 
 
@@ -822,61 +825,7 @@ def _find_kw(toks, start, word, path, open_tok) -> int:
     raise ParseError("missing %s" % word, path, open_tok.line, open_tok.col)
 
 
-class _DeclCursor:
-    def __init__(self, toks: tuple[RawTok, ...], path: str):
-        self.toks = toks
-        self.path = path
-        self.i = 0
-
-    def cur(self) -> RawTok:
-        return self.toks[self.i] if self.i < len(self.toks) else _EOF
-
-    def take(self) -> RawTok:
-        t = self.cur()
-        self.i += 1
-        return t
-
-    def fail(self, msg: str) -> ParseError:
-        t = self.cur()
-        return ParseError(msg, self.path, t.line, t.col)
-
-    def expect_ident(self) -> RawTok:
-        t = self.cur()
-        if t.kind != "ident":
-            raise self.fail("expected identifier, found %r" % t.text)
-        return self.take()
-
-    def expect_op(self, op: str) -> RawTok:
-        t = self.cur()
-        if not (t.kind == "op" and t.text == op):
-            raise self.fail("expected %r, found %r" % (op, t.text))
-        return self.take()
-
-    def at_op(self, op: str) -> bool:
-        t = self.cur()
-        return t.kind == "op" and t.text == op
-
-    def at_kw(self, word: str) -> bool:
-        return self.cur().up() == word
-
-    def skip_initializer(self):
-        """Consume `:= <value>` up to the terminating ';' at depth 0."""
-        depth = 0
-        while True:
-            t = self.cur()
-            if t.kind == "eof":
-                raise self.fail("unterminated initializer")
-            if t.kind == "op":
-                if t.text in ("(", "["):
-                    depth += 1
-                elif t.text in (")", "]"):
-                    depth -= 1
-                elif t.text == ";" and depth == 0:
-                    return
-            self.take()
-
-
-def parse_type_spec(cur: _DeclCursor) -> TypeSpec:
+def parse_type_spec(cur: _Cursor) -> TypeSpec:
     t = cur.cur()
     word = t.up()
     if word == "ARRAY":
@@ -890,26 +839,22 @@ def parse_type_spec(cur: _DeclCursor) -> TypeSpec:
         if cur.cur().up() != "OF":
             raise cur.fail("expected OF")
         cur.take()
+        cur.descend()
         element = parse_type_spec(cur)
+        cur.depth -= 1
         return TypeSpec("array", dims=tuple(dims), element=element)
     if word == "STRUCT":
         cur.take()
+        cur.descend()
         fields: list[tuple[str, str]] = []
         while not cur.at_kw("END_STRUCT"):
             if cur.cur().kind == "eof":
                 raise cur.fail("unterminated STRUCT")
-            names = [cur.expect_ident().text]
-            while cur.at_op(","):
-                cur.take()
-                names.append(cur.expect_ident().text)
-            cur.expect_op(":")
-            member_spec = parse_type_spec(cur)
-            if cur.at_op(":="):
-                cur.take()
-                cur.skip_initializer()
-            cur.expect_op(";")
-            fields.extend((n, member_spec.render()) for n in names)
+            names = _declared_names(cur)
+            member_type = _type_and_init(cur).render()
+            fields.extend((n, member_type) for n in names)
         cur.take()
+        cur.depth -= 1
         return TypeSpec("struct", fields=tuple(fields))
     if word in ("STRING", "WSTRING"):
         cur.take()
@@ -950,14 +895,34 @@ def parse_type_spec(cur: _DeclCursor) -> TypeSpec:
     return named(name_tok.text)
 
 
-def _parse_range(cur: _DeclCursor) -> tuple[int, int]:
+def _declared_names(cur: _Cursor) -> list[str]:
+    """`name {, name}` at the start of a declaration."""
+    names = [cur.expect_ident().text]
+    while cur.at_op(","):
+        cur.take()
+        names.append(cur.expect_ident().text)
+    return names
+
+
+def _type_and_init(cur: _Cursor) -> TypeSpec:
+    """`: type [:= init] ;` after the declared names."""
+    cur.expect_op(":")
+    spec = parse_type_spec(cur)
+    if cur.at_op(":="):
+        cur.take()
+        cur.skip_initializer()
+    cur.expect_op(";")
+    return spec
+
+
+def _parse_range(cur: _Cursor) -> tuple[int, int]:
     lo = _parse_bound(cur)
     cur.expect_op("..")
     hi = _parse_bound(cur)
     return lo, hi
 
 
-def _parse_bound(cur: _DeclCursor) -> int:
+def _parse_bound(cur: _Cursor) -> int:
     sign = 1
     if cur.at_op("-"):
         cur.take()
@@ -974,59 +939,27 @@ def _parse_bound(cur: _DeclCursor) -> int:
 
 
 def parse_type_block(unit: StUnit, context: TypeContext, path: str) -> None:
-    """Feed one TYPE .. END_TYPE block into the shared type table."""
-    cur = _DeclCursor(unit.tokens, path)
+    """Feed one TYPE .. END_TYPE block into the shared type table.  A block
+    that does not parse defines none of its types."""
+    cur = _Cursor(unit.tokens, path)
     cur.take()  # TYPE
+    definitions: list[tuple[str, TypeSpec]] = []
     while not cur.at_kw("END_TYPE"):
         if cur.cur().kind == "eof":
             raise cur.fail("unterminated TYPE block")
-        name = cur.expect_ident()
-        cur.expect_op(":")
-        spec = parse_type_spec(cur)
-        if cur.at_op(":="):
-            cur.take()
-            cur.skip_initializer()
-        cur.expect_op(";")
-        context.define(name.text, spec)
-    cur.take()
+        name = cur.expect_ident().text
+        definitions.append((name, _type_and_init(cur)))
+    for name, spec in definitions:
+        context.define(name, spec)
 
 
 def parse_global_names(unit: StUnit, path: str) -> list[str]:
     """Names declared in a standalone VAR_GLOBAL .. END_VAR list."""
-    cur = _DeclCursor(unit.tokens, path)
-    cur.take()  # VAR_GLOBAL
-    while cur.cur().up() in _VAR_QUALIFIERS:
-        cur.take()
-    names: list[str] = []
-    while not cur.at_kw("END_VAR"):
-        if cur.cur().kind == "eof":
-            raise cur.fail("unterminated VAR_GLOBAL block")
-        batch = [cur.expect_ident().text]
-        while cur.at_op(","):
-            cur.take()
-            batch.append(cur.expect_ident().text)
-        if cur.cur().up() == "AT":
-            cur.take()
-            cur.take()  # the address
-        cur.expect_op(":")
-        parse_type_spec(cur)
-        if cur.at_op(":="):
-            cur.take()
-            cur.skip_initializer()
-        cur.expect_op(";")
-        names.extend(batch)
-    return names
+    return [d.name for d in _parse_var_sections(_Cursor(unit.tokens, path))]
 
 
-@dataclass
-class _RawDecl:
-    name: str
-    section: VarSection
-    spec: TypeSpec
-
-
-def _parse_var_sections(cur: _DeclCursor) -> list[_RawDecl]:
-    decls: list[_RawDecl] = []
+def _parse_var_sections(cur: _Cursor) -> list[RawDecl]:
+    decls: list[RawDecl] = []
     while True:
         word = cur.cur().up()
         if word not in _VAR_SECTIONS:
@@ -1038,39 +971,22 @@ def _parse_var_sections(cur: _DeclCursor) -> list[_RawDecl]:
         while not cur.at_kw("END_VAR"):
             if cur.cur().kind == "eof":
                 raise cur.fail("unterminated VAR section")
-            names = [cur.expect_ident().text]
-            while cur.at_op(","):
-                cur.take()
-                names.append(cur.expect_ident().text)
+            names = _declared_names(cur)
             if cur.cur().up() == "AT":
                 cur.take()
                 addr = cur.take()
                 if addr.kind != "address":
                     raise ParseError("expected a direct address after AT", cur.path, addr.line, addr.col)
-            cur.expect_op(":")
-            spec = parse_type_spec(cur)
-            if cur.at_op(":="):
-                cur.take()
-                cur.skip_initializer()
-            cur.expect_op(";")
-            decls.extend(_RawDecl(n, section, spec) for n in names)
+            spec = _type_and_init(cur)
+            decls.extend(RawDecl(n, section, spec) for n in names)
         cur.take()
 
 
-def build_variable(
-    raw: _RawDecl, context: TypeContext, pou_name: str
-) -> tuple[VariableDecl, list[AnalysisWarning]]:
-    type_class, subs, warnings = context.classify(raw.spec, raw.name)
-    warnings = [AnalysisWarning(w.code, w.message, w.path, pou_name) for w in warnings]
-    return (
-        VariableDecl(raw.name, raw.section, type_class, raw.spec.render(), subs),
-        warnings,
-    )
-
-
-def interface_of_unit(unit: StUnit, path: str) -> tuple[str, PouKind, list[_RawDecl], TypeSpec | None]:
-    """First pass over a POU unit: name, kind, raw declarations, return type."""
-    cur = _DeclCursor(unit.tokens, path)
+def interface_of_unit(unit: StUnit, path: str) -> tuple[str, PouKind, list[RawDecl], TypeSpec | None, int]:
+    """Declarations of a POU unit: name, kind, raw declarations, the
+    function return type (None for other kinds) and the index of the
+    first body token in `unit.tokens`."""
+    cur = _Cursor(unit.tokens, path)
     head = cur.take()
     kind = _POU_KINDS[head.up()][0]
     name_tok = cur.cur()
@@ -1084,7 +1000,7 @@ def interface_of_unit(unit: StUnit, path: str) -> tuple[str, PouKind, list[_RawD
         cur.take()
         return_spec = parse_type_spec(cur)
     decls = _parse_var_sections(cur)
-    return name, kind, decls, return_spec
+    return name, kind, decls, return_spec, cur.i
 
 
 def fb_instance_map(variables, context: TypeContext) -> dict[str, frozenset[str]]:
@@ -1096,25 +1012,26 @@ def fb_instance_map(variables, context: TypeContext) -> dict[str, frozenset[str]
     }
 
 
-def external_candidates(variables, global_names: frozenset[str]) -> set[str]:
-    names = set(global_names)
-    names.update(
-        v.name.casefold()
-        for v in variables
-        if v.section in (VarSection.EXTERNAL, VarSection.GLOBAL)
+def finalize_body(
+    res: _BodyResult,
+    variables,
+    global_names: frozenset[str],
+    fixed_calls: list[CallSite] | tuple[CallSite, ...] = (),
+) -> BodyFacts:
+    """Turn a walk result into BodyFacts for a POU with the given
+    declarations: attach distinct FB output reads to the instance's first
+    call, append `fixed_calls` (graphical call sites whose counts are
+    already final) and keep only genuinely external accesses."""
+    pending = {inst: len(members) for inst, members in res.member_reads.items()}
+    calls = [CallSite(c.callee, c.args, c.returns + pending.pop(c.key, 0)) for c in res.calls]
+    candidates = set(global_names)
+    candidates.update(
+        v.name.casefold() for v in variables if v.section in (VarSection.EXTERNAL, VarSection.GLOBAL)
     )
-    return names
-
-
-def finalize_body(res: _BodyResult, variables, global_names: frozenset[str]) -> BodyFacts:
-    """Turn a raw walk result into BodyFacts for a POU with the given
-    declarations: attach FB output reads to call sites and keep only
-    genuinely external accesses."""
-    candidates = external_candidates(variables, global_names)
     return BodyFacts.build(
         tokens=res.tokens,
         decisions=res.decisions,
-        calls=_finalize_calls(res),
+        calls=calls + list(fixed_calls),
         external_reads=external_filter(res.reads, candidates, "im"),
         external_writes=external_filter(res.writes, candidates, "qm"),
     )
@@ -1127,43 +1044,20 @@ def parse_pou_unit(
     global_names: frozenset[str],
 ) -> tuple[Pou, list[AnalysisWarning]]:
     """Parse one already-sliced POU unit into the IR."""
-    cur = _DeclCursor(unit.tokens, path)
-    head = cur.take()
-    kind, end_kw = _POU_KINDS[head.up()]
-    name_tok = cur.cur()
-    if name_tok.kind == "string":
-        name = name_tok.text[1:-1]
-        cur.take()
-    else:
-        name = cur.expect_ident().text
-
-    warnings: list[AnalysisWarning] = []
-    variables: list[VariableDecl] = []
-    if kind is PouKind.FUNCTION and cur.at_op(":"):
-        cur.take()
-        return_spec = parse_type_spec(cur)
-        var, ws = build_variable(_RawDecl(name, VarSection.OUTPUT, return_spec), context, name)
-        variables.append(var)
-        warnings.extend(ws)
-
-    for raw in _parse_var_sections(cur):
-        var, ws = build_variable(raw, context, name)
-        variables.append(var)
-        warnings.extend(ws)
-
-    # Everything between the declarations and the closing keyword is body.
-    body_toks = list(unit.tokens[cur.i : -1])
+    name, kind, decls, return_spec, body_start = interface_of_unit(unit, path)
+    head = unit.tokens[0]
+    end_kw = _POU_KINDS[head.up()][1]
     if unit.tokens[-1].up() != end_kw:
         raise ParseError("missing %s" % end_kw, path, head.line, head.col)
-
-    res = _run_body(body_toks, path, fb_instance_map(variables, context))
-    body = finalize_body(res, variables, global_names)
+    variables, warnings = context.declare(name, decls, return_spec)
+    # Everything between the declarations and the closing keyword is body.
+    res = _run_body(unit.tokens[body_start:-1], path, fb_instance_map(variables, context))
     pou = Pou(
         name=name,
         kind=kind,
         language=Language.ST,
         variables=tuple(variables),
-        body=body,
+        body=finalize_body(res, variables, global_names),
         source_ref=SourceRef(path, head.line, head.col),
     )
     return pou, warnings

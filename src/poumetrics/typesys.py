@@ -9,10 +9,10 @@ ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import AnalysisWarning
-from .ir import SubVariable, TypeClass, VarSection
+from .ir import INTERFACE_SECTIONS, SubVariable, TypeClass, VariableDecl, VarSection
 
 # Elementary IEC types: single value, Simple weight class.
 ELEMENTARY_TYPES = frozenset(
@@ -71,6 +71,16 @@ def named(name: str) -> TypeSpec:
 
 
 @dataclass(frozen=True)
+class RawDecl:
+    """One declared name with its section and unclassified type, as a
+    frontend reads it from a POU interface."""
+
+    name: str
+    section: VarSection
+    spec: TypeSpec
+
+
+@dataclass(frozen=True)
 class FbMember:
     name: str
     type_name: str
@@ -122,8 +132,12 @@ class TypeContext:
     def lookup(self, name: str) -> TypeSpec | None:
         return self.definitions.get(name.casefold())
 
-    def register_fb(self, name: str, members: tuple[FbMember, ...]) -> None:
-        self.fb_interfaces[name.casefold()] = members
+    def register_fb(self, name: str, decls: list[RawDecl]) -> None:
+        """Record a function block's interface: its input, output and
+        in/out declarations."""
+        self.fb_interfaces[name.casefold()] = tuple(
+            FbMember(d.name, d.spec.render(), d.section) for d in decls if d.section in INTERFACE_SECTIONS
+        )
 
     def fb_members(self, type_name: str) -> tuple[FbMember, ...] | None:
         key = type_name.casefold()
@@ -139,6 +153,24 @@ class TypeContext:
         return frozenset(m.name.casefold() for m in members if m.section in (VarSection.OUTPUT, VarSection.IN_OUT))
 
     # ------------------------- classification -------------------------
+
+    def declare(
+        self, pou_name: str, decls: list[RawDecl], return_spec: TypeSpec | None = None
+    ) -> tuple[list[VariableDecl], list[AnalysisWarning]]:
+        """Classify a POU's declarations into IR variables.
+
+        A function's return value comes first, as an output named after
+        the POU.  Warnings are attributed to `pou_name`.
+        """
+        if return_spec is not None:
+            decls = [RawDecl(pou_name, VarSection.OUTPUT, return_spec), *decls]
+        variables: list[VariableDecl] = []
+        warnings: list[AnalysisWarning] = []
+        for d in decls:
+            type_class, subs, ws = self.classify(d.spec, d.name)
+            variables.append(VariableDecl(d.name, d.section, type_class, d.spec.render(), subs))
+            warnings.extend(replace(w, pou=pou_name) for w in ws)
+        return variables, warnings
 
     def classify(
         self, spec: TypeSpec, base_name: str

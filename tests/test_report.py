@@ -278,6 +278,37 @@ def test_cli_skip_warnings_exit_two(tmp_path, capsys):
     assert "pou-parse-error" in captured.err
 
 
+@pytest.mark.parametrize(
+    "block",
+    ["TYPE Pt : STRUCT x : INT END_STRUCT; END_TYPE", "VAR_GLOBAL g : INT := 1 END_VAR"],
+    ids=["type", "var-global"],
+)
+def test_cli_bad_type_or_global_block_is_skipped(tmp_path, capsys, block):
+    (tmp_path / "ok.st").write_text("PROGRAM Alpha x := 1; END_PROGRAM")
+    (tmp_path / "bad.st").write_text(block)
+    code = main(["analyze", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Alpha" in captured.out
+    assert "[pou-parse-error]" in captured.err and "bad.st" in captured.err
+
+
+def test_cli_nesting_2000_deep_skips_only_that_pou(tmp_path, capsys):
+    from test_st_parser import deep_pous
+
+    (tmp_path / "ok.st").write_text("PROGRAM Alpha x := 1; END_PROGRAM")
+    deep = deep_pous(2000)
+    deep["type-block"] = "TYPE Deep : %sINT;%s END_TYPE" % ("STRUCT m : " * 2000, " END_STRUCT;" * 2000)
+    for construct, text in deep.items():
+        (tmp_path / ("deep_%s.st" % construct)).write_text(text)
+    code = main(["analyze", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Alpha" in captured.out and "Deep" not in captured.out
+    assert captured.err.count("nesting deeper than 100 levels") == len(deep)
+    assert "Traceback" not in captured.err
+
+
 def test_cli_group_by_language(tmp_path, capsys):
     (tmp_path / "two.st").write_text(TWO_POUS)
     out_json = tmp_path / "r.json"

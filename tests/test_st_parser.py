@@ -13,8 +13,8 @@ from poumetrics import (
     StSource,
     TypeClass,
     VarSection,
-    count_decisions_st,
     parse_st_pou,
+    st_fragment_facts,
 )
 
 
@@ -24,9 +24,7 @@ def parse(text, **kw):
 
 
 def decisions(text):
-    count, spans = count_decisions_st(text)
-    assert count == len(spans)
-    return [s.kind for s in spans]
+    return [s.kind for s in st_fragment_facts(text).decisions]
 
 
 # ------------------------- interfaces -------------------------
@@ -177,7 +175,7 @@ def test_nested_case_inside_case_group():
 
 
 def test_decision_spans_carry_positions():
-    _, spans = count_decisions_st("IF a THEN\n  x := 1;\nEND_IF;")
+    spans = st_fragment_facts("IF a THEN\n  x := 1;\nEND_IF;").decisions
     assert spans[0].ref.line == 1
 
 
@@ -300,3 +298,41 @@ def test_error_carries_path_and_line():
         parse("PROGRAM P\nx := ;\nEND_PROGRAM")
     msg = str(err.value)
     assert "<test>" in msg and ":2:" in msg
+
+
+# ------------------------- nesting -------------------------
+
+
+def deep_pous(depth):
+    """One POU per nesting construct, nested `depth` levels deep."""
+    bodies = {
+        "if": "IF a THEN " * depth + "a := 0;" + " END_IF;" * depth,
+        "case": "CASE a OF 1: " * depth + "a := 0;" + " END_CASE;" * depth,
+        "parens": "a := " + "(" * depth + "a" + ")" * depth + ";",
+        "calls": "a := " + "1 + F(x := 1 + " * depth + "a" + ")" * depth + ";",
+        "output-calls": "F(" + "y => G(" * depth + ")" * depth + ");",
+        "subscripts": "a := " + "a[" * depth + "1" + "]" * depth + ";",
+    }
+    pous = {k: "PROGRAM Deep VAR a : INT; END_VAR %s END_PROGRAM" % b for k, b in bodies.items()}
+    pous["array-type"] = "PROGRAM Deep VAR a : %sINT; END_VAR END_PROGRAM" % ("ARRAY[1..2] OF " * depth)
+    pous["struct-type"] = "PROGRAM Deep VAR a : %sINT;%s END_VAR END_PROGRAM" % (
+        "STRUCT m : " * depth,
+        " END_STRUCT;" * depth,
+    )
+    return pous
+
+
+@pytest.mark.parametrize("construct", sorted(deep_pous(1)))
+def test_nesting_up_to_the_limit_parses(construct):
+    assert parse(deep_pous(99)[construct]).name == "Deep"
+
+
+@pytest.mark.parametrize("construct", sorted(deep_pous(1)))
+def test_nesting_past_the_limit_is_a_parse_error(construct):
+    with pytest.raises(ParseError, match="nesting deeper than 100 levels"):
+        parse(deep_pous(101)[construct])
+
+
+def test_prefix_operator_chains_are_not_nesting():
+    pou = parse("PROGRAM P VAR a : BOOL; END_VAR a := %sa; END_PROGRAM" % ("NOT - " * 1000))
+    assert [t.identity_key for t in pou.body.tokens].count("not") == 1000

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from poumetrics import ParseError, TokenClass, tokenize_st
+from poumetrics import ParseError, TokenClass, st_fragment_facts
 from poumetrics.errors import UnterminatedComment, UnterminatedString
 from poumetrics.st import lex
+
+
+def tokenize_st(text):
+    return st_fragment_facts(text).tokens
 
 
 def kinds(text):
