@@ -59,8 +59,9 @@ def _looks_like_xml(text: str) -> bool:
 def load_sample(paths, array_sub_cap: int | None = None) -> LoadedSample:
     """Load every POU reachable from `paths`.
 
-    Per-POU problems become warnings and the POU is skipped; duplicate
-    POU names across the whole sample are an error.
+    Per-POU problems become warnings and the POU is skipped (a PLCopen
+    file that does not parse is skipped whole); duplicate POU names
+    across the whole sample are an error.
     """
     files = discover_inputs(paths)
     context = TypeContext(array_sub_cap=array_sub_cap)
@@ -86,7 +87,11 @@ def load_sample(paths, array_sub_cap: int | None = None) -> LoadedSample:
             except XmlMalformed as exc:
                 warnings.append(AnalysisWarning("xml-malformed", str(exc), label, ""))
                 continue
-            plcopen.register_project_types(root, context)
+            try:
+                plcopen.register_project_types(root, context, label)
+            except ParseError as exc:
+                warnings.append(AnalysisWarning("pou-parse-error", str(exc), label, ""))
+                continue
             global_names.update(plcopen.project_global_names(root))
             pou_names.update(plcopen.project_pou_names(root))
             xml_roots.append((root, label))
@@ -126,7 +131,11 @@ def load_sample(paths, array_sub_cap: int | None = None) -> LoadedSample:
         pous.append(pou)
         warnings.extend(ws)
     for root, label in xml_roots:
-        extracted, ws = plcopen.extract_pous(root, label, context, frozen_globals, frozen_names)
+        try:
+            extracted, ws = plcopen.extract_pous(root, label, context, frozen_globals, frozen_names)
+        except ParseError as exc:
+            warnings.append(AnalysisWarning("pou-parse-error", str(exc), label, ""))
+            continue
         pous.extend(extracted)
         warnings.extend(ws)
 

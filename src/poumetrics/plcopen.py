@@ -27,7 +27,7 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
-from .errors import AnalysisWarning, XmlMalformed
+from .errors import AnalysisWarning, ParseError, XmlMalformed
 from .ir import (
     CallSite,
     DecisionSpan,
@@ -38,7 +38,7 @@ from .ir import (
     Token,
     VarSection,
 )
-from .st import _BodyResult, fb_instance_map, finalize_body, st_fragment_facts
+from .st import _MAX_NESTING, _BodyResult, fb_instance_map, finalize_body, st_fragment_facts
 from .typesys import RawDecl, TypeContext, TypeSpec, named
 
 _POU_TYPE_MAP = {
@@ -103,8 +103,12 @@ def parse_xml(text: str, path: str = "") -> ET.Element:
 # ------------------------- interface / types -------------------------
 
 
-def _type_spec_of(type_el: ET.Element | None) -> TypeSpec:
-    """Build a TypeSpec from a <type> wrapper (or a bare type element)."""
+def _type_spec_of(type_el: ET.Element | None, path: str, depth: int = 0) -> TypeSpec:
+    """Build a TypeSpec from a <type> wrapper (or a bare type element).
+    Array, struct and subrange types nested deeper than the ST parser
+    accepts are a ParseError."""
+    if depth > _MAX_NESTING:
+        raise ParseError("nesting deeper than %d levels" % _MAX_NESTING, path)
     if type_el is None:
         return named("")
     inner = None
@@ -126,12 +130,12 @@ def _type_spec_of(type_el: ET.Element | None) -> TypeSpec:
             except ValueError:
                 lo = hi = 1
             dims.append((lo, hi))
-        base = _type_spec_of(_first(inner, "baseType"))
+        base = _type_spec_of(_first(inner, "baseType"), path, depth + 1)
         return TypeSpec("array", dims=tuple(dims), element=base)
     if tag == "struct":
         fields = []
         for var in _children(inner, "variable"):
-            member_spec = _type_spec_of(_first(var, "type"))
+            member_spec = _type_spec_of(_first(var, "type"), path, depth + 1)
             fields.append((var.get("name", ""), member_spec.render()))
         return TypeSpec("struct", fields=tuple(fields))
     if tag == "enum":
@@ -139,13 +143,13 @@ def _type_spec_of(type_el: ET.Element | None) -> TypeSpec:
     if tag in ("string", "wstring", "wString"):
         return TypeSpec("string", name="WSTRING" if tag != "string" else "STRING")
     if tag in ("subrangeSigned", "subrangeUnsigned"):
-        base = _type_spec_of(_first(inner, "baseType"))
+        base = _type_spec_of(_first(inner, "baseType"), path, depth + 1)
         return TypeSpec("subrange", element=base)
     # Elementary types appear as empty elements named after the type.
     return named(tag.upper())
 
 
-def _interface_vars(pou_el: ET.Element) -> tuple[list[RawDecl], TypeSpec | None, bool]:
+def _interface_vars(pou_el: ET.Element, path: str) -> tuple[list[RawDecl], TypeSpec | None, bool]:
     """Collect declared variables and the return type of one <pou>.
 
     The last element reports whether an <interface> element was present
@@ -159,29 +163,34 @@ def _interface_vars(pou_el: ET.Element) -> tuple[list[RawDecl], TypeSpec | None,
     for section_el in interface:
         tag = _local(section_el.tag)
         if tag == "returnType":
-            return_spec = _type_spec_of(section_el)
+            return_spec = _type_spec_of(section_el, path)
             continue
         section = _SECTION_MAP.get(tag)
         if section is None:
             continue
         for var in _children(section_el, "variable"):
-            out.append(RawDecl(var.get("name", ""), section, _type_spec_of(_first(var, "type"))))
+            out.append(RawDecl(var.get("name", ""), section, _type_spec_of(_first(var, "type"), path)))
     return out, return_spec, True
 
 
-def register_project_types(root: ET.Element, context: TypeContext) -> None:
-    """First pass: feed user data types and FB interfaces into `context`."""
-    for dt in _descendants(root, "dataType"):
-        name = dt.get("name", "")
-        if name:
-            context.define(name, _type_spec_of(_first(dt, "baseType")))
-    for pou_el in _descendants(root, "pou"):
-        if _POU_TYPE_MAP.get(pou_el.get("pouType", "").casefold()) is not PouKind.FUNCTION_BLOCK:
-            continue
-        name = pou_el.get("name", "")
-        if not name:
-            continue
-        decls, _, _ = _interface_vars(pou_el)
+def register_project_types(root: ET.Element, context: TypeContext, path: str) -> None:
+    """First pass: feed user data types and FB interfaces into `context`.
+    Every spec is built before any is recorded, so a document whose types
+    do not parse records none of them."""
+    types = [
+        (dt.get("name"), _type_spec_of(_first(dt, "baseType"), path))
+        for dt in _descendants(root, "dataType")
+        if dt.get("name")
+    ]
+    fbs = [
+        (pou_el.get("name"), _interface_vars(pou_el, path)[0])
+        for pou_el in _descendants(root, "pou")
+        if pou_el.get("name")
+        and _POU_TYPE_MAP.get(pou_el.get("pouType", "").casefold()) is PouKind.FUNCTION_BLOCK
+    ]
+    for name, spec in types:
+        context.define(name, spec)
+    for name, decls in fbs:
         context.register_fb(name, decls)
 
 
@@ -536,7 +545,7 @@ def extract_pous(
             continue
         kind = _POU_TYPE_MAP.get(pou_el.get("pouType", "").casefold(), PouKind.PROGRAM)
 
-        raw_vars, return_spec, has_interface = _interface_vars(pou_el)
+        raw_vars, return_spec, has_interface = _interface_vars(pou_el, path)
         if not has_interface:
             warnings.append(AnalysisWarning("missing-interface", "pou has no interface element", path, name))
 

@@ -46,17 +46,29 @@ from .typesys import RawDecl, TypeContext, TypeSpec, named
 
 # ---------------------- raw lexer ----------------------
 
-_RE_WS = re.compile(r"[ \t\r\n]+")
-_RE_ADDRESS = re.compile(r"%[IQMiqm][XBWDLxbwdl]?\d+(?:\.\d+)*")
-_RE_TYPED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*#(?:\d[\d_]*#)?[0-9A-Za-z_.:+-]+")
-_RE_BASED = re.compile(r"\d[\d_]*#[0-9A-Fa-f_]+")
-_RE_REAL = re.compile(r"\d[\d_]*\.\d[\d_]*(?:[eE][+-]?\d+)?")
-_RE_EXPINT = re.compile(r"\d[\d_]*[eE][+-]?\d+")
-_RE_INT = re.compile(r"\d[\d_]*")
-_RE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-_MULTI_OPS = (":=", "=>", "<>", "<=", ">=", "**", "..")
-_SINGLE_OPS = frozenset("+-*/=<>()[];,.:&")
+# One named group per token kind, tried in this order at each position;
+# the first that matches wins (typed literals such as T#5s before
+# identifiers, `(*` before the `(` operator).  `bad` takes a character
+# no kind can start with, or the opener of an unclosed string or pragma.
+_TOKEN = re.compile(
+    r"""
+      (?P<ws>[ \t\r\n]+)
+    | (?P<comment>\(\*|//[^\n]*|\{[^}]*\})
+    | (?P<string>'(?:\$[\s\S]|[^'\n$])*'|"(?:\$[\s\S]|[^"\n$])*")
+    | (?P<address>%[IQMiqm][XBWDLxbwdl]?\d+(?:\.\d+)*)
+    | (?P<number>
+          [A-Za-z_][A-Za-z0-9_]*\#(?:\d[\d_]*\#)?[0-9A-Za-z_.:+-]+
+        | \d[\d_]*\#[0-9A-Fa-f_]+
+        | \d[\d_]*\.\d[\d_]*(?:[eE][+-]?\d+)?
+        | \d[\d_]*(?:[eE][+-]?\d+)?
+      )
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<op>:=|=>|<>|<=|>=|\*\*|\.\.|[-+*/=<>()\[\];,.:&])
+    | (?P<bad>[\s\S])
+    """,
+    re.VERBOSE,
+)
+_COMMENT_MARK = re.compile(r"\(\*|\*\)")
 
 
 @dataclass(frozen=True)
@@ -73,109 +85,34 @@ class RawTok:
 def lex(text: str, path: str = "") -> list[RawTok]:
     """Split ST source into raw tokens, dropping comments and pragmas."""
     toks: list[RawTok] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def advance(span: str):
-        nonlocal line, col
-        nl = span.count("\n")
-        if nl:
-            line += nl
-            col = len(span) - span.rfind("\n")
-        else:
-            col += len(span)
-
-    while i < n:
-        ch = text[i]
-        m = _RE_WS.match(text, i)
-        if m:
-            advance(m.group())
-            i = m.end()
-            continue
-        if text.startswith("(*", i):
-            start_line, start_col = line, col
-            depth, j = 1, i + 2
-            while j < n and depth:
-                if text.startswith("(*", j):
-                    depth += 1
-                    j += 2
-                elif text.startswith("*)", j):
-                    depth -= 1
-                    j += 2
-                else:
-                    j += 1
-            if depth:
-                raise UnterminatedComment("comment opened here is never closed", path, start_line, start_col)
-            advance(text[i:j])
-            i = j
-            continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            j = n if j < 0 else j
-            advance(text[i:j])
-            i = j
-            continue
-        if ch == "{":
-            j = text.find("}", i)
-            if j < 0:
+    pos, line, line_start = 0, 1, 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        kind, end = m.lastgroup, m.end()
+        col = pos - line_start + 1
+        if kind == "bad":
+            ch = text[pos]
+            if ch in "'\"":
+                raise UnterminatedString("string literal is never closed", path, line, col)
+            if ch == "{":
                 raise ParseError("unterminated pragma", path, line, col)
-            advance(text[i : j + 1])
-            i = j + 1
-            continue
-        if ch in "'\"":
-            quote = ch
-            start_line, start_col = line, col
-            j = i + 1
-            while j < n:
-                c = text[j]
-                if c == "$":
-                    j += 2
-                    continue
-                if c == "\n":
-                    break
-                if c == quote:
-                    break
-                j += 1
-            if j >= n or text[j] != quote:
-                raise UnterminatedString("string literal is never closed", path, start_line, start_col)
-            tok_text = text[i : j + 1]
-            toks.append(RawTok("string", tok_text, line, col))
-            advance(tok_text)
-            i = j + 1
-            continue
-        m = _RE_ADDRESS.match(text, i)
-        if m:
-            toks.append(RawTok("address", m.group(), line, col))
-            advance(m.group())
-            i = m.end()
-            continue
-        for pattern, kind in ((_RE_TYPED, "number"), (_RE_BASED, "number"), (_RE_REAL, "number"), (_RE_EXPINT, "number"), (_RE_INT, "number")):
-            m = pattern.match(text, i)
-            if m:
-                toks.append(RawTok(kind, m.group(), line, col))
-                advance(m.group())
-                i = m.end()
-                break
-        else:
-            m = _RE_IDENT.match(text, i)
-            if m:
-                toks.append(RawTok("ident", m.group(), line, col))
-                advance(m.group())
-                i = m.end()
-                continue
-            two = text[i : i + 2]
-            if two in _MULTI_OPS:
-                toks.append(RawTok("op", two, line, col))
-                advance(two)
-                i += 2
-                continue
-            if ch in _SINGLE_OPS:
-                toks.append(RawTok("op", ch, line, col))
-                advance(ch)
-                i += 1
-                continue
             raise ParseError("unexpected character %r" % ch, path, line, col)
-        continue
+        if kind == "comment" and text[pos] == "(":
+            depth = 1
+            for mark in _COMMENT_MARK.finditer(text, end):
+                depth += 1 if mark.group() == "(*" else -1
+                if not depth:
+                    end = mark.end()
+                    break
+            else:
+                raise UnterminatedComment("comment opened here is never closed", path, line, col)
+        elif kind not in ("ws", "comment"):
+            toks.append(RawTok(kind, m.group(), line, col))
+        newlines = text.count("\n", pos, end)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", pos, end) + 1
+        pos = end
     return toks
 
 

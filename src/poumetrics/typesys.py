@@ -175,55 +175,41 @@ class TypeContext:
     def classify(
         self, spec: TypeSpec, base_name: str
     ) -> tuple[TypeClass, tuple[SubVariable, ...], list[AnalysisWarning]]:
-        """Classify a declared type and expand its first sub-variable level."""
-        return self._classify(spec, base_name, seen=set())
+        """Classify a declared type and expand its first sub-variable level.
 
-    def _classify(self, spec, base_name, seen):
-        warnings: list[AnalysisWarning] = []
-        if spec.kind == "string":
-            return TypeClass.SIMPLE, (), warnings
+        Named types resolve through user aliases in a loop.  A user-defined
+        name is Complex even when it resolves to a bare scalar, and an
+        alias cycle is Complex without sub-variables."""
+        seen: set[str] = set()
+        while spec.kind == "named":
+            key = spec.name.casefold()
+            if key.split("(")[0].strip() in ELEMENTARY_TYPES:
+                break
+            if key in seen:
+                return TypeClass.COMPLEX, (), []
+            seen.add(key)
+            definition = self.lookup(spec.name)
+            if definition is None:
+                members = self.fb_members(spec.name)
+                if members is not None:
+                    return TypeClass.COMPLEX, tuple(SubVariable(m.name, m.type_name) for m in members), []
+                warning = AnalysisWarning(
+                    code="unknown-type",
+                    message="type %r of %r is not defined; treated as Complex without sub-variables"
+                    % (spec.name, base_name),
+                )
+                return TypeClass.COMPLEX, (), [warning]
+            spec = definition
+
         if spec.kind == "array":
-            return TypeClass.COMPLEX, self._array_subs(spec, base_name), warnings
+            return TypeClass.COMPLEX, self._array_subs(spec, base_name), []
         if spec.kind == "struct":
-            subs = tuple(SubVariable(name, type_name) for name, type_name in spec.fields)
-            return TypeClass.COMPLEX, subs, warnings
-        if spec.kind == "enum":
-            return TypeClass.COMPLEX, (), warnings
-        if spec.kind == "subrange":
-            # A named, range-restricted scalar: user-defined, no members.
-            return TypeClass.COMPLEX, (), warnings
-
-        # Named type: elementary, user definition, FB interface, or unknown.
-        key = spec.name.casefold()
-        base = key.split("(")[0].strip()
-        if base in ELEMENTARY_TYPES:
-            return TypeClass.SIMPLE, (), warnings
-
-        if key in seen:
-            return TypeClass.COMPLEX, (), warnings
-        seen.add(key)
-
-        definition = self.lookup(spec.name)
-        if definition is not None:
-            _, subs, more = self._classify(definition, base_name, seen)
-            warnings.extend(more)
-            # User-defined names are Complex even when the resolved
-            # definition is a bare scalar alias.
-            return TypeClass.COMPLEX, subs, warnings
-
-        members = self.fb_members(spec.name)
-        if members is not None:
-            subs = tuple(SubVariable(m.name, m.type_name) for m in members)
-            return TypeClass.COMPLEX, subs, warnings
-
-        warnings.append(
-            AnalysisWarning(
-                code="unknown-type",
-                message="type %r of %r is not defined; treated as Complex without sub-variables"
-                % (spec.name, base_name),
-            )
-        )
-        return TypeClass.COMPLEX, (), warnings
+            return TypeClass.COMPLEX, tuple(SubVariable(name, type_name) for name, type_name in spec.fields), []
+        # Elementary names and strings are Simple unless reached through
+        # an alias; enums and subranges (range-restricted scalars) are
+        # user-defined, without members.
+        simple = spec.kind in ("named", "string") and not seen
+        return (TypeClass.SIMPLE if simple else TypeClass.COMPLEX), (), []
 
     def _array_subs(self, spec: TypeSpec, base_name: str) -> tuple[SubVariable, ...]:
         """One sub-variable per declared element, flattened a single level."""

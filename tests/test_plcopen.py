@@ -139,6 +139,44 @@ def test_function_return_type_becomes_output(tmp_path):
     assert [v.name for v in outs] == ["Twice"]
 
 
+def deep_type_docs(depth):
+    """A project whose array type is nested `depth` levels deep, once in a
+    <dataType> and once in a program interface."""
+    nested = '<array><dimension lower="1" upper="2"/><baseType>' * depth + "<INT/>" + "</baseType></array>" * depth
+    body = '<ST><xhtml xmlns="http://www.w3.org/1999/xhtml">a := 1;</xhtml></ST>'
+    iface = '<interface><localVars><variable name="a"><type>%s</type></variable></localVars></interface>'
+    data_type = '<dataTypes><dataType name="DeepT"><baseType>%s</baseType></dataType></dataTypes>' % nested
+    return {
+        "data-type": doc(pou_xml("Deep", "program", body, iface % "<derived name=\"DeepT\"/>")).replace(
+            "<dataTypes/>", data_type
+        ),
+        "interface": doc(pou_xml("Deep", "program", body, iface % nested)),
+    }
+
+
+@pytest.mark.parametrize("where", ["data-type", "interface"])
+def test_type_nesting_up_to_the_limit_loads(tmp_path, where):
+    pou, warnings = one_pou(tmp_path, deep_type_docs(99)[where])
+    assert warnings == []
+    assert [len(v.sub_variables) for v in pou.variables] == [2]
+
+
+@pytest.mark.parametrize("where", ["data-type", "interface"])
+def test_type_nesting_past_the_limit_skips_the_file(tmp_path, where):
+    sample = load_doc(tmp_path, deep_type_docs(101)[where])
+    assert sample.pous == []
+    assert [w.code for w in sample.warnings] == ["pou-parse-error"]
+    assert "nesting deeper than 100 levels" in sample.warnings[0].message
+    assert sample.context.lookup("DeepT") is None
+
+
+def test_st_body_that_does_not_parse_skips_the_file(tmp_path):
+    bad = '<ST><xhtml xmlns="http://www.w3.org/1999/xhtml">x := ;</xhtml></ST>'
+    sample = load_doc(tmp_path, doc(pou_xml("Bad", "program", bad)), {"ok.st": "PROGRAM Alpha x := 1; END_PROGRAM"})
+    assert [p.name for p in sample.pous] == ["Alpha"]
+    assert [w.code for w in sample.warnings] == ["pou-parse-error"]
+
+
 def test_embedded_st_body_language_stays_st(tmp_path):
     body = '<ST><xhtml xmlns="http://www.w3.org/1999/xhtml">y := a + b;</xhtml></ST>'
     iface = (

@@ -7,6 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st_strat
 
 from poumetrics import (
+    ParseError,
     StSource,
     TokenClass,
     compute_vector,
@@ -15,6 +16,7 @@ from poumetrics import (
 )
 from poumetrics.aggregate import median_of
 from poumetrics.report import fmt4
+from poumetrics.st import lex
 
 from stgen import generate_program, sprinkle_comments
 
@@ -79,6 +81,33 @@ def test_decisions_never_negative_and_cc_at_least_one(seed):
     assert pou.body.decision_count >= 0
     assert vec.cyclomatic == pou.body.decision_count + 1
     assert vec.cyclomatic >= 1
+
+
+# Pieces that open, close or escape each lexical construct, so random
+# texts mix tokens with open and closed comments, pragmas and strings.
+ST_PIECES = [
+    "(*", "*)", "//", "{", "}", "'", '"', "$", "%", "#", "\t", "\n", " ", "a", "T", "1", "e", "_",
+    ".", ":", "=", "<", ">", "*", "(", ")", ";", "+", "IX", "16#", "?",
+]
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st_strat.lists(st_strat.sampled_from(ST_PIECES), max_size=40).map("".join))
+def test_lexed_tokens_sit_at_their_positions(text):
+    try:
+        toks = lex(text)
+    except ParseError:
+        return
+    line_offsets = [0]
+    for i, ch in enumerate(text):
+        if ch == "\n":
+            line_offsets.append(i + 1)
+    end = 0
+    for tok in toks:
+        start = line_offsets[tok.line - 1] + tok.col - 1
+        assert start >= end  # no overlap, so positions strictly increase
+        assert text[start : start + len(tok.text)] == tok.text
+        end = start + len(tok.text)
 
 
 @settings(max_examples=200, derandomize=True)

@@ -309,6 +309,32 @@ def test_cli_nesting_2000_deep_skips_only_that_pou(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("where", ["data-type", "interface"])
+def test_cli_xml_type_nesting_2000_deep_skips_that_file(tmp_path, capsys, where):
+    from test_plcopen import deep_type_docs
+
+    (tmp_path / "ok.st").write_text("PROGRAM Alpha x := 1; END_PROGRAM")
+    (tmp_path / "deep.xml").write_text(deep_type_docs(2000)[where])
+    code = main(["analyze", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Alpha" in captured.out and "Deep" not in captured.out
+    assert "[pou-parse-error]" in captured.err and "nesting deeper than 100 levels" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_cli_type_alias_chain_2000_long(tmp_path, capsys):
+    aliases = "".join("A%d : A%d; " % (i, i + 1) for i in range(2000))
+    (tmp_path / "ok.st").write_text("PROGRAM Alpha x := 1; END_PROGRAM")
+    (tmp_path / "chain.st").write_text(
+        "TYPE %sA2000 : INT; END_TYPE PROGRAM Chained VAR x : A0; END_VAR x := 1; END_PROGRAM" % aliases
+    )
+    code = main(["analyze", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Alpha" in captured.out and "Chained" in captured.out
+
+
 def test_cli_group_by_language(tmp_path, capsys):
     (tmp_path / "two.st").write_text(TWO_POUS)
     out_json = tmp_path / "r.json"

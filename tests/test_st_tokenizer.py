@@ -108,9 +108,35 @@ def test_unexpected_character_raises_with_position():
 
 
 def test_line_and_column_tracking():
-    toks = lex("a\n  b")
-    assert (toks[0].line, toks[0].col) == (1, 1)
-    assert (toks[1].line, toks[1].col) == (2, 3)
+    # position of `b` after a newline, a multi-line nested comment, a
+    # multi-line pragma, a string with a $-escaped newline, and tabs
+    cases = [
+        ("a\n  b", 2, 3),
+        ("a (* one\n (* two\n *) *) b", 3, 8),
+        ("a {pragma\nline} b", 2, 7),
+        ("a 'x$\ny' b", 2, 4),
+        ("a\t\tb", 1, 4),
+    ]
+    for text, line, col in cases:
+        toks = lex(text)
+        assert (toks[0].line, toks[0].col) == (1, 1)
+        assert (toks[-1].text, toks[-1].line, toks[-1].col) == ("b", line, col)
+
+
+@pytest.mark.parametrize(
+    "text, error, line, col",
+    [
+        ("x\n  (* (* *) open", UnterminatedComment, 2, 3),
+        ("x :=\n\t'open", UnterminatedString, 2, 2),
+        ("x (* c *) {open", ParseError, 1, 11),
+        ("x\n y ? z", ParseError, 2, 4),
+    ],
+    ids=["comment", "string", "pragma", "unexpected-character"],
+)
+def test_lex_errors_carry_position(text, error, line, col):
+    with pytest.raises(error) as err:
+        lex(text)
+    assert (err.value.line, err.value.column) == (line, col)
 
 
 # ------------------------- classification -------------------------
