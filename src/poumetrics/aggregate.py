@@ -141,7 +141,7 @@ def relative_vector(vector: MetricVector, stats: GroupStats) -> tuple[Fraction |
         if i in stats.excluded:
             out.append(None)
         else:
-            out.append(Fraction(100) * Fraction(value) / stats.medians[i])
+            out.append(Fraction(100 * value) / stats.medians[i])
     return tuple(out)
 
 

@@ -10,16 +10,16 @@ class AnalysisError(Exception):
 
 
 class ParseError(AnalysisError):
-    """Source text could not be analyzed.  Carries path/line/column."""
+    """Source text could not be analyzed.  Carries path/line/column;
+    `detail` is the message with line and column but without the path,
+    for warnings that name the path themselves."""
 
     def __init__(self, message: str, path: str = "", line: int = 0, column: int = 0):
         self.path = path
         self.line = line
         self.column = column
-        where = path or "<source>"
-        if line:
-            where += ":%d:%d" % (line, column)
-        super().__init__("%s: %s" % (where, message))
+        self.detail = "%d:%d: %s" % (line, column, message) if line else message
+        super().__init__("%s%s%s" % (path or "<source>", ":" if line else ": ", self.detail))
 
 
 class UnterminatedComment(ParseError):
@@ -31,7 +31,13 @@ class UnterminatedString(ParseError):
 
 
 class XmlMalformed(AnalysisError):
-    """A project file is not well-formed XML; the whole file is rejected."""
+    """A project file is not well-formed XML; the whole file is rejected.
+    `detail` is the parser's message without the path."""
+
+    def __init__(self, message: str, path: str = ""):
+        self.path = path
+        self.detail = message
+        super().__init__("%s: %s" % (path or "<xml>", message))
 
 
 class EmptySample(AnalysisError):

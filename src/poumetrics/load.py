@@ -60,7 +60,8 @@ def load_sample(paths, array_sub_cap: int | None = None) -> LoadedSample:
     """Load every POU reachable from `paths`.
 
     Per-POU problems become warnings and the POU is skipped (a PLCopen
-    file that does not parse is skipped whole); duplicate POU names
+    file that is malformed or whose data types or function block
+    interfaces do not parse is skipped whole); duplicate POU names
     across the whole sample are an error.
     """
     files = discover_inputs(paths)
@@ -85,12 +86,12 @@ def load_sample(paths, array_sub_cap: int | None = None) -> LoadedSample:
             try:
                 root = plcopen.parse_xml(text, label)
             except XmlMalformed as exc:
-                warnings.append(AnalysisWarning("xml-malformed", str(exc), label, ""))
+                warnings.append(AnalysisWarning("xml-malformed", exc.detail, label, ""))
                 continue
             try:
                 plcopen.register_project_types(root, context, label)
             except ParseError as exc:
-                warnings.append(AnalysisWarning("pou-parse-error", str(exc), label, ""))
+                warnings.append(AnalysisWarning("pou-parse-error", exc.detail, label, ""))
                 continue
             global_names.update(plcopen.project_global_names(root))
             pou_names.update(plcopen.project_pou_names(root))
@@ -100,7 +101,7 @@ def load_sample(paths, array_sub_cap: int | None = None) -> LoadedSample:
         try:
             units = st.split_st_units(st.StSource(label, text))
         except ParseError as exc:
-            warnings.append(AnalysisWarning("pou-parse-error", str(exc), label, ""))
+            warnings.append(AnalysisWarning("pou-parse-error", exc.detail, label, ""))
             continue
         for unit in units:
             try:
@@ -115,7 +116,7 @@ def load_sample(paths, array_sub_cap: int | None = None) -> LoadedSample:
                         context.register_fb(name, decls)
                     st_units.append((unit, label))
             except ParseError as exc:
-                warnings.append(AnalysisWarning("pou-parse-error", str(exc), label, ""))
+                warnings.append(AnalysisWarning("pou-parse-error", exc.detail, label, ""))
 
     frozen_globals = frozenset(global_names)
     frozen_names = frozenset(pou_names)
@@ -126,16 +127,12 @@ def load_sample(paths, array_sub_cap: int | None = None) -> LoadedSample:
         try:
             pou, ws = st.parse_pou_unit(unit, label, context, frozen_globals)
         except ParseError as exc:
-            warnings.append(AnalysisWarning("pou-parse-error", str(exc), label, ""))
+            warnings.append(AnalysisWarning("pou-parse-error", exc.detail, label, ""))
             continue
         pous.append(pou)
         warnings.extend(ws)
     for root, label in xml_roots:
-        try:
-            extracted, ws = plcopen.extract_pous(root, label, context, frozen_globals, frozen_names)
-        except ParseError as exc:
-            warnings.append(AnalysisWarning("pou-parse-error", str(exc), label, ""))
-            continue
+        extracted, ws = plcopen.extract_pous(root, label, context, frozen_globals, frozen_names)
         pous.extend(extracted)
         warnings.extend(ws)
 

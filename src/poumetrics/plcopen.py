@@ -2,8 +2,8 @@
 
 Reduces graphical bodies (FBD, LD, SFC) and embedded textual bodies to
 the same IR the ST frontend produces.  Parsing is namespace-agnostic:
-elements are matched by local name so files from different tools load
-alike.  Network elements are visited in localId order, which makes the
+`parse_xml` rewrites every tag to its local name, so files from
+different tools load alike.  Network elements are visited in localId order, which makes the
 extracted token stream independent of element order in the file.
 
 Counting rules for graphical languages:
@@ -65,27 +65,6 @@ _SELECTOR_BLOCKS = frozenset({"sel", "mux", "limit"})
 _IDENT_ROOT = re.compile(r"[A-Za-z_]\w*")
 
 
-def _local(tag) -> str:
-    if not isinstance(tag, str):
-        return ""
-    return tag.rsplit("}", 1)[-1]
-
-
-def _children(el: ET.Element, name: str) -> list[ET.Element]:
-    return [c for c in el if _local(c.tag) == name]
-
-
-def _first(el: ET.Element, name: str) -> ET.Element | None:
-    for c in el:
-        if _local(c.tag) == name:
-            return c
-    return None
-
-
-def _descendants(el: ET.Element, name: str) -> list[ET.Element]:
-    return [d for d in el.iter() if _local(d.tag) == name]
-
-
 def _text_of(el: ET.Element | None) -> str:
     if el is None:
         return ""
@@ -93,11 +72,23 @@ def _text_of(el: ET.Element | None) -> str:
 
 
 def parse_xml(text: str, path: str = "") -> ET.Element:
-    """Parse a document and return its root, or raise XmlMalformed."""
+    """Parse a document and return its root, or raise XmlMalformed.
+
+    Every tag is rewritten to its local name, one shared string per
+    distinct tag, so the rest of this module matches tags with
+    ElementTree's own find, findall and iter."""
     try:
-        return ET.fromstring(text)
+        root = ET.fromstring(text)
     except ET.ParseError as exc:
-        raise XmlMalformed("%s: %s" % (path or "<xml>", exc)) from exc
+        raise XmlMalformed(str(exc), path) from exc
+    local: dict[str, str] = {}
+    for el in root.iter():
+        tag = el.tag
+        name = local.get(tag)
+        if name is None:
+            name = local[tag] = tag.rsplit("}", 1)[-1]
+        el.tag = name
+    return root
 
 
 # ------------------------- interface / types -------------------------
@@ -111,31 +102,26 @@ def _type_spec_of(type_el: ET.Element | None, path: str, depth: int = 0) -> Type
         raise ParseError("nesting deeper than %d levels" % _MAX_NESTING, path)
     if type_el is None:
         return named("")
-    inner = None
-    for c in type_el:
-        inner = c
-        break
-    if inner is None:
-        # The wrapper itself is the type element (recursive call).
-        inner = type_el
-    tag = _local(inner.tag)
+    # A bare type element (recursive call) stands for itself.
+    inner = next(iter(type_el), type_el)
+    tag = inner.tag
     if tag == "derived":
         return named(inner.get("name", ""))
     if tag == "array":
         dims = []
-        for d in _children(inner, "dimension"):
+        for d in inner.findall("dimension"):
             try:
                 lo = int(d.get("lower", "1"))
                 hi = int(d.get("upper", "1"))
             except ValueError:
                 lo = hi = 1
             dims.append((lo, hi))
-        base = _type_spec_of(_first(inner, "baseType"), path, depth + 1)
+        base = _type_spec_of(inner.find("baseType"), path, depth + 1)
         return TypeSpec("array", dims=tuple(dims), element=base)
     if tag == "struct":
         fields = []
-        for var in _children(inner, "variable"):
-            member_spec = _type_spec_of(_first(var, "type"), path, depth + 1)
+        for var in inner.findall("variable"):
+            member_spec = _type_spec_of(var.find("type"), path, depth + 1)
             fields.append((var.get("name", ""), member_spec.render()))
         return TypeSpec("struct", fields=tuple(fields))
     if tag == "enum":
@@ -143,7 +129,7 @@ def _type_spec_of(type_el: ET.Element | None, path: str, depth: int = 0) -> Type
     if tag in ("string", "wstring", "wString"):
         return TypeSpec("string", name="WSTRING" if tag != "string" else "STRING")
     if tag in ("subrangeSigned", "subrangeUnsigned"):
-        base = _type_spec_of(_first(inner, "baseType"), path, depth + 1)
+        base = _type_spec_of(inner.find("baseType"), path, depth + 1)
         return TypeSpec("subrange", element=base)
     # Elementary types appear as empty elements named after the type.
     return named(tag.upper())
@@ -155,21 +141,21 @@ def _interface_vars(pou_el: ET.Element, path: str) -> tuple[list[RawDecl], TypeS
     The last element reports whether an <interface> element was present
     at all, so callers can warn about POUs that lack one.
     """
-    interface = _first(pou_el, "interface")
+    interface = pou_el.find("interface")
     if interface is None:
         return [], None, False
     out: list[RawDecl] = []
     return_spec: TypeSpec | None = None
     for section_el in interface:
-        tag = _local(section_el.tag)
+        tag = section_el.tag
         if tag == "returnType":
             return_spec = _type_spec_of(section_el, path)
             continue
         section = _SECTION_MAP.get(tag)
         if section is None:
             continue
-        for var in _children(section_el, "variable"):
-            out.append(RawDecl(var.get("name", ""), section, _type_spec_of(_first(var, "type"), path)))
+        for var in section_el.findall("variable"):
+            out.append(RawDecl(var.get("name", ""), section, _type_spec_of(var.find("type"), path)))
     return out, return_spec, True
 
 
@@ -178,13 +164,13 @@ def register_project_types(root: ET.Element, context: TypeContext, path: str) ->
     Every spec is built before any is recorded, so a document whose types
     do not parse records none of them."""
     types = [
-        (dt.get("name"), _type_spec_of(_first(dt, "baseType"), path))
-        for dt in _descendants(root, "dataType")
+        (dt.get("name"), _type_spec_of(dt.find("baseType"), path))
+        for dt in root.iter("dataType")
         if dt.get("name")
     ]
     fbs = [
         (pou_el.get("name"), _interface_vars(pou_el, path)[0])
-        for pou_el in _descendants(root, "pou")
+        for pou_el in root.iter("pou")
         if pou_el.get("name")
         and _POU_TYPE_MAP.get(pou_el.get("pouType", "").casefold()) is PouKind.FUNCTION_BLOCK
     ]
@@ -197,9 +183,9 @@ def register_project_types(root: ET.Element, context: TypeContext, path: str) ->
 def project_global_names(root: ET.Element) -> list[str]:
     """Global variable names declared under configurations/resources."""
     names: list[str] = []
-    for inst in _descendants(root, "instances"):
-        for gvars in _descendants(inst, "globalVars"):
-            for var in _children(gvars, "variable"):
+    for inst in root.iter("instances"):
+        for gvars in inst.iter("globalVars"):
+            for var in gvars.findall("variable"):
                 name = var.get("name", "")
                 if name:
                     names.append(name.casefold())
@@ -207,7 +193,7 @@ def project_global_names(root: ET.Element) -> list[str]:
 
 
 def project_pou_names(root: ET.Element) -> list[str]:
-    return [p.get("name", "").casefold() for p in _descendants(root, "pou") if p.get("name")]
+    return [p.get("name", "").casefold() for p in root.iter("pou") if p.get("name")]
 
 
 # ------------------------- graphical bodies -------------------------
@@ -275,35 +261,24 @@ def _sorted_elements(body_el: ET.Element) -> list[ET.Element]:
 
 def _connections_in(el: ET.Element) -> list[ET.Element]:
     out = []
-    for cpi in _descendants(el, "connectionPointIn"):
-        out.extend(_children(cpi, "connection"))
+    for cpi in el.iter("connectionPointIn"):
+        out.extend(cpi.findall("connection"))
     return out
-
-
-def _has_connection(el: ET.Element) -> bool:
-    return bool(_connections_in(el))
-
-
-def _inbound_ports(body_el: ET.Element) -> dict[str, set[str]]:
-    """Map each element's localId to the set of its output ports that
-    other elements consume."""
-    inbound: dict[str, set[str]] = {}
-    for conn in _descendants(body_el, "connection"):
-        src = conn.get("refLocalId", "")
-        if src:
-            inbound.setdefault(src, set()).add(conn.get("formalParameter", "").casefold())
-    return inbound
 
 
 def _walk_network(acc: _Acc, body_el: ET.Element, language: Language, pou_el: ET.Element) -> None:
     elements = _sorted_elements(body_el)
     ids = {el.get("localId", ""): el for el in elements if el.get("localId")}
-    inbound = _inbound_ports(body_el)
 
-    for conn in _descendants(body_el, "connection"):
-        ref = conn.get("refLocalId", "")
-        if ref and ref not in ids:
-            acc.warn("dangling-connection", "connection references missing element %r" % ref)
+    # Each element's localId -> the set of its output ports that other
+    # elements consume.
+    inbound: dict[str, set[str]] = {}
+    for conn in body_el.iter("connection"):
+        src = conn.get("refLocalId", "")
+        if src:
+            inbound.setdefault(src, set()).add(conn.get("formalParameter", "").casefold())
+            if src not in ids:
+                acc.warn("dangling-connection", "connection references missing element %r" % src)
 
     initial_steps: list[str] = []
     step_names: dict[str, str] = {}
@@ -311,8 +286,9 @@ def _walk_network(acc: _Acc, body_el: ET.Element, language: Language, pou_el: ET
 
     for el in elements:
         lid = el.get("localId", "")
-        tag = _local(el.tag)
-        for conn in _connections_in(el):
+        tag = el.tag
+        connections = _connections_in(el)
+        for conn in connections:
             src = conn.get("refLocalId", "")
             if src:
                 edges.setdefault(src, set()).add(lid)
@@ -320,7 +296,7 @@ def _walk_network(acc: _Acc, body_el: ET.Element, language: Language, pou_el: ET
         if tag == "block":
             _walk_block(acc, el, lid, inbound)
         elif tag in ("inVariable", "outVariable", "inOutVariable"):
-            expr = _text_of(_first(el, "expression"))
+            expr = _text_of(el.find("expression"))
             acc.tokens.append(Token.operand(expr or "?"))
             acc.register_access(expr, read=tag != "outVariable", write=tag != "inVariable")
         elif tag == "contact":
@@ -328,12 +304,12 @@ def _walk_network(acc: _Acc, body_el: ET.Element, language: Language, pou_el: ET
         elif tag == "coil":
             _walk_coil(acc, el, lid)
         elif tag == "jump":
-            if _has_connection(el):
+            if connections:
                 acc.tokens.append(Token.operator(el.get("targetName", "jump"), "jump"))
                 acc.decide("conditional-jump", lid)
         elif tag == "return":
             acc.tokens.append(Token.operator("RETURN", "return"))
-            if language is Language.LD and _has_connection(el):
+            if language is Language.LD and connections:
                 acc.decide("conditional-return", lid)
         elif tag in ("step", "macroStep"):
             name = el.get("name", "")
@@ -369,11 +345,11 @@ def _walk_block(acc: _Acc, el: ET.Element, lid: str, inbound: dict[str, set[str]
     args = 0
     en_wired = False
     for group in ("inputVariables", "inOutVariables"):
-        holder = _first(el, group)
+        holder = el.find(group)
         if holder is None:
             continue
-        for var in _children(holder, "variable"):
-            if not _has_connection(var):
+        for var in holder.findall("variable"):
+            if not _connections_in(var):
                 continue
             if var.get("formalParameter", "").casefold() == "en":
                 en_wired = True
@@ -402,7 +378,7 @@ def _walk_contact(acc: _Acc, el: ET.Element, lid: str) -> None:
         kind = "contact-no"
     acc.tokens.append(Token.operator(kind))
     acc.decide("contact", lid)
-    var = _text_of(_first(el, "variable"))
+    var = _text_of(el.find("variable"))
     if var:
         acc.tokens.append(Token.operand(var))
         acc.register_access(var, read=True, write=False)
@@ -421,7 +397,7 @@ def _walk_coil(acc: _Acc, el: ET.Element, lid: str) -> None:
     else:
         kind = "coil"
     acc.tokens.append(Token.operator(kind))
-    var = _text_of(_first(el, "variable"))
+    var = _text_of(el.find("variable"))
     if var:
         acc.tokens.append(Token.operand(var))
         acc.register_access(var, read=False, write=True)
@@ -432,11 +408,11 @@ def _walk_coil(acc: _Acc, el: ET.Element, lid: str) -> None:
 def _named_bodies(pou_el: ET.Element, holder: str, item: str) -> dict[str, ET.Element]:
     """POU-level named actions or transitions: name -> body element."""
     out: dict[str, ET.Element] = {}
-    group = _first(pou_el, holder)
+    group = pou_el.find(holder)
     if group is None:
         return out
-    for entry in _children(group, item):
-        body = _first(entry, "body")
+    for entry in group.findall(item):
+        body = entry.find("body")
         name = entry.get("name", "")
         if name and body is not None:
             out[name.casefold()] = body
@@ -447,7 +423,7 @@ def _merge_body_element(acc: _Acc, body: ET.Element, pou_el: ET.Element, value_c
     """Merge the contents of a <body>-like element (inline condition,
     named action or named transition) into the accumulator."""
     for child in body:
-        tag = _local(child.tag)
+        tag = child.tag
         if tag == "ST":
             acc.merge_fragment(_text_of(child), value_context)
         elif tag in ("FBD", "LD"):
@@ -457,14 +433,14 @@ def _merge_body_element(acc: _Acc, body: ET.Element, pou_el: ET.Element, value_c
 
 
 def _merge_condition(acc: _Acc, transition_el: ET.Element, pou_el: ET.Element) -> None:
-    condition = _first(transition_el, "condition")
+    condition = transition_el.find("condition")
     if condition is None:
         return
-    inline = _first(condition, "inline")
+    inline = condition.find("inline")
     if inline is not None:
         _merge_body_element(acc, inline, pou_el, value_context=True)
         return
-    reference = _first(condition, "reference")
+    reference = condition.find("reference")
     if reference is not None:
         name = reference.get("name", "").casefold()
         marker = "transition:" + name
@@ -477,14 +453,14 @@ def _merge_condition(acc: _Acc, transition_el: ET.Element, pou_el: ET.Element) -
 
 
 def _walk_action_block(acc: _Acc, el: ET.Element, pou_el: ET.Element) -> None:
-    for action in _children(el, "action"):
+    for action in el.findall("action"):
         qualifier = (action.get("qualifier") or "N").casefold()
         acc.tokens.append(Token.operator("action-" + qualifier.upper(), "action-" + qualifier))
-        inline = _first(action, "inline")
+        inline = action.find("inline")
         if inline is not None:
             _merge_body_element(acc, inline, pou_el, value_context=False)
             continue
-        reference = _first(action, "reference")
+        reference = action.find("reference")
         if reference is not None:
             name = reference.get("name", "").casefold()
             marker = "action:" + name
@@ -533,80 +509,99 @@ def extract_pous(
     """Second pass: build IR POUs from every <pou> in the document.
 
     `pou_names` holds the casefolded names of every POU in the whole
-    input set so blocks that invoke them become call sites.
+    input set so blocks that invoke them become call sites.  A POU whose
+    interface types or ST fragments do not parse is skipped with a
+    warning; the other POUs of the document are still extracted.
     """
     pous: list[Pou] = []
     warnings: list[AnalysisWarning] = []
 
-    for pou_el in _descendants(root, "pou"):
+    for pou_el in root.iter("pou"):
         name = pou_el.get("name", "")
         if not name:
             warnings.append(AnalysisWarning("pou-parse-error", "pou without a name skipped", path, ""))
             continue
-        kind = _POU_TYPE_MAP.get(pou_el.get("pouType", "").casefold(), PouKind.PROGRAM)
-
-        raw_vars, return_spec, has_interface = _interface_vars(pou_el, path)
-        if not has_interface:
-            warnings.append(AnalysisWarning("missing-interface", "pou has no interface element", path, name))
-
-        variables, ws = context.declare(name, raw_vars, return_spec if kind is PouKind.FUNCTION else None)
+        try:
+            pou, ws = _extract_pou(pou_el, name, path, context, global_names, pou_names)
+        except ParseError as exc:
+            warnings.append(AnalysisWarning("pou-parse-error", exc.detail, path, name))
+            continue
         warnings.extend(ws)
-
-        body_el = _first(pou_el, "body")
-        language = Language.ST
-        acc = _Acc(
-            path=path,
-            pou=name,
-            fb_instances=fb_instance_map(variables, context),
-            pou_names=pou_names,
-            context=context,
-        )
-        if body_el is not None:
-            lang_el = None
-            stray = None
-            for child in body_el:
-                tag = _local(child.tag)
-                if tag in _BODY_LANGUAGES or tag == "IL":
-                    lang_el = child
-                    break
-                if tag not in ("documentation", "addData"):
-                    stray = tag
-            if lang_el is None:
-                # a body with content in no language we know is skipped,
-                # not reported as an empty POU with zero complexity
-                if stray is not None:
-                    warnings.append(
-                        AnalysisWarning(
-                            "body-language-unsupported",
-                            "body language %r is not supported; pou skipped" % stray,
-                            path,
-                            name,
-                        )
-                    )
-                    continue
-            elif _local(lang_el.tag) == "IL":
-                warnings.append(
-                    AnalysisWarning("il-body-skipped", "IL body is not supported; pou skipped", path, name)
-                )
-                continue
-            else:
-                language = _BODY_LANGUAGES[_local(lang_el.tag)]
-                if language is Language.ST:
-                    acc.merge_fragment(_text_of(lang_el), value_context=False)
-                else:
-                    _walk_network(acc, lang_el, language, pou_el)
-
-        warnings.extend(acc.warnings)
-        body = finalize_body(acc, variables, global_names, acc.fixed_calls)
-        pous.append(
-            Pou(
-                name=name,
-                kind=kind,
-                language=language,
-                variables=tuple(variables),
-                body=body,
-                source_ref=SourceRef(path, element=pou_el.get("globalId", "")),
-            )
-        )
+        if pou is not None:
+            pous.append(pou)
 
     return pous, warnings
+
+
+def _extract_pou(
+    pou_el: ET.Element,
+    name: str,
+    path: str,
+    context: TypeContext,
+    global_names: frozenset[str],
+    pou_names: frozenset[str],
+) -> tuple[Pou | None, list[AnalysisWarning]]:
+    """One <pou> as IR plus its warnings; None when its body language is
+    skipped."""
+    warnings: list[AnalysisWarning] = []
+    kind = _POU_TYPE_MAP.get(pou_el.get("pouType", "").casefold(), PouKind.PROGRAM)
+
+    raw_vars, return_spec, has_interface = _interface_vars(pou_el, path)
+    if not has_interface:
+        warnings.append(AnalysisWarning("missing-interface", "pou has no interface element", path, name))
+
+    variables, ws = context.declare(name, raw_vars, return_spec if kind is PouKind.FUNCTION else None)
+    warnings.extend(ws)
+
+    body_el = pou_el.find("body")
+    language = Language.ST
+    acc = _Acc(
+        path=path,
+        pou=name,
+        fb_instances=fb_instance_map(variables, context),
+        pou_names=pou_names,
+        context=context,
+    )
+    if body_el is not None:
+        lang_el = None
+        stray = None
+        for child in body_el:
+            if child.tag in _BODY_LANGUAGES or child.tag == "IL":
+                lang_el = child
+                break
+            if child.tag not in ("documentation", "addData"):
+                stray = child.tag
+        if lang_el is None:
+            # a body with content in no language we know is skipped,
+            # not reported as an empty POU with zero complexity
+            if stray is not None:
+                warnings.append(
+                    AnalysisWarning(
+                        "body-language-unsupported",
+                        "body language %r is not supported; pou skipped" % stray,
+                        path,
+                        name,
+                    )
+                )
+                return None, warnings
+        elif lang_el.tag == "IL":
+            warnings.append(AnalysisWarning("il-body-skipped", "IL body is not supported; pou skipped", path, name))
+            return None, warnings
+        else:
+            language = _BODY_LANGUAGES[lang_el.tag]
+            if language is Language.ST:
+                acc.merge_fragment(_text_of(lang_el), value_context=False)
+            else:
+                _walk_network(acc, lang_el, language, pou_el)
+
+    warnings.extend(acc.warnings)
+    body = finalize_body(acc, variables, global_names, acc.fixed_calls)
+    pou = Pou(
+        name=name,
+        kind=kind,
+        language=language,
+        variables=tuple(variables),
+        body=body,
+        source_ref=SourceRef(path, element=pou_el.get("globalId", "")),
+    )
+    return pou, warnings

@@ -14,10 +14,12 @@ rendered with four fractional digits, ties rounded to even.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import __version__
 from .aggregate import GroupStats, PouResult, SampleEntry, aggregate
@@ -32,11 +34,12 @@ CSV_HEADER = ("name", "kind", "language") + METRIC_COLUMNS + RELATIVE_COLUMNS + 
 
 
 def fmt4(value: Fraction) -> str:
-    """Render an exact rational with 4 fractional digits, half to even."""
-    scaled = Fraction(value) * 10000
-    q, r = divmod(scaled.numerator, scaled.denominator)
+    """Render an exact rational (or an int) with 4 fractional digits,
+    half to even."""
+    denominator = value.denominator
+    q, r = divmod(value.numerator * 10000, denominator)
     double = 2 * r
-    if double > scaled.denominator or (double == scaled.denominator and q % 2 == 1):
+    if double > denominator or (double == denominator and q % 2 == 1):
         q += 1
     sign = "-" if q < 0 else ""
     q = abs(q)
@@ -64,6 +67,12 @@ class RunResult:
     warnings: list[AnalysisWarning] = field(default_factory=list)
     grouping: str = Grouping.WHOLE_SAMPLE.value
 
+    @cached_property
+    def rows(self) -> list[tuple[list, list, str]]:
+        """Per result: its raw, relative and oc_rel cells, formatted once
+        for every report that shows them."""
+        return [(_raw_cells(r), _relative_cells(r), fmt4(r.oc_rel)) for r in self.results]
+
     @property
     def exit_code(self) -> int:
         if any(w.code in SKIP_CODES for w in self.warnings):
@@ -72,8 +81,21 @@ class RunResult:
 
 
 def analyze_paths(paths, cfg: AnalysisConfig | None = None) -> RunResult:
-    """Load every POU under `paths`, compute metrics and rank them."""
-    cfg = cfg or AnalysisConfig()
+    """Load every POU under `paths`, compute metrics and rank them.
+
+    The cyclic garbage collector is paused meanwhile: the analysis builds
+    no reference cycles, and each collection would rescan every token,
+    IR record and XML element built so far."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _analyze(paths, cfg or AnalysisConfig())
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _analyze(paths, cfg: AnalysisConfig) -> RunResult:
     sample = load_sample(paths, cfg.array_sub_cap)
     if not sample.pous:
         raise NoPousFound("no POUs found under: %s" % ", ".join(str(p) for p in paths))
@@ -108,11 +130,11 @@ def report_object(run: RunResult) -> dict:
         "grouping": run.grouping,
     }
     pous = []
-    for result in run.results:
+    for result, (raw, relative, oc_rel) in zip(run.results, run.rows):
         row = {"name": result.name, "kind": result.kind.value, "language": result.language.value}
-        row.update(zip(METRIC_COLUMNS, _raw_cells(result)))
-        row.update(zip(RELATIVE_COLUMNS, _relative_cells(result)))
-        row["oc_rel"] = fmt4(result.oc_rel)
+        row.update(zip(METRIC_COLUMNS, raw))
+        row.update(zip(RELATIVE_COLUMNS, relative))
+        row["oc_rel"] = oc_rel
         row["group"] = result.group
         row["tag"] = result.tag
         pous.append(row)
@@ -141,26 +163,25 @@ def emit_csv(run: RunResult) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_HEADER)
-    for result in run.results:
-        relative = ["" if cell is None else cell for cell in _relative_cells(result)]
+    for result, (raw, relative, oc_rel) in zip(run.results, run.rows):
         writer.writerow(
             [result.name, result.kind.value, result.language.value]
-            + [str(c) for c in _raw_cells(result)]
-            + relative
-            + [fmt4(result.oc_rel), result.tag]
+            + [str(c) for c in raw]
+            + ["" if cell is None else cell for cell in relative]
+            + [oc_rel, result.tag]
         )
     return buf.getvalue()
 
 
 def render_table(run: RunResult, top: int | None = None) -> str:
     """Plain-text ranking, most complex first, for terminal output."""
-    ranked = list(reversed(run.results))
+    ranked = list(zip(reversed(run.results), reversed(run.rows)))
     if top is not None:
         ranked = ranked[:top]
     header = ("#", "name", "language", "oc_rel", "tag")
     rows = [
-        (str(i + 1), r.name, r.language.value, fmt4(r.oc_rel), r.tag)
-        for i, r in enumerate(ranked)
+        (str(i + 1), r.name, r.language.value, oc_rel, r.tag)
+        for i, (r, (_, _, oc_rel)) in enumerate(ranked)
     ]
     widths = [max(len(h), *(len(row[col]) for row in rows)) if rows else len(h) for col, h in enumerate(header)]
     lines = [

@@ -9,6 +9,7 @@ ignored.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 from .errors import AnalysisWarning
@@ -212,30 +213,17 @@ class TypeContext:
         return (TypeClass.SIMPLE if simple else TypeClass.COMPLEX), (), []
 
     def _array_subs(self, spec: TypeSpec, base_name: str) -> tuple[SubVariable, ...]:
-        """One sub-variable per declared element, flattened a single level."""
+        """One sub-variable per declared element in row-major order, at
+        most `array_sub_cap` of them, flattened a single level.  Each
+        dimension is cut to its first `array_sub_cap` values, which holds
+        every capped index, because itertools.product keeps each range
+        in memory."""
+        if not spec.dims:
+            return ()
         element_name = spec.element.render() if spec.element else "?"
-        subs: list[SubVariable] = []
-        cap = self.array_sub_cap
-        for index in _iter_indices(spec.dims):
-            if cap is not None and len(subs) >= cap:
-                break
-            label = "%s[%s]" % (base_name, ",".join(str(i) for i in index))
-            subs.append(SubVariable(label, element_name))
-        return tuple(subs)
-
-
-def _iter_indices(dims: tuple[tuple[int, int], ...]):
-    if not dims:
-        return
-    ranges = [range(lo, hi + 1) for lo, hi in dims]
-
-    def rec(prefix, rest):
-        if not rest:
-            yield tuple(prefix)
-            return
-        for v in rest[0]:
-            prefix.append(v)
-            yield from rec(prefix, rest[1:])
-            prefix.pop()
-
-    yield from rec([], ranges)
+        cap = None if self.array_sub_cap is None else max(self.array_sub_cap, 0)
+        ranges = [range(lo, hi + 1 if cap is None else min(hi + 1, lo + cap)) for lo, hi in spec.dims]
+        return tuple(
+            SubVariable("%s[%s]" % (base_name, ",".join(map(str, index))), element_name)
+            for index in itertools.islice(itertools.product(*ranges), cap)
+        )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -84,14 +85,29 @@ def test_parse_xml_raises_on_garbage():
         parse_xml("not xml at all", "x.xml")
 
 
-def test_namespace_is_irrelevant(tmp_path):
+TC6_NS = ' xmlns="http://www.plcopen.org/xml/tc6_0201"'
+
+NAMESPACE_VARIANTS = {
+    "no-namespace": lambda text: text.replace(TC6_NS, ""),
+    "tc6-prefix": lambda text: re.sub(
+        r"<(/?)(?=[A-Za-z])", r"<\1tc6:", text.replace(TC6_NS, TC6_NS.replace("xmlns", "xmlns:tc6"))
+    ),
+    "comments-and-pis": lambda text: re.sub(
+        r"(<pou [^>]*>|<body>|<FBD>|<inVariable [^>]*>|</expression>)", r"\1<!-- note --><?vendor data?>", text
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(NAMESPACE_VARIANTS))
+def test_namespace_is_irrelevant(tmp_path, variant):
     body = "<FBD><inVariable localId=\"1\"><connectionPointOut/><expression>a</expression></inVariable></FBD>"
     with_ns = doc(pou_xml("P", "program", body))
-    without_ns = with_ns.replace(' xmlns="http://www.plcopen.org/xml/tc6_0201"', "")
+    other = NAMESPACE_VARIANTS[variant](with_ns)
+    assert other != with_ns
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
     (tmp_path / "a" / "t.xml").write_text(with_ns)
-    (tmp_path / "b" / "t.xml").write_text(without_ns)
+    (tmp_path / "b" / "t.xml").write_text(other)
     va = compute_vector(load_sample([str(tmp_path / "a")]).pous[0])
     vb = compute_vector(load_sample([str(tmp_path / "b")]).pous[0])
     assert va == vb
@@ -175,6 +191,16 @@ def test_st_body_that_does_not_parse_skips_the_file(tmp_path):
     sample = load_doc(tmp_path, doc(pou_xml("Bad", "program", bad)), {"ok.st": "PROGRAM Alpha x := 1; END_PROGRAM"})
     assert [p.name for p in sample.pous] == ["Alpha"]
     assert [w.code for w in sample.warnings] == ["pou-parse-error"]
+
+
+def test_st_body_that_does_not_parse_skips_only_that_pou(tmp_path):
+    bad = '<ST><xhtml xmlns="http://www.w3.org/1999/xhtml">x := ;</xhtml></ST>'
+    good = '<ST><xhtml xmlns="http://www.w3.org/1999/xhtml">x := 1;</xhtml></ST>'
+    text = doc(pou_xml("BadX", "program", bad) + pou_xml("GoodX", "program", good))
+    sample = load_doc(tmp_path, text)
+    assert [p.name for p in sample.pous] == ["GoodX"]
+    assert [(w.code, w.pou) for w in sample.warnings] == [("pou-parse-error", "BadX")]
+    assert "t.xml" not in sample.warnings[0].message
 
 
 def test_embedded_st_body_language_stays_st(tmp_path):

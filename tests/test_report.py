@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 from fractions import Fraction
 
@@ -19,6 +20,8 @@ from poumetrics import (
 )
 from poumetrics.cli import main
 from poumetrics.report import CSV_HEADER, report_object
+
+from conftest import CORPUS
 
 F = Fraction
 
@@ -222,6 +225,40 @@ def test_exit_code_two_when_pou_skipped(tmp_path):
     assert "il-body-skipped" in [w.code for w in run.warnings]
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("text", ["PROGRAM Alpha x := 1; END_PROGRAM", "(* no POU *)"])
+def test_analyze_paths_restores_the_collector_state(tmp_path, enabled, text):
+    (tmp_path / "p.st").write_text(text)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            analyze_paths([str(tmp_path)])
+        except NoPousFound:
+            pass
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_analysis_leaves_no_reference_cycles(tmp_path):
+    # Pausing the cyclic collector during analysis is safe only while
+    # the analysis leaves nothing for it to collect.
+    (tmp_path / "bad.st").write_text("PROGRAM Bad\n  x := ;\nEND_PROGRAM\n")
+    paths = [str(CORPUS), str(tmp_path)]
+    analyze_paths(paths)  # warm-up: lazy imports and compiled patterns
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        run = analyze_paths(paths)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert run.exit_code == 2
+
+
 # ------------------------- command line -------------------------
 
 
@@ -321,6 +358,31 @@ def test_cli_xml_type_nesting_2000_deep_skips_that_file(tmp_path, capsys, where)
     assert "Alpha" in captured.out and "Deep" not in captured.out
     assert "[pou-parse-error]" in captured.err and "nesting deeper than 100 levels" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_cli_array_with_2000_dimensions(tmp_path, capsys):
+    (tmp_path / "ok.st").write_text("PROGRAM Alpha x := 1; END_PROGRAM")
+    dims = ", ".join(["1..1"] * 2000)
+    (tmp_path / "wide.st").write_text("PROGRAM Wide VAR a : ARRAY[%s] OF INT; END_VAR a := a; END_PROGRAM" % dims)
+    code = main(["analyze", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Alpha" in captured.out and "Wide" in captured.out
+
+
+def test_cli_skip_warnings_name_the_path_once(tmp_path, capsys):
+    (tmp_path / "ok.st").write_text("PROGRAM Alpha x := 1; END_PROGRAM")
+    (tmp_path / "bad.st").write_text("PROGRAM Bad\nVAR x : INT; END_VAR\nx := ;\nEND_PROGRAM\n")
+    (tmp_path / "x.xml").write_text("<project><unclosed></project>")
+    code = main(["analyze", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.err.splitlines()
+    parse_error = [line for line in lines if line.startswith("[pou-parse-error]")]
+    malformed = [line for line in lines if line.startswith("[xml-malformed]")]
+    assert len(parse_error) == 1 and len(malformed) == 1
+    assert parse_error[0].count("bad.st") == 1 and ": 3:6: " in parse_error[0]
+    assert malformed[0].count("x.xml") == 1 and "line 1" in malformed[0]
 
 
 def test_cli_type_alias_chain_2000_long(tmp_path, capsys):
