@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import __version__
+from .aggregate import Grouping
 from .chart import render_chart
 from .config import AnalysisConfig, load_config
 from .errors import AnalysisError
@@ -52,15 +54,11 @@ def _resolve_config(args) -> AnalysisConfig:
     cfg = load_config(args.config) if args.config else AnalysisConfig()
     overrides = {}
     if args.group_by_language:
-        from .aggregate import Grouping
-
         overrides["grouping"] = Grouping.PER_LANGUAGE
     if args.normalize:
         overrides["normalize"] = True
     if not overrides:
         return cfg
-    from dataclasses import replace
-
     return replace(cfg, **overrides)
 
 

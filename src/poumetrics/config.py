@@ -11,7 +11,7 @@ every ranking downstream.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 from .aggregate import Grouping, WeightProfile, default_profile
@@ -21,14 +21,7 @@ from .metrics import DEFAULT_WEIGHT_TABLE, METRIC_KEYS, WeightTable
 
 _TOP_KEYS = {"weight_profiles", "weight_table", "array_sub_cap", "grouping", "normalize", "annotations"}
 _WEIGHT_KEYS = {lang.value for lang in Language} | {"default"}
-_TABLE_KEYS = {
-    "interface_simple",
-    "interface_complex",
-    "local_simple",
-    "local_complex",
-    "sub_simple",
-    "sub_complex",
-}
+_TABLE_KEYS = {f.name for f in fields(WeightTable)}
 
 
 @dataclass(frozen=True)
@@ -90,12 +83,10 @@ def _parse_table(data) -> WeightTable:
     unknown = set(data) - _TABLE_KEYS
     if unknown:
         raise InvalidConfig("unknown weight_table key(s): %s" % ", ".join(sorted(unknown)))
-    merged = {k: getattr(DEFAULT_WEIGHT_TABLE, k) for k in _TABLE_KEYS}
     for key, value in data.items():
         if isinstance(value, bool) or not isinstance(value, int):
             raise InvalidConfig("weight_table.%s must be an integer" % key)
-        merged[key] = value
-    return WeightTable(**merged)
+    return replace(DEFAULT_WEIGHT_TABLE, **data)
 
 
 def config_from_mapping(data: dict) -> AnalysisConfig:

@@ -69,7 +69,7 @@ def load_sample(paths, array_sub_cap: int | None = None) -> LoadedSample:
     warnings: list[AnalysisWarning] = []
     global_names: set[str] = set()
     pou_names: set[str] = set()
-    st_units: list[tuple[st.StUnit, str]] = []
+    st_units: list[tuple[st.StUnit, str, str]] = []  # unit, path, POU name
     xml_roots: list[tuple[object, str]] = []
 
     # Pass 1: types, interfaces, globals and the project-wide name set.
@@ -114,7 +114,7 @@ def load_sample(paths, array_sub_cap: int | None = None) -> LoadedSample:
                     pou_names.add(name.casefold())
                     if kind is PouKind.FUNCTION_BLOCK:
                         context.register_fb(name, decls)
-                    st_units.append((unit, label))
+                    st_units.append((unit, label, name))
             except ParseError as exc:
                 warnings.append(AnalysisWarning("pou-parse-error", exc.detail, label, ""))
 
@@ -123,11 +123,11 @@ def load_sample(paths, array_sub_cap: int | None = None) -> LoadedSample:
     pous: list[Pou] = []
 
     # Pass 2: bodies.
-    for unit, label in st_units:
+    for unit, label, name in st_units:
         try:
             pou, ws = st.parse_pou_unit(unit, label, context, frozen_globals)
         except ParseError as exc:
-            warnings.append(AnalysisWarning("pou-parse-error", exc.detail, label, ""))
+            warnings.append(AnalysisWarning("pou-parse-error", exc.detail, label, name))
             continue
         pous.append(pou)
         warnings.extend(ws)

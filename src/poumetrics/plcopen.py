@@ -212,6 +212,7 @@ class _Acc(_BodyResult):
     fixed_calls: list[CallSite] = field(default_factory=list)
     warnings: list[AnalysisWarning] = field(default_factory=list)
     merged_refs: set[str] = field(default_factory=set)
+    depth: int = 0  # inline and named bodies being merged, one inside the next
 
     def warn(self, code: str, message: str) -> None:
         self.warnings.append(AnalysisWarning(code, message, self.path, self.pou))
@@ -220,7 +221,7 @@ class _Acc(_BodyResult):
         self.decisions.append(DecisionSpan(kind, SourceRef(self.path, element=element_id)))
 
     def merge_fragment(self, text: str, value_context: bool) -> None:
-        res = st_fragment_facts(text, self.path, self.fb_instances, value_context=value_context)
+        res = st_fragment_facts(text, self.path, self.fb_instances, value_context=value_context, depth=self.depth)
         self.tokens.extend(res.tokens)
         self.decisions.extend(res.decisions)
         self.calls.extend(res.calls)
@@ -421,7 +422,12 @@ def _named_bodies(pou_el: ET.Element, holder: str, item: str) -> dict[str, ET.El
 
 def _merge_body_element(acc: _Acc, body: ET.Element, pou_el: ET.Element, value_context: bool) -> None:
     """Merge the contents of a <body>-like element (inline condition,
-    named action or named transition) into the accumulator."""
+    named action or named transition) into the accumulator.  Each level
+    recurses through the network walk, so nesting is bounded like the ST
+    parser's."""
+    acc.depth += 1
+    if acc.depth > _MAX_NESTING:
+        raise ParseError("nesting deeper than %d levels" % _MAX_NESTING, acc.path)
     for child in body:
         tag = child.tag
         if tag == "ST":
@@ -430,6 +436,7 @@ def _merge_body_element(acc: _Acc, body: ET.Element, pou_el: ET.Element, value_c
             _walk_network(acc, child, _BODY_LANGUAGES[tag], pou_el)
         elif tag == "IL":
             acc.warn("il-body-skipped", "embedded IL fragment skipped")
+    acc.depth -= 1
 
 
 def _merge_condition(acc: _Acc, transition_el: ET.Element, pou_el: ET.Element) -> None:

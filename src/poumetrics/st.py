@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from sys import intern
+from typing import NamedTuple
 
 from .errors import AnalysisWarning, ParseError, UnterminatedComment, UnterminatedString
 from .ir import (
@@ -71,15 +73,15 @@ _TOKEN = re.compile(
 _COMMENT_MARK = re.compile(r"\(\*|\*\)")
 
 
-@dataclass(frozen=True)
-class RawTok:
+class RawTok(NamedTuple):
     kind: str  # ident | number | string | address | op
     text: str
     line: int
     col: int
-
-    def up(self) -> str:
-        return self.text.upper() if self.kind == "ident" else ""
+    # What parsers match on: an identifier's upper-cased text (interned,
+    # so the many copies of one keyword share a string), an operator's
+    # text, "" for literals and addresses.
+    key: str
 
 
 def lex(text: str, path: str = "") -> list[RawTok]:
@@ -107,7 +109,9 @@ def lex(text: str, path: str = "") -> list[RawTok]:
             else:
                 raise UnterminatedComment("comment opened here is never closed", path, line, col)
         elif kind not in ("ws", "comment"):
-            toks.append(RawTok(kind, m.group(), line, col))
+            tok = m.group()
+            key = intern(tok.upper()) if kind == "ident" else tok if kind == "op" else ""
+            toks.append(RawTok(kind, tok, line, col, key))
         newlines = text.count("\n", pos, end)
         if newlines:
             line += newlines
@@ -120,12 +124,19 @@ def lex(text: str, path: str = "") -> list[RawTok]:
 
 _STMT_START = frozenset({"IF", "CASE", "FOR", "WHILE", "REPEAT", "RETURN", "EXIT", "CONTINUE"})
 # binary operators and their identities
-_BINARY_WORDS = {"AND": "and", "OR": "or", "XOR": "xor", "MOD": "mod"}
-_BINARY_SYMBOLS = {op: op for op in ("=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/", "**")} | {"&": "and"}
+_BINARY = {op: op for op in ("=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/", "**")} | {
+    "&": "and",
+    "AND": "and",
+    "OR": "or",
+    "XOR": "xor",
+    "MOD": "mod",
+}
 # words that can never be part of a CASE label group
 _LABEL_BREAKERS = _STMT_START | frozenset(
     {"ELSE", "ELSIF", "THEN", "DO", "OF", "TO", "BY", "UNTIL", "AND", "OR", "XOR", "NOT", "MOD"}
 )
+# words that can never name an invoked POU
+_NOT_CALLEES = _STMT_START | frozenset({"AND", "OR", "XOR", "NOT", "MOD", "TRUE", "FALSE"})
 
 
 @dataclass
@@ -148,7 +159,7 @@ class _BodyResult:
     member_reads: dict[str, set[str]] = field(default_factory=dict)
 
 
-_EOF = RawTok("eof", "", 0, 0)
+_EOF = RawTok("eof", "", 0, 0, "")
 
 # Deepest nesting of blocks, brackets, argument lists and ARRAY/STRUCT
 # types a parser accepts.  Deeper input is a ParseError, not a
@@ -159,48 +170,50 @@ _MAX_NESTING = 100
 
 class _Cursor:
     """Position in a token sequence, shared by the declaration parser and
-    the body walker."""
+    the body walker.  The tokens end with one `_EOF`, which `take()` never
+    steps past, so neither the current token nor the one after a token
+    that is not `_EOF` needs a bounds check."""
 
     def __init__(self, toks: list[RawTok] | tuple[RawTok, ...], path: str):
-        self.toks = toks
+        self.toks = [*toks, _EOF]
         self.path = path
         self.i = 0
         self.depth = 0
 
     def cur(self) -> RawTok:
-        return self.toks[self.i] if self.i < len(self.toks) else _EOF
+        return self.toks[self.i]
 
-    def peek(self, k: int = 1) -> RawTok:
-        j = self.i + k
-        return self.toks[j] if j < len(self.toks) else _EOF
+    def peek(self) -> RawTok:
+        return self.toks[self.i + 1]
 
     def take(self) -> RawTok:
-        t = self.cur()
-        self.i += 1
+        t = self.toks[self.i]
+        if t is not _EOF:
+            self.i += 1
         return t
 
     def fail(self, message: str) -> ParseError:
         t = self.cur()
         return ParseError(message, self.path, t.line, t.col)
 
-    def at_op(self, op: str) -> bool:
-        t = self.cur()
-        return t.kind == "op" and t.text == op
+    def at(self, key: str) -> bool:
+        return self.toks[self.i].key == key
 
-    def at_kw(self, word: str) -> bool:
-        return self.cur().up() == word
-
-    def expect_kw(self, word: str) -> RawTok:
+    def expect(self, key: str) -> RawTok:
         t = self.cur()
-        if t.up() != word:
-            raise self.fail("expected %s, found %r" % (word, t.text or "end of input"))
+        if t.key != key:
+            wanted = key if key.isidentifier() else repr(key)
+            raise self.fail("expected %s, found %r" % (wanted, t.text or "end of input"))
         return self.take()
 
-    def expect_op(self, op: str) -> RawTok:
-        t = self.cur()
-        if not (t.kind == "op" and t.text == op):
-            raise self.fail("expected %r, found %r" % (op, t.text or "end of input"))
-        return self.take()
+    def before(self, key: str, what: str) -> bool:
+        """Whether the current token is not yet `key`; end of input
+        first is the error `unterminated <what>`."""
+        if self.at(key):
+            return False
+        if self.cur() is _EOF:
+            raise self.fail("unterminated %s" % what)
+        return True
 
     def expect_ident(self) -> RawTok:
         t = self.cur()
@@ -213,15 +226,14 @@ class _Cursor:
         depth = 0
         while True:
             t = self.cur()
-            if t.kind == "eof":
+            if t is _EOF:
                 raise self.fail("unterminated initializer")
-            if t.kind == "op":
-                if t.text in ("(", "["):
-                    depth += 1
-                elif t.text in (")", "]"):
-                    depth -= 1
-                elif t.text == ";" and depth == 0:
-                    return
+            if t.key in ("(", "["):
+                depth += 1
+            elif t.key in (")", "]"):
+                depth -= 1
+            elif t.key == ";" and depth == 0:
+                return
             self.take()
 
     def descend(self):
@@ -259,25 +271,30 @@ class _BodyParser(_Cursor):
 
     def parse_body(self):
         self.stmt_list(frozenset())
-        if self.i < len(self.toks):
+        if self.cur() is not _EOF:
             raise self.fail("unexpected %r" % self.cur().text)
 
-    def stmt_list(self, stop: frozenset[str]):
+    def stmt_list(self, stop: frozenset[str], case_branch: bool = False):
+        """Statements up to the end of input or a word in `stop`; a CASE
+        branch also ends where the next label group starts."""
         self.descend()
         while True:
             t = self.cur()
-            if t.kind == "eof" or (t.kind == "ident" and t.up() in stop):
+            if t is _EOF or t.key in stop or (case_branch and self.looks_like_case_label()):
                 self.depth -= 1
                 return
             self.statement()
 
-    def statement(self):
+    def at_close(self) -> bool:
+        """End of input, or a word that closes the enclosing construct."""
         t = self.cur()
-        if t.kind == "op" and t.text == ";":
+        return t is _EOF or t.key.startswith("END_") or t.key in ("ELSE", "ELSIF", "UNTIL")
+
+    def statement(self):
+        word = self.cur().key
+        if word == ";":
             self.op(self.take())
-            return
-        word = t.up()
-        if word == "IF":
+        elif word == "IF":
             self.if_statement()
         elif word == "CASE":
             self.case_statement()
@@ -299,12 +316,9 @@ class _BodyParser(_Cursor):
             self.expr_statement()
 
     def end_of_statement(self):
-        t = self.cur()
-        if t.kind == "op" and t.text == ";":
+        if self.at(";"):
             self.op(self.take())
-        elif t.kind == "eof" or (t.kind == "ident" and (t.up().startswith("END_") or t.up() in ("ELSE", "ELSIF", "UNTIL"))):
-            return  # fragment or last statement before a construct close
-        else:
+        elif not self.at_close():  # a fragment or the last statement of a block needs no ';'
             raise self.fail("expected ';'")
 
     def expr_statement(self):
@@ -313,8 +327,7 @@ class _BodyParser(_Cursor):
             raise self.fail("unexpected %r" % (t.text or "end of body"))
         self.last_bare_call = None
         ref = self.reference(register=None)
-        nxt = self.cur()
-        if nxt.kind == "op" and nxt.text == ":=":
+        if self.at(":="):
             if ref.is_call:
                 raise self.fail("cannot assign to a call result")
             self.op(self.take())
@@ -322,13 +335,8 @@ class _BodyParser(_Cursor):
             self.expression()
             self.end_of_statement()
             return
-        ends_here = (
-            nxt.kind == "eof"
-            or (nxt.kind == "op" and nxt.text == ";")
-            or (nxt.kind == "ident" and (nxt.up().startswith("END_") or nxt.up() in ("ELSE", "ELSIF", "UNTIL")))
-        )
         if ref.is_call:
-            if ends_here:
+            if self.at(";") or self.at_close():
                 self.last_bare_call = ref.call
             elif ref.call is not None:
                 ref.call.returns += 1  # the value feeds a larger expression
@@ -338,104 +346,76 @@ class _BodyParser(_Cursor):
         self.end_of_statement()
 
     def if_statement(self):
-        kw = self.expect_kw("IF")
+        kw = self.expect("IF")
         self.op(kw, "if")
         self.decision("if", kw)
         self.expression()
-        self.expect_kw("THEN")
+        self.expect("THEN")
         self.stmt_list(frozenset({"ELSIF", "ELSE", "END_IF"}))
-        while self.cur().up() == "ELSIF":
+        while self.at("ELSIF"):
             kw = self.take()
             self.op(kw, "elsif")
             self.decision("elsif", kw)
             self.expression()
-            self.expect_kw("THEN")
+            self.expect("THEN")
             self.stmt_list(frozenset({"ELSIF", "ELSE", "END_IF"}))
-        if self.cur().up() == "ELSE":
+        if self.at("ELSE"):
             self.op(self.take(), "else")
             self.stmt_list(frozenset({"END_IF"}))
-        self.expect_kw("END_IF")
+        self.expect("END_IF")
 
     def case_statement(self):
-        kw = self.expect_kw("CASE")
+        kw = self.expect("CASE")
         self.op(kw, "case")
         self.expression()
-        self.expect_kw("OF")
+        self.expect("OF")
         stops = frozenset({"ELSE", "END_CASE"})
         while True:
             t = self.cur()
-            if t.kind == "eof":
+            if t is _EOF:
                 raise self.fail("unterminated CASE")
-            if t.kind == "ident" and t.up() in stops:
+            if t.key in stops:
                 break
             self.case_group()
-        if self.cur().up() == "ELSE":
+        if self.at("ELSE"):
             self.op(self.take(), "else")
             self.stmt_list(frozenset({"END_CASE"}))
-        self.expect_kw("END_CASE")
+        self.expect("END_CASE")
 
     def case_group(self):
         self.decision("case-label", self.cur())
         self.case_label_atom()
-        while True:
-            t = self.cur()
-            if t.kind == "op" and t.text == ",":
-                self.op(self.take())
-                self.case_label_atom()
-            elif t.kind == "op" and t.text == "..":
-                self.op(self.take())
-                self.case_label_atom()
-            else:
-                break
-        self.expect_op(":")  # label colon folds into the CASE construct
-        self.stmt_list_until_label(frozenset({"ELSE", "END_CASE"}))
+        while self.cur().key in (",", ".."):
+            self.op(self.take())
+            self.case_label_atom()
+        self.expect(":")  # label colon folds into the CASE construct
+        self.stmt_list(frozenset({"ELSE", "END_CASE"}), case_branch=True)
 
     def case_label_atom(self):
-        t = self.cur()
-        if t.kind == "op" and t.text in ("-", "+"):
+        if self.cur().key in ("-", "+"):
             self.op(self.take())
-            t = self.cur()
-        if t.kind in ("number", "string"):
-            self.operand(self.take())
-        elif t.kind == "ident":
-            self.operand(self.take())  # enum value or named constant
-        else:
+        if self.cur().kind not in ("number", "string", "ident"):
             raise self.fail("expected CASE label")
-
-    def stmt_list_until_label(self, stop: frozenset[str]):
-        self.descend()
-        while True:
-            t = self.cur()
-            if t.kind == "eof" or (t.kind == "ident" and t.up() in stop) or self.looks_like_case_label():
-                self.depth -= 1
-                return
-            self.statement()
+        self.operand(self.take())  # an identifier is an enum value or a named constant
 
     def looks_like_case_label(self) -> bool:
         j = self.i
         seen_atom = False
-        while j < len(self.toks):
+        while True:
             t = self.toks[j]
             if t.kind == "ident":
-                up = t.up()
-                if up in _LABEL_BREAKERS or up.startswith("END_"):
+                if t.key in _LABEL_BREAKERS or t.key.startswith("END_"):
                     break
                 seen_atom = True
-                j += 1
             elif t.kind in ("number", "string"):
                 seen_atom = True
-                j += 1
-            elif t.kind == "op" and t.text in (",", "..", "-", "+"):
-                j += 1
-            else:
+            elif t.key not in (",", "..", "-", "+"):
                 break
-        if not seen_atom or j >= len(self.toks):
-            return False
-        t = self.toks[j]
-        return t.kind == "op" and t.text == ":"
+            j += 1
+        return seen_atom and self.toks[j].key == ":"
 
     def for_statement(self):
-        kw = self.expect_kw("FOR")
+        kw = self.expect("FOR")
         self.op(kw, "for")
         self.decision("for", kw)
         var = self.cur()
@@ -443,35 +423,34 @@ class _BodyParser(_Cursor):
             raise self.fail("expected loop variable")
         self.operand(self.take())
         self.res.writes.add(var.text.casefold())
-        assign = self.expect_op(":=")
-        self.op(assign)
+        self.op(self.expect(":="))
         self.expression()
-        self.expect_kw("TO")
+        self.expect("TO")
         self.expression()
-        if self.cur().up() == "BY":
+        if self.at("BY"):
             self.take()
             self.expression()
-        self.expect_kw("DO")
+        self.expect("DO")
         self.stmt_list(frozenset({"END_FOR"}))
-        self.expect_kw("END_FOR")
+        self.expect("END_FOR")
 
     def while_statement(self):
-        kw = self.expect_kw("WHILE")
+        kw = self.expect("WHILE")
         self.op(kw, "while")
         self.decision("while", kw)
         self.expression()
-        self.expect_kw("DO")
+        self.expect("DO")
         self.stmt_list(frozenset({"END_WHILE"}))
-        self.expect_kw("END_WHILE")
+        self.expect("END_WHILE")
 
     def repeat_statement(self):
-        kw = self.expect_kw("REPEAT")
+        kw = self.expect("REPEAT")
         self.op(kw, "repeat")
         self.decision("repeat", kw)
         self.stmt_list(frozenset({"UNTIL"}))
-        self.expect_kw("UNTIL")
+        self.expect("UNTIL")
         self.expression()
-        self.expect_kw("END_REPEAT")
+        self.expect("END_REPEAT")
 
     # --- expressions ---
 
@@ -483,41 +462,31 @@ class _BodyParser(_Cursor):
         # Tokens are emitted in source order and no tree is built, so
         # operator precedence never changes the result: an expression is
         # a flat `unary {binary-operator unary}` sequence.
-        while True:
-            t = self.cur()
-            if t.kind == "ident":
-                identity = _BINARY_WORDS.get(t.up())
-            elif t.kind == "op":
-                identity = _BINARY_SYMBOLS.get(t.text)
-            else:
-                identity = None
-            if identity is None:
-                return
+        while (identity := _BINARY.get(self.cur().key)) is not None:
             self.op(self.take(), identity)
             self.unary()
 
     def unary(self):
         # Prefix operators are consumed in a loop: a chain of them is
         # not nesting and needs no recursion.
-        t = self.cur()
         while True:
-            if t.kind == "ident" and t.up() == "NOT":
+            key = self.cur().key
+            if key == "NOT":
                 self.op(self.take(), "not")
-            elif t.kind == "op" and t.text in ("-", "+"):
+            elif key in ("-", "+"):
                 self.op(self.take())
             else:
                 break
-            t = self.cur()
         self.primary()
 
     def primary(self):
         t = self.cur()
-        if t.kind == "op" and t.text == "(":
+        if t.key == "(":
             self.op(self.take(), "()")
             self.descend()
             self.expression()
             self.depth -= 1
-            self.expect_op(")")
+            self.expect(")")
             return
         if t.kind in ("number", "string"):
             self.operand(self.take())
@@ -527,8 +496,7 @@ class _BodyParser(_Cursor):
             self.res.reads.add(t.text.casefold())
             return
         if t.kind == "ident":
-            word = t.up()
-            if word in ("TRUE", "FALSE"):
+            if t.key in ("TRUE", "FALSE"):
                 self.operand(self.take())
                 return
             ref = self.reference(register="read")
@@ -568,8 +536,7 @@ class _BodyParser(_Cursor):
         first_member: str | None = None
         saw_subscript = False
         while True:
-            nxt = self.cur()
-            if nxt.kind == "op" and nxt.text == ".":
+            if self.at("."):
                 self.op(self.take())
                 member = self.cur()
                 if member.kind != "ident":
@@ -577,16 +544,16 @@ class _BodyParser(_Cursor):
                 self.operand(self.take())
                 if first_member is None and not saw_subscript:
                     first_member = member.text.casefold()
-            elif nxt.kind == "op" and nxt.text == "[":
+            elif self.at("["):
                 self.op(self.take(), "[]")
                 saw_subscript = True
                 self.descend()
                 self.expression()
-                while self.cur().kind == "op" and self.cur().text == ",":
+                while self.at(","):
                     self.op(self.take())
                     self.expression()
                 self.depth -= 1
-                self.expect_op("]")
+                self.expect("]")
             else:
                 break
         ref = self._Ref(root_key, False, first_member)
@@ -603,48 +570,41 @@ class _BodyParser(_Cursor):
 
     def call_lookahead(self) -> list[RawTok] | None:
         """Detect `ident ('.' ident)* '('` without consuming anything."""
-        j = self.i
+        toks, j = self.toks, self.i
         path = []
         while True:
-            if j >= len(self.toks) or self.toks[j].kind != "ident":
+            t = toks[j]
+            if t.kind != "ident" or t.key in _NOT_CALLEES:
                 return None
-            if self.toks[j].up() in _STMT_START or self.toks[j].up() in ("AND", "OR", "XOR", "NOT", "MOD", "TRUE", "FALSE"):
-                return None
-            path.append(self.toks[j])
-            j += 1
-            if j < len(self.toks) and self.toks[j].kind == "op" and self.toks[j].text == ".":
-                j += 1
-                continue
-            break
-        if j < len(self.toks) and self.toks[j].kind == "op" and self.toks[j].text == "(":
-            return path
-        return None
+            path.append(t)
+            if toks[j + 1].key != ".":
+                break
+            j += 2
+        return path if toks[j + 1].key == "(" else None
 
     def invocation(self, path: list[RawTok]) -> "_BodyParser._Ref":
         lexeme = ".".join(p.text for p in path)
         self.i += len(path) * 2 - 1  # idents and the dots between them
         self.res.tokens.append(Token.operator(lexeme, lexeme.casefold() + "()"))
-        self.expect_op("(")  # argument parens belong to the invocation
+        self.expect("(")  # argument parens belong to the invocation
         call = _RawCall(lexeme, path[0].text.casefold(), 0, 0)
         self.res.calls.append(call)
-        if not (self.cur().kind == "op" and self.cur().text == ")"):
+        if not self.at(")"):
             self.descend()
             self.argument(call)
-            while self.cur().kind == "op" and self.cur().text == ",":
+            while self.at(","):
                 self.op(self.take())
                 self.argument(call)
             self.depth -= 1
-        self.expect_op(")")
+        self.expect(")")
         return self._Ref(call.key, True, call=call)
 
     def argument(self, call: _RawCall):
-        t = self.cur()
-        nxt = self.peek()
-        if t.kind == "ident" and nxt.kind == "op" and nxt.text in (":=", "=>"):
+        if self.cur().kind == "ident" and self.peek().key in (":=", "=>"):
             self.operand(self.take())  # formal parameter name
             binder = self.take()
             self.op(binder)
-            if binder.text == ":=":
+            if binder.key == ":=":
                 call.args += 1
                 self.expression()
             else:
@@ -665,8 +625,10 @@ def _run_body(
     path: str,
     fb_instances: dict[str, frozenset[str]] | None = None,
     value_context: bool = False,
+    depth: int = 0,
 ) -> _BodyResult:
     parser = _BodyParser(raw, path, fb_instances)
+    parser.depth = depth
     parser.parse_body()
     if value_context and parser.last_bare_call is not None:
         # The fragment is an expression whose result a surrounding
@@ -680,13 +642,16 @@ def st_fragment_facts(
     path: str = "",
     fb_instances: dict[str, frozenset[str]] | None = None,
     value_context: bool = False,
+    depth: int = 0,
 ) -> _BodyResult:
     """Walk an ST statement list or expression: its classified `.tokens`,
     `.decisions` (kind and position of each decision point), calls and
     accessed names.  The XML frontend feeds bodies, transition conditions
     and inline actions through here; `value_context` marks a bare
-    expression whose result a surrounding construct consumes."""
-    return _run_body(lex(text, path), path, fb_instances, value_context=value_context)
+    expression whose result a surrounding construct consumes, and `depth`
+    the levels of nesting the fragment already sits in, which count
+    towards the same limit as its own."""
+    return _run_body(lex(text, path), path, fb_instances, value_context, depth)
 
 
 # ---------------------- declarations ----------------------
@@ -734,7 +699,7 @@ def split_st_units(source: StSource) -> list[StUnit]:
     i = 0
     while i < len(toks):
         t = toks[i]
-        word = t.up()
+        word = t.key
         if word in _POU_KINDS:
             end_kw = _POU_KINDS[word][1]
             j = _find_kw(toks, i + 1, end_kw, source.path, t)
@@ -748,7 +713,7 @@ def split_st_units(source: StSource) -> list[StUnit]:
             j = _find_kw(toks, i + 1, "END_VAR", source.path, t)
             units.append(StUnit("globals", tuple(toks[i : j + 1])))
             i = j + 1
-        elif t.kind == "op" and t.text == ";":
+        elif word == ";":
             i += 1
         else:
             raise ParseError("unexpected top-level token %r" % t.text, source.path, t.line, t.col)
@@ -757,23 +722,23 @@ def split_st_units(source: StSource) -> list[StUnit]:
 
 def _find_kw(toks, start, word, path, open_tok) -> int:
     for j in range(start, len(toks)):
-        if toks[j].up() == word:
+        if toks[j].key == word:
             return j
     raise ParseError("missing %s" % word, path, open_tok.line, open_tok.col)
 
 
 def parse_type_spec(cur: _Cursor) -> TypeSpec:
     t = cur.cur()
-    word = t.up()
+    word = t.key
     if word == "ARRAY":
         cur.take()
-        cur.expect_op("[")
+        cur.expect("[")
         dims = [_parse_range(cur)]
-        while cur.at_op(","):
+        while cur.at(","):
             cur.take()
             dims.append(_parse_range(cur))
-        cur.expect_op("]")
-        if cur.cur().up() != "OF":
+        cur.expect("]")
+        if not cur.at("OF"):
             raise cur.fail("expected OF")
         cur.take()
         cur.descend()
@@ -784,9 +749,7 @@ def parse_type_spec(cur: _Cursor) -> TypeSpec:
         cur.take()
         cur.descend()
         fields: list[tuple[str, str]] = []
-        while not cur.at_kw("END_STRUCT"):
-            if cur.cur().kind == "eof":
-                raise cur.fail("unterminated STRUCT")
+        while cur.before("END_STRUCT", "STRUCT"):
             names = _declared_names(cur)
             member_type = _type_and_init(cur).render()
             fields.extend((n, member_type) for n in names)
@@ -795,37 +758,29 @@ def parse_type_spec(cur: _Cursor) -> TypeSpec:
         return TypeSpec("struct", fields=tuple(fields))
     if word in ("STRING", "WSTRING"):
         cur.take()
-        if cur.at_op("(") or cur.at_op("["):
-            closer = ")" if cur.take().text == "(" else "]"
-            while not cur.at_op(closer):
-                if cur.cur().kind == "eof":
-                    raise cur.fail("unterminated string length")
+        if cur.at("(") or cur.at("["):
+            closer = ")" if cur.take().key == "(" else "]"
+            while cur.before(closer, "string length"):
                 cur.take()
             cur.take()
         return TypeSpec("string", name=word)
-    if t.kind == "op" and t.text == "(":
+    if word == "(":
         cur.take()
         values = []
-        while not cur.at_op(")"):
-            if cur.cur().kind == "eof":
-                raise cur.fail("unterminated enumeration")
+        while cur.before(")", "enumeration"):
             v = cur.take()
             if v.kind == "ident":
                 values.append(v.text)
-            elif v.kind == "op" and v.text in (",", ":="):
-                continue
             # initial values and separators are skipped
         cur.take()
         return TypeSpec("enum", fields=tuple((v, "") for v in values))
     if t.kind != "ident":
         raise cur.fail("expected a type, found %r" % t.text)
     name_tok = cur.take()
-    if cur.at_op("("):
+    if cur.at("("):
         # Subrange such as INT (0..100).
         cur.take()
-        while not cur.at_op(")"):
-            if cur.cur().kind == "eof":
-                raise cur.fail("unterminated subrange")
+        while cur.before(")", "subrange"):
             cur.take()
         cur.take()
         return TypeSpec("subrange", name=name_tok.text, element=named(name_tok.text))
@@ -835,7 +790,7 @@ def parse_type_spec(cur: _Cursor) -> TypeSpec:
 def _declared_names(cur: _Cursor) -> list[str]:
     """`name {, name}` at the start of a declaration."""
     names = [cur.expect_ident().text]
-    while cur.at_op(","):
+    while cur.at(","):
         cur.take()
         names.append(cur.expect_ident().text)
     return names
@@ -843,28 +798,25 @@ def _declared_names(cur: _Cursor) -> list[str]:
 
 def _type_and_init(cur: _Cursor) -> TypeSpec:
     """`: type [:= init] ;` after the declared names."""
-    cur.expect_op(":")
+    cur.expect(":")
     spec = parse_type_spec(cur)
-    if cur.at_op(":="):
+    if cur.at(":="):
         cur.take()
         cur.skip_initializer()
-    cur.expect_op(";")
+    cur.expect(";")
     return spec
 
 
 def _parse_range(cur: _Cursor) -> tuple[int, int]:
     lo = _parse_bound(cur)
-    cur.expect_op("..")
+    cur.expect("..")
     hi = _parse_bound(cur)
     return lo, hi
 
 
 def _parse_bound(cur: _Cursor) -> int:
-    sign = 1
-    if cur.at_op("-"):
-        cur.take()
-        sign = -1
-    elif cur.at_op("+"):
+    sign = -1 if cur.at("-") else 1
+    if cur.cur().key in ("-", "+"):
         cur.take()
     t = cur.take()
     if t.kind != "number":
@@ -881,9 +833,7 @@ def parse_type_block(unit: StUnit, context: TypeContext, path: str) -> None:
     cur = _Cursor(unit.tokens, path)
     cur.take()  # TYPE
     definitions: list[tuple[str, TypeSpec]] = []
-    while not cur.at_kw("END_TYPE"):
-        if cur.cur().kind == "eof":
-            raise cur.fail("unterminated TYPE block")
+    while cur.before("END_TYPE", "TYPE block"):
         name = cur.expect_ident().text
         definitions.append((name, _type_and_init(cur)))
     for name, spec in definitions:
@@ -898,18 +848,15 @@ def parse_global_names(unit: StUnit, path: str) -> list[str]:
 def _parse_var_sections(cur: _Cursor) -> list[RawDecl]:
     decls: list[RawDecl] = []
     while True:
-        word = cur.cur().up()
-        if word not in _VAR_SECTIONS:
+        section = _VAR_SECTIONS.get(cur.cur().key)
+        if section is None:
             return decls
-        section = _VAR_SECTIONS[word]
         cur.take()
-        while cur.cur().up() in _VAR_QUALIFIERS:
+        while cur.cur().key in _VAR_QUALIFIERS:
             cur.take()
-        while not cur.at_kw("END_VAR"):
-            if cur.cur().kind == "eof":
-                raise cur.fail("unterminated VAR section")
+        while cur.before("END_VAR", "VAR section"):
             names = _declared_names(cur)
-            if cur.cur().up() == "AT":
+            if cur.at("AT"):
                 cur.take()
                 addr = cur.take()
                 if addr.kind != "address":
@@ -925,7 +872,7 @@ def interface_of_unit(unit: StUnit, path: str) -> tuple[str, PouKind, list[RawDe
     first body token in `unit.tokens`."""
     cur = _Cursor(unit.tokens, path)
     head = cur.take()
-    kind = _POU_KINDS[head.up()][0]
+    kind = _POU_KINDS[head.key][0]
     name_tok = cur.cur()
     if name_tok.kind == "string":
         name = name_tok.text[1:-1]
@@ -933,7 +880,7 @@ def interface_of_unit(unit: StUnit, path: str) -> tuple[str, PouKind, list[RawDe
     else:
         name = cur.expect_ident().text
     return_spec: TypeSpec | None = None
-    if kind is PouKind.FUNCTION and cur.at_op(":"):
+    if kind is PouKind.FUNCTION and cur.at(":"):
         cur.take()
         return_spec = parse_type_spec(cur)
     decls = _parse_var_sections(cur)
@@ -983,8 +930,8 @@ def parse_pou_unit(
     """Parse one already-sliced POU unit into the IR."""
     name, kind, decls, return_spec, body_start = interface_of_unit(unit, path)
     head = unit.tokens[0]
-    end_kw = _POU_KINDS[head.up()][1]
-    if unit.tokens[-1].up() != end_kw:
+    end_kw = _POU_KINDS[head.key][1]
+    if unit.tokens[-1].key != end_kw:
         raise ParseError("missing %s" % end_kw, path, head.line, head.col)
     variables, warnings = context.declare(name, decls, return_spec)
     # Everything between the declarations and the closing keyword is body.

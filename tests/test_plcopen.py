@@ -186,6 +186,37 @@ def test_type_nesting_past_the_limit_skips_the_file(tmp_path, where):
     assert sample.context.lookup("DeepT") is None
 
 
+def deep_inline_doc(depth, inner="<FBD/>"):
+    """POUs Deep and Good.  Deep's FBD body holds action blocks with inline
+    FBD bodies, nested `depth` levels deep; the innermost inline body is
+    `inner`."""
+    opener, closer = '<actionBlock localId="1"><action><inline>', "</inline></action></actionBlock>"
+    nested = (opener + "<FBD>") * (depth - 1) + opener + inner + closer + ("</FBD>" + closer) * (depth - 1)
+    good = '<ST><xhtml xmlns="http://www.w3.org/1999/xhtml">x := 1;</xhtml></ST>'
+    return doc(pou_xml("Deep", "program", "<FBD>%s</FBD>" % nested) + pou_xml("Good", "program", good))
+
+
+def test_inline_nesting_up_to_the_limit_loads(tmp_path):
+    sample = load_doc(tmp_path, deep_inline_doc(99))
+    assert sorted(p.name for p in sample.pous) == ["Deep", "Good"]
+    assert sample.warnings == []
+
+
+def test_inline_nesting_past_the_limit_skips_only_that_pou(tmp_path):
+    sample = load_doc(tmp_path, deep_inline_doc(101))
+    assert [p.name for p in sample.pous] == ["Good"]
+    assert [(w.code, w.pou) for w in sample.warnings] == [("pou-parse-error", "Deep")]
+    assert "nesting deeper than 100 levels" in sample.warnings[0].message
+
+
+def test_inline_st_counts_towards_the_nesting_limit(tmp_path):
+    calls = "a := " + "1 + F(x := 1 + " * 99 + "a" + ")" * 99 + ";"
+    inner = '<ST><xhtml xmlns="http://www.w3.org/1999/xhtml">%s</xhtml></ST>' % calls
+    sample = load_doc(tmp_path, deep_inline_doc(100, inner))
+    assert [p.name for p in sample.pous] == ["Good"]
+    assert "nesting deeper than 100 levels" in sample.warnings[0].message
+
+
 def test_st_body_that_does_not_parse_skips_the_file(tmp_path):
     bad = '<ST><xhtml xmlns="http://www.w3.org/1999/xhtml">x := ;</xhtml></ST>'
     sample = load_doc(tmp_path, doc(pou_xml("Bad", "program", bad)), {"ok.st": "PROGRAM Alpha x := 1; END_PROGRAM"})

@@ -12,6 +12,7 @@ from poumetrics import (
     TokenClass,
     compute_vector,
     parse_st_pou,
+    st_fragment_facts,
     validate_pou,
 )
 from poumetrics.aggregate import median_of
@@ -108,6 +109,32 @@ def test_lexed_tokens_sit_at_their_positions(text):
         assert start >= end  # no overlap, so positions strictly increase
         assert text[start : start + len(tok.text)] == tok.text
         end = start + len(tok.text)
+
+
+# Whole words and symbols of the ST grammar, so random lists stop every
+# construct the parsers know at every point, end of input included.
+ST_WORDS = [
+    "PROGRAM P", "END_PROGRAM", "VAR", "VAR_INPUT", "END_VAR", "AT", "%IX0.0", "ARRAY", "[", "]", "OF",
+    "STRUCT", "END_STRUCT", "STRING", "IF", "THEN", "ELSIF", "ELSE", "END_IF", "CASE", "END_CASE",
+    "FOR", "TO", "BY", "DO", "END_FOR", "WHILE", "END_WHILE", "REPEAT", "UNTIL", "END_REPEAT",
+    "EXIT", "NOT", "AND", "MOD", "TRUE", ";", ":=", "=>", ":", ",", ".", "..", "(", ")", "-", "+",
+    "x", "F", "INT", "1", "'s'", "T#5s",
+]
+
+
+@settings(max_examples=500, derandomize=True)
+@given(st_strat.lists(st_strat.sampled_from(ST_WORDS), max_size=30).map(" ".join))
+def test_st_parsers_return_or_raise_parse_error(text):
+    calls = (
+        lambda: parse_st_pou(StSource(path="<fuzz>", text=text)),
+        lambda: parse_st_pou(StSource(path="<fuzz>", text="PROGRAM P %s END_PROGRAM" % text)),
+        lambda: st_fragment_facts(text),
+    )
+    for call in calls:
+        try:
+            call()
+        except ParseError:
+            pass
 
 
 @settings(max_examples=200, derandomize=True)

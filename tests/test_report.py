@@ -360,6 +360,18 @@ def test_cli_xml_type_nesting_2000_deep_skips_that_file(tmp_path, capsys, where)
     assert "Traceback" not in captured.err
 
 
+def test_cli_xml_inline_nesting_2000_deep_skips_only_that_pou(tmp_path, capsys):
+    from test_plcopen import deep_inline_doc
+
+    (tmp_path / "deep.xml").write_text(deep_inline_doc(2000))
+    code = main(["analyze", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Good" in captured.out and "Deep" not in captured.out
+    assert "deep.xml:Deep: nesting deeper than 100 levels" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_array_with_2000_dimensions(tmp_path, capsys):
     (tmp_path / "ok.st").write_text("PROGRAM Alpha x := 1; END_PROGRAM")
     dims = ", ".join(["1..1"] * 2000)
@@ -383,6 +395,18 @@ def test_cli_skip_warnings_name_the_path_once(tmp_path, capsys):
     assert len(parse_error) == 1 and len(malformed) == 1
     assert parse_error[0].count("bad.st") == 1 and ": 3:6: " in parse_error[0]
     assert malformed[0].count("x.xml") == 1 and "line 1" in malformed[0]
+
+
+def test_cli_body_skip_warning_names_the_pou(tmp_path, capsys):
+    (tmp_path / "ok.st").write_text("PROGRAM Alpha x := 1; END_PROGRAM")
+    (tmp_path / "bad.st").write_text("PROGRAM Bad\nx := ;\nEND_PROGRAM\n")
+    out_json = tmp_path / "r.json"
+    code = main(["analyze", str(tmp_path), "--json", str(out_json)])
+    captured = capsys.readouterr()
+    assert code == 2
+    [warning] = [w for w in json.loads(out_json.read_text())["warnings"] if w["code"] == "pou-parse-error"]
+    assert warning["pou"] == "Bad" and warning["path"].endswith("bad.st")
+    assert "bad.st:Bad: 2:6: " in captured.err
 
 
 def test_cli_type_alias_chain_2000_long(tmp_path, capsys):

@@ -300,6 +300,34 @@ def test_error_carries_path_and_line():
     assert "<test>" in msg and ":2:" in msg
 
 
+# Exact messages, so a parser rewrite cannot change them unnoticed.
+ERROR_TEXTS = {
+    "end-for-in-if": ("IF a THEN\n  END_FOR\nEND_IF;", "<test>:3:3: unexpected END_FOR"),
+    "second-else": ("IF a THEN x := 1; ELSE x := 2; ELSE x := 3; END_IF;", "<test>:2:32: unexpected ELSE"),
+    "missing-then": ("IF a x := 1; END_IF;", "<test>:2:6: expected THEN, found 'x'"),
+    "until-as-case-label": ("CASE a OF\n1: x := 1;\nUNTIL: x := 2;\nEND_CASE;", "<test>:4:1: unexpected UNTIL"),
+    "unterminated-case": ("CASE a OF\n1: x := 1;", "<test>: unterminated CASE"),
+    "empty-assignment": ("x := ;", "<test>:2:6: unexpected ';' in expression"),
+    "missing-semicolon": ("x := 1 y := 2;", "<test>:2:8: expected ';'"),
+    "unclosed-subscript": ("x := a[1;", "<test>:2:9: expected ']', found ';'"),
+    "for-without-assign": ("FOR i = 1 TO 3 DO x := i; END_FOR;", "<test>:2:7: expected ':=', found '='"),
+    "array-without-of": ("VAR a : ARRAY[1..2] INT; END_VAR", "<test>:2:21: expected OF"),
+    "at-without-address": ("VAR a AT : BOOL; END_VAR", "<test>:2:10: expected a direct address after AT"),
+    "unterminated-var": ("VAR a : INT;", "<test>: expected ':', found 'end of input'"),
+    "end-of-input-in-if": ("IF a THEN x := 1;", "<test>: expected END_IF, found 'end of input'"),
+    "end-of-input-in-expression": ("x := (1 +", "<test>: unexpected 'end of body' in expression"),
+    "leftover-end-if": ("x := 1;\nEND_IF", "<test>:3:1: unexpected END_IF"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_TEXTS))
+def test_parse_error_text(case):
+    body, expected = ERROR_TEXTS[case]
+    with pytest.raises(ParseError) as err:
+        parse("PROGRAM P\n%s\nEND_PROGRAM" % body)
+    assert str(err.value) == expected
+
+
 # ------------------------- nesting -------------------------
 
 
