@@ -130,7 +130,6 @@ class DecisionSpan:
 @dataclass(frozen=True)
 class BodyFacts:
     tokens: tuple[Token, ...] = ()
-    decision_count: int = 0
     decision_spans: tuple[DecisionSpan, ...] = ()
     calls: tuple[CallSite, ...] = ()
     external_reads: frozenset[str] = frozenset()
@@ -144,16 +143,18 @@ class BodyFacts:
         external_reads=(),
         external_writes=(),
     ) -> "BodyFacts":
-        """Constructor that keeps decision_count and the span list in sync."""
-        spans = tuple(decisions)
+        """Constructor from any iterables."""
         return BodyFacts(
             tokens=tuple(tokens),
-            decision_count=len(spans),
-            decision_spans=spans,
+            decision_spans=tuple(decisions),
             calls=tuple(calls),
             external_reads=frozenset(external_reads),
             external_writes=frozenset(external_writes),
         )
+
+    @property
+    def decision_count(self) -> int:
+        return len(self.decision_spans)
 
 
 @dataclass(frozen=True)
@@ -189,12 +190,6 @@ def validate_pou(pou: Pou) -> list[str]:
             problems.append("variable with empty name in section %s" % var.section.value)
 
     body = pou.body
-    if body.decision_count != len(body.decision_spans):
-        problems.append(
-            "decision count %d does not match %d recorded spans"
-            % (body.decision_count, len(body.decision_spans))
-        )
-
     seen: dict[str, TokenClass] = {}
     flagged: set[str] = set()
     for tok in body.tokens:

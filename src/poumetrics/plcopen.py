@@ -19,6 +19,10 @@ Counting rules for graphical languages:
 * SFC: every step, transition and action association is one operator;
   every transition adds one decision.  Transition conditions and action
   bodies are tokenized in their own language and merged into the POU.
+
+Every walk of one POU, network or ST fragment, writes into one
+collector, the POU's `_Acc` (an `st._BodyResult`); `st.finalize_body`
+then applies the POU's declarations to it once, as for an ST POU.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .ir import (
     Token,
     VarSection,
 )
-from .st import _MAX_NESTING, _BodyResult, fb_instance_map, finalize_body, st_fragment_facts
+from .st import _MAX_NESTING, _BodyResult, finalize_body, st_fragment_facts
 from .typesys import RawDecl, TypeContext, TypeSpec, named
 
 _POU_TYPE_MAP = {
@@ -110,12 +114,7 @@ def _type_spec_of(type_el: ET.Element | None, path: str, depth: int = 0) -> Type
     if tag == "array":
         dims = []
         for d in inner.findall("dimension"):
-            try:
-                lo = int(d.get("lower", "1"))
-                hi = int(d.get("upper", "1"))
-            except ValueError:
-                lo = hi = 1
-            dims.append((lo, hi))
+            dims.append((_array_bound(d.get("lower", "1"), path), _array_bound(d.get("upper", "1"), path)))
         base = _type_spec_of(inner.find("baseType"), path, depth + 1)
         return TypeSpec("array", dims=tuple(dims), element=base)
     if tag == "struct":
@@ -133,6 +132,13 @@ def _type_spec_of(type_el: ET.Element | None, path: str, depth: int = 0) -> Type
         return TypeSpec("subrange", element=base)
     # Elementary types appear as empty elements named after the type.
     return named(tag.upper())
+
+
+def _array_bound(text: str, path: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError("array bound %r is not an integer" % text, path) from None
 
 
 def _interface_vars(pou_el: ET.Element, path: str) -> tuple[list[RawDecl], TypeSpec | None, bool]:
@@ -201,34 +207,23 @@ def project_pou_names(root: ET.Element) -> list[str]:
 
 @dataclass(kw_only=True)
 class _Acc(_BodyResult):
-    """Mutable collector the network walker and merged fragments fill.
-    Graphical call sites go to `fixed_calls`, whose counts are final."""
+    """The POU's collector, which the network walker and the ST fragment
+    walks fill.  Graphical call sites go to `fixed_calls`, whose counts
+    are final."""
 
     path: str
     pou: str
-    fb_instances: dict[str, frozenset[str]]
     pou_names: frozenset[str]
     context: TypeContext
     fixed_calls: list[CallSite] = field(default_factory=list)
     warnings: list[AnalysisWarning] = field(default_factory=list)
     merged_refs: set[str] = field(default_factory=set)
-    depth: int = 0  # inline and named bodies being merged, one inside the next
 
     def warn(self, code: str, message: str) -> None:
         self.warnings.append(AnalysisWarning(code, message, self.path, self.pou))
 
     def decide(self, kind: str, element_id: str) -> None:
         self.decisions.append(DecisionSpan(kind, SourceRef(self.path, element=element_id)))
-
-    def merge_fragment(self, text: str, value_context: bool) -> None:
-        res = st_fragment_facts(text, self.path, self.fb_instances, value_context=value_context, depth=self.depth)
-        self.tokens.extend(res.tokens)
-        self.decisions.extend(res.decisions)
-        self.calls.extend(res.calls)
-        self.reads |= res.reads
-        self.writes |= res.writes
-        for inst, members in res.member_reads.items():
-            self.member_reads.setdefault(inst, set()).update(members)
 
     def register_access(self, expression: str, read: bool, write: bool) -> None:
         text = expression.strip()
@@ -321,7 +316,9 @@ def _walk_network(acc: _Acc, body_el: ET.Element, language: Language, pou_el: ET
         elif tag == "transition":
             acc.tokens.append(Token.operator(el.get("name", "") or "transition", "transition"))
             acc.decide("transition", lid)
-            _merge_condition(acc, el, pou_el)
+            condition = el.find("condition")
+            if condition is not None:  # a wired condition is covered by the network walk itself
+                _merge_linked_body(acc, condition, pou_el, "transition")
         elif tag == "jumpStep":
             target = el.get("targetName", "").casefold()
             edges.setdefault(lid, set()).add("@step:" + target)
@@ -431,7 +428,7 @@ def _merge_body_element(acc: _Acc, body: ET.Element, pou_el: ET.Element, value_c
     for child in body:
         tag = child.tag
         if tag == "ST":
-            acc.merge_fragment(_text_of(child), value_context)
+            st_fragment_facts(_text_of(child), acc.path, value_context, into=acc)
         elif tag in ("FBD", "LD"):
             _walk_network(acc, child, _BODY_LANGUAGES[tag], pou_el)
         elif tag == "IL":
@@ -439,43 +436,33 @@ def _merge_body_element(acc: _Acc, body: ET.Element, pou_el: ET.Element, value_c
     acc.depth -= 1
 
 
-def _merge_condition(acc: _Acc, transition_el: ET.Element, pou_el: ET.Element) -> None:
-    condition = transition_el.find("condition")
-    if condition is None:
-        return
-    inline = condition.find("inline")
+def _merge_linked_body(acc: _Acc, holder: ET.Element, pou_el: ET.Element, item: str) -> None:
+    """Merge the <inline> body of a transition condition or action
+    association (`item` "transition" or "action"), or else the POU-level
+    named body its <reference> names, once per POU.  A transition
+    condition is a value its transition consumes."""
+    value_context = item == "transition"
+    inline = holder.find("inline")
     if inline is not None:
-        _merge_body_element(acc, inline, pou_el, value_context=True)
+        _merge_body_element(acc, inline, pou_el, value_context)
         return
-    reference = condition.find("reference")
-    if reference is not None:
-        name = reference.get("name", "").casefold()
-        marker = "transition:" + name
-        if name and marker not in acc.merged_refs:
-            acc.merged_refs.add(marker)
-            body = _named_bodies(pou_el, "transitions", "transition").get(name)
-            if body is not None:
-                _merge_body_element(acc, body, pou_el, value_context=True)
-    # A wired condition is covered by the network walk itself.
+    reference = holder.find("reference")
+    if reference is None:
+        return
+    name = reference.get("name", "").casefold()
+    marker = item + ":" + name
+    if name and marker not in acc.merged_refs:
+        acc.merged_refs.add(marker)
+        body = _named_bodies(pou_el, item + "s", item).get(name)
+        if body is not None:
+            _merge_body_element(acc, body, pou_el, value_context)
 
 
 def _walk_action_block(acc: _Acc, el: ET.Element, pou_el: ET.Element) -> None:
     for action in el.findall("action"):
         qualifier = (action.get("qualifier") or "N").casefold()
         acc.tokens.append(Token.operator("action-" + qualifier.upper(), "action-" + qualifier))
-        inline = action.find("inline")
-        if inline is not None:
-            _merge_body_element(acc, inline, pou_el, value_context=False)
-            continue
-        reference = action.find("reference")
-        if reference is not None:
-            name = reference.get("name", "").casefold()
-            marker = "action:" + name
-            if name and marker not in acc.merged_refs:
-                acc.merged_refs.add(marker)
-                body = _named_bodies(pou_el, "actions", "action").get(name)
-                if body is not None:
-                    _merge_body_element(acc, body, pou_el, value_context=False)
+        _merge_linked_body(acc, action, pou_el, "action")
 
 
 def _check_reachability(acc, step_names: dict[str, str], edges: dict[str, set[str]], roots: list[str]) -> None:
@@ -562,13 +549,7 @@ def _extract_pou(
 
     body_el = pou_el.find("body")
     language = Language.ST
-    acc = _Acc(
-        path=path,
-        pou=name,
-        fb_instances=fb_instance_map(variables, context),
-        pou_names=pou_names,
-        context=context,
-    )
+    acc = _Acc(path=path, pou=name, pou_names=pou_names, context=context)
     if body_el is not None:
         lang_el = None
         stray = None
@@ -597,12 +578,12 @@ def _extract_pou(
         else:
             language = _BODY_LANGUAGES[lang_el.tag]
             if language is Language.ST:
-                acc.merge_fragment(_text_of(lang_el), value_context=False)
+                st_fragment_facts(_text_of(lang_el), path, into=acc)
             else:
                 _walk_network(acc, lang_el, language, pou_el)
 
     warnings.extend(acc.warnings)
-    body = finalize_body(acc, variables, global_names, acc.fixed_calls)
+    body = finalize_body(acc, variables, context, global_names, acc.fixed_calls)
     pou = Pou(
         name=name,
         kind=kind,

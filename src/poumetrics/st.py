@@ -28,6 +28,7 @@ FOR, WHILE, REPEAT, EXIT.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from sys import intern
 from typing import NamedTuple
@@ -149,14 +150,19 @@ class _RawCall:
 
 @dataclass(kw_only=True)
 class _BodyResult:
-    """What one body walk collects before the POU's declarations are known."""
+    """The one collector all body walks of a POU write into: one ST walk,
+    or a PLCopen body's network walks and ST fragment walks.  It holds
+    what the walks saw; `finalize_body` applies the declarations, such
+    as which raw (root, first member) reads name an FB instance output.
+    `depth` is the nesting the next walk starts inside."""
 
     tokens: list[Token] = field(default_factory=list)
     decisions: list[DecisionSpan] = field(default_factory=list)
     calls: list[_RawCall] = field(default_factory=list)
     reads: set[str] = field(default_factory=set)
     writes: set[str] = field(default_factory=set)
-    member_reads: dict[str, set[str]] = field(default_factory=dict)
+    member_reads: set[tuple[str, str]] = field(default_factory=set)
+    depth: int = 0
 
 
 _EOF = RawTok("eof", "", 0, 0, "")
@@ -172,10 +178,13 @@ class _Cursor:
     """Position in a token sequence, shared by the declaration parser and
     the body walker.  The tokens end with one `_EOF`, which `take()` never
     steps past, so neither the current token nor the one after a token
-    that is not `_EOF` needs a bounds check."""
+    that is not `_EOF` needs a bounds check.  An error at `_EOF` takes its
+    position from `end` (a unit's closing keyword) when given; bare
+    fragments have none."""
 
-    def __init__(self, toks: list[RawTok] | tuple[RawTok, ...], path: str):
+    def __init__(self, toks: list[RawTok] | tuple[RawTok, ...], path: str, end: RawTok = _EOF):
         self.toks = [*toks, _EOF]
+        self.end = end
         self.path = path
         self.i = 0
         self.depth = 0
@@ -194,6 +203,8 @@ class _Cursor:
 
     def fail(self, message: str) -> ParseError:
         t = self.cur()
+        if t is _EOF:
+            t = self.end
         return ParseError(message, self.path, t.line, t.col)
 
     def at(self, key: str) -> bool:
@@ -248,11 +259,10 @@ class _BodyParser(_Cursor):
     """Statement-list walker over raw tokens.  Emits classified tokens in
     source order; never builds an AST."""
 
-    def __init__(self, toks: list[RawTok] | tuple[RawTok, ...], path: str, fb_instances: dict[str, frozenset[str]] | None = None):
-        super().__init__(toks, path)
-        self.res = _BodyResult()
-        # casefolded instance name -> casefolded output member names
-        self.fb_instances = fb_instances or {}
+    def __init__(self, toks: list[RawTok] | tuple[RawTok, ...], path: str, res: _BodyResult, end: RawTok = _EOF):
+        super().__init__(toks, path, end)
+        self.res = res
+        self.depth = res.depth
         # set when the last parsed statement was a bare invocation
         self.last_bare_call: _RawCall | None = None
 
@@ -269,10 +279,15 @@ class _BodyParser(_Cursor):
 
     # --- statements ---
 
-    def parse_body(self):
+    def parse_body(self, value_context: bool = False) -> _BodyResult:
         self.stmt_list(frozenset())
         if self.cur() is not _EOF:
             raise self.fail("unexpected %r" % self.cur().text)
+        if value_context and self.last_bare_call is not None:
+            # The fragment is an expression whose result a surrounding
+            # construct (e.g. a transition condition) consumes.
+            self.last_bare_call.returns += 1
+        return self.res
 
     def stmt_list(self, stop: frozenset[str], case_branch: bool = False):
         """Statements up to the end of input or a word in `stop`; a CASE
@@ -324,7 +339,7 @@ class _BodyParser(_Cursor):
     def expr_statement(self):
         t = self.cur()
         if t.kind not in ("ident", "address"):
-            raise self.fail("unexpected %r" % (t.text or "end of body"))
+            raise self.fail("unexpected %r" % (t.text or "end of input"))
         self.last_bare_call = None
         ref = self.reference(register=None)
         if self.at(":="):
@@ -503,7 +518,7 @@ class _BodyParser(_Cursor):
             if ref.is_call and ref.call is not None:
                 ref.call.returns += 1  # expression context consumes the value
             return
-        raise self.fail("unexpected %r in expression" % (t.text or "end of body"))
+        raise self.fail("unexpected %r in expression" % (t.text or "end of input"))
 
     # --- references and calls ---
 
@@ -564,9 +579,7 @@ class _BodyParser(_Cursor):
     def register_ref_read(self, ref: "_BodyParser._Ref"):
         self.res.reads.add(ref.root_key)
         if ref.member is not None:
-            outputs = self.fb_instances.get(ref.root_key)
-            if outputs is not None and ref.member in outputs:
-                self.res.member_reads.setdefault(ref.root_key, set()).add(ref.member)
+            self.res.member_reads.add((ref.root_key, ref.member))
 
     def call_lookahead(self) -> list[RawTok] | None:
         """Detect `ident ('.' ident)* '('` without consuming anything."""
@@ -620,38 +633,20 @@ class _BodyParser(_Cursor):
 # ---------------------- fragment entry point ----------------------
 
 
-def _run_body(
-    raw: list[RawTok] | tuple[RawTok, ...],
-    path: str,
-    fb_instances: dict[str, frozenset[str]] | None = None,
-    value_context: bool = False,
-    depth: int = 0,
-) -> _BodyResult:
-    parser = _BodyParser(raw, path, fb_instances)
-    parser.depth = depth
-    parser.parse_body()
-    if value_context and parser.last_bare_call is not None:
-        # The fragment is an expression whose result a surrounding
-        # construct (e.g. a transition condition) consumes.
-        parser.last_bare_call.returns += 1
-    return parser.res
-
-
 def st_fragment_facts(
     text: str,
     path: str = "",
-    fb_instances: dict[str, frozenset[str]] | None = None,
     value_context: bool = False,
-    depth: int = 0,
+    into: _BodyResult | None = None,
 ) -> _BodyResult:
-    """Walk an ST statement list or expression: its classified `.tokens`,
+    """Walk an ST statement list or expression into the collector `into`
+    (a new one when None) and return it: classified `.tokens`,
     `.decisions` (kind and position of each decision point), calls and
-    accessed names.  The XML frontend feeds bodies, transition conditions
-    and inline actions through here; `value_context` marks a bare
-    expression whose result a surrounding construct consumes, and `depth`
-    the levels of nesting the fragment already sits in, which count
-    towards the same limit as its own."""
-    return _run_body(lex(text, path), path, fb_instances, value_context, depth)
+    accessed names.  The XML frontend walks bodies, transition conditions
+    and inline actions into its POU's collector; `value_context` marks a
+    bare expression whose result a surrounding construct consumes.  The
+    walk starts inside `into.depth` levels of nesting."""
+    return _BodyParser(lex(text, path), path, into or _BodyResult()).parse_body(value_context)
 
 
 # ---------------------- declarations ----------------------
@@ -775,7 +770,7 @@ def parse_type_spec(cur: _Cursor) -> TypeSpec:
         cur.take()
         return TypeSpec("enum", fields=tuple((v, "") for v in values))
     if t.kind != "ident":
-        raise cur.fail("expected a type, found %r" % t.text)
+        raise cur.fail("expected a type, found %r" % (t.text or "end of input"))
     name_tok = cur.take()
     if cur.at("("):
         # Subrange such as INT (0..100).
@@ -818,22 +813,30 @@ def _parse_bound(cur: _Cursor) -> int:
     sign = -1 if cur.at("-") else 1
     if cur.cur().key in ("-", "+"):
         cur.take()
-    t = cur.take()
+    t = cur.cur()
     if t.kind != "number":
-        raise ParseError("array bounds must be integer literals", cur.path, t.line, t.col)
+        raise cur.fail("array bounds must be integer literals")
     try:
-        return sign * int(t.text.replace("_", ""))
+        value = sign * int(t.text.replace("_", ""))
     except ValueError:
-        raise ParseError("array bound %r is not an integer" % t.text, cur.path, t.line, t.col) from None
+        raise cur.fail("array bound %r is not an integer" % t.text) from None
+    cur.take()
+    return value
+
+
+def _unit_cursor(unit: StUnit, path: str) -> _Cursor:
+    """A cursor over a POU or TYPE unit whose closing keyword is the end
+    of input, so a construct it cuts short is unterminated."""
+    return _Cursor(unit.tokens[:-1], path, unit.tokens[-1])
 
 
 def parse_type_block(unit: StUnit, context: TypeContext, path: str) -> None:
     """Feed one TYPE .. END_TYPE block into the shared type table.  A block
     that does not parse defines none of its types."""
-    cur = _Cursor(unit.tokens, path)
+    cur = _unit_cursor(unit, path)
     cur.take()  # TYPE
     definitions: list[tuple[str, TypeSpec]] = []
-    while cur.before("END_TYPE", "TYPE block"):
+    while cur.cur() is not _EOF:
         name = cur.expect_ident().text
         definitions.append((name, _type_and_init(cur)))
     for name, spec in definitions:
@@ -858,9 +861,9 @@ def _parse_var_sections(cur: _Cursor) -> list[RawDecl]:
             names = _declared_names(cur)
             if cur.at("AT"):
                 cur.take()
-                addr = cur.take()
-                if addr.kind != "address":
-                    raise ParseError("expected a direct address after AT", cur.path, addr.line, addr.col)
+                if cur.cur().kind != "address":
+                    raise cur.fail("expected a direct address after AT")
+                cur.take()
             spec = _type_and_init(cur)
             decls.extend(RawDecl(n, section, spec) for n in names)
         cur.take()
@@ -870,7 +873,7 @@ def interface_of_unit(unit: StUnit, path: str) -> tuple[str, PouKind, list[RawDe
     """Declarations of a POU unit: name, kind, raw declarations, the
     function return type (None for other kinds) and the index of the
     first body token in `unit.tokens`."""
-    cur = _Cursor(unit.tokens, path)
+    cur = _unit_cursor(unit, path)
     head = cur.take()
     kind = _POU_KINDS[head.key][0]
     name_tok = cur.cur()
@@ -899,14 +902,17 @@ def fb_instance_map(variables, context: TypeContext) -> dict[str, frozenset[str]
 def finalize_body(
     res: _BodyResult,
     variables,
+    context: TypeContext,
     global_names: frozenset[str],
     fixed_calls: list[CallSite] | tuple[CallSite, ...] = (),
 ) -> BodyFacts:
-    """Turn a walk result into BodyFacts for a POU with the given
-    declarations: attach distinct FB output reads to the instance's first
-    call, append `fixed_calls` (graphical call sites whose counts are
-    already final) and keep only genuinely external accesses."""
-    pending = {inst: len(members) for inst, members in res.member_reads.items()}
+    """Turn a POU's collector into BodyFacts for the POU's declarations:
+    add the distinct outputs read back from each FB instance to the
+    instance's first call, append `fixed_calls` (graphical call sites
+    whose counts are already final) and keep only genuinely external
+    reads and writes."""
+    outputs = fb_instance_map(variables, context)
+    pending = Counter(inst for inst, member in res.member_reads if member in outputs.get(inst, ()))
     calls = [CallSite(c.callee, c.args, c.returns + pending.pop(c.key, 0)) for c in res.calls]
     candidates = set(global_names)
     candidates.update(
@@ -935,13 +941,13 @@ def parse_pou_unit(
         raise ParseError("missing %s" % end_kw, path, head.line, head.col)
     variables, warnings = context.declare(name, decls, return_spec)
     # Everything between the declarations and the closing keyword is body.
-    res = _run_body(unit.tokens[body_start:-1], path, fb_instance_map(variables, context))
+    res = _BodyParser(unit.tokens[body_start:-1], path, _BodyResult(), unit.tokens[-1]).parse_body()
     pou = Pou(
         name=name,
         kind=kind,
         language=Language.ST,
         variables=tuple(variables),
-        body=finalize_body(res, variables, global_names),
+        body=finalize_body(res, variables, context, global_names),
         source_ref=SourceRef(path, head.line, head.col),
     )
     return pou, warnings

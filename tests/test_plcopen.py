@@ -186,6 +186,34 @@ def test_type_nesting_past_the_limit_skips_the_file(tmp_path, where):
     assert sample.context.lookup("DeepT") is None
 
 
+def bad_bound_doc(where):
+    """POUs Bad and Good, where an array type with the lower bound `a`
+    sits in a <dataType> Bad uses, in Bad's interface with Bad a function
+    block, or in Bad's interface with Bad a program."""
+    array = '<array><dimension lower="a" upper="2"/><baseType><INT/></baseType></array>'
+    body = '<ST><xhtml xmlns="http://www.w3.org/1999/xhtml">x := 1;</xhtml></ST>'
+    iface = '<interface><localVars><variable name="v"><type>%s</type></variable></localVars></interface>'
+    good = pou_xml("Good", "program", body)
+    if where == "data-type":
+        data_type = '<dataTypes><dataType name="BadT"><baseType>%s</baseType></dataType></dataTypes>' % array
+        return doc(pou_xml("Bad", "program", body, iface % '<derived name="BadT"/>') + good).replace(
+            "<dataTypes/>", data_type
+        )
+    pou_type = "functionBlock" if where == "fb-interface" else "program"
+    return doc(pou_xml("Bad", pou_type, body, iface % array) + good)
+
+
+@pytest.mark.parametrize(
+    "where, kept, skipped",
+    [("data-type", [], ""), ("fb-interface", [], ""), ("interface", ["Good"], "Bad")],
+)
+def test_array_bound_that_is_not_an_integer_is_a_parse_error(tmp_path, where, kept, skipped):
+    sample = load_doc(tmp_path, bad_bound_doc(where))
+    assert [p.name for p in sample.pous] == kept
+    assert [(w.code, w.pou) for w in sample.warnings] == [("pou-parse-error", skipped)]
+    assert sample.warnings[0].message == "array bound 'a' is not an integer"
+
+
 def deep_inline_doc(depth, inner="<FBD/>"):
     """POUs Deep and Good.  Deep's FBD body holds action blocks with inline
     FBD bodies, nested `depth` levels deep; the innermost inline body is
@@ -536,6 +564,33 @@ def test_action_qualifiers_become_operators(tmp_path):
     ops = [k for c, k in tokens_of(pou) if c is TokenClass.OPERATOR]
     assert ops.count("action-s") == 1
     assert ops.count("action-n") == 1  # default qualifier
+
+
+def test_fb_output_reads_in_one_fragment_join_a_call_in_another(tmp_path):
+    st = '<ST><xhtml xmlns="http://www.w3.org/1999/xhtml">%s</xhtml></ST>'
+    iface = (
+        '<interface><localVars><variable name="t"><type><derived name="TON"/></type></variable>'
+        '<variable name="x"><type><BOOL/></type></variable>'
+        '<variable name="y"><type><BOOL/></type></variable></localVars></interface>'
+    )
+    body = (
+        "<SFC>"
+        '<step localId="1" name="Init" initialStep="true"><connectionPointOut/></step>'
+        '<actionBlock localId="2"><connectionPointIn><connection refLocalId="1"/></connectionPointIn>'
+        "<action><inline>%s</inline></action>"
+        '<action><reference name="Check"/></action>'
+        "</actionBlock>"
+        "</SFC>"
+    ) % (st % "t(IN := x, PT := T#1s);")
+    actions = '<actions><action name="Check"><body>%s</body></action></actions>' % (
+        st % "y := t.Q AND t.ET &gt; T#0s OR t.q;"
+    )
+    text = doc('<pou name="P" pouType="program">%s<body>%s</body>%s</pou>' % (iface, body, actions))
+    pou, warnings = one_pou(tmp_path, text)
+    assert warnings == []
+    # the distinct outputs Q and ET, read in the named action, are used
+    # returns of the call in the inline action
+    assert pou.body.calls == (CallSite("t", 2, 2),)
 
 
 def test_duplicate_pou_names_across_files_error(tmp_path):

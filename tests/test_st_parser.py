@@ -306,16 +306,18 @@ ERROR_TEXTS = {
     "second-else": ("IF a THEN x := 1; ELSE x := 2; ELSE x := 3; END_IF;", "<test>:2:32: unexpected ELSE"),
     "missing-then": ("IF a x := 1; END_IF;", "<test>:2:6: expected THEN, found 'x'"),
     "until-as-case-label": ("CASE a OF\n1: x := 1;\nUNTIL: x := 2;\nEND_CASE;", "<test>:4:1: unexpected UNTIL"),
-    "unterminated-case": ("CASE a OF\n1: x := 1;", "<test>: unterminated CASE"),
+    "unterminated-case": ("CASE a OF\n1: x := 1;", "<test>:4:1: unterminated CASE"),
     "empty-assignment": ("x := ;", "<test>:2:6: unexpected ';' in expression"),
     "missing-semicolon": ("x := 1 y := 2;", "<test>:2:8: expected ';'"),
     "unclosed-subscript": ("x := a[1;", "<test>:2:9: expected ']', found ';'"),
     "for-without-assign": ("FOR i = 1 TO 3 DO x := i; END_FOR;", "<test>:2:7: expected ':=', found '='"),
     "array-without-of": ("VAR a : ARRAY[1..2] INT; END_VAR", "<test>:2:21: expected OF"),
     "at-without-address": ("VAR a AT : BOOL; END_VAR", "<test>:2:10: expected a direct address after AT"),
-    "unterminated-var": ("VAR a : INT;", "<test>: expected ':', found 'end of input'"),
-    "end-of-input-in-if": ("IF a THEN x := 1;", "<test>: expected END_IF, found 'end of input'"),
-    "end-of-input-in-expression": ("x := (1 +", "<test>: unexpected 'end of body' in expression"),
+    "unterminated-var": ("VAR a : INT;", "<test>:3:1: unterminated VAR section"),
+    "unterminated-struct": ("VAR s : STRUCT a : INT;", "<test>:3:1: unterminated STRUCT"),
+    "unterminated-initializer": ("VAR x : INT := (1;", "<test>:3:1: unterminated initializer"),
+    "end-of-input-in-if": ("IF a THEN x := 1;", "<test>:3:1: expected END_IF, found 'end of input'"),
+    "end-of-input-in-expression": ("x := (1 +", "<test>:3:1: unexpected 'end of input' in expression"),
     "leftover-end-if": ("x := 1;\nEND_IF", "<test>:3:1: unexpected END_IF"),
 }
 
