@@ -41,7 +41,6 @@ from .ir import (
     Pou,
     PouKind,
     SourceRef,
-    SubVariable,
     Token,
     TokenClass,
     TypeClass,
@@ -91,7 +90,6 @@ __all__ = [
     "SFC_PROFILE",
     "SourceRef",
     "StSource",
-    "SubVariable",
     "Token",
     "TokenClass",
     "TypeClass",

@@ -88,21 +88,16 @@ class Token:
 
 
 @dataclass(frozen=True)
-class SubVariable:
-    """First-level member of a structured variable (field, array element,
-    or FB interface member).  Deeper nesting is deliberately not modeled."""
-
-    name: str
-    type_name: str
-
-
-@dataclass(frozen=True)
 class VariableDecl:
+    """One declared variable.  `sub_variables` is a range as long as the
+    variable has first-level members (struct fields, array elements or FB
+    interface members); only their number is modeled."""
+
     name: str
     section: VarSection
     type_class: TypeClass
     type_name: str
-    sub_variables: tuple[SubVariable, ...] = ()
+    sub_variables: range = range(0)
 
 
 @dataclass(frozen=True)

@@ -114,14 +114,17 @@ def _type_spec_of(type_el: ET.Element | None, path: str, depth: int = 0) -> Type
     if tag == "array":
         dims = []
         for d in inner.findall("dimension"):
-            dims.append((_array_bound(d.get("lower", "1"), path), _array_bound(d.get("upper", "1"), path)))
+            lo, hi = _array_bound(d.get("lower", "1"), path), _array_bound(d.get("upper", "1"), path)
+            if lo > hi:
+                raise ParseError("array lower bound %d exceeds upper bound %d" % (lo, hi), path)
+            dims.append((lo, hi))
         base = _type_spec_of(inner.find("baseType"), path, depth + 1)
         return TypeSpec("array", dims=tuple(dims), element=base)
     if tag == "struct":
         fields = []
         for var in inner.findall("variable"):
-            member_spec = _type_spec_of(var.find("type"), path, depth + 1)
-            fields.append((var.get("name", ""), member_spec.render()))
+            _type_spec_of(var.find("type"), path, depth + 1)  # parsed for its errors and nesting only
+            fields.append(var.get("name", ""))
         return TypeSpec("struct", fields=tuple(fields))
     if tag == "enum":
         return TypeSpec("enum", name="ENUM")

@@ -343,17 +343,17 @@ class _BodyParser(_Cursor):
         self.last_bare_call = None
         ref = self.reference(register=None)
         if self.at(":="):
-            if ref.is_call:
+            if ref.call is not None:
                 raise self.fail("cannot assign to a call result")
             self.op(self.take())
             self.res.writes.add(ref.root_key)
             self.expression()
             self.end_of_statement()
             return
-        if ref.is_call:
+        if ref.call is not None:
             if self.at(";") or self.at_close():
                 self.last_bare_call = ref.call
-            elif ref.call is not None:
+            else:
                 ref.call.returns += 1  # the value feeds a larger expression
         else:
             self.register_ref_read(ref)
@@ -515,7 +515,7 @@ class _BodyParser(_Cursor):
                 self.operand(self.take())
                 return
             ref = self.reference(register="read")
-            if ref.is_call and ref.call is not None:
+            if ref.call is not None:
                 ref.call.returns += 1  # expression context consumes the value
             return
         raise self.fail("unexpected %r in expression" % (t.text or "end of input"))
@@ -525,7 +525,6 @@ class _BodyParser(_Cursor):
     @dataclass
     class _Ref:
         root_key: str
-        is_call: bool
         member: str | None = None  # first member when path is root.member
         call: "_RawCall | None" = None
 
@@ -539,7 +538,7 @@ class _BodyParser(_Cursor):
             key = t.text.casefold()
             if register == "read":
                 self.res.reads.add(key)
-            return self._Ref(key, False)
+            return self._Ref(key)
 
         path = self.call_lookahead()
         if path is not None:
@@ -571,7 +570,7 @@ class _BodyParser(_Cursor):
                 self.expect("]")
             else:
                 break
-        ref = self._Ref(root_key, False, first_member)
+        ref = self._Ref(root_key, first_member)
         if register == "read":
             self.register_ref_read(ref)
         return ref
@@ -610,7 +609,7 @@ class _BodyParser(_Cursor):
                 self.argument(call)
             self.depth -= 1
         self.expect(")")
-        return self._Ref(call.key, True, call=call)
+        return self._Ref(call.key, call=call)
 
     def argument(self, call: _RawCall):
         if self.cur().kind == "ident" and self.peek().key in (":=", "=>"):
@@ -623,7 +622,7 @@ class _BodyParser(_Cursor):
             else:
                 call.returns += 1
                 target = self.reference(register=None)
-                if not target.is_call:
+                if target.call is None:
                     self.res.writes.add(target.root_key)
             return
         call.args += 1
@@ -743,11 +742,10 @@ def parse_type_spec(cur: _Cursor) -> TypeSpec:
     if word == "STRUCT":
         cur.take()
         cur.descend()
-        fields: list[tuple[str, str]] = []
+        fields: list[str] = []
         while cur.before("END_STRUCT", "STRUCT"):
-            names = _declared_names(cur)
-            member_type = _type_and_init(cur).render()
-            fields.extend((n, member_type) for n in names)
+            fields.extend(_declared_names(cur))
+            _type_and_init(cur)  # parsed for its errors and nesting only
         cur.take()
         cur.depth -= 1
         return TypeSpec("struct", fields=tuple(fields))
@@ -761,14 +759,10 @@ def parse_type_spec(cur: _Cursor) -> TypeSpec:
         return TypeSpec("string", name=word)
     if word == "(":
         cur.take()
-        values = []
         while cur.before(")", "enumeration"):
-            v = cur.take()
-            if v.kind == "ident":
-                values.append(v.text)
-            # initial values and separators are skipped
+            cur.take()
         cur.take()
-        return TypeSpec("enum", fields=tuple((v, "") for v in values))
+        return TypeSpec("enum")
     if t.kind != "ident":
         raise cur.fail("expected a type, found %r" % (t.text or "end of input"))
     name_tok = cur.take()
@@ -803,9 +797,12 @@ def _type_and_init(cur: _Cursor) -> TypeSpec:
 
 
 def _parse_range(cur: _Cursor) -> tuple[int, int]:
+    start = cur.cur()
     lo = _parse_bound(cur)
     cur.expect("..")
     hi = _parse_bound(cur)
+    if lo > hi:
+        raise ParseError("array lower bound %d exceeds upper bound %d" % (lo, hi), cur.path, start.line, start.col)
     return lo, hi
 
 
@@ -936,9 +933,6 @@ def parse_pou_unit(
     """Parse one already-sliced POU unit into the IR."""
     name, kind, decls, return_spec, body_start = interface_of_unit(unit, path)
     head = unit.tokens[0]
-    end_kw = _POU_KINDS[head.key][1]
-    if unit.tokens[-1].key != end_kw:
-        raise ParseError("missing %s" % end_kw, path, head.line, head.col)
     variables, warnings = context.declare(name, decls, return_spec)
     # Everything between the declarations and the closing keyword is body.
     res = _BodyParser(unit.tokens[body_start:-1], path, _BodyResult(), unit.tokens[-1]).parse_body()

@@ -1,19 +1,20 @@
 """Type classification shared by the textual and XML frontends.
 
 Declared variables are sorted into Simple (single-element) and Complex
-(multi-element) types, and Complex ones are expanded one level deep into
-sub-variables: struct fields, declared array elements, or the interface
-members of a function block instance.  Deeper levels are intentionally
-ignored.
+(multi-element) types, and the sub-variables of Complex ones are counted
+one level deep: struct fields, declared array elements, or the interface
+members of a function block instance.  Only their number is kept, so an
+array costs the same whatever its bounds.  Deeper levels are
+intentionally ignored.
 """
 
 from __future__ import annotations
 
-import itertools
+import sys
 from dataclasses import dataclass, field, replace
 
 from .errors import AnalysisWarning
-from .ir import INTERFACE_SECTIONS, SubVariable, TypeClass, VariableDecl, VarSection
+from .ir import INTERFACE_SECTIONS, TypeClass, VariableDecl, VarSection
 
 # Elementary IEC types: single value, Simple weight class.
 ELEMENTARY_TYPES = frozenset(
@@ -41,7 +42,7 @@ class TypeSpec:
     name: str = ""
     dims: tuple[tuple[int, int], ...] = ()
     element: "TypeSpec | None" = None
-    fields: tuple[tuple[str, str], ...] = ()  # struct: (member name, member type text)
+    fields: tuple[str, ...] = ()  # struct: member names
 
     def render(self) -> str:
         if self.kind == "named":
@@ -61,7 +62,8 @@ class TypeSpec:
         return self.name or self.kind
 
     def element_count(self) -> int:
-        n = 1
+        """Declared array elements; none for an array without dimensions."""
+        n = 1 if self.dims else 0
         for lo, hi in self.dims:
             n *= max(hi - lo + 1, 0)
         return n
@@ -84,34 +86,29 @@ class RawDecl:
 @dataclass(frozen=True)
 class FbMember:
     name: str
-    type_name: str
     section: VarSection
 
 
-def _fb(*members: tuple[str, str, VarSection]) -> tuple[FbMember, ...]:
-    return tuple(FbMember(n, t, s) for n, t, s in members)
+def _fb(inputs: str, outputs: str) -> tuple[FbMember, ...]:
+    return tuple(FbMember(n, VarSection.INPUT) for n in inputs.split()) + tuple(
+        FbMember(n, VarSection.OUTPUT) for n in outputs.split()
+    )
 
-
-_IN = VarSection.INPUT
-_OUT = VarSection.OUTPUT
 
 # Interfaces of the ubiquitous standard function blocks, so instances of
-# them expand to sub-variables and their output reads resolve without
+# them have sub-variables and their output reads resolve without
 # the user supplying source for them.
 STANDARD_FBS: dict[str, tuple[FbMember, ...]] = {
-    "ton": _fb(("IN", "BOOL", _IN), ("PT", "TIME", _IN), ("Q", "BOOL", _OUT), ("ET", "TIME", _OUT)),
-    "tof": _fb(("IN", "BOOL", _IN), ("PT", "TIME", _IN), ("Q", "BOOL", _OUT), ("ET", "TIME", _OUT)),
-    "tp": _fb(("IN", "BOOL", _IN), ("PT", "TIME", _IN), ("Q", "BOOL", _OUT), ("ET", "TIME", _OUT)),
-    "ctu": _fb(("CU", "BOOL", _IN), ("R", "BOOL", _IN), ("PV", "INT", _IN), ("Q", "BOOL", _OUT), ("CV", "INT", _OUT)),
-    "ctd": _fb(("CD", "BOOL", _IN), ("LD", "BOOL", _IN), ("PV", "INT", _IN), ("Q", "BOOL", _OUT), ("CV", "INT", _OUT)),
-    "ctud": _fb(
-        ("CU", "BOOL", _IN), ("CD", "BOOL", _IN), ("R", "BOOL", _IN), ("LD", "BOOL", _IN), ("PV", "INT", _IN),
-        ("QU", "BOOL", _OUT), ("QD", "BOOL", _OUT), ("CV", "INT", _OUT),
-    ),
-    "r_trig": _fb(("CLK", "BOOL", _IN), ("Q", "BOOL", _OUT)),
-    "f_trig": _fb(("CLK", "BOOL", _IN), ("Q", "BOOL", _OUT)),
-    "sr": _fb(("S1", "BOOL", _IN), ("R", "BOOL", _IN), ("Q1", "BOOL", _OUT)),
-    "rs": _fb(("S", "BOOL", _IN), ("R1", "BOOL", _IN), ("Q1", "BOOL", _OUT)),
+    "ton": _fb("IN PT", "Q ET"),
+    "tof": _fb("IN PT", "Q ET"),
+    "tp": _fb("IN PT", "Q ET"),
+    "ctu": _fb("CU R PV", "Q CV"),
+    "ctd": _fb("CD LD PV", "Q CV"),
+    "ctud": _fb("CU CD R LD PV", "QU QD CV"),
+    "r_trig": _fb("CLK", "Q"),
+    "f_trig": _fb("CLK", "Q"),
+    "sr": _fb("S1 R", "Q1"),
+    "rs": _fb("S R1", "Q1"),
 }
 
 
@@ -137,7 +134,7 @@ class TypeContext:
         """Record a function block's interface: its input, output and
         in/out declarations."""
         self.fb_interfaces[name.casefold()] = tuple(
-            FbMember(d.name, d.spec.render(), d.section) for d in decls if d.section in INTERFACE_SECTIONS
+            FbMember(d.name, d.section) for d in decls if d.section in INTERFACE_SECTIONS
         )
 
     def fb_members(self, type_name: str) -> tuple[FbMember, ...] | None:
@@ -175,8 +172,9 @@ class TypeContext:
 
     def classify(
         self, spec: TypeSpec, base_name: str
-    ) -> tuple[TypeClass, tuple[SubVariable, ...], list[AnalysisWarning]]:
-        """Classify a declared type and expand its first sub-variable level.
+    ) -> tuple[TypeClass, range, list[AnalysisWarning]]:
+        """Classify a declared type and count its first-level sub-variables,
+        as a range of that length.
 
         Named types resolve through user aliases in a loop.  A user-defined
         name is Complex even when it resolves to a bare scalar, and an
@@ -187,43 +185,31 @@ class TypeContext:
             if key.split("(")[0].strip() in ELEMENTARY_TYPES:
                 break
             if key in seen:
-                return TypeClass.COMPLEX, (), []
+                return TypeClass.COMPLEX, range(0), []
             seen.add(key)
             definition = self.lookup(spec.name)
             if definition is None:
                 members = self.fb_members(spec.name)
                 if members is not None:
-                    return TypeClass.COMPLEX, tuple(SubVariable(m.name, m.type_name) for m in members), []
+                    return TypeClass.COMPLEX, range(len(members)), []
                 warning = AnalysisWarning(
                     code="unknown-type",
                     message="type %r of %r is not defined; treated as Complex without sub-variables"
                     % (spec.name, base_name),
                 )
-                return TypeClass.COMPLEX, (), [warning]
+                return TypeClass.COMPLEX, range(0), [warning]
             spec = definition
 
         if spec.kind == "array":
-            return TypeClass.COMPLEX, self._array_subs(spec, base_name), []
+            # len() of a range must fit in a C ssize_t.
+            count = min(spec.element_count(), sys.maxsize)
+            if self.array_sub_cap is not None:
+                count = min(count, max(self.array_sub_cap, 0))
+            return TypeClass.COMPLEX, range(count), []
         if spec.kind == "struct":
-            return TypeClass.COMPLEX, tuple(SubVariable(name, type_name) for name, type_name in spec.fields), []
+            return TypeClass.COMPLEX, range(len(spec.fields)), []
         # Elementary names and strings are Simple unless reached through
         # an alias; enums and subranges (range-restricted scalars) are
         # user-defined, without members.
         simple = spec.kind in ("named", "string") and not seen
-        return (TypeClass.SIMPLE if simple else TypeClass.COMPLEX), (), []
-
-    def _array_subs(self, spec: TypeSpec, base_name: str) -> tuple[SubVariable, ...]:
-        """One sub-variable per declared element in row-major order, at
-        most `array_sub_cap` of them, flattened a single level.  Each
-        dimension is cut to its first `array_sub_cap` values, which holds
-        every capped index, because itertools.product keeps each range
-        in memory."""
-        if not spec.dims:
-            return ()
-        element_name = spec.element.render() if spec.element else "?"
-        cap = None if self.array_sub_cap is None else max(self.array_sub_cap, 0)
-        ranges = [range(lo, hi + 1 if cap is None else min(hi + 1, lo + cap)) for lo, hi in spec.dims]
-        return tuple(
-            SubVariable("%s[%s]" % (base_name, ",".join(map(str, index))), element_name)
-            for index in itertools.islice(itertools.product(*ranges), cap)
-        )
+        return (TypeClass.SIMPLE if simple else TypeClass.COMPLEX), range(0), []

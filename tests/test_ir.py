@@ -13,7 +13,6 @@ from poumetrics import (
     Pou,
     PouKind,
     SourceRef,
-    SubVariable,
     Token,
     TokenClass,
     TypeClass,
@@ -64,7 +63,7 @@ def test_simple_variable_with_sub_variables_is_flagged():
         section=VarSection.LOCAL,
         type_class=TypeClass.SIMPLE,
         type_name="INT",
-        sub_variables=(SubVariable("f", "INT"),),
+        sub_variables=range(1),
     )
     problems = validate_pou(make_pou(variables=(bad,)))
     assert any("sub-variables" in p for p in problems)

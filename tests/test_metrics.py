@@ -13,7 +13,6 @@ from poumetrics import (
     Language,
     Pou,
     PouKind,
-    SubVariable,
     Token,
     TypeClass,
     VariableDecl,
@@ -30,13 +29,13 @@ from poumetrics import (
 from poumetrics.metrics import fan_in, fan_out, occurrence_counts, unique_counts
 
 
-def var(name, section, type_class=TypeClass.SIMPLE, subs=()):
+def var(name, section, type_class=TypeClass.SIMPLE, subs=0):
     return VariableDecl(
         name=name,
         section=section,
         type_class=type_class,
         type_name="INT",
-        sub_variables=tuple(SubVariable(s, "INT") for s in subs),
+        sub_variables=range(subs),
     )
 
 
@@ -154,8 +153,8 @@ def test_regrouping_local_to_interface_raises_weight():
 def test_complex_variables_and_sub_variables():
     pou = bare_pou(
         [
-            var("p", VarSection.INPUT, TypeClass.COMPLEX, subs=("x", "y")),
-            var("q", VarSection.LOCAL, TypeClass.COMPLEX, subs=("x", "y")),
+            var("p", VarSection.INPUT, TypeClass.COMPLEX, subs=2),
+            var("q", VarSection.LOCAL, TypeClass.COMPLEX, subs=2),
         ]
     )
     # 4 + 2 sub + 2 + 2 sub

@@ -189,8 +189,10 @@ def test_type_nesting_past_the_limit_skips_the_file(tmp_path, where):
 def bad_bound_doc(where):
     """POUs Bad and Good, where an array type with the lower bound `a`
     sits in a <dataType> Bad uses, in Bad's interface with Bad a function
-    block, or in Bad's interface with Bad a program."""
-    array = '<array><dimension lower="a" upper="2"/><baseType><INT/></baseType></array>'
+    block, or in Bad's interface with Bad a program; for "reversed" an
+    array with the bounds 5..1 sits in Bad's interface, Bad a program."""
+    lower, upper = ("5", "1") if where == "reversed" else ("a", "2")
+    array = '<array><dimension lower="%s" upper="%s"/><baseType><INT/></baseType></array>' % (lower, upper)
     body = '<ST><xhtml xmlns="http://www.w3.org/1999/xhtml">x := 1;</xhtml></ST>'
     iface = '<interface><localVars><variable name="v"><type>%s</type></variable></localVars></interface>'
     good = pou_xml("Good", "program", body)
@@ -205,13 +207,21 @@ def bad_bound_doc(where):
 
 @pytest.mark.parametrize(
     "where, kept, skipped",
-    [("data-type", [], ""), ("fb-interface", [], ""), ("interface", ["Good"], "Bad")],
+    [
+        ("data-type", [], ""),
+        ("fb-interface", [], ""),
+        ("interface", ["Good"], "Bad"),
+        ("reversed", ["Good"], "Bad"),
+    ],
 )
 def test_array_bound_that_is_not_an_integer_is_a_parse_error(tmp_path, where, kept, skipped):
     sample = load_doc(tmp_path, bad_bound_doc(where))
     assert [p.name for p in sample.pous] == kept
     assert [(w.code, w.pou) for w in sample.warnings] == [("pou-parse-error", skipped)]
-    assert sample.warnings[0].message == "array bound 'a' is not an integer"
+    if where == "reversed":
+        assert sample.warnings[0].message == "array lower bound 5 exceeds upper bound 1"
+    else:
+        assert sample.warnings[0].message == "array bound 'a' is not an integer"
 
 
 def deep_inline_doc(depth, inner="<FBD/>"):

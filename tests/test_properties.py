@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st_strat
 
@@ -16,9 +20,11 @@ from poumetrics import (
     validate_pou,
 )
 from poumetrics.aggregate import median_of
+from poumetrics.cli import main
 from poumetrics.report import fmt4
 from poumetrics.st import lex
 
+from conftest import CORPUS
 from stgen import generate_program, sprinkle_comments
 
 SEEDS = st_strat.integers(min_value=0, max_value=10_000_000)
@@ -208,3 +214,53 @@ def test_scaling_all_vectors_preserves_relative_position(seed, factor):
     for a, b in zip(base_results, scaled_results):
         assert a.oc_rel == b.oc_rel
         assert a.relative == b.relative
+
+
+# ------------------------- whole-run robustness -------------------------
+
+CORPUS_FILES = sorted(p for p in CORPUS.iterdir() if p.suffix != ".json")
+
+# (position, byte, operation): the position wraps around the current length.
+EDITS = st_strat.lists(
+    st_strat.tuples(
+        st_strat.integers(min_value=0, max_value=1 << 16),
+        st_strat.integers(min_value=0, max_value=255),
+        st_strat.sampled_from(["replace", "insert", "delete"]),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def mutated(data: bytes, edits) -> bytes:
+    buf = bytearray(data)
+    for position, byte, operation in edits:
+        i = position % (len(buf) + 1)
+        if operation == "insert":
+            buf[i:i] = bytes([byte])
+        elif operation == "delete":
+            del buf[i : i + 1]
+        else:
+            buf[i : i + 1] = bytes([byte])
+    return bytes(buf)
+
+
+def cli_exit_code(name: str, data: bytes) -> int:
+    """Run `analyze` on one file holding `data`, output discarded."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(data)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(["analyze", str(path)])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st_strat.sampled_from(CORPUS_FILES), EDITS)
+def test_cli_on_mutated_corpus_files_exits_0_1_or_2(source, edits):
+    assert cli_exit_code(source.name, mutated(source.read_bytes(), edits)) in (0, 1, 2)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(st_strat.sampled_from(["random.st", "random.xml"]), st_strat.binary(max_size=200))
+def test_cli_on_random_bytes_exits_0_1_or_2(name, data):
+    assert cli_exit_code(name, data) in (0, 1, 2)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -380,6 +381,21 @@ def test_cli_array_with_2000_dimensions(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "Alpha" in captured.out and "Wide" in captured.out
+
+
+def test_cli_array_of_a_billion_elements_is_counted_not_built(tmp_path, capsys):
+    (tmp_path / "big.st").write_text(
+        "PROGRAM Big VAR a : ARRAY[1..1000,1..1000,1..1000] OF INT; END_VAR a[1,1,1] := 1; END_PROGRAM"
+    )
+    out_json = tmp_path / "r.json"
+    start = time.perf_counter()
+    code = main(["analyze", str(tmp_path), "--json", str(out_json)])
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    assert code == 0
+    # One local Complex variable (2) plus one per element.
+    assert json.loads(out_json.read_text())["pous"][0]["m6"] == 1_000_000_002
+    assert elapsed < 1.0
 
 
 def test_cli_skip_warnings_name_the_path_once(tmp_path, capsys):

