@@ -12,14 +12,18 @@ class AnalysisError(Exception):
 class ParseError(AnalysisError):
     """Source text could not be analyzed.  Carries path/line/column;
     `detail` is the message with line and column but without the path,
-    for warnings that name the path themselves."""
+    for warnings that name the path themselves.  `element` names the XML
+    element that holds an embedded ST fragment; line and column then
+    count from the start of the fragment."""
 
-    def __init__(self, message: str, path: str = "", line: int = 0, column: int = 0):
+    def __init__(self, message: str, path: str = "", line: int = 0, column: int = 0, element: str = ""):
+        self.message = message
         self.path = path
         self.line = line
         self.column = column
-        self.detail = "%d:%d: %s" % (line, column, message) if line else message
-        super().__init__("%s%s%s" % (path or "<source>", ":" if line else ": ", self.detail))
+        detail = "%d:%d: %s" % (line, column, message) if line else message
+        self.detail = "%s: %s" % (element, detail) if element else detail
+        super().__init__("%s%s%s" % (path or "<source>", ":" if line and not element else ": ", self.detail))
 
 
 class UnterminatedComment(ParseError):

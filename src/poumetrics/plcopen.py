@@ -321,7 +321,7 @@ def _walk_network(acc: _Acc, body_el: ET.Element, language: Language, pou_el: ET
             acc.decide("transition", lid)
             condition = el.find("condition")
             if condition is not None:  # a wired condition is covered by the network walk itself
-                _merge_linked_body(acc, condition, pou_el, "transition")
+                _merge_linked_body(acc, condition, pou_el, "transition", 'transition localId="%s"' % lid)
         elif tag == "jumpStep":
             target = el.get("targetName", "").casefold()
             edges.setdefault(lid, set()).add("@step:" + target)
@@ -420,18 +420,23 @@ def _named_bodies(pou_el: ET.Element, holder: str, item: str) -> dict[str, ET.El
     return out
 
 
-def _merge_body_element(acc: _Acc, body: ET.Element, pou_el: ET.Element, value_context: bool) -> None:
+def _merge_body_element(acc: _Acc, body: ET.Element, pou_el: ET.Element, value_context: bool, owner: str) -> None:
     """Merge the contents of a <body>-like element (inline condition,
     named action or named transition) into the accumulator.  Each level
     recurses through the network walk, so nesting is bounded like the ST
-    parser's."""
+    parser's.  An ST fragment that does not parse is reported inside
+    `owner`, the element that holds or names the body: ElementTree keeps
+    no source offsets, so the fragment's position in the file is unknown."""
     acc.depth += 1
     if acc.depth > _MAX_NESTING:
         raise ParseError("nesting deeper than %d levels" % _MAX_NESTING, acc.path)
     for child in body:
         tag = child.tag
         if tag == "ST":
-            st_fragment_facts(_text_of(child), acc.path, value_context, into=acc)
+            try:
+                st_fragment_facts(_text_of(child), acc.path, value_context, into=acc)
+            except ParseError as exc:
+                raise type(exc)(exc.message, exc.path, exc.line, exc.column, owner) from None
         elif tag in ("FBD", "LD"):
             _walk_network(acc, child, _BODY_LANGUAGES[tag], pou_el)
         elif tag == "IL":
@@ -439,33 +444,36 @@ def _merge_body_element(acc: _Acc, body: ET.Element, pou_el: ET.Element, value_c
     acc.depth -= 1
 
 
-def _merge_linked_body(acc: _Acc, holder: ET.Element, pou_el: ET.Element, item: str) -> None:
+def _merge_linked_body(acc: _Acc, holder: ET.Element, pou_el: ET.Element, item: str, owner: str) -> None:
     """Merge the <inline> body of a transition condition or action
     association (`item` "transition" or "action"), or else the POU-level
     named body its <reference> names, once per POU.  A transition
-    condition is a value its transition consumes."""
+    condition is a value its transition consumes.  `owner` names the
+    network element the holder belongs to."""
     value_context = item == "transition"
     inline = holder.find("inline")
     if inline is not None:
-        _merge_body_element(acc, inline, pou_el, value_context)
+        _merge_body_element(acc, inline, pou_el, value_context, owner)
         return
     reference = holder.find("reference")
     if reference is None:
         return
-    name = reference.get("name", "").casefold()
+    written = reference.get("name", "")
+    name = written.casefold()
     marker = item + ":" + name
     if name and marker not in acc.merged_refs:
         acc.merged_refs.add(marker)
         body = _named_bodies(pou_el, item + "s", item).get(name)
         if body is not None:
-            _merge_body_element(acc, body, pou_el, value_context)
+            _merge_body_element(acc, body, pou_el, value_context, '%s name="%s"' % (item, written))
 
 
 def _walk_action_block(acc: _Acc, el: ET.Element, pou_el: ET.Element) -> None:
+    owner = 'actionBlock localId="%s"' % el.get("localId", "")
     for action in el.findall("action"):
         qualifier = (action.get("qualifier") or "N").casefold()
         acc.tokens.append(Token.operator("action-" + qualifier.upper(), "action-" + qualifier))
-        _merge_linked_body(acc, action, pou_el, "action")
+        _merge_linked_body(acc, action, pou_el, "action", owner)
 
 
 def _check_reachability(acc, step_names: dict[str, str], edges: dict[str, set[str]], roots: list[str]) -> None:

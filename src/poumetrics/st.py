@@ -28,6 +28,8 @@ FOR, WHILE, REPEAT, EXIT.
 from __future__ import annotations
 
 import re
+from array import array
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from sys import intern
@@ -49,14 +51,21 @@ from .typesys import RawDecl, TypeContext, TypeSpec, named
 
 # ---------------------- raw lexer ----------------------
 
-# One named group per token kind, tried in this order at each position;
-# the first that matches wins (typed literals such as T#5s before
-# identifiers, `(*` before the `(` operator).  `bad` takes a character
-# no kind can start with, or the opener of an unclosed string or pragma.
-_TOKEN = re.compile(
+# One match per token: the whitespace before it, then one named group
+# per kind, tried in this order (typed literals such as T#5s before
+# identifiers, `(*` before the `(` operator).  `comment` takes a `(* *)`
+# comment that holds no nested `(*`; `nest` takes the opener of one that
+# does (or that is never closed), which `lex` skips with a depth count.
+# `bad` takes a character no kind can start with, or the opener of an
+# unclosed string or pragma.  Each match starts where the previous one
+# ended: whitespace is never `bad`, so only trailing whitespace ends the
+# scan.
+_NEXT_TOKEN = re.compile(
     r"""
-      (?P<ws>[ \t\r\n]+)
-    | (?P<comment>\(\*|//[^\n]*|\{[^}]*\})
+    [ \t\r\n]*
+    (?:
+      (?P<comment>\(\*[^*(]*(?:(?:\*(?!\))|\((?!\*))[^*(]*)*\*\)|//[^\n]*|\{[^}]*\})
+    | (?P<nest>\(\*)
     | (?P<string>'(?:\$[\s\S]|[^'\n$])*'|"(?:\$[\s\S]|[^"\n$])*")
     | (?P<address>%[IQMiqm][XBWDLxbwdl]?\d+(?:\.\d+)*)
     | (?P<number>
@@ -67,58 +76,95 @@ _TOKEN = re.compile(
       )
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op>:=|=>|<>|<=|>=|\*\*|\.\.|[-+*/=<>()\[\];,.:&])
-    | (?P<bad>[\s\S])
+    | (?P<bad>[^ \t\r\n])
+    )
     """,
     re.VERBOSE,
 )
 _COMMENT_MARK = re.compile(r"\(\*|\*\)")
+_NEWLINE = re.compile(r"\n")
+_new_tuple = tuple.__new__
 
 
 class RawTok(NamedTuple):
     kind: str  # ident | number | string | address | op
     text: str
-    line: int
-    col: int
+    # Index of the token's first character in the lexed text; line and
+    # column come from the text's `LineTable` where a position is reported.
+    offset: int
     # What parsers match on: an identifier's upper-cased text (interned,
     # so the many copies of one keyword share a string), an operator's
     # text, "" for literals and addresses.
     key: str
 
 
+class LineTable:
+    """Line and column of offsets into one source text.  The table of
+    line starts is built on the first lookup, so a text whose positions
+    are never reported never pays for it; the text is dropped then, and
+    the table is a compact array, because every unit of a file keeps it
+    until its POU is parsed."""
+
+    __slots__ = ("_text", "_starts")
+
+    def __init__(self, text: str):
+        self._text: str | None = text
+        self._starts = array("q", [0])
+
+    def position(self, offset: int) -> tuple[int, int]:
+        """1-based (line, column) of `offset`."""
+        if self._text is not None:
+            self._starts.extend(m.end() for m in _NEWLINE.finditer(self._text))
+            self._text = None
+        line = bisect_right(self._starts, offset)
+        return line, offset - self._starts[line - 1] + 1
+
+
 def lex(text: str, path: str = "") -> list[RawTok]:
-    """Split ST source into raw tokens, dropping comments and pragmas."""
+    """Split ST source into raw tokens, dropping comments and pragmas.
+
+    One `finditer` scan does the work; a nested comment stops it, is
+    skipped by counting `(*` and `*)`, and the scan resumes after it."""
     toks: list[RawTok] = []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        kind, end = m.lastgroup, m.end()
-        col = pos - line_start + 1
+    append = toks.append
+    # token text -> (text, key), so that the repeats of one text share one
+    # string and one key for as long as the tokens are kept
+    memo: dict[str, tuple[str, str]] = {}
+    pos = 0
+    while True:
+        for m in _NEXT_TOKEN.finditer(text, pos):
+            kind = m.lastgroup
+            if kind == "comment":
+                continue
+            if kind == "nest" or kind == "bad":
+                break
+            tok = m[kind]
+            hit = memo.get(tok)
+            if hit is None:
+                key = intern(tok.upper()) if kind == "ident" else tok if kind == "op" else ""
+                hit = memo[tok] = (tok, key)
+            # tuple.__new__ skips RawTok's Python-level __new__
+            append(_new_tuple(RawTok, (kind, hit[0], m.start(kind), hit[1])))
+        else:
+            return toks
+        start = m.start(kind)
         if kind == "bad":
-            ch = text[pos]
+            line, col = LineTable(text).position(start)
+            ch = text[start]
             if ch in "'\"":
                 raise UnterminatedString("string literal is never closed", path, line, col)
             if ch == "{":
                 raise ParseError("unterminated pragma", path, line, col)
             raise ParseError("unexpected character %r" % ch, path, line, col)
-        if kind == "comment" and text[pos] == "(":
-            depth = 1
-            for mark in _COMMENT_MARK.finditer(text, end):
-                depth += 1 if mark.group() == "(*" else -1
-                if not depth:
-                    end = mark.end()
-                    break
-            else:
-                raise UnterminatedComment("comment opened here is never closed", path, line, col)
-        elif kind not in ("ws", "comment"):
-            tok = m.group()
-            key = intern(tok.upper()) if kind == "ident" else tok if kind == "op" else ""
-            toks.append(RawTok(kind, tok, line, col, key))
-        newlines = text.count("\n", pos, end)
-        if newlines:
-            line += newlines
-            line_start = text.rfind("\n", pos, end) + 1
-        pos = end
-    return toks
+        depth = 1
+        for mark in _COMMENT_MARK.finditer(text, m.end()):
+            depth += 1 if mark.group() == "(*" else -1
+            if not depth:
+                pos = mark.end()
+                break
+        else:
+            line, col = LineTable(text).position(start)
+            raise UnterminatedComment("comment opened here is never closed", path, line, col)
 
 
 # ---------------------- body walker ----------------------
@@ -165,7 +211,7 @@ class _BodyResult:
     depth: int = 0
 
 
-_EOF = RawTok("eof", "", 0, 0, "")
+_EOF = RawTok("eof", "", -1, "")
 
 # Deepest nesting of blocks, brackets, argument lists and ARRAY/STRUCT
 # types a parser accepts.  Deeper input is a ParseError, not a
@@ -178,14 +224,16 @@ class _Cursor:
     """Position in a token sequence, shared by the declaration parser and
     the body walker.  The tokens end with one `_EOF`, which `take()` never
     steps past, so neither the current token nor the one after a token
-    that is not `_EOF` needs a bounds check.  An error at `_EOF` takes its
-    position from `end` (a unit's closing keyword) when given; bare
-    fragments have none."""
+    that is not `_EOF` needs a bounds check.  `lines` maps the tokens'
+    offsets to positions.  An error at `_EOF` takes its position from
+    `end` (a unit's closing keyword) when given; bare fragments have
+    none."""
 
-    def __init__(self, toks: list[RawTok] | tuple[RawTok, ...], path: str, end: RawTok = _EOF):
+    def __init__(self, toks: list[RawTok] | tuple[RawTok, ...], path: str, lines: LineTable, end: RawTok = _EOF):
         self.toks = [*toks, _EOF]
         self.end = end
         self.path = path
+        self.lines = lines
         self.i = 0
         self.depth = 0
 
@@ -201,11 +249,14 @@ class _Cursor:
             self.i += 1
         return t
 
-    def fail(self, message: str) -> ParseError:
-        t = self.cur()
+    def fail(self, message: str, tok: RawTok | None = None) -> ParseError:
+        """The error `message` at `tok`, by default the current token."""
+        t = self.cur() if tok is None else tok
         if t is _EOF:
             t = self.end
-        return ParseError(message, self.path, t.line, t.col)
+            if t is _EOF:
+                return ParseError(message, self.path)
+        return ParseError(message, self.path, *self.lines.position(t.offset))
 
     def at(self, key: str) -> bool:
         return self.toks[self.i].key == key
@@ -259,8 +310,15 @@ class _BodyParser(_Cursor):
     """Statement-list walker over raw tokens.  Emits classified tokens in
     source order; never builds an AST."""
 
-    def __init__(self, toks: list[RawTok] | tuple[RawTok, ...], path: str, res: _BodyResult, end: RawTok = _EOF):
-        super().__init__(toks, path, end)
+    def __init__(
+        self,
+        toks: list[RawTok] | tuple[RawTok, ...],
+        path: str,
+        lines: LineTable,
+        res: _BodyResult,
+        end: RawTok = _EOF,
+    ):
+        super().__init__(toks, path, lines, end)
         self.res = res
         self.depth = res.depth
         # set when the last parsed statement was a bare invocation
@@ -275,7 +333,7 @@ class _BodyParser(_Cursor):
         self.res.tokens.append(Token.operand(tok.text))
 
     def decision(self, kind: str, tok: RawTok):
-        self.res.decisions.append(DecisionSpan(kind, SourceRef(self.path, tok.line, tok.col)))
+        self.res.decisions.append(DecisionSpan(kind, SourceRef(self.path, *self.lines.position(tok.offset))))
 
     # --- statements ---
 
@@ -645,7 +703,7 @@ def st_fragment_facts(
     and inline actions into its POU's collector; `value_context` marks a
     bare expression whose result a surrounding construct consumes.  The
     walk starts inside `into.depth` levels of nesting."""
-    return _BodyParser(lex(text, path), path, into or _BodyResult()).parse_body(value_context)
+    return _BodyParser(lex(text, path), path, LineTable(text), into or _BodyResult()).parse_body(value_context)
 
 
 # ---------------------- declarations ----------------------
@@ -680,15 +738,18 @@ class StSource:
 
 @dataclass(frozen=True)
 class StUnit:
-    """Top-level construct found in an ST file."""
+    """Top-level construct found in an ST file.  `lines` is the file's
+    line table, shared by all its units."""
 
     kind: str  # "pou" | "types" | "globals"
     tokens: tuple[RawTok, ...]
+    lines: LineTable
 
 
 def split_st_units(source: StSource) -> list[StUnit]:
     """Slice a file into POUs, TYPE blocks and VAR_GLOBAL lists."""
     toks = lex(source.text, source.path)
+    lines = LineTable(source.text)
     units: list[StUnit] = []
     i = 0
     while i < len(toks):
@@ -696,29 +757,29 @@ def split_st_units(source: StSource) -> list[StUnit]:
         word = t.key
         if word in _POU_KINDS:
             end_kw = _POU_KINDS[word][1]
-            j = _find_kw(toks, i + 1, end_kw, source.path, t)
-            units.append(StUnit("pou", tuple(toks[i : j + 1])))
+            j = _find_kw(toks, i + 1, end_kw, source.path, lines, t)
+            units.append(StUnit("pou", tuple(toks[i : j + 1]), lines))
             i = j + 1
         elif word == "TYPE":
-            j = _find_kw(toks, i + 1, "END_TYPE", source.path, t)
-            units.append(StUnit("types", tuple(toks[i : j + 1])))
+            j = _find_kw(toks, i + 1, "END_TYPE", source.path, lines, t)
+            units.append(StUnit("types", tuple(toks[i : j + 1]), lines))
             i = j + 1
         elif word == "VAR_GLOBAL":
-            j = _find_kw(toks, i + 1, "END_VAR", source.path, t)
-            units.append(StUnit("globals", tuple(toks[i : j + 1])))
+            j = _find_kw(toks, i + 1, "END_VAR", source.path, lines, t)
+            units.append(StUnit("globals", tuple(toks[i : j + 1]), lines))
             i = j + 1
         elif word == ";":
             i += 1
         else:
-            raise ParseError("unexpected top-level token %r" % t.text, source.path, t.line, t.col)
+            raise ParseError("unexpected top-level token %r" % t.text, source.path, *lines.position(t.offset))
     return units
 
 
-def _find_kw(toks, start, word, path, open_tok) -> int:
+def _find_kw(toks, start, word, path, lines, open_tok) -> int:
     for j in range(start, len(toks)):
         if toks[j].key == word:
             return j
-    raise ParseError("missing %s" % word, path, open_tok.line, open_tok.col)
+    raise ParseError("missing %s" % word, path, *lines.position(open_tok.offset))
 
 
 def parse_type_spec(cur: _Cursor) -> TypeSpec:
@@ -802,7 +863,7 @@ def _parse_range(cur: _Cursor) -> tuple[int, int]:
     cur.expect("..")
     hi = _parse_bound(cur)
     if lo > hi:
-        raise ParseError("array lower bound %d exceeds upper bound %d" % (lo, hi), cur.path, start.line, start.col)
+        raise cur.fail("array lower bound %d exceeds upper bound %d" % (lo, hi), start)
     return lo, hi
 
 
@@ -824,7 +885,7 @@ def _parse_bound(cur: _Cursor) -> int:
 def _unit_cursor(unit: StUnit, path: str) -> _Cursor:
     """A cursor over a POU or TYPE unit whose closing keyword is the end
     of input, so a construct it cuts short is unterminated."""
-    return _Cursor(unit.tokens[:-1], path, unit.tokens[-1])
+    return _Cursor(unit.tokens[:-1], path, unit.lines, unit.tokens[-1])
 
 
 def parse_type_block(unit: StUnit, context: TypeContext, path: str) -> None:
@@ -842,7 +903,7 @@ def parse_type_block(unit: StUnit, context: TypeContext, path: str) -> None:
 
 def parse_global_names(unit: StUnit, path: str) -> list[str]:
     """Names declared in a standalone VAR_GLOBAL .. END_VAR list."""
-    return [d.name for d in _parse_var_sections(_Cursor(unit.tokens, path))]
+    return [d.name for d in _parse_var_sections(_Cursor(unit.tokens, path, unit.lines))]
 
 
 def _parse_var_sections(cur: _Cursor) -> list[RawDecl]:
@@ -935,14 +996,14 @@ def parse_pou_unit(
     head = unit.tokens[0]
     variables, warnings = context.declare(name, decls, return_spec)
     # Everything between the declarations and the closing keyword is body.
-    res = _BodyParser(unit.tokens[body_start:-1], path, _BodyResult(), unit.tokens[-1]).parse_body()
+    res = _BodyParser(unit.tokens[body_start:-1], path, unit.lines, _BodyResult(), unit.tokens[-1]).parse_body()
     pou = Pou(
         name=name,
         kind=kind,
         language=Language.ST,
         variables=tuple(variables),
         body=finalize_body(res, variables, context, global_names),
-        source_ref=SourceRef(path, head.line, head.col),
+        source_ref=SourceRef(path, *unit.lines.position(head.offset)),
     )
     return pou, warnings
 

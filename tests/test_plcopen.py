@@ -576,6 +576,44 @@ def test_action_qualifiers_become_operators(tmp_path):
     assert ops.count("action-n") == 1  # default qualifier
 
 
+FRAGMENT = '<ST><xhtml xmlns="http://www.w3.org/1999/xhtml">%s</xhtml></ST>'
+
+
+@pytest.mark.parametrize(
+    "condition, action, named, message",
+    [
+        ("<inline>%s</inline>" % (FRAGMENT % "a AND )"), "<inline>%s</inline>" % (FRAGMENT % "x := 1;"), "",
+         'transition localId="2": 1:7: unexpected \')\' in expression'),
+        ('<reference name="Go"/>', "<inline>%s</inline>" % (FRAGMENT % "x := 1;\n  END_IF"), "",
+         'actionBlock localId="4": 2:3: unexpected END_IF'),
+        ('<reference name="Go"/>', '<reference name="Run"/>', FRAGMENT % "y := 'open",
+         'action name="Run": 1:6: string literal is never closed'),
+    ],
+    ids=["inline-transition", "inline-action", "named-action"],
+)
+def test_st_fragment_error_names_the_element_that_holds_it(tmp_path, condition, action, named, message):
+    # ElementTree keeps no offsets, so line and column count from the
+    # fragment and the element that holds or names it is reported.
+    body = (
+        "<SFC>"
+        '<step localId="1" name="A" initialStep="true"><connectionPointOut/></step>'
+        '<transition localId="2"><connectionPointIn><connection refLocalId="1"/></connectionPointIn>'
+        "<connectionPointOut/><condition>%s</condition></transition>"
+        '<step localId="3" name="B"><connectionPointIn><connection refLocalId="2"/></connectionPointIn></step>'
+        '<actionBlock localId="4"><connectionPointIn><connection refLocalId="3"/></connectionPointIn>'
+        "<action>%s</action></actionBlock>"
+        "</SFC>"
+    ) % (condition, action)
+    named_bodies = (
+        '<transitions><transition name="Go"><body>%s</body></transition></transitions>'
+        '<actions><action name="Run"><body>%s</body></action></actions>'
+    ) % (FRAGMENT % "TRUE", named)
+    text = doc('<pou name="P" pouType="program">%s<body>%s</body>%s</pou>' % (EMPTY_IFACE, body, named_bodies))
+    sample = load_doc(tmp_path, text)
+    assert sample.pous == []
+    assert [(w.code, w.pou, w.message) for w in sample.warnings] == [("pou-parse-error", "P", message)]
+
+
 def test_fb_output_reads_in_one_fragment_join_a_call_in_another(tmp_path):
     st = '<ST><xhtml xmlns="http://www.w3.org/1999/xhtml">%s</xhtml></ST>'
     iface = (

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import contextlib
 import io
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st_strat
 
 from poumetrics import (
@@ -21,8 +23,9 @@ from poumetrics import (
 )
 from poumetrics.aggregate import median_of
 from poumetrics.cli import main
+from poumetrics.errors import UnterminatedComment, UnterminatedString
 from poumetrics.report import fmt4
-from poumetrics.st import lex
+from poumetrics.st import LineTable, lex
 
 from conftest import CORPUS
 from stgen import generate_program, sprinkle_comments
@@ -109,12 +112,14 @@ def test_lexed_tokens_sit_at_their_positions(text):
     for i, ch in enumerate(text):
         if ch == "\n":
             line_offsets.append(i + 1)
+    lines = LineTable(text)
     end = 0
     for tok in toks:
-        start = line_offsets[tok.line - 1] + tok.col - 1
-        assert start >= end  # no overlap, so positions strictly increase
-        assert text[start : start + len(tok.text)] == tok.text
-        end = start + len(tok.text)
+        line, col = lines.position(tok.offset)
+        assert line_offsets[line - 1] + col - 1 == tok.offset
+        assert tok.offset >= end  # no overlap, so offsets strictly increase
+        assert text[tok.offset : tok.offset + len(tok.text)] == tok.text
+        end = tok.offset + len(tok.text)
 
 
 # Whole words and symbols of the ST grammar, so random lists stop every
@@ -264,3 +269,104 @@ def test_cli_on_mutated_corpus_files_exits_0_1_or_2(source, edits):
 @given(st_strat.sampled_from(["random.st", "random.xml"]), st_strat.binary(max_size=200))
 def test_cli_on_random_bytes_exits_0_1_or_2(name, data):
     assert cli_exit_code(name, data) in (0, 1, 2)
+
+
+# ------------------------- lexer against the reference loop -------------------------
+
+# The lexer as it was before it scanned with one `finditer`: one match
+# per token and per whitespace run, line and column counted as it goes.
+# `lex` must give the same tokens, positions and errors.
+_REFERENCE_TOKEN = re.compile(
+    r"""
+      (?P<ws>[ \t\r\n]+)
+    | (?P<comment>\(\*|//[^\n]*|\{[^}]*\})
+    | (?P<string>'(?:\$[\s\S]|[^'\n$])*'|"(?:\$[\s\S]|[^"\n$])*")
+    | (?P<address>%[IQMiqm][XBWDLxbwdl]?\d+(?:\.\d+)*)
+    | (?P<number>
+          [A-Za-z_][A-Za-z0-9_]*\#(?:\d[\d_]*\#)?[0-9A-Za-z_.:+-]+
+        | \d[\d_]*\#[0-9A-Fa-f_]+
+        | \d[\d_]*\.\d[\d_]*(?:[eE][+-]?\d+)?
+        | \d[\d_]*(?:[eE][+-]?\d+)?
+      )
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<op>:=|=>|<>|<=|>=|\*\*|\.\.|[-+*/=<>()\[\];,.:&])
+    | (?P<bad>[\s\S])
+    """,
+    re.VERBOSE,
+)
+_REFERENCE_COMMENT_MARK = re.compile(r"\(\*|\*\)")
+
+
+def reference_lex(text: str, path: str) -> list[tuple[str, str, int, int, str]]:
+    toks = []
+    pos, line, line_start = 0, 1, 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        kind, end = m.lastgroup, m.end()
+        col = pos - line_start + 1
+        if kind == "bad":
+            ch = text[pos]
+            if ch in "'\"":
+                raise UnterminatedString("string literal is never closed", path, line, col)
+            if ch == "{":
+                raise ParseError("unterminated pragma", path, line, col)
+            raise ParseError("unexpected character %r" % ch, path, line, col)
+        if kind == "comment" and text[pos] == "(":
+            depth = 1
+            for mark in _REFERENCE_COMMENT_MARK.finditer(text, end):
+                depth += 1 if mark.group() == "(*" else -1
+                if not depth:
+                    end = mark.end()
+                    break
+            else:
+                raise UnterminatedComment("comment opened here is never closed", path, line, col)
+        elif kind not in ("ws", "comment"):
+            tok = m.group()
+            key = tok.upper() if kind == "ident" else tok if kind == "op" else ""
+            toks.append((kind, tok, line, col, key))
+        newlines = text.count("\n", pos, end)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", pos, end) + 1
+        pos = end
+    return toks
+
+
+def assert_lexes_like_reference(text: str):
+    try:
+        expected = reference_lex(text, "f.st")
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            lex(text, "f.st")
+        assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+        assert (err.value.line, err.value.column) == (exc.line, exc.column)
+        return
+    lines = LineTable(text)
+    assert [(t.kind, t.text, *lines.position(t.offset), t.key) for t in lex(text, "f.st")] == expected
+
+
+NESTED_COMMENT = "(* a (* b\n *) c *)"
+
+
+@settings(max_examples=1000, derandomize=True)
+@given(st_strat.lists(st_strat.sampled_from([*ST_PIECES, NESTED_COMMENT]), max_size=60).map("".join))
+def test_lex_matches_reference_on_random_pieces(text):
+    assert_lexes_like_reference(text)
+
+
+ST_CORPUS_FILES = [p for p in CORPUS_FILES if p.suffix in (".st", ".gvl")]
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    st_strat.sampled_from(ST_CORPUS_FILES),
+    EDITS,
+    st_strat.lists(st_strat.integers(min_value=0, max_value=1 << 16), min_size=1, max_size=3),
+)
+def test_lex_matches_reference_on_mutated_corpus_files(source, edits, comment_positions):
+    # Nested comments dropped in mid-file make the scan resume after them.
+    text = mutated(source.read_bytes(), edits).decode("latin-1")
+    for position in comment_positions:
+        i = position % (len(text) + 1)
+        text = text[:i] + NESTED_COMMENT + text[i:]
+    assert_lexes_like_reference(text)

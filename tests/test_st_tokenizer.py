@@ -6,7 +6,7 @@ import pytest
 
 from poumetrics import ParseError, TokenClass, st_fragment_facts
 from poumetrics.errors import UnterminatedComment, UnterminatedString
-from poumetrics.st import lex
+from poumetrics.st import LineTable, lex
 
 
 def tokenize_st(text):
@@ -108,19 +108,22 @@ def test_unexpected_character_raises_with_position():
 
 
 def test_line_and_column_tracking():
-    # position of `b` after a newline, a multi-line nested comment, a
-    # multi-line pragma, a string with a $-escaped newline, and tabs
+    # position of `b` after a newline, a multi-line nested comment, two
+    # nested comments around a token, a multi-line pragma, a string with
+    # a $-escaped newline, and tabs
     cases = [
         ("a\n  b", 2, 3),
         ("a (* one\n (* two\n *) *) b", 3, 8),
+        ("a (* (* *) *)\n c (* (* *)\n *) b", 3, 5),
         ("a {pragma\nline} b", 2, 7),
         ("a 'x$\ny' b", 2, 4),
         ("a\t\tb", 1, 4),
     ]
     for text, line, col in cases:
         toks = lex(text)
-        assert (toks[0].line, toks[0].col) == (1, 1)
-        assert (toks[-1].text, toks[-1].line, toks[-1].col) == ("b", line, col)
+        lines = LineTable(text)
+        assert lines.position(toks[0].offset) == (1, 1)
+        assert (toks[-1].text, *lines.position(toks[-1].offset)) == ("b", line, col)
 
 
 @pytest.mark.parametrize(
@@ -130,8 +133,9 @@ def test_line_and_column_tracking():
         ("x :=\n\t'open", UnterminatedString, 2, 2),
         ("x (* c *) {open", ParseError, 1, 11),
         ("x\n y ? z", ParseError, 2, 4),
+        ("x (* (*\n *) *) y ?", ParseError, 2, 10),
     ],
-    ids=["comment", "string", "pragma", "unexpected-character"],
+    ids=["comment", "string", "pragma", "unexpected-character", "after-nested-comment"],
 )
 def test_lex_errors_carry_position(text, error, line, col):
     with pytest.raises(error) as err:
