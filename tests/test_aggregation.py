@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poumetrics import (
     EmptySample,
@@ -22,6 +23,8 @@ from poumetrics import (
     default_profile,
     median_of,
 )
+from poumetrics.errors import AnalysisWarning
+from poumetrics.metrics import METRIC_KEYS
 from poumetrics.aggregate import (
     compute_medians,
     effective_weights,
@@ -284,3 +287,167 @@ def test_group_stats_shape():
     assert isinstance(stats, GroupStats)
     assert stats.size == 1
     assert len(stats.medians) == 6
+
+
+# ------------------------- reference implementation -------------------------
+#
+# The ranking as it was computed before it moved to integers over a
+# per-group denominator: every value a Fraction, built per POU and
+# metric.  `aggregate` must agree with it exactly.
+
+
+def ref_median_of(values):
+    if not values:
+        raise EmptySample("cannot take the median of an empty sample")
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
+def ref_group_stats(label, vectors):
+    columns = zip(*(v.as_tuple() for v in vectors))
+    medians = tuple(ref_median_of([Fraction(x) for x in column]) for column in columns)
+    excluded = frozenset(i for i, m in enumerate(medians) if m == 0)
+    warnings = [
+        AnalysisWarning(
+            code="metric-dropped",
+            message="median of %s is zero in group %r; the metric is dropped for this group and the remaining weights are rescaled"
+            % (METRIC_KEYS[i], label),
+        )
+        for i in sorted(excluded)
+    ]
+    return GroupStats(label, len(vectors), medians, excluded), warnings
+
+
+def ref_relative_vector(vector, stats):
+    return tuple(
+        None if i in stats.excluded else Fraction(100 * value) / stats.medians[i]
+        for i, value in enumerate(vector.as_tuple())
+    )
+
+
+def ref_effective_weights(profile, excluded):
+    if not excluded:
+        return profile.weights
+    active_sum = sum((w for i, w in enumerate(profile.weights) if i not in excluded), Fraction(0))
+    if active_sum == 0:
+        raise WeightSumViolation("all remaining metric weights are zero after dropping degenerate metrics")
+    return tuple(Fraction(0) if i in excluded else w / active_sum for i, w in enumerate(profile.weights))
+
+
+def ref_overall_complexity(relative, weights):
+    total = Fraction(0)
+    for rel, weight in zip(relative, weights):
+        if rel is not None:
+            total += weight * rel
+    return total
+
+
+def ref_aggregate(entries, grouping=Grouping.WHOLE_SAMPLE, profiles=None, normalize=False):
+    """(name, group, relative, weights, oc_rel, segments) per POU in
+    ranked order, the group statistics and the warnings."""
+    if not entries:
+        raise EmptySample("cannot aggregate an empty sample")
+    profiles = profiles or {}
+    if grouping is Grouping.WHOLE_SAMPLE:
+        buckets = {"all": list(entries)}
+    else:
+        buckets = {}
+        for e in entries:
+            buckets.setdefault(e.language.value, []).append(e)
+    warnings = []
+    stats_by_label = {}
+    for label in sorted(buckets):
+        stats, ws = ref_group_stats(label, [e.vector for e in buckets[label]])
+        stats_by_label[label] = stats
+        warnings.extend(ws)
+    raw = []
+    for label, bucket in buckets.items():
+        stats = stats_by_label[label]
+        for e in bucket:
+            profile = profiles.get(e.language, default_profile(e.language))
+            weights = ref_effective_weights(profile, stats.excluded)
+            relative = ref_relative_vector(e.vector, stats)
+            raw.append([e.name, label, relative, weights, ref_overall_complexity(relative, weights)])
+    scale = Fraction(1)
+    if normalize:
+        top = max((r[4] for r in raw), default=Fraction(0))
+        if top > 0:
+            scale = Fraction(100) / top
+    results = []
+    for name, label, relative, weights, oc in raw:
+        segments = tuple(
+            Fraction(0) if rel is None else weight * rel * scale for rel, weight in zip(relative, weights)
+        )
+        results.append((name, label, relative, weights, oc * scale, segments))
+    results.sort(key=lambda r: (r[4], r[0]))
+    return results, [stats_by_label[label] for label in sorted(stats_by_label)], warnings
+
+
+# Small values so that ties and zero medians are common; difficulty is
+# (n1 / 2) * (N2 / n2), so draw it as such a product.
+_DIFFICULTY = st.builds(
+    lambda n1, big_n2, n2: F(0) if n2 == 0 else F(n1, 2) * F(big_n2, n2),
+    st.integers(0, 12),
+    st.integers(0, 40),
+    st.integers(0, 9),
+)
+_COLUMN = st.integers(0, 30)
+_VECTOR = st.builds(MetricVector, _COLUMN, _COLUMN, _COLUMN, _COLUMN, _DIFFICULTY, _COLUMN)
+_LANGUAGES = st.sampled_from([Language.ST, Language.LD, Language.SFC, Language.FBD])
+_PROFILE = st.sampled_from(
+    [
+        UNIFORM_PROFILE,
+        SFC_PROFILE,
+        WeightProfile.of(1, 0, 0, 0, 0, 0),
+        WeightProfile.of(0, 0, 0, 0, F(1, 3), F(2, 3)),
+        WeightProfile.of(F(1, 7), F(2, 7), 0, F(1, 7), F(2, 7), F(1, 7)),
+    ]
+)
+
+
+@st.composite
+def _samples(draw):
+    vectors = draw(st.lists(_VECTOR, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        # copies of earlier vectors give exact ties in every metric
+        vectors += draw(st.lists(st.sampled_from(vectors), max_size=6))
+    for index in draw(st.sets(st.integers(0, 5), max_size=3)):
+        # a column that is zero in every POU
+        vectors = [MetricVector(*(0 if i == index else x for i, x in enumerate(v.as_tuple()))) for v in vectors]
+    entries = [entry("p%02d" % (i * 7 % len(vectors)) + "_%d" % i, v, draw(_LANGUAGES)) for i, v in enumerate(vectors)]
+    profiles = draw(st.dictionaries(_LANGUAGES, _PROFILE, max_size=3))
+    return entries, draw(st.sampled_from(list(Grouping))), profiles, draw(st.booleans())
+
+
+def _outcome(run):
+    try:
+        return run()
+    except WeightSumViolation as exc:
+        return ("raised", str(exc))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_samples())
+def test_aggregate_matches_the_fraction_reference(sample):
+    entries, grouping, profiles, normalize = sample
+    expected = _outcome(lambda: ref_aggregate(entries, grouping, profiles, normalize))
+    got = _outcome(lambda: aggregate(entries, grouping, profiles, normalize))
+    if expected[0] == "raised" or got[0] == "raised":
+        assert got == expected
+        return
+    ref_results, ref_stats, ref_warnings = expected
+    results, stats, warnings = got
+    assert stats == ref_stats
+    assert warnings == ref_warnings
+    assert [r.name for r in results] == [r[0] for r in ref_results]
+    for result, (name, label, relative, weights, oc_rel, segments) in zip(results, ref_results):
+        assert result.group == label
+        assert result.relative == relative
+        assert result.weights == weights
+        assert result.oc_rel == oc_rel
+        assert tuple(result.segment(i) for i in range(6)) == segments
+        exact = [result.oc_rel, result.scale, *result.weights, *(result.segment(i) for i in range(6))]
+        assert all(type(x) is Fraction for x in exact + [rel for rel in result.relative if rel is not None])

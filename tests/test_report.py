@@ -23,6 +23,7 @@ from poumetrics.cli import main
 from poumetrics.report import CSV_HEADER, report_object
 
 from conftest import CORPUS
+from golden_reports import GOLDEN, report_digests
 
 F = Fraction
 
@@ -498,3 +499,9 @@ def test_cli_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "poumetrics" in capsys.readouterr().out
+
+
+def test_report_bytes_match_golden_digests():
+    # The digests were written by tests/golden_reports.py; a change that
+    # means to alter a report rewrites them with that script.
+    assert report_digests() == json.loads(GOLDEN.read_text(encoding="utf-8"))
