@@ -1,17 +1,23 @@
 """Sample aggregation: medians, median-relative values and the weighted
 overall complexity per POU.
 
-Every quantity here is exact (fractions.Fraction); rendering to decimal
-strings happens only at the report boundary.  The overall value of a POU
-is the weighted sum of its six median-relative percentages; a metric
-whose sample median is zero carries no information for the group and is
-dropped for the whole group, with the remaining weights rescaled so they
-still sum to exactly 1.
+Every quantity here is exact; rendering to decimal strings happens only
+at the report boundary.  The overall value of a POU is the weighted sum
+of its six median-relative percentages; a metric whose sample median is
+zero carries no information for the group and is dropped for the whole
+group, with the remaining weights rescaled so they still sum to exactly
+1.
+
+Each group folds its medians and effective weights into integer
+coefficients over one common denominator (`Coefficients`), so a POU's
+overall value is one integer sum and one Fraction.  Its relative values
+and chart segments come from the same integers when they are asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -75,46 +81,25 @@ class GroupStats:
     excluded: frozenset[int]  # metric indexes whose median is zero
 
 
-@dataclass(frozen=True)
-class PouResult:
-    name: str
-    kind: PouKind
-    language: Language
-    vector: MetricVector
-    group: str
-    relative: tuple[Fraction | None, ...]  # percent of group median, None when dropped
-    weights: tuple[Fraction, ...]  # effective (renormalized) profile
-    oc_rel: Fraction  # reported overall value (scaled when normalization is on)
-    scale: Fraction  # normalization factor applied to oc_rel and segments
-    tag: str = ""
-
-    def segment(self, index: int) -> Fraction:
-        """Contribution of one metric to the reported overall value."""
-        rel = self.relative[index]
-        if rel is None:
-            return Fraction(0)
-        return self.weights[index] * rel * self.scale
-
-
 # ------------------------- medians -------------------------
 
 
-def median_of(values: list[Fraction]) -> Fraction:
-    """Sample median; ties of even length average the middle pair."""
+def median_of(values: list) -> Fraction:
+    """Sample median of ints or Fractions, as a Fraction; ties of even
+    length average the middle pair."""
     if not values:
         raise EmptySample("cannot take the median of an empty sample")
     ordered = sorted(values)
     mid = len(ordered) // 2
     if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
+        return Fraction(ordered[mid])
+    return Fraction(ordered[mid - 1] + ordered[mid], 2)
 
 
 def compute_medians(vectors: list[MetricVector]) -> tuple[Fraction, ...]:
     if not vectors:
         raise EmptySample("cannot aggregate an empty sample")
-    columns = zip(*(v.as_tuple() for v in vectors))
-    return tuple(median_of([Fraction(x) for x in column]) for column in columns)
+    return tuple(median_of(list(column)) for column in zip(*(v.as_tuple() for v in vectors)))
 
 
 def group_stats(label: str, vectors: list[MetricVector]) -> tuple[GroupStats, list[AnalysisWarning]]:
@@ -131,18 +116,7 @@ def group_stats(label: str, vectors: list[MetricVector]) -> tuple[GroupStats, li
     return GroupStats(label, len(vectors), medians, excluded), warnings
 
 
-# ------------------------- relative and overall -------------------------
-
-
-def relative_vector(vector: MetricVector, stats: GroupStats) -> tuple[Fraction | None, ...]:
-    """Each metric as a percentage of its group median."""
-    out: list[Fraction | None] = []
-    for i, value in enumerate(vector.as_tuple()):
-        if i in stats.excluded:
-            out.append(None)
-        else:
-            out.append(Fraction(100 * value) / stats.medians[i])
-    return tuple(out)
+# ------------------------- integer coefficients -------------------------
 
 
 def effective_weights(profile: WeightProfile, excluded: frozenset[int]) -> tuple[Fraction, ...]:
@@ -157,12 +131,94 @@ def effective_weights(profile: WeightProfile, excluded: frozenset[int]) -> tuple
     )
 
 
-def overall_complexity(relative: tuple[Fraction | None, ...], weights: tuple[Fraction, ...]) -> Fraction:
-    total = Fraction(0)
-    for rel, weight in zip(relative, weights):
-        if rel is not None:
-            total += weight * rel
-    return total
+@dataclass(frozen=True)
+class Coefficients:
+    """What a group ranks its POUs by under one effective weight profile,
+    as integers.  A POU whose metric i has the value v stands at
+    v * percent[i][0] / percent[i][1] percent of the group median, and
+    that percentage times the metric's weight is v * weighted[i] /
+    denominator.  A dropped metric has None in both."""
+
+    weights: tuple[Fraction, ...]  # the effective (renormalized) profile
+    percent: tuple[tuple[int, int] | None, ...]
+    weighted: tuple[int | None, ...]
+    denominator: int
+
+    @staticmethod
+    def of(stats: GroupStats, profile: WeightProfile) -> "Coefficients":
+        weights = effective_weights(profile, stats.excluded)
+        rates = [
+            None if i in stats.excluded else Fraction(100) * w / m
+            for i, (w, m) in enumerate(zip(weights, stats.medians))
+        ]
+        denominator = math.lcm(*(r.denominator for r in rates if r is not None))
+        return Coefficients(
+            weights=weights,
+            percent=tuple(
+                None if i in stats.excluded else (100 * m.denominator, m.numerator)
+                for i, m in enumerate(stats.medians)
+            ),
+            weighted=tuple(None if r is None else r.numerator * (denominator // r.denominator) for r in rates),
+            denominator=denominator,
+        )
+
+    def overall(self, vector: MetricVector) -> Fraction:
+        """The weighted sum of the vector's relative values.  The sum is
+        kept as num/den, and a fractional value p/q (difficulty) multiplies
+        it through by q, so only the result is a Fraction."""
+        num, den = 0, 1
+        for value, k in zip(vector.as_tuple(), self.weighted):
+            if k:
+                q = value.denominator
+                num = num * q + k * value.numerator * den
+                den *= q
+        return Fraction(num, den * self.denominator)
+
+
+@dataclass(frozen=True)
+class PouResult:
+    name: str
+    kind: PouKind
+    language: Language
+    vector: MetricVector
+    group: str
+    coefficients: Coefficients  # shared by the group's POUs of one profile
+    oc_rel: Fraction  # reported overall value (scaled when normalization is on)
+    scale: Fraction = Fraction(1)  # normalization factor applied to oc_rel and segments
+    tag: str = ""
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        """The effective (renormalized) weight profile."""
+        return self.coefficients.weights
+
+    @property
+    def relative(self) -> tuple[Fraction | None, ...]:
+        """Each metric as a percent of its group median, None when dropped."""
+        return tuple(None if t is None else Fraction(*t) / self.scale for t in self.relative_terms())
+
+    def relative_terms(self) -> tuple[tuple[int, int] | None, ...]:
+        """Each metric's relative value times `scale`, as an unreduced
+        (numerator, positive denominator); None when dropped."""
+        sn, sd = self.scale.numerator, self.scale.denominator
+        return tuple(
+            None if p is None else (value.numerator * p[0] * sn, value.denominator * p[1] * sd)
+            for value, p in zip(self.vector.as_tuple(), self.coefficients.percent)
+        )
+
+    def segment_terms(self) -> tuple[tuple[int, int], ...]:
+        """Each metric's contribution to the reported overall value, as an
+        unreduced (numerator, positive denominator)."""
+        sn, sd = self.scale.numerator, self.scale.denominator
+        den = self.coefficients.denominator * sd
+        return tuple(
+            (k * value.numerator * sn, den * value.denominator) if k else (0, 1)
+            for value, k in zip(self.vector.as_tuple(), self.coefficients.weighted)
+        )
+
+    def segment(self, index: int) -> Fraction:
+        """Contribution of one metric to the reported overall value."""
+        return Fraction(*self.segment_terms()[index])
 
 
 # ------------------------- whole-sample driver -------------------------
@@ -198,37 +254,29 @@ def aggregate(
         stats_by_label[label] = stats
         warnings.extend(ws)
 
-    raw_results: list[PouResult] = []
+    ranked: list[tuple[Fraction, SampleEntry, str, Coefficients]] = []
     for label, bucket in buckets.items():
         stats = stats_by_label[label]
+        by_language: dict[Language, Coefficients] = {}
         for entry in bucket:
-            profile = profiles.get(entry.language, default_profile(entry.language))
-            weights = effective_weights(profile, stats.excluded)
-            relative = relative_vector(entry.vector, stats)
-            oc = overall_complexity(relative, weights)
-            raw_results.append(
-                PouResult(
-                    name=entry.name,
-                    kind=entry.kind,
-                    language=entry.language,
-                    vector=entry.vector,
-                    group=label,
-                    relative=relative,
-                    weights=weights,
-                    oc_rel=oc,
-                    scale=Fraction(1),
-                    tag=entry.tag,
-                )
-            )
+            coefficients = by_language.get(entry.language)
+            if coefficients is None:
+                profile = profiles.get(entry.language, default_profile(entry.language))
+                coefficients = by_language[entry.language] = Coefficients.of(stats, profile)
+            ranked.append((coefficients.overall(entry.vector), entry, label, coefficients))
+
+    # Two stable sorts: a tuple key would compare each pair of Fractions
+    # for equality and then for order.
+    ranked.sort(key=lambda r: r[1].name)
+    ranked.sort(key=lambda r: r[0])
 
     scale = Fraction(1)
-    if normalize:
-        top = max((r.oc_rel for r in raw_results), default=Fraction(0))
-        if top > 0:
-            scale = Fraction(100) / top
-    if scale != 1:
-        raw_results = [replace(r, oc_rel=r.oc_rel * scale, scale=scale) for r in raw_results]
-
-    raw_results.sort(key=lambda r: (r.oc_rel, r.name))
+    if normalize and ranked[-1][0] > 0:
+        scale = Fraction(100) / ranked[-1][0]
+        ranked = [(oc * scale, *rest) for oc, *rest in ranked]
+    results = [
+        PouResult(entry.name, entry.kind, entry.language, entry.vector, label, coefficients, oc, scale, entry.tag)
+        for oc, entry, label, coefficients in ranked
+    ]
     stats_list = [stats_by_label[label] for label in sorted(stats_by_label)]
-    return raw_results, stats_list, warnings
+    return results, stats_list, warnings

@@ -61,29 +61,24 @@ def render_chart(results: list[PouResult]) -> str:
     out.append('<rect x="0" y="0" width="%s" height="%s" fill="#ffffff"/>' % (_num(width), _num(height)))
 
     bars_bottom = _TOP_MARGIN + len(rows) * (_BAR_HEIGHT + _BAR_GAP)
+    bar_height = _num(_BAR_HEIGHT)
     for row_index, result in enumerate(rows):
         y = _TOP_MARGIN + row_index * (_BAR_HEIGHT + _BAR_GAP)
+        name, bar_y = _esc(result.name), _num(y)
         label = result.name if not result.tag else "%s [%s]" % (result.name, result.tag)
         out.append(
             '<text x="%s" y="%s" text-anchor="end">%s</text>'
             % (_num(_LEFT_MARGIN - 8), _num(y + _BAR_HEIGHT - 5), _esc(label))
         )
         x = float(_LEFT_MARGIN)
-        for metric_index, key in enumerate(METRIC_KEYS):
-            seg = float(result.segment(metric_index)) * _PX_PER_PERCENT
+        # int / int is correctly rounded, so this is float(segment(i)).
+        for metric_index, (key, (num, den)) in enumerate(zip(METRIC_KEYS, result.segment_terms())):
+            seg = num / den * _PX_PER_PERCENT
             if seg <= 0:
                 continue
             out.append(
                 '<rect data-pou="%s" data-metric="%s" x="%s" y="%s" width="%s" height="%s" fill="%s"/>'
-                % (
-                    _esc(result.name),
-                    key,
-                    _num(x),
-                    _num(y),
-                    _num(seg),
-                    _num(_BAR_HEIGHT),
-                    METRIC_FILLS[metric_index],
-                )
+                % (name, key, _num(x), bar_y, _num(seg), bar_height, METRIC_FILLS[metric_index])
             )
             x += seg
         out.append(

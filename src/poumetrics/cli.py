@@ -18,7 +18,7 @@ from . import __version__
 from .aggregate import Grouping
 from .chart import render_chart
 from .config import AnalysisConfig, load_config
-from .errors import AnalysisError
+from .errors import AnalysisError, InvalidConfig
 from .report import analyze_paths, emit_csv, emit_json, render_table
 
 
@@ -65,6 +65,8 @@ def _resolve_config(args) -> AnalysisConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.top is not None and args.top < 0:
+            raise InvalidConfig("--top must not be negative, got %d" % args.top)
         cfg = _resolve_config(args)
         run = analyze_paths(args.paths, cfg)
     except AnalysisError as exc:

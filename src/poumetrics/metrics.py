@@ -90,17 +90,25 @@ DEFAULT_WEIGHT_TABLE = WeightTable()
 # ------------------------- counting helpers -------------------------
 
 
+def token_counts(body: BodyFacts) -> tuple[int, int, int, int]:
+    """(N1, N2, n1, n2): operator and operand occurrences, then unique
+    operator and operand identities, in one pass over the tokens."""
+    operator = TokenClass.OPERATOR
+    ops: list[str] = []
+    operands: list[str] = []
+    for t in body.tokens:
+        (ops if t.cls is operator else operands).append(t.identity_key)
+    return len(ops), len(operands), len(set(ops)), len(set(operands))
+
+
 def occurrence_counts(body: BodyFacts) -> tuple[int, int]:
     """(N1, N2): operator and operand occurrences."""
-    n1 = sum(1 for t in body.tokens if t.cls is TokenClass.OPERATOR)
-    return n1, len(body.tokens) - n1
+    return token_counts(body)[:2]
 
 
 def unique_counts(body: BodyFacts) -> tuple[int, int]:
     """(n1, n2): unique operator and operand identities."""
-    ops = {t.identity_key for t in body.tokens if t.cls is TokenClass.OPERATOR}
-    operands = {t.identity_key for t in body.tokens if t.cls is TokenClass.OPERAND}
-    return len(ops), len(operands)
+    return token_counts(body)[2:]
 
 
 def fan_in(pou: Pou) -> int:
@@ -138,10 +146,12 @@ def vocabulary(pou: Pou) -> int:
 
 
 def difficulty(pou: Pou) -> Fraction:
-    n1, n2 = unique_counts(pou.body)
+    return _difficulty(*token_counts(pou.body))
+
+
+def _difficulty(big_n1: int, big_n2: int, n1: int, n2: int) -> Fraction:
     if n2 == 0:
         return Fraction(0)
-    _, big_n2 = occurrence_counts(pou.body)
     return Fraction(n1, 2) * Fraction(big_n2, n2)
 
 
@@ -179,11 +189,12 @@ class MetricVector:
 
 def compute_vector(pou: Pou, table: WeightTable = DEFAULT_WEIGHT_TABLE) -> MetricVector:
     """All six metrics for one POU."""
+    counts = token_counts(pou.body)
     return MetricVector(
         program_length=program_length(pou),
         cyclomatic=cyclomatic_complexity(pou),
         fifo=information_flow(pou),
-        vocabulary=vocabulary(pou),
-        difficulty=difficulty(pou),
+        vocabulary=counts[2] + counts[3],
+        difficulty=_difficulty(*counts),
         data_structure=data_structure_weight(pou, table),
     )

@@ -429,7 +429,7 @@ def _merge_body_element(acc: _Acc, body: ET.Element, pou_el: ET.Element, value_c
     no source offsets, so the fragment's position in the file is unknown."""
     acc.depth += 1
     if acc.depth > _MAX_NESTING:
-        raise ParseError("nesting deeper than %d levels" % _MAX_NESTING, acc.path)
+        raise ParseError("nesting deeper than %d levels" % _MAX_NESTING, acc.path, element=owner)
     for child in body:
         tag = child.tag
         if tag == "ST":

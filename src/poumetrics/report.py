@@ -36,8 +36,14 @@ CSV_HEADER = ("name", "kind", "language") + METRIC_COLUMNS + RELATIVE_COLUMNS + 
 def fmt4(value: Fraction) -> str:
     """Render an exact rational (or an int) with 4 fractional digits,
     half to even."""
-    denominator = value.denominator
-    q, r = divmod(value.numerator * 10000, denominator)
+    return fmt4_ratio(value.numerator, value.denominator)
+
+
+def fmt4_ratio(numerator: int, denominator: int) -> str:
+    """fmt4 of numerator / denominator, for denominator > 0.  The ratio
+    need not be reduced: scaling both terms scales the remainder and the
+    denominator alike, so no rounding decision changes."""
+    q, r = divmod(numerator * 10000, denominator)
     double = 2 * r
     if double > denominator or (double == denominator and q % 2 == 1):
         q += 1
@@ -57,7 +63,7 @@ def _raw_cells(result: PouResult) -> list:
 
 
 def _relative_cells(result: PouResult) -> list:
-    return [None if rel is None else fmt4(rel * result.scale) for rel in result.relative]
+    return [None if terms is None else fmt4_ratio(*terms) for terms in result.relative_terms()]
 
 
 @dataclass

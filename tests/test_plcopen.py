@@ -245,6 +245,7 @@ def test_inline_nesting_past_the_limit_skips_only_that_pou(tmp_path):
     assert [p.name for p in sample.pous] == ["Good"]
     assert [(w.code, w.pou) for w in sample.warnings] == [("pou-parse-error", "Deep")]
     assert "nesting deeper than 100 levels" in sample.warnings[0].message
+    assert 'actionBlock localId="1": nesting deeper than 100 levels' in sample.warnings[0].message
 
 
 def test_inline_st_counts_towards_the_nesting_limit(tmp_path):

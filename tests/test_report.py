@@ -370,7 +370,7 @@ def test_cli_xml_inline_nesting_2000_deep_skips_only_that_pou(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "Good" in captured.out and "Deep" not in captured.out
-    assert "deep.xml:Deep: nesting deeper than 100 levels" in captured.err
+    assert 'deep.xml:Deep: actionBlock localId="1": nesting deeper than 100 levels' in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -466,6 +466,23 @@ def test_cli_top_flag(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "Beta" in captured.out and "Alpha" not in captured.out
+
+
+def test_cli_negative_top_is_fatal(tmp_path, capsys):
+    (tmp_path / "two.st").write_text(TWO_POUS)
+    code = main(["analyze", str(tmp_path), "--top", "-2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: --top must not be negative, got -2\n"
+
+
+def test_cli_top_zero_prints_the_header_only(tmp_path, capsys):
+    (tmp_path / "two.st").write_text(TWO_POUS)
+    code = main(["analyze", str(tmp_path), "--top", "0"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.splitlines() == ["#  name  language  oc_rel  tag", "-  ----  --------  ------  ---"]
 
 
 def test_cli_config_file(tmp_path, capsys):
