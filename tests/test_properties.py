@@ -24,7 +24,7 @@ from poumetrics import (
 from poumetrics.aggregate import median_of
 from poumetrics.cli import main
 from poumetrics.errors import UnterminatedComment, UnterminatedString
-from poumetrics.report import fmt4
+from poumetrics.report import fmt4, fmt4_ratio
 from poumetrics.st import LineTable, lex
 
 from conftest import CORPUS
@@ -161,6 +161,15 @@ def test_median_bounds_and_permutation_invariance(values):
 def test_fmt4_round_trips_within_half_step(value):
     rendered = fmt4(value)
     assert abs(Fraction(rendered) - value) <= Fraction(1, 20000)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st_strat.fractions(min_value=-10_000, max_value=10_000), st_strat.integers(1, 10**6))
+def test_fmt4_ratio_needs_no_reduced_fraction(value, factor):
+    # 1/20000 * k over k: the tie that rounds half to even must survive
+    tie = Fraction(2 * round(value * 10000) + 1, 20000)
+    for exact in (value, tie):
+        assert fmt4_ratio(exact.numerator * factor, exact.denominator * factor) == fmt4(exact)
 
 
 @settings(max_examples=100, derandomize=True)
