@@ -69,25 +69,22 @@ def main(argv=None) -> int:
             raise InvalidConfig("--top must not be negative, got %d" % args.top)
         cfg = _resolve_config(args)
         run = analyze_paths(args.paths, cfg)
-    except AnalysisError as exc:
+
+        for warning in run.warnings:
+            print(warning.render(), file=sys.stderr)
+
+        if args.json_path:
+            with open(args.json_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(emit_json(run))
+        if args.csv_path:
+            with open(args.csv_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(emit_csv(run))
+        if args.chart_path:
+            with open(args.chart_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(render_chart(run.results))
+    except (AnalysisError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-
-    for warning in run.warnings:
-        print(warning.render(), file=sys.stderr)
-
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(emit_json(run))
-    if args.csv_path:
-        with open(args.csv_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(emit_csv(run))
-    if args.chart_path:
-        with open(args.chart_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(render_chart(run.results))
 
     sys.stdout.write(render_table(run, args.top))
     return run.exit_code

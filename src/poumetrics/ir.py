@@ -11,6 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
+
+# Bound on the token values kept shared.  Past it the least recently used
+# value gets a new instance when it recurs: sharing is lost, nothing else.
+_TOKEN_CACHE_SIZE = 1 << 16
 
 
 class PouKind(Enum):
@@ -65,13 +70,14 @@ class SourceRef:
     element: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """One classified lexical element of a POU body.
 
     identity_key is the case-folded identity used for vocabulary
     counting; two tokens with equal identity_key and equal cls are one
-    unique symbol.
+    unique symbol.  `operator` and `operand` hand out one shared
+    instance per distinct value, so a body token costs one reference.
     """
 
     lexeme: str
@@ -79,12 +85,21 @@ class Token:
     identity_key: str
 
     @staticmethod
+    @lru_cache(maxsize=_TOKEN_CACHE_SIZE)
     def operator(lexeme: str, identity: str | None = None) -> "Token":
-        return Token(lexeme, TokenClass.OPERATOR, (identity if identity is not None else lexeme).casefold())
+        return _shared_token(lexeme, TokenClass.OPERATOR, (identity if identity is not None else lexeme).casefold())
 
     @staticmethod
+    @lru_cache(maxsize=_TOKEN_CACHE_SIZE)
     def operand(lexeme: str, identity: str | None = None) -> "Token":
-        return Token(lexeme, TokenClass.OPERAND, (identity if identity is not None else lexeme).casefold())
+        return _shared_token(lexeme, TokenClass.OPERAND, (identity if identity is not None else lexeme).casefold())
+
+
+@lru_cache(maxsize=_TOKEN_CACHE_SIZE)
+def _shared_token(lexeme: str, cls: TokenClass, identity_key: str) -> Token:
+    """The one instance per token value, whichever arguments named it
+    (`operator("x")`, `operator("x", None)` and `operator("x", "X")`)."""
+    return Token(lexeme, cls, identity_key)
 
 
 @dataclass(frozen=True)

@@ -117,13 +117,17 @@ def load_sample(paths, array_sub_cap: int | None = None) -> LoadedSample:
                     st_units.append((unit, label, name))
             except ParseError as exc:
                 warnings.append(AnalysisWarning("pou-parse-error", exc.detail, label, ""))
+        units.clear()  # st_units now holds the only reference to each POU unit
 
     frozen_globals = frozenset(global_names)
     frozen_names = frozenset(pou_names)
     pous: list[Pou] = []
 
-    # Pass 2: bodies.
-    for unit, label, name in st_units:
+    # Pass 2: bodies.  Each unit and XML tree is popped as it is handled,
+    # so its raw tokens or elements are freed once its POUs are built.
+    st_units.reverse()
+    while st_units:
+        unit, label, name = st_units.pop()
         try:
             pou, ws = st.parse_pou_unit(unit, label, context, frozen_globals)
         except ParseError as exc:
@@ -131,7 +135,9 @@ def load_sample(paths, array_sub_cap: int | None = None) -> LoadedSample:
             continue
         pous.append(pou)
         warnings.extend(ws)
-    for root, label in xml_roots:
+    xml_roots.reverse()
+    while xml_roots:
+        root, label = xml_roots.pop()
         extracted, ws = plcopen.extract_pous(root, label, context, frozen_globals, frozen_names)
         pous.extend(extracted)
         warnings.extend(ws)

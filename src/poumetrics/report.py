@@ -16,10 +16,10 @@ from __future__ import annotations
 import csv
 import gc
 import io
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .aggregate import GroupStats, PouResult, SampleEntry, aggregate
@@ -90,8 +90,8 @@ def analyze_paths(paths, cfg: AnalysisConfig | None = None) -> RunResult:
     """Load every POU under `paths`, compute metrics and rank them.
 
     The cyclic garbage collector is paused meanwhile: the analysis builds
-    no reference cycles, and each collection would rescan every token,
-    IR record and XML element built so far."""
+    no reference cycles, and each collection would rescan every IR record
+    and XML element built so far."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -161,8 +161,39 @@ def report_object(run: RunResult) -> dict:
     return {"run": meta, "pous": pous, "groups": groups, "warnings": warnings}
 
 
+# JSON text of each scalar type the report holds, from the C helpers that
+# json.dumps itself calls for them.
+_JSON_SCALAR = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null"}
+
+
+def _json_text(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2) for nested dicts and lists of str, int
+    and None.  With an indent, json.dumps runs its pure-Python encoder;
+    this builds the same text with one join per container."""
+    encode = _JSON_SCALAR.get(type(value))
+    if encode is not None:
+        return encode(value)
+    inner = pad + "  "
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            encode = _JSON_SCALAR.get(type(item))  # rows are flat: one call fewer per cell
+            items.append(encode_basestring_ascii(key) + ": " + (encode(item) if encode else _json_text(item, inner)))
+        opening, closing = "{", "}"
+    elif type(value) is list:
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        opening, closing = "[", "]"
+    else:
+        raise TypeError("%s is not a report value" % type(value).__name__)
+    return opening + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + closing
+
+
 def emit_json(run: RunResult) -> str:
-    return json.dumps(report_object(run), indent=2) + "\n"
+    return _json_text(report_object(run)) + "\n"
 
 
 def emit_csv(run: RunResult) -> str:

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import shutil
+import tracemalloc
+import weakref
 
 from golden_ir import CORPUS, GOLDEN, canonical_ir
+from stgen import generate_program
 from poumetrics import (
     BodyFacts,
     CallSite,
@@ -18,8 +23,10 @@ from poumetrics import (
     TypeClass,
     VariableDecl,
     VarSection,
+    load_sample,
     validate_pou,
 )
+from poumetrics import plcopen, st
 
 
 def make_pou(**overrides) -> Pou:
@@ -49,6 +56,32 @@ def test_token_constructors_casefold_identity():
     assert Token.operand("Level_1").identity_key == "level_1"
     # explicit identity overrides the lexeme
     assert Token.operator("Max", "max()").identity_key == "max()"
+
+
+def test_token_constructors_share_one_instance_per_value():
+    direct = [
+        Token("AND", TokenClass.OPERATOR, "and"),
+        Token("Level_1", TokenClass.OPERAND, "level_1"),
+        Token("Max", TokenClass.OPERATOR, "max()"),
+    ]
+    shared = [Token.operator("AND"), Token.operand("Level_1"), Token.operator("Max", "max()")]
+    for tok, ref in zip(shared, direct):
+        assert not hasattr(tok, "__dict__")
+        assert tok == ref and hash(tok) == hash(ref) and repr(tok) == repr(ref)
+        assert tok.identity_key == ref.identity_key
+    assert Token.operator("AND") is Token.operator("AND", None) is Token.operator("AND", "And")
+    assert Token.operator("x") != Token.operand("x")
+
+
+def test_corpus_tokens_equal_by_value_are_one_object(corpus_sample):
+    first: dict[Token, tuple[Token, str]] = {}
+    across_pous = 0
+    for pou in corpus_sample.pous:
+        for tok in pou.body.tokens:
+            kept, owner = first.setdefault(tok, (tok, pou.name))
+            assert kept is tok, tok
+            across_pous += owner != pou.name
+    assert across_pous > 0
 
 
 def test_identity_in_both_classes_is_flagged():
@@ -97,3 +130,45 @@ def test_corpus_ir_matches_golden(corpus_sample):
     # The golden IR was written by tests/golden_ir.py; a change that means
     # to alter the IR rewrites it with that script.
     assert canonical_ir(corpus_sample.pous, CORPUS) == json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+# ------------------------- memory -------------------------
+
+
+def test_load_frees_each_unit_and_xml_tree_once_its_pous_are_built(monkeypatch, tmp_path):
+    # Before each POU unit or XML tree is handled in pass 2, every one
+    # handled before it must already be gone.  The last file read holds
+    # several POUs, so pass 1's per-file state is checked too.
+    shutil.copytree(CORPUS, tmp_path, dirs_exist_ok=True)
+    (tmp_path / "zz_last.st").write_text(
+        "".join("PROGRAM Last%d\nx := %d;\nEND_PROGRAM\n" % (i, i) for i in range(3))
+    )
+    for module, name in ((st, "parse_pou_unit"), (plcopen, "extract_pous")):
+        handled: list[weakref.ref] = []
+        alive_before: list[int] = []
+
+        def spy(first, *rest, real=getattr(module, name), handled=handled, alive_before=alive_before):
+            alive_before.append(sum(ref() is not None for ref in handled))
+            handled.append(weakref.ref(first))
+            return real(first, *rest)
+
+        monkeypatch.setattr(module, name, spy)
+        assert load_sample([str(tmp_path)]).pous
+        assert len(alive_before) > 1
+        assert set(alive_before) == {0}, name
+
+
+def test_load_sample_retains_under_100_bytes_per_body_token(tmp_path):
+    for seed in range(200):
+        prog = generate_program(seed)
+        (tmp_path / ("%s.st" % prog.name)).write_text(prog.source)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sample = load_sample([str(tmp_path)])
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tokens = sum(len(pou.body.tokens) for pou in sample.pous)
+    assert tokens >= 20_000
+    assert retained / tokens < 100, "%d B retained for %d body tokens" % (retained, tokens)

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st_strat
+from hypothesis import example, given, settings, strategies as st_strat
 
 from poumetrics import (
     ParseError,
@@ -24,7 +25,7 @@ from poumetrics import (
 from poumetrics.aggregate import median_of
 from poumetrics.cli import main
 from poumetrics.errors import UnterminatedComment, UnterminatedString
-from poumetrics.report import fmt4, fmt4_ratio
+from poumetrics.report import _json_text, fmt4, fmt4_ratio
 from poumetrics.st import LineTable, lex
 
 from conftest import CORPUS
@@ -278,6 +279,75 @@ def test_cli_on_mutated_corpus_files_exits_0_1_or_2(source, edits):
 @given(st_strat.sampled_from(["random.st", "random.xml"]), st_strat.binary(max_size=200))
 def test_cli_on_random_bytes_exits_0_1_or_2(name, data):
     assert cli_exit_code(name, data) in (0, 1, 2)
+
+
+# ------------------------- JSON report text -------------------------
+
+# Names, tags and messages come from user files, so report strings may hold
+# anything JSON has to escape.
+REPORT_TEXT = st_strat.text(
+    alphabet=st_strat.one_of(st_strat.sampled_from('"\\/\x00\x1f\x7f\n\té€名\U0001d11e'), st_strat.characters()),
+    max_size=8,
+)
+METRICS = ["m%d" % i for i in range(1, 7)]
+REPORT_ROW = st_strat.fixed_dictionaries(
+    {
+        "name": REPORT_TEXT,
+        "kind": st_strat.sampled_from(["Program", "FunctionBlock", "Function"]),
+        "language": st_strat.sampled_from(["ST", "LD", "FBD", "SFC"]),
+        **{m: st_strat.integers() for m in METRICS},
+        **{"c%d" % i: st_strat.none() | REPORT_TEXT for i in range(1, 7)},
+        "oc_rel": REPORT_TEXT,
+        "group": REPORT_TEXT,
+        "tag": REPORT_TEXT,
+    }
+)
+REPORT_GROUP = st_strat.fixed_dictionaries(
+    {
+        "label": REPORT_TEXT,
+        "size": st_strat.integers(min_value=0),
+        "medians": st_strat.fixed_dictionaries({m: REPORT_TEXT for m in METRICS}),
+        "excluded": st_strat.lists(st_strat.sampled_from(METRICS), unique=True),
+    }
+)
+REPORT_WARNING = st_strat.fixed_dictionaries({key: REPORT_TEXT for key in ("code", "message", "path", "pou")})
+REPORT = st_strat.fixed_dictionaries(
+    {
+        "run": st_strat.fixed_dictionaries(
+            {"tool": REPORT_TEXT, "version": REPORT_TEXT, "pou_count": st_strat.integers(), "grouping": REPORT_TEXT}
+        ),
+        "pous": st_strat.lists(REPORT_ROW, max_size=3),
+        "groups": st_strat.lists(REPORT_GROUP, max_size=2),
+        "warnings": st_strat.lists(REPORT_WARNING, max_size=3),
+    }
+)
+EVERY_CASE = {
+    "run": {"tool": "poumetrics", "version": "0", "pou_count": 1, "grouping": "whole-sample"},
+    "pous": [
+        {
+            "name": 'Ünïcode "quoted" \\ \x01\x1f',
+            "kind": "Program",
+            "language": "ST",
+            **{m: -i for i, m in enumerate(METRICS)},
+            **{"c%d" % i: None if i % 2 else "100.0000" for i in range(1, 7)},
+            "oc_rel": "0.0000",
+            "group": "all",
+            "tag": "tag\twith\n\u2028 名",
+        }
+    ],
+    "groups": [
+        {"label": "all", "size": 1, "medians": {m: "1.0000" for m in METRICS}, "excluded": []},
+        {"label": "ST", "size": 0, "medians": {m: "0.0000" for m in METRICS}, "excluded": ["m2", "m5"]},
+    ],
+    "warnings": [],
+}
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(REPORT)
+@example(EVERY_CASE)
+def test_json_text_is_json_dumps_with_indent(obj):
+    assert _json_text(obj) + "\n" == json.dumps(obj, indent=2) + "\n"
 
 
 # ------------------------- lexer against the reference loop -------------------------

@@ -299,6 +299,16 @@ def test_cli_missing_path_is_fatal(tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("option", ["--json", "--csv", "--chart"])
+def test_cli_report_path_in_missing_directory_is_fatal(tmp_path, capsys, option):
+    (tmp_path / "two.st").write_text(TWO_POUS)
+    code = main(["analyze", str(tmp_path), option, str(tmp_path / "missing" / "report")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_cli_duplicate_pou_names_fatal(tmp_path, capsys):
     (tmp_path / "a.st").write_text("PROGRAM Same x := 1; END_PROGRAM")
     (tmp_path / "b.st").write_text("PROGRAM same y := 2; END_PROGRAM")
