@@ -26,6 +26,13 @@ from .ir import Language, PouKind
 from .metrics import METRIC_KEYS, MetricVector
 
 
+def _short(value: Fraction) -> str:
+    """`value` for a message, as its power of ten once it is too long to
+    read (past 4300 digits Python refuses to print it at all)."""
+    bits = abs(value.numerator).bit_length(), value.denominator.bit_length()
+    return str(value) if sum(bits) <= 128 else "about 10^%d" % round((bits[0] - bits[1]) * 0.30103)
+
+
 @dataclass(frozen=True)
 class WeightProfile:
     """Six non-negative metric weights summing to exactly 1."""
@@ -39,7 +46,7 @@ class WeightProfile:
             raise WeightSumViolation("metric weights must be non-negative")
         total = sum(self.weights, Fraction(0))
         if total != 1:
-            raise WeightSumViolation("metric weights sum to %s, expected exactly 1" % total)
+            raise WeightSumViolation("metric weights sum to %s, expected exactly 1" % _short(total))
 
     @staticmethod
     def of(*values) -> "WeightProfile":

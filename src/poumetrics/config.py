@@ -3,14 +3,17 @@ table, grouping and report options.
 
 Configuration lives in a JSON file.  All weights are written as strings
 ("1/6", "0.25") and parsed into exact fractions, so a profile that must
-sum to one can be checked without rounding slack.  Unknown keys are
-rejected outright; a silently ignored typo in a weights file would skew
-every ranking downstream.
+sum to one can be checked without rounding slack.  A weight string holds
+at most 100 characters and its decimal exponent is at most 100 in
+magnitude, so no weight costs more than a few hundred digits.  Unknown
+keys are rejected outright; a silently ignored typo in a weights file
+would skew every ranking downstream.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
@@ -38,19 +41,40 @@ class AnalysisConfig:
     annotations: dict[str, str] = field(default_factory=dict)
 
 
+_MAX_WEIGHT_CHARS = 100
+_MAX_WEIGHT_EXPONENT = 100
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+
+
+def _clip(text: str, limit: int = 40) -> str:
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def _parse_fraction(raw, where: str) -> Fraction:
     if isinstance(raw, bool):
         raise InvalidConfig("%s: weights must be numbers or fraction strings" % where)
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, str):
+        # Checked before Fraction runs: "1e1000000000" would build a
+        # billion-digit integer.
+        if len(raw) > _MAX_WEIGHT_CHARS:
+            raise InvalidConfig(
+                "%s: weight %s is %d characters long; at most %d are allowed"
+                % (where, _clip(repr(raw)), len(raw), _MAX_WEIGHT_CHARS)
+            )
+        exponent = _EXPONENT.search(raw)
+        if exponent is not None and abs(int(exponent.group(1))) > _MAX_WEIGHT_EXPONENT:
+            raise InvalidConfig(
+                "%s: weight %r has an exponent beyond %d in magnitude" % (where, raw, _MAX_WEIGHT_EXPONENT)
+            )
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidConfig("%s: cannot parse weight %r" % (where, raw)) from exc
     raise InvalidConfig(
-        "%s: weight %r must be an int or a string; floats would smuggle rounding error in"
-        % (where, raw)
+        "%s: weight %s must be an int or a string; floats would smuggle rounding error in"
+        % (where, _clip(repr(raw)))
     )
 
 
@@ -150,6 +174,8 @@ def load_config(path: str) -> AnalysisConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Besides syntax errors: text that is not UTF-8, an integer past
+        # Python's 4300-digit limit, and nesting past the recursion limit.
         raise InvalidConfig("%s: %s" % (path, exc)) from exc
     return config_from_mapping(data)

@@ -21,6 +21,7 @@ class ParseError(AnalysisError):
         self.path = path
         self.line = line
         self.column = column
+        self.element = element
         detail = "%d:%d: %s" % (line, column, message) if line else message
         self.detail = "%s: %s" % (element, detail) if element else detail
         super().__init__("%s%s%s" % (path or "<source>", ":" if line and not element else ": ", self.detail))

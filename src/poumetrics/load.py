@@ -1,14 +1,19 @@
 """Input discovery and two-pass sample loading.
 
 A sample may span many files: textual sources carrying POUs, TYPE blocks
-and VAR_GLOBAL lists, plus PLCopen XML projects.  Loading runs in two
-passes so cross-file knowledge (user types, FB interfaces, globals, the
-set of POU names) is complete before any body is analyzed.
+and VAR_GLOBAL lists, plus PLCopen XML projects.  Pass 1 reads one file
+at a time: it records the file's share of the cross-file knowledge (user
+types, FB interfaces, globals, the set of POU names), parses each POU's
+declarations once and walks its body, which needs no other file.  Only
+these compact facts outlive the file's tokens or XML tree.  Pass 2,
+once that knowledge is complete, classifies each POU's declarations and
+resolves its body facts against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from . import plcopen, st
@@ -43,13 +48,7 @@ def discover_inputs(paths) -> list[Path]:
             found.append(p)
         else:
             raise AnalysisError("input path does not exist: %s" % p)
-    seen = set()
-    unique = []
-    for p in sorted(found, key=str):
-        if str(p) not in seen:
-            seen.add(str(p))
-            unique.append(p)
-    return unique
+    return sorted({str(p): p for p in found}.values(), key=str)
 
 
 def _looks_like_xml(text: str) -> bool:
@@ -62,17 +61,18 @@ def load_sample(paths, array_sub_cap: int | None = None) -> LoadedSample:
     Per-POU problems become warnings and the POU is skipped (a PLCopen
     file that is malformed or whose data types or function block
     interfaces do not parse is skipped whole); duplicate POU names
-    across the whole sample are an error.
+    across the whole sample are an error.  Pass 1's warnings come first,
+    in file order, then each POU's own, ST POUs before XML POUs.
     """
     files = discover_inputs(paths)
     context = TypeContext(array_sub_cap=array_sub_cap)
     warnings: list[AnalysisWarning] = []
     global_names: set[str] = set()
-    pou_names: set[str] = set()
-    st_units: list[tuple[st.StUnit, str, str]] = []  # unit, path, POU name
-    xml_roots: list[tuple[object, str]] = []
+    st_pous: list[st.WalkedPou] = []
+    xml_docs: list[list[st.WalkedPou]] = []
 
-    # Pass 1: types, interfaces, globals and the project-wide name set.
+    # Pass 1: one file at a time; its tokens or tree die before the next
+    # file is read.
     for path in files:
         label = str(path)
         try:
@@ -82,63 +82,35 @@ def load_sample(paths, array_sub_cap: int | None = None) -> LoadedSample:
         is_xml = path.suffix.casefold() in XML_SUFFIXES or (
             path.suffix.casefold() not in ST_SUFFIXES and _looks_like_xml(text)
         )
-        if is_xml:
-            try:
-                root = plcopen.parse_xml(text, label)
-            except XmlMalformed as exc:
-                warnings.append(AnalysisWarning("xml-malformed", exc.detail, label, ""))
-                continue
-            try:
-                plcopen.register_project_types(root, context, label)
-            except ParseError as exc:
-                warnings.append(AnalysisWarning("pou-parse-error", exc.detail, label, ""))
-                continue
-            global_names.update(plcopen.project_global_names(root))
-            pou_names.update(plcopen.project_pou_names(root))
-            xml_roots.append((root, label))
-            continue
-
         try:
-            units = st.split_st_units(st.StSource(label, text))
+            if is_xml:
+                xml_docs.append(_walk_xml_file(text, label, context, global_names))
+            else:
+                st_pous.extend(_walk_st_file(text, label, context, global_names, warnings))
+        except XmlMalformed as exc:
+            warnings.append(AnalysisWarning("xml-malformed", exc.detail, label, ""))
         except ParseError as exc:
             warnings.append(AnalysisWarning("pou-parse-error", exc.detail, label, ""))
-            continue
-        for unit in units:
-            try:
-                if unit.kind == "types":
-                    st.parse_type_block(unit, context, label)
-                elif unit.kind == "globals":
-                    global_names.update(n.casefold() for n in st.parse_global_names(unit, label))
-                else:
-                    name, kind, decls, _, _ = st.interface_of_unit(unit, label)
-                    pou_names.add(name.casefold())
-                    if kind is PouKind.FUNCTION_BLOCK:
-                        context.register_fb(name, decls)
-                    st_units.append((unit, label, name))
-            except ParseError as exc:
-                warnings.append(AnalysisWarning("pou-parse-error", exc.detail, label, ""))
-        units.clear()  # st_units now holds the only reference to each POU unit
 
     frozen_globals = frozenset(global_names)
-    frozen_names = frozenset(pou_names)
+    pou_names = frozenset(w.name.casefold() for w in chain(st_pous, *xml_docs) if w.name)
     pous: list[Pou] = []
 
-    # Pass 2: bodies.  Each unit and XML tree is popped as it is handled,
-    # so its raw tokens or elements are freed once its POUs are built.
-    st_units.reverse()
-    while st_units:
-        unit, label, name = st_units.pop()
+    # Pass 2: each POU's facts are popped as they are handled, so they
+    # are freed once its POU is built.
+    st_pous.reverse()
+    while st_pous:
+        walked_pou = st_pous.pop()
         try:
-            pou, ws = st.parse_pou_unit(unit, label, context, frozen_globals)
+            pou, ws = st.parse_pou_unit(walked_pou, context, frozen_globals)
         except ParseError as exc:
-            warnings.append(AnalysisWarning("pou-parse-error", exc.detail, label, name))
+            warnings.append(AnalysisWarning("pou-parse-error", exc.detail, exc.path, walked_pou.name))
             continue
         pous.append(pou)
         warnings.extend(ws)
-    xml_roots.reverse()
-    while xml_roots:
-        root, label = xml_roots.pop()
-        extracted, ws = plcopen.extract_pous(root, label, context, frozen_globals, frozen_names)
+    xml_docs.reverse()
+    while xml_docs:
+        extracted, ws = plcopen.extract_pous(xml_docs.pop(), context, frozen_globals, pou_names)
         pous.extend(extracted)
         warnings.extend(ws)
 
@@ -152,3 +124,32 @@ def load_sample(paths, array_sub_cap: int | None = None) -> LoadedSample:
         by_name[key] = pou.source_ref.path
 
     return LoadedSample(pous=pous, warnings=warnings, context=context, global_names=frozen_globals)
+
+
+def _walk_xml_file(text, label, context, global_names) -> list[st.WalkedPou]:
+    """Pass 1 for one PLCopen file, which is skipped whole when it is
+    malformed or its types or FB interfaces do not parse."""
+    root = plcopen.parse_xml(text, label)
+    plcopen.register_project_types(root, context, label)
+    global_names.update(plcopen.project_global_names(root))
+    return plcopen.walk_pous(root, label)
+
+
+def _walk_st_file(text, label, context, global_names, warnings) -> list[st.WalkedPou]:
+    """Pass 1 for one ST file: its types, globals and FB interfaces go
+    to the sample, and its POUs are walked."""
+    walked: list[st.WalkedPou] = []
+    for unit in st.split_st_units(st.StSource(label, text)):
+        try:
+            if unit.kind == "types":
+                st.parse_type_block(unit, context, label)
+            elif unit.kind == "globals":
+                global_names.update(n.casefold() for n in st.parse_global_names(unit, label))
+            else:
+                pou = st.walk_pou_unit(unit, label)
+                if pou.kind is PouKind.FUNCTION_BLOCK:
+                    context.register_fb(pou.name, pou.decls)
+                walked.append(pou)
+        except ParseError as exc:
+            warnings.append(AnalysisWarning("pou-parse-error", exc.detail, label, ""))
+    return walked

@@ -21,8 +21,12 @@ Counting rules for graphical languages:
   bodies are tokenized in their own language and merged into the POU.
 
 Every walk of one POU, network or ST fragment, writes into one
-collector, the POU's `_Acc` (an `st._BodyResult`); `st.finalize_body`
-then applies the POU's declarations to it once, as for an ST POU.
+collector, the POU's `_Acc` (an `st._BodyResult`).  `walk_pous` fills
+them in pass 1, while the document's tree is alive; no walk needs other
+files.  `extract_pous` then, in pass 2, resolves each POU with
+`st.parse_pou_unit`, as for an ST POU: it classifies the declarations,
+keeps as calls the blocks whose type is a POU or FB of the whole sample,
+and applies the declarations to the collector once.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from dataclasses import dataclass, field
 
 from .errors import AnalysisWarning, ParseError, XmlMalformed
 from .ir import (
-    CallSite,
     DecisionSpan,
     Language,
     Pou,
@@ -42,7 +45,7 @@ from .ir import (
     Token,
     VarSection,
 )
-from .st import _MAX_NESTING, _BodyResult, finalize_body, st_fragment_facts
+from .st import _MAX_NESTING, WalkedPou, _BodyResult, parse_pou_unit, st_fragment_facts
 from .typesys import RawDecl, TypeContext, TypeSpec, named
 
 _POU_TYPE_MAP = {
@@ -201,25 +204,16 @@ def project_global_names(root: ET.Element) -> list[str]:
     return names
 
 
-def project_pou_names(root: ET.Element) -> list[str]:
-    return [p.get("name", "").casefold() for p in root.iter("pou") if p.get("name")]
-
-
 # ------------------------- graphical bodies -------------------------
 
 
 @dataclass(kw_only=True)
 class _Acc(_BodyResult):
     """The POU's collector, which the network walker and the ST fragment
-    walks fill.  Graphical call sites go to `fixed_calls`, whose counts
-    are final."""
+    walks fill."""
 
     path: str
     pou: str
-    pou_names: frozenset[str]
-    context: TypeContext
-    fixed_calls: list[CallSite] = field(default_factory=list)
-    warnings: list[AnalysisWarning] = field(default_factory=list)
     merged_refs: set[str] = field(default_factory=set)
 
     def warn(self, code: str, message: str) -> None:
@@ -247,13 +241,20 @@ class _Acc(_BodyResult):
             self.writes.add(key)
 
 
+def _local_id_key(lid: str) -> tuple[int, int, str]:
+    """Sort key of a localId: ASCII decimal ids first, in integer order
+    without building the integer (fewer significant digits first, then
+    the digits), then every other id."""
+    if lid.isascii() and lid.isdecimal():
+        digits = lid.lstrip("0")
+        return (0, len(digits), digits)
+    return (1, 0, "")
+
+
 def _sorted_elements(body_el: ET.Element) -> list[ET.Element]:
     def key(pair):
         idx, el = pair
-        lid = el.get("localId", "")
-        if lid.isdigit():
-            return (0, int(lid), idx)
-        return (1, 0, idx)
+        return _local_id_key(el.get("localId", "")), idx
 
     return [el for _, el in sorted(enumerate(body_el), key=key)]
 
@@ -361,11 +362,8 @@ def _walk_block(acc: _Acc, el: ET.Element, lid: str, inbound: dict[str, set[str]
     if type_name.casefold() in _SELECTOR_BLOCKS:
         acc.decide("selector", lid)
 
-    key = type_name.casefold()
-    if key in acc.pou_names or acc.context.is_fb(type_name):
-        ports = {p for p in inbound.get(lid, set()) if p != "eno"}
-        callee = el.get("instanceName", "") or type_name
-        acc.fixed_calls.append(CallSite(callee, args, len(ports)))
+    ports = {p for p in inbound.get(lid, ()) if p != "eno"}
+    acc.blocks.append((type_name, instance or type_name, args, len(ports)))
 
 
 def _walk_contact(acc: _Acc, el: ET.Element, lid: str) -> None:
@@ -504,103 +502,72 @@ def _check_reachability(acc, step_names: dict[str, str], edges: dict[str, set[st
 # ------------------------- POU extraction -------------------------
 
 
+def walk_pous(root: ET.Element, path: str) -> list[WalkedPou]:
+    """Pass 1 for one document: read the interface and walk the body of
+    every <pou>, in document order, so that the tree can be dropped.  A
+    POU without a name, or whose interface types or ST fragments do not
+    parse, keeps only its error."""
+    walked: list[WalkedPou] = []
+    for pou_el in root.iter("pou"):
+        name = pou_el.get("name", "")
+        try:
+            if not name:
+                raise ParseError("pou without a name skipped", path)
+            walked.append(_walk_pou(pou_el, name, path))
+        except ParseError as exc:
+            error = (exc.message, exc.path, exc.line, exc.column, exc.element)
+            walked.append(WalkedPou(name, SourceRef(path), error=error))
+    return walked
+
+
+def _walk_pou(pou_el: ET.Element, name: str, path: str) -> WalkedPou:
+    kind = _POU_TYPE_MAP.get(pou_el.get("pouType", "").casefold(), PouKind.PROGRAM)
+    decls, return_spec, has_interface = _interface_vars(pou_el, path)
+    acc = _Acc(path=path, pou=name)
+    if not has_interface:
+        # With no declarations, no declaration warning comes before this.
+        acc.warn("missing-interface", "pou has no interface element")
+    body_el = pou_el.find("body")
+    content = [] if body_el is None else [c for c in body_el if c.tag not in ("documentation", "addData")]
+    lang_el = next((c for c in content if c.tag in _BODY_LANGUAGES or c.tag == "IL"), None)
+    language: Language | None = Language.ST
+    if lang_el is not None and lang_el.tag == "IL":
+        acc.warn("il-body-skipped", "IL body is not supported; pou skipped")
+        language = None
+    elif lang_el is not None:
+        language = _BODY_LANGUAGES[lang_el.tag]
+        if language is Language.ST:
+            st_fragment_facts(_text_of(lang_el), path, into=acc)
+        else:
+            _walk_network(acc, lang_el, language, pou_el)
+    elif content:
+        # a body with content in no language we know is skipped,
+        # not reported as an empty POU with zero complexity
+        acc.warn("body-language-unsupported", "body language %r is not supported; pou skipped" % content[-1].tag)
+        language = None
+    return_spec = return_spec if kind is PouKind.FUNCTION else None
+    ref = SourceRef(path, element=pou_el.get("globalId", ""))
+    return WalkedPou(name, ref, kind, language, decls, return_spec, acc)
+
+
 def extract_pous(
-    root: ET.Element,
-    path: str,
+    walked: list[WalkedPou],
     context: TypeContext,
     global_names: frozenset[str],
     pou_names: frozenset[str],
 ) -> tuple[list[Pou], list[AnalysisWarning]]:
-    """Second pass: build IR POUs from every <pou> in the document.
-
+    """Pass 2: build IR POUs from one document's walked <pou>s.
     `pou_names` holds the casefolded names of every POU in the whole
-    input set so blocks that invoke them become call sites.  A POU whose
-    interface types or ST fragments do not parse is skipped with a
-    warning; the other POUs of the document are still extracted.
-    """
+    input set, so blocks that invoke them become call sites."""
     pous: list[Pou] = []
     warnings: list[AnalysisWarning] = []
-
-    for pou_el in root.iter("pou"):
-        name = pou_el.get("name", "")
-        if not name:
-            warnings.append(AnalysisWarning("pou-parse-error", "pou without a name skipped", path, ""))
-            continue
+    for w in walked:
         try:
-            pou, ws = _extract_pou(pou_el, name, path, context, global_names, pou_names)
+            pou, ws = parse_pou_unit(w, context, global_names, pou_names)
         except ParseError as exc:
-            warnings.append(AnalysisWarning("pou-parse-error", exc.detail, path, name))
+            warnings.append(AnalysisWarning("pou-parse-error", exc.detail, exc.path, w.name))
             continue
         warnings.extend(ws)
         if pou is not None:
             pous.append(pou)
-
     return pous, warnings
-
-
-def _extract_pou(
-    pou_el: ET.Element,
-    name: str,
-    path: str,
-    context: TypeContext,
-    global_names: frozenset[str],
-    pou_names: frozenset[str],
-) -> tuple[Pou | None, list[AnalysisWarning]]:
-    """One <pou> as IR plus its warnings; None when its body language is
-    skipped."""
-    warnings: list[AnalysisWarning] = []
-    kind = _POU_TYPE_MAP.get(pou_el.get("pouType", "").casefold(), PouKind.PROGRAM)
-
-    raw_vars, return_spec, has_interface = _interface_vars(pou_el, path)
-    if not has_interface:
-        warnings.append(AnalysisWarning("missing-interface", "pou has no interface element", path, name))
-
-    variables, ws = context.declare(name, raw_vars, return_spec if kind is PouKind.FUNCTION else None)
-    warnings.extend(ws)
-
-    body_el = pou_el.find("body")
-    language = Language.ST
-    acc = _Acc(path=path, pou=name, pou_names=pou_names, context=context)
-    if body_el is not None:
-        lang_el = None
-        stray = None
-        for child in body_el:
-            if child.tag in _BODY_LANGUAGES or child.tag == "IL":
-                lang_el = child
-                break
-            if child.tag not in ("documentation", "addData"):
-                stray = child.tag
-        if lang_el is None:
-            # a body with content in no language we know is skipped,
-            # not reported as an empty POU with zero complexity
-            if stray is not None:
-                warnings.append(
-                    AnalysisWarning(
-                        "body-language-unsupported",
-                        "body language %r is not supported; pou skipped" % stray,
-                        path,
-                        name,
-                    )
-                )
-                return None, warnings
-        elif lang_el.tag == "IL":
-            warnings.append(AnalysisWarning("il-body-skipped", "IL body is not supported; pou skipped", path, name))
-            return None, warnings
-        else:
-            language = _BODY_LANGUAGES[lang_el.tag]
-            if language is Language.ST:
-                st_fragment_facts(_text_of(lang_el), path, into=acc)
-            else:
-                _walk_network(acc, lang_el, language, pou_el)
-
-    warnings.extend(acc.warnings)
-    body = finalize_body(acc, variables, context, global_names, acc.fixed_calls)
-    pou = Pou(
-        name=name,
-        kind=kind,
-        language=language,
-        variables=tuple(variables),
-        body=body,
-        source_ref=SourceRef(path, element=pou_el.get("globalId", "")),
-    )
-    return pou, warnings

@@ -102,8 +102,7 @@ class LineTable:
     """Line and column of offsets into one source text.  The table of
     line starts is built on the first lookup, so a text whose positions
     are never reported never pays for it; the text is dropped then, and
-    the table is a compact array, because every unit of a file keeps it
-    until its POU is parsed."""
+    the table is a compact array."""
 
     __slots__ = ("_text", "_starts")
 
@@ -205,9 +204,13 @@ class _BodyResult:
     tokens: list[Token] = field(default_factory=list)
     decisions: list[DecisionSpan] = field(default_factory=list)
     calls: list[_RawCall] = field(default_factory=list)
+    # Graphical blocks as (type name, callee, arguments, distinct returns
+    # used); those whose type is a POU or FB of the sample become calls.
+    blocks: list[tuple[str, str, int, int]] = field(default_factory=list)
     reads: set[str] = field(default_factory=set)
     writes: set[str] = field(default_factory=set)
     member_reads: set[tuple[str, str]] = field(default_factory=set)
+    warnings: list[AnalysisWarning] = field(default_factory=list)
     depth: int = 0
 
 
@@ -948,30 +951,26 @@ def interface_of_unit(unit: StUnit, path: str) -> tuple[str, PouKind, list[RawDe
     return name, kind, decls, return_spec, cur.i
 
 
-def fb_instance_map(variables, context: TypeContext) -> dict[str, frozenset[str]]:
-    """Map casefolded FB-instance names to their output member names."""
-    return {
-        v.name.casefold(): context.fb_output_names(v.type_name)
-        for v in variables
-        if context.is_fb(v.type_name)
-    }
-
-
 def finalize_body(
     res: _BodyResult,
     variables,
     context: TypeContext,
     global_names: frozenset[str],
-    fixed_calls: list[CallSite] | tuple[CallSite, ...] = (),
+    pou_names: frozenset[str] = frozenset(),
 ) -> BodyFacts:
     """Turn a POU's collector into BodyFacts for the POU's declarations:
     add the distinct outputs read back from each FB instance to the
-    instance's first call, append `fixed_calls` (graphical call sites
-    whose counts are already final) and keep only genuinely external
-    reads and writes."""
-    outputs = fb_instance_map(variables, context)
+    instance's first call, append the blocks whose type is in `pou_names`
+    or an FB, and keep only genuinely external reads and writes."""
+    # casefolded FB instance name -> the FB's output member names
+    outputs = {v.name.casefold(): context.fb_output_names(v.type_name) for v in variables if context.is_fb(v.type_name)}
     pending = Counter(inst for inst, member in res.member_reads if member in outputs.get(inst, ()))
     calls = [CallSite(c.callee, c.args, c.returns + pending.pop(c.key, 0)) for c in res.calls]
+    calls += [
+        CallSite(callee, args, returns)
+        for type_name, callee, args, returns in res.blocks
+        if type_name.casefold() in pou_names or context.is_fb(type_name)
+    ]
     candidates = set(global_names)
     candidates.update(
         v.name.casefold() for v in variables if v.section in (VarSection.EXTERNAL, VarSection.GLOBAL)
@@ -979,31 +978,70 @@ def finalize_body(
     return BodyFacts.build(
         tokens=res.tokens,
         decisions=res.decisions,
-        calls=calls + list(fixed_calls),
+        calls=calls,
         external_reads=external_filter(res.reads, candidates, "im"),
         external_writes=external_filter(res.writes, candidates, "qm"),
     )
 
 
+@dataclass(slots=True)
+class WalkedPou:
+    """A POU as pass 1 leaves it, with none of its tokens or XML elements:
+    its declarations, where it starts and the collector its body walks
+    filled.  `language` is None when the body's language is not analyzed,
+    and `body.warnings` then ends with the warning that says so.  `error`
+    holds the arguments of the ParseError that stopped the walk: plain
+    values, which no traceback outlives."""
+
+    name: str
+    source_ref: SourceRef
+    kind: PouKind = PouKind.PROGRAM
+    language: Language | None = Language.ST
+    decls: list[RawDecl] = field(default_factory=list)
+    return_spec: TypeSpec | None = None
+    body: _BodyResult = field(default_factory=_BodyResult)
+    error: tuple[str, str, int, int, str] | None = None
+
+
+def walk_pou_unit(unit: StUnit, path: str) -> WalkedPou:
+    """Pass 1 for one POU unit: parse its declarations once (a ParseError
+    there propagates) and walk its body, which needs no other file.  A
+    body that does not parse still leaves the POU's name and interface
+    to the sample."""
+    name, kind, decls, return_spec, body_start = interface_of_unit(unit, path)
+    head = SourceRef(path, *unit.lines.position(unit.tokens[0].offset))
+    walked = WalkedPou(name, head, kind, Language.ST, decls, return_spec)
+    try:
+        # Everything between the declarations and the closing keyword is body.
+        _BodyParser(unit.tokens[body_start:-1], path, unit.lines, walked.body, unit.tokens[-1]).parse_body()
+    except ParseError as exc:
+        walked.error = (exc.message, exc.path, exc.line, exc.column, exc.element)
+    return walked
+
+
 def parse_pou_unit(
-    unit: StUnit,
-    path: str,
+    walked: WalkedPou,
     context: TypeContext,
     global_names: frozenset[str],
-) -> tuple[Pou, list[AnalysisWarning]]:
-    """Parse one already-sliced POU unit into the IR."""
-    name, kind, decls, return_spec, body_start = interface_of_unit(unit, path)
-    head = unit.tokens[0]
-    variables, warnings = context.declare(name, decls, return_spec)
-    # Everything between the declarations and the closing keyword is body.
-    res = _BodyParser(unit.tokens[body_start:-1], path, unit.lines, _BodyResult(), unit.tokens[-1]).parse_body()
+    pou_names: frozenset[str] = frozenset(),
+) -> tuple[Pou | None, list[AnalysisWarning]]:
+    """Pass 2 for one walked POU: classify its declarations against the
+    whole sample's types and finish its body facts.  Its pass-1 error is
+    raised again, before any declaration is classified.  A POU whose body
+    language is not analyzed gives only its warnings."""
+    if walked.error is not None:
+        raise ParseError(*walked.error)
+    variables, warnings = context.declare(walked.name, walked.decls, walked.return_spec)
+    warnings += walked.body.warnings
+    if walked.language is None:
+        return None, warnings
     pou = Pou(
-        name=name,
-        kind=kind,
-        language=Language.ST,
+        name=walked.name,
+        kind=walked.kind,
+        language=walked.language,
         variables=tuple(variables),
-        body=finalize_body(res, variables, context, global_names),
-        source_ref=SourceRef(path, *unit.lines.position(head.offset)),
+        body=finalize_body(walked.body, variables, context, global_names, pou_names),
+        source_ref=walked.source_ref,
     )
     return pou, warnings
 
@@ -1024,7 +1062,7 @@ def parse_st_pou(
     units = [u for u in split_st_units(source) if u.kind == "pou"]
     if len(units) != 1:
         raise ParseError("expected exactly one POU, found %d" % len(units), source.path)
-    return parse_pou_unit(units[0], source.path, context, global_names)
+    return parse_pou_unit(walk_pou_unit(units[0], source.path), context, global_names)
 
 
 def external_filter(names: set[str], candidates: set[str], address_letters: str) -> frozenset[str]:

@@ -116,8 +116,8 @@ STANDARD_FBS: dict[str, tuple[FbMember, ...]] = {
 class TypeContext:
     """User TYPE definitions plus known function-block interfaces.
 
-    Built in a first pass over all input files, then consulted while the
-    POUs themselves are extracted.
+    Built in a first pass over all input files, then consulted in the
+    second, when each POU's declarations are classified.
     """
 
     definitions: dict[str, TypeSpec] = field(default_factory=dict)

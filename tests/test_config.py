@@ -178,3 +178,62 @@ def test_config_root_must_be_object(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(InvalidConfig):
         load_config(str(path))
+
+
+# ------------------------- odd values -------------------------
+
+
+def weight_error(value, error=InvalidConfig) -> str:
+    with pytest.raises(error) as err:
+        config_from_mapping({"weight_profiles": {"ST": [value, 0, 0, 0, 0, 0]}})
+    return str(err.value)
+
+
+def test_weight_string_length_is_bounded_before_parsing():
+    assert weight_error("0." + "0" * 98 + "1") == (
+        "weight_profiles.ST: weight '0." + "0" * 37 + "... is 101 characters long; at most 100 are allowed"
+    )
+    assert weight_error("0." + "0" * 97 + "1", WeightSumViolation) == (
+        "metric weights sum to about 10^-98, expected exactly 1"
+    )
+
+
+@pytest.mark.parametrize("value", ["1e101", "1E-101", " 1e+0101 ", "1e1_0_1", "1e10000"])
+def test_weight_exponent_is_bounded_before_parsing(value):
+    assert weight_error(value) == "weight_profiles.ST: weight %r has an exponent beyond 100 in magnitude" % value
+
+
+def test_weight_sum_message_shortens_large_numbers():
+    assert weight_error("1e100", WeightSumViolation) == "metric weights sum to about 10^100, expected exactly 1"
+    assert weight_error(10**4000, WeightSumViolation) == "metric weights sum to about 10^4000, expected exactly 1"
+    assert weight_error("1/3", WeightSumViolation) == "metric weights sum to 1/3, expected exactly 1"
+
+
+def test_weight_of_another_json_type_is_shortened():
+    assert weight_error([[1] * 30]) == (
+        "weight_profiles.ST: weight [[1" + ", 1" * 12 + ",... must be an int or a string;"
+        " floats would smuggle rounding error in"
+    )
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            b'{"weight_profiles": {"ST": [' + b"9" * 5000 + b', 0, 0, 0, 0, 0]}}',
+            "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits;"
+            " use sys.set_int_max_str_digits() to increase the limit",
+        ),
+        (b'{"normalize": "\xff"}', "'utf-8' codec can't decode byte 0xff in position 15: invalid start byte"),
+        (
+            b"[" * 100_000 + b"]" * 100_000,
+            "maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+        ),
+    ],
+)
+def test_load_config_turns_json_value_errors_into_invalid_config(tmp_path, data, message):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    with pytest.raises(InvalidConfig) as err:
+        load_config(str(path))
+    assert str(err.value) == "%s: %s" % (path, message)

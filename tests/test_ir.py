@@ -7,6 +7,7 @@ import json
 import shutil
 import tracemalloc
 import weakref
+from pathlib import Path
 
 from golden_ir import CORPUS, GOLDEN, canonical_ir
 from stgen import generate_program
@@ -136,26 +137,43 @@ def test_corpus_ir_matches_golden(corpus_sample):
 
 
 def test_load_frees_each_unit_and_xml_tree_once_its_pous_are_built(monkeypatch, tmp_path):
-    # Before each POU unit or XML tree is handled in pass 2, every one
-    # handled before it must already be gone.  The last file read holds
-    # several POUs, so pass 1's per-file state is checked too.
+    # Every ST unit and XML tree of a file must be gone before the next
+    # file is read.  The last file read holds several POUs, so the state
+    # pass 1 keeps between files is checked too.
     shutil.copytree(CORPUS, tmp_path, dirs_exist_ok=True)
     (tmp_path / "zz_last.st").write_text(
         "".join("PROGRAM Last%d\nx := %d;\nEND_PROGRAM\n" % (i, i) for i in range(3))
     )
-    for module, name in ((st, "parse_pou_unit"), (plcopen, "extract_pous")):
-        handled: list[weakref.ref] = []
-        alive_before: list[int] = []
+    expected_pous = len(load_sample([str(CORPUS)]).pous) + 3
+    made: list[weakref.ref] = []
+    alive_at_read: list[int] = []
 
-        def spy(first, *rest, real=getattr(module, name), handled=handled, alive_before=alive_before):
-            alive_before.append(sum(ref() is not None for ref in handled))
-            handled.append(weakref.ref(first))
-            return real(first, *rest)
+    def alive():
+        return sum(ref() is not None for ref in made)
 
-        monkeypatch.setattr(module, name, spy)
-        assert load_sample([str(tmp_path)]).pous
-        assert len(alive_before) > 1
-        assert set(alive_before) == {0}, name
+    def read_text(self, *args, real=Path.read_text, **kwargs):
+        alive_at_read.append(alive())
+        return real(self, *args, **kwargs)
+
+    def split_st_units(source, real=st.split_st_units):
+        units = real(source)
+        made.extend(weakref.ref(unit) for unit in units)
+        return units
+
+    def parse_xml(text, path="", real=plcopen.parse_xml):
+        root = real(text, path)
+        made.append(weakref.ref(root))
+        return root
+
+    monkeypatch.setattr(Path, "read_text", read_text)
+    monkeypatch.setattr(st, "split_st_units", split_st_units)
+    monkeypatch.setattr(plcopen, "parse_xml", parse_xml)
+    sample = load_sample([str(tmp_path)])
+    assert len(sample.pous) == expected_pous
+    assert len(alive_at_read) == len(list(tmp_path.rglob("*.*"))) - 2  # the two golden JSON files are not read
+    assert alive_at_read == [0] * len(alive_at_read)
+    assert alive() == 0
+    assert len(made) > len(alive_at_read)
 
 
 def test_load_sample_retains_under_100_bytes_per_body_token(tmp_path):

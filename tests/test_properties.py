@@ -25,6 +25,7 @@ from poumetrics import (
 from poumetrics.aggregate import median_of
 from poumetrics.cli import main
 from poumetrics.errors import UnterminatedComment, UnterminatedString
+from poumetrics.plcopen import _local_id_key
 from poumetrics.report import _json_text, fmt4, fmt4_ratio
 from poumetrics.st import LineTable, lex
 
@@ -279,6 +280,27 @@ def test_cli_on_mutated_corpus_files_exits_0_1_or_2(source, edits):
 @given(st_strat.sampled_from(["random.st", "random.xml"]), st_strat.binary(max_size=200))
 def test_cli_on_random_bytes_exits_0_1_or_2(name, data):
     assert cli_exit_code(name, data) in (0, 1, 2)
+
+
+DIGITS = st_strat.text(alphabet="0123456789", min_size=1, max_size=40)
+
+
+@settings(max_examples=500, derandomize=True)
+@given(DIGITS, DIGITS)
+def test_local_id_key_orders_ascii_digits_as_integers(a, b):
+    assert (_local_id_key(a) < _local_id_key(b)) == (int(a) < int(b))
+    assert (_local_id_key(a) == _local_id_key(b)) == (int(a) == int(b))
+
+
+@pytest.mark.parametrize("local_id", ["\u00b2", "\u0663", "9" * 5000, "0" * 4999 + "7", ""])
+def test_cli_on_odd_local_id_exits_0_1_or_2(tmp_path, capsys, local_id):
+    text = (CORPUS / "fbd_add.xml").read_text()
+    assert text.count('localId="3"') == 1
+    (tmp_path / "fbd_add.xml").write_text(text.replace('localId="3"', 'localId="%s"' % local_id))
+    assert main(["analyze", str(tmp_path)]) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    # Ids other than ASCII decimals sort after every ASCII decimal id.
+    assert (_local_id_key(local_id) > _local_id_key("9" * 5000)) == (not (local_id.isascii() and local_id.isdecimal()))
 
 
 # ------------------------- JSON report text -------------------------
