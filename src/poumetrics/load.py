@@ -2,9 +2,9 @@
 
 A sample may span many files: textual sources carrying POUs, TYPE blocks
 and VAR_GLOBAL lists, plus PLCopen XML projects.  Pass 1 reads one file
-at a time: it records the file's share of the cross-file knowledge (user
-types, FB interfaces, globals, the set of POU names), parses each POU's
-declarations once and walks its body, which needs no other file.  Only
+at a time: it parses each POU's declarations once, walks its body, which
+needs no other file, and records the file's share of the cross-file
+knowledge (user types, FB interfaces, globals, POU names).  Only
 these compact facts outlive the file's tokens or XML tree.  Pass 2,
 once that knowledge is complete, classifies each POU's declarations and
 resolves its body facts against them.
@@ -128,11 +128,12 @@ def load_sample(paths, array_sub_cap: int | None = None) -> LoadedSample:
 
 def _walk_xml_file(text, label, context, global_names) -> list[st.WalkedPou]:
     """Pass 1 for one PLCopen file, which is skipped whole when it is
-    malformed or its types or FB interfaces do not parse."""
+    malformed or a data type or FB interface does not parse."""
     root = plcopen.parse_xml(text, label)
-    plcopen.register_project_types(root, context, label)
+    walked = plcopen.walk_pous(root, label)
+    plcopen.register_project_types(root, walked, context, label)
     global_names.update(plcopen.project_global_names(root))
-    return plcopen.walk_pous(root, label)
+    return walked
 
 
 def _walk_st_file(text, label, context, global_names, warnings) -> list[st.WalkedPou]:

@@ -23,10 +23,11 @@ Counting rules for graphical languages:
 Every walk of one POU, network or ST fragment, writes into one
 collector, the POU's `_Acc` (an `st._BodyResult`).  `walk_pous` fills
 them in pass 1, while the document's tree is alive; no walk needs other
-files.  `extract_pous` then, in pass 2, resolves each POU with
-`st.parse_pou_unit`, as for an ST POU: it classifies the declarations,
-keeps as calls the blocks whose type is a POU or FB of the whole sample,
-and applies the declarations to the collector once.
+files.  It alone reads each <interface>, and `register_project_types`
+takes the FB interfaces from its records.  `extract_pous` then, in pass
+2, resolves each POU with `st.parse_pou_unit`, as for an ST POU: it
+classifies the declarations, keeps as calls the blocks whose type is a
+POU or FB of the whole sample, and applies the declarations once.
 """
 
 from __future__ import annotations
@@ -147,15 +148,9 @@ def _array_bound(text: str, path: str) -> int:
         raise ParseError("array bound %r is not an integer" % text, path) from None
 
 
-def _interface_vars(pou_el: ET.Element, path: str) -> tuple[list[RawDecl], TypeSpec | None, bool]:
-    """Collect declared variables and the return type of one <pou>.
-
-    The last element reports whether an <interface> element was present
-    at all, so callers can warn about POUs that lack one.
-    """
-    interface = pou_el.find("interface")
-    if interface is None:
-        return [], None, False
+def _interface_vars(interface: ET.Element, path: str) -> tuple[list[RawDecl], TypeSpec | None]:
+    """Collect the declared variables and the return type of one
+    <interface>."""
     out: list[RawDecl] = []
     return_spec: TypeSpec | None = None
     for section_el in interface:
@@ -168,28 +163,26 @@ def _interface_vars(pou_el: ET.Element, path: str) -> tuple[list[RawDecl], TypeS
             continue
         for var in section_el.findall("variable"):
             out.append(RawDecl(var.get("name", ""), section, _type_spec_of(var.find("type"), path)))
-    return out, return_spec, True
+    return out, return_spec
 
 
-def register_project_types(root: ET.Element, context: TypeContext, path: str) -> None:
-    """First pass: feed user data types and FB interfaces into `context`.
-    Every spec is built before any is recorded, so a document whose types
-    do not parse records none of them."""
+def register_project_types(root: ET.Element, walked: list[WalkedPou], context: TypeContext, path: str) -> None:
+    """Feed the document's data types, and the interfaces `walk_pous` read
+    of its function blocks, into `context`.  A data type that does not
+    parse, or else the first FB interface, raises before any is recorded."""
     types = [
         (dt.get("name"), _type_spec_of(dt.find("baseType"), path))
         for dt in root.iter("dataType")
         if dt.get("name")
     ]
-    fbs = [
-        (pou_el.get("name"), _interface_vars(pou_el, path)[0])
-        for pou_el in root.iter("pou")
-        if pou_el.get("name")
-        and _POU_TYPE_MAP.get(pou_el.get("pouType", "").casefold()) is PouKind.FUNCTION_BLOCK
-    ]
+    fbs = [w for w in walked if w.kind is PouKind.FUNCTION_BLOCK and w.name]
+    for w in fbs:
+        if w.decls is None:
+            raise ParseError(*w.error)
     for name, spec in types:
         context.define(name, spec)
-    for name, decls in fbs:
-        context.register_fb(name, decls)
+    for w in fbs:
+        context.register_fb(w.name, w.decls)
 
 
 def project_global_names(root: ET.Element) -> list[str]:
@@ -505,49 +498,48 @@ def _check_reachability(acc, step_names: dict[str, str], edges: dict[str, set[st
 def walk_pous(root: ET.Element, path: str) -> list[WalkedPou]:
     """Pass 1 for one document: read the interface and walk the body of
     every <pou>, in document order, so that the tree can be dropped.  A
-    POU without a name, or whose interface types or ST fragments do not
-    parse, keeps only its error."""
+    POU without a name, or whose interface does not parse, keeps its kind
+    and error, with `decls` None; a failed body keeps the interface too."""
     walked: list[WalkedPou] = []
     for pou_el in root.iter("pou"):
         name = pou_el.get("name", "")
+        kind = _POU_TYPE_MAP.get(pou_el.get("pouType", "").casefold(), PouKind.PROGRAM)
+        pou = WalkedPou(name, SourceRef(path, element=pou_el.get("globalId", "")), kind, decls=None)
         try:
             if not name:
                 raise ParseError("pou without a name skipped", path)
-            walked.append(_walk_pou(pou_el, name, path))
+            _walk_pou(pou, pou_el, path)
         except ParseError as exc:
-            error = (exc.message, exc.path, exc.line, exc.column, exc.element)
-            walked.append(WalkedPou(name, SourceRef(path), error=error))
+            pou.error = (exc.message, exc.path, exc.line, exc.column, exc.element)
+        walked.append(pou)
     return walked
 
 
-def _walk_pou(pou_el: ET.Element, name: str, path: str) -> WalkedPou:
-    kind = _POU_TYPE_MAP.get(pou_el.get("pouType", "").casefold(), PouKind.PROGRAM)
-    decls, return_spec, has_interface = _interface_vars(pou_el, path)
-    acc = _Acc(path=path, pou=name)
-    if not has_interface:
+def _walk_pou(pou: WalkedPou, pou_el: ET.Element, path: str) -> None:
+    acc = pou.body = _Acc(path=path, pou=pou.name)
+    interface = pou_el.find("interface")
+    if interface is None:
         # With no declarations, no declaration warning comes before this.
         acc.warn("missing-interface", "pou has no interface element")
+    pou.decls, return_spec = ([], None) if interface is None else _interface_vars(interface, path)
+    pou.return_spec = return_spec if pou.kind is PouKind.FUNCTION else None
     body_el = pou_el.find("body")
     content = [] if body_el is None else [c for c in body_el if c.tag not in ("documentation", "addData")]
     lang_el = next((c for c in content if c.tag in _BODY_LANGUAGES or c.tag == "IL"), None)
-    language: Language | None = Language.ST
     if lang_el is not None and lang_el.tag == "IL":
         acc.warn("il-body-skipped", "IL body is not supported; pou skipped")
-        language = None
+        pou.language = None
     elif lang_el is not None:
-        language = _BODY_LANGUAGES[lang_el.tag]
-        if language is Language.ST:
+        pou.language = _BODY_LANGUAGES[lang_el.tag]
+        if pou.language is Language.ST:
             st_fragment_facts(_text_of(lang_el), path, into=acc)
         else:
-            _walk_network(acc, lang_el, language, pou_el)
+            _walk_network(acc, lang_el, pou.language, pou_el)
     elif content:
         # a body with content in no language we know is skipped,
         # not reported as an empty POU with zero complexity
         acc.warn("body-language-unsupported", "body language %r is not supported; pou skipped" % content[-1].tag)
-        language = None
-    return_spec = return_spec if kind is PouKind.FUNCTION else None
-    ref = SourceRef(path, element=pou_el.get("globalId", ""))
-    return WalkedPou(name, ref, kind, language, decls, return_spec, acc)
+        pou.language = None
 
 
 def extract_pous(

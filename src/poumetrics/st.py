@@ -718,6 +718,13 @@ _POU_KINDS = {
     "ORGANIZATION_BLOCK": (PouKind.ORGANIZATION_BLOCK, "END_ORGANIZATION_BLOCK"),
 }
 
+# The keyword that opens a top-level unit -> its kind and closing keyword.
+_UNIT_ENDS = {
+    **{word: ("pou", end_kw) for word, (_, end_kw) in _POU_KINDS.items()},
+    "TYPE": ("types", "END_TYPE"),
+    "VAR_GLOBAL": ("globals", "END_VAR"),
+}
+
 _VAR_SECTIONS = {
     "VAR_INPUT": VarSection.INPUT,
     "VAR_OUTPUT": VarSection.OUTPUT,
@@ -758,18 +765,10 @@ def split_st_units(source: StSource) -> list[StUnit]:
     while i < len(toks):
         t = toks[i]
         word = t.key
-        if word in _POU_KINDS:
-            end_kw = _POU_KINDS[word][1]
+        if word in _UNIT_ENDS:
+            kind, end_kw = _UNIT_ENDS[word]
             j = _find_kw(toks, i + 1, end_kw, source.path, lines, t)
-            units.append(StUnit("pou", tuple(toks[i : j + 1]), lines))
-            i = j + 1
-        elif word == "TYPE":
-            j = _find_kw(toks, i + 1, "END_TYPE", source.path, lines, t)
-            units.append(StUnit("types", tuple(toks[i : j + 1]), lines))
-            i = j + 1
-        elif word == "VAR_GLOBAL":
-            j = _find_kw(toks, i + 1, "END_VAR", source.path, lines, t)
-            units.append(StUnit("globals", tuple(toks[i : j + 1]), lines))
+            units.append(StUnit(kind, tuple(toks[i : j + 1]), lines))
             i = j + 1
         elif word == ";":
             i += 1
@@ -991,13 +990,14 @@ class WalkedPou:
     filled.  `language` is None when the body's language is not analyzed,
     and `body.warnings` then ends with the warning that says so.  `error`
     holds the arguments of the ParseError that stopped the walk: plain
-    values, which no traceback outlives."""
+    values, which no traceback outlives.  `decls` is None when the walk
+    stopped before the declarations; a failed body keeps them."""
 
     name: str
     source_ref: SourceRef
     kind: PouKind = PouKind.PROGRAM
     language: Language | None = Language.ST
-    decls: list[RawDecl] = field(default_factory=list)
+    decls: list[RawDecl] | None = field(default_factory=list)
     return_spec: TypeSpec | None = None
     body: _BodyResult = field(default_factory=_BodyResult)
     error: tuple[str, str, int, int, str] | None = None

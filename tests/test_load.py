@@ -7,7 +7,7 @@ from pathlib import Path
 
 from golden_ir import CORPUS
 from poumetrics import CallSite, load_sample
-from poumetrics import st
+from poumetrics import plcopen, st
 
 XML_HEAD = (
     '<?xml version="1.0" encoding="utf-8"?>'
@@ -124,15 +124,52 @@ def test_warnings_and_pous_keep_their_order_across_files(tmp_path):
 
 
 def test_interface_of_unit_runs_once_per_st_pou_unit(monkeypatch):
+    """Each ST POU's declarations and each XML <pou>'s <interface> are
+    read once, although function blocks also lend theirs to the sample."""
     calls = []
     real = st.interface_of_unit
+    real_xml = plcopen._interface_vars
 
     def counting(unit, path):
         calls.append(path)
         return real(unit, path)
 
+    xml_calls = []
+
+    def counting_xml(interface, path):
+        xml_calls.append(path)
+        return real_xml(interface, path)
+
     monkeypatch.setattr(st, "interface_of_unit", counting)
+    monkeypatch.setattr(plcopen, "_interface_vars", counting_xml)
     sample = load_sample([str(CORPUS)])
     st_pous = [p for p in sample.pous if p.source_ref.path.endswith(".st")]
     assert len(st_pous) > 1
     assert len(calls) == len(st_pous)
+    xml_pous = sum(len(list(plcopen.parse_xml(p.read_text()).iter("pou"))) for p in CORPUS.glob("*.xml"))
+    assert len(xml_calls) == xml_pous == 8
+
+
+def test_function_block_whose_body_fails_still_lends_its_interface(tmp_path):
+    (tmp_path / "a.st").write_text(
+        "FUNCTION_BLOCK StBad\nVAR_INPUT i : INT; END_VAR\nx := ;\nEND_FUNCTION_BLOCK\n"
+        "PROGRAM StUser\nVAR g : StBad; END_VAR\ng(i := 1);\nEND_PROGRAM\n"
+    )
+    (tmp_path / "b.xml").write_text(
+        XML_HEAD
+        + '<pou name="BadBodyFb" pouType="functionBlock"><interface>'
+        '<inputVars><variable name="A"><type><INT/></type></variable>'
+        '<variable name="B"><type><INT/></type></variable></inputVars>'
+        '<outputVars><variable name="Q"><type><INT/></type></variable></outputVars>'
+        "</interface><body><ST>x := ;</ST></body></pou>"
+        + '<pou name="XmlUser" pouType="program">%s<body><ST>f(A := 1);</ST></body></pou>'
+        % local_var("f", '<derived name="BadBodyFb"/>')
+        + XML_TAIL
+    )
+    sample = load_sample([str(tmp_path)])
+    assert [p.name for p in sample.pous] == ["StUser", "XmlUser"]
+    assert {v.name: len(v.sub_variables) for p in sample.pous for v in p.variables} == {"g": 1, "f": 3}
+    assert [(w.code, w.pou) for w in sample.warnings] == [
+        ("pou-parse-error", "StBad"),
+        ("pou-parse-error", "BadBodyFb"),
+    ]

@@ -187,22 +187,31 @@ def test_type_nesting_past_the_limit_skips_the_file(tmp_path, where):
 
 
 def bad_bound_doc(where):
-    """POUs Bad and Good, where an array type with the lower bound `a`
-    sits in a <dataType> Bad uses, in Bad's interface with Bad a function
-    block, or in Bad's interface with Bad a program; for "reversed" an
-    array with the bounds 5..1 sits in Bad's interface, Bad a program."""
-    lower, upper = ("5", "1") if where == "reversed" else ("a", "2")
-    array = '<array><dimension lower="%s" upper="%s"/><baseType><INT/></baseType></array>' % (lower, upper)
+    """POUs Bad and Good, and maybe a <dataType> T.  "data-type": T is an
+    array with the lower bound `a` and Bad, a program, declares a T.
+    "fb-interface" and "interface": that array sits in Bad's interface,
+    Bad a function block or a program.  "reversed": an array with the
+    bounds 5..1 sits in Bad's interface, Bad a program.
+    "data-type+fb-interface": the bad T, and Bad a function block with
+    the reversed array.  "good-type+fb-interface": T is a valid INT, and
+    Bad as in "fb-interface"."""
+    array = '<array><dimension lower="%s" upper="%s"/><baseType><INT/></baseType></array>'
+    bad, reversed_ = array % ("a", "2"), array % ("5", "1")
+    data_type, pou_type, var_type = {
+        "data-type": (bad, "program", '<derived name="T"/>'),
+        "fb-interface": (None, "functionBlock", bad),
+        "interface": (None, "program", bad),
+        "reversed": (None, "program", reversed_),
+        "data-type+fb-interface": (bad, "functionBlock", reversed_),
+        "good-type+fb-interface": ("<INT/>", "functionBlock", bad),
+    }[where]
     body = '<ST><xhtml xmlns="http://www.w3.org/1999/xhtml">x := 1;</xhtml></ST>'
     iface = '<interface><localVars><variable name="v"><type>%s</type></variable></localVars></interface>'
-    good = pou_xml("Good", "program", body)
-    if where == "data-type":
-        data_type = '<dataTypes><dataType name="BadT"><baseType>%s</baseType></dataType></dataTypes>' % array
-        return doc(pou_xml("Bad", "program", body, iface % '<derived name="BadT"/>') + good).replace(
-            "<dataTypes/>", data_type
-        )
-    pou_type = "functionBlock" if where == "fb-interface" else "program"
-    return doc(pou_xml("Bad", pou_type, body, iface % array) + good)
+    text = doc(pou_xml("Bad", pou_type, body, iface % var_type) + pou_xml("Good", "program", body))
+    if data_type is None:
+        return text
+    data_types = '<dataTypes><dataType name="T"><baseType>%s</baseType></dataType></dataTypes>'
+    return text.replace("<dataTypes/>", data_types % data_type)
 
 
 @pytest.mark.parametrize(
@@ -212,6 +221,10 @@ def bad_bound_doc(where):
         ("fb-interface", [], ""),
         ("interface", ["Good"], "Bad"),
         ("reversed", ["Good"], "Bad"),
+        # A bad data type is reported before a bad FB interface.
+        ("data-type+fb-interface", [], ""),
+        # A file skipped whole records none of its data types.
+        ("good-type+fb-interface", [], ""),
     ],
 )
 def test_array_bound_that_is_not_an_integer_is_a_parse_error(tmp_path, where, kept, skipped):
@@ -222,6 +235,7 @@ def test_array_bound_that_is_not_an_integer_is_a_parse_error(tmp_path, where, ke
         assert sample.warnings[0].message == "array lower bound 5 exceeds upper bound 1"
     else:
         assert sample.warnings[0].message == "array bound 'a' is not an integer"
+    assert sample.context.lookup("T") is None
 
 
 def deep_inline_doc(depth, inner="<FBD/>"):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import html
 import io
 import json
 import re
@@ -261,25 +262,31 @@ def mutated(data: bytes, edits) -> bytes:
     return bytes(buf)
 
 
-def cli_exit_code(name: str, data: bytes) -> int:
-    """Run `analyze` on one file holding `data`, output discarded."""
+def cli_run(files: dict[str, bytes], *options: str) -> tuple[int, str]:
+    """Run `analyze` on the directory `src` of a temporary directory
+    holding `files`, with `options`, where "{tmp}" stands for that
+    directory; return the exit code and what went to stderr."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / name
-        path.write_bytes(data)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return main(["analyze", str(path)])
+        for name, data in files.items():
+            path = Path(tmp) / name
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["analyze", str(Path(tmp) / "src"), *[o.replace("{tmp}", tmp) for o in options]])
+    return code, err.getvalue()
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(st_strat.sampled_from(CORPUS_FILES), EDITS)
 def test_cli_on_mutated_corpus_files_exits_0_1_or_2(source, edits):
-    assert cli_exit_code(source.name, mutated(source.read_bytes(), edits)) in (0, 1, 2)
+    assert cli_run({"src/" + source.name: mutated(source.read_bytes(), edits)})[0] in (0, 1, 2)
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(st_strat.sampled_from(["random.st", "random.xml"]), st_strat.binary(max_size=200))
 def test_cli_on_random_bytes_exits_0_1_or_2(name, data):
-    assert cli_exit_code(name, data) in (0, 1, 2)
+    assert cli_run({"src/" + name: data})[0] in (0, 1, 2)
 
 
 DIGITS = st_strat.text(alphabet="0123456789", min_size=1, max_size=40)
@@ -471,3 +478,109 @@ def test_lex_matches_reference_on_mutated_corpus_files(source, edits, comment_po
         i = position % (len(text) + 1)
         text = text[:i] + NESTED_COMMENT + text[i:]
     assert_lexes_like_reference(text)
+
+
+# ------------------- one odd attribute or config value -------------------
+
+
+FUZZED_ATTRIBUTES = (
+    "localId", "refLocalId", "formalParameter", "negated", "typeName",
+    "instanceName", "lower", "upper", "pouType",
+)
+XML_SOURCES = {p.name: p.read_text() for p in CORPUS_FILES if p.suffix == ".xml"}
+# The corpus declares no XML array, so one copy gives the FB FbdAdd an
+# array input for `lower` and `upper`.
+XML_SOURCES["fbd_add_array.xml"] = XML_SOURCES["fbd_add.xml"].replace(
+    '<variable name="in1"><type><INT/></type></variable>',
+    '<variable name="in1"><type><array><dimension lower="1" upper="4"/>'
+    "<baseType><INT/></baseType></array></type></variable>",
+)
+# Attribute -> every (file, start, end) of one of its values.
+ATTRIBUTE_SITES: dict[str, list[tuple[str, int, int]]] = {}
+for _name, _text in XML_SOURCES.items():
+    for _m in re.finditer(r'\b(%s)="([^"]*)"' % "|".join(FUZZED_ATTRIBUTES), _text):
+        ATTRIBUTE_SITES.setdefault(_m.group(1), []).append((_name, _m.start(2), _m.end(2)))
+# Drawing the attribute first gives each the same share of examples; one
+# that the sources lack fails the draw.
+ATTRIBUTE_SITE = st_strat.sampled_from(FUZZED_ATTRIBUTES).flatmap(lambda a: st_strat.sampled_from(ATTRIBUTE_SITES[a]))
+
+ODD_TEXT = st_strat.one_of(
+    st_strat.sampled_from(
+        ["", " ", "\t", " 1 ", "-1", "0", "+3", "1_0", "true", "TRUE", "false", "?",
+         "functionBlock", "FUNCTION", "program", "function", "%IX0.0", "EN", "ENO"]
+    ),
+    st_strat.text(st_strat.sampled_from("0123456789\u00b2\u0663\uff11 -"), max_size=6),
+    st_strat.integers(min_value=1, max_value=6000).map(lambda n: "9" * n),
+    st_strat.integers(min_value=1, max_value=6000).map(lambda n: "-" + "9" * n),
+    st_strat.text(st_strat.characters(blacklist_categories=("Cs", "Cc")), max_size=12),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(ATTRIBUTE_SITE, ODD_TEXT)
+def test_cli_on_one_odd_attribute_value_exits_0_1_or_2(site, value):
+    name, start, end = site
+    text = XML_SOURCES[name]
+    code, err = cli_run({"src/" + name: (text[:start] + html.escape(value) + text[end:]).encode()})
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+BASE_CONFIG = {
+    "weight_profiles": {"default": ["1/6"] * 6, "SFC": ["1/4", "1/4", "0.125", "1/8", "1/8", 0]},
+    "weight_table": {"interface_simple": 3, "sub_complex": 2},
+    "array_sub_cap": 1000,
+    "grouping": "per-language",
+    "normalize": True,
+    "annotations": {"FbdAdd": "adder"},
+}
+
+
+def json_paths(value, path=()):
+    """Every path to a value inside `value`, containers included."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from json_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from json_paths(item, path + (i,))
+
+
+CONFIG_PATHS = list(json_paths(BASE_CONFIG))
+_NEST = st_strat.integers(min_value=1, max_value=1200)
+# Raw JSON texts: json.dumps cannot write an int past 4300 digits.
+ODD_JSON = st_strat.one_of(
+    st_strat.sampled_from(
+        ['"1/0"', '"0/0"', '"-1/6"', '"1e400"', '"1e-99"', '"1e1_0_1"', '"\u0661/\u0666"', '"\u00b2"',
+         '"nan"', '"inf"', "1e400", "-0.0", "true", "null", "[]", "{}", '""', "0", "-7"]
+    ),
+    st_strat.integers(min_value=1, max_value=6000).map(lambda n: "9" * n),
+    # Exponents past the bound, yet small enough that a missing bound
+    # costs seconds, not the machine.
+    st_strat.integers(min_value=-100_000, max_value=100_000).map(lambda n: '"1e%d"' % n),
+    _NEST.map(lambda n: "[" * n + "]" * n),
+    _NEST.map(lambda n: '{"a": ' * n + "1" + "}" * n),
+    st_strat.text(max_size=12).map(json.dumps),
+    st_strat.integers().map(str),
+)
+_HOLE = "\u0000hole"
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st_strat.sampled_from(CONFIG_PATHS), ODD_JSON)
+def test_cli_on_one_odd_config_value_exits_0_1_or_2(path, raw):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    if path:
+        holder = config
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = _HOLE
+        text = json.dumps(config).replace(json.dumps(_HOLE), raw)
+    else:
+        text = raw
+    files = {"src/" + p.name: p.read_bytes() for p in CORPUS_FILES}
+    files["cfg.json"] = text.encode()
+    code, err = cli_run(files, "--config", "{tmp}/cfg.json")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

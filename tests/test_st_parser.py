@@ -19,6 +19,7 @@ from poumetrics import (
     parse_st_pou,
     st_fragment_facts,
 )
+from poumetrics.st import split_st_units
 from poumetrics.typesys import TypeContext, TypeSpec, named
 
 
@@ -361,6 +362,23 @@ def test_parse_error_text(case):
     body, expected = ERROR_TEXTS[case]
     with pytest.raises(ParseError) as err:
         parse("PROGRAM P\n%s\nEND_PROGRAM" % body)
+    assert str(err.value) == expected
+
+
+# A unit whose closing keyword never comes is reported at its opening keyword.
+UNCLOSED_UNITS = {
+    "program": ("PROGRAM P\nx := 1;\n", "u.st:1:1: missing END_PROGRAM"),
+    "globals": (";\n  VAR_GLOBAL g : INT;\n", "u.st:2:3: missing END_VAR"),
+    "function-block": ("FUNCTION_BLOCK F\nVAR_INPUT a : INT; END_VAR\n", "u.st:1:1: missing END_FUNCTION_BLOCK"),
+    "types": ("TYPE T : INT; END_TYPE\n TYPE U : STRUCT a : INT; END_STRUCT;\n", "u.st:2:2: missing END_TYPE"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNCLOSED_UNITS))
+def test_unit_without_its_closing_keyword_is_a_parse_error(case):
+    text, expected = UNCLOSED_UNITS[case]
+    with pytest.raises(ParseError) as err:
+        split_st_units(StSource(path="u.st", text=text))
     assert str(err.value) == expected
 
 
