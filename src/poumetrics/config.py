@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 from .aggregate import Grouping, WeightProfile, default_profile
-from .errors import InvalidConfig
+from .errors import InvalidConfig, clip
 from .ir import Language
 from .metrics import DEFAULT_WEIGHT_TABLE, METRIC_KEYS, WeightTable
 
@@ -46,10 +46,6 @@ _MAX_WEIGHT_EXPONENT = 100
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
 
 
-def _clip(text: str, limit: int = 40) -> str:
-    return text if len(text) <= limit else text[:limit] + "..."
-
-
 def _parse_fraction(raw, where: str) -> Fraction:
     if isinstance(raw, bool):
         raise InvalidConfig("%s: weights must be numbers or fraction strings" % where)
@@ -61,7 +57,7 @@ def _parse_fraction(raw, where: str) -> Fraction:
         if len(raw) > _MAX_WEIGHT_CHARS:
             raise InvalidConfig(
                 "%s: weight %s is %d characters long; at most %d are allowed"
-                % (where, _clip(repr(raw)), len(raw), _MAX_WEIGHT_CHARS)
+                % (where, clip(repr(raw)), len(raw), _MAX_WEIGHT_CHARS)
             )
         exponent = _EXPONENT.search(raw)
         if exponent is not None and abs(int(exponent.group(1))) > _MAX_WEIGHT_EXPONENT:
@@ -74,7 +70,7 @@ def _parse_fraction(raw, where: str) -> Fraction:
             raise InvalidConfig("%s: cannot parse weight %r" % (where, raw)) from exc
     raise InvalidConfig(
         "%s: weight %s must be an int or a string; floats would smuggle rounding error in"
-        % (where, _clip(repr(raw)))
+        % (where, clip(repr(raw)))
     )
 
 

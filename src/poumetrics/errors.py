@@ -5,6 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+def clip(text: str, limit: int = 40) -> str:
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 class AnalysisError(Exception):
     """Base class for every fatal condition raised by this package."""
 

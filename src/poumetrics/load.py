@@ -5,9 +5,10 @@ and VAR_GLOBAL lists, plus PLCopen XML projects.  Pass 1 reads one file
 at a time: it parses each POU's declarations once, walks its body, which
 needs no other file, and records the file's share of the cross-file
 knowledge (user types, FB interfaces, globals, POU names).  Only
-these compact facts outlive the file's tokens or XML tree.  Pass 2,
-once that knowledge is complete, classifies each POU's declarations and
-resolves its body facts against them.
+these compact facts outlive the file's tokens or XML tree; every
+function block whose declarations were read lends its interface.  Pass
+2, once that knowledge is complete, classifies each POU's declarations
+and resolves its body facts against them, or reports its pass-1 error.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ def load_sample(paths, array_sub_cap: int | None = None) -> LoadedSample:
     # file is read.
     for path in files:
         label = str(path)
+        walked: list[st.WalkedPou] = []
         try:
             text = path.read_text(encoding="utf-8-sig")
         except UnicodeDecodeError:
@@ -84,13 +86,18 @@ def load_sample(paths, array_sub_cap: int | None = None) -> LoadedSample:
         )
         try:
             if is_xml:
-                xml_docs.append(_walk_xml_file(text, label, context, global_names))
+                walked = _walk_xml_file(text, label, context, global_names)
+                xml_docs.append(walked)
             else:
-                st_pous.extend(_walk_st_file(text, label, context, global_names, warnings))
+                walked = _walk_st_file(text, label, context, global_names, warnings)
+                st_pous.extend(walked)
         except XmlMalformed as exc:
             warnings.append(AnalysisWarning("xml-malformed", exc.detail, label, ""))
         except ParseError as exc:
             warnings.append(AnalysisWarning("pou-parse-error", exc.detail, label, ""))
+        for w in walked:
+            if w.kind is PouKind.FUNCTION_BLOCK and w.decls is not None:
+                context.register_fb(w.name, w.decls)
 
     frozen_globals = frozenset(global_names)
     pou_names = frozenset(w.name.casefold() for w in chain(st_pous, *xml_docs) if w.name)
@@ -100,14 +107,10 @@ def load_sample(paths, array_sub_cap: int | None = None) -> LoadedSample:
     # are freed once its POU is built.
     st_pous.reverse()
     while st_pous:
-        walked_pou = st_pous.pop()
-        try:
-            pou, ws = st.parse_pou_unit(walked_pou, context, frozen_globals)
-        except ParseError as exc:
-            warnings.append(AnalysisWarning("pou-parse-error", exc.detail, exc.path, walked_pou.name))
-            continue
-        pous.append(pou)
+        pou, ws = st.parse_pou_unit(st_pous.pop(), context, frozen_globals)
         warnings.extend(ws)
+        if pou is not None:
+            pous.append(pou)
     xml_docs.reverse()
     while xml_docs:
         extracted, ws = plcopen.extract_pous(xml_docs.pop(), context, frozen_globals, pou_names)
@@ -137,8 +140,8 @@ def _walk_xml_file(text, label, context, global_names) -> list[st.WalkedPou]:
 
 
 def _walk_st_file(text, label, context, global_names, warnings) -> list[st.WalkedPou]:
-    """Pass 1 for one ST file: its types, globals and FB interfaces go
-    to the sample, and its POUs are walked."""
+    """Pass 1 for one ST file: its types and globals go to the sample,
+    and its POUs are walked."""
     walked: list[st.WalkedPou] = []
     for unit in st.split_st_units(st.StSource(label, text)):
         try:
@@ -147,10 +150,7 @@ def _walk_st_file(text, label, context, global_names, warnings) -> list[st.Walke
             elif unit.kind == "globals":
                 global_names.update(n.casefold() for n in st.parse_global_names(unit, label))
             else:
-                pou = st.walk_pou_unit(unit, label)
-                if pou.kind is PouKind.FUNCTION_BLOCK:
-                    context.register_fb(pou.name, pou.decls)
-                walked.append(pou)
+                walked.append(st.walk_pou_unit(unit, label))
         except ParseError as exc:
             warnings.append(AnalysisWarning("pou-parse-error", exc.detail, label, ""))
     return walked

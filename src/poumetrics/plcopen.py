@@ -23,11 +23,11 @@ Counting rules for graphical languages:
 Every walk of one POU, network or ST fragment, writes into one
 collector, the POU's `_Acc` (an `st._BodyResult`).  `walk_pous` fills
 them in pass 1, while the document's tree is alive; no walk needs other
-files.  It alone reads each <interface>, and `register_project_types`
-takes the FB interfaces from its records.  `extract_pous` then, in pass
-2, resolves each POU with `st.parse_pou_unit`, as for an ST POU: it
-classifies the declarations, keeps as calls the blocks whose type is a
-POU or FB of the whole sample, and applies the declarations once.
+files.  It alone reads each <interface>, and the loader registers the
+FBs from its records.  `extract_pous` then, in pass 2, resolves each POU
+with `st.parse_pou_unit`, as for an ST POU: it classifies the
+declarations, keeps as calls the blocks whose type is a POU or FB of the
+whole sample, and applies the declarations once.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .ir import (
     Token,
     VarSection,
 )
-from .st import _MAX_NESTING, WalkedPou, _BodyResult, parse_pou_unit, st_fragment_facts
+from .st import _MAX_NESTING, WalkedPou, _BodyResult, _bound_error, parse_pou_unit, st_fragment_facts
 from .typesys import RawDecl, TypeContext, TypeSpec, named
 
 _POU_TYPE_MAP = {
@@ -145,7 +145,7 @@ def _array_bound(text: str, path: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ParseError("array bound %r is not an integer" % text, path) from None
+        raise ParseError(_bound_error(text), path) from None
 
 
 def _interface_vars(interface: ET.Element, path: str) -> tuple[list[RawDecl], TypeSpec | None]:
@@ -167,22 +167,19 @@ def _interface_vars(interface: ET.Element, path: str) -> tuple[list[RawDecl], Ty
 
 
 def register_project_types(root: ET.Element, walked: list[WalkedPou], context: TypeContext, path: str) -> None:
-    """Feed the document's data types, and the interfaces `walk_pous` read
-    of its function blocks, into `context`.  A data type that does not
-    parse, or else the first FB interface, raises before any is recorded."""
+    """Define the document's data types in `context`.  A data type that
+    does not parse, or else the first FB interface `walk_pous` could not
+    read, raises before any is defined: the file is skipped whole."""
     types = [
         (dt.get("name"), _type_spec_of(dt.find("baseType"), path))
         for dt in root.iter("dataType")
         if dt.get("name")
     ]
-    fbs = [w for w in walked if w.kind is PouKind.FUNCTION_BLOCK and w.name]
-    for w in fbs:
-        if w.decls is None:
-            raise ParseError(*w.error)
+    for w in walked:
+        if w.kind is PouKind.FUNCTION_BLOCK and w.name and w.decls is None:
+            raise w.parse_error
     for name, spec in types:
         context.define(name, spec)
-    for w in fbs:
-        context.register_fb(w.name, w.decls)
 
 
 def project_global_names(root: ET.Element) -> list[str]:
@@ -554,11 +551,7 @@ def extract_pous(
     pous: list[Pou] = []
     warnings: list[AnalysisWarning] = []
     for w in walked:
-        try:
-            pou, ws = parse_pou_unit(w, context, global_names, pou_names)
-        except ParseError as exc:
-            warnings.append(AnalysisWarning("pou-parse-error", exc.detail, exc.path, w.name))
-            continue
+        pou, ws = parse_pou_unit(w, context, global_names, pou_names)
         warnings.extend(ws)
         if pou is not None:
             pous.append(pou)

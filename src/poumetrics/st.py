@@ -28,6 +28,7 @@ FOR, WHILE, REPEAT, EXIT.
 from __future__ import annotations
 
 import re
+import sys
 from array import array
 from bisect import bisect_right
 from collections import Counter
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from sys import intern
 from typing import NamedTuple
 
-from .errors import AnalysisWarning, ParseError, UnterminatedComment, UnterminatedString
+from .errors import AnalysisWarning, ParseError, UnterminatedComment, UnterminatedString, clip
 from .ir import (
     BodyFacts,
     CallSite,
@@ -737,6 +738,11 @@ _VAR_SECTIONS = {
 
 _VAR_QUALIFIERS = frozenset({"RETAIN", "NON_RETAIN", "CONSTANT", "PERSISTENT"})
 
+_BASED_INT = re.compile(r"2#[01]+|8#[0-7]+|16#[0-9A-Fa-f]+")  # once `_` is removed
+# Decimal digits Python converts between int and str; 0 is no limit, as
+# before Python 3.10.7, which has no getter.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
 
 @dataclass(frozen=True)
 class StSource:
@@ -876,12 +882,30 @@ def _parse_bound(cur: _Cursor) -> int:
     t = cur.cur()
     if t.kind != "number":
         raise cur.fail("array bounds must be integer literals")
+    text = t.text.replace("_", "")
+    base, _, digits = text.partition("#") if _BASED_INT.fullmatch(text) else ("10", "", text)
     try:
-        value = sign * int(t.text.replace("_", ""))
+        value = int(digits, int(base))
     except ValueError:
-        raise cur.fail("array bound %r is not an integer" % t.text) from None
+        raise cur.fail(_bound_error(t.text)) from None
+    # A based literal is not held to int()'s digit limit, but the bound
+    # is printed in decimal, so it keeps the decimal bounds' range.
+    limit = _max_str_digits()
+    if base != "10" and limit and value >= 10**limit:
+        raise cur.fail(_bound_error(t.text, too_long=True))
     cur.take()
-    return value
+    return sign * value
+
+
+def _bound_error(text: str, too_long: bool = False) -> str:
+    """The message for an array bound that int() refused, or that is
+    `too_long` to print.  A decimal literal that int() refused is an
+    integer with more digits than Python converts (4300 by default)."""
+    body = text.strip()
+    digits = (body[1:] if body[:1] in ("+", "-") else body).replace("_", "")
+    limit = _max_str_digits()
+    too_long = too_long or (digits.isdecimal() and 0 < limit < len(digits))
+    return "array bound %s %s" % (clip(repr(text)), "has too many digits" if too_long else "is not an integer")
 
 
 def _unit_cursor(unit: StUnit, path: str) -> _Cursor:
@@ -929,11 +953,11 @@ def _parse_var_sections(cur: _Cursor) -> list[RawDecl]:
         cur.take()
 
 
-def interface_of_unit(unit: StUnit, path: str) -> tuple[str, PouKind, list[RawDecl], TypeSpec | None, int]:
-    """Declarations of a POU unit: name, kind, raw declarations, the
-    function return type (None for other kinds) and the index of the
-    first body token in `unit.tokens`."""
-    cur = _unit_cursor(unit, path)
+def interface_of_unit(cur: _Cursor) -> tuple[str, PouKind, list[RawDecl], TypeSpec | None]:
+    """Head and declarations of the POU unit that `cur` starts at: name,
+    kind, raw declarations and the function return type (None for other
+    kinds).  `cur` is left at the first body token.  An empty quoted
+    name is a ParseError at the head, as a nameless XML <pou> is."""
     head = cur.take()
     kind = _POU_KINDS[head.key][0]
     name_tok = cur.cur()
@@ -942,12 +966,14 @@ def interface_of_unit(unit: StUnit, path: str) -> tuple[str, PouKind, list[RawDe
         cur.take()
     else:
         name = cur.expect_ident().text
+    if not name:
+        raise cur.fail("pou without a name skipped", head)
     return_spec: TypeSpec | None = None
     if kind is PouKind.FUNCTION and cur.at(":"):
         cur.take()
         return_spec = parse_type_spec(cur)
     decls = _parse_var_sections(cur)
-    return name, kind, decls, return_spec, cur.i
+    return name, kind, decls, return_spec
 
 
 def finalize_body(
@@ -1002,18 +1028,23 @@ class WalkedPou:
     body: _BodyResult = field(default_factory=_BodyResult)
     error: tuple[str, str, int, int, str] | None = None
 
+    @property
+    def parse_error(self) -> ParseError | None:
+        """The ParseError that stopped the walk, or None."""
+        return None if self.error is None else ParseError(*self.error)
+
 
 def walk_pou_unit(unit: StUnit, path: str) -> WalkedPou:
-    """Pass 1 for one POU unit: parse its declarations once (a ParseError
-    there propagates) and walk its body, which needs no other file.  A
-    body that does not parse still leaves the POU's name and interface
-    to the sample."""
-    name, kind, decls, return_spec, body_start = interface_of_unit(unit, path)
+    """Pass 1 for one POU unit: one parser reads its declarations (a
+    ParseError there propagates) and walks its body, which needs no other
+    file.  A body that does not parse still leaves the POU's name and
+    interface to the sample."""
+    parser = _BodyParser(unit.tokens[:-1], path, unit.lines, _BodyResult(), unit.tokens[-1])
+    name, kind, decls, return_spec = interface_of_unit(parser)
     head = SourceRef(path, *unit.lines.position(unit.tokens[0].offset))
-    walked = WalkedPou(name, head, kind, Language.ST, decls, return_spec)
+    walked = WalkedPou(name, head, kind, Language.ST, decls, return_spec, parser.res)
     try:
-        # Everything between the declarations and the closing keyword is body.
-        _BodyParser(unit.tokens[body_start:-1], path, unit.lines, walked.body, unit.tokens[-1]).parse_body()
+        parser.parse_body()
     except ParseError as exc:
         walked.error = (exc.message, exc.path, exc.line, exc.column, exc.element)
     return walked
@@ -1026,11 +1057,12 @@ def parse_pou_unit(
     pou_names: frozenset[str] = frozenset(),
 ) -> tuple[Pou | None, list[AnalysisWarning]]:
     """Pass 2 for one walked POU: classify its declarations against the
-    whole sample's types and finish its body facts.  Its pass-1 error is
-    raised again, before any declaration is classified.  A POU whose body
-    language is not analyzed gives only its warnings."""
-    if walked.error is not None:
-        raise ParseError(*walked.error)
+    whole sample's types and finish its body facts.  It never raises: a
+    POU whose walk failed gives only its pass-1 error as a warning, and
+    one whose body language is not analyzed gives only its warnings."""
+    exc = walked.parse_error
+    if exc is not None:
+        return None, [AnalysisWarning("pou-parse-error", exc.detail, exc.path, walked.name)]
     variables, warnings = context.declare(walked.name, walked.decls, walked.return_spec)
     warnings += walked.body.warnings
     if walked.language is None:
@@ -1062,7 +1094,11 @@ def parse_st_pou(
     units = [u for u in split_st_units(source) if u.kind == "pou"]
     if len(units) != 1:
         raise ParseError("expected exactly one POU, found %d" % len(units), source.path)
-    return parse_pou_unit(walk_pou_unit(units[0], source.path), context, global_names)
+    walked = walk_pou_unit(units[0], source.path)
+    exc = walked.parse_error
+    if exc is not None:
+        raise exc
+    return parse_pou_unit(walked, context, global_names)
 
 
 def external_filter(names: set[str], candidates: set[str], address_letters: str) -> frozenset[str]:

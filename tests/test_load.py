@@ -1,13 +1,17 @@
-"""Sample loading: the order of warnings and POUs across files, and how
-often each file's declarations are parsed."""
+"""Sample loading: the order of warnings and POUs across files, how
+often each file's declarations are parsed, and which records lend a
+function-block interface."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from golden_ir import CORPUS
-from poumetrics import CallSite, load_sample
+from poumetrics import CallSite, ParseError, load_sample
 from poumetrics import plcopen, st
+from poumetrics.typesys import TypeContext
 
 XML_HEAD = (
     '<?xml version="1.0" encoding="utf-8"?>'
@@ -130,9 +134,9 @@ def test_interface_of_unit_runs_once_per_st_pou_unit(monkeypatch):
     real = st.interface_of_unit
     real_xml = plcopen._interface_vars
 
-    def counting(unit, path):
-        calls.append(path)
-        return real(unit, path)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
     xml_calls = []
 
@@ -172,4 +176,47 @@ def test_function_block_whose_body_fails_still_lends_its_interface(tmp_path):
     assert [(w.code, w.pou) for w in sample.warnings] == [
         ("pou-parse-error", "StBad"),
         ("pou-parse-error", "BadBodyFb"),
+    ]
+
+
+# A body whose error sits at 2:6 in an ST POU and in an XML ST body alike.
+BAD_ST = "PROGRAM P\nx := ;\nEND_PROGRAM\n"
+BAD_XML = XML_HEAD + '<pou name="P" pouType="functionBlock"><interface/><body><ST>y := 1;\nx := ;</ST></body></pou>' + XML_TAIL
+
+
+@pytest.mark.parametrize("frontend", ["st", "xml"])
+def test_parse_pou_unit_turns_a_failed_walk_into_its_warning(frontend):
+    with pytest.raises(ParseError) as err:
+        st.parse_st_pou(st.StSource("p.st", BAD_ST))
+    if frontend == "st":
+        (unit,) = st.split_st_units(st.StSource("p.st", BAD_ST))
+        walked = st.walk_pou_unit(unit, "p.st")
+    else:
+        (walked,) = plcopen.walk_pous(plcopen.parse_xml(BAD_XML), "p.xml")
+    pou, warnings = st.parse_pou_unit(walked, TypeContext(), frozenset())
+    assert pou is None
+    assert [(w.code, w.path, w.pou) for w in warnings] == [("pou-parse-error", "p." + frontend, "P")]
+    assert warnings[0].message == err.value.detail == "2:6: unexpected ';' in expression"
+
+
+def test_loader_registers_each_function_block_of_the_corpus(monkeypatch):
+    names = []
+    real = TypeContext.register_fb
+
+    def counting(self, name, decls):
+        names.append(name)
+        return real(self, name, decls)
+
+    monkeypatch.setattr(TypeContext, "register_fb", counting)
+    load_sample([str(CORPUS)])
+    assert sorted(names) == [
+        "AssignBasic",
+        "BranchMix",
+        "FbdAdd",
+        "FbdSelect",
+        "MaxCall",
+        "Scaler",
+        "SfcBranch",
+        "SfcLinear",
+        "StructPoint",
     ]

@@ -238,6 +238,32 @@ def test_array_bound_that_is_not_an_integer_is_a_parse_error(tmp_path, where, ke
     assert sample.context.lookup("T") is None
 
 
+# int() reads Unicode digits (here Arabic-Indic) and single `_`s too;
+# a literal with `__` or inner blanks is not an integer, however long.
+@pytest.mark.parametrize(
+    "upper, problem",
+    [
+        ("9" * 5000, "has too many digits"),
+        (" -" + "\u0669" * 5000, "has too many digits"),
+        ("9_9" * 2500, "has too many digits"),
+        ("1__2", "is not an integer"),
+        ("1 2", "is not an integer"),
+        ("9" * 5000 + "x", "is not an integer"),
+    ],
+    ids=["decimal", "arabic-indic", "underscores", "double-underscore", "blank", "trailing-letter"],
+)
+def test_array_bound_past_the_int_digit_limit_is_named_too_long(tmp_path, upper, problem):
+    array = '<array><dimension lower="0" upper="%s"/><baseType><INT/></baseType></array>' % upper
+    iface = '<interface><localVars><variable name="v"><type>%s</type></variable></localVars></interface>'
+    body = '<ST><xhtml xmlns="http://www.w3.org/1999/xhtml">x := 1;</xhtml></ST>'
+    sample = load_doc(tmp_path, doc(pou_xml("Big", "program", body, iface % array) + pou_xml("Good", "program", body)))
+    assert [p.name for p in sample.pous] == ["Good"]
+    shown = repr(upper) if len(repr(upper)) <= 40 else repr(upper)[:40] + "..."
+    assert [(w.code, w.pou, w.message) for w in sample.warnings] == [
+        ("pou-parse-error", "Big", "array bound %s %s" % (shown, problem))
+    ]
+
+
 def deep_inline_doc(depth, inner="<FBD/>"):
     """POUs Deep and Good.  Deep's FBD body holds action blocks with inline
     FBD bodies, nested `depth` levels deep; the innermost inline body is

@@ -327,6 +327,37 @@ def test_cli_skip_warnings_exit_two(tmp_path, capsys):
     assert "pou-parse-error" in captured.err
 
 
+def test_cli_skips_an_st_pou_with_an_empty_name(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "ok.st").write_text("PROGRAM Alpha x := 1; END_PROGRAM")
+    (src / "nameless.st").write_text("PROGRAM '' y := 1; END_PROGRAM")
+    out_json = tmp_path / "r.json"
+    code = main(["analyze", str(src), "--json", str(out_json)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert [p["name"] for p in json.loads(out_json.read_text())["pous"]] == ["Alpha"]
+    assert "[pou-parse-error] %s: 1:1: pou without a name skipped" % (src / "nameless.st") in captured.err
+
+
+# 4000 hex digits are about 4800 decimal ones, more than Python prints.
+@pytest.mark.parametrize(
+    "bounds", ["0..16#%s" % ("F" * 4000), "16#%s..0" % ("F" * 4000)], ids=["upper", "lower-exceeds-upper"]
+)
+def test_cli_skips_an_st_pou_whose_based_bound_is_too_long_to_print(tmp_path, capsys, bounds):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "ok.st").write_text("PROGRAM Alpha x := 1; END_PROGRAM")
+    (src / "big.st").write_text("PROGRAM Big VAR a : ARRAY[%s] OF BYTE; END_VAR END_PROGRAM" % bounds)
+    out_json = tmp_path / "r.json"
+    code = main(["analyze", str(src), "--json", str(out_json)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+    assert [p["name"] for p in json.loads(out_json.read_text())["pous"]] == ["Alpha"]
+    assert "pou-parse-error" in captured.err and "has too many digits" in captured.err
+
+
 @pytest.mark.parametrize(
     "block",
     ["TYPE Pt : STRUCT x : INT END_STRUCT; END_TYPE", "VAR_GLOBAL g : INT := 1 END_VAR"],

@@ -117,6 +117,43 @@ def test_array_declaration_yields_element_sub_variables():
     assert len(buf.sub_variables) == 4
 
 
+@pytest.mark.parametrize(
+    "bounds, count",
+    [("0..16#FF", 256), ("0..16#f_f", 256), ("2#1_0..8#17", 14), ("-16#0A..2#0", 11), ("8#0..8#7, 2#1..2#11", 24)],
+)
+def test_based_integer_array_bounds(bounds, count):
+    pou = parse("PROGRAM P\nVAR a : ARRAY[%s] OF BYTE; END_VAR\nEND_PROGRAM" % bounds)
+    assert len(pou.variables[0].sub_variables) == count
+
+
+@pytest.mark.parametrize("bound", ["2#12", "8#19", "4#12", "2#0b1", "INT#5", "1e3"])
+def test_array_bound_that_is_not_an_integer_literal_is_a_parse_error(bound):
+    with pytest.raises(ParseError) as err:
+        parse("PROGRAM P\nVAR a : ARRAY[0..%s] OF BYTE; END_VAR\nEND_PROGRAM" % bound)
+    assert err.value.message == "array bound %r is not an integer" % bound
+    assert (err.value.line, err.value.column) == (2, 18)
+
+
+# ST drops every `_` of a number, so `9__9` is a decimal literal too.  A
+# based bound is held to the same decimal range: 16#FFF... with 4000
+# digits is about 4800 decimal digits long.
+@pytest.mark.parametrize(
+    "bound",
+    ["9" * 5000, "9__9" * 2500, "16#" + "F" * 4000, "2#1" + "0" * 14285],
+    ids=["decimal", "underscores", "hex", "binary"],
+)
+def test_array_bound_past_the_int_digit_limit_is_named_too_long(bound):
+    with pytest.raises(ParseError) as err:
+        parse("PROGRAM P\nVAR a : ARRAY[0..%s] OF BYTE; END_VAR\nEND_PROGRAM" % bound)
+    assert err.value.message == "array bound %s... has too many digits" % repr(bound)[:40]
+
+
+def test_based_array_bound_just_inside_the_int_digit_limit_is_read():
+    # 2**14284 has 4300 decimal digits, the most that Python prints.
+    pou = parse("PROGRAM P\nVAR a : ARRAY[2#1%s..2#1%s] OF BYTE; END_VAR\nEND_PROGRAM" % ("0" * 14284, "0" * 14284))
+    assert len(pou.variables[0].sub_variables) == 1
+
+
 def expanded_element_count(dims, cap):
     """Reference: the number of array sub-variables the element-by-element
     expansion built.  Each dimension is cut to its first `cap` values, the
