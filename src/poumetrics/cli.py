@@ -90,9 +90,5 @@ def main(argv=None) -> int:
     return run.exit_code
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

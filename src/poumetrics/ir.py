@@ -187,8 +187,8 @@ def validate_pou(pou: Pou) -> list[str]:
     reported as strings for diagnostics rather than raised.
     """
     problems: list[str] = []
-    if not pou.name:
-        problems.append("pou name is empty")
+    if not pou.name.strip():
+        problems.append("pou name is empty or blank")
 
     for var in pou.variables:
         if var.sub_variables and var.type_class is not TypeClass.COMPLEX:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import AnalysisWarning, ParseError, XmlMalformed
 from .ir import (
@@ -176,7 +176,7 @@ def register_project_types(root: ET.Element, walked: list[WalkedPou], context: T
         if dt.get("name")
     ]
     for w in walked:
-        if w.kind is PouKind.FUNCTION_BLOCK and w.name and w.decls is None:
+        if w.kind is PouKind.FUNCTION_BLOCK and w.name.strip() and w.decls is None:
             raise w.parse_error
     for name, spec in types:
         context.define(name, spec)
@@ -204,7 +204,6 @@ class _Acc(_BodyResult):
 
     path: str
     pou: str
-    merged_refs: set[str] = field(default_factory=set)
 
     def warn(self, code: str, message: str) -> None:
         self.warnings.append(AnalysisWarning(code, message, self.path, self.pou))
@@ -256,33 +255,35 @@ def _connections_in(el: ET.Element) -> list[ET.Element]:
     return out
 
 
-def _walk_network(acc: _Acc, body_el: ET.Element, language: Language, pou_el: ET.Element) -> None:
-    elements = _sorted_elements(body_el)
-    ids = {el.get("localId", ""): el for el in elements if el.get("localId")}
+def _incoming(el: ET.Element) -> list[ET.Element]:
+    """The connections wired into a network element itself.  Those inside
+    an actionBlock's or transition's <inline> bodies belong to the
+    networks those bodies are walked as."""
+    if el.tag in ("actionBlock", "transition"):
+        return el.findall("connectionPointIn/connection") + el.findall("condition/connectionPointIn/connection")
+    return _connections_in(el)
+
+
+def _walk_network(acc: _Acc, body_el: ET.Element, language: Language, named: dict[str, ET.Element]) -> None:
+    # Each element -> the connections wired into it, in document order.
+    incoming = {el: _incoming(el) for el in body_el}
+    ids = {el.get("localId", "") for el in incoming}
 
     # Each element's localId -> the set of its output ports that other
     # elements consume.
     inbound: dict[str, set[str]] = {}
-    for conn in body_el.iter("connection"):
-        src = conn.get("refLocalId", "")
-        if src:
-            inbound.setdefault(src, set()).add(conn.get("formalParameter", "").casefold())
-            if src not in ids:
-                acc.warn("dangling-connection", "connection references missing element %r" % src)
-
-    initial_steps: list[str] = []
-    step_names: dict[str, str] = {}
-    edges: dict[str, set[str]] = {}
-
-    for el in elements:
-        lid = el.get("localId", "")
-        tag = el.tag
-        connections = _connections_in(el)
+    for connections in incoming.values():
         for conn in connections:
             src = conn.get("refLocalId", "")
             if src:
-                edges.setdefault(src, set()).add(lid)
+                inbound.setdefault(src, set()).add(conn.get("formalParameter", "").casefold())
+                if src not in ids:
+                    acc.warn("dangling-connection", "connection references missing element %r" % src)
 
+    elements = _sorted_elements(body_el)
+    for el in elements:
+        lid = el.get("localId", "")
+        tag = el.tag
         if tag == "block":
             _walk_block(acc, el, lid, inbound)
         elif tag in ("inVariable", "outVariable", "inOutVariable"):
@@ -294,35 +295,28 @@ def _walk_network(acc: _Acc, body_el: ET.Element, language: Language, pou_el: ET
         elif tag == "coil":
             _walk_coil(acc, el, lid)
         elif tag == "jump":
-            if connections:
+            if incoming[el]:
                 acc.tokens.append(Token.operator(el.get("targetName", "jump"), "jump"))
                 acc.decide("conditional-jump", lid)
         elif tag == "return":
             acc.tokens.append(Token.operator("RETURN", "return"))
-            if language is Language.LD and connections:
+            if language is Language.LD and incoming[el]:
                 acc.decide("conditional-return", lid)
         elif tag in ("step", "macroStep"):
-            name = el.get("name", "")
-            acc.tokens.append(Token.operator(name or "step", "step"))
-            step_names[name.casefold()] = lid
-            if el.get("initialStep", "").casefold() == "true":
-                initial_steps.append(lid)
+            acc.tokens.append(Token.operator(el.get("name", "") or "step", "step"))
         elif tag == "transition":
             acc.tokens.append(Token.operator(el.get("name", "") or "transition", "transition"))
             acc.decide("transition", lid)
             condition = el.find("condition")
             if condition is not None:  # a wired condition is covered by the network walk itself
-                _merge_linked_body(acc, condition, pou_el, "transition", 'transition localId="%s"' % lid)
-        elif tag == "jumpStep":
-            target = el.get("targetName", "").casefold()
-            edges.setdefault(lid, set()).add("@step:" + target)
+                _merge_linked_body(acc, condition, named, "transition", 'transition localId="%s"' % lid)
         elif tag == "actionBlock":
-            _walk_action_block(acc, el, pou_el)
-        # Rails, divergences, labels, connectors and comments carry no
-        # tokens of their own; their wiring is already in `edges`.
+            _walk_action_block(acc, el, named)
+        # Rails, divergences, jump steps, labels, connectors and comments
+        # carry no tokens of their own.
 
-    if language is Language.SFC and initial_steps:
-        _check_reachability(acc, step_names, edges, initial_steps)
+    if language is Language.SFC:
+        _check_reachability(acc, elements, incoming)
 
 
 def _walk_block(acc: _Acc, el: ET.Element, lid: str, inbound: dict[str, set[str]]) -> None:
@@ -394,21 +388,23 @@ def _walk_coil(acc: _Acc, el: ET.Element, lid: str) -> None:
         acc.warn("unbound-contact", "coil %s has no variable" % (lid or "?"))
 
 
-def _named_bodies(pou_el: ET.Element, holder: str, item: str) -> dict[str, ET.Element]:
-    """POU-level named actions or transitions: name -> body element."""
+def _named_bodies(pou_el: ET.Element) -> dict[str, ET.Element]:
+    """The POU's named actions and transitions, read once: "action:" or
+    "transition:" plus the casefolded name -> body element."""
     out: dict[str, ET.Element] = {}
-    group = pou_el.find(holder)
-    if group is None:
-        return out
-    for entry in group.findall(item):
-        body = entry.find("body")
-        name = entry.get("name", "")
-        if name and body is not None:
-            out[name.casefold()] = body
+    for item in ("action", "transition"):
+        group = pou_el.find(item + "s")
+        if group is None:
+            continue
+        for entry in group.findall(item):
+            body = entry.find("body")
+            name = entry.get("name", "")
+            if name and body is not None:
+                out[item + ":" + name.casefold()] = body
     return out
 
 
-def _merge_body_element(acc: _Acc, body: ET.Element, pou_el: ET.Element, value_context: bool, owner: str) -> None:
+def _merge_body_element(acc: _Acc, body: ET.Element, named: dict[str, ET.Element], value_context: bool, owner: str) -> None:
     """Merge the contents of a <body>-like element (inline condition,
     named action or named transition) into the accumulator.  Each level
     recurses through the network walk, so nesting is bounded like the ST
@@ -426,61 +422,66 @@ def _merge_body_element(acc: _Acc, body: ET.Element, pou_el: ET.Element, value_c
             except ParseError as exc:
                 raise type(exc)(exc.message, exc.path, exc.line, exc.column, owner) from None
         elif tag in ("FBD", "LD"):
-            _walk_network(acc, child, _BODY_LANGUAGES[tag], pou_el)
+            _walk_network(acc, child, _BODY_LANGUAGES[tag], named)
         elif tag == "IL":
             acc.warn("il-body-skipped", "embedded IL fragment skipped")
     acc.depth -= 1
 
 
-def _merge_linked_body(acc: _Acc, holder: ET.Element, pou_el: ET.Element, item: str, owner: str) -> None:
+def _merge_linked_body(acc: _Acc, holder: ET.Element, named: dict[str, ET.Element], item: str, owner: str) -> None:
     """Merge the <inline> body of a transition condition or action
     association (`item` "transition" or "action"), or else the POU-level
-    named body its <reference> names, once per POU.  A transition
-    condition is a value its transition consumes.  `owner` names the
-    network element the holder belongs to."""
+    named body its <reference> names.  That body is popped from `named`,
+    so only its first reference merges it.  A transition condition is a
+    value its transition consumes.  `owner` names the network element the
+    holder belongs to."""
     value_context = item == "transition"
     inline = holder.find("inline")
     if inline is not None:
-        _merge_body_element(acc, inline, pou_el, value_context, owner)
+        _merge_body_element(acc, inline, named, value_context, owner)
         return
     reference = holder.find("reference")
-    if reference is None:
-        return
-    written = reference.get("name", "")
-    name = written.casefold()
-    marker = item + ":" + name
-    if name and marker not in acc.merged_refs:
-        acc.merged_refs.add(marker)
-        body = _named_bodies(pou_el, item + "s", item).get(name)
-        if body is not None:
-            _merge_body_element(acc, body, pou_el, value_context, '%s name="%s"' % (item, written))
+    written = "" if reference is None else reference.get("name", "")
+    body = named.pop(item + ":" + written.casefold(), None)
+    if body is not None:
+        _merge_body_element(acc, body, named, value_context, '%s name="%s"' % (item, written))
 
 
-def _walk_action_block(acc: _Acc, el: ET.Element, pou_el: ET.Element) -> None:
+def _walk_action_block(acc: _Acc, el: ET.Element, named: dict[str, ET.Element]) -> None:
     owner = 'actionBlock localId="%s"' % el.get("localId", "")
     for action in el.findall("action"):
         qualifier = (action.get("qualifier") or "N").casefold()
         acc.tokens.append(Token.operator("action-" + qualifier.upper(), "action-" + qualifier))
-        _merge_linked_body(acc, action, pou_el, "action", owner)
+        _merge_linked_body(acc, action, named, "action", owner)
 
 
-def _check_reachability(acc, step_names: dict[str, str], edges: dict[str, set[str]], roots: list[str]) -> None:
-    resolved: dict[str, set[str]] = {}
-    for src, targets in edges.items():
-        out = set()
-        for t in targets:
-            if t.startswith("@step:"):
-                step_id = step_names.get(t[len("@step:"):])
-                if step_id:
-                    out.add(step_id)
-            else:
-                out.add(t)
-        resolved[src] = out
-    seen = set(roots)
-    queue = list(roots)
+def _check_reachability(acc: _Acc, elements: list[ET.Element], incoming: dict[ET.Element, list[ET.Element]]) -> None:
+    """Warn of each step of an SFC network that no connection or jump
+    leads to from an initial step.  A network without one is not checked."""
+    step_names: dict[str, str] = {}
+    seen: set[str] = set()
+    for el in elements:
+        if el.tag in ("step", "macroStep"):
+            lid = el.get("localId", "")
+            step_names[el.get("name", "").casefold()] = lid
+            if el.get("initialStep", "").casefold() == "true":
+                seen.add(lid)
+    if not seen:
+        return
+    edges: dict[str, set[str]] = {}
+    for el in elements:
+        lid = el.get("localId", "")
+        for conn in incoming[el]:
+            src = conn.get("refLocalId", "")
+            if src:
+                edges.setdefault(src, set()).add(lid)
+        if el.tag == "jumpStep":
+            target = step_names.get(el.get("targetName", "").casefold())
+            if target:
+                edges.setdefault(lid, set()).add(target)
+    queue = list(seen)
     while queue:
-        node = queue.pop()
-        for nxt in resolved.get(node, ()):
+        for nxt in edges.get(queue.pop(), ()):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -503,7 +504,7 @@ def walk_pous(root: ET.Element, path: str) -> list[WalkedPou]:
         kind = _POU_TYPE_MAP.get(pou_el.get("pouType", "").casefold(), PouKind.PROGRAM)
         pou = WalkedPou(name, SourceRef(path, element=pou_el.get("globalId", "")), kind, decls=None)
         try:
-            if not name:
+            if not name.strip():
                 raise ParseError("pou without a name skipped", path)
             _walk_pou(pou, pou_el, path)
         except ParseError as exc:
@@ -531,7 +532,7 @@ def _walk_pou(pou: WalkedPou, pou_el: ET.Element, path: str) -> None:
         if pou.language is Language.ST:
             st_fragment_facts(_text_of(lang_el), path, into=acc)
         else:
-            _walk_network(acc, lang_el, pou.language, pou_el)
+            _walk_network(acc, lang_el, pou.language, _named_bodies(pou_el))
     elif content:
         # a body with content in no language we know is skipped,
         # not reported as an empty POU with zero complexity

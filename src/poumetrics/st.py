@@ -225,16 +225,16 @@ _MAX_NESTING = 100
 
 
 class _Cursor:
-    """Position in a token sequence, shared by the declaration parser and
-    the body walker.  The tokens end with one `_EOF`, which `take()` never
-    steps past, so neither the current token nor the one after a token
-    that is not `_EOF` needs a bounds check.  `lines` maps the tokens'
-    offsets to positions.  An error at `_EOF` takes its position from
-    `end` (a unit's closing keyword) when given; bare fragments have
-    none."""
+    """Position in a token list, shared by the declaration parser and the
+    body walker.  The list, which the cursor reads in place, ends with one
+    `_EOF`, which `take()` never steps past, so neither the current token
+    nor the one after a token that is not `_EOF` needs a bounds check.
+    `lines` maps the tokens' offsets to positions.  An error at `_EOF`
+    takes its position from `end` (a unit's closing keyword) when given;
+    bare fragments have none."""
 
-    def __init__(self, toks: list[RawTok] | tuple[RawTok, ...], path: str, lines: LineTable, end: RawTok = _EOF):
-        self.toks = [*toks, _EOF]
+    def __init__(self, toks: list[RawTok], path: str, lines: LineTable, end: RawTok = _EOF):
+        self.toks = toks
         self.end = end
         self.path = path
         self.lines = lines
@@ -316,7 +316,7 @@ class _BodyParser(_Cursor):
 
     def __init__(
         self,
-        toks: list[RawTok] | tuple[RawTok, ...],
+        toks: list[RawTok],
         path: str,
         lines: LineTable,
         res: _BodyResult,
@@ -707,7 +707,9 @@ def st_fragment_facts(
     and inline actions into its POU's collector; `value_context` marks a
     bare expression whose result a surrounding construct consumes.  The
     walk starts inside `into.depth` levels of nesting."""
-    return _BodyParser(lex(text, path), path, LineTable(text), into or _BodyResult()).parse_body(value_context)
+    toks = lex(text, path)
+    toks.append(_EOF)
+    return _BodyParser(toks, path, LineTable(text), into or _BodyResult()).parse_body(value_context)
 
 
 # ---------------------- declarations ----------------------
@@ -754,11 +756,14 @@ class StSource:
 
 @dataclass(frozen=True)
 class StUnit:
-    """Top-level construct found in an ST file.  `lines` is the file's
-    line table, shared by all its units."""
+    """Top-level construct found in an ST file.  `tokens`, the list its
+    cursor reads, holds the tokens before the closing keyword `end` (and
+    END_VAR too for a VAR_GLOBAL list), then `_EOF`.  `lines` is the
+    file's line table, shared by all its units."""
 
     kind: str  # "pou" | "types" | "globals"
-    tokens: tuple[RawTok, ...]
+    tokens: list[RawTok]
+    end: RawTok
     lines: LineTable
 
 
@@ -774,7 +779,9 @@ def split_st_units(source: StSource) -> list[StUnit]:
         if word in _UNIT_ENDS:
             kind, end_kw = _UNIT_ENDS[word]
             j = _find_kw(toks, i + 1, end_kw, source.path, lines, t)
-            units.append(StUnit(kind, tuple(toks[i : j + 1]), lines))
+            unit = toks[i : j + 1] if kind == "globals" else toks[i:j]
+            unit.append(_EOF)
+            units.append(StUnit(kind, unit, toks[j], lines))
             i = j + 1
         elif word == ";":
             i += 1
@@ -908,16 +915,11 @@ def _bound_error(text: str, too_long: bool = False) -> str:
     return "array bound %s %s" % (clip(repr(text)), "has too many digits" if too_long else "is not an integer")
 
 
-def _unit_cursor(unit: StUnit, path: str) -> _Cursor:
-    """A cursor over a POU or TYPE unit whose closing keyword is the end
-    of input, so a construct it cuts short is unterminated."""
-    return _Cursor(unit.tokens[:-1], path, unit.lines, unit.tokens[-1])
-
-
 def parse_type_block(unit: StUnit, context: TypeContext, path: str) -> None:
     """Feed one TYPE .. END_TYPE block into the shared type table.  A block
-    that does not parse defines none of its types."""
-    cur = _unit_cursor(unit, path)
+    that does not parse defines none of its types.  Its END_TYPE is the
+    end of input, so a construct it cuts short is unterminated."""
+    cur = _Cursor(unit.tokens, path, unit.lines, unit.end)
     cur.take()  # TYPE
     definitions: list[tuple[str, TypeSpec]] = []
     while cur.cur() is not _EOF:
@@ -956,8 +958,8 @@ def _parse_var_sections(cur: _Cursor) -> list[RawDecl]:
 def interface_of_unit(cur: _Cursor) -> tuple[str, PouKind, list[RawDecl], TypeSpec | None]:
     """Head and declarations of the POU unit that `cur` starts at: name,
     kind, raw declarations and the function return type (None for other
-    kinds).  `cur` is left at the first body token.  An empty quoted
-    name is a ParseError at the head, as a nameless XML <pou> is."""
+    kinds).  `cur` is left at the first body token.  An empty or blank
+    quoted name is a ParseError at the head, as a nameless XML <pou> is."""
     head = cur.take()
     kind = _POU_KINDS[head.key][0]
     name_tok = cur.cur()
@@ -966,7 +968,7 @@ def interface_of_unit(cur: _Cursor) -> tuple[str, PouKind, list[RawDecl], TypeSp
         cur.take()
     else:
         name = cur.expect_ident().text
-    if not name:
+    if not name.strip():
         raise cur.fail("pou without a name skipped", head)
     return_spec: TypeSpec | None = None
     if kind is PouKind.FUNCTION and cur.at(":"):
@@ -981,7 +983,7 @@ def finalize_body(
     variables,
     context: TypeContext,
     global_names: frozenset[str],
-    pou_names: frozenset[str] = frozenset(),
+    pou_names: frozenset[str],
 ) -> BodyFacts:
     """Turn a POU's collector into BodyFacts for the POU's declarations:
     add the distinct outputs read back from each FB instance to the
@@ -1039,7 +1041,7 @@ def walk_pou_unit(unit: StUnit, path: str) -> WalkedPou:
     ParseError there propagates) and walks its body, which needs no other
     file.  A body that does not parse still leaves the POU's name and
     interface to the sample."""
-    parser = _BodyParser(unit.tokens[:-1], path, unit.lines, _BodyResult(), unit.tokens[-1])
+    parser = _BodyParser(unit.tokens, path, unit.lines, _BodyResult(), unit.end)
     name, kind, decls, return_spec = interface_of_unit(parser)
     head = SourceRef(path, *unit.lines.position(unit.tokens[0].offset))
     walked = WalkedPou(name, head, kind, Language.ST, decls, return_spec, parser.res)

@@ -52,6 +52,10 @@ def test_empty_name_is_flagged():
     assert any("name is empty" in p for p in problems)
 
 
+def test_blank_name_is_flagged():
+    assert validate_pou(make_pou(name=" \t ")) == ["pou name is empty or blank"]
+
+
 def test_token_constructors_casefold_identity():
     assert Token.operator("AND").identity_key == "and"
     assert Token.operand("Level_1").identity_key == "level_1"

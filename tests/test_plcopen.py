@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -18,6 +19,7 @@ from poumetrics import (
     compute_vector,
     load_sample,
 )
+from poumetrics import plcopen
 from poumetrics.plcopen import parse_xml
 
 HEADERS = (
@@ -559,18 +561,29 @@ def test_unreachable_step_warns(tmp_path):
     assert "orphan" in message.casefold()
 
 
+# Init -> transition -> jump to the step the placeholder names; Far is
+# wired to nothing else.
+JUMP_SFC = (
+    "<SFC>"
+    '<step localId="1" name="Init" initialStep="true"><connectionPointOut/></step>'
+    '<transition localId="2"><connectionPointIn><connection refLocalId="1"/></connectionPointIn>'
+    "<connectionPointOut/><condition><inline><ST>go</ST></inline></condition></transition>"
+    '<jumpStep localId="3" targetName="%s"><connectionPointIn><connection refLocalId="2"/></connectionPointIn></jumpStep>'
+    '<step localId="4" name="Far"><connectionPointIn/><connectionPointOut/></step>'
+    "</SFC>"
+)
+
+
 def test_jump_step_keeps_target_reachable(tmp_path):
-    body = (
-        "<SFC>"
-        '<step localId="1" name="Init" initialStep="true"><connectionPointOut/></step>'
-        '<transition localId="2"><connectionPointIn><connection refLocalId="1"/></connectionPointIn>'
-        "<connectionPointOut/><condition><inline><ST>go</ST></inline></condition></transition>"
-        '<jumpStep localId="3" targetName="Far"><connectionPointIn><connection refLocalId="2"/></connectionPointIn></jumpStep>'
-        '<step localId="4" name="Far"><connectionPointIn/><connectionPointOut/></step>'
-        "</SFC>"
-    )
-    _, warnings = one_pou(tmp_path, doc(pou_xml("P", "program", body)))
+    _, warnings = one_pou(tmp_path, doc(pou_xml("P", "program", JUMP_SFC % "Far")))
     assert [w.code for w in warnings] == []
+
+
+@pytest.mark.parametrize("target, unreachable", [("Nowhere", ["far"]), ("FAR", [])], ids=["unknown", "other-case"])
+def test_jump_step_target_is_resolved_by_name(tmp_path, target, unreachable):
+    _, warnings = one_pou(tmp_path, doc(pou_xml("P", "program", JUMP_SFC % target)))
+    assert [w.code for w in warnings] == ["unreachable-step"] * len(unreachable)
+    assert [w.message.split("'")[1] for w in warnings] == unreachable
 
 
 def test_named_transition_reference_merges_once(tmp_path):
@@ -599,6 +612,81 @@ def test_named_transition_reference_merges_once(tmp_path):
     # condition facts appear once, not once per referencing transition
     assert operands.count("count") == 1
     assert operands.count("3") == 1
+
+
+def test_each_named_body_merges_once_and_is_indexed_once_per_pou(tmp_path, monkeypatch):
+    """2,000 named actions and 2,000 named transitions, each referenced
+    twice (once in another case): each body merges at its first reference,
+    and the POU's <actions> and <transitions> are read once."""
+    n = 2000
+    fragment = '<body><ST><xhtml xmlns="http://www.w3.org/1999/xhtml">%s</xhtml></ST></body>'
+    actions = "".join('<action name="A%d">%s</action>' % (i, fragment % ("a%d := TRUE;" % i)) for i in range(n))
+    transitions = "".join('<transition name="T%d">%s</transition>' % (i, fragment % ("c%d" % i)) for i in range(n))
+    elements = []
+    for i in range(n):
+        for lid, ref in ((4 * i + 1, "T%d" % i), (4 * i + 2, "t%d" % i)):
+            elements.append('<transition localId="%d"><condition><reference name="%s"/></condition></transition>' % (lid, ref))
+        elements.append(
+            '<actionBlock localId="%d"><action><reference name="A%d"/></action><action qualifier="P">'
+            '<reference name="a%d"/></action></actionBlock>' % (4 * i + 3, i, i)
+        )
+    text = doc(
+        '<pou name="P" pouType="program">%s<body><SFC>%s</SFC></body><actions>%s</actions><transitions>%s</transitions></pou>'
+        % (EMPTY_IFACE, "".join(elements), actions, transitions)
+    )
+    reads = []
+    real = plcopen._named_bodies
+
+    def counting(pou_el):
+        reads.append(pou_el.get("name"))
+        return real(pou_el)
+
+    monkeypatch.setattr(plcopen, "_named_bodies", counting)
+    pou, warnings = one_pou(tmp_path, text)
+    assert warnings == []
+    assert reads == ["P"]
+    operands = Counter(k for c, k in tokens_of(pou) if c is TokenClass.OPERAND)
+    assert operands == {"true": n, **{"a%d" % i: 1 for i in range(n)}, **{"c%d" % i: 1 for i in range(n)}}
+    assert decision_kinds(pou) == ["transition"] * 2 * n
+
+
+INLINE_FBD = (
+    '<inline><FBD><inVariable localId="10"><expression>a</expression></inVariable>'
+    '<outVariable localId="11"><connectionPointIn><connection refLocalId="%s"/></connectionPointIn>'
+    "<expression>b</expression></outVariable></FBD></inline>"
+)
+
+
+@pytest.mark.parametrize("holder", ["action", "transition"])
+@pytest.mark.parametrize("ref, dangling", [("10", []), ("99", ["'99'"])], ids=["wired", "dangling"])
+def test_inline_network_connections_are_checked_in_their_own_network_only(tmp_path, holder, ref, dangling):
+    inline = INLINE_FBD % ref
+    action, condition = (inline, "<inline><ST>go</ST></inline>") if holder == "action" else ("", inline)
+    body = (
+        "<SFC>"
+        '<step localId="1" name="Init" initialStep="true"><connectionPointOut/></step>'
+        '<actionBlock localId="2"><connectionPointIn><connection refLocalId="1"/></connectionPointIn>'
+        "<action>%s</action></actionBlock>"
+        '<transition localId="3"><connectionPointIn><connection refLocalId="1"/></connectionPointIn>'
+        "<connectionPointOut/><condition>%s</condition></transition>"
+        "</SFC>"
+    ) % (action, condition)
+    _, warnings = one_pou(tmp_path, doc(pou_xml("P", "program", body)))
+    assert [w.message.split()[-1] for w in warnings if w.code == "dangling-connection"] == dangling
+    assert [w.code for w in warnings if w.code != "dangling-connection"] == []
+
+
+def test_sfc_without_an_initial_step_is_not_checked_for_reachability(tmp_path):
+    body = (
+        "<SFC>"
+        '<step localId="1" name="A"><connectionPointOut/></step>'
+        '<transition localId="2"><connectionPointIn><connection refLocalId="1"/></connectionPointIn>'
+        "<connectionPointOut/><condition><inline><ST>go</ST></inline></condition></transition>"
+        '<step localId="9" name="Orphan"><connectionPointIn/></step>'
+        "</SFC>"
+    )
+    _, warnings = one_pou(tmp_path, doc(pou_xml("P", "program", body)))
+    assert warnings == []
 
 
 def test_action_qualifiers_become_operators(tmp_path):

@@ -327,17 +327,33 @@ def test_cli_skip_warnings_exit_two(tmp_path, capsys):
     assert "pou-parse-error" in captured.err
 
 
-def test_cli_skips_an_st_pou_with_an_empty_name(tmp_path, capsys):
+@pytest.mark.parametrize("name", ["''", "' '", "' \t  '"], ids=["empty", "blank", "blanks-and-tab"])
+def test_cli_skips_an_st_pou_with_an_empty_name(tmp_path, capsys, name):
     src = tmp_path / "src"
     src.mkdir()
     (src / "ok.st").write_text("PROGRAM Alpha x := 1; END_PROGRAM")
-    (src / "nameless.st").write_text("PROGRAM '' y := 1; END_PROGRAM")
+    (src / "nameless.st").write_text("PROGRAM %s y := 1; END_PROGRAM" % name)
     out_json = tmp_path / "r.json"
     code = main(["analyze", str(src), "--json", str(out_json)])
     captured = capsys.readouterr()
     assert code == 2
     assert [p["name"] for p in json.loads(out_json.read_text())["pous"]] == ["Alpha"]
     assert "[pou-parse-error] %s: 1:1: pou without a name skipped" % (src / "nameless.st") in captured.err
+
+
+def test_cli_skips_an_xml_pou_with_a_blank_name(tmp_path, capsys):
+    from test_plcopen import doc, pou_xml
+
+    st_body = '<ST><xhtml xmlns="http://www.w3.org/1999/xhtml">x := 1;</xhtml></ST>'
+    (tmp_path / "ok.st").write_text("PROGRAM Alpha x := 1; END_PROGRAM")
+    (tmp_path / "p.xml").write_text(doc(pou_xml("  ", "functionBlock", st_body) + pou_xml("Good", "program", st_body)))
+    out_json = tmp_path / "r.json"
+    code = main(["analyze", str(tmp_path), "--json", str(out_json)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert [p["name"] for p in json.loads(out_json.read_text())["pous"]] == ["Alpha", "Good"]
+    assert captured.err.count("[pou-parse-error]") == 1
+    assert "%s:  : pou without a name skipped" % (tmp_path / "p.xml") in captured.err
 
 
 # 4000 hex digits are about 4800 decimal ones, more than Python prints.
