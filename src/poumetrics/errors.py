@@ -76,7 +76,7 @@ SKIP_CODES = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnalysisWarning:
     """Non-fatal diagnostic attached to a run.
 
@@ -88,6 +88,11 @@ class AnalysisWarning:
     message: str
     path: str = ""
     pou: str = ""
+
+    def __reduce__(self):
+        # Pickled as a constructor call: the dataclass default for a
+        # frozen slotted class runs __getstate__/__setstate__ in Python.
+        return AnalysisWarning, (self.code, self.message, self.path, self.pou)
 
     def render(self) -> str:
         ctx = ":".join(p for p in (self.path, self.pou) if p)

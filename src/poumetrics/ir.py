@@ -56,7 +56,7 @@ class TokenClass(Enum):
     OPERAND = "Operand"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceRef:
     """Location of a construct: file path plus 1-based line/column.
 
@@ -68,6 +68,11 @@ class SourceRef:
     line: int = 0
     column: int = 0
     element: str = ""
+
+    def __reduce__(self):
+        # Pickled as a constructor call: the dataclass default for a
+        # frozen slotted class runs __getstate__/__setstate__ in Python.
+        return SourceRef, (self.path, self.line, self.column, self.element)
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,6 +98,10 @@ class Token:
     @lru_cache(maxsize=_TOKEN_CACHE_SIZE)
     def operand(lexeme: str, identity: str | None = None) -> "Token":
         return _shared_token(lexeme, TokenClass.OPERAND, (identity if identity is not None else lexeme).casefold())
+
+    def __reduce__(self):
+        # An unpickled token rejoins the shared instance of its value.
+        return _shared_token, (self.lexeme, self.cls, self.identity_key)
 
 
 @lru_cache(maxsize=_TOKEN_CACHE_SIZE)
@@ -129,12 +138,15 @@ class CallSite:
     returns_used: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionSpan:
     """Source span of one decision point, labeled by construct kind."""
 
     kind: str
     ref: SourceRef
+
+    def __reduce__(self):
+        return DecisionSpan, (self.kind, self.ref)
 
 
 @dataclass(frozen=True)

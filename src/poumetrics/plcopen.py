@@ -166,20 +166,19 @@ def _interface_vars(interface: ET.Element, path: str) -> tuple[list[RawDecl], Ty
     return out, return_spec
 
 
-def register_project_types(root: ET.Element, walked: list[WalkedPou], context: TypeContext, path: str) -> None:
-    """Define the document's data types in `context`.  A data type that
-    does not parse, or else the first FB interface `walk_pous` could not
-    read, raises before any is defined: the file is skipped whole."""
+def register_project_types(root: ET.Element, walked: list[WalkedPou], path: str) -> list[tuple[str, TypeSpec]]:
+    """The document's data types as (name, spec), in document order.  A
+    data type that does not parse, or else the first FB interface
+    `walk_pous` could not read, raises: the file is skipped whole."""
     types = [
         (dt.get("name"), _type_spec_of(dt.find("baseType"), path))
         for dt in root.iter("dataType")
         if dt.get("name")
     ]
     for w in walked:
-        if w.kind is PouKind.FUNCTION_BLOCK and w.name.strip() and w.decls is None:
+        if w.kind is PouKind.FUNCTION_BLOCK and w.name and w.decls is None:
             raise w.parse_error
-    for name, spec in types:
-        context.define(name, spec)
+    return types
 
 
 def project_global_names(root: ET.Element) -> list[str]:
@@ -501,10 +500,12 @@ def walk_pous(root: ET.Element, path: str) -> list[WalkedPou]:
     walked: list[WalkedPou] = []
     for pou_el in root.iter("pou"):
         name = pou_el.get("name", "")
+        if not name.strip():
+            name = ""  # a blank name names no POU, as in ST
         kind = _POU_TYPE_MAP.get(pou_el.get("pouType", "").casefold(), PouKind.PROGRAM)
         pou = WalkedPou(name, SourceRef(path, element=pou_el.get("globalId", "")), kind, decls=None)
         try:
-            if not name.strip():
+            if not name:
                 raise ParseError("pou without a name skipped", path)
             _walk_pou(pou, pou_el, path)
         except ParseError as exc:

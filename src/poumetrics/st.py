@@ -186,7 +186,7 @@ _LABEL_BREAKERS = _STMT_START | frozenset(
 _NOT_CALLEES = _STMT_START | frozenset({"AND", "OR", "XOR", "NOT", "MOD", "TRUE", "FALSE"})
 
 
-@dataclass
+@dataclass(slots=True)
 class _RawCall:
     callee: str
     key: str
@@ -915,18 +915,18 @@ def _bound_error(text: str, too_long: bool = False) -> str:
     return "array bound %s %s" % (clip(repr(text)), "has too many digits" if too_long else "is not an integer")
 
 
-def parse_type_block(unit: StUnit, context: TypeContext, path: str) -> None:
-    """Feed one TYPE .. END_TYPE block into the shared type table.  A block
-    that does not parse defines none of its types.  Its END_TYPE is the
-    end of input, so a construct it cuts short is unterminated."""
+def parse_type_block(unit: StUnit, path: str) -> list[tuple[str, TypeSpec]]:
+    """The definitions of one TYPE .. END_TYPE block, in order.  A block
+    that does not parse raises, so it defines none of its types.  Its
+    END_TYPE is the end of input, so a construct it cuts short is
+    unterminated."""
     cur = _Cursor(unit.tokens, path, unit.lines, unit.end)
     cur.take()  # TYPE
     definitions: list[tuple[str, TypeSpec]] = []
     while cur.cur() is not _EOF:
         name = cur.expect_ident().text
         definitions.append((name, _type_and_init(cur)))
-    for name, spec in definitions:
-        context.define(name, spec)
+    return definitions
 
 
 def parse_global_names(unit: StUnit, path: str) -> list[str]:

@@ -31,7 +31,7 @@ ELEMENTARY_TYPES = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeSpec:
     """Structural description of a declared type.
 
@@ -43,6 +43,11 @@ class TypeSpec:
     dims: tuple[tuple[int, int], ...] = ()
     element: "TypeSpec | None" = None
     fields: tuple[str, ...] = ()  # struct: member names
+
+    def __reduce__(self):
+        # Pickled as a constructor call: the dataclass default for a
+        # frozen slotted class runs __getstate__/__setstate__ in Python.
+        return TypeSpec, (self.kind, self.name, self.dims, self.element, self.fields)
 
     def render(self) -> str:
         if self.kind == "named":
@@ -73,7 +78,7 @@ def named(name: str) -> TypeSpec:
     return TypeSpec("named", name=name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawDecl:
     """One declared name with its section and unclassified type, as a
     frontend reads it from a POU interface."""
@@ -81,6 +86,9 @@ class RawDecl:
     name: str
     section: VarSection
     spec: TypeSpec
+
+    def __reduce__(self):
+        return RawDecl, (self.name, self.section, self.spec)
 
 
 @dataclass(frozen=True)
@@ -123,9 +131,12 @@ class TypeContext:
     definitions: dict[str, TypeSpec] = field(default_factory=dict)
     fb_interfaces: dict[str, tuple[FbMember, ...]] = field(default_factory=dict)
     array_sub_cap: int | None = None
+    # casefolded user-defined type name -> what `_resolve` found for it
+    _resolved: dict[str, tuple[range, str]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def define(self, name: str, spec: TypeSpec) -> None:
         self.definitions[name.casefold()] = spec
+        self._resolved.clear()
 
     def lookup(self, name: str) -> TypeSpec | None:
         return self.definitions.get(name.casefold())
@@ -136,6 +147,7 @@ class TypeContext:
         self.fb_interfaces[name.casefold()] = tuple(
             FbMember(d.name, d.section) for d in decls if d.section in INTERFACE_SECTIONS
         )
+        self._resolved.clear()
 
     def fb_members(self, type_name: str) -> tuple[FbMember, ...] | None:
         key = type_name.casefold()
@@ -176,40 +188,65 @@ class TypeContext:
         """Classify a declared type and count its first-level sub-variables,
         as a range of that length.
 
-        Named types resolve through user aliases in a loop.  A user-defined
-        name is Complex even when it resolves to a bare scalar, and an
-        alias cycle is Complex without sub-variables."""
-        seen: set[str] = set()
-        while spec.kind == "named":
+        Named types resolve through user aliases (see `_resolve`).  A
+        user-defined name is Complex even when it resolves to a bare
+        scalar, and an alias cycle is Complex without sub-variables."""
+        if spec.kind == "named" and not _is_elementary(spec.name):
+            subs, unknown = self._resolve(spec)
+            if not unknown:
+                return TypeClass.COMPLEX, subs, []
+            warning = AnalysisWarning(
+                code="unknown-type",
+                message="type %r of %r is not defined; treated as Complex without sub-variables"
+                % (unknown, base_name),
+            )
+            return TypeClass.COMPLEX, range(0), [warning]
+        # Elementary names and strings are Simple; enums and subranges
+        # (range-restricted scalars) are user-defined, without members.
+        simple = spec.kind in ("named", "string")
+        return (TypeClass.SIMPLE if simple else TypeClass.COMPLEX), self._members(spec), []
+
+    def _resolve(self, spec: TypeSpec) -> tuple[range, str]:
+        """Follow a type name that is not elementary through user aliases,
+        in a loop, to the sub-variables of the type it ends at, and the
+        undefined name it ends at instead ("" when there is none).  The
+        outcome is kept for every defined name on the way, so a chain is
+        walked once, not once per declaration that uses it."""
+        defined: set[str] = set()
+        while True:
             key = spec.name.casefold()
-            if key.split("(")[0].strip() in ELEMENTARY_TYPES:
+            outcome = self._resolved.get(key)
+            if outcome is not None:
                 break
-            if key in seen:
-                return TypeClass.COMPLEX, range(0), []
-            seen.add(key)
+            if key in defined:  # an alias cycle
+                outcome = range(0), ""
+                break
             definition = self.lookup(spec.name)
             if definition is None:
                 members = self.fb_members(spec.name)
-                if members is not None:
-                    return TypeClass.COMPLEX, range(len(members)), []
-                warning = AnalysisWarning(
-                    code="unknown-type",
-                    message="type %r of %r is not defined; treated as Complex without sub-variables"
-                    % (spec.name, base_name),
-                )
-                return TypeClass.COMPLEX, range(0), [warning]
+                outcome = (range(0), spec.name) if members is None else (range(len(members)), "")
+                break
+            defined.add(key)
             spec = definition
+            if spec.kind != "named" or _is_elementary(spec.name):
+                outcome = self._members(spec), ""
+                break
+        for key in defined:
+            self._resolved[key] = outcome
+        return outcome
 
+    def _members(self, spec: TypeSpec) -> range:
+        """First-level sub-variables of a type that is not a name."""
         if spec.kind == "array":
             # len() of a range must fit in a C ssize_t.
             count = min(spec.element_count(), sys.maxsize)
             if self.array_sub_cap is not None:
                 count = min(count, max(self.array_sub_cap, 0))
-            return TypeClass.COMPLEX, range(count), []
+            return range(count)
         if spec.kind == "struct":
-            return TypeClass.COMPLEX, range(len(spec.fields)), []
-        # Elementary names and strings are Simple unless reached through
-        # an alias; enums and subranges (range-restricted scalars) are
-        # user-defined, without members.
-        simple = spec.kind in ("named", "string") and not seen
-        return (TypeClass.SIMPLE if simple else TypeClass.COMPLEX), range(0), []
+            return range(len(spec.fields))
+        return range(0)
+
+
+def _is_elementary(name: str) -> bool:
+    return name.casefold().split("(")[0].strip() in ELEMENTARY_TYPES

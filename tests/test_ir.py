@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import pickle
 import shutil
 import tracemalloc
 import weakref
@@ -27,7 +28,9 @@ from poumetrics import (
     load_sample,
     validate_pou,
 )
-from poumetrics import plcopen, st
+from poumetrics import load, plcopen, st
+from poumetrics.errors import AnalysisWarning
+from poumetrics.typesys import RawDecl, TypeSpec, named
 
 
 def make_pou(**overrides) -> Pou:
@@ -76,6 +79,27 @@ def test_token_constructors_share_one_instance_per_value():
         assert tok.identity_key == ref.identity_key
     assert Token.operator("AND") is Token.operator("AND", None) is Token.operator("AND", "And")
     assert Token.operator("x") != Token.operand("x")
+
+
+def test_unpickled_token_is_the_shared_instance():
+    for tok in (Token.operator("x"), Token.operand("x"), Token.operator("Max", "max()")):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(tok, protocol)) is tok
+
+
+def test_records_that_pass_1_pickles_round_trip_field_by_field():
+    ref = SourceRef("a.st", 3, 7, "step1")
+    spec = TypeSpec("array", "Arr", ((1, 2), (0, 4)), named("INT"), ("f",))
+    for record in (
+        ref,
+        DecisionSpan("if", ref),
+        AnalysisWarning("unknown-type", "type 'X' of 'y' ...", "a.st", "P"),
+        spec,
+        RawDecl("v", VarSection.IN_OUT, spec),
+    ):
+        copy = pickle.loads(pickle.dumps(record, pickle.HIGHEST_PROTOCOL))
+        assert copy == record and type(copy) is type(record)
+        assert not hasattr(copy, "__dict__")
 
 
 def test_corpus_tokens_equal_by_value_are_one_object(corpus_sample):
@@ -143,7 +167,9 @@ def test_corpus_ir_matches_golden(corpus_sample):
 def test_load_frees_each_unit_and_xml_tree_once_its_pous_are_built(monkeypatch, tmp_path):
     # Every ST unit and XML tree of a file must be gone before the next
     # file is read.  The last file read holds several POUs, so the state
-    # pass 1 keeps between files is checked too.
+    # pass 1 keeps between files is checked too.  The spies see this
+    # process only, so pass 1 runs here alone.
+    monkeypatch.setattr(load, "_usable_cpus", lambda: 1)
     shutil.copytree(CORPUS, tmp_path, dirs_exist_ok=True)
     (tmp_path / "zz_last.st").write_text(
         "".join("PROGRAM Last%d\nx := %d;\nEND_PROGRAM\n" % (i, i) for i in range(3))

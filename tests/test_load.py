@@ -4,13 +4,16 @@ function-block interface."""
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 from pathlib import Path
 
 import pytest
 
 from golden_ir import CORPUS
-from poumetrics import CallSite, ParseError, load_sample
-from poumetrics import plcopen, st
+from poumetrics import AnalysisError, CallSite, ParseError, load_sample
+from poumetrics import load, plcopen, st
 from poumetrics.typesys import TypeContext
 
 XML_HEAD = (
@@ -129,7 +132,9 @@ def test_warnings_and_pous_keep_their_order_across_files(tmp_path):
 
 def test_interface_of_unit_runs_once_per_st_pou_unit(monkeypatch):
     """Each ST POU's declarations and each XML <pou>'s <interface> are
-    read once, although function blocks also lend theirs to the sample."""
+    read once, although function blocks also lend theirs to the sample.
+    The spies count in this process only, so pass 1 runs here alone."""
+    monkeypatch.setattr(load, "_usable_cpus", lambda: 1)
     calls = []
     real = st.interface_of_unit
     real_xml = plcopen._interface_vars
@@ -220,3 +225,189 @@ def test_loader_registers_each_function_block_of_the_corpus(monkeypatch):
         "SfcLinear",
         "StructPoint",
     ]
+
+
+# ------------------------- pass 1 across processes -------------------------
+
+
+def run_serially(monkeypatch) -> None:
+    monkeypatch.setattr(load, "_usable_cpus", lambda: 1)
+
+
+def run_forked(monkeypatch, cpus: int) -> list[int]:
+    """Cut pass 1 into `cpus` chunks; the returned list collects the pid
+    of every child forked."""
+    monkeypatch.setattr(load, "_usable_cpus", lambda: cpus)
+    pids: list[int] = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_reaped(pids: list[int]) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def sample_facts(sample) -> tuple:
+    return (
+        sample.pous,
+        sample.warnings,
+        list(sample.context.definitions.items()),
+        list(sample.context.fb_interfaces.items()),
+        sample.global_names,
+    )
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_forked_pass_one_gives_the_serial_sample(monkeypatch, cpus):
+    run_serially(monkeypatch)
+    serial = sample_facts(load_sample([str(CORPUS)]))
+    pids = run_forked(monkeypatch, cpus)
+    assert sample_facts(load_sample([str(CORPUS)])) == serial
+    assert len(pids) == cpus - 1
+    assert_reaped(pids)
+
+
+def padded(text: str, size: int, xml: bool) -> str:
+    """`text` with a comment appended that makes it `size` bytes long."""
+    comment = "\n<!--%s-->" if xml else "\n(* %s *)"
+    return text + comment % ("x" * (size - len(text) - len(comment % "")))
+
+
+# Six files of one size, so three chunks hold two each: Later is used in
+# the first chunk and defined in the second, Twice is defined in the
+# first and again in the third, which wins.
+CHUNKED_SAMPLE = {
+    "a_user.st": "PROGRAM UsesLater\nVAR v : Later; w : Twice; END_VAR\nv.a := 1;\nEND_PROGRAM\n",
+    "b_bad.st": (
+        "TYPE Twice : INT; END_TYPE\nPROGRAM Bad\nx := ;\nEND_PROGRAM\n"
+        "PROGRAM BadIface VAR z : ; END_VAR END_PROGRAM\n"
+    ),
+    "c_broken.xml": "<project><pous>",
+    "d_types.st": (
+        "TYPE Later : STRUCT a : INT; b : INT; END_STRUCT; END_TYPE\nVAR_GLOBAL g : INT; END_VAR\n"
+        "FUNCTION_BLOCK Fb\nVAR_INPUT i : INT; END_VAR\nEND_FUNCTION_BLOCK\n"
+    ),
+    "e_twice.st": "TYPE Twice : ARRAY[1..3] OF INT; END_TYPE\nPROGRAM UsesFb\nVAR f : Fb; END_VAR\nf(i := g);\nEND_PROGRAM\n",
+    "f_project.xml": XML_HEAD
+    + '<pou name="XmlP" pouType="program">%s<body><ST>t[1] := 1;</ST></body></pou>'
+    % local_var("t", '<derived name="Twice"/>')
+    + XML_TAIL,
+}
+
+
+def test_forked_pass_one_applies_each_file_in_order(monkeypatch, tmp_path):
+    for name, text in CHUNKED_SAMPLE.items():
+        (tmp_path / name).write_text(padded(text, 1000, name.endswith(".xml")))
+    files = load.discover_inputs([str(tmp_path)])
+    assert [[p.name for p in chunk] for chunk in load._chunks(files, 3)] == [
+        ["a_user.st", "b_bad.st"],
+        ["c_broken.xml", "d_types.st"],
+        ["e_twice.st", "f_project.xml"],
+    ]
+    run_serially(monkeypatch)
+    serial = sample_facts(load_sample([str(tmp_path)]))
+    pids = run_forked(monkeypatch, 3)
+    sample = load_sample([str(tmp_path)])
+    assert sample_facts(sample) == serial
+    assert len(pids) == 2
+    assert_reaped(pids)
+    assert [p.name for p in sample.pous] == ["UsesLater", "Fb", "UsesFb", "XmlP"]
+    assert sample.context.lookup("Twice").kind == "array"
+    assert {v.name: len(v.sub_variables) for p in sample.pous for v in p.variables if v.name in "vwt"} == {
+        "v": 2,
+        "w": 3,
+        "t": 3,
+    }
+    assert [(w.code, Path(w.path).name, w.pou) for w in sample.warnings] == [
+        ("pou-parse-error", "b_bad.st", ""),
+        ("xml-malformed", "c_broken.xml", ""),
+        ("pou-parse-error", "b_bad.st", "Bad"),
+    ]
+    assert sample.global_names == {"g"}
+
+
+def test_duplicate_pou_across_chunks_is_the_serial_error(monkeypatch, tmp_path):
+    for name in ("a.st", "b.st"):
+        (tmp_path / name).write_text("PROGRAM Dup x := 1; END_PROGRAM")
+    run_serially(monkeypatch)
+    with pytest.raises(AnalysisError) as serial:
+        load_sample([str(tmp_path)])
+    pids = run_forked(monkeypatch, 2)
+    with pytest.raises(AnalysisError) as forked:
+        load_sample([str(tmp_path)])
+    assert str(forked.value) == str(serial.value)
+    assert "duplicate POU name 'Dup'" in str(serial.value)
+    assert len(pids) == 1
+    assert_reaped(pids)
+
+
+@pytest.mark.parametrize("failure", ["raises", "exits-after-one-record"])
+def test_a_failed_child_has_its_chunk_walked_here(monkeypatch, failure):
+    run_serially(monkeypatch)
+    serial = sample_facts(load_sample([str(CORPUS)]))
+    here = os.getpid()
+    if failure == "raises":
+        real_walk = load._walk_file
+
+        def walk_file(path):
+            if os.getpid() != here:
+                raise RuntimeError("child failed")
+            return real_walk(path)
+
+        monkeypatch.setattr(load, "_walk_file", walk_file)
+    else:
+        real_dump = pickle.dump
+
+        def dump(obj, file, protocol=None):
+            real_dump(obj, file, protocol)
+            file.flush()
+            os._exit(0)
+
+        monkeypatch.setattr(pickle, "dump", dump)
+    pids = run_forked(monkeypatch, 3)
+    assert all(len(chunk) > 1 for chunk in load._chunks(load.discover_inputs([str(CORPUS)]), 3))
+    assert sample_facts(load_sample([str(CORPUS)])) == serial
+    assert len(pids) == 2
+    assert_reaped(pids)
+
+
+def test_no_child_outlives_a_raise_in_the_loading_process(monkeypatch):
+    here = os.getpid()
+    real_walk = load._walk_file
+
+    def walk_file(path):
+        if os.getpid() == here:
+            raise RuntimeError("loading process failed")
+        return real_walk(path)
+
+    pids = run_forked(monkeypatch, 3)
+    monkeypatch.setattr(load, "_walk_file", walk_file)
+    with pytest.raises(RuntimeError, match="loading process failed"):
+        load_sample([str(CORPUS)])
+    assert len(pids) == 2
+    assert_reaped(pids)
+
+
+def test_pass_one_stays_here_while_another_thread_runs(monkeypatch):
+    pids = run_forked(monkeypatch, 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        sample = load_sample([str(CORPUS)])
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert pids == []
+    assert len(sample.pous) == 14

@@ -353,7 +353,7 @@ def test_cli_skips_an_xml_pou_with_a_blank_name(tmp_path, capsys):
     assert code == 2
     assert [p["name"] for p in json.loads(out_json.read_text())["pous"]] == ["Alpha", "Good"]
     assert captured.err.count("[pou-parse-error]") == 1
-    assert "%s:  : pou without a name skipped" % (tmp_path / "p.xml") in captured.err
+    assert "%s: pou without a name skipped" % (tmp_path / "p.xml") in captured.err
 
 
 # 4000 hex digits are about 4800 decimal ones, more than Python prints.

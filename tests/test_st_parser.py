@@ -20,7 +20,7 @@ from poumetrics import (
     st_fragment_facts,
 )
 from poumetrics.st import split_st_units
-from poumetrics.typesys import TypeContext, TypeSpec, named
+from poumetrics.typesys import RawDecl, TypeContext, TypeSpec, named
 
 
 def parse(text, **kw):
@@ -178,6 +178,64 @@ def test_array_sub_variable_count_matches_element_expansion(cap):
 def test_array_sub_variable_count_beyond_maxsize_saturates():
     spec = TypeSpec("array", dims=((0, 2**64),), element=named("INT"))
     assert len(TypeContext().classify(spec, "a")[1]) == sys.maxsize
+
+
+def counted_lookups(monkeypatch) -> list[str]:
+    names: list[str] = []
+    real = TypeContext.lookup
+
+    def lookup(self, name):
+        names.append(name)
+        return real(self, name)
+
+    monkeypatch.setattr(TypeContext, "lookup", lookup)
+    return names
+
+
+def test_alias_chain_is_walked_once_for_all_its_declarations(monkeypatch):
+    # T0 : ARRAY[1..3] OF INT; T1 : T0; ... and m variables of each of the
+    # two ends of the chain.
+    m = 500
+    context = TypeContext()
+    context.define("T0", TypeSpec("array", dims=((1, 3),), element=named("INT")))
+    for i in range(1, m):
+        context.define("T%d" % i, named("t%d" % (i - 1)))
+    decls = [RawDecl("v%d" % i, VarSection.LOCAL, named("T%d" % (i % 2 * (m - 1)))) for i in range(m)]
+    lookups = counted_lookups(monkeypatch)
+    variables, warnings = context.declare("P", decls)
+    assert len(lookups) <= 2 * m
+    assert warnings == []
+    assert {(v.type_class, len(v.sub_variables)) for v in variables} == {(TypeClass.COMPLEX, 3)}
+
+
+def test_unknown_type_behind_an_alias_names_each_variable(monkeypatch):
+    context = TypeContext()
+    context.define("Near", named("Far"))
+    context.define("Far", named("Nowhere"))
+    decls = [RawDecl(n, VarSection.LOCAL, named(t)) for n, t in (("a", "Near"), ("b", "NEAR"), ("c", "Far"), ("d", "Gone"))]
+    lookups = counted_lookups(monkeypatch)
+    variables, warnings = context.declare("P", decls)
+    assert [w.message for w in warnings] == [
+        "type %r of %r is not defined; treated as Complex without sub-variables" % (t, n)
+        for n, t in (("a", "Nowhere"), ("b", "Nowhere"), ("c", "Nowhere"), ("d", "Gone"))
+    ]
+    assert {w.pou for w in warnings} == {"P"}
+    assert {v.type_class for v in variables} == {TypeClass.COMPLEX}
+    assert lookups == ["Near", "Far", "Nowhere", "Gone"]
+
+
+def test_alias_resolution_follows_later_definitions_and_function_blocks():
+    context = TypeContext()
+    context.define("Cyc", named("Loop"))
+    context.define("Loop", named("Cyc"))
+    context.define("Alias", named("Later"))
+    assert context.classify(named("Cyc"), "x")[:2] == (TypeClass.COMPLEX, range(0))
+    assert context.classify(named("Alias"), "x")[2][0].code == "unknown-type"
+    context.register_fb("Later", [RawDecl("i", VarSection.INPUT, named("INT"))])
+    assert context.classify(named("Alias"), "x") == (TypeClass.COMPLEX, range(1), [])
+    context.define("Later", TypeSpec("struct", fields=("a", "b")))
+    assert context.classify(named("Alias"), "x") == (TypeClass.COMPLEX, range(2), [])
+    assert context.classify(named("INT"), "x") == (TypeClass.SIMPLE, range(0), [])
 
 
 def test_struct_type_reference_yields_field_sub_variables(tmp_path):
