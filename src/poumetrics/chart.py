@@ -9,6 +9,8 @@ deterministic text: same results, same bytes.
 
 from __future__ import annotations
 
+import re
+
 from .aggregate import PouResult
 from .metrics import METRIC_CLASSES, METRIC_KEYS
 
@@ -32,16 +34,11 @@ _RIGHT_PAD = 40
 
 
 def _esc(text: str) -> str:
-    return (
-        text.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
-
-
-def _num(value: float) -> str:
-    return "%.4f" % value
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+    if not text.isprintable():
+        # XML 1.0 forbids these characters anywhere in a document, even escaped.
+        text = re.sub("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]", "\ufffd", text)
+    return text
 
 
 def render_chart(results: list[PouResult]) -> str:
@@ -54,21 +51,20 @@ def render_chart(results: list[PouResult]) -> str:
 
     out: list[str] = []
     out.append(
-        '<svg xmlns="http://www.w3.org/2000/svg" width="%s" height="%s" '
-        'viewBox="0 0 %s %s" font-family="sans-serif" font-size="12">'
-        % (_num(width), _num(height), _num(width), _num(height))
+        '<svg xmlns="http://www.w3.org/2000/svg" width="%.4f" height="%.4f" '
+        'viewBox="0 0 %.4f %.4f" font-family="sans-serif" font-size="12">' % (width, height, width, height)
     )
-    out.append('<rect x="0" y="0" width="%s" height="%s" fill="#ffffff"/>' % (_num(width), _num(height)))
+    out.append('<rect x="0" y="0" width="%.4f" height="%.4f" fill="#ffffff"/>' % (width, height))
 
     bars_bottom = _TOP_MARGIN + len(rows) * (_BAR_HEIGHT + _BAR_GAP)
-    bar_height = _num(_BAR_HEIGHT)
+    bar_height = "%.4f" % _BAR_HEIGHT
     for row_index, result in enumerate(rows):
         y = _TOP_MARGIN + row_index * (_BAR_HEIGHT + _BAR_GAP)
-        name, bar_y = _esc(result.name), _num(y)
+        name, bar_y = _esc(result.name), "%.4f" % y
         label = result.name if not result.tag else "%s [%s]" % (result.name, result.tag)
         out.append(
-            '<text x="%s" y="%s" text-anchor="end">%s</text>'
-            % (_num(_LEFT_MARGIN - 8), _num(y + _BAR_HEIGHT - 5), _esc(label))
+            '<text x="%.4f" y="%.4f" text-anchor="end">%s</text>'
+            % (_LEFT_MARGIN - 8, y + _BAR_HEIGHT - 5, _esc(label))
         )
         x = float(_LEFT_MARGIN)
         # int / int is correctly rounded, so this is float(segment(i)).
@@ -77,24 +73,20 @@ def render_chart(results: list[PouResult]) -> str:
             if seg <= 0:
                 continue
             out.append(
-                '<rect data-pou="%s" data-metric="%s" x="%s" y="%s" width="%s" height="%s" fill="%s"/>'
-                % (name, key, _num(x), bar_y, _num(seg), bar_height, METRIC_FILLS[metric_index])
+                '<rect data-pou="%s" data-metric="%s" x="%.4f" y="%s" width="%.4f" height="%s" fill="%s"/>'
+                % (name, key, x, bar_y, seg, bar_height, METRIC_FILLS[metric_index])
             )
             x += seg
-        out.append(
-            '<text x="%s" y="%s">%s</text>'
-            % (_num(x + 6), _num(y + _BAR_HEIGHT - 5), _esc("%.1f" % float(result.oc_rel)))
-        )
+        out.append('<text x="%.4f" y="%.4f">%.1f</text>' % (x + 6, y + _BAR_HEIGHT - 5, result.oc_rel))
 
     # Reference line where a bar exactly matches the group medians.
     ref_x = _LEFT_MARGIN + 100.0 * _PX_PER_PERCENT
     out.append(
-        '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#555555" stroke-dasharray="4 3"/>'
-        % (_num(ref_x), _num(float(_TOP_MARGIN - 6)), _num(ref_x), _num(float(bars_bottom)))
+        '<line x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" stroke="#555555" stroke-dasharray="4 3"/>'
+        % (ref_x, _TOP_MARGIN - 6, ref_x, bars_bottom)
     )
     out.append(
-        '<text x="%s" y="%s" text-anchor="middle" fill="#555555">100</text>'
-        % (_num(ref_x), _num(float(bars_bottom + 14)))
+        '<text x="%.4f" y="%.4f" text-anchor="middle" fill="#555555">100</text>' % (ref_x, bars_bottom + 14)
     )
 
     legend_y = bars_bottom + 28
@@ -105,14 +97,11 @@ def render_chart(results: list[PouResult]) -> str:
         label = cls if cls not in drawn else None
         drawn.add(cls)
         out.append(
-            '<rect x="%s" y="%s" width="12" height="12" fill="%s"/>'
-            % (_num(x), _num(float(legend_y)), METRIC_FILLS[metric_index])
+            '<rect x="%.4f" y="%.4f" width="12" height="12" fill="%s"/>' % (x, legend_y, METRIC_FILLS[metric_index])
         )
         x += 16.0
         if label is not None:
-            out.append(
-                '<text x="%s" y="%s">%s</text>' % (_num(x), _num(float(legend_y + 11)), _esc(label))
-            )
+            out.append('<text x="%.4f" y="%.4f">%s</text>' % (x, legend_y + 11, _esc(label)))
             x += 9.0 * len(label) + 18.0
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append("</svg>\n")
+    return "\n".join(out)

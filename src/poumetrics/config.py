@@ -153,6 +153,9 @@ def config_from_mapping(data: dict) -> AnalysisConfig:
         for name, tag in data["annotations"].items():
             if not isinstance(tag, str):
                 raise InvalidConfig("annotation for %r must be a string" % name)
+            # JSON can spell a lone surrogate, which no report can encode.
+            if re.search("[\ud800-\udfff]", tag):
+                raise InvalidConfig("annotation for %r holds a lone surrogate" % name)
             annotations[str(name).casefold()] = tag
 
     return AnalysisConfig(

@@ -8,15 +8,15 @@ share of the cross-file knowledge (user types, globals, the walked POUs
 with their FB interfaces and names) as one compact record.  The file's
 tokens or XML tree die with the call.
 
-Where several CPUs are usable and no other thread runs, pass 1 runs on
-all of them: the file list is cut into one contiguous chunk per CPU, of
-about equal bytes.  The loading process walks the first chunk itself,
-and a forked child walks each other one and sends back its records, one
-pickle per file, through a pipe.  A child that fails or is cut short
-has its chunk walked again in the loading process, which then raises
-any error a serial walk would; a child still running when the loading
-process's own chunk raises is killed and reaped.  The records are
-applied in file order, so the sample is the same as a serial walk's.
+Pass 1 runs in k processes, one per usable CPU but no more than there
+are files, or k = 1 while another thread runs.  Process j of k walks
+every k-th file from the j-th: the loading process is j = 0, and a
+forked child takes each other j and sends back its records, one pickle
+per file, through a pipe.  A child that fails or is cut short has its
+files walked again in the loading process, which then raises any error
+a serial walk would; a child still running when the loading process's
+own files raise is killed and reaped.  The records are applied in file
+order, so the sample is the same as a one-process walk's.
 
 Pass 2, once that knowledge is complete, classifies each POU's
 declarations and resolves its body facts against them, or reports its
@@ -26,9 +26,8 @@ pass-1 error.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -149,22 +148,6 @@ def _usable_cpus() -> int:
     return 1 if affinity is None else len(affinity(0))
 
 
-def _chunks(files: list[Path], k: int) -> list[list[Path]]:
-    """Cut `files` into `k` contiguous, non-empty runs of about equal
-    size in bytes; `k` is at most the number of files.  Each cut falls
-    on the file boundary nearest its share of the bytes."""
-    ends = [0, *accumulate(p.stat().st_size for p in files)]
-    cuts = [0]
-    for i in range(1, k):
-        share = ends[-1] * i / k
-        cut = bisect_left(ends, share)
-        if share - ends[cut - 1] < ends[cut] - share:
-            cut -= 1
-        cuts.append(min(max(cut, cuts[-1] + 1), len(files) - (k - i)))
-    cuts.append(len(files))
-    return [files[a:b] for a, b in zip(cuts, cuts[1:])]
-
-
 def _threaded() -> bool:
     import threading
 
@@ -172,23 +155,21 @@ def _threaded() -> bool:
 
 
 def _walk_files(files: list[Path]) -> list[_WalkedFile]:
-    """Pass 1 over `files`: their records in file order.  Chunks after
-    the first are walked in forked children when there is more than one
-    chunk and no other thread runs, since a forked child gets only the
-    thread that forked it."""
-    k = min(_usable_cpus(), len(files))
-    if k < 2 or _threaded():
-        return [_walk_file(p) for p in files]
+    """Pass 1 over `files`: their records in file order.  Process j of
+    k walks `files[j::k]`; k is 1 while another thread runs, since a
+    forked child gets only the thread that forked it."""
     import signal
 
-    chunks = _chunks(files, k)
+    k = 1 if _threaded() else max(1, min(_usable_cpus(), len(files)))
+    walked: list = [None] * len(files)
     children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
     try:
-        pids = [_fork_walker(chunk, children) for chunk in chunks[1:]]
-        walked = [_walk_file(p) for p in chunks[0]]
-        for pid, chunk in zip(pids, chunks[1:]):
-            records = None if pid is None else _receive(pid, children, len(chunk))
-            walked.extend([_walk_file(p) for p in chunk] if records is None else records)
+        pids = [_fork_walker(files[j::k], children) for j in range(1, k)]
+        walked[::k] = [_walk_file(p) for p in files[::k]]
+        for j, pid in enumerate(pids, 1):
+            share = files[j::k]
+            records = None if pid is None else _receive(pid, children, len(share))
+            walked[j::k] = [_walk_file(p) for p in share] if records is None else records
     finally:
         for pid, read_end in children.items():
             os.close(read_end)
@@ -197,8 +178,8 @@ def _walk_files(files: list[Path]) -> list[_WalkedFile]:
     return walked
 
 
-def _fork_walker(chunk: list[Path], children: dict[int, int]) -> int | None:
-    """Fork a child that walks `chunk`, then writes each file's record to
+def _fork_walker(share: list[Path], children: dict[int, int]) -> int | None:
+    """Fork a child that walks `share`, then writes each file's record to
     a pipe, each with a fresh pickle memo, and enter the pipe's read end
     in `children`.  Returns the child's pid, or None when no process can
     be started."""
@@ -218,7 +199,7 @@ def _fork_walker(chunk: list[Path], children: dict[int, int]) -> int | None:
             # died stops at its next write.
             for fd in (read_end, *children.values()):
                 os.close(fd)
-            records = [_walk_file(p) for p in chunk]
+            records = [_walk_file(p) for p in share]
             with open(write_end, "wb") as out:
                 for record in records:
                     pickle.dump(record, out, pickle.HIGHEST_PROTOCOL)

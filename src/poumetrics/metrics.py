@@ -101,16 +101,6 @@ def token_counts(body: BodyFacts) -> tuple[int, int, int, int]:
     return len(ops), len(operands), len(set(ops)), len(set(operands))
 
 
-def occurrence_counts(body: BodyFacts) -> tuple[int, int]:
-    """(N1, N2): operator and operand occurrences."""
-    return token_counts(body)[:2]
-
-
-def unique_counts(body: BodyFacts) -> tuple[int, int]:
-    """(n1, n2): unique operator and operand identities."""
-    return token_counts(body)[2:]
-
-
 def fan_in(pou: Pou) -> int:
     inputs = sum(1 for v in pou.variables if v.section is VarSection.INPUT)
     inouts = sum(1 for v in pou.variables if v.section is VarSection.IN_OUT)
@@ -141,7 +131,7 @@ def information_flow(pou: Pou) -> int:
 
 
 def vocabulary(pou: Pou) -> int:
-    n1, n2 = unique_counts(pou.body)
+    _, _, n1, n2 = token_counts(pou.body)
     return n1 + n2
 
 

@@ -6,15 +6,19 @@ from __future__ import annotations
 
 import os
 import pickle
+import tempfile
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as strat
 
 from golden_ir import CORPUS
 from poumetrics import AnalysisError, CallSite, ParseError, load_sample
 from poumetrics import load, plcopen, st
 from poumetrics.typesys import TypeContext
+
+from stgen import generate_program
 
 XML_HEAD = (
     '<?xml version="1.0" encoding="utf-8"?>'
@@ -235,7 +239,7 @@ def run_serially(monkeypatch) -> None:
 
 
 def run_forked(monkeypatch, cpus: int) -> list[int]:
-    """Cut pass 1 into `cpus` chunks; the returned list collects the pid
+    """Run pass 1 in `cpus` processes; the returned list collects the pid
     of every child forked."""
     monkeypatch.setattr(load, "_usable_cpus", lambda: cpus)
     pids: list[int] = []
@@ -277,15 +281,37 @@ def test_forked_pass_one_gives_the_serial_sample(monkeypatch, cpus):
     assert_reaped(pids)
 
 
-def padded(text: str, size: int, xml: bool) -> str:
-    """`text` with a comment appended that makes it `size` bytes long."""
-    comment = "\n<!--%s-->" if xml else "\n(* %s *)"
-    return text + comment % ("x" * (size - len(text) - len(comment % "")))
+CORPUS_FILES = load.discover_inputs([str(CORPUS)])
 
 
-# Six files of one size, so three chunks hold two each: Later is used in
-# the first chunk and defined in the second, Twice is defined in the
-# first and again in the third, which wins.
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(
+    seeds=strat.lists(strat.integers(min_value=0, max_value=10_000), max_size=5, unique=True),
+    corpus_files=strat.lists(strat.sampled_from(CORPUS_FILES), max_size=6, unique=True),
+    processes=strat.sampled_from([2, 3]),
+)
+@example(seeds=[], corpus_files=[], processes=2)
+@example(seeds=[7], corpus_files=[], processes=3)
+@example(seeds=[], corpus_files=[CORPUS / "types.st", CORPUS / "globals.gvl"], processes=3)
+@example(seeds=[1, 2], corpus_files=CORPUS_FILES, processes=3)
+def test_forked_pass_one_equals_serial_on_generated_samples(seeds, corpus_files, processes):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
+        for seed in seeds:
+            (Path(tmp) / ("gen_%d.st" % seed)).write_text(generate_program(seed).source)
+        for path in corpus_files:
+            (Path(tmp) / path.name).write_bytes(path.read_bytes())
+        run_serially(monkeypatch)
+        serial = sample_facts(load_sample([tmp]))
+        pids = run_forked(monkeypatch, processes)
+        assert sample_facts(load_sample([tmp])) == serial
+        assert len(pids) == max(0, min(processes, len(seeds) + len(corpus_files)) - 1)
+        assert_reaped(pids)
+
+
+# Process j of three walks files j and j + 3.  Later is used in process
+# 0 and defined in process 1; Twice is defined in process 1 and again in
+# process 0, in a later file, which wins; Fb is used in process 0 and
+# defined in process 1; a child meets the malformed XML file.
 CHUNKED_SAMPLE = {
     "a_user.st": "PROGRAM UsesLater\nVAR v : Later; w : Twice; END_VAR\nv.a := 1;\nEND_PROGRAM\n",
     "b_bad.st": (
@@ -293,11 +319,11 @@ CHUNKED_SAMPLE = {
         "PROGRAM BadIface VAR z : ; END_VAR END_PROGRAM\n"
     ),
     "c_broken.xml": "<project><pous>",
-    "d_types.st": (
+    "d_twice.st": "TYPE Twice : ARRAY[1..3] OF INT; END_TYPE\nPROGRAM UsesFb\nVAR f : Fb; END_VAR\nf(i := g);\nEND_PROGRAM\n",
+    "e_types.st": (
         "TYPE Later : STRUCT a : INT; b : INT; END_STRUCT; END_TYPE\nVAR_GLOBAL g : INT; END_VAR\n"
         "FUNCTION_BLOCK Fb\nVAR_INPUT i : INT; END_VAR\nEND_FUNCTION_BLOCK\n"
     ),
-    "e_twice.st": "TYPE Twice : ARRAY[1..3] OF INT; END_TYPE\nPROGRAM UsesFb\nVAR f : Fb; END_VAR\nf(i := g);\nEND_PROGRAM\n",
     "f_project.xml": XML_HEAD
     + '<pou name="XmlP" pouType="program">%s<body><ST>t[1] := 1;</ST></body></pou>'
     % local_var("t", '<derived name="Twice"/>')
@@ -306,22 +332,35 @@ CHUNKED_SAMPLE = {
 
 
 def test_forked_pass_one_applies_each_file_in_order(monkeypatch, tmp_path):
+    sample_dir, log = tmp_path / "sample", tmp_path / "walked.log"
+    sample_dir.mkdir()
     for name, text in CHUNKED_SAMPLE.items():
-        (tmp_path / name).write_text(padded(text, 1000, name.endswith(".xml")))
-    files = load.discover_inputs([str(tmp_path)])
-    assert [[p.name for p in chunk] for chunk in load._chunks(files, 3)] == [
-        ["a_user.st", "b_bad.st"],
-        ["c_broken.xml", "d_types.st"],
-        ["e_twice.st", "f_project.xml"],
-    ]
+        (sample_dir / name).write_text(text)
     run_serially(monkeypatch)
-    serial = sample_facts(load_sample([str(tmp_path)]))
+    serial = sample_facts(load_sample([str(sample_dir)]))
     pids = run_forked(monkeypatch, 3)
-    sample = load_sample([str(tmp_path)])
+    real_walk = load._walk_file
+
+    def walk_file(path):
+        with open(log, "a") as out:
+            out.write("%d %s\n" % (os.getpid(), path.name))
+        return real_walk(path)
+
+    monkeypatch.setattr(load, "_walk_file", walk_file)
+    sample = load_sample([str(sample_dir)])
     assert sample_facts(sample) == serial
     assert len(pids) == 2
     assert_reaped(pids)
-    assert [p.name for p in sample.pous] == ["UsesLater", "Fb", "UsesFb", "XmlP"]
+    walked_by: dict[int, list[str]] = {}
+    for line in log.read_text().splitlines():
+        pid, name = line.split()
+        walked_by.setdefault(int(pid), []).append(name)
+    assert [walked_by[pid] for pid in (os.getpid(), *pids)] == [
+        ["a_user.st", "d_twice.st"],
+        ["b_bad.st", "e_types.st"],
+        ["c_broken.xml", "f_project.xml"],
+    ]
+    assert [p.name for p in sample.pous] == ["UsesLater", "UsesFb", "Fb", "XmlP"]
     assert sample.context.lookup("Twice").kind == "array"
     assert {v.name: len(v.sub_variables) for p in sample.pous for v in p.variables if v.name in "vwt"} == {
         "v": 2,
@@ -375,7 +414,8 @@ def test_a_failed_child_has_its_chunk_walked_here(monkeypatch, failure):
 
         monkeypatch.setattr(pickle, "dump", dump)
     pids = run_forked(monkeypatch, 3)
-    assert all(len(chunk) > 1 for chunk in load._chunks(load.discover_inputs([str(CORPUS)]), 3))
+    files = load.discover_inputs([str(CORPUS)])
+    assert all(len(files[j::3]) > 1 for j in (1, 2))
     assert sample_facts(load_sample([str(CORPUS)])) == serial
     assert len(pids) == 2
     assert_reaped(pids)

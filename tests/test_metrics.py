@@ -26,7 +26,7 @@ from poumetrics import (
     program_length,
     vocabulary,
 )
-from poumetrics.metrics import fan_in, fan_out, occurrence_counts, unique_counts
+from poumetrics.metrics import fan_in, fan_out, token_counts
 
 
 def var(name, section, type_class=TypeClass.SIMPLE, subs=0):
@@ -62,8 +62,7 @@ def test_every_corpus_metric_matches_oracle(corpus_pous, oracle):
 def test_corpus_count_components_match_oracle(corpus_pous, oracle):
     for name, pou in corpus_pous.items():
         exp = oracle[name]
-        n1_occ, n2_occ = occurrence_counts(pou.body)
-        n1_uni, n2_uni = unique_counts(pou.body)
+        n1_occ, n2_occ, n1_uni, n2_uni = token_counts(pou.body)
         assert n1_occ == exp["operator_occurrences"], name
         assert n2_occ == exp["operand_occurrences"], name
         assert n1_uni == exp["unique_operators"], name
@@ -84,13 +83,13 @@ def test_corpus_kind_and_language_match_oracle(corpus_pous, oracle):
 
 def test_length_is_occurrence_sum(corpus_pous):
     for pou in corpus_pous.values():
-        n1, n2 = occurrence_counts(pou.body)
+        n1, n2, _, _ = token_counts(pou.body)
         assert program_length(pou) == n1 + n2
 
 
 def test_vocabulary_is_unique_sum(corpus_pous):
     for pou in corpus_pous.values():
-        n1, n2 = unique_counts(pou.body)
+        _, _, n1, n2 = token_counts(pou.body)
         assert vocabulary(pou) == n1 + n2
 
 
@@ -106,9 +105,7 @@ def test_information_flow_is_product(corpus_pous):
 
 def test_difficulty_formula_exact(corpus_pous):
     for pou in corpus_pous.values():
-        n1, _ = unique_counts(pou.body)
-        _, big_n2 = occurrence_counts(pou.body)
-        _, n2 = unique_counts(pou.body)
+        _, big_n2, n1, n2 = token_counts(pou.body)
         if n2:
             assert difficulty(pou) == Fraction(n1, 2) * Fraction(big_n2, n2)
 

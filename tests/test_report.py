@@ -562,6 +562,31 @@ def test_cli_invalid_config_fatal(tmp_path, capsys):
     assert "grouping" in captured.err
 
 
+def test_cli_rejects_an_annotation_with_a_lone_surrogate(tmp_path, capsys):
+    (tmp_path / "two.st").write_text(TWO_POUS)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"annotations": {"Beta": "\\ud800"}}')
+    code = main(["analyze", str(tmp_path), "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == ["error: annotation for 'Beta' holds a lone surrogate"]
+    assert captured.out == ""
+
+
+def test_cli_chart_replaces_characters_xml_forbids(tmp_path, capsys):
+    import xml.etree.ElementTree as ET
+
+    from test_chart import data_rects
+
+    (tmp_path / "q.st").write_text("PROGRAM 'a\x01b' x := 1; END_PROGRAM", encoding="utf-8")
+    out_svg = tmp_path / "r.svg"
+    code = main(["analyze", str(tmp_path), "--chart", str(out_svg)])
+    capsys.readouterr()
+    assert code == 0
+    root = ET.fromstring(out_svg.read_text(encoding="utf-8"))
+    assert {r.get("data-pou") for r in data_rects(root)} == {"a\ufffdb"}
+
+
 def test_cli_requires_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
