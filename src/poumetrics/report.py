@@ -25,6 +25,7 @@ from . import __version__
 from .aggregate import GroupStats, PouResult, SampleEntry, aggregate
 from .config import AnalysisConfig, Grouping
 from .errors import SKIP_CODES, AnalysisWarning, NoPousFound
+from .ir import Pou
 from .load import load_sample
 from .metrics import METRIC_KEYS, compute_vector
 
@@ -102,20 +103,21 @@ def analyze_paths(paths, cfg: AnalysisConfig | None = None) -> RunResult:
 
 
 def _analyze(paths, cfg: AnalysisConfig) -> RunResult:
-    sample = load_sample(paths, cfg.array_sub_cap)
-    if not sample.pous:
-        raise NoPousFound("no POUs found under: %s" % ", ".join(str(p) for p in paths))
-    entries = [
-        SampleEntry(
+    def entry(pou: Pou) -> SampleEntry:
+        # Runs in the process that walked the POU's file, so only the
+        # entry, not the POU, reaches this one.
+        return SampleEntry(
             name=pou.name,
             kind=pou.kind,
             language=pou.language,
             vector=compute_vector(pou, cfg.weight_table),
             tag=cfg.annotations.get(pou.name.casefold(), ""),
         )
-        for pou in sample.pous
-    ]
-    results, stats, agg_warnings = aggregate(entries, cfg.grouping, cfg.profiles, cfg.normalize)
+
+    sample = load_sample(paths, cfg.array_sub_cap, entry)
+    if not sample.pous:
+        raise NoPousFound("no POUs found under: %s" % ", ".join(str(p) for p in paths))
+    results, stats, agg_warnings = aggregate(sample.pous, cfg.grouping, cfg.profiles, cfg.normalize)
     return RunResult(
         results=results,
         stats=stats,

@@ -998,16 +998,13 @@ def finalize_body(
         for type_name, callee, args, returns in res.blocks
         if type_name.casefold() in pou_names or context.is_fb(type_name)
     ]
-    candidates = set(global_names)
-    candidates.update(
-        v.name.casefold() for v in variables if v.section in (VarSection.EXTERNAL, VarSection.GLOBAL)
-    )
+    declared = {v.name.casefold() for v in variables if v.section in (VarSection.EXTERNAL, VarSection.GLOBAL)}
     return BodyFacts.build(
         tokens=res.tokens,
         decisions=res.decisions,
         calls=calls,
-        external_reads=external_filter(res.reads, candidates, "im"),
-        external_writes=external_filter(res.writes, candidates, "qm"),
+        external_reads=external_filter(res.reads, global_names, declared, "im"),
+        external_writes=external_filter(res.writes, global_names, declared, "qm"),
     )
 
 
@@ -1103,14 +1100,18 @@ def parse_st_pou(
     return parse_pou_unit(walked, context, global_names)
 
 
-def external_filter(names: set[str], candidates: set[str], address_letters: str) -> frozenset[str]:
-    """Keep declared externals/globals plus direct addresses of the
-    allowed location letters (reads: I and M, writes: Q and M)."""
+def external_filter(
+    names: set[str], global_names: frozenset[str], declared: set[str], address_letters: str
+) -> frozenset[str]:
+    """Keep the sample's globals, the POU's own EXTERNAL/GLOBAL names and
+    direct addresses of the allowed location letters (reads: I and M,
+    writes: Q and M).  Each name is looked up, so the cost does not grow
+    with the number of globals."""
     out = set()
     for n in names:
         if n.startswith("%"):
             if len(n) > 1 and n[1] in address_letters:
                 out.add(n)
-        elif n in candidates:
+        elif n in global_names or n in declared:
             out.add(n)
     return frozenset(out)

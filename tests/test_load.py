@@ -4,11 +4,19 @@ function-block interface."""
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import os
 import pickle
+import select
+import signal
 import tempfile
 import threading
+import time
+from itertools import chain
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as strat
@@ -16,6 +24,7 @@ from hypothesis import example, given, settings, strategies as strat
 from golden_ir import CORPUS
 from poumetrics import AnalysisError, CallSite, ParseError, load_sample
 from poumetrics import load, plcopen, st
+from poumetrics.cli import main
 from poumetrics.typesys import TypeContext
 
 from stgen import generate_program
@@ -308,6 +317,126 @@ def test_forked_pass_one_equals_serial_on_generated_samples(seeds, corpus_files,
         assert_reaped(pids)
 
 
+def write_sample(directory: Path, files: dict[str, str]) -> Path:
+    directory.mkdir()
+    for name, text in files.items():
+        (directory / name).write_text(text)
+    return directory
+
+
+def log_walks(monkeypatch, log: Path):
+    """Log each file `_walk_file` reads, in any process, to `log`; the
+    returned function maps each pid to the names it walked, in order."""
+    real_walk = load._walk_file
+
+    def walk_file(path):
+        with open(log, "a") as out:
+            out.write("%d %s\n" % (os.getpid(), path.name))
+        return real_walk(path)
+
+    def walked_by() -> dict[int, list[str]]:
+        names: dict[int, list[str]] = {}
+        for line in log.read_text().splitlines():
+            pid, name = line.split()
+            names.setdefault(int(pid), []).append(name)
+        return names
+
+    monkeypatch.setattr(load, "_walk_file", walk_file)
+    return walked_by
+
+
+def cli_reports(paths, out_dir: Path) -> tuple:
+    """Exit code, stdout, stderr and the JSON, CSV and SVG report bytes
+    (None where none was written) of one `poumetrics analyze`."""
+    outputs = [out_dir / ("report." + fmt) for fmt in ("json", "csv", "svg")]
+    argv = ["analyze", *map(str, paths)]
+    for option, path in zip(("--json", "--csv", "--chart"), outputs):
+        path.unlink(missing_ok=True)
+        argv += [option, str(path)]
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    return (code, out.getvalue(), err.getvalue(), *(p.read_bytes() if p.exists() else None for p in outputs))
+
+
+def relaid(st_texts: list[str], xml_files: list[Path], rnd, directory: Path) -> None:
+    """Write the same sources in another layout: the ST texts shuffled
+    and joined into fewer files or kept apart, and every file under a
+    new name, so the file order changes too."""
+    rnd.shuffle(st_texts)
+    cuts = sorted(rnd.sample(range(1, len(st_texts)), rnd.randint(0, max(0, len(st_texts) - 1))))
+    groups = [st_texts[i:j] for i, j in zip([0, *cuts], [*cuts, len(st_texts)])]
+    names = iter(rnd.sample(range(100), len(groups) + len(xml_files)))
+    directory.mkdir()
+    for group in groups:
+        (directory / ("f%02d.st" % next(names))).write_text("\n".join(group))
+    for path in xml_files:
+        (directory / ("f%02d.xml" % next(names))).write_bytes(path.read_bytes())
+
+
+def json_ranking(report: bytes) -> tuple:
+    doc = json.loads(report)
+    return doc["pous"], doc["groups"]
+
+
+# An FBD block calls a function that only another file defines: a call
+# site only where pass 2 knows every POU name of the sample.
+CALLS_SAMPLE = {
+    "clamp.st": "FUNCTION Clamp : INT\nVAR_INPUT v : INT; END_VAR\nClamp := MIN(v, 10);\nEND_FUNCTION\n",
+    "uses_clamp.xml": XML_HEAD
+    + '<pou name="UsesClamp" pouType="program">%s<body><FBD>'
+    '<inVariable localId="1"><connectionPointOut/><expression>a</expression></inVariable>'
+    '<block localId="2" typeName="Clamp"><inputVariables>'
+    '<variable formalParameter="v"><connectionPointIn><connection refLocalId="1"/></connectionPointIn></variable>'
+    "</inputVariables></block>"
+    '<outVariable localId="3"><connectionPointIn><connection refLocalId="2"/></connectionPointIn>'
+    "<expression>a</expression></outVariable>"
+    "</FBD></body></pou>" % local_var("a", "<INT/>")
+    + XML_TAIL,
+}
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    seeds=strat.lists(strat.integers(min_value=0, max_value=10_000), max_size=4, unique=True),
+    corpus_files=strat.lists(strat.sampled_from(CORPUS_FILES), max_size=8, unique=True),
+    with_calls=strat.booleans(),
+    processes=strat.sampled_from([2, 3]),
+    rnd=strat.randoms(use_true_random=False),
+)
+@example(seeds=[3, 4], corpus_files=CORPUS_FILES, with_calls=True, processes=3, rnd=Random(0))
+def test_forked_analyze_writes_the_serial_reports_in_any_layout(seeds, corpus_files, with_calls, processes, rnd):
+    """`finish` runs in the children, so the reports are checked whole;
+    a sample split, joined or reordered across files ranks the same."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
+        sample, out_dir = Path(tmp, "sample"), Path(tmp)
+        sample.mkdir()
+        st_texts = [generate_program(seed).source for seed in seeds]
+        for seed, text in zip(seeds, st_texts):
+            (sample / ("gen_%d.st" % seed)).write_text(text)
+        if with_calls:
+            for name, text in CALLS_SAMPLE.items():
+                (Path(tmp) / name).write_text(text)
+            corpus_files = [*corpus_files, *(Path(tmp) / name for name in CALLS_SAMPLE)]
+        xml_files = []
+        for path in corpus_files:
+            (sample / path.name).write_bytes(path.read_bytes())
+            if path.suffix == ".xml":
+                xml_files.append(path)
+            else:
+                st_texts.append(path.read_text())
+        run_serially(monkeypatch)
+        serial = cli_reports([sample], out_dir)
+        pids = run_forked(monkeypatch, processes)
+        assert cli_reports([sample], out_dir) == serial
+        assert len(pids) == max(0, min(processes, len(seeds) + len(corpus_files)) - 1)
+        assert_reaped(pids)
+        if serial[0] != 1:  # some POU was found
+            relaid(st_texts, xml_files, rnd, Path(tmp, "relaid"))
+            layout = cli_reports([Path(tmp, "relaid")], out_dir)
+            assert layout[0] == serial[0]
+            assert json_ranking(layout[3]) == json_ranking(serial[3])
+
+
 # Process j of three walks files j and j + 3.  Later is used in process
 # 0 and defined in process 1; Twice is defined in process 1 and again in
 # process 0, in a later file, which wins; Fb is used in process 0 and
@@ -332,30 +461,16 @@ CHUNKED_SAMPLE = {
 
 
 def test_forked_pass_one_applies_each_file_in_order(monkeypatch, tmp_path):
-    sample_dir, log = tmp_path / "sample", tmp_path / "walked.log"
-    sample_dir.mkdir()
-    for name, text in CHUNKED_SAMPLE.items():
-        (sample_dir / name).write_text(text)
+    sample_dir = write_sample(tmp_path / "sample", CHUNKED_SAMPLE)
     run_serially(monkeypatch)
     serial = sample_facts(load_sample([str(sample_dir)]))
     pids = run_forked(monkeypatch, 3)
-    real_walk = load._walk_file
-
-    def walk_file(path):
-        with open(log, "a") as out:
-            out.write("%d %s\n" % (os.getpid(), path.name))
-        return real_walk(path)
-
-    monkeypatch.setattr(load, "_walk_file", walk_file)
+    walked_by = log_walks(monkeypatch, tmp_path / "walked.log")
     sample = load_sample([str(sample_dir)])
     assert sample_facts(sample) == serial
     assert len(pids) == 2
     assert_reaped(pids)
-    walked_by: dict[int, list[str]] = {}
-    for line in log.read_text().splitlines():
-        pid, name = line.split()
-        walked_by.setdefault(int(pid), []).append(name)
-    assert [walked_by[pid] for pid in (os.getpid(), *pids)] == [
+    assert [walked_by()[pid] for pid in (os.getpid(), *pids)] == [
         ["a_user.st", "d_twice.st"],
         ["b_bad.st", "e_types.st"],
         ["c_broken.xml", "f_project.xml"],
@@ -419,6 +534,83 @@ def test_a_failed_child_has_its_chunk_walked_here(monkeypatch, failure):
     assert sample_facts(load_sample([str(CORPUS)])) == serial
     assert len(pids) == 2
     assert_reaped(pids)
+
+
+@pytest.mark.parametrize("failure", ["raises-in-pass-two", "exits-after-round-one"])
+def test_a_child_failed_in_round_two_has_pass_two_run_here(monkeypatch, tmp_path, failure):
+    sample_dir = write_sample(tmp_path / "sample", CHUNKED_SAMPLE)
+    run_serially(monkeypatch)
+    serial = sample_facts(load_sample([str(sample_dir)]))
+    here = os.getpid()
+    if failure == "raises-in-pass-two":
+        real_declare = TypeContext.declare
+
+        def declare(self, *args):
+            if os.getpid() != here:
+                raise RuntimeError("child failed in pass 2")
+            return real_declare(self, *args)
+
+        monkeypatch.setattr(TypeContext, "declare", declare)
+    else:
+        real_load = pickle.load
+
+        def load_one(file):
+            if os.getpid() != here:  # the child has sent its round-1 records
+                os._exit(0)
+            return real_load(file)
+
+        monkeypatch.setattr(pickle, "load", load_one)
+    pids = run_forked(monkeypatch, 3)
+    walked_by = log_walks(monkeypatch, tmp_path / "walked.log")
+    # Each child's pass-1 warnings and types reach the sample once.
+    assert sample_facts(load_sample([str(sample_dir)])) == serial
+    assert len(pids) == 2
+    assert_reaped(pids)
+    assert [walked_by()[pid] for pid in (here, *pids)] == [
+        ["a_user.st", "d_twice.st", "b_bad.st", "e_types.st", "c_broken.xml", "f_project.xml"],
+        ["b_bad.st", "e_types.st"],
+        ["c_broken.xml", "f_project.xml"],
+    ]
+
+
+def test_shared_knowledge_reaches_the_child_whole_under_a_timer_signal(monkeypatch, tmp_path):
+    """A pipe write that a signal interrupts may return short; the
+    knowledge is larger than a pipe holds, so it takes several writes."""
+    types = "".join("TYPE Rec%d : STRUCT a : INT; b : BOOL; END_STRUCT; END_TYPE\n" % i for i in range(3000))
+    program = "PROGRAM P%d\nVAR r : Rec%d; END_VAR\nr.a := %d;\nEND_PROGRAM\n"
+    programs = {"p%d.st" % i: program % (i, i, i) for i in range(6)}
+    sample_dir = write_sample(tmp_path / "sample", {"a_types.st": types, **programs})
+    run_serially(monkeypatch)
+    serial = load_sample([str(sample_dir)])
+    assert len(pickle.dumps(serial.context.definitions, pickle.HIGHEST_PROTOCOL)) > 64 * 1024
+    here = os.getpid()
+    real_load = pickle.load
+
+    def slow_load(file):
+        if os.getpid() != here:
+            # Once the knowledge starts to arrive, the loading process
+            # fills the pipe and waits for room while the timer fires.
+            select.select([file], [], [])
+            time.sleep(0.05)
+        return real_load(file)
+
+    monkeypatch.setattr(pickle, "load", slow_load)
+    pids = run_forked(monkeypatch, 2)
+    walked_by = log_walks(monkeypatch, tmp_path / "walked.log")
+    ticks = []
+    previous = signal.signal(signal.SIGALRM, lambda *_: ticks.append(1))
+    signal.setitimer(signal.ITIMER_REAL, 0.001, 0.001)
+    try:
+        forked = load_sample([str(sample_dir)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert ticks
+    assert sample_facts(forked) == sample_facts(serial)
+    assert len(pids) == 1
+    assert_reaped(pids)
+    # No file was walked a second time, so the child finished both rounds.
+    assert sorted(chain(*walked_by().values())) == sorted(p.name for p in sample_dir.iterdir())
 
 
 def test_no_child_outlives_a_raise_in_the_loading_process(monkeypatch):

@@ -406,6 +406,40 @@ def test_global_names_parameter_matches_casefolded():
     assert pou.body.external_reads == frozenset({"gcount"})
 
 
+class _LookupOnly:
+    """Global names that can be looked up but not iterated.  Not a
+    frozenset subclass: `set()` copies one of those without `__iter__`."""
+
+    def __init__(self, names):
+        self.names = frozenset(names)
+
+    def __contains__(self, name):
+        return name in self.names
+
+    def __len__(self):
+        return len(self.names)
+
+    def __iter__(self):
+        raise AssertionError("the sample's global names were copied")
+
+
+def test_global_names_are_looked_up_not_copied():
+    """A POU's cost must not grow with the sample's number of globals."""
+    pou = parse(
+        """
+        PROGRAM P
+        VAR_EXTERNAL gOwn : INT; END_VAR
+        VAR x : INT; END_VAR
+        x := gCount + gOwn + other;
+        gCount := x;
+        END_PROGRAM
+        """,
+        global_names=_LookupOnly({"gcount", "gunused"}),
+    )
+    assert pou.body.external_reads == frozenset({"gcount", "gown"})
+    assert pou.body.external_writes == frozenset({"gcount"})
+
+
 # ------------------------- errors -------------------------
 
 
