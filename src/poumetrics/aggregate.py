@@ -12,6 +12,10 @@ Each group folds its medians and effective weights into integer
 coefficients over one common denominator (`Coefficients`), so a POU's
 overall value is one integer sum and one Fraction.  Its relative values
 and chart segments come from the same integers when they are asked for.
+
+Ranking and medians order exact values through `exact_order`: it sorts
+on floats, which never contradict the exact order, and compares
+Fractions only within a run of equal floats that holds unequal values.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import groupby
 
 from .errors import AnalysisWarning, EmptySample, WeightSumViolation
 from .ir import Language, PouKind
@@ -88,7 +93,36 @@ class GroupStats:
     excluded: frozenset[int]  # metric indexes whose median is zero
 
 
-# ------------------------- medians -------------------------
+# ------------------------- ordering and medians -------------------------
+
+
+def exact_order(values: list) -> list[int]:
+    """The indexes of `values` (ints and Fractions) in ascending order of
+    value, equal values in their given order: what
+    `sorted(range(len(values)), key=values.__getitem__)` returns, without
+    a Python-level Fraction compare per pair.
+
+    Python's int / int is correctly rounded, hence monotonic, so sorting
+    on numerator / denominator never puts a larger value before a smaller
+    one.  Only a run of equal floats that holds unequal values (their
+    reduced numerator and denominator differ) is sorted again exactly.
+    The cost does not grow with the size of the values, as a key over a
+    common denominator would."""
+    indexes = range(len(values))
+    if all(type(v) is int for v in values):
+        return sorted(indexes, key=values.__getitem__)
+    terms = [(v.numerator, v.denominator) for v in values]
+    try:
+        floats = [n / d for n, d in terms]
+    except OverflowError:  # a value past the float range
+        return sorted(indexes, key=values.__getitem__)
+    order: list[int] = []
+    for _, run in groupby(sorted(indexes, key=floats.__getitem__), floats.__getitem__):
+        run = list(run)
+        if len(run) > 1 and len(set(map(terms.__getitem__, run))) > 1:
+            run.sort(key=values.__getitem__)
+        order += run
+    return order
 
 
 def median_of(values: list) -> Fraction:
@@ -96,11 +130,11 @@ def median_of(values: list) -> Fraction:
     length average the middle pair."""
     if not values:
         raise EmptySample("cannot take the median of an empty sample")
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return Fraction(ordered[mid])
-    return Fraction(ordered[mid - 1] + ordered[mid], 2)
+    order = exact_order(values)
+    mid = len(order) // 2
+    if len(order) % 2:
+        return Fraction(values[order[mid]])
+    return Fraction(values[order[mid - 1]] + values[order[mid]], 2)
 
 
 def compute_medians(vectors: list[MetricVector]) -> tuple[Fraction, ...]:
@@ -144,11 +178,12 @@ class Coefficients:
     as integers.  A POU whose metric i has the value v stands at
     v * percent[i][0] / percent[i][1] percent of the group median, and
     that percentage times the metric's weight is v * weighted[i] /
-    denominator.  A dropped metric has None in both."""
+    denominator.  A dropped metric has None in percent and 0 in
+    weighted."""
 
     weights: tuple[Fraction, ...]  # the effective (renormalized) profile
     percent: tuple[tuple[int, int] | None, ...]
-    weighted: tuple[int | None, ...]
+    weighted: tuple[int, ...]
     denominator: int
 
     @staticmethod
@@ -165,21 +200,19 @@ class Coefficients:
                 None if i in stats.excluded else (100 * m.denominator, m.numerator)
                 for i, m in enumerate(stats.medians)
             ),
-            weighted=tuple(None if r is None else r.numerator * (denominator // r.denominator) for r in rates),
+            weighted=tuple(0 if r is None else r.numerator * (denominator // r.denominator) for r in rates),
             denominator=denominator,
         )
 
     def overall(self, vector: MetricVector) -> Fraction:
-        """The weighted sum of the vector's relative values.  The sum is
-        kept as num/den, and a fractional value p/q (difficulty) multiplies
-        it through by q, so only the result is a Fraction."""
-        num, den = 0, 1
-        for value, k in zip(vector.as_tuple(), self.weighted):
-            if k:
-                q = value.denominator
-                num = num * q + k * value.numerator * den
-                den *= q
-        return Fraction(num, den * self.denominator)
+        """The weighted sum of the vector's relative values.  Only the
+        difficulty p/q is a fraction, so the sum of the other terms is
+        multiplied through by q and the result is one Fraction."""
+        m1, m2, m3, m4, difficulty, m6 = vector.as_tuple()
+        k1, k2, k3, k4, k5, k6 = self.weighted
+        q = difficulty.denominator
+        num = (k1 * m1 + k2 * m2 + k3 * m3 + k4 * m4 + k6 * m6) * q + k5 * difficulty.numerator
+        return Fraction(num, q * self.denominator)
 
 
 @dataclass(frozen=True)
@@ -202,30 +235,18 @@ class PouResult:
     @property
     def relative(self) -> tuple[Fraction | None, ...]:
         """Each metric as a percent of its group median, None when dropped."""
-        return tuple(None if t is None else Fraction(*t) / self.scale for t in self.relative_terms())
-
-    def relative_terms(self) -> tuple[tuple[int, int] | None, ...]:
-        """Each metric's relative value times `scale`, as an unreduced
-        (numerator, positive denominator); None when dropped."""
-        sn, sd = self.scale.numerator, self.scale.denominator
         return tuple(
-            None if p is None else (value.numerator * p[0] * sn, value.denominator * p[1] * sd)
+            None if p is None else Fraction(value.numerator * p[0], value.denominator * p[1])
             for value, p in zip(self.vector.as_tuple(), self.coefficients.percent)
-        )
-
-    def segment_terms(self) -> tuple[tuple[int, int], ...]:
-        """Each metric's contribution to the reported overall value, as an
-        unreduced (numerator, positive denominator)."""
-        sn, sd = self.scale.numerator, self.scale.denominator
-        den = self.coefficients.denominator * sd
-        return tuple(
-            (k * value.numerator * sn, den * value.denominator) if k else (0, 1)
-            for value, k in zip(self.vector.as_tuple(), self.coefficients.weighted)
         )
 
     def segment(self, index: int) -> Fraction:
         """Contribution of one metric to the reported overall value."""
-        return Fraction(*self.segment_terms()[index])
+        value = self.vector.as_tuple()[index]
+        return Fraction(
+            self.coefficients.weighted[index] * value.numerator * self.scale.numerator,
+            self.coefficients.denominator * self.scale.denominator * value.denominator,
+        )
 
 
 # ------------------------- whole-sample driver -------------------------
@@ -272,10 +293,9 @@ def aggregate(
                 coefficients = by_language[entry.language] = Coefficients.of(stats, profile)
             ranked.append((coefficients.overall(entry.vector), entry, label, coefficients))
 
-    # Two stable sorts: a tuple key would compare each pair of Fractions
-    # for equality and then for order.
+    # By name first, so equal values keep name order in the stable sort.
     ranked.sort(key=lambda r: r[1].name)
-    ranked.sort(key=lambda r: r[0])
+    ranked = [ranked[i] for i in exact_order([r[0] for r in ranked])]
 
     scale = Fraction(1)
     if normalize and ranked[-1][0] > 0:

@@ -44,8 +44,9 @@ def _esc(text: str) -> str:
 def render_chart(results: list[PouResult]) -> str:
     """Render the ranked results as a standalone SVG document."""
     rows = list(results)
-    max_total = max((float(r.oc_rel) for r in rows), default=0.0)
-    span = max(max_total, 100.0)
+    # int / int is correctly rounded, so these are float(r.oc_rel).
+    totals = [r.oc_rel.numerator / r.oc_rel.denominator for r in rows]
+    span = max(max(totals, default=0.0), 100.0)
     width = _LEFT_MARGIN + span * _PX_PER_PERCENT + _RIGHT_PAD
     height = _TOP_MARGIN + len(rows) * (_BAR_HEIGHT + _BAR_GAP) + _LEGEND_HEIGHT
 
@@ -57,27 +58,29 @@ def render_chart(results: list[PouResult]) -> str:
     out.append('<rect x="0" y="0" width="%.4f" height="%.4f" fill="#ffffff"/>' % (width, height))
 
     bars_bottom = _TOP_MARGIN + len(rows) * (_BAR_HEIGHT + _BAR_GAP)
-    bar_height = "%.4f" % _BAR_HEIGHT
-    for row_index, result in enumerate(rows):
+    rects = [
+        '<rect data-pou="%%s" data-metric="%s" x="%%.4f" y="%%s" width="%%.4f" height="%.4f" fill="%s"/>'
+        % (key, _BAR_HEIGHT, fill)
+        for key, fill in zip(METRIC_KEYS, METRIC_FILLS)
+    ]
+    for row_index, (result, total) in enumerate(zip(rows, totals)):
         y = _TOP_MARGIN + row_index * (_BAR_HEIGHT + _BAR_GAP)
         name, bar_y = _esc(result.name), "%.4f" % y
-        label = result.name if not result.tag else "%s [%s]" % (result.name, result.tag)
+        label = _esc("%s [%s]" % (result.name, result.tag)) if result.tag else name
         out.append(
-            '<text x="%.4f" y="%.4f" text-anchor="end">%s</text>'
-            % (_LEFT_MARGIN - 8, y + _BAR_HEIGHT - 5, _esc(label))
+            '<text x="%.4f" y="%.4f" text-anchor="end">%s</text>' % (_LEFT_MARGIN - 8, y + _BAR_HEIGHT - 5, label)
         )
+        c, scale = result.coefficients, result.scale
+        sn, den = scale.numerator, c.denominator * scale.denominator
         x = float(_LEFT_MARGIN)
         # int / int is correctly rounded, so this is float(segment(i)).
-        for metric_index, (key, (num, den)) in enumerate(zip(METRIC_KEYS, result.segment_terms())):
-            seg = num / den * _PX_PER_PERCENT
+        for rect, value, k in zip(rects, result.vector.as_tuple(), c.weighted):
+            seg = k * value.numerator * sn / (den * value.denominator) * _PX_PER_PERCENT
             if seg <= 0:
                 continue
-            out.append(
-                '<rect data-pou="%s" data-metric="%s" x="%.4f" y="%s" width="%.4f" height="%s" fill="%s"/>'
-                % (name, key, x, bar_y, seg, bar_height, METRIC_FILLS[metric_index])
-            )
+            out.append(rect % (name, x, bar_y, seg))
             x += seg
-        out.append('<text x="%.4f" y="%.4f">%.1f</text>' % (x + 6, y + _BAR_HEIGHT - 5, result.oc_rel))
+        out.append('<text x="%.4f" y="%.4f">%.1f</text>' % (x + 6, y + _BAR_HEIGHT - 5, total))
 
     # Reference line where a bar exactly matches the group medians.
     ref_x = _LEFT_MARGIN + 100.0 * _PX_PER_PERCENT

@@ -5,7 +5,9 @@ Configuration lives in a JSON file.  All weights are written as strings
 ("1/6", "0.25") and parsed into exact fractions, so a profile that must
 sum to one can be checked without rounding slack.  A weight string holds
 at most 100 characters and its decimal exponent is at most 100 in
-magnitude, so no weight costs more than a few hundred digits.  Unknown
+magnitude, so no weight costs more than a few hundred digits.  A
+declaration price is at most 10^100, so every overall value and chart
+width stays within the float range that ranking and drawing use.  Unknown
 keys are rejected outright; a silently ignored typo in a weights file
 would skew every ranking downstream.
 """
@@ -106,6 +108,8 @@ def _parse_table(data) -> WeightTable:
     for key, value in data.items():
         if isinstance(value, bool) or not isinstance(value, int):
             raise InvalidConfig("weight_table.%s must be an integer" % key)
+        if value > 10**_MAX_WEIGHT_EXPONENT:
+            raise InvalidConfig("weight_table.%s must be at most 10^%d" % (key, _MAX_WEIGHT_EXPONENT))
     return replace(DEFAULT_WEIGHT_TABLE, **data)
 
 

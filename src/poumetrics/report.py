@@ -31,7 +31,8 @@ from .metrics import METRIC_KEYS, compute_vector
 
 METRIC_COLUMNS = tuple("m%d" % (i + 1) for i in range(len(METRIC_KEYS)))
 RELATIVE_COLUMNS = tuple("c%d" % (i + 1) for i in range(len(METRIC_KEYS)))
-CSV_HEADER = ("name", "kind", "language") + METRIC_COLUMNS + RELATIVE_COLUMNS + ("oc_rel", "tag")
+CELL_COLUMNS = METRIC_COLUMNS + RELATIVE_COLUMNS + ("oc_rel",)
+CSV_HEADER = ("name", "kind", "language") + CELL_COLUMNS + ("tag",)
 
 
 def fmt4(value: Fraction) -> str:
@@ -44,27 +45,14 @@ def fmt4_ratio(numerator: int, denominator: int) -> str:
     """fmt4 of numerator / denominator, for denominator > 0.  The ratio
     need not be reduced: scaling both terms scales the remainder and the
     denominator alike, so no rounding decision changes."""
-    q, r = divmod(numerator * 10000, denominator)
-    double = 2 * r
-    if double > denominator or (double == denominator and q % 2 == 1):
-        q += 1
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    return "%s%d.%04d" % (sign, q // 10000, q % 10000)
-
-
-def _raw_cells(result: PouResult) -> list:
-    cells = []
-    for key, value in zip(METRIC_KEYS, result.vector.as_tuple()):
-        if key == "difficulty":
-            cells.append(fmt4(value))
-        else:
-            cells.append(int(value))
-    return cells
-
-
-def _relative_cells(result: PouResult) -> list:
-    return [None if terms is None else fmt4_ratio(*terms) for terms in result.relative_terms()]
+    # q is floor(x + 1/2) for x = 10000 * numerator / denominator; no
+    # remainder means x was a tie, which goes to the even neighbour.
+    q, r = divmod(numerator * 20000 + denominator, 2 * denominator)
+    if r == 0 and q & 1:
+        q -= 1
+    if q < 0:
+        return "-%d.%04d" % divmod(-q, 10000)
+    return "%d.%04d" % divmod(q, 10000)
 
 
 @dataclass
@@ -75,10 +63,20 @@ class RunResult:
     grouping: str = Grouping.WHOLE_SAMPLE.value
 
     @cached_property
-    def rows(self) -> list[tuple[list, list, str]]:
-        """Per result: its raw, relative and oc_rel cells, formatted once
-        for every report that shows them."""
-        return [(_raw_cells(r), _relative_cells(r), fmt4(r.oc_rel)) for r in self.results]
+    def rows(self) -> list[tuple]:
+        """Per result, its CELL_COLUMNS cells, formatted once for every
+        report that shows them: m1..m6 (ints, difficulty as text), c1..c6
+        (text, None where the metric is dropped) and oc_rel (text)."""
+        rows = []
+        for r in self.results:
+            sn, sd = r.scale.numerator, r.scale.denominator
+            values = r.vector.as_tuple()
+            relative = [
+                None if p is None else fmt4_ratio(v.numerator * p[0] * sn, v.denominator * p[1] * sd)
+                for v, p in zip(values, r.coefficients.percent)
+            ]
+            rows.append((*values[:4], fmt4(values[4]), values[5], *relative, fmt4(r.oc_rel)))
+        return rows
 
     @property
     def exit_code(self) -> int:
@@ -129,24 +127,14 @@ def _analyze(paths, cfg: AnalysisConfig) -> RunResult:
 # ------------------------- serialization -------------------------
 
 
-def report_object(run: RunResult) -> dict:
-    """The report as plain data, ready for json.dump."""
+def _report_parts(run: RunResult) -> tuple[dict, list, list]:
+    """The run metadata, groups and warnings of the report."""
     meta = {
         "tool": "poumetrics",
         "version": __version__,
         "pou_count": len(run.results),
         "grouping": run.grouping,
     }
-    pous = []
-    for result, (raw, relative, oc_rel) in zip(run.results, run.rows):
-        row = {"name": result.name, "kind": result.kind.value, "language": result.language.value}
-        row.update(zip(METRIC_COLUMNS, raw))
-        row.update(zip(RELATIVE_COLUMNS, relative))
-        row["oc_rel"] = oc_rel
-        row["group"] = result.group
-        row["tag"] = result.tag
-        pous.append(row)
-
     groups = [
         {
             "label": stats.label,
@@ -160,6 +148,19 @@ def report_object(run: RunResult) -> dict:
         {"code": w.code, "message": w.message, "path": w.path, "pou": w.pou}
         for w in run.warnings
     ]
+    return meta, groups, warnings
+
+
+def report_object(run: RunResult) -> dict:
+    """The report as plain data, ready for json.dump."""
+    meta, groups, warnings = _report_parts(run)
+    pous = []
+    for result, cells in zip(run.results, run.rows):
+        row = {"name": result.name, "kind": result.kind.value, "language": result.language.value}
+        row.update(zip(CELL_COLUMNS, cells))
+        row["group"] = result.group
+        row["tag"] = result.tag
+        pous.append(row)
     return {"run": meta, "pous": pous, "groups": groups, "warnings": warnings}
 
 
@@ -181,7 +182,7 @@ def _json_text(value, pad: str = "") -> str:
             return "{}"
         items = []
         for key, item in value.items():
-            encode = _JSON_SCALAR.get(type(item))  # rows are flat: one call fewer per cell
+            encode = _JSON_SCALAR.get(type(item))  # most dicts are flat: one call fewer per cell
             items.append(encode_basestring_ascii(key) + ": " + (encode(item) if encode else _json_text(item, inner)))
         opening, closing = "{", "}"
     elif type(value) is list:
@@ -194,21 +195,64 @@ def _json_text(value, pad: str = "") -> str:
     return opening + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + closing
 
 
+def _row_template(percent: tuple) -> str:
+    """The JSON text of one `pous` entry as json.dumps(indent=2) writes
+    it, with a %-slot for each of: the encoded name, kind, language, the
+    CELL_COLUMNS cells, and the encoded group and tag.  A metric that
+    `percent` drops has a None cell, which "%.0s" consumes before its
+    null."""
+    dropped = {col for col, p in zip(RELATIVE_COLUMNS, percent) if p is None}
+    quoted = {"kind", "language", "m5", "oc_rel", *RELATIVE_COLUMNS}
+
+    def slot(column: str) -> str:
+        if column in dropped:
+            return '"%s": %%.0snull' % column
+        return ('"%s": "%%s"' if column in quoted else '"%s": %%s') % column
+
+    columns = ("name", "kind", "language") + CELL_COLUMNS + ("group", "tag")
+    return "{\n      " + ",\n      ".join(map(slot, columns)) + "\n    }"
+
+
 def emit_json(run: RunResult) -> str:
-    return _json_text(report_object(run)) + "\n"
+    """json.dumps(report_object(run), indent=2) plus a newline.  Each POU
+    row is one %-format of a template that the POUs sharing coefficients
+    share: names, groups and tags go through the encoder json.dumps uses,
+    and the cells are already text or ints."""
+    meta, groups, warnings = _report_parts(run)
+    templates: dict[int, str] = {}
+    rows = []
+    for r, cells in zip(run.results, run.rows):
+        template = templates.get(id(r.coefficients))
+        if template is None:
+            template = templates[id(r.coefficients)] = _row_template(r.coefficients.percent)
+        rows.append(
+            template
+            % (
+                encode_basestring_ascii(r.name),
+                r.kind.value,
+                r.language.value,
+                *cells,
+                encode_basestring_ascii(r.group),
+                encode_basestring_ascii(r.tag),
+            )
+        )
+    pous = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+    return '{\n  "run": %s,\n  "pous": %s,\n  "groups": %s,\n  "warnings": %s\n}\n' % (
+        _json_text(meta, "  "),
+        pous,
+        _json_text(groups, "  "),
+        _json_text(warnings, "  "),
+    )
 
 
 def emit_csv(run: RunResult) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf)  # writes an int as str() and None as ""
     writer.writerow(CSV_HEADER)
-    for result, (raw, relative, oc_rel) in zip(run.results, run.rows):
-        writer.writerow(
-            [result.name, result.kind.value, result.language.value]
-            + [str(c) for c in raw]
-            + ["" if cell is None else cell for cell in relative]
-            + [oc_rel, result.tag]
-        )
+    writer.writerows(
+        (result.name, result.kind.value, result.language.value, *cells, result.tag)
+        for result, cells in zip(run.results, run.rows)
+    )
     return buf.getvalue()
 
 
@@ -219,8 +263,8 @@ def render_table(run: RunResult, top: int | None = None) -> str:
         ranked = ranked[:top]
     header = ("#", "name", "language", "oc_rel", "tag")
     rows = [
-        (str(i + 1), r.name, r.language.value, oc_rel, r.tag)
-        for i, (r, (_, _, oc_rel)) in enumerate(ranked)
+        (str(i + 1), r.name, r.language.value, cells[-1], r.tag)
+        for i, (r, cells) in enumerate(ranked)
     ]
     widths = [max(len(h), *(len(row[col]) for row in rows)) if rows else len(h) for col, h in enumerate(header)]
     lines = [

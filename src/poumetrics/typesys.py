@@ -91,10 +91,13 @@ class RawDecl:
         return RawDecl, (self.name, self.section, self.spec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FbMember:
     name: str
     section: VarSection
+
+    def __reduce__(self):
+        return FbMember, (self.name, self.section)
 
 
 def _fb(inputs: str, outputs: str) -> tuple[FbMember, ...]:

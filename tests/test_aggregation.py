@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from poumetrics import (
     EmptySample,
@@ -430,7 +430,10 @@ def _outcome(run):
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(_samples())
 def test_aggregate_matches_the_fraction_reference(sample):
-    entries, grouping, profiles, normalize = sample
+    _assert_matches_the_reference(*sample)
+
+
+def _assert_matches_the_reference(entries, grouping, profiles, normalize):
     expected = _outcome(lambda: ref_aggregate(entries, grouping, profiles, normalize))
     got = _outcome(lambda: aggregate(entries, grouping, profiles, normalize))
     if expected[0] == "raised" or got[0] == "raised":
@@ -449,3 +452,63 @@ def test_aggregate_matches_the_fraction_reference(sample):
         assert tuple(result.segment(i) for i in range(6)) == segments
         exact = [result.oc_rel, result.scale, *result.weights, *(result.segment(i) for i in range(6))]
         assert all(type(x) is Fraction for x in exact + [rel for rel in result.relative if rel is not None])
+
+
+# ------------------------- exact order where floats tie -------------------------
+#
+# Ranking and medians sort on floats first.  With N2 and n2 near 10**17,
+# unequal difficulties, and so unequal overall values, round to one
+# float, and only the exact sort within such a run orders them.
+
+THIRD = F(2, 2) * F(1, 3)
+NEAR_THIRD = F(2, 2) * F(10**17 + 1, 3 * 10**17)
+
+
+def test_unequal_values_that_share_a_float_are_ordered_exactly():
+    assert THIRD < NEAR_THIRD and float(THIRD) == float(NEAR_THIRD)
+    assert median_of([NEAR_THIRD, THIRD, THIRD]) == THIRD
+    assert median_of([NEAR_THIRD, THIRD, NEAR_THIRD]) == NEAR_THIRD
+    assert median_of([NEAR_THIRD, THIRD]) == (THIRD + NEAR_THIRD) / 2
+    # past the float range as well
+    assert median_of([F(10**400), F(10**400 + 1), F(1, 3)]) == F(10**400)
+    assert median_of([10**400 + 1, 10**400, 10**400 + 2]) == 10**400 + 1
+    results, _, _ = aggregate([entry("a", vec(m5=NEAR_THIRD)), entry("b", vec(m5=THIRD))])
+    assert [r.name for r in results] == ["b", "a"]
+    assert float(results[0].oc_rel) == float(results[1].oc_rel)
+
+
+_CLOSE_DIFFICULTY = st.builds(
+    lambda n1, k, n2, extra: F(n1, 2) * F(k * n2 + extra, n2),
+    st.integers(1, 3),
+    st.integers(0, 2),
+    st.integers(10**17 - 20, 10**17),
+    st.integers(0, 2),
+)
+_SMALL = st.integers(0, 3)
+
+
+@st.composite
+def _close_samples(draw):
+    vector = st.builds(MetricVector, _SMALL, _SMALL, _SMALL, _SMALL, _CLOSE_DIFFICULTY, _SMALL)
+    vectors = draw(st.lists(vector, min_size=1, max_size=12))
+    vectors += draw(st.lists(st.sampled_from(vectors), max_size=4))
+    entries = [entry("p%02d" % (i * 5 % len(vectors)) + "_%d" % i, v, draw(_LANGUAGES)) for i, v in enumerate(vectors)]
+    profiles = draw(st.dictionaries(_LANGUAGES, _PROFILE, max_size=3))
+    return entries, draw(st.sampled_from(list(Grouping))), profiles, draw(st.booleans())
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_close_samples())
+@example(
+    (
+        [entry("a", vec(m5=NEAR_THIRD)), entry("b", vec(m5=THIRD)), entry("c", vec(m5=NEAR_THIRD))],
+        Grouping.WHOLE_SAMPLE,
+        {},
+        False,
+    )
+)
+def test_aggregate_and_median_match_the_reference_where_floats_tie(sample):
+    entries = sample[0]
+    difficulties = [e.vector.difficulty for e in entries]
+    assert median_of(difficulties) == ref_median_of(difficulties)
+    _assert_matches_the_reference(*sample)

@@ -110,6 +110,15 @@ def test_weight_table_non_integer_rejected():
         config_from_mapping({"weight_table": {"interface_simple": "5"}})
 
 
+@pytest.mark.parametrize("exponent", [101, 308, 4000])
+def test_weight_table_price_is_at_most_ten_to_the_hundred(exponent):
+    price = 10**exponent
+    assert config_from_mapping({"weight_table": {"interface_complex": 10**100}}).weight_table.interface_complex == 10**100
+    with pytest.raises(InvalidConfig) as err:
+        config_from_mapping({"weight_table": {"interface_simple": price, "interface_complex": price}})
+    assert str(err.value) == "weight_table.interface_simple must be at most 10^100"
+
+
 def test_weight_table_constraint_violation_surfaces():
     with pytest.raises(InvalidConfig):
         config_from_mapping({"weight_table": {"local_simple": 9}})

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import pickle
+import pickletools
 import shutil
 import tracemalloc
 import weakref
@@ -30,7 +31,7 @@ from poumetrics import (
 )
 from poumetrics import load, plcopen, st
 from poumetrics.errors import AnalysisWarning
-from poumetrics.typesys import RawDecl, TypeSpec, named
+from poumetrics.typesys import FbMember, RawDecl, TypeSpec, named
 
 
 def make_pou(**overrides) -> Pou:
@@ -96,10 +97,14 @@ def test_records_that_pass_1_pickles_round_trip_field_by_field():
         AnalysisWarning("unknown-type", "type 'X' of 'y' ...", "a.st", "P"),
         spec,
         RawDecl("v", VarSection.IN_OUT, spec),
+        FbMember("PT", VarSection.INPUT),
     ):
-        copy = pickle.loads(pickle.dumps(record, pickle.HIGHEST_PROTOCOL))
+        data = pickle.dumps(record, pickle.HIGHEST_PROTOCOL)
+        copy = pickle.loads(data)
         assert copy == record and type(copy) is type(record)
         assert not hasattr(copy, "__dict__")
+        # a constructor call: no per-instance state is pickled beside it
+        assert "BUILD" not in {op.name for op, _, _ in pickletools.genops(data)}
 
 
 def test_corpus_tokens_equal_by_value_are_one_object(corpus_sample):

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import csv
 import gc
+import io
 import json
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import poumetrics
 from poumetrics import (
     AnalysisConfig,
+    Grouping,
     NoPousFound,
     analyze_paths,
     emit_csv,
@@ -19,8 +23,12 @@ from poumetrics import (
     fmt4,
     render_table,
 )
+from poumetrics.aggregate import SampleEntry, aggregate
 from poumetrics.cli import main
-from poumetrics.report import CSV_HEADER, report_object
+from poumetrics.errors import AnalysisWarning
+from poumetrics.ir import Language, PouKind
+from poumetrics.metrics import MetricVector
+from poumetrics.report import CSV_HEADER, RunResult, report_object
 
 from conftest import CORPUS
 from golden_reports import GOLDEN, report_digests
@@ -168,6 +176,50 @@ def test_json_ends_with_newline_and_round_trips(small_run):
     text = emit_json(small_run)
     assert text.endswith("\n")
     assert json.loads(text) == report_object(small_run)
+
+
+# Names and tags with quotes, backslashes, commas, control and non-ASCII
+# characters.  A column whose median is zero drops its metric (null
+# cells); program length is never zero, so some metric always stays.
+_TEXT = st.text(st.sampled_from('ab"\\,;\n\r\t\x00\x1f\x7f é名\u2028\U0001f600%'), max_size=6)
+_CELL = st.integers(0, 4)
+_VECTOR = st.builds(
+    MetricVector, st.integers(1, 4), _CELL, _CELL, _CELL, st.fractions(0, 20, max_denominator=7), _CELL
+)
+
+
+@st.composite
+def _runs(draw):
+    vectors = draw(st.lists(_VECTOR, min_size=1, max_size=8))
+    names = draw(st.lists(_TEXT, min_size=len(vectors), max_size=len(vectors), unique_by=str.casefold))
+    entries = [
+        SampleEntry(
+            name, draw(st.sampled_from(list(PouKind))), draw(st.sampled_from(list(Language))), v, draw(_TEXT)
+        )
+        for name, v in zip(names, vectors)
+    ]
+    grouping = draw(st.sampled_from(list(Grouping)))
+    results, stats, warnings = aggregate(entries, grouping, normalize=draw(st.booleans()))
+    warnings += draw(st.lists(st.builds(AnalysisWarning, _TEXT, _TEXT, _TEXT, _TEXT), max_size=3))
+    return RunResult(results, stats, warnings, grouping.value)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_runs())
+def test_json_and_csv_match_the_plain_writers(run):
+    obj = report_object(run)
+    assert emit_json(run) == json.dumps(obj, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(CSV_HEADER)
+    for row in obj["pous"]:
+        writer.writerow(["" if row[col] is None else str(row[col]) for col in CSV_HEADER])
+    assert emit_csv(run) == buf.getvalue()
+
+
+def test_json_of_an_empty_run_is_json_dumps():
+    run = RunResult()
+    assert emit_json(run) == json.dumps(report_object(run), indent=2) + "\n"
 
 
 def test_emitters_are_deterministic(small_run, tmp_path):
@@ -560,6 +612,33 @@ def test_cli_invalid_config_fatal(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "grouping" in captured.err
+
+
+@pytest.mark.parametrize("exponent", [100, 101, 308])
+def test_cli_bounds_the_weight_table_prices(tmp_path, capsys, exponent):
+    # 10**308 once ended in an OverflowError from the chart's float widths
+    price = 10**exponent
+    (tmp_path / "three.st").write_text(
+        "PROGRAM A VAR_INPUT s : ARRAY[0..3] OF INT; END_VAR s[0] := 1; END_PROGRAM\n"
+        "PROGRAM B VAR x : INT; END_VAR x := 1; END_PROGRAM\n"
+        "PROGRAM C VAR x : INT; END_VAR x := 2; END_PROGRAM\n"
+    )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"weight_table": {"interface_simple": price, "interface_complex": price}}))
+    reports = [tmp_path / name for name in ("r.json", "r.csv", "r.svg")]
+    argv = ["analyze", str(tmp_path / "three.st"), "--config", str(cfg)]
+    for flag, path in zip(("--json", "--csv", "--chart"), reports):
+        argv += [flag, str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    if exponent <= 100:
+        assert code == 0
+        assert json.loads(reports[0].read_text())["pous"][-1]["name"] == "A"
+        assert all(path.exists() for path in reports)
+    else:
+        assert code == 1
+        assert captured.err.splitlines() == ["error: weight_table.interface_simple must be at most 10^100"]
+        assert captured.out == ""
 
 
 def test_cli_rejects_an_annotation_with_a_lone_surrogate(tmp_path, capsys):
