@@ -21,10 +21,10 @@ Fractions only within a run of equal floats that holds unequal values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import groupby
+from typing import NamedTuple
 
 from .errors import AnalysisWarning, EmptySample, WeightSumViolation
 from .ir import Language, PouKind
@@ -38,20 +38,31 @@ def _short(value: Fraction) -> str:
     return str(value) if sum(bits) <= 128 else "about 10^%d" % round((bits[0] - bits[1]) * 0.30103)
 
 
-@dataclass(frozen=True)
 class WeightProfile:
-    """Six non-negative metric weights summing to exactly 1."""
+    """Six non-negative metric weights summing to exactly 1, checked when
+    the profile is built.  A profile is immutable."""
 
-    weights: tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]
-
-    def __post_init__(self):
-        if len(self.weights) != len(METRIC_KEYS):
+    def __init__(self, weights: tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]):
+        if len(weights) != len(METRIC_KEYS):
             raise WeightSumViolation("a weight profile needs %d entries" % len(METRIC_KEYS))
-        if any(w < 0 for w in self.weights):
+        if any(w < 0 for w in weights):
             raise WeightSumViolation("metric weights must be non-negative")
-        total = sum(self.weights, Fraction(0))
+        total = sum(weights, Fraction(0))
         if total != 1:
             raise WeightSumViolation("metric weights sum to %s, expected exactly 1" % _short(total))
+        self.__dict__["weights"] = weights
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __eq__(self, other):
+        return self.weights == other.weights if type(other) is WeightProfile else NotImplemented
+
+    def __hash__(self):
+        return hash(self.weights)
+
+    def __repr__(self):
+        return "WeightProfile(weights=%r)" % (self.weights,)
 
     @staticmethod
     def of(*values) -> "WeightProfile":
@@ -76,8 +87,7 @@ class Grouping(Enum):
     PER_LANGUAGE = "per-language"
 
 
-@dataclass(frozen=True)
-class SampleEntry:
+class SampleEntry(NamedTuple):
     name: str
     kind: PouKind
     language: Language
@@ -85,8 +95,7 @@ class SampleEntry:
     tag: str = ""
 
 
-@dataclass(frozen=True)
-class GroupStats:
+class GroupStats(NamedTuple):
     label: str
     size: int
     medians: tuple[Fraction, ...]
@@ -140,7 +149,7 @@ def median_of(values: list) -> Fraction:
 def compute_medians(vectors: list[MetricVector]) -> tuple[Fraction, ...]:
     if not vectors:
         raise EmptySample("cannot aggregate an empty sample")
-    return tuple(median_of(list(column)) for column in zip(*(v.as_tuple() for v in vectors)))
+    return tuple(median_of(list(column)) for column in zip(*vectors))
 
 
 def group_stats(label: str, vectors: list[MetricVector]) -> tuple[GroupStats, list[AnalysisWarning]]:
@@ -172,8 +181,7 @@ def effective_weights(profile: WeightProfile, excluded: frozenset[int]) -> tuple
     )
 
 
-@dataclass(frozen=True)
-class Coefficients:
+class Coefficients(NamedTuple):
     """What a group ranks its POUs by under one effective weight profile,
     as integers.  A POU whose metric i has the value v stands at
     v * percent[i][0] / percent[i][1] percent of the group median, and
@@ -208,15 +216,14 @@ class Coefficients:
         """The weighted sum of the vector's relative values.  Only the
         difficulty p/q is a fraction, so the sum of the other terms is
         multiplied through by q and the result is one Fraction."""
-        m1, m2, m3, m4, difficulty, m6 = vector.as_tuple()
+        m1, m2, m3, m4, difficulty, m6 = vector
         k1, k2, k3, k4, k5, k6 = self.weighted
         q = difficulty.denominator
         num = (k1 * m1 + k2 * m2 + k3 * m3 + k4 * m4 + k6 * m6) * q + k5 * difficulty.numerator
         return Fraction(num, q * self.denominator)
 
 
-@dataclass(frozen=True)
-class PouResult:
+class PouResult(NamedTuple):
     name: str
     kind: PouKind
     language: Language
@@ -237,12 +244,12 @@ class PouResult:
         """Each metric as a percent of its group median, None when dropped."""
         return tuple(
             None if p is None else Fraction(value.numerator * p[0], value.denominator * p[1])
-            for value, p in zip(self.vector.as_tuple(), self.coefficients.percent)
+            for value, p in zip(self.vector, self.coefficients.percent)
         )
 
     def segment(self, index: int) -> Fraction:
         """Contribution of one metric to the reported overall value."""
-        value = self.vector.as_tuple()[index]
+        value = self.vector[index]
         return Fraction(
             self.coefficients.weighted[index] * value.numerator * self.scale.numerator,
             self.coefficients.denominator * self.scale.denominator * value.denominator,

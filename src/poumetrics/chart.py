@@ -74,7 +74,7 @@ def render_chart(results: list[PouResult]) -> str:
         sn, den = scale.numerator, c.denominator * scale.denominator
         x = float(_LEFT_MARGIN)
         # int / int is correctly rounded, so this is float(segment(i)).
-        for rect, value, k in zip(rects, result.vector.as_tuple(), c.weighted):
+        for rect, value, k in zip(rects, result.vector, c.weighted):
             seg = k * value.numerator * sn / (den * value.denominator) * _PX_PER_PERCENT
             if seg <= 0:
                 continue

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .aggregate import Grouping
 from .chart import render_chart
 from .config import AnalysisConfig, load_config
-from .errors import AnalysisError, InvalidConfig
+from .errors import AnalysisError, InvalidConfig, NoPousFound
 from .report import analyze_paths, emit_csv, emit_json, render_table
 
 
@@ -57,9 +56,7 @@ def _resolve_config(args) -> AnalysisConfig:
         overrides["grouping"] = Grouping.PER_LANGUAGE
     if args.normalize:
         overrides["normalize"] = True
-    if not overrides:
-        return cfg
-    return replace(cfg, **overrides)
+    return cfg._replace(**overrides)
 
 
 def main(argv=None) -> int:
@@ -83,6 +80,9 @@ def main(argv=None) -> int:
             with open(args.chart_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(render_chart(run.results))
     except (AnalysisError, OSError) as exc:
+        # The warnings say why no POU survived: they come before the error.
+        for warning in exc.warnings if isinstance(exc, NoPousFound) else ():
+            print(warning.render(), file=sys.stderr)
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .aggregate import Grouping, WeightProfile, default_profile
 from .errors import InvalidConfig, clip
@@ -26,21 +26,39 @@ from .metrics import DEFAULT_WEIGHT_TABLE, METRIC_KEYS, WeightTable
 
 _TOP_KEYS = {"weight_profiles", "weight_table", "array_sub_cap", "grouping", "normalize", "annotations"}
 _WEIGHT_KEYS = {lang.value for lang in Language} | {"default"}
-_TABLE_KEYS = {f.name for f in fields(WeightTable)}
+_TABLE_KEYS = set(WeightTable._fields)
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Fully resolved options for one analysis run."""
+class _Options(NamedTuple):
+    profiles: dict[Language, WeightProfile]
+    weight_table: WeightTable
+    array_sub_cap: int | None
+    grouping: Grouping
+    normalize: bool
+    annotations: dict[str, str]
 
-    profiles: dict[Language, WeightProfile] = field(
-        default_factory=lambda: {lang: default_profile(lang) for lang in Language}
-    )
-    weight_table: WeightTable = DEFAULT_WEIGHT_TABLE
-    array_sub_cap: int | None = None
-    grouping: Grouping = Grouping.WHOLE_SAMPLE
-    normalize: bool = False
-    annotations: dict[str, str] = field(default_factory=dict)
+
+class AnalysisConfig(_Options):
+    """Fully resolved options for one analysis run.  Left out (or None),
+    `profiles` and `annotations` get a new dict of their own: the default
+    profile per language, and no annotations."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        profiles: dict[Language, WeightProfile] | None = None,
+        weight_table: WeightTable = DEFAULT_WEIGHT_TABLE,
+        array_sub_cap: int | None = None,
+        grouping: Grouping = Grouping.WHOLE_SAMPLE,
+        normalize: bool = False,
+        annotations: dict[str, str] | None = None,
+    ):
+        if profiles is None:
+            profiles = {lang: default_profile(lang) for lang in Language}
+        if annotations is None:
+            annotations = {}
+        return super().__new__(cls, profiles, weight_table, array_sub_cap, grouping, normalize, annotations)
 
 
 _MAX_WEIGHT_CHARS = 100
@@ -110,7 +128,7 @@ def _parse_table(data) -> WeightTable:
             raise InvalidConfig("weight_table.%s must be an integer" % key)
         if value > 10**_MAX_WEIGHT_EXPONENT:
             raise InvalidConfig("weight_table.%s must be at most 10^%d" % (key, _MAX_WEIGHT_EXPONENT))
-    return replace(DEFAULT_WEIGHT_TABLE, **data)
+    return DEFAULT_WEIGHT_TABLE._replace(**data)
 
 
 def config_from_mapping(data: dict) -> AnalysisConfig:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def clip(text: str, limit: int = 40) -> str:
@@ -58,7 +58,12 @@ class WeightSumViolation(AnalysisError):
 
 
 class NoPousFound(AnalysisError):
-    """The input paths produced no analyzable POU at all."""
+    """The input paths produced no analyzable POU at all.  `warnings` are
+    the load's, which say why each file or POU was skipped."""
+
+    def __init__(self, message: str, warnings=()):
+        super().__init__(message)
+        self.warnings = list(warnings)
 
 
 class InvalidConfig(AnalysisError):
@@ -76,8 +81,7 @@ SKIP_CODES = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class AnalysisWarning:
+class AnalysisWarning(NamedTuple):
     """Non-fatal diagnostic attached to a run.
 
     code is a stable machine-readable slug; path/pou narrow the context
@@ -88,11 +92,6 @@ class AnalysisWarning:
     message: str
     path: str = ""
     pou: str = ""
-
-    def __reduce__(self):
-        # Pickled as a constructor call: the dataclass default for a
-        # frozen slotted class runs __getstate__/__setstate__ in Python.
-        return AnalysisWarning, (self.code, self.message, self.path, self.pou)
 
     def render(self) -> str:
         ctx = ":".join(p for p in (self.path, self.pou) if p)

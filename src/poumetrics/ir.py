@@ -1,17 +1,17 @@
 """Language-neutral intermediate representation for analyzed POUs.
 
 Every frontend (textual ST, PLCopen TC6 XML) reduces a program
-organization unit to the same small set of frozen records: declared
-variables, a classified token stream, decision points, call sites and
-external data accesses.  Everything downstream (metrics, aggregation,
+organization unit to the same small set of immutable named tuples:
+declared variables, a classified token stream, decision points, call
+sites and external data accesses.  Everything downstream (metrics, aggregation,
 reporting) is a pure function over these records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 # Bound on the token values kept shared.  Past it the least recently used
 # value gets a new instance when it recurs: sharing is lost, nothing else.
@@ -56,8 +56,7 @@ class TokenClass(Enum):
     OPERAND = "Operand"
 
 
-@dataclass(frozen=True, slots=True)
-class SourceRef:
+class SourceRef(NamedTuple):
     """Location of a construct: file path plus 1-based line/column.
 
     Graphical bodies have no lines; they carry the element's localId in
@@ -69,14 +68,8 @@ class SourceRef:
     column: int = 0
     element: str = ""
 
-    def __reduce__(self):
-        # Pickled as a constructor call: the dataclass default for a
-        # frozen slotted class runs __getstate__/__setstate__ in Python.
-        return SourceRef, (self.path, self.line, self.column, self.element)
 
-
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     """One classified lexical element of a POU body.
 
     identity_key is the case-folded identity used for vocabulary
@@ -111,8 +104,7 @@ def _shared_token(lexeme: str, cls: TokenClass, identity_key: str) -> Token:
     return Token(lexeme, cls, identity_key)
 
 
-@dataclass(frozen=True)
-class VariableDecl:
+class VariableDecl(NamedTuple):
     """One declared variable.  `sub_variables` is a range as long as the
     variable has first-level members (struct fields, array elements or FB
     interface members); only their number is modeled."""
@@ -124,8 +116,7 @@ class VariableDecl:
     sub_variables: range = range(0)
 
 
-@dataclass(frozen=True)
-class CallSite:
+class CallSite(NamedTuple):
     """One invocation of another POU.
 
     args_passed counts actual parameters handed over; returns_used counts
@@ -138,19 +129,14 @@ class CallSite:
     returns_used: int
 
 
-@dataclass(frozen=True, slots=True)
-class DecisionSpan:
+class DecisionSpan(NamedTuple):
     """Source span of one decision point, labeled by construct kind."""
 
     kind: str
     ref: SourceRef
 
-    def __reduce__(self):
-        return DecisionSpan, (self.kind, self.ref)
 
-
-@dataclass(frozen=True)
-class BodyFacts:
+class BodyFacts(NamedTuple):
     tokens: tuple[Token, ...] = ()
     decision_spans: tuple[DecisionSpan, ...] = ()
     calls: tuple[CallSite, ...] = ()
@@ -179,14 +165,13 @@ class BodyFacts:
         return len(self.decision_spans)
 
 
-@dataclass(frozen=True)
-class Pou:
+class Pou(NamedTuple):
     name: str
     kind: PouKind
     language: Language
     variables: tuple[VariableDecl, ...] = ()
-    body: BodyFacts = field(default_factory=BodyFacts)
-    source_ref: SourceRef = field(default_factory=SourceRef)
+    body: BodyFacts = BodyFacts()
+    source_ref: SourceRef = SourceRef()
 
 
 # ------------------------- validation -------------------------

@@ -35,7 +35,6 @@ one-process load's.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -48,14 +47,16 @@ ST_SUFFIXES = frozenset({".st", ".iecst", ".scl", ".pou", ".typ", ".gvl"})
 XML_SUFFIXES = frozenset({".xml"})
 
 
-@dataclass
 class LoadedSample:
     """Everything the metrics stage needs, plus loader diagnostics."""
 
-    pous: list = field(default_factory=list)  # Pou, or what `finish` made of each
-    warnings: list[AnalysisWarning] = field(default_factory=list)
-    context: TypeContext = field(default_factory=TypeContext)
-    global_names: frozenset[str] = frozenset()
+    def __init__(
+        self, pous: list, warnings: list[AnalysisWarning], context: TypeContext, global_names: frozenset[str]
+    ):
+        self.pous = pous  # Pou, or what `finish` made of each
+        self.warnings = warnings
+        self.context = context
+        self.global_names = global_names
 
 
 class _WalkedFile(NamedTuple):

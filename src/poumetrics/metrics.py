@@ -15,8 +15,8 @@ m6 data structure   weighted sum over declared variables and their
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvalidConfig
 from .ir import INTERFACE_SECTIONS, BodyFacts, Pou, TokenClass, TypeClass, VarSection
@@ -42,35 +42,54 @@ METRIC_CLASSES = {
 
 COMPLEXITY_CLASSES = ("Size", "Control Flow", "Information Flow", "Software Science", "Data Structure")
 
-@dataclass(frozen=True)
 class WeightTable:
     """Variable weights for the data-structure metric.
 
     Rows are where the variable is declared (interface vs. local scope,
-    plus the flat sub-variable row), columns its type class.
+    plus the flat sub-variable row), columns its type class.  A table is
+    checked when it is built and is immutable; `_replace` builds a
+    checked copy.
     """
 
-    interface_simple: int = 3
-    interface_complex: int = 4
-    local_simple: int = 1
-    local_complex: int = 2
-    sub_simple: int = 1
-    sub_complex: int = 1
+    _fields = ("interface_simple", "interface_complex", "local_simple", "local_complex", "sub_simple", "sub_complex")
 
-    def __post_init__(self):
-        values = (
-            self.interface_simple, self.interface_complex,
-            self.local_simple, self.local_complex,
-            self.sub_simple, self.sub_complex,
-        )
+    def __init__(
+        self,
+        interface_simple: int = 3,
+        interface_complex: int = 4,
+        local_simple: int = 1,
+        local_complex: int = 2,
+        sub_simple: int = 1,
+        sub_complex: int = 1,
+    ):
+        values = (interface_simple, interface_complex, local_simple, local_complex, sub_simple, sub_complex)
         if any((not isinstance(v, int)) or v <= 0 for v in values):
             raise InvalidConfig("variable weights must be positive integers")
-        if not (self.interface_simple > self.local_simple and self.interface_complex > self.local_complex):
+        if not (interface_simple > local_simple and interface_complex > local_complex):
             raise InvalidConfig("interface weights must exceed local weights")
-        if self.interface_complex < self.interface_simple or self.local_complex < self.local_simple:
+        if interface_complex < interface_simple or local_complex < local_simple:
             raise InvalidConfig("complex weights must not undercut simple weights")
-        if self.sub_simple != self.sub_complex:
+        if sub_simple != sub_complex:
             raise InvalidConfig("sub-variable weights must not depend on the type class")
+        self.__dict__.update(zip(self._fields, values))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def _replace(self, **changes) -> "WeightTable":
+        return WeightTable(**{**self.__dict__, **changes})
+
+    def _values(self) -> tuple[int, ...]:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is WeightTable else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "WeightTable(%s)" % ", ".join("%s=%r" % item for item in zip(self._fields, self._values()))
 
     def variable_weight(self, section: VarSection, type_class: TypeClass) -> int:
         interface = section in INTERFACE_SECTIONS
@@ -157,8 +176,7 @@ def data_structure_weight(pou: Pou, table: WeightTable = DEFAULT_WEIGHT_TABLE) -
     return total
 
 
-@dataclass(frozen=True)
-class MetricVector:
+class MetricVector(NamedTuple):
     program_length: int
     cyclomatic: int
     fifo: int
@@ -167,14 +185,7 @@ class MetricVector:
     data_structure: int
 
     def as_tuple(self) -> tuple:
-        return (
-            self.program_length,
-            self.cyclomatic,
-            self.fifo,
-            self.vocabulary,
-            self.difficulty,
-            self.data_structure,
-        )
+        return self
 
 
 def compute_vector(pou: Pou, table: WeightTable = DEFAULT_WEIGHT_TABLE) -> MetricVector:

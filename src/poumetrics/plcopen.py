@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 
 from .errors import AnalysisWarning, ParseError, XmlMalformed
 from .ir import (
@@ -196,13 +195,14 @@ def project_global_names(root: ET.Element) -> list[str]:
 # ------------------------- graphical bodies -------------------------
 
 
-@dataclass(kw_only=True)
 class _Acc(_BodyResult):
     """The POU's collector, which the network walker and the ST fragment
     walks fill."""
 
-    path: str
-    pou: str
+    def __init__(self, path: str, pou: str):
+        super().__init__()
+        self.path = path
+        self.pou = pou
 
     def warn(self, code: str, message: str) -> None:
         self.warnings.append(AnalysisWarning(code, message, self.path, self.pou))
@@ -503,7 +503,7 @@ def walk_pous(root: ET.Element, path: str) -> list[WalkedPou]:
         if not name.strip():
             name = ""  # a blank name names no POU, as in ST
         kind = _POU_TYPE_MAP.get(pou_el.get("pouType", "").casefold(), PouKind.PROGRAM)
-        pou = WalkedPou(name, SourceRef(path, element=pou_el.get("globalId", "")), kind, decls=None)
+        pou = WalkedPou(name, SourceRef(path, element=pou_el.get("globalId", "")), kind)
         try:
             if not name:
                 raise ParseError("pou without a name skipped", path)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import gc
 import io
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -55,12 +54,18 @@ def fmt4_ratio(numerator: int, denominator: int) -> str:
     return "%d.%04d" % divmod(q, 10000)
 
 
-@dataclass
 class RunResult:
-    results: list[PouResult] = field(default_factory=list)
-    stats: list[GroupStats] = field(default_factory=list)
-    warnings: list[AnalysisWarning] = field(default_factory=list)
-    grouping: str = Grouping.WHOLE_SAMPLE.value
+    def __init__(
+        self,
+        results: list[PouResult] | None = None,
+        stats: list[GroupStats] | None = None,
+        warnings: list[AnalysisWarning] | None = None,
+        grouping: str = Grouping.WHOLE_SAMPLE.value,
+    ):
+        self.results = [] if results is None else results
+        self.stats = [] if stats is None else stats
+        self.warnings = [] if warnings is None else warnings
+        self.grouping = grouping
 
     @cached_property
     def rows(self) -> list[tuple]:
@@ -70,7 +75,7 @@ class RunResult:
         rows = []
         for r in self.results:
             sn, sd = r.scale.numerator, r.scale.denominator
-            values = r.vector.as_tuple()
+            values = r.vector
             relative = [
                 None if p is None else fmt4_ratio(v.numerator * p[0] * sn, v.denominator * p[1] * sd)
                 for v, p in zip(values, r.coefficients.percent)
@@ -114,7 +119,7 @@ def _analyze(paths, cfg: AnalysisConfig) -> RunResult:
 
     sample = load_sample(paths, cfg.array_sub_cap, entry)
     if not sample.pous:
-        raise NoPousFound("no POUs found under: %s" % ", ".join(str(p) for p in paths))
+        raise NoPousFound("no POUs found under: %s" % ", ".join(str(p) for p in paths), sample.warnings)
     results, stats, agg_warnings = aggregate(sample.pous, cfg.grouping, cfg.profiles, cfg.normalize)
     return RunResult(
         results=results,

@@ -32,7 +32,6 @@ import sys
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
 from sys import intern
 from typing import NamedTuple
 
@@ -186,15 +185,16 @@ _LABEL_BREAKERS = _STMT_START | frozenset(
 _NOT_CALLEES = _STMT_START | frozenset({"AND", "OR", "XOR", "NOT", "MOD", "TRUE", "FALSE"})
 
 
-@dataclass(slots=True)
 class _RawCall:
-    callee: str
-    key: str
-    args: int
-    returns: int
+    __slots__ = ("callee", "key", "args", "returns")
+
+    def __init__(self, callee: str, key: str, args: int, returns: int):
+        self.callee = callee
+        self.key = key
+        self.args = args
+        self.returns = returns
 
 
-@dataclass(kw_only=True)
 class _BodyResult:
     """The one collector all body walks of a POU write into: one ST walk,
     or a PLCopen body's network walks and ST fragment walks.  It holds
@@ -202,17 +202,19 @@ class _BodyResult:
     as which raw (root, first member) reads name an FB instance output.
     `depth` is the nesting the next walk starts inside."""
 
-    tokens: list[Token] = field(default_factory=list)
-    decisions: list[DecisionSpan] = field(default_factory=list)
-    calls: list[_RawCall] = field(default_factory=list)
-    # Graphical blocks as (type name, callee, arguments, distinct returns
-    # used); those whose type is a POU or FB of the sample become calls.
-    blocks: list[tuple[str, str, int, int]] = field(default_factory=list)
-    reads: set[str] = field(default_factory=set)
-    writes: set[str] = field(default_factory=set)
-    member_reads: set[tuple[str, str]] = field(default_factory=set)
-    warnings: list[AnalysisWarning] = field(default_factory=list)
-    depth: int = 0
+    def __init__(self):
+        self.tokens: list[Token] = []
+        self.decisions: list[DecisionSpan] = []
+        self.calls: list[_RawCall] = []
+        # Graphical blocks as (type name, callee, arguments, distinct
+        # returns used); those whose type is a POU or FB of the sample
+        # become calls.
+        self.blocks: list[tuple[str, str, int, int]] = []
+        self.reads: set[str] = set()
+        self.writes: set[str] = set()
+        self.member_reads: set[tuple[str, str]] = set()
+        self.warnings: list[AnalysisWarning] = []
+        self.depth = 0
 
 
 _EOF = RawTok("eof", "", -1, "")
@@ -584,11 +586,13 @@ class _BodyParser(_Cursor):
 
     # --- references and calls ---
 
-    @dataclass
     class _Ref:
-        root_key: str
-        member: str | None = None  # first member when path is root.member
-        call: "_RawCall | None" = None
+        __slots__ = ("root_key", "member", "call")
+
+        def __init__(self, root_key: str, member: str | None = None, call: _RawCall | None = None):
+            self.root_key = root_key
+            self.member = member  # first member when path is root.member
+            self.call = call
 
     def reference(self, register: str | None) -> "_BodyParser._Ref":
         """Parse a variable reference or invocation starting at an
@@ -746,16 +750,14 @@ _BASED_INT = re.compile(r"2#[01]+|8#[0-7]+|16#[0-9A-Fa-f]+")  # once `_` is remo
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-@dataclass(frozen=True)
-class StSource:
+class StSource(NamedTuple):
     """One ST input: a path label plus the full text."""
 
     path: str
     text: str
 
 
-@dataclass(frozen=True)
-class StUnit:
+class StUnit(NamedTuple):
     """Top-level construct found in an ST file.  `tokens`, the list its
     cursor reads, holds the tokens before the closing keyword `end` (and
     END_VAR too for a VAR_GLOBAL list), then `_EOF`.  `lines` is the
@@ -1008,7 +1010,6 @@ def finalize_body(
     )
 
 
-@dataclass(slots=True)
 class WalkedPou:
     """A POU as pass 1 leaves it, with none of its tokens or XML elements:
     its declarations, where it starts and the collector its body walks
@@ -1018,14 +1019,26 @@ class WalkedPou:
     values, which no traceback outlives.  `decls` is None when the walk
     stopped before the declarations; a failed body keeps them."""
 
-    name: str
-    source_ref: SourceRef
-    kind: PouKind = PouKind.PROGRAM
-    language: Language | None = Language.ST
-    decls: list[RawDecl] | None = field(default_factory=list)
-    return_spec: TypeSpec | None = None
-    body: _BodyResult = field(default_factory=_BodyResult)
-    error: tuple[str, str, int, int, str] | None = None
+    __slots__ = ("name", "source_ref", "kind", "language", "decls", "return_spec", "body", "error")
+
+    def __init__(
+        self,
+        name: str,
+        source_ref: SourceRef,
+        kind: PouKind,
+        language: Language | None = Language.ST,
+        decls: list[RawDecl] | None = None,
+        return_spec: TypeSpec | None = None,
+        body: _BodyResult | None = None,
+    ):
+        self.name = name
+        self.source_ref = source_ref
+        self.kind = kind
+        self.language = language
+        self.decls = decls
+        self.return_spec = return_spec
+        self.body = _BodyResult() if body is None else body
+        self.error: tuple[str, str, int, int, str] | None = None
 
     @property
     def parse_error(self) -> ParseError | None:

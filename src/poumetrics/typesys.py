@@ -11,7 +11,7 @@ intentionally ignored.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .errors import AnalysisWarning
 from .ir import INTERFACE_SECTIONS, TypeClass, VariableDecl, VarSection
@@ -31,8 +31,7 @@ ELEMENTARY_TYPES = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class TypeSpec:
+class TypeSpec(NamedTuple):
     """Structural description of a declared type.
 
     kind: "named" | "string" | "array" | "struct" | "enum" | "subrange"
@@ -43,11 +42,6 @@ class TypeSpec:
     dims: tuple[tuple[int, int], ...] = ()
     element: "TypeSpec | None" = None
     fields: tuple[str, ...] = ()  # struct: member names
-
-    def __reduce__(self):
-        # Pickled as a constructor call: the dataclass default for a
-        # frozen slotted class runs __getstate__/__setstate__ in Python.
-        return TypeSpec, (self.kind, self.name, self.dims, self.element, self.fields)
 
     def render(self) -> str:
         if self.kind == "named":
@@ -78,8 +72,7 @@ def named(name: str) -> TypeSpec:
     return TypeSpec("named", name=name)
 
 
-@dataclass(frozen=True, slots=True)
-class RawDecl:
+class RawDecl(NamedTuple):
     """One declared name with its section and unclassified type, as a
     frontend reads it from a POU interface."""
 
@@ -87,17 +80,10 @@ class RawDecl:
     section: VarSection
     spec: TypeSpec
 
-    def __reduce__(self):
-        return RawDecl, (self.name, self.section, self.spec)
 
-
-@dataclass(frozen=True, slots=True)
-class FbMember:
+class FbMember(NamedTuple):
     name: str
     section: VarSection
-
-    def __reduce__(self):
-        return FbMember, (self.name, self.section)
 
 
 def _fb(inputs: str, outputs: str) -> tuple[FbMember, ...]:
@@ -123,7 +109,6 @@ STANDARD_FBS: dict[str, tuple[FbMember, ...]] = {
 }
 
 
-@dataclass
 class TypeContext:
     """User TYPE definitions plus known function-block interfaces.
 
@@ -131,11 +116,21 @@ class TypeContext:
     second, when each POU's declarations are classified.
     """
 
-    definitions: dict[str, TypeSpec] = field(default_factory=dict)
-    fb_interfaces: dict[str, tuple[FbMember, ...]] = field(default_factory=dict)
-    array_sub_cap: int | None = None
-    # casefolded user-defined type name -> what `_resolve` found for it
-    _resolved: dict[str, tuple[range, str]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        array_sub_cap: int | None = None,
+        definitions: dict[str, TypeSpec] | None = None,
+        fb_interfaces: dict[str, tuple[FbMember, ...]] | None = None,
+    ):
+        self.array_sub_cap = array_sub_cap
+        self.definitions = {} if definitions is None else definitions
+        self.fb_interfaces = {} if fb_interfaces is None else fb_interfaces
+        # casefolded user-defined type name -> what `_resolve` found for it
+        self._resolved: dict[str, tuple[range, str]] = {}
+
+    def __reduce__(self):
+        # Pickled as a constructor call, without the memo.
+        return TypeContext, (self.array_sub_cap, self.definitions, self.fb_interfaces)
 
     def define(self, name: str, spec: TypeSpec) -> None:
         self.definitions[name.casefold()] = spec
@@ -182,7 +177,7 @@ class TypeContext:
         for d in decls:
             type_class, subs, ws = self.classify(d.spec, d.name)
             variables.append(VariableDecl(d.name, d.section, type_class, d.spec.render(), subs))
-            warnings.extend(replace(w, pou=pou_name) for w in ws)
+            warnings.extend(w._replace(pou=pou_name) for w in ws)
         return variables, warnings
 
     def classify(

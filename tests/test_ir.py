@@ -9,6 +9,7 @@ import pickletools
 import shutil
 import tracemalloc
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 from golden_ir import CORPUS, GOLDEN, canonical_ir
@@ -18,8 +19,10 @@ from poumetrics import (
     CallSite,
     DecisionSpan,
     Language,
+    MetricVector,
     Pou,
     PouKind,
+    SampleEntry,
     SourceRef,
     Token,
     TokenClass,
@@ -91,6 +94,7 @@ def test_unpickled_token_is_the_shared_instance():
 def test_records_that_pass_1_pickles_round_trip_field_by_field():
     ref = SourceRef("a.st", 3, 7, "step1")
     spec = TypeSpec("array", "Arr", ((1, 2), (0, 4)), named("INT"), ("f",))
+    vector = MetricVector(12, 3, 4, 9, Fraction(7, 3), 5)
     for record in (
         ref,
         DecisionSpan("if", ref),
@@ -98,6 +102,8 @@ def test_records_that_pass_1_pickles_round_trip_field_by_field():
         spec,
         RawDecl("v", VarSection.IN_OUT, spec),
         FbMember("PT", VarSection.INPUT),
+        # the rows that round 2 sends back
+        SampleEntry("P", PouKind.FUNCTION_BLOCK, Language.SFC, vector, "hot"),
     ):
         data = pickle.dumps(record, pickle.HIGHEST_PROTOCOL)
         copy = pickle.loads(data)
@@ -190,9 +196,14 @@ def test_load_frees_each_unit_and_xml_tree_once_its_pous_are_built(monkeypatch, 
         alive_at_read.append(alive())
         return real(self, *args, **kwargs)
 
+    class Tokens(list):
+        """A unit's token list, which a weak reference can watch."""
+
+    # A unit is a named tuple, which no weak reference can watch, so its
+    # token list is watched: the list lives as long as the unit does.
     def split_st_units(source, real=st.split_st_units):
-        units = real(source)
-        made.extend(weakref.ref(unit) for unit in units)
+        units = [unit._replace(tokens=Tokens(unit.tokens)) for unit in real(source)]
+        made.extend(weakref.ref(unit.tokens) for unit in units)
         return units
 
     def parse_xml(text, path="", real=plcopen.parse_xml):

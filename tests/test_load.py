@@ -9,6 +9,7 @@ import io
 import json
 import os
 import pickle
+import pickletools
 import select
 import signal
 import tempfile
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as strat
 
 from golden_ir import CORPUS
-from poumetrics import AnalysisError, CallSite, ParseError, load_sample
+from poumetrics import AnalysisError, CallSite, ParseError, SampleEntry, compute_vector, load_sample
 from poumetrics import load, plcopen, st
 from poumetrics.cli import main
 from poumetrics.typesys import TypeContext
@@ -611,6 +612,25 @@ def test_shared_knowledge_reaches_the_child_whole_under_a_timer_signal(monkeypat
     assert_reaped(pids)
     # No file was walked a second time, so the child finished both rounds.
     assert sorted(chain(*walked_by().values())) == sorted(p.name for p in sample_dir.iterdir())
+
+
+def test_the_records_that_cross_the_pipes_pickle_as_constructor_calls(tmp_path):
+    """No BUILD opcode: each record is rebuilt by its constructor, with no
+    per-instance state set after it in Python."""
+    sample_dir = write_sample(tmp_path / "sample", MIXED_SAMPLE)
+    walked = [load._walk_file(p) for p in load.discover_inputs([str(CORPUS), str(sample_dir)])]
+    declared = [load._declared(w) for w in walked]
+    shared, warnings = load._share(declared, TypeContext())
+    assert shared.context.definitions and shared.context.fb_interfaces and warnings
+
+    def entry(pou):
+        return SampleEntry(pou.name, pou.kind, pou.language, compute_vector(pou), "tag")
+
+    finished = [load._finish_file(w, shared, entry) for w in walked]
+    assert any(done.warnings for done in finished)
+    for record in (*declared, shared, *finished):
+        data = pickle.dumps(record, pickle.HIGHEST_PROTOCOL)
+        assert "BUILD" not in {op.name for op, _, _ in pickletools.genops(data)}, type(record).__name__
 
 
 def test_no_child_outlives_a_raise_in_the_loading_process(monkeypatch):

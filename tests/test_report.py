@@ -370,6 +370,26 @@ def test_cli_duplicate_pou_names_fatal(tmp_path, capsys):
     assert "duplicate POU name" in captured.err
 
 
+@pytest.mark.parametrize(
+    "name, data, warning",
+    [
+        ("bad.st", b"PROGRAM P x := ; END_PROGRAM", "[pou-parse-error] %s:P: 1:16: unexpected ';' in expression"),
+        ("bad.xml", b"<project><bad", "[xml-malformed] %s: unclosed token"),
+        ("utf16.st", "PROGRAM P x := 1; END_PROGRAM".encode("utf-16"), "[pou-parse-error] %s: 1:1: unexpected character"),
+    ],
+    ids=["st-parse-error", "malformed-xml", "utf-16"],
+)
+def test_cli_prints_why_when_no_pou_survives(tmp_path, capsys, name, data, warning):
+    path = tmp_path / name
+    path.write_bytes(data)
+    code = main(["analyze", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    lines = captured.err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith(warning % path)
+    assert lines[1] == "error: no POUs found under: %s" % path
+
+
 def test_cli_skip_warnings_exit_two(tmp_path, capsys):
     (tmp_path / "ok.st").write_text("PROGRAM Alpha x := 1; END_PROGRAM")
     (tmp_path / "broken.st").write_text("PROGRAM Bad x := ; END_PROGRAM")
