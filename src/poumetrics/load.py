@@ -11,25 +11,30 @@ POU's declarations and resolves its body facts against it, or reports
 its pass-1 error.
 
 Both passes run in k processes, one per usable CPU but no more than
-there are files, or k = 1 while another thread runs.  Process j of k
-walks every k-th file from the j-th: the loading process is j = 0, and
-a forked child takes each other j.  The work goes in two rounds over a
-pair of pipes per child:
+there are files, or k = 1 while another thread runs: the loading process
+and k - 1 forked children.  Before any fork, the loading process writes
+the index of every file into one pipe, the claims, and closes its write
+end.  Each process claims its next file with one read until the pipe is
+empty, so a process that walks faster walks more files.  The work goes
+in two rounds over a pair of pipes per child:
 
-1. the child sends up each file's knowledge (`_Declared`), one pickle
-   per file; the loading process applies every file's in file order and
+1. once the claims run out, the child sends up the indices of the
+   files it walked, then each one's knowledge (`_Declared`), one pickle
+   per file; the loading process applies every file's knowledge in file order and
    sends the result (`_Shared`) down to each child;
 2. each process runs pass 2 on the files it walked, applying the
    caller's `finish` to each POU, and a child sends up only those
    results, with each POU's name and path and the warnings
-   (`_Finished`), in one pickle.
+   (`_Finished`), in the same order and in one pickle.
 
-A child that fails in round 1 has its files walked again in the loading
-process; one that fails in round 2 has them walked again for pass 2
-only, since their knowledge is already applied.  A child still running
-when the loading process raises is killed, and every child is reaped.
-The results are assembled in file order, so the sample is the same as a
-one-process load's.
+A file that has no record once the children have answered was claimed
+by a child that failed in round 1, and it is walked in the loading
+process; a child that fails in round 2 has the files it reported walked
+again for pass 2 only, since their knowledge is already applied.  A
+child still running when the loading process raises is killed, and
+every child is reaped.  The results are assembled in file order, so the
+sample is the same as a one-process load's, whichever process walked
+each file.
 """
 
 from __future__ import annotations
@@ -45,6 +50,14 @@ from .typesys import RawDecl, TypeContext, TypeSpec
 
 ST_SUFFIXES = frozenset({".st", ".iecst", ".scl", ".pou", ".typ", ".gvl"})
 XML_SUFFIXES = frozenset({".xml"})
+_INPUT_SUFFIXES = ST_SUFFIXES | XML_SUFFIXES
+_UTF16_BOMS = (b"\xff\xfe", b"\xfe\xff")
+
+# A claim is one entry of _CLAIM_WIDTH bytes: the number of a run of
+# consecutive files.  All entries fit in 4096 bytes, the smallest buffer
+# Linux gives a pipe, so writing them before the fork never blocks.
+_CLAIM_WIDTH = 2
+_CLAIM_ENTRIES = 4096 // _CLAIM_WIDTH
 
 
 class LoadedSample:
@@ -99,19 +112,50 @@ class _Finished(NamedTuple):
 
 
 def discover_inputs(paths) -> list[Path]:
-    """Expand files and directories into a sorted list of input files."""
-    found: list[Path] = []
+    """Expand files and directories into a sorted list of input files.
+
+    A directory is searched as `Path.rglob("*")` searches it: symlinked
+    files count, but neither a symlinked nor an unreadable directory is
+    entered.  A file found there is kept when its suffix, in any case, is
+    an ST or XML one; a file named outright is kept whatever its suffix."""
+    found: set[str] = set()
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            for sub in sorted(p.rglob("*")):
-                if sub.is_file() and sub.suffix.casefold() in (ST_SUFFIXES | XML_SUFFIXES):
-                    found.append(sub)
+            _scan(str(p), found)
         elif p.exists():
-            found.append(p)
+            found.add(str(p))
         else:
             raise AnalysisError("input path does not exist: %s" % p)
-    return sorted({str(p): p for p in found}.values(), key=str)
+    return [Path(s) for s in sorted(found)]
+
+
+def _scan(top: str, found: set[str]) -> None:
+    """Add the input files below the directory `top` to `found`, each
+    spelt as `Path(top) / ...` spells it."""
+    cut = 2 if top == "." else 0  # Path(".") / "a.st" is "a.st", not "./a.st"
+    pending = [top]
+    while pending:
+        try:
+            entries = os.scandir(pending.pop())
+        except OSError:
+            continue
+        with entries:
+            for entry in entries:
+                try:
+                    if entry.is_dir(follow_symlinks=False):
+                        pending.append(entry.path)
+                    elif _suffix(entry.name).casefold() in _INPUT_SUFFIXES and entry.is_file():
+                        found.add(entry.path[cut:])
+                except OSError:  # a symlink loop, or a target that cannot be read
+                    pass
+
+
+def _suffix(name: str) -> str:
+    """`PurePath(name).suffix`: from the last dot, unless the name starts
+    or ends with it."""
+    i = name.rfind(".")
+    return name[i:] if 0 < i < len(name) - 1 else ""
 
 
 def _looks_like_xml(text: str) -> bool:
@@ -170,39 +214,50 @@ def _run_passes(
 ) -> tuple[_Shared, list[AnalysisWarning], list[_Finished]]:
     """Both passes over `files`: the sample's shared knowledge, built in
     `context`, pass 1's warnings in file order, and what pass 2 made of
-    each file, in file order.  Process j of k walks `files[j::k]`; k is 1
-    while another thread runs, since a forked child gets only the thread
-    that forked it."""
+    each file, in file order.  Each process claims its files from one
+    pipe; k is 1 while another thread runs, since a forked child gets
+    only the thread that forked it."""
     import pickle
 
-    k = 1 if _threaded() else max(1, min(_usable_cpus(), len(files)))
-    walked: list = [None] * len(files)  # the records of the files walked here
-    declared: list = [None] * len(files)
-    finished: list = [None] * len(files)
-    children: dict[int, _Child] = {}  # j -> its child, until reaped
+    count = len(files)
+    k = 1 if _threaded() else max(1, min(_usable_cpus(), count))
+    run = max(1, -(-count // _CLAIM_ENTRIES))  # files per claim
+    walked: list = [None] * count  # the records of the files walked here
+    declared: list = [None] * count
+    finished: list = [None] * count
+    children: list[_Child] = []  # until reaped
+    claims = _claim_pipe(-(-count // run))
     try:
-        for j in range(1, k):
-            child = _fork_walker(files[j::k], finish, children.values())
+        for _ in range(1, k):
+            child = _fork_walker(files, claims, run, finish, children)
             if child is not None:
-                children[j] = child
-        walked[::k] = [_walk_file(p) for p in files[::k]]
+                children.append(child)
+        for i in _claims(claims, run, count):
+            walked[i] = _walk_file(files[i])
 
         # Round 1: each file's knowledge, applied in file order, then sent
-        # to every child.
-        for j in range(1, k):
-            records = None if j not in children else children[j].receive(len(files[j::k]))
+        # to every child.  A file without a record was claimed by a child
+        # that failed: it is walked here.
+        for child in list(children):
+            records = child.receive(1)
+            if records is not None:
+                child.claimed = records[0]
+                records = child.receive(len(child.claimed))
             if records is None:
-                _reap(children.pop(j, None))
-                walked[j::k] = [_walk_file(p) for p in files[j::k]]
+                children.remove(child)
+                _reap(child)
             else:
-                declared[j::k] = records
-        for i, w in enumerate(walked):
-            if w is not None:
-                declared[i] = _declared(w)
+                for i, d in zip(child.claimed, records):
+                    declared[i] = d
+        for i in range(count):
+            if declared[i] is None:
+                if walked[i] is None:
+                    walked[i] = _walk_file(files[i])
+                declared[i] = _declared(walked[i])
         shared, warnings = _share(declared, context)
         blob = pickle.dumps(shared, pickle.HIGHEST_PROTOCOL)
-        for j in [j for j, child in children.items() if not child.send(blob)]:
-            _reap(children.pop(j))
+        for child in children:
+            child.send(blob)
 
         # Round 2: pass 2 on the files walked here, each record freed once
         # its file is done, then the children's results.
@@ -210,31 +265,57 @@ def _run_passes(
             if w is not None:
                 walked[i] = None
                 finished[i] = _finish_file(w, shared, finish)
-        for j in range(1, k):
-            if finished[j] is not None:  # its files were walked here
-                continue
-            child = children.pop(j, None)
-            records = None if child is None else child.receive(1)
-            exited = _reap(child, kill=records is None)
-            if exited and records is not None:
-                finished[j::k] = records[0]
+        while children:
+            child = children.pop(0)
+            records = child.receive(1)
+            if _reap(child, kill=records is None) and records is not None:
+                for i, done in zip(child.claimed, records[0]):
+                    finished[i] = done
             else:
                 # The failed child's knowledge is applied: walk its files
                 # again for pass 2 only.
-                finished[j::k] = [_finish_file(_walk_file(p), shared, finish) for p in files[j::k]]
+                for i in child.claimed:
+                    finished[i] = _finish_file(_walk_file(files[i]), shared, finish)
     finally:
-        for child in children.values():
+        os.close(claims)
+        for child in children:
             _reap(child)
     return shared, warnings, finished
 
 
+def _claim_pipe(entries: int) -> int:
+    """The read end of a pipe that holds the claims 0 to `entries` - 1,
+    its write end already closed."""
+    read, write = os.pipe()
+    try:
+        os.write(write, b"".join(e.to_bytes(_CLAIM_WIDTH, "little") for e in range(entries)))
+    finally:
+        os.close(write)
+    return read
+
+
+def _claims(fd: int, run: int, count: int):
+    """Claim runs of `run` files from the pipe `fd` until it is empty: the
+    index of each file claimed, in order.  Every entry is in the pipe
+    before the first read, so a read never waits, and it gets a whole
+    entry or, at the end, nothing."""
+    while True:
+        entry = os.read(fd, _CLAIM_WIDTH)
+        if len(entry) < _CLAIM_WIDTH:
+            return
+        start = int.from_bytes(entry, "little") * run
+        yield from range(start, min(start + run, count))
+
+
 class _Child:
-    """A forked process that runs both passes on its share of the files,
-    and the loading process's ends of its two pipes: `up` carries its
-    records, `down` the sample's shared knowledge."""
+    """A forked process that claims files and runs both passes on them,
+    the loading process's ends of its two pipes, `up` carrying its records
+    and `down` the sample's shared knowledge, and the index of each file
+    it reported walking."""
 
     def __init__(self, pid: int, up, down: int):
         self.pid, self.up, self.down = pid, up, down
+        self.claimed: list[int] = []
 
     def receive(self, count: int) -> list | None:
         """The child's next `count` records, or None when its stream ends
@@ -246,26 +327,24 @@ class _Child:
         except (EOFError, pickle.UnpicklingError):
             return None
 
-    def send(self, blob: bytes) -> bool:
-        """Write `blob` to the child and close its pipe; False when the
-        child is gone.  A file object writes all of `blob`, even where a
-        signal cuts one write short."""
+    def send(self, blob: bytes) -> None:
+        """Write `blob` to the child and close its pipe.  A file object
+        writes all of `blob`, even where a signal cuts one write short.  A
+        child that is gone sends nothing back in round 2, so its files
+        are finished here."""
         down, self.down = self.down, -1
         try:
             with open(down, "wb") as out:
                 out.write(blob)
         except OSError:
-            return False
-        return True
+            pass
 
 
-def _reap(child: _Child | None, kill: bool = True) -> bool:
+def _reap(child: _Child, kill: bool = True) -> bool:
     """Close the loading process's pipe ends of `child`, kill it unless
     told not to, and wait for it: True when it exited with status 0."""
     import signal
 
-    if child is None:
-        return False
     child.up.close()
     if child.down >= 0:
         os.close(child.down)
@@ -275,11 +354,11 @@ def _reap(child: _Child | None, kill: bool = True) -> bool:
     return status == 0
 
 
-def _fork_walker(share: list[Path], finish, siblings) -> _Child | None:
-    """Fork a child that walks `share`, writes each file's `_Declared`
-    upward, each with a fresh pickle memo, reads the `_Shared` knowledge,
-    then writes the list of each file's `_Finished` upward.  None when no
-    process can be started."""
+def _fork_walker(files: list[Path], claims: int, run: int, finish, siblings) -> _Child | None:
+    """Fork a child that walks the files it claims from the pipe `claims`,
+    then writes upward the list of their indices and each one's
+    `_Declared`, reads the `_Shared` knowledge, and writes upward the list
+    of each one's `_Finished`.  None when no process can be started."""
     import pickle
 
     up_read, up_write = os.pipe()
@@ -297,16 +376,21 @@ def _fork_walker(share: list[Path], finish, siblings) -> _Child | None:
             # died stops at its next write.
             for fd in (up_read, down_write, *(fd for c in siblings for fd in (c.up.fileno(), c.down))):
                 os.close(fd)
-            walked = [_walk_file(p) for p in share]
+            walked = [(i, _walk_file(files[i])) for i in _claims(claims, run, len(files))]
             with open(up_write, "wb") as out:
-                for w in walked:
+                # Sent only once the claims are out, so no claim waits
+                # for the loading process to make room in the pipe.  One
+                # pickle per file, each with a fresh memo, keeps the
+                # loading process's peak lower than one pickle of all.
+                pickle.dump([i for i, _ in walked], out, pickle.HIGHEST_PROTOCOL)
+                for _, w in walked:
                     pickle.dump(_declared(w), out, pickle.HIGHEST_PROTOCOL)
                 out.flush()
                 with open(down_read, "rb") as stream:
                     shared = pickle.load(stream)
                 # All of pass 2 runs before the first write, so none of
                 # it waits for the loading process to make room in the pipe.
-                finished = [_finish_file(w, shared, finish) for w in walked]
+                finished = [_finish_file(w, shared, finish) for _, w in walked]
                 del walked
                 pickle.dump(finished, out, pickle.HIGHEST_PROTOCOL)
             status = 0
@@ -364,10 +448,7 @@ def _finish_file(walked: _WalkedFile, shared: _Shared, finish) -> _Finished:
 def _walk_file(path: Path) -> _WalkedFile:
     """Pass 1 for one file.  A file that does not parse gives a warning."""
     label = str(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError:
-        text = path.read_text(encoding="latin-1")
+    text = _decode(path.read_bytes())
     is_xml = path.suffix.casefold() in XML_SUFFIXES or (
         path.suffix.casefold() not in ST_SUFFIXES and _looks_like_xml(text)
     )
@@ -382,6 +463,19 @@ def _walk_file(path: Path) -> _WalkedFile:
     except ParseError as exc:
         walked.warnings.append(AnalysisWarning("pou-parse-error", exc.detail, label, ""))
     return walked
+
+
+def _decode(data: bytes) -> str:
+    """A source file's text: UTF-16 after its BOM, else UTF-8 with or
+    without its BOM, else Latin-1.  Line ends read as "\\n", as in a file
+    opened in text mode."""
+    try:
+        text = data.decode("utf-16" if data[:2] in _UTF16_BOMS else "utf-8-sig")
+    except UnicodeDecodeError:
+        text = data.decode("latin-1")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _walk_xml_file(text: str, walked: _WalkedFile) -> None:

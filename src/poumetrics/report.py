@@ -161,7 +161,9 @@ def report_object(run: RunResult) -> dict:
     meta, groups, warnings = _report_parts(run)
     pous = []
     for result, cells in zip(run.results, run.rows):
-        row = {"name": result.name, "kind": result.kind.value, "language": result.language.value}
+        # Each writer reads an enum member's `_value_`, a plain attribute;
+        # `.value` is a descriptor that runs in Python.
+        row = {"name": result.name, "kind": result.kind._value_, "language": result.language._value_}
         row.update(zip(CELL_COLUMNS, cells))
         row["group"] = result.group
         row["tag"] = result.tag
@@ -234,8 +236,8 @@ def emit_json(run: RunResult) -> str:
             template
             % (
                 encode_basestring_ascii(r.name),
-                r.kind.value,
-                r.language.value,
+                r.kind._value_,
+                r.language._value_,
                 *cells,
                 encode_basestring_ascii(r.group),
                 encode_basestring_ascii(r.tag),
@@ -255,7 +257,7 @@ def emit_csv(run: RunResult) -> str:
     writer = csv.writer(buf)  # writes an int as str() and None as ""
     writer.writerow(CSV_HEADER)
     writer.writerows(
-        (result.name, result.kind.value, result.language.value, *cells, result.tag)
+        (result.name, result.kind._value_, result.language._value_, *cells, result.tag)
         for result, cells in zip(run.results, run.rows)
     )
     return buf.getvalue()
@@ -268,7 +270,7 @@ def render_table(run: RunResult, top: int | None = None) -> str:
         ranked = ranked[:top]
     header = ("#", "name", "language", "oc_rel", "tag")
     rows = [
-        (str(i + 1), r.name, r.language.value, cells[-1], r.tag)
+        (str(i + 1), r.name, r.language._value_, cells[-1], r.tag)
         for i, (r, cells) in enumerate(ranked)
     ]
     widths = [max(len(h), *(len(row[col]) for row in rows)) if rows else len(h) for col, h in enumerate(header)]

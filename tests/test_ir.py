@@ -192,9 +192,9 @@ def test_load_frees_each_unit_and_xml_tree_once_its_pous_are_built(monkeypatch, 
     def alive():
         return sum(ref() is not None for ref in made)
 
-    def read_text(self, *args, real=Path.read_text, **kwargs):
+    def read_bytes(self, real=Path.read_bytes):
         alive_at_read.append(alive())
-        return real(self, *args, **kwargs)
+        return real(self)
 
     class Tokens(list):
         """A unit's token list, which a weak reference can watch."""
@@ -211,7 +211,7 @@ def test_load_frees_each_unit_and_xml_tree_once_its_pous_are_built(monkeypatch, 
         made.append(weakref.ref(root))
         return root
 
-    monkeypatch.setattr(Path, "read_text", read_text)
+    monkeypatch.setattr(Path, "read_bytes", read_bytes)
     monkeypatch.setattr(st, "split_st_units", split_st_units)
     monkeypatch.setattr(plcopen, "parse_xml", parse_xml)
     sample = load_sample([str(tmp_path)])

@@ -241,6 +241,71 @@ def test_loader_registers_each_function_block_of_the_corpus(monkeypatch):
     ]
 
 
+def test_discovery_searches_directories_as_rglob_does(monkeypatch, tmp_path):
+    top, outside = tmp_path / "top", tmp_path / "outside"
+    for rel in (
+        "a.ST", "B.st", "notes.txt", ".hidden.gvl", "..st", ".st", "x.", "sub/c.Xml", "sub/deep/d.typ",
+        "sub.d/e.pou", "dir.st/f.scl", "locked/g.st",
+    ):
+        (top / rel).parent.mkdir(parents=True, exist_ok=True)
+        (top / rel).write_text("PROGRAM P END_PROGRAM\n")
+    outside.mkdir()
+    (outside / "h.st").write_text("PROGRAM H END_PROGRAM\n")
+    (top / "link_dir").symlink_to(outside, target_is_directory=True)
+    (top / "link.st").symlink_to(outside / "h.st")
+    (top / "broken.st").symlink_to(tmp_path / "missing.st")
+    (top / "loop.st").symlink_to(top / "loop.st")
+    real_scandir = os.scandir
+
+    def scandir(path):
+        if os.path.basename(path) == "locked":
+            raise PermissionError(13, "Permission denied", path)
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", scandir)
+    found = [
+        "..st", ".hidden.gvl", "B.st", "a.ST", "dir.st/f.scl", "link.st", "notes.txt",
+        "sub.d/e.pou", "sub/c.Xml", "sub/deep/d.typ",
+    ]
+    inputs = load.discover_inputs([top, top / "sub", str(top / "a.ST"), top / "notes.txt", str(top) + "/"])
+    assert all(type(p) is type(top) for p in inputs)
+    assert [str(p) for p in inputs] == [str(top / rel) for rel in found]
+    monkeypatch.chdir(top)
+    assert [str(p) for p in load.discover_inputs(["."])] == [rel for rel in found if rel != "notes.txt"]
+
+
+@pytest.mark.parametrize(
+    "data, text",
+    [
+        pytest.param(b"\xef\xbb\xbfPROGRAM", "PROGRAM", id="utf-8-bom"),
+        pytest.param("\ufeffPROGRAM \u00e9".encode("utf-16-le"), "PROGRAM \u00e9", id="utf-16-le"),
+        pytest.param("\ufeffPROGRAM \u00e9".encode("utf-16-be"), "PROGRAM \u00e9", id="utf-16-be"),
+        pytest.param(b"\xff\xfeP", "\u00ff\u00feP", id="odd-length-is-latin-1"),
+        pytest.param(b"caf\xe9", "caf\u00e9", id="latin-1"),
+        pytest.param(b"a\r\nb\rc\n", "a\nb\nc\n", id="line-ends"),
+        pytest.param("\ufeffa\r\nb".encode("utf-16-le"), "a\nb", id="utf-16-line-ends"),
+    ],
+)
+def test_source_bytes_decode_by_their_bom(data, text):
+    assert load._decode(data) == text
+
+
+@pytest.mark.parametrize("source", ["branch_mix.st", "fbd_add.xml"])
+@pytest.mark.parametrize("encoding", ["utf-16-le", "utf-16-be"])
+def test_a_utf16_copy_gives_the_reports_of_its_original(monkeypatch, tmp_path, source, encoding):
+    """A UTF-16 file with its BOM reads as its UTF-8 original, whatever
+    encoding its XML declaration names."""
+    text = (CORPUS / source).read_text(encoding="utf-8")
+    reports = []
+    for name, data in (("utf8", text.encode("utf-8")), ("utf16", ("\ufeff" + text).encode(encoding))):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / source).write_bytes(data)
+        monkeypatch.chdir(tmp_path / name)
+        reports.append(cli_reports([source], tmp_path))
+    assert reports[0][0] == 0 and json.loads(reports[0][3])["pous"]
+    assert reports[1] == reports[0]
+
+
 # ------------------------- pass 1 across processes -------------------------
 
 
@@ -346,6 +411,33 @@ def log_walks(monkeypatch, log: Path):
     return walked_by
 
 
+def slow_first_walk(monkeypatch, seconds: float, here: bool = True) -> None:
+    """Make the first `_walk_file` of the loading process (or, with `here`
+    false, of each child) sleep `seconds` first, so that the other
+    processes claim most of the files."""
+    loading = os.getpid()
+    first = []  # the pid of each process past its first walk
+    real_walk = load._walk_file
+
+    def walk_file(path):
+        if os.getpid() not in first:
+            first.append(os.getpid())
+            if (os.getpid() == loading) is here:
+                time.sleep(seconds)
+        return real_walk(path)
+
+    monkeypatch.setattr(load, "_walk_file", walk_file)
+
+
+def assert_walked_once_more_here(walks: dict[int, list[str]], here: int, names, failed) -> None:
+    """Every file is walked once across the processes, and each file that
+    a failed child, one of the pids `failed`, claimed is walked here
+    exactly once more."""
+    again = [name for pid in failed for name in walks.get(pid, [])]
+    assert sorted(chain(*walks.values())) == sorted([*names, *again])
+    assert set(again) <= set(walks[here])
+
+
 def cli_reports(paths, out_dir: Path) -> tuple:
     """Exit code, stdout, stderr and the JSON, CSV and SVG report bytes
     (None where none was written) of one `poumetrics analyze`."""
@@ -438,10 +530,11 @@ def test_forked_analyze_writes_the_serial_reports_in_any_layout(seeds, corpus_fi
             assert json_ranking(layout[3]) == json_ranking(serial[3])
 
 
-# Process j of three walks files j and j + 3.  Later is used in process
-# 0 and defined in process 1; Twice is defined in process 1 and again in
-# process 0, in a later file, which wins; Fb is used in process 0 and
-# defined in process 1; a child meets the malformed XML file.
+# Later is used in a_user.st and defined in e_types.st; Twice is defined
+# in b_bad.st and again in a later file, d_twice.st, which wins; Fb is
+# used in d_twice.st and defined in e_types.st; c_broken.xml is
+# malformed.  Whichever process walks each file, the knowledge applies
+# in file order.
 CHUNKED_SAMPLE = {
     "a_user.st": "PROGRAM UsesLater\nVAR v : Later; w : Twice; END_VAR\nv.a := 1;\nEND_PROGRAM\n",
     "b_bad.st": (
@@ -466,16 +559,15 @@ def test_forked_pass_one_applies_each_file_in_order(monkeypatch, tmp_path):
     run_serially(monkeypatch)
     serial = sample_facts(load_sample([str(sample_dir)]))
     pids = run_forked(monkeypatch, 3)
+    slow_first_walk(monkeypatch, 0.1)
     walked_by = log_walks(monkeypatch, tmp_path / "walked.log")
     sample = load_sample([str(sample_dir)])
     assert sample_facts(sample) == serial
     assert len(pids) == 2
     assert_reaped(pids)
-    assert [walked_by()[pid] for pid in (os.getpid(), *pids)] == [
-        ["a_user.st", "d_twice.st"],
-        ["b_bad.st", "e_types.st"],
-        ["c_broken.xml", "f_project.xml"],
-    ]
+    walks = walked_by()
+    assert set(walks) <= {os.getpid(), *pids}
+    assert sorted(chain(*walks.values())) == sorted(CHUNKED_SAMPLE)
     assert [p.name for p in sample.pous] == ["UsesLater", "UsesFb", "Fb", "XmlP"]
     assert sample.context.lookup("Twice").kind == "array"
     assert {v.name: len(v.sub_variables) for p in sample.pous for v in p.variables if v.name in "vwt"} == {
@@ -507,7 +599,7 @@ def test_duplicate_pou_across_chunks_is_the_serial_error(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("failure", ["raises", "exits-after-one-record"])
-def test_a_failed_child_has_its_chunk_walked_here(monkeypatch, failure):
+def test_a_failed_child_has_its_chunk_walked_here(monkeypatch, tmp_path, failure):
     run_serially(monkeypatch)
     serial = sample_facts(load_sample([str(CORPUS)]))
     here = os.getpid()
@@ -530,11 +622,14 @@ def test_a_failed_child_has_its_chunk_walked_here(monkeypatch, failure):
 
         monkeypatch.setattr(pickle, "dump", dump)
     pids = run_forked(monkeypatch, 3)
-    files = load.discover_inputs([str(CORPUS)])
-    assert all(len(files[j::3]) > 1 for j in (1, 2))
+    slow_first_walk(monkeypatch, 0.1)
+    walked_by = log_walks(monkeypatch, tmp_path / "walked.log")
     assert sample_facts(load_sample([str(CORPUS)])) == serial
     assert len(pids) == 2
     assert_reaped(pids)
+    walks = walked_by()
+    assert_walked_once_more_here(walks, here, [p.name for p in CORPUS_FILES], pids)
+    assert any(walks.get(pid) for pid in pids)
 
 
 @pytest.mark.parametrize("failure", ["raises-in-pass-two", "exits-after-round-one"])
@@ -543,11 +638,15 @@ def test_a_child_failed_in_round_two_has_pass_two_run_here(monkeypatch, tmp_path
     run_serially(monkeypatch)
     serial = sample_facts(load_sample([str(sample_dir)]))
     here = os.getpid()
+    (tmp_path / "failed.log").touch()
     if failure == "raises-in-pass-two":
         real_declare = TypeContext.declare
 
         def declare(self, *args):
             if os.getpid() != here:
+                # A child that claimed no POU does not get here: it succeeds.
+                with open(tmp_path / "failed.log", "a") as log:
+                    log.write("%d\n" % os.getpid())
                 raise RuntimeError("child failed in pass 2")
             return real_declare(self, *args)
 
@@ -562,16 +661,127 @@ def test_a_child_failed_in_round_two_has_pass_two_run_here(monkeypatch, tmp_path
 
         monkeypatch.setattr(pickle, "load", load_one)
     pids = run_forked(monkeypatch, 3)
+    slow_first_walk(monkeypatch, 0.1)
     walked_by = log_walks(monkeypatch, tmp_path / "walked.log")
     # Each child's pass-1 warnings and types reach the sample once.
     assert sample_facts(load_sample([str(sample_dir)])) == serial
     assert len(pids) == 2
     assert_reaped(pids)
-    assert [walked_by()[pid] for pid in (here, *pids)] == [
-        ["a_user.st", "d_twice.st", "b_bad.st", "e_types.st", "c_broken.xml", "f_project.xml"],
-        ["b_bad.st", "e_types.st"],
-        ["c_broken.xml", "f_project.xml"],
-    ]
+    walks = walked_by()
+    failed = pids
+    if failure == "raises-in-pass-two":
+        failed = [int(pid) for pid in (tmp_path / "failed.log").read_text().split()]
+    assert_walked_once_more_here(walks, here, CHUNKED_SAMPLE, failed)
+    assert any(walks.get(pid) for pid in pids)
+
+
+SMALL_SAMPLE = {"p%02d.st" % i: "PROGRAM P%d\nx := %d;\nEND_PROGRAM\n" % (i, i) for i in range(12)}
+
+
+@pytest.mark.parametrize("slow", ["child", "here"])
+def test_a_slow_process_leaves_its_files_to_the_other(monkeypatch, tmp_path, slow):
+    """Files are claimed on demand: while one process sleeps in its first
+    walk, the other claims nearly all the rest."""
+    sample_dir = write_sample(tmp_path / "sample", SMALL_SAMPLE)
+    run_serially(monkeypatch)
+    serial = sample_facts(load_sample([str(sample_dir)]))
+    here = os.getpid()
+    pids = run_forked(monkeypatch, 2)
+    slow_first_walk(monkeypatch, 0.2, here=slow == "here")
+    walked_by = log_walks(monkeypatch, tmp_path / "walked.log")
+    assert sample_facts(load_sample([str(sample_dir)])) == serial
+    assert len(pids) == 1
+    assert_reaped(pids)
+    walks = walked_by()
+    assert sorted(chain(*walks.values())) == sorted(SMALL_SAMPLE)
+    slow_pid, fast_pid = (pids[0], here) if slow == "child" else (here, pids[0])
+    assert len(walks.get(slow_pid, [])) <= 2
+    assert len(walks[fast_pid]) >= 10
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+def test_claims_of_runs_give_the_serial_sample(monkeypatch, tmp_path, processes):
+    """With more files than claim entries, each entry names a run of
+    consecutive files, which one process walks whole and in order."""
+    run_serially(monkeypatch)
+    serial = sample_facts(load_sample([str(CORPUS)]))
+    monkeypatch.setattr(load, "_CLAIM_ENTRIES", 3)
+    pids = run_forked(monkeypatch, processes)
+    slow_first_walk(monkeypatch, 0.1)
+    walked_by = log_walks(monkeypatch, tmp_path / "walked.log")
+    assert sample_facts(load_sample([str(CORPUS)])) == serial
+    assert len(pids) == processes - 1
+    assert_reaped(pids)
+    names = [p.name for p in CORPUS_FILES]
+    size = -(-len(names) // 3)
+    runs = [names[i : i + size] for i in range(0, len(names), size)]
+    assert len(runs) == 3
+    walks = walked_by()
+    assert sorted(chain(*walks.values())) == sorted(names)
+    for walked in walks.values():
+        assert walked == list(chain(*(r for r in runs if r[0] in walked)))
+
+
+def test_a_child_killed_after_claiming_has_exactly_those_files_walked_here(monkeypatch, tmp_path):
+    run_serially(monkeypatch)
+    serial = sample_facts(load_sample([str(CORPUS)]))
+    here = os.getpid()
+    real_walk = load._walk_file
+    calls = []  # in the child: one per file it claimed
+
+    def walk_file(path):
+        if os.getpid() != here:
+            calls.append(path)
+            if len(calls) == 3:
+                os._exit(0)  # the third file is claimed but never walked
+        return real_walk(path)
+
+    monkeypatch.setattr(load, "_walk_file", walk_file)
+    pids = run_forked(monkeypatch, 2)
+    slow_first_walk(monkeypatch, 0.2)
+    walked_by = log_walks(monkeypatch, tmp_path / "walked.log")
+    assert sample_facts(load_sample([str(CORPUS)])) == serial
+    assert len(pids) == 1
+    assert_reaped(pids)
+    walks = walked_by()
+    claimed = walks[pids[0]]
+    assert len(claimed) == 3
+    assert_walked_once_more_here(walks, here, [p.name for p in CORPUS_FILES], pids)
+    # The loading process walks them after its own claims, in file order.
+    assert walks[here][-3:] == claimed
+
+
+@pytest.mark.parametrize("failure", [None, "raises-here"])
+def test_every_child_is_reaped_and_every_pipe_closed(monkeypatch, failure):
+    here = os.getpid()
+    fds: list[int] = []
+    real_pipe = os.pipe
+
+    def pipe():
+        ends = real_pipe()
+        if os.getpid() == here:
+            fds.extend(ends)
+        return ends
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    pids = run_forked(monkeypatch, 3)
+    if failure:
+        real_walk = load._walk_file
+
+        def walk_file(path):
+            if os.getpid() == here:
+                raise RuntimeError("loading process failed")
+            return real_walk(path)
+
+        monkeypatch.setattr(load, "_walk_file", walk_file)
+    with pytest.raises(RuntimeError) if failure else contextlib.nullcontext():
+        load_sample([str(CORPUS)])
+    assert len(pids) == 2
+    assert_reaped(pids)
+    assert len(fds) == 2 * (1 + 2 * 2)  # the claims, and an up and a down pipe per child
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 def test_shared_knowledge_reaches_the_child_whole_under_a_timer_signal(monkeypatch, tmp_path):

@@ -375,7 +375,13 @@ def test_cli_duplicate_pou_names_fatal(tmp_path, capsys):
     [
         ("bad.st", b"PROGRAM P x := ; END_PROGRAM", "[pou-parse-error] %s:P: 1:16: unexpected ';' in expression"),
         ("bad.xml", b"<project><bad", "[xml-malformed] %s: unclosed token"),
-        ("utf16.st", "PROGRAM P x := 1; END_PROGRAM".encode("utf-16"), "[pou-parse-error] %s: 1:1: unexpected character"),
+        # Without its BOM, UTF-16 is not told from UTF-8: the NUL after P
+        # is no ST character.  With its BOM, it reads as its UTF-8 text.
+        (
+            "utf16.st",
+            "PROGRAM P x := 1; END_PROGRAM".encode("utf-16-le"),
+            "[pou-parse-error] %s: 1:2: unexpected character",
+        ),
     ],
     ids=["st-parse-error", "malformed-xml", "utf-16"],
 )
