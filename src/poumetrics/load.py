@@ -20,8 +20,10 @@ in two rounds over a pair of pipes per child:
 
 1. once the claims run out, the child sends up the indices of the
    files it walked, then each one's knowledge (`_Declared`), one pickle
-   per file; the loading process applies every file's knowledge in file order and
-   sends the result (`_Shared`) down to each child;
+   per file, with each function block as its interface, (name, section)
+   pairs, not as its declarations; the loading process applies every
+   file's knowledge in file order and sends the result (`_Shared`) down
+   to each child;
 2. each process runs pass 2 on the files it walked, applying the
    caller's `finish` to each POU, and a child sends up only those
    results, with each POU's name and path and the warnings
@@ -45,8 +47,8 @@ from typing import NamedTuple
 
 from . import plcopen, st
 from .errors import AnalysisError, AnalysisWarning, ParseError, XmlMalformed
-from .ir import Pou, PouKind
-from .typesys import RawDecl, TypeContext, TypeSpec
+from .ir import INTERFACE_SECTIONS, Pou, PouKind, VarSection
+from .typesys import TypeContext, TypeSpec
 
 ST_SUFFIXES = frozenset({".st", ".iecst", ".scl", ".pou", ".typ", ".gvl"})
 XML_SUFFIXES = frozenset({".xml"})
@@ -90,7 +92,7 @@ class _Declared(NamedTuple):
     types: list[tuple[str, TypeSpec]]
     global_names: list[str]
     warnings: list[AnalysisWarning]
-    fbs: list[tuple[str, list[RawDecl]]]  # each function block's name and declarations
+    fbs: list[tuple[str, tuple[tuple[str, VarSection], ...]]]  # each FB's name and interface, not its declarations
     names: list[str]  # casefolded POU names
 
 
@@ -406,7 +408,10 @@ def _declared(walked: _WalkedFile) -> _Declared:
         walked.types,
         walked.global_names,
         walked.warnings,
-        [(w.name, w.decls) for w in walked.pous if w.kind is PouKind.FUNCTION_BLOCK and w.decls is not None],
+        [
+            (w.name, tuple([(d.name, d.section) for d in w.decls if d.section in INTERFACE_SECTIONS]))
+            for w in walked.pous if w.kind is PouKind.FUNCTION_BLOCK and w.decls is not None
+        ],
         [w.name.casefold() for w in walked.pous if w.name],
     )
 
@@ -422,8 +427,8 @@ def _share(declared: list[_Declared], context: TypeContext) -> tuple[_Shared, li
         for name, spec in d.types:
             context.define(name, spec)
         global_names.update(d.global_names)
-        for name, decls in d.fbs:
-            context.register_fb(name, decls)
+        for name, members in d.fbs:
+            context.register_fb(name, members)
         pou_names.update(d.names)
     return _Shared(context, frozenset(global_names), frozenset(pou_names)), warnings
 

@@ -14,7 +14,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import AnalysisWarning
-from .ir import INTERFACE_SECTIONS, TypeClass, VariableDecl, VarSection
+from .ir import TypeClass, VariableDecl, VarSection
 
 # Elementary IEC types: single value, Simple weight class.
 ELEMENTARY_TYPES = frozenset(
@@ -81,21 +81,16 @@ class RawDecl(NamedTuple):
     spec: TypeSpec
 
 
-class FbMember(NamedTuple):
-    name: str
-    section: VarSection
-
-
-def _fb(inputs: str, outputs: str) -> tuple[FbMember, ...]:
-    return tuple(FbMember(n, VarSection.INPUT) for n in inputs.split()) + tuple(
-        FbMember(n, VarSection.OUTPUT) for n in outputs.split()
+def _fb(inputs: str, outputs: str) -> tuple[tuple[str, VarSection], ...]:
+    return tuple((n, VarSection.INPUT) for n in inputs.split()) + tuple(
+        (n, VarSection.OUTPUT) for n in outputs.split()
     )
 
 
-# Interfaces of the ubiquitous standard function blocks, so instances of
-# them have sub-variables and their output reads resolve without
-# the user supplying source for them.
-STANDARD_FBS: dict[str, tuple[FbMember, ...]] = {
+# Interfaces of the ubiquitous standard function blocks, as (member,
+# section) pairs, so instances of them have sub-variables and their output
+# reads resolve without the user supplying source for them.
+STANDARD_FBS: dict[str, tuple[tuple[str, VarSection], ...]] = {
     "ton": _fb("IN PT", "Q ET"),
     "tof": _fb("IN PT", "Q ET"),
     "tp": _fb("IN PT", "Q ET"),
@@ -120,10 +115,11 @@ class TypeContext:
         self,
         array_sub_cap: int | None = None,
         definitions: dict[str, TypeSpec] | None = None,
-        fb_interfaces: dict[str, tuple[FbMember, ...]] | None = None,
+        fb_interfaces: dict[str, tuple[tuple[str, VarSection], ...]] | None = None,
     ):
         self.array_sub_cap = array_sub_cap
         self.definitions = {} if definitions is None else definitions
+        # casefolded FB name -> interface, as round 1 of a forked load carries it
         self.fb_interfaces = {} if fb_interfaces is None else fb_interfaces
         # casefolded user-defined type name -> what `_resolve` found for it
         self._resolved: dict[str, tuple[range, str]] = {}
@@ -139,15 +135,13 @@ class TypeContext:
     def lookup(self, name: str) -> TypeSpec | None:
         return self.definitions.get(name.casefold())
 
-    def register_fb(self, name: str, decls: list[RawDecl]) -> None:
-        """Record a function block's interface: its input, output and
-        in/out declarations."""
-        self.fb_interfaces[name.casefold()] = tuple(
-            FbMember(d.name, d.section) for d in decls if d.section in INTERFACE_SECTIONS
-        )
+    def register_fb(self, name: str, members: tuple[tuple[str, VarSection], ...]) -> None:
+        """Record a function block's interface: the (member, section) pair
+        of each input, output and in/out declaration, kept as given."""
+        self.fb_interfaces[name.casefold()] = members
         self._resolved.clear()
 
-    def fb_members(self, type_name: str) -> tuple[FbMember, ...] | None:
+    def fb_members(self, type_name: str) -> tuple[tuple[str, VarSection], ...] | None:
         key = type_name.casefold()
         if key in self.fb_interfaces:
             return self.fb_interfaces[key]
@@ -158,7 +152,7 @@ class TypeContext:
 
     def fb_output_names(self, type_name: str) -> frozenset[str]:
         members = self.fb_members(type_name) or ()
-        return frozenset(m.name.casefold() for m in members if m.section in (VarSection.OUTPUT, VarSection.IN_OUT))
+        return frozenset(name.casefold() for name, section in members if section in (VarSection.OUTPUT, VarSection.IN_OUT))
 
     # ------------------------- classification -------------------------
 

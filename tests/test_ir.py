@@ -34,7 +34,7 @@ from poumetrics import (
 )
 from poumetrics import load, plcopen, st
 from poumetrics.errors import AnalysisWarning
-from poumetrics.typesys import FbMember, RawDecl, TypeSpec, named
+from poumetrics.typesys import RawDecl, TypeSpec, named
 
 
 def make_pou(**overrides) -> Pou:
@@ -101,7 +101,6 @@ def test_records_that_pass_1_pickles_round_trip_field_by_field():
         AnalysisWarning("unknown-type", "type 'X' of 'y' ...", "a.st", "P"),
         spec,
         RawDecl("v", VarSection.IN_OUT, spec),
-        FbMember("PT", VarSection.INPUT),
         # the rows that round 2 sends back
         SampleEntry("P", PouKind.FUNCTION_BLOCK, Language.SFC, vector, "hot"),
     ):

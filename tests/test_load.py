@@ -26,6 +26,7 @@ from golden_ir import CORPUS
 from poumetrics import AnalysisError, CallSite, ParseError, SampleEntry, compute_vector, load_sample
 from poumetrics import load, plcopen, st
 from poumetrics.cli import main
+from poumetrics.ir import VarSection
 from poumetrics.typesys import TypeContext
 
 from stgen import generate_program
@@ -841,6 +842,42 @@ def test_the_records_that_cross_the_pipes_pickle_as_constructor_calls(tmp_path):
     for record in (*declared, shared, *finished):
         data = pickle.dumps(record, pickle.HIGHEST_PROTOCOL)
         assert "BUILD" not in {op.name for op, _, _ in pickletools.genops(data)}, type(record).__name__
+
+
+def constructor_calls(record) -> int:
+    data = pickle.dumps(record, pickle.HIGHEST_PROTOCOL)
+    return sum(op.name in ("NEWOBJ", "NEWOBJ_EX", "REDUCE") for op, _, _ in pickletools.genops(data))
+
+
+def wide_function_block(n: int) -> str:
+    inputs = "".join("  i%d : INT;\n" % j for j in range(n))
+    locals_ = "".join("  v%d : INT;\n" % j for j in range(n))
+    return "FUNCTION_BLOCK Wide\nVAR_INPUT\n%sEND_VAR\nVAR\n%sEND_VAR\nv0 := i0;\nEND_FUNCTION_BLOCK\n" % (
+        inputs,
+        locals_,
+    )
+
+
+def test_the_pipes_carry_each_function_block_as_its_interface(tmp_path):
+    """Round 1 sends each FB's interface as plain (name, section) pairs, and
+    the shared knowledge keeps them so: a file's `_Declared` pickle makes as
+    many constructor calls for an FB of 300 inputs and 300 locals as for one
+    of 3 and 3, and the corpus's FB interfaces add to the `_Shared` pickle
+    one call per distinct section (the enum member), none per member."""
+    calls = []
+    for n in (3, 300):
+        path = tmp_path / ("wide%d.st" % n)
+        path.write_text(wide_function_block(n))
+        declared = load._declared(load._walk_file(path))
+        assert [(name, len(members)) for name, members in declared.fbs] == [("Wide", n)]
+        calls.append(constructor_calls(declared))
+    assert calls[0] == calls[1]
+
+    walked = [load._walk_file(p) for p in load.discover_inputs([str(CORPUS)])]
+    shared, _ = load._share([load._declared(w) for w in walked], TypeContext())
+    members = sum(map(len, shared.context.fb_interfaces.values()))
+    without = shared._replace(context=TypeContext(None, shared.context.definitions, {}))
+    assert constructor_calls(shared) - constructor_calls(without) <= len(VarSection) < members
 
 
 def test_no_child_outlives_a_raise_in_the_loading_process(monkeypatch):

@@ -41,7 +41,7 @@ from poumetrics import (
 from poumetrics.aggregate import Coefficients, PouResult
 from poumetrics.errors import AnalysisWarning
 from poumetrics.st import StUnit, _EOF, LineTable
-from poumetrics.typesys import FbMember, RawDecl, TypeSpec
+from poumetrics.typesys import RawDecl, TypeSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -83,7 +83,6 @@ RECORDS = [
     (AnalysisWarning, {"code": "c", "message": "m"}, {"path": "", "pou": ""}, ("pou", "P")),
     (TypeSpec, {"kind": "named"}, {"name": "", "dims": (), "element": None, "fields": ()}, ("name", "INT")),
     (RawDecl, {"name": "v", "section": VarSection.INPUT, "spec": TypeSpec("named", "INT")}, {}, ("name", "w")),
-    (FbMember, {"name": "PT", "section": VarSection.INPUT}, {}, ("section", VarSection.OUTPUT)),
     (
         MetricVector,
         dict(zip(MetricVector._fields, VECTOR)),

@@ -231,7 +231,7 @@ def test_alias_resolution_follows_later_definitions_and_function_blocks():
     context.define("Alias", named("Later"))
     assert context.classify(named("Cyc"), "x")[:2] == (TypeClass.COMPLEX, range(0))
     assert context.classify(named("Alias"), "x")[2][0].code == "unknown-type"
-    context.register_fb("Later", [RawDecl("i", VarSection.INPUT, named("INT"))])
+    context.register_fb("Later", (("i", VarSection.INPUT),))
     assert context.classify(named("Alias"), "x") == (TypeClass.COMPLEX, range(1), [])
     context.define("Later", TypeSpec("struct", fields=("a", "b")))
     assert context.classify(named("Alias"), "x") == (TypeClass.COMPLEX, range(2), [])
