@@ -29,10 +29,10 @@ in two rounds over a pair of pipes per child:
    results, with each POU's name and path and the warnings
    (`_Finished`), in the same order and in one pickle.
 
-A file that has no record once the children have answered was claimed
-by a child that failed in round 1, and it is walked in the loading
-process; a child that fails in round 2 has the files it reported walked
-again for pass 2 only, since their knowledge is already applied.  A
+A child that fails leaves its files to the loading process, which
+walks there each file still without a record once the children have
+answered: in round 1 before it applies the knowledge, and after round 2
+for pass 2 only, since that file's knowledge is already applied.  A
 child still running when the loading process raises is killed, and
 every child is reaped.  The results are assembled in file order, so the
 sample is the same as a one-process load's, whichever process walked
@@ -74,23 +74,12 @@ class LoadedSample:
         self.global_names = global_names
 
 
-class _WalkedFile(NamedTuple):
-    """What pass 1 keeps of one file."""
-
-    label: str
-    pous: list[st.WalkedPou]
-    is_xml: bool
-    types: list[tuple[str, TypeSpec]]  # in definition order
-    global_names: list[str]  # casefolded
-    warnings: list[AnalysisWarning]
-
-
 class _Declared(NamedTuple):
     """What the other files' pass 2 needs of one file's pass 1, and the
     file's pass-1 warnings."""
 
-    types: list[tuple[str, TypeSpec]]
-    global_names: list[str]
+    types: list[tuple[str, TypeSpec]]  # in definition order
+    global_names: list[str]  # casefolded
     warnings: list[AnalysisWarning]
     fbs: list[tuple[str, tuple[tuple[str, VarSection], ...]]]  # each FB's name and interface, not its declarations
     names: list[str]  # casefolded POU names
@@ -224,7 +213,7 @@ def _run_passes(
     count = len(files)
     k = 1 if _threaded() else max(1, min(_usable_cpus(), count))
     run = max(1, -(-count // _CLAIM_ENTRIES))  # files per claim
-    walked: list = [None] * count  # the records of the files walked here
+    walked: list = [None] * count  # (is_xml, walked POUs) of each file walked here
     declared: list = [None] * count
     finished: list = [None] * count
     children: list[_Child] = []  # until reaped
@@ -235,7 +224,7 @@ def _run_passes(
             if child is not None:
                 children.append(child)
         for i in _claims(claims, run, count):
-            walked[i] = _walk_file(files[i])
+            declared[i], walked[i] = _walk_file(files[i])
 
         # Round 1: each file's knowledge, applied in file order, then sent
         # to every child.  A file without a record was claimed by a child
@@ -253,9 +242,7 @@ def _run_passes(
                     declared[i] = d
         for i in range(count):
             if declared[i] is None:
-                if walked[i] is None:
-                    walked[i] = _walk_file(files[i])
-                declared[i] = _declared(walked[i])
+                declared[i], walked[i] = _walk_file(files[i])
         shared, warnings = _share(declared, context)
         blob = pickle.dumps(shared, pickle.HIGHEST_PROTOCOL)
         for child in children:
@@ -266,18 +253,18 @@ def _run_passes(
         for i, w in enumerate(walked):
             if w is not None:
                 walked[i] = None
-                finished[i] = _finish_file(w, shared, finish)
+                finished[i] = _finish_file(*w, shared, finish)
         while children:
             child = children.pop(0)
             records = child.receive(1)
             if _reap(child, kill=records is None) and records is not None:
                 for i, done in zip(child.claimed, records[0]):
                     finished[i] = done
-            else:
-                # The failed child's knowledge is applied: walk its files
-                # again for pass 2 only.
-                for i in child.claimed:
-                    finished[i] = _finish_file(_walk_file(files[i]), shared, finish)
+        # A file still unfinished was walked by a child that failed in
+        # round 2.  Its knowledge is applied: walk it again for pass 2 only.
+        for i in range(count):
+            if finished[i] is None:
+                finished[i] = _finish_file(*_walk_file(files[i])[1], shared, finish)
     finally:
         os.close(claims)
         for child in children:
@@ -378,21 +365,21 @@ def _fork_walker(files: list[Path], claims: int, run: int, finish, siblings) -> 
             # died stops at its next write.
             for fd in (up_read, down_write, *(fd for c in siblings for fd in (c.up.fileno(), c.down))):
                 os.close(fd)
-            walked = [(i, _walk_file(files[i])) for i in _claims(claims, run, len(files))]
+            walked = [(i, *_walk_file(files[i])) for i in _claims(claims, run, len(files))]
             with open(up_write, "wb") as out:
                 # Sent only once the claims are out, so no claim waits
                 # for the loading process to make room in the pipe.  One
                 # pickle per file, each with a fresh memo, keeps the
                 # loading process's peak lower than one pickle of all.
-                pickle.dump([i for i, _ in walked], out, pickle.HIGHEST_PROTOCOL)
-                for _, w in walked:
-                    pickle.dump(_declared(w), out, pickle.HIGHEST_PROTOCOL)
+                pickle.dump([i for i, _, _ in walked], out, pickle.HIGHEST_PROTOCOL)
+                for _, declared, _ in walked:
+                    pickle.dump(declared, out, pickle.HIGHEST_PROTOCOL)
                 out.flush()
                 with open(down_read, "rb") as stream:
                     shared = pickle.load(stream)
                 # All of pass 2 runs before the first write, so none of
                 # it waits for the loading process to make room in the pipe.
-                finished = [_finish_file(w, shared, finish) for _, w in walked]
+                finished = [_finish_file(*w, shared, finish) for _, _, w in walked]
                 del walked
                 pickle.dump(finished, out, pickle.HIGHEST_PROTOCOL)
             status = 0
@@ -401,19 +388,6 @@ def _fork_walker(files: list[Path], claims: int, run: int, finish, siblings) -> 
     os.close(up_write)
     os.close(down_read)
     return _Child(pid, open(up_read, "rb"), down_write)
-
-
-def _declared(walked: _WalkedFile) -> _Declared:
-    return _Declared(
-        walked.types,
-        walked.global_names,
-        walked.warnings,
-        [
-            (w.name, tuple([(d.name, d.section) for d in w.decls if d.section in INTERFACE_SECTIONS]))
-            for w in walked.pous if w.kind is PouKind.FUNCTION_BLOCK and w.decls is not None
-        ],
-        [w.name.casefold() for w in walked.pous if w.name],
-    )
 
 
 def _share(declared: list[_Declared], context: TypeContext) -> tuple[_Shared, list[AnalysisWarning]]:
@@ -433,41 +407,54 @@ def _share(declared: list[_Declared], context: TypeContext) -> tuple[_Shared, li
     return _Shared(context, frozenset(global_names), frozenset(pou_names)), warnings
 
 
-def _finish_file(walked: _WalkedFile, shared: _Shared, finish) -> _Finished:
+def _finish_file(is_xml: bool, walked: list[st.WalkedPou], shared: _Shared, finish) -> _Finished:
     """Pass 2 for one file's walked POUs, each POU built mapped by `finish`."""
     context, global_names, pou_names = shared
-    if walked.is_xml:
-        pous, warnings = plcopen.extract_pous(walked.pous, context, global_names, pou_names)
+    if is_xml:
+        pous, warnings = plcopen.extract_pous(walked, context, global_names, pou_names)
     else:
         pous, warnings = [], []
-        for w in walked.pous:
+        for w in walked:
             pou, ws = st.parse_pou_unit(w, context, global_names)
             warnings.extend(ws)
             if pou is not None:
                 pous.append(pou)
     return _Finished(
-        walked.is_xml, [finish(p) for p in pous], [(p.name, p.source_ref.path) for p in pous], warnings
+        is_xml, [finish(p) for p in pous], [(p.name, p.source_ref.path) for p in pous], warnings
     )
 
 
-def _walk_file(path: Path) -> _WalkedFile:
-    """Pass 1 for one file.  A file that does not parse gives a warning."""
+def _walk_file(path: Path) -> tuple[_Declared, tuple[bool, list[st.WalkedPou]]]:
+    """Pass 1 for one file: its knowledge, and whether it is PLCopen XML
+    with its walked POUs.  A file that does not parse gives a warning; a
+    PLCopen file is skipped whole when it is malformed or a data type or
+    FB interface does not parse."""
     label = str(path)
     text = _decode(path.read_bytes())
     is_xml = path.suffix.casefold() in XML_SUFFIXES or (
         path.suffix.casefold() not in ST_SUFFIXES and _looks_like_xml(text)
     )
-    walked = _WalkedFile(label, [], is_xml, [], [], [])
+    declared = _Declared([], [], [], [], [])
+    pous: list[st.WalkedPou] = []
     try:
         if is_xml:
-            _walk_xml_file(text, walked)
+            root = plcopen.parse_xml(text, label)
+            walked = plcopen.walk_pous(root, label)
+            declared.types.extend(plcopen.register_project_types(root, walked, label))
+            declared.global_names.extend(plcopen.project_global_names(root))
+            pous = walked
         else:
-            _walk_st_file(text, walked)
+            _walk_st_file(text, label, declared, pous)
     except XmlMalformed as exc:
-        walked.warnings.append(AnalysisWarning("xml-malformed", exc.detail, label, ""))
+        declared.warnings.append(AnalysisWarning("xml-malformed", exc.detail, label, ""))
     except ParseError as exc:
-        walked.warnings.append(AnalysisWarning("pou-parse-error", exc.detail, label, ""))
-    return walked
+        declared.warnings.append(AnalysisWarning("pou-parse-error", exc.detail, label, ""))
+    declared.fbs.extend(
+        (w.name, tuple([(d.name, d.section) for d in w.decls if d.section in INTERFACE_SECTIONS]))
+        for w in pous if w.kind is PouKind.FUNCTION_BLOCK and w.decls is not None
+    )
+    declared.names.extend(w.name.casefold() for w in pous if w.name)
+    return declared, (is_xml, pous)
 
 
 def _decode(data: bytes) -> str:
@@ -483,26 +470,15 @@ def _decode(data: bytes) -> str:
     return text
 
 
-def _walk_xml_file(text: str, walked: _WalkedFile) -> None:
-    """Pass 1 for one PLCopen file, which is skipped whole when it is
-    malformed or a data type or FB interface does not parse."""
-    root = plcopen.parse_xml(text, walked.label)
-    pous = plcopen.walk_pous(root, walked.label)
-    walked.types.extend(plcopen.register_project_types(root, pous, walked.label))
-    walked.global_names.extend(plcopen.project_global_names(root))
-    walked.pous.extend(pous)
-
-
-def _walk_st_file(text: str, walked: _WalkedFile) -> None:
+def _walk_st_file(text: str, label: str, declared: _Declared, pous: list[st.WalkedPou]) -> None:
     """Pass 1 for one ST file: its types, globals and walked POUs."""
-    label = walked.label
     for unit in st.split_st_units(st.StSource(label, text)):
         try:
             if unit.kind == "types":
-                walked.types.extend(st.parse_type_block(unit, label))
+                declared.types.extend(st.parse_type_block(unit, label))
             elif unit.kind == "globals":
-                walked.global_names.extend(n.casefold() for n in st.parse_global_names(unit, label))
+                declared.global_names.extend(n.casefold() for n in st.parse_global_names(unit, label))
             else:
-                walked.pous.append(st.walk_pou_unit(unit, label))
+                pous.append(st.walk_pou_unit(unit, label))
         except ParseError as exc:
-            walked.warnings.append(AnalysisWarning("pou-parse-error", exc.detail, label, ""))
+            declared.warnings.append(AnalysisWarning("pou-parse-error", exc.detail, label, ""))

@@ -184,9 +184,6 @@ class MetricVector(NamedTuple):
     difficulty: Fraction
     data_structure: int
 
-    def as_tuple(self) -> tuple:
-        return self
-
 
 def compute_vector(pou: Pou, table: WeightTable = DEFAULT_WEIGHT_TABLE) -> MetricVector:
     """All six metrics for one POU."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import gc
 import io
+import json
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -171,37 +172,6 @@ def report_object(run: RunResult) -> dict:
     return {"run": meta, "pous": pous, "groups": groups, "warnings": warnings}
 
 
-# JSON text of each scalar type the report holds, from the C helpers that
-# json.dumps itself calls for them.
-_JSON_SCALAR = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null"}
-
-
-def _json_text(value, pad: str = "") -> str:
-    """json.dumps(value, indent=2) for nested dicts and lists of str, int
-    and None.  With an indent, json.dumps runs its pure-Python encoder;
-    this builds the same text with one join per container."""
-    encode = _JSON_SCALAR.get(type(value))
-    if encode is not None:
-        return encode(value)
-    inner = pad + "  "
-    if type(value) is dict:
-        if not value:
-            return "{}"
-        items = []
-        for key, item in value.items():
-            encode = _JSON_SCALAR.get(type(item))  # most dicts are flat: one call fewer per cell
-            items.append(encode_basestring_ascii(key) + ": " + (encode(item) if encode else _json_text(item, inner)))
-        opening, closing = "{", "}"
-    elif type(value) is list:
-        if not value:
-            return "[]"
-        items = [_json_text(item, inner) for item in value]
-        opening, closing = "[", "]"
-    else:
-        raise TypeError("%s is not a report value" % type(value).__name__)
-    return opening + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + closing
-
-
 def _row_template(percent: tuple) -> str:
     """The JSON text of one `pous` entry as json.dumps(indent=2) writes
     it, with a %-slot for each of: the encoded name, kind, language, the
@@ -244,12 +214,10 @@ def emit_json(run: RunResult) -> str:
             )
         )
     pous = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
-    return '{\n  "run": %s,\n  "pous": %s,\n  "groups": %s,\n  "warnings": %s\n}\n' % (
-        _json_text(meta, "  "),
-        pous,
-        _json_text(groups, "  "),
-        _json_text(warnings, "  "),
-    )
+    # ensure_ascii escapes every newline inside a string, so each line
+    # break of json.dumps's text is one to indent.
+    meta, groups, warnings = (json.dumps(x, indent=2).replace("\n", "\n  ") for x in (meta, groups, warnings))
+    return '{\n  "run": %s,\n  "pous": %s,\n  "groups": %s,\n  "warnings": %s\n}\n' % (meta, pous, groups, warnings)
 
 
 def emit_csv(run: RunResult) -> str:

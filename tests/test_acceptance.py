@@ -88,8 +88,8 @@ def test_criterion_02_corpus_hand_tally_exactness(corpus_pous, oracle):
         exp = oracle[name]
         vec = compute_vector(pou)
         want = tuple(F(exp[f]) if f == "difficulty" else exp[f] for f in METRIC_FIELDS)
-        if vec.as_tuple() != want:
-            failures.append("%s: %s != %s" % (name, vec.as_tuple(), want))
+        if vec != want:
+            failures.append("%s: %s != %s" % (name, vec, want))
     elapsed = time.perf_counter() - started
     if elapsed >= 5.0:
         failures.append("corpus check took %.2f s, budget is 5 s" % elapsed)
@@ -144,7 +144,7 @@ def test_criterion_04_scaling_one_metric_changes_nothing():
         factor = F(rng.randint(1, 40), rng.randint(1, 40))
         scaled = []
         for e in entries:
-            cells = list(e.vector.as_tuple())
+            cells = list(e.vector)
             cells[column] = cells[column] * factor
             scaled.append(SampleEntry(e.name, e.kind, e.language, MetricVector(*cells)))
 

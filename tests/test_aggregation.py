@@ -305,7 +305,7 @@ def ref_median_of(values):
 
 
 def ref_group_stats(label, vectors):
-    columns = zip(*(v.as_tuple() for v in vectors))
+    columns = zip(*vectors)
     medians = tuple(ref_median_of([Fraction(x) for x in column]) for column in columns)
     excluded = frozenset(i for i, m in enumerate(medians) if m == 0)
     warnings = [
@@ -322,7 +322,7 @@ def ref_group_stats(label, vectors):
 def ref_relative_vector(vector, stats):
     return tuple(
         None if i in stats.excluded else Fraction(100 * value) / stats.medians[i]
-        for i, value in enumerate(vector.as_tuple())
+        for i, value in enumerate(vector)
     )
 
 
@@ -414,7 +414,7 @@ def _samples(draw):
         vectors += draw(st.lists(st.sampled_from(vectors), max_size=6))
     for index in draw(st.sets(st.integers(0, 5), max_size=3)):
         # a column that is zero in every POU
-        vectors = [MetricVector(*(0 if i == index else x for i, x in enumerate(v.as_tuple()))) for v in vectors]
+        vectors = [MetricVector(*(0 if i == index else x for i, x in enumerate(v))) for v in vectors]
     entries = [entry("p%02d" % (i * 7 % len(vectors)) + "_%d" % i, v, draw(_LANGUAGES)) for i, v in enumerate(vectors)]
     profiles = draw(st.dictionaries(_LANGUAGES, _PROFILE, max_size=3))
     return entries, draw(st.sampled_from(list(Grouping))), profiles, draw(st.booleans())

@@ -26,7 +26,7 @@ from golden_ir import CORPUS
 from poumetrics import AnalysisError, CallSite, ParseError, SampleEntry, compute_vector, load_sample
 from poumetrics import load, plcopen, st
 from poumetrics.cli import main
-from poumetrics.ir import VarSection
+from poumetrics.ir import Language, VarSection
 from poumetrics.typesys import TypeContext
 
 from stgen import generate_program
@@ -305,6 +305,22 @@ def test_a_utf16_copy_gives_the_reports_of_its_original(monkeypatch, tmp_path, s
         reports.append(cli_reports([source], tmp_path))
     assert reports[0][0] == 0 and json.loads(reports[0][3])["pous"]
     assert reports[1] == reports[0]
+
+
+@pytest.mark.parametrize("lead", ["", "\n  "], ids=["at-start", "after-whitespace"])
+def test_a_file_of_another_suffix_is_xml_when_its_text_starts_with_a_tag(tmp_path, lead):
+    """A file named outright whose suffix is neither ST nor XML loads as
+    PLCopen XML when its first character other than whitespace is "<", and
+    as ST otherwise."""
+    xml = (CORPUS / "fbd_add.xml").read_text()
+    if lead:  # nothing may come before an XML declaration
+        xml = xml.split("?>", 1)[1].lstrip()
+    (tmp_path / "project.txt").write_text(lead + xml)
+    (tmp_path / "program.txt").write_text(lead + "PROGRAM Q\nx := 1;\nEND_PROGRAM\n")
+    for name, pou, language in (("project.txt", "FbdAdd", Language.FBD), ("program.txt", "Q", Language.ST)):
+        sample = load_sample([str(tmp_path / name)])
+        assert [(p.name, p.language) for p in sample.pous] == [(pou, language)]
+        assert sample.warnings == []
 
 
 # ------------------------- pass 1 across processes -------------------------
@@ -676,6 +692,41 @@ def test_a_child_failed_in_round_two_has_pass_two_run_here(monkeypatch, tmp_path
     assert any(walks.get(pid) for pid in pids)
 
 
+def test_children_failed_in_each_round_have_their_files_walked_here(monkeypatch, tmp_path):
+    """The first child fails in round 1 and the second in round 2: the
+    loading process walks each one's files once more, the first child's
+    before it applies the knowledge and the second's after."""
+    run_serially(monkeypatch)
+    serial = sample_facts(load_sample([str(CORPUS)]))
+    here = os.getpid()
+    pids = run_forked(monkeypatch, 3)  # in a child: the children forked before it
+    real_walk, real_declare = load._walk_file, TypeContext.declare
+
+    def walk_file(path):
+        if os.getpid() != here and not pids:
+            raise RuntimeError("first child failed in round 1")
+        return real_walk(path)
+
+    def declare(self, *args):
+        if os.getpid() != here:
+            with open(tmp_path / "failed.log", "a") as log:
+                log.write("%d\n" % os.getpid())
+            raise RuntimeError("second child failed in round 2")
+        return real_declare(self, *args)
+
+    monkeypatch.setattr(load, "_walk_file", walk_file)
+    monkeypatch.setattr(TypeContext, "declare", declare)
+    slow_first_walk(monkeypatch, 0.1)
+    walked_by = log_walks(monkeypatch, tmp_path / "walked.log")
+    assert sample_facts(load_sample([str(CORPUS)])) == serial
+    assert len(pids) == 2
+    assert_reaped(pids)
+    walks = walked_by()
+    assert len(walks[pids[0]]) == 1
+    assert [int(pid) for pid in (tmp_path / "failed.log").read_text().split()] == [pids[1]]
+    assert_walked_once_more_here(walks, here, [p.name for p in CORPUS_FILES], pids)
+
+
 SMALL_SAMPLE = {"p%02d.st" % i: "PROGRAM P%d\nx := %d;\nEND_PROGRAM\n" % (i, i) for i in range(12)}
 
 
@@ -829,15 +880,14 @@ def test_the_records_that_cross_the_pipes_pickle_as_constructor_calls(tmp_path):
     """No BUILD opcode: each record is rebuilt by its constructor, with no
     per-instance state set after it in Python."""
     sample_dir = write_sample(tmp_path / "sample", MIXED_SAMPLE)
-    walked = [load._walk_file(p) for p in load.discover_inputs([str(CORPUS), str(sample_dir)])]
-    declared = [load._declared(w) for w in walked]
+    declared, walked = zip(*(load._walk_file(p) for p in load.discover_inputs([str(CORPUS), str(sample_dir)])))
     shared, warnings = load._share(declared, TypeContext())
     assert shared.context.definitions and shared.context.fb_interfaces and warnings
 
     def entry(pou):
         return SampleEntry(pou.name, pou.kind, pou.language, compute_vector(pou), "tag")
 
-    finished = [load._finish_file(w, shared, entry) for w in walked]
+    finished = [load._finish_file(*w, shared, entry) for w in walked]
     assert any(done.warnings for done in finished)
     for record in (*declared, shared, *finished):
         data = pickle.dumps(record, pickle.HIGHEST_PROTOCOL)
@@ -868,13 +918,12 @@ def test_the_pipes_carry_each_function_block_as_its_interface(tmp_path):
     for n in (3, 300):
         path = tmp_path / ("wide%d.st" % n)
         path.write_text(wide_function_block(n))
-        declared = load._declared(load._walk_file(path))
+        declared, _ = load._walk_file(path)
         assert [(name, len(members)) for name, members in declared.fbs] == [("Wide", n)]
         calls.append(constructor_calls(declared))
     assert calls[0] == calls[1]
 
-    walked = [load._walk_file(p) for p in load.discover_inputs([str(CORPUS)])]
-    shared, _ = load._share([load._declared(w) for w in walked], TypeContext())
+    shared, _ = load._share([load._walk_file(p)[0] for p in load.discover_inputs([str(CORPUS)])], TypeContext())
     members = sum(map(len, shared.context.fb_interfaces.values()))
     without = shared._replace(context=TypeContext(None, shared.context.definitions, {}))
     assert constructor_calls(shared) - constructor_calls(without) <= len(VarSection) < members
