@@ -38,11 +38,17 @@ def _short(value: Fraction) -> str:
     return str(value) if sum(bits) <= 128 else "about 10^%d" % round((bits[0] - bits[1]) * 0.30103)
 
 
-class WeightProfile:
-    """Six non-negative metric weights summing to exactly 1, checked when
-    the profile is built.  A profile is immutable."""
+class _ProfileFields(NamedTuple):
+    weights: tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]
 
-    def __init__(self, weights: tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]):
+
+class WeightProfile(_ProfileFields):
+    """Six non-negative metric weights summing to exactly 1, checked
+    whenever a profile is built, by `_make` and `_replace` too."""
+
+    __slots__ = ()
+
+    def __new__(cls, weights: tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]):
         if len(weights) != len(METRIC_KEYS):
             raise WeightSumViolation("a weight profile needs %d entries" % len(METRIC_KEYS))
         if any(w < 0 for w in weights):
@@ -50,19 +56,11 @@ class WeightProfile:
         total = sum(weights, Fraction(0))
         if total != 1:
             raise WeightSumViolation("metric weights sum to %s, expected exactly 1" % _short(total))
-        self.__dict__["weights"] = weights
+        return super().__new__(cls, weights)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __eq__(self, other):
-        return self.weights == other.weights if type(other) is WeightProfile else NotImplemented
-
-    def __hash__(self):
-        return hash(self.weights)
-
-    def __repr__(self):
-        return "WeightProfile(weights=%r)" % (self.weights,)
+    @classmethod
+    def _make(cls, values) -> "WeightProfile":
+        return cls(*values)
 
     @staticmethod
     def of(*values) -> "WeightProfile":

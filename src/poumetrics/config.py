@@ -94,13 +94,13 @@ def _parse_fraction(raw, where: str) -> Fraction:
     )
 
 
-def _parse_profiles(data, base: dict[Language, WeightProfile]) -> dict[Language, WeightProfile]:
+def _parse_profiles(data) -> dict[Language, WeightProfile]:
     if not isinstance(data, dict):
         raise InvalidConfig("weight_profiles must be an object keyed by language")
     unknown = set(data) - _WEIGHT_KEYS
     if unknown:
         raise InvalidConfig("unknown weight_profiles key(s): %s" % ", ".join(sorted(unknown)))
-    profiles = dict(base)
+    profiles = {lang: default_profile(lang) for lang in Language}
 
     def build(values, where):
         if not isinstance(values, list) or len(values) != len(METRIC_KEYS):
@@ -138,40 +138,36 @@ def config_from_mapping(data: dict) -> AnalysisConfig:
     if unknown:
         raise InvalidConfig("unknown configuration key(s): %s" % ", ".join(sorted(unknown)))
 
-    base = AnalysisConfig()
-    profiles = dict(base.profiles)
+    changes: dict = {}
     if "weight_profiles" in data:
-        profiles = _parse_profiles(data["weight_profiles"], profiles)
+        changes["profiles"] = _parse_profiles(data["weight_profiles"])
 
-    table = base.weight_table
     if "weight_table" in data:
-        table = _parse_table(data["weight_table"])
+        changes["weight_table"] = _parse_table(data["weight_table"])
 
-    cap = base.array_sub_cap
     if "array_sub_cap" in data:
         cap = data["array_sub_cap"]
         if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 1):
             raise InvalidConfig("array_sub_cap must be a positive integer or null")
+        changes["array_sub_cap"] = cap
 
-    grouping = base.grouping
     if "grouping" in data:
         try:
-            grouping = Grouping(data["grouping"])
+            changes["grouping"] = Grouping(data["grouping"])
         except ValueError as exc:
             raise InvalidConfig(
                 "grouping must be one of: %s" % ", ".join(g.value for g in Grouping)
             ) from exc
 
-    normalize = base.normalize
     if "normalize" in data:
         if not isinstance(data["normalize"], bool):
             raise InvalidConfig("normalize must be true or false")
-        normalize = data["normalize"]
+        changes["normalize"] = data["normalize"]
 
-    annotations: dict[str, str] = {}
     if "annotations" in data:
         if not isinstance(data["annotations"], dict):
             raise InvalidConfig("annotations must map POU names to short tags")
+        annotations = changes["annotations"] = {}
         for name, tag in data["annotations"].items():
             if not isinstance(tag, str):
                 raise InvalidConfig("annotation for %r must be a string" % name)
@@ -180,14 +176,7 @@ def config_from_mapping(data: dict) -> AnalysisConfig:
                 raise InvalidConfig("annotation for %r holds a lone surrogate" % name)
             annotations[str(name).casefold()] = tag
 
-    return AnalysisConfig(
-        profiles=profiles,
-        weight_table=table,
-        array_sub_cap=cap,
-        grouping=grouping,
-        normalize=normalize,
-        annotations=annotations,
-    )
+    return AnalysisConfig(**changes)
 
 
 def load_config(path: str) -> AnalysisConfig:

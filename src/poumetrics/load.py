@@ -62,16 +62,13 @@ _CLAIM_WIDTH = 2
 _CLAIM_ENTRIES = 4096 // _CLAIM_WIDTH
 
 
-class LoadedSample:
+class LoadedSample(NamedTuple):
     """Everything the metrics stage needs, plus loader diagnostics."""
 
-    def __init__(
-        self, pous: list, warnings: list[AnalysisWarning], context: TypeContext, global_names: frozenset[str]
-    ):
-        self.pous = pous  # Pou, or what `finish` made of each
-        self.warnings = warnings
-        self.context = context
-        self.global_names = global_names
+    pous: list  # Pou, or what `finish` made of each
+    warnings: list[AnalysisWarning]
+    context: TypeContext
+    global_names: frozenset[str]
 
 
 class _Declared(NamedTuple):
@@ -439,10 +436,10 @@ def _walk_file(path: Path) -> tuple[_Declared, tuple[bool, list[st.WalkedPou]]]:
     try:
         if is_xml:
             root = plcopen.parse_xml(text, label)
-            walked = plcopen.walk_pous(root, label)
-            declared.types.extend(plcopen.register_project_types(root, walked, label))
+            types = plcopen.register_project_types(root, label)
+            pous = plcopen.walk_pous(root, label)
+            declared.types.extend(types)
             declared.global_names.extend(plcopen.project_global_names(root))
-            pous = walked
         else:
             _walk_st_file(text, label, declared, pous)
     except XmlMalformed as exc:

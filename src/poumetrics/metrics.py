@@ -42,54 +42,41 @@ METRIC_CLASSES = {
 
 COMPLEXITY_CLASSES = ("Size", "Control Flow", "Information Flow", "Software Science", "Data Structure")
 
-class WeightTable:
+
+class _WeightFields(NamedTuple):
+    interface_simple: int = 3
+    interface_complex: int = 4
+    local_simple: int = 1
+    local_complex: int = 2
+    sub_simple: int = 1
+    sub_complex: int = 1
+
+
+class WeightTable(_WeightFields):
     """Variable weights for the data-structure metric.
 
     Rows are where the variable is declared (interface vs. local scope,
     plus the flat sub-variable row), columns its type class.  A table is
-    checked when it is built and is immutable; `_replace` builds a
-    checked copy.
+    checked whenever it is built, by `_make` and `_replace` too.
     """
 
-    _fields = ("interface_simple", "interface_complex", "local_simple", "local_complex", "sub_simple", "sub_complex")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        interface_simple: int = 3,
-        interface_complex: int = 4,
-        local_simple: int = 1,
-        local_complex: int = 2,
-        sub_simple: int = 1,
-        sub_complex: int = 1,
-    ):
-        values = (interface_simple, interface_complex, local_simple, local_complex, sub_simple, sub_complex)
-        if any((not isinstance(v, int)) or v <= 0 for v in values):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if any((not isinstance(v, int)) or v <= 0 for v in self):
             raise InvalidConfig("variable weights must be positive integers")
-        if not (interface_simple > local_simple and interface_complex > local_complex):
+        if not (self.interface_simple > self.local_simple and self.interface_complex > self.local_complex):
             raise InvalidConfig("interface weights must exceed local weights")
-        if interface_complex < interface_simple or local_complex < local_simple:
+        if self.interface_complex < self.interface_simple or self.local_complex < self.local_simple:
             raise InvalidConfig("complex weights must not undercut simple weights")
-        if sub_simple != sub_complex:
+        if self.sub_simple != self.sub_complex:
             raise InvalidConfig("sub-variable weights must not depend on the type class")
-        self.__dict__.update(zip(self._fields, values))
+        return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def _replace(self, **changes) -> "WeightTable":
-        return WeightTable(**{**self.__dict__, **changes})
-
-    def _values(self) -> tuple[int, ...]:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
-
-    def __eq__(self, other):
-        return self._values() == other._values() if type(other) is WeightTable else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return "WeightTable(%s)" % ", ".join("%s=%r" % item for item in zip(self._fields, self._values()))
+    @classmethod
+    def _make(cls, values) -> "WeightTable":
+        return cls(*values)
 
     def variable_weight(self, section: VarSection, type_class: TypeClass) -> int:
         interface = section in INTERFACE_SECTIONS

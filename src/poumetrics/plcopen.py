@@ -165,19 +165,14 @@ def _interface_vars(interface: ET.Element, path: str) -> tuple[list[RawDecl], Ty
     return out, return_spec
 
 
-def register_project_types(root: ET.Element, walked: list[WalkedPou], path: str) -> list[tuple[str, TypeSpec]]:
+def register_project_types(root: ET.Element, path: str) -> list[tuple[str, TypeSpec]]:
     """The document's data types as (name, spec), in document order.  A
-    data type that does not parse, or else the first FB interface
-    `walk_pous` could not read, raises: the file is skipped whole."""
-    types = [
+    data type that does not parse raises: the file is skipped whole."""
+    return [
         (dt.get("name"), _type_spec_of(dt.find("baseType"), path))
         for dt in root.iter("dataType")
         if dt.get("name")
     ]
-    for w in walked:
-        if w.kind is PouKind.FUNCTION_BLOCK and w.name and w.decls is None:
-            raise w.parse_error
-    return types
 
 
 def project_global_names(root: ET.Element) -> list[str]:
@@ -495,8 +490,10 @@ def _check_reachability(acc: _Acc, elements: list[ET.Element], incoming: dict[ET
 def walk_pous(root: ET.Element, path: str) -> list[WalkedPou]:
     """Pass 1 for one document: read the interface and walk the body of
     every <pou>, in document order, so that the tree can be dropped.  A
-    POU without a name, or whose interface does not parse, keeps its kind
-    and error, with `decls` None; a failed body keeps the interface too."""
+    named function block whose interface does not parse raises, before
+    any later body is walked: the file is skipped whole.  Any other POU
+    without a name, or whose interface does not parse, keeps its kind and
+    error, with `decls` None; a failed body keeps the interface too."""
     walked: list[WalkedPou] = []
     for pou_el in root.iter("pou"):
         name = pou_el.get("name", "")
@@ -509,6 +506,8 @@ def walk_pous(root: ET.Element, path: str) -> list[WalkedPou]:
                 raise ParseError("pou without a name skipped", path)
             _walk_pou(pou, pou_el, path)
         except ParseError as exc:
+            if kind is PouKind.FUNCTION_BLOCK and name and pou.decls is None:
+                raise
             pou.error = (exc.message, exc.path, exc.line, exc.column, exc.element)
         walked.append(pou)
     return walked

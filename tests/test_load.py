@@ -199,6 +199,31 @@ def test_function_block_whose_body_fails_still_lends_its_interface(tmp_path):
     ]
 
 
+def test_plcopen_file_with_a_bad_function_block_interface_walks_no_later_body(tmp_path, monkeypatch):
+    """The file is skipped whole, so the ST body after the bad interface
+    is never walked.  The spy counts in this process only."""
+    monkeypatch.setattr(load, "_usable_cpus", lambda: 1)
+    walks = []
+    real = plcopen.st_fragment_facts
+
+    def counting(*args, **kwargs):
+        walks.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(plcopen, "st_fragment_facts", counting)
+    (tmp_path / "p.xml").write_text(
+        XML_HEAD
+        + '<pou name="BadFb" pouType="functionBlock">%s<body><ST>x := 1;</ST></body></pou>'
+        % local_var("v", '<array><dimension lower="5" upper="1"/><baseType><INT/></baseType></array>')
+        + '<pou name="Later" pouType="program"><interface/><body><ST>y := 2;</ST></body></pou>'
+        + XML_TAIL
+    )
+    sample = load_sample([str(tmp_path)])
+    assert walks == []
+    assert sample.pous == []
+    assert [(w.code, w.pou) for w in sample.warnings] == [("pou-parse-error", "")]
+
+
 # A body whose error sits at 2:6 in an ST POU and in an XML ST body alike.
 BAD_ST = "PROGRAM P\nx := ;\nEND_PROGRAM\n"
 BAD_XML = XML_HEAD + '<pou name="P" pouType="functionBlock"><interface/><body><ST>y := 1;\nx := ;</ST></body></pou>' + XML_TAIL

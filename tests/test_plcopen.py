@@ -20,7 +20,10 @@ from poumetrics import (
     load_sample,
 )
 from poumetrics import plcopen
+from poumetrics.cli import main
 from poumetrics.plcopen import parse_xml
+
+from conftest import CORPUS
 
 HEADERS = (
     '<fileHeader companyName="t" productName="t" productVersion="1"'
@@ -85,6 +88,24 @@ def test_malformed_xml_becomes_warning(tmp_path):
 def test_parse_xml_raises_on_garbage():
     with pytest.raises(XmlMalformed):
         parse_xml("not xml at all", "x.xml")
+
+
+def test_whitespace_before_the_xml_declaration_skips_the_file(tmp_path, capsys):
+    """XML 1.0 lets nothing precede the declaration, so the file is
+    skipped whole with expat's message; stripping the whitespace would
+    shift every line number in later errors.  The ST file is ranked."""
+    xml = (CORPUS / "fbd_add.xml").read_text()
+    (tmp_path / "a.st").write_text("PROGRAM Good\nVAR x : INT; END_VAR\nx := x + 1;\nEND_PROGRAM\n")
+    (tmp_path / "b.xml").write_text("\n" + xml)
+    (tmp_path / "c.txt").write_text("\n  " + xml)
+    assert main(["analyze", *(str(tmp_path / name) for name in ("a.st", "b.xml", "c.txt"))]) == 2
+    out, err = capsys.readouterr()
+    malformed = [line for line in err.splitlines() if line.startswith("[xml-malformed]")]
+    assert len(malformed) == 2
+    for name, line in zip(("b.xml", "c.txt"), malformed):
+        assert name + ": XML or text declaration not at start of entity" in line
+    rows = out.splitlines()[2:]
+    assert [row.split()[:3] for row in rows] == [["1", "Good", "ST"]]
 
 
 TC6_NS = ' xmlns="http://www.plcopen.org/xml/tc6_0201"'

@@ -6,6 +6,7 @@ import contextlib
 import html
 import io
 import json
+import random
 import re
 import tempfile
 from fractions import Fraction
@@ -84,6 +85,32 @@ def test_comments_and_whitespace_change_nothing(seed, noise_seed):
     assert [t.identity_key for t in noisy_pou.body.tokens] == [
         t.identity_key for t in pou.body.tokens
     ]
+
+
+# Names for the generator's v0..v7: no keyword or standard function
+# name in any case, so each spelling below stays a plain identifier.
+RENAME_POOL = ["Speed", "motorOn", "Tank_Level", "counter2", "Alarm", "valve_B", "xPos", "SetPoint"]
+CASINGS = [str.upper, str.lower, str.swapcase]
+
+
+@settings(max_examples=100, derandomize=True)
+@given(SEEDS, st_strat.permutations(RENAME_POOL), SEEDS)
+def test_consistent_renaming_changes_nothing(seed, pool, case_seed):
+    """Renaming the program and its variables, each use spelt in its own
+    case, leaves the metric vector and the decisions as they were:
+    lookups are case-folded."""
+    prog, pou = analyzed(seed)
+    rng = random.Random(case_seed)
+
+    def rename(match):
+        return rng.choice(CASINGS)(pool[int(match.group(1))])
+
+    renamed = re.sub(r"\bv([0-7])\b", rename, prog.source).replace(prog.name, "Renamed_" + prog.name, 1)
+    renamed_pou, warnings = parse_st_pou(StSource(path="<gen>", text=renamed))
+    assert warnings == [] and renamed_pou.name == "Renamed_" + prog.name
+    assert compute_vector(renamed_pou) == compute_vector(pou)
+    assert [d.kind for d in renamed_pou.body.decision_spans] == [d.kind for d in pou.body.decision_spans]
+    assert [t.cls for t in renamed_pou.body.tokens] == [t.cls for t in pou.body.tokens]
 
 
 @settings(max_examples=60, derandomize=True)

@@ -1,5 +1,5 @@
-"""The record contract: the IR and result records are immutable named
-tuples, and the weight classes check their values when they are built."""
+"""The record contract: every record is an immutable named tuple, and
+the two weight records check their values whenever one is built."""
 
 from __future__ import annotations
 
@@ -40,8 +40,9 @@ from poumetrics import (
 )
 from poumetrics.aggregate import Coefficients, PouResult
 from poumetrics.errors import AnalysisWarning
+from poumetrics.load import LoadedSample
 from poumetrics.st import StUnit, _EOF, LineTable
-from poumetrics.typesys import RawDecl, TypeSpec
+from poumetrics.typesys import RawDecl, TypeContext, TypeSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -123,6 +124,19 @@ RECORDS = [
     ),
     (StSource, {"path": "p.st", "text": "PROGRAM P END_PROGRAM"}, {}, ("path", "q.st")),
     (StUnit, {"kind": "pou", "tokens": [_EOF], "end": _EOF, "lines": LineTable("")}, {}, ("kind", "types")),
+    (
+        WeightTable,
+        {"interface_complex": 5},
+        {"interface_simple": 3, "local_simple": 1, "local_complex": 2, "sub_simple": 1, "sub_complex": 1},
+        ("local_complex", 3),
+    ),
+    (WeightProfile, {"weights": (Fraction(1, 6),) * 6}, {}, ("weights", SFC_PROFILE.weights)),
+    (
+        LoadedSample,
+        {"pous": [], "warnings": [], "context": TypeContext(), "global_names": frozenset()},
+        {},
+        ("global_names", frozenset({"g"})),
+    ),
 ]
 RECORD_IDS = [record[0].__name__ for record in RECORDS]
 
@@ -148,7 +162,7 @@ def test_record_contract(cls, given, defaults, change):
 
     twin = cls(**given)
     assert twin == record
-    if cls is not StUnit:  # a unit's token list is not hashable
+    if cls not in (StUnit, LoadedSample):  # a record that holds a list is not hashable
         assert hash(twin) == hash(record)
     assert changed != record
     # A record compares equal to the tuple of its values.
@@ -215,6 +229,19 @@ def test_weight_profile_contract():
         WeightProfile((Fraction(1, 3),) + (Fraction(1, 6),) * 5)
 
 
+def test_weight_records_check_replace_and_make():
+    """`_replace` builds its copy through `_make`, so both run the checks
+    that building a weight record runs."""
+    with pytest.raises(WeightSumViolation, match="metric weights sum to 7/6, expected exactly 1"):
+        UNIFORM_PROFILE._replace(weights=(Fraction(1, 3),) + (Fraction(1, 6),) * 5)
+    with pytest.raises(WeightSumViolation, match="a weight profile needs 6 entries"):
+        WeightProfile._make([(Fraction(1),)])
+    with pytest.raises(InvalidConfig, match="variable weights must be positive integers"):
+        WeightTable._make([0] * 6)
+    assert WeightTable._make([3, 4, 1, 2, 1, 1]) == DEFAULT_WEIGHT_TABLE
+    assert type(WeightProfile._make([UNIFORM_PROFILE.weights])) is WeightProfile
+
+
 def test_importing_the_cli_generates_no_code():
     """No record class is built by `dataclasses`, whose import also loads
     `inspect`, `ast` and `dis`: a fresh import of the CLI loads none."""
@@ -232,4 +259,3 @@ def test_importing_the_cli_generates_no_code():
         check=True,
     )
     assert loaded.stdout.split() == []
-
