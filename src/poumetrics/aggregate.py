@@ -13,9 +13,9 @@ coefficients over one common denominator (`Coefficients`), so a POU's
 overall value is one integer sum and one Fraction.  Its relative values
 and chart segments come from the same integers when they are asked for.
 
-Ranking and medians order exact values through `exact_order`: it sorts
-on floats, which never contradict the exact order, and compares
-Fractions only within a run of equal floats that holds unequal values.
+Ranking and medians order exact values through `exact_order`: one sort
+on (float, value), where floats never contradict the exact order and
+values are compared only where their floats tie.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from itertools import groupby
 from typing import NamedTuple
 
 from .errors import AnalysisWarning, EmptySample, WeightSumViolation
@@ -111,25 +110,18 @@ def exact_order(values: list) -> list[int]:
 
     Python's int / int is correctly rounded, hence monotonic, so sorting
     on numerator / denominator never puts a larger value before a smaller
-    one.  Only a run of equal floats that holds unequal values (their
-    reduced numerator and denominator differ) is sorted again exactly.
-    The cost does not grow with the size of the values, as a key over a
-    common denominator would."""
+    one.  One sort, keyed on (float, value), lets the float decide and
+    compares values exactly only where their floats tie.  The cost does
+    not grow with the size of the values, as a key over a common
+    denominator would."""
     indexes = range(len(values))
     if all(type(v) is int for v in values):
         return sorted(indexes, key=values.__getitem__)
-    terms = [(v.numerator, v.denominator) for v in values]
     try:
-        floats = [n / d for n, d in terms]
+        keys = [(v.numerator / v.denominator, v) for v in values]
     except OverflowError:  # a value past the float range
         return sorted(indexes, key=values.__getitem__)
-    order: list[int] = []
-    for _, run in groupby(sorted(indexes, key=floats.__getitem__), floats.__getitem__):
-        run = list(run)
-        if len(run) > 1 and len(set(map(terms.__getitem__, run))) > 1:
-            run.sort(key=values.__getitem__)
-        order += run
-    return order
+    return sorted(indexes, key=keys.__getitem__)
 
 
 def median_of(values: list) -> Fraction:

@@ -143,23 +143,6 @@ class BodyFacts(NamedTuple):
     external_reads: frozenset[str] = frozenset()
     external_writes: frozenset[str] = frozenset()
 
-    @staticmethod
-    def build(
-        tokens=(),
-        decisions=(),
-        calls=(),
-        external_reads=(),
-        external_writes=(),
-    ) -> "BodyFacts":
-        """Constructor from any iterables."""
-        return BodyFacts(
-            tokens=tuple(tokens),
-            decision_spans=tuple(decisions),
-            calls=tuple(calls),
-            external_reads=frozenset(external_reads),
-            external_writes=frozenset(external_writes),
-        )
-
     @property
     def decision_count(self) -> int:
         return len(self.decision_spans)

@@ -166,17 +166,14 @@ def load_sample(paths, array_sub_cap: int | None = None, finish=None) -> LoadedS
     shared, warnings, finished = _run_passes(files, TypeContext(array_sub_cap=array_sub_cap), finish or _same)
     results: list = []
     by_name: dict[str, str] = {}
-    for is_xml in (False, True):
-        for done in finished:
-            if done.is_xml is not is_xml:
-                continue
-            results.extend(done.results)
-            warnings.extend(done.warnings)
-            for name, path in done.keys:
-                key = name.casefold()
-                if key in by_name:
-                    raise AnalysisError("duplicate POU name %r (in %s and %s)" % (name, by_name[key], path))
-                by_name[key] = path
+    for done in sorted(finished, key=lambda done: done.is_xml):  # stable: ST files, then XML files
+        results.extend(done.results)
+        warnings.extend(done.warnings)
+        for name, path in done.keys:
+            key = name.casefold()
+            if key in by_name:
+                raise AnalysisError("duplicate POU name %r (in %s and %s)" % (name, by_name[key], path))
+            by_name[key] = path
     return LoadedSample(results, warnings, shared.context, shared.global_names)
 
 

@@ -21,14 +21,17 @@ from typing import NamedTuple
 from .errors import InvalidConfig
 from .ir import INTERFACE_SECTIONS, BodyFacts, Pou, TokenClass, TypeClass, VarSection
 
-METRIC_KEYS = (
-    "program_length",
-    "cyclomatic",
-    "fifo",
-    "vocabulary",
-    "difficulty",
-    "data_structure",
-)
+
+class MetricVector(NamedTuple):
+    program_length: int
+    cyclomatic: int
+    fifo: int
+    vocabulary: int
+    difficulty: Fraction
+    data_structure: int
+
+
+METRIC_KEYS = MetricVector._fields
 
 # Reporting taxonomy: which complexity class each metric belongs to.
 METRIC_CLASSES = {
@@ -40,7 +43,7 @@ METRIC_CLASSES = {
     "data_structure": "Data Structure",
 }
 
-COMPLEXITY_CLASSES = ("Size", "Control Flow", "Information Flow", "Software Science", "Data Structure")
+COMPLEXITY_CLASSES = tuple(dict.fromkeys(METRIC_CLASSES.values()))
 
 
 class _WeightFields(NamedTuple):
@@ -161,15 +164,6 @@ def data_structure_weight(pou: Pou, table: WeightTable = DEFAULT_WEIGHT_TABLE) -
         total += table.variable_weight(var.section, var.type_class)
         total += table.sub_weight * len(var.sub_variables)
     return total
-
-
-class MetricVector(NamedTuple):
-    program_length: int
-    cyclomatic: int
-    fifo: int
-    vocabulary: int
-    difficulty: Fraction
-    data_structure: int
 
 
 def compute_vector(pou: Pou, table: WeightTable = DEFAULT_WEIGHT_TABLE) -> MetricVector:

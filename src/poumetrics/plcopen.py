@@ -235,11 +235,9 @@ def _local_id_key(lid: str) -> tuple[int, int, str]:
 
 
 def _sorted_elements(body_el: ET.Element) -> list[ET.Element]:
-    def key(pair):
-        idx, el = pair
-        return _local_id_key(el.get("localId", "")), idx
-
-    return [el for _, el in sorted(enumerate(body_el), key=key)]
+    """The network's elements in localId order; the sort is stable, so
+    elements with equal keys keep their document order."""
+    return sorted(body_el, key=lambda el: _local_id_key(el.get("localId", "")))
 
 
 def _connections_in(el: ET.Element) -> list[ET.Element]:
@@ -489,55 +487,61 @@ def _check_reachability(acc: _Acc, elements: list[ET.Element], incoming: dict[ET
 
 def walk_pous(root: ET.Element, path: str) -> list[WalkedPou]:
     """Pass 1 for one document: read the interface and walk the body of
-    every <pou>, in document order, so that the tree can be dropped.  A
-    named function block whose interface does not parse raises, before
-    any later body is walked: the file is skipped whole.  Any other POU
-    without a name, or whose interface does not parse, keeps its kind and
-    error, with `decls` None; a failed body keeps the interface too."""
+    every <pou>, in document order, so that the tree can be dropped.  Each
+    record is built once, when its POU is done.  A named function block
+    whose interface does not parse raises, before any later body is
+    walked: the file is skipped whole.  Any other POU without a name, or
+    whose interface does not parse, keeps its kind and error, with
+    `decls` None; a failed body keeps the interface too."""
     walked: list[WalkedPou] = []
     for pou_el in root.iter("pou"):
         name = pou_el.get("name", "")
         if not name.strip():
             name = ""  # a blank name names no POU, as in ST
         kind = _POU_TYPE_MAP.get(pou_el.get("pouType", "").casefold(), PouKind.PROGRAM)
-        pou = WalkedPou(name, SourceRef(path, element=pou_el.get("globalId", "")), kind)
+        acc = _Acc(path=path, pou=name)
+        decls = return_spec = language = error = None
         try:
             if not name:
                 raise ParseError("pou without a name skipped", path)
-            _walk_pou(pou, pou_el, path)
+            interface = pou_el.find("interface")
+            if interface is None:
+                # With no declarations, no declaration warning comes before this.
+                acc.warn("missing-interface", "pou has no interface element")
+            decls, return_spec = ([], None) if interface is None else _interface_vars(interface, path)
+            language = _walk_body(acc, pou_el, path)
         except ParseError as exc:
-            if kind is PouKind.FUNCTION_BLOCK and name and pou.decls is None:
+            if kind is PouKind.FUNCTION_BLOCK and name and decls is None:
                 raise
-            pou.error = (exc.message, exc.path, exc.line, exc.column, exc.element)
-        walked.append(pou)
+            error = (exc.message, exc.path, exc.line, exc.column, exc.element)
+        ref = SourceRef(path, element=pou_el.get("globalId", ""))
+        return_spec = return_spec if kind is PouKind.FUNCTION else None
+        walked.append(WalkedPou(name, ref, kind, language, decls, return_spec, acc, error))
     return walked
 
 
-def _walk_pou(pou: WalkedPou, pou_el: ET.Element, path: str) -> None:
-    acc = pou.body = _Acc(path=path, pou=pou.name)
-    interface = pou_el.find("interface")
-    if interface is None:
-        # With no declarations, no declaration warning comes before this.
-        acc.warn("missing-interface", "pou has no interface element")
-    pou.decls, return_spec = ([], None) if interface is None else _interface_vars(interface, path)
-    pou.return_spec = return_spec if pou.kind is PouKind.FUNCTION else None
+def _walk_body(acc: _Acc, pou_el: ET.Element, path: str) -> Language | None:
+    """Walk the POU's <body> into `acc`: its language, or None with a
+    warning when that language is not analyzed."""
     body_el = pou_el.find("body")
     content = [] if body_el is None else [c for c in body_el if c.tag not in ("documentation", "addData")]
     lang_el = next((c for c in content if c.tag in _BODY_LANGUAGES or c.tag == "IL"), None)
-    if lang_el is not None and lang_el.tag == "IL":
-        acc.warn("il-body-skipped", "IL body is not supported; pou skipped")
-        pou.language = None
-    elif lang_el is not None:
-        pou.language = _BODY_LANGUAGES[lang_el.tag]
-        if pou.language is Language.ST:
-            st_fragment_facts(_text_of(lang_el), path, into=acc)
-        else:
-            _walk_network(acc, lang_el, pou.language, _named_bodies(pou_el))
-    elif content:
+    if lang_el is None and not content:
+        return Language.ST  # no body, or one without content: ranked as an empty ST POU
+    if lang_el is None:
         # a body with content in no language we know is skipped,
         # not reported as an empty POU with zero complexity
         acc.warn("body-language-unsupported", "body language %r is not supported; pou skipped" % content[-1].tag)
-        pou.language = None
+        return None
+    if lang_el.tag == "IL":
+        acc.warn("il-body-skipped", "IL body is not supported; pou skipped")
+        return None
+    language = _BODY_LANGUAGES[lang_el.tag]
+    if language is Language.ST:
+        st_fragment_facts(_text_of(lang_el), path, into=acc)
+    else:
+        _walk_network(acc, lang_el, language, _named_bodies(pou_el))
+    return language
 
 
 def extract_pous(

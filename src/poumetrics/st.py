@@ -1001,44 +1001,33 @@ def finalize_body(
         if type_name.casefold() in pou_names or context.is_fb(type_name)
     ]
     declared = {v.name.casefold() for v in variables if v.section in (VarSection.EXTERNAL, VarSection.GLOBAL)}
-    return BodyFacts.build(
-        tokens=res.tokens,
-        decisions=res.decisions,
-        calls=calls,
-        external_reads=external_filter(res.reads, global_names, declared, "im"),
-        external_writes=external_filter(res.writes, global_names, declared, "qm"),
+    return BodyFacts(
+        tuple(res.tokens),
+        tuple(res.decisions),
+        tuple(calls),
+        external_filter(res.reads, global_names, declared, "im"),
+        external_filter(res.writes, global_names, declared, "qm"),
     )
 
 
-class WalkedPou:
+class WalkedPou(NamedTuple):
     """A POU as pass 1 leaves it, with none of its tokens or XML elements:
     its declarations, where it starts and the collector its body walks
     filled.  `language` is None when the body's language is not analyzed,
-    and `body.warnings` then ends with the warning that says so.  `error`
-    holds the arguments of the ParseError that stopped the walk: plain
-    values, which no traceback outlives.  `decls` is None when the walk
-    stopped before the declarations; a failed body keeps them."""
+    and `body.warnings` then ends with the warning that says so, or when
+    a PLCopen walk failed.  `error` holds the arguments of the ParseError
+    that stopped the walk: plain values, which no traceback outlives.
+    `decls` is None when the walk stopped before the declarations; a
+    failed body keeps them."""
 
-    __slots__ = ("name", "source_ref", "kind", "language", "decls", "return_spec", "body", "error")
-
-    def __init__(
-        self,
-        name: str,
-        source_ref: SourceRef,
-        kind: PouKind,
-        language: Language | None = Language.ST,
-        decls: list[RawDecl] | None = None,
-        return_spec: TypeSpec | None = None,
-        body: _BodyResult | None = None,
-    ):
-        self.name = name
-        self.source_ref = source_ref
-        self.kind = kind
-        self.language = language
-        self.decls = decls
-        self.return_spec = return_spec
-        self.body = _BodyResult() if body is None else body
-        self.error: tuple[str, str, int, int, str] | None = None
+    name: str
+    source_ref: SourceRef
+    kind: PouKind
+    language: Language | None
+    decls: list[RawDecl] | None
+    return_spec: TypeSpec | None
+    body: _BodyResult
+    error: tuple[str, str, int, int, str] | None = None
 
     @property
     def parse_error(self) -> ParseError | None:
@@ -1054,12 +1043,12 @@ def walk_pou_unit(unit: StUnit, path: str) -> WalkedPou:
     parser = _BodyParser(unit.tokens, path, unit.lines, _BodyResult(), unit.end)
     name, kind, decls, return_spec = interface_of_unit(parser)
     head = SourceRef(path, *unit.lines.position(unit.tokens[0].offset))
-    walked = WalkedPou(name, head, kind, Language.ST, decls, return_spec, parser.res)
+    error = None
     try:
         parser.parse_body()
     except ParseError as exc:
-        walked.error = (exc.message, exc.path, exc.line, exc.column, exc.element)
-    return walked
+        error = (exc.message, exc.path, exc.line, exc.column, exc.element)
+    return WalkedPou(name, head, kind, Language.ST, decls, return_spec, parser.res, error)
 
 
 def parse_pou_unit(
@@ -1075,7 +1064,7 @@ def parse_pou_unit(
     exc = walked.parse_error
     if exc is not None:
         return None, [AnalysisWarning("pou-parse-error", exc.detail, exc.path, walked.name)]
-    variables, warnings = context.declare(walked.name, walked.decls, walked.return_spec)
+    variables, warnings = context.declare(walked.name, walked.decls, walked.return_spec, walked.source_ref.path)
     warnings += walked.body.warnings
     if walked.language is None:
         return None, warnings

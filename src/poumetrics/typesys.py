@@ -157,12 +157,12 @@ class TypeContext:
     # ------------------------- classification -------------------------
 
     def declare(
-        self, pou_name: str, decls: list[RawDecl], return_spec: TypeSpec | None = None
+        self, pou_name: str, decls: list[RawDecl], return_spec: TypeSpec | None = None, path: str = ""
     ) -> tuple[list[VariableDecl], list[AnalysisWarning]]:
         """Classify a POU's declarations into IR variables.
 
         A function's return value comes first, as an output named after
-        the POU.  Warnings are attributed to `pou_name`.
+        the POU.  Warnings are attributed to `pou_name` in file `path`.
         """
         if return_spec is not None:
             decls = [RawDecl(pou_name, VarSection.OUTPUT, return_spec), *decls]
@@ -171,7 +171,7 @@ class TypeContext:
         for d in decls:
             type_class, subs, ws = self.classify(d.spec, d.name)
             variables.append(VariableDecl(d.name, d.section, type_class, d.spec.render(), subs))
-            warnings.extend(w._replace(pou=pou_name) for w in ws)
+            warnings.extend(w._replace(path=path, pou=pou_name) for w in ws)
         return variables, warnings
 
     def classify(

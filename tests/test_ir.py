@@ -143,7 +143,7 @@ def test_simple_variable_with_sub_variables_is_flagged():
 
 def test_build_keeps_decision_count_in_sync():
     spans = (DecisionSpan("if", SourceRef()), DecisionSpan("for", SourceRef()))
-    body = BodyFacts.build(tokens=(), decisions=spans)
+    body = BodyFacts(decision_spans=spans)
     assert body.decision_count == 2
     assert validate_pou(make_pou(body=body)) == []
 

@@ -103,13 +103,13 @@ MIXED_WARNINGS = [
     ("pou-parse-error", "a_bad.st", "Bad", "3:6: unexpected ';' in expression"),
     (
         "unknown-type",
-        "",
+        "a_bad.st",
         "Good",
         "type 'AlsoNope' of 'y' is not defined; treated as Complex without sub-variables",
     ),
     (
         "unknown-type",
-        "",
+        "c_project.xml",
         "IlUnknown",
         "type 'Nope' of 'v' is not defined; treated as Complex without sub-variables",
     ),
@@ -119,14 +119,14 @@ MIXED_WARNINGS = [
     ("pou-parse-error", "c_project.xml", "", "pou without a name skipped"),
     (
         "unknown-type",
-        "",
+        "c_project.xml",
         "Graph",
         "type 'Missing' of 'w' is not defined; treated as Complex without sub-variables",
     ),
     ("dangling-connection", "c_project.xml", "Graph", "connection references missing element '99'"),
     (
         "unknown-type",
-        "",
+        "c_project.xml",
         "Odd",
         "type 'Nope' of 'u' is not defined; treated as Complex without sub-variables",
     ),

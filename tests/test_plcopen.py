@@ -10,12 +10,15 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from poumetrics import (
+    AnalysisConfig,
     CallSite,
+    Grouping,
     Language,
     PouKind,
     TokenClass,
     VarSection,
     XmlMalformed,
+    analyze_paths,
     compute_vector,
     load_sample,
 )
@@ -162,6 +165,28 @@ def test_body_with_only_documentation_is_kept_empty(tmp_path):
     pou, warnings = one_pou(tmp_path, text)
     assert pou.body.tokens == ()
     assert [w.code for w in warnings] == []
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["", "<body/>", "<body><documentation>notes</documentation></body>"],
+    ids=["no-body", "empty-body", "documentation-only"],
+)
+def test_pou_without_body_content_is_ranked_as_an_empty_st_pou(tmp_path, body):
+    """Pins today's reading, which is not a design: a POU with no body,
+    or a body without content, is ranked as an empty ST POU, with the ST
+    weight profile and in the ST group, beside a graphical POU of its
+    own file."""
+    graph = pou_xml("Graph", "program", '<FBD><inVariable localId="1"><expression>a</expression></inVariable></FBD>')
+    (tmp_path / "t.xml").write_text(doc('<pou name="Empty" pouType="program">%s%s</pou>' % (EMPTY_IFACE, body) + graph))
+    (tmp_path / "a.st").write_text("PROGRAM Real\nVAR x : INT; END_VAR\nx := x + 1;\nEND_PROGRAM\n")
+    run = analyze_paths([str(tmp_path)], AnalysisConfig(grouping=Grouping.PER_LANGUAGE))
+    by_name = {r.name: r for r in run.results}
+    empty, real = by_name["Empty"], by_name["Real"]
+    assert (empty.language, empty.group, empty.vector[:2]) == (Language.ST, "ST", (0, 1))
+    assert empty.coefficients is real.coefficients  # one per group and language, so the ST profile
+    assert by_name["Graph"].group == "FBD"
+    assert [w for w in run.warnings if w.pou == "Empty"] == []
 
 
 def test_function_return_type_becomes_output(tmp_path):

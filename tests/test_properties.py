@@ -20,6 +20,7 @@ from poumetrics import (
     StSource,
     TokenClass,
     compute_vector,
+    load_sample,
     parse_st_pou,
     st_fragment_facts,
     validate_pou,
@@ -111,6 +112,49 @@ def test_consistent_renaming_changes_nothing(seed, pool, case_seed):
     assert compute_vector(renamed_pou) == compute_vector(pou)
     assert [d.kind for d in renamed_pou.body.decision_spans] == [d.kind for d in pou.body.decision_spans]
     assert [t.cls for t in renamed_pou.body.tokens] == [t.cls for t in pou.body.tokens]
+
+
+def plcopen_program(name: str, body: str, locals_: list[str]) -> str:
+    """A PLCopen project of one program: `body` as its <ST> body and each
+    name of `locals_` an INT local."""
+    variables = "".join('<variable name="%s"><type><INT/></type></variable>' % v for v in locals_)
+    return (
+        '<?xml version="1.0" encoding="utf-8"?><project xmlns="http://www.plcopen.org/xml/tc6_0201">'
+        '<types><dataTypes/><pous><pou name="%s" pouType="program">'
+        "<interface><localVars>%s</localVars></interface><body><ST>%s</ST></body>"
+        "</pou></pous></types><instances><configurations/></instances></project>"
+        % (name, variables, html.escape(body, quote=False))
+    )
+
+
+@settings(max_examples=100, derandomize=True)
+@given(SEEDS)
+def test_st_file_and_plcopen_st_body_give_the_same_pou(seed):
+    """Containers: a program as an ST file, and its body as the <ST> body
+    of a PLCopen program with the same locals, give the same POU.  Only
+    the decisions' positions differ: a fragment counts lines from its
+    own start."""
+    prog = generate_program(seed)
+    source = prog.source
+    end_var = source.find("END_VAR\n")
+    start = end_var + len("END_VAR\n") if end_var >= 0 else source.index("\n") + 1
+    body = source[start : source.rindex("END_PROGRAM")]
+    locals_ = re.findall(r"^ +(\w+) : INT;$", source, re.M)
+    pous = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in (("a.st", source), ("b.xml", plcopen_program(prog.name, body, locals_))):
+            (Path(tmp) / name).write_text(text)
+            sample = load_sample([str(Path(tmp) / name)])
+            assert sample.warnings == []
+            (pou,) = sample.pous
+            pous.append(pou)
+    st_pou, xml_pou = pous
+    assert xml_pou.body.tokens == st_pou.body.tokens  # lexeme, class and identity of each
+    assert [d.kind for d in xml_pou.body.decision_spans] == [d.kind for d in st_pou.body.decision_spans]
+    assert xml_pou.body.calls == st_pou.body.calls
+    assert xml_pou.variables == st_pou.variables
+    assert (xml_pou.name, xml_pou.language) == (st_pou.name, st_pou.language)
+    assert compute_vector(xml_pou) == compute_vector(st_pou)
 
 
 @settings(max_examples=60, derandomize=True)

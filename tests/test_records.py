@@ -41,7 +41,7 @@ from poumetrics import (
 from poumetrics.aggregate import Coefficients, PouResult
 from poumetrics.errors import AnalysisWarning
 from poumetrics.load import LoadedSample
-from poumetrics.st import StUnit, _EOF, LineTable
+from poumetrics.st import StUnit, WalkedPou, _BodyResult, _EOF, LineTable
 from poumetrics.typesys import RawDecl, TypeContext, TypeSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -125,6 +125,20 @@ RECORDS = [
     (StSource, {"path": "p.st", "text": "PROGRAM P END_PROGRAM"}, {}, ("path", "q.st")),
     (StUnit, {"kind": "pou", "tokens": [_EOF], "end": _EOF, "lines": LineTable("")}, {}, ("kind", "types")),
     (
+        WalkedPou,
+        {
+            "name": "P",
+            "source_ref": REF,
+            "kind": PouKind.PROGRAM,
+            "language": Language.ST,
+            "decls": [],
+            "return_spec": None,
+            "body": _BodyResult(),
+        },
+        {"error": None},
+        ("error", ("m", "a.st", 3, 7, "")),
+    ),
+    (
         WeightTable,
         {"interface_complex": 5},
         {"interface_simple": 3, "local_simple": 1, "local_complex": 2, "sub_simple": 1, "sub_complex": 1},
@@ -162,7 +176,7 @@ def test_record_contract(cls, given, defaults, change):
 
     twin = cls(**given)
     assert twin == record
-    if cls not in (StUnit, LoadedSample):  # a record that holds a list is not hashable
+    if cls not in (StUnit, WalkedPou, LoadedSample):  # a record that holds a list is not hashable
         assert hash(twin) == hash(record)
     assert changed != record
     # A record compares equal to the tuple of its values.
