@@ -22,7 +22,7 @@ from .aggregate import (
     default_profile,
     median_of,
 )
-from .chart import render_chart
+from .chart import render_chart, write_chart
 from .config import AnalysisConfig, config_from_mapping, load_config
 from .errors import (
     AnalysisError,
@@ -63,7 +63,7 @@ from .metrics import (
     program_length,
     vocabulary,
 )
-from .report import analyze_paths, emit_csv, emit_json, fmt4, render_table
+from .report import analyze_paths, emit_csv, emit_json, fmt4, render_table, write_csv, write_json
 from .st import StSource, parse_st_pou, st_fragment_facts
 
 __all__ = [
@@ -122,4 +122,7 @@ __all__ = [
     "st_fragment_facts",
     "validate_pou",
     "vocabulary",
+    "write_chart",
+    "write_csv",
+    "write_json",
 ]

@@ -10,19 +10,29 @@ group, with the remaining weights rescaled so they still sum to exactly
 
 Each group folds its medians and effective weights into integer
 coefficients over one common denominator (`Coefficients`), so a POU's
-overall value is one integer sum and one Fraction.  Its relative values
-and chart segments come from the same integers when they are asked for.
+overall value is one integer sum over one denominator.  Its relative
+values and chart segments come from the same integers when they are
+asked for.
 
-Ranking and medians order exact values through `exact_order`: one sort
-on (float, value), where floats never contradict the exact order and
-values are compared only where their floats tie.
+The sample arrives as plain rows (`sample_row`).  The POUs of one group
+and weight profile whose vectors are equal share one `Score`, so their
+overall value is worked out once, and the writers format its cells and
+its chart bar once.  `PouResult` records are built only for a caller
+that reads them.
+
+Ranking and medians order exact values through `ratio_order`: one sort
+on floats, which never contradict the exact order, then an exact sort
+of each run of equal floats.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import AnalysisWarning, EmptySample, WeightSumViolation
@@ -92,6 +102,34 @@ class SampleEntry(NamedTuple):
     tag: str = ""
 
 
+def vector_key(vector: MetricVector) -> tuple:
+    """A vector as plain values: m1..m4, the difficulty as numerator and
+    denominator, then m6."""
+    m1, m2, m3, m4, difficulty, m6 = vector
+    return (m1, m2, m3, m4, difficulty.numerator, difficulty.denominator, m6)
+
+
+def sample_row(name: str, kind: PouKind, language: Language, vector: MetricVector, tag: str = "") -> tuple:
+    """The plain row that `aggregate` ranks: name, kind value and
+    language value at 0, 1 and 2, the vector's key at `row[3:10]`, and
+    the tag at 10.  It holds no record, enum member or Fraction, so the
+    processes of a load pass it on cheaply."""
+    return (name, kind._value_, language._value_) + vector_key(vector) + (tag,)
+
+
+def metric_ratios(key: tuple) -> tuple[tuple[int, int], ...]:
+    """Each metric of a vector key as (numerator, denominator)."""
+    m1, m2, m3, m4, p, q, m6 = key
+    return (
+        (m1.numerator, m1.denominator),
+        (m2.numerator, m2.denominator),
+        (m3.numerator, m3.denominator),
+        (m4.numerator, m4.denominator),
+        (p, q),
+        (m6.numerator, m6.denominator),
+    )
+
+
 class GroupStats(NamedTuple):
     label: str
     size: int
@@ -106,22 +144,55 @@ def exact_order(values: list) -> list[int]:
     """The indexes of `values` (ints and Fractions) in ascending order of
     value, equal values in their given order: what
     `sorted(range(len(values)), key=values.__getitem__)` returns, without
-    a Python-level Fraction compare per pair.
+    a Python-level Fraction compare per pair (see `ratio_order`)."""
+    if all(type(v) is int for v in values):
+        return sorted(range(len(values)), key=values.__getitem__)
+    return ratio_order([(v.numerator, v.denominator) for v in values])
+
+
+def ratio_order(ratios: list[tuple[int, int]]) -> list[int]:
+    """exact_order of the values p / q of (p, q) pairs with q > 0, which
+    need not be reduced.
 
     Python's int / int is correctly rounded, hence monotonic, so sorting
-    on numerator / denominator never puts a larger value before a smaller
-    one.  One sort, keyed on (float, value), lets the float decide and
-    compares values exactly only where their floats tie.  The cost does
-    not grow with the size of the values, as a key over a common
-    denominator would."""
-    indexes = range(len(values))
-    if all(type(v) is int for v in values):
-        return sorted(indexes, key=values.__getitem__)
+    on p / q never puts a larger value before a smaller one.  One sort on
+    those floats decides, and only a run of equal floats is sorted again,
+    exactly.  The cost does not grow with the size of the values, as a
+    key over a common denominator would, and no Fraction is made outside
+    such a run."""
+    indexes = range(len(ratios))
+
+    def exact(i: int) -> Fraction:
+        return Fraction(*ratios[i])
+
     try:
-        keys = [(v.numerator / v.denominator, v) for v in values]
+        floats = [p / q for p, q in ratios]
     except OverflowError:  # a value past the float range
-        return sorted(indexes, key=values.__getitem__)
-    return sorted(indexes, key=keys.__getitem__)
+        return sorted(indexes, key=exact)
+    order = sorted(indexes, key=floats.__getitem__)
+    start, count = 0, len(order)
+    for end in range(1, count + 1):
+        if end == count or floats[order[end]] != floats[order[start]]:
+            if end - start > 1:
+                order[start:end] = sorted(order[start:end], key=exact)
+            start = end
+    return order
+
+
+def _middle(order: list[int], counts: list[int]) -> tuple[int, int]:
+    """The middle pair of a sample given as distinct values, in ascending
+    `order`, and how often each occurs: the index of each of the two, the
+    same index twice when the sample's size is odd."""
+    size = sum(counts)
+    positions = [(size - 1) // 2, size // 2]
+    middle = []
+    seen = 0
+    for i in order:
+        seen += counts[i]
+        while positions and positions[0] < seen:
+            positions.pop(0)
+            middle.append(i)
+    return middle[0], middle[1]
 
 
 def median_of(values: list) -> Fraction:
@@ -129,21 +200,36 @@ def median_of(values: list) -> Fraction:
     length average the middle pair."""
     if not values:
         raise EmptySample("cannot take the median of an empty sample")
-    order = exact_order(values)
-    mid = len(order) // 2
-    if len(order) % 2:
-        return Fraction(values[order[mid]])
-    return Fraction(values[order[mid - 1]] + values[order[mid]], 2)
+    i, j = _middle(exact_order(values), [1] * len(values))
+    return Fraction(values[i] + values[j], 2)
+
+
+def _medians(keys: list[tuple]) -> tuple[Fraction, ...]:
+    """The median of each metric over vector keys.  Only each column's
+    distinct values are sorted, and difficulties as their (numerator,
+    denominator) pairs, so a Fraction is made only for the median."""
+    if not keys:
+        raise EmptySample("cannot aggregate an empty sample")
+    column = [list(map(itemgetter(i), keys)) for i in range(7)]
+    medians = []
+    for c in (0, 1, 2, 3, 6):
+        counts = Counter(column[c])
+        values = list(counts)
+        i, j = _middle(exact_order(values), list(counts.values()))
+        medians.append(Fraction(values[i] + values[j], 2))
+    counts = Counter(zip(column[4], column[5]))
+    ratios = list(counts)
+    i, j = _middle(ratio_order(ratios), list(counts.values()))
+    difficulty = (Fraction(*ratios[i]) + Fraction(*ratios[j])) / 2
+    return (*medians[:4], difficulty, medians[4])
 
 
 def compute_medians(vectors: list[MetricVector]) -> tuple[Fraction, ...]:
-    if not vectors:
-        raise EmptySample("cannot aggregate an empty sample")
-    return tuple(median_of(list(column)) for column in zip(*vectors))
+    return _medians([vector_key(v) for v in vectors])
 
 
-def group_stats(label: str, vectors: list[MetricVector]) -> tuple[GroupStats, list[AnalysisWarning]]:
-    medians = compute_medians(vectors)
+def _group_stats(label: str, keys: list[tuple]) -> tuple[GroupStats, list[AnalysisWarning]]:
+    medians = _medians(keys)
     excluded = frozenset(i for i, m in enumerate(medians) if m == 0)
     warnings = [
         AnalysisWarning(
@@ -153,7 +239,11 @@ def group_stats(label: str, vectors: list[MetricVector]) -> tuple[GroupStats, li
         )
         for i in sorted(excluded)
     ]
-    return GroupStats(label, len(vectors), medians, excluded), warnings
+    return GroupStats(label, len(keys), medians, excluded), warnings
+
+
+def group_stats(label: str, vectors: list[MetricVector]) -> tuple[GroupStats, list[AnalysisWarning]]:
+    return _group_stats(label, [vector_key(v) for v in vectors])
 
 
 # ------------------------- integer coefficients -------------------------
@@ -202,15 +292,14 @@ class Coefficients(NamedTuple):
             denominator=denominator,
         )
 
-    def overall(self, vector: MetricVector) -> Fraction:
-        """The weighted sum of the vector's relative values.  Only the
+    def overall(self, key: tuple) -> tuple[int, int]:
+        """The weighted sum of the relative values of the vector with this
+        key, as (numerator, denominator), not reduced.  Only the
         difficulty p/q is a fraction, so the sum of the other terms is
-        multiplied through by q and the result is one Fraction."""
-        m1, m2, m3, m4, difficulty, m6 = vector
+        multiplied through by q."""
+        m1, m2, m3, m4, p, q, m6 = key
         k1, k2, k3, k4, k5, k6 = self.weighted
-        q = difficulty.denominator
-        num = (k1 * m1 + k2 * m2 + k3 * m3 + k4 * m4 + k6 * m6) * q + k5 * difficulty.numerator
-        return Fraction(num, q * self.denominator)
+        return (k1 * m1 + k2 * m2 + k3 * m3 + k4 * m4 + k6 * m6) * q + k5 * p, q * self.denominator
 
 
 class PouResult(NamedTuple):
@@ -246,61 +335,161 @@ class PouResult(NamedTuple):
         )
 
 
-# ------------------------- whole-sample driver -------------------------
+# ------------------------- the ranking -------------------------
+
+
+class Scoring:
+    """What the values of a group's POUs of one weight profile depend on
+    besides their own vectors: the group, its coefficients and the
+    scale."""
+
+    __slots__ = ("group", "coefficients", "scale")
+
+    def __init__(self, group: str, coefficients: Coefficients, scale: Fraction = Fraction(1)):
+        self.group, self.coefficients, self.scale = group, coefficients, scale
+
+
+class Score:
+    """The POUs of one Scoring whose vectors share `key`, and their
+    reported overall value as (numerator, denominator), not reduced."""
+
+    __slots__ = ("scoring", "key", "overall")
+
+    def __init__(self, scoring: Scoring, key: tuple, overall: tuple[int, int]):
+        self.scoring, self.key, self.overall = scoring, key, overall
+
+    @property
+    def oc_rel(self) -> Fraction:
+        return Fraction(*self.overall)
+
+
+class Ranking:
+    """A ranked sample as plain rows (see `sample_row`): `rows` ascending
+    by reported value, equal values in name order, and each row's Score
+    in `scores`.  As a sequence it is (results, stats, warnings), where
+    `results` is the same ranking as PouResult records, built on first
+    read."""
+
+    def __init__(self, rows: list[tuple], scores: list[Score], stats: list[GroupStats], warnings: list[AnalysisWarning]):
+        self.rows, self.scores, self.stats, self.warnings = rows, scores, stats, warnings
+
+    def __len__(self) -> int:
+        return 3
+
+    def __getitem__(self, index):
+        return (self.results, self.stats, self.warnings)[index]
+
+    @cached_property
+    def results(self) -> list[PouResult]:
+        vectors: dict[Score, MetricVector] = {}
+        results = []
+        for row, score in zip(self.rows, self.scores):
+            vector = vectors.get(score)
+            if vector is None:
+                m1, m2, m3, m4, p, q, m6 = score.key
+                vector = vectors[score] = MetricVector(m1, m2, m3, m4, Fraction(p, q), m6)
+            s = score.scoring
+            results.append(
+                PouResult(
+                    row[0], PouKind(row[1]), Language(row[2]), vector, s.group, s.coefficients, score.oc_rel, s.scale, row[10]
+                )
+            )
+        return results
+
+    @staticmethod
+    def of_results(results: list[PouResult], stats: list[GroupStats]) -> "Ranking":
+        """The ranking that `results`, in rank order, show."""
+        scorings: dict[tuple, tuple[Scoring, dict[tuple, Score]]] = {}
+        rows, scores = [], []
+        for r in results:
+            found = scorings.get((id(r.coefficients), r.scale, r.group))
+            if found is None:
+                found = scorings[id(r.coefficients), r.scale, r.group] = (Scoring(r.group, r.coefficients, r.scale), {})
+            scoring, memo = found
+            row = sample_row(r.name, r.kind, r.language, r.vector, r.tag)
+            score = memo.get(row[3:10])
+            if score is None:
+                score = memo[row[3:10]] = Score(scoring, row[3:10], (r.oc_rel.numerator, r.oc_rel.denominator))
+            rows.append(row)
+            scores.append(score)
+        ranking = Ranking(rows, scores, stats, [])
+        ranking.results = results
+        return ranking
 
 
 def aggregate(
-    entries: list[SampleEntry],
+    entries: list,
     grouping: Grouping = Grouping.WHOLE_SAMPLE,
     profiles: dict[Language, WeightProfile] | None = None,
     normalize: bool = False,
-) -> tuple[list[PouResult], list[GroupStats], list[AnalysisWarning]]:
+) -> Ranking:
     """Rank a sample of POUs by overall relative complexity.
 
-    Returns results sorted ascending by the reported value (ties broken
-    by name), the per-group statistics, and any degenerate-median
-    warnings.
+    `entries` are SampleEntry records or their `sample_row`s.  Returns
+    the Ranking: unpacked, the results sorted ascending by the reported
+    value (ties broken by name), the per-group statistics, and any
+    degenerate-median warnings.  Each overall value is worked out once
+    per group, weight profile and distinct vector.
     """
     if not entries:
         raise EmptySample("cannot aggregate an empty sample")
     profiles = profiles or {}
+    # By name first, so equal values keep name order in the stable sort.
+    rows = sorted((e if type(e) is tuple else sample_row(*e) for e in entries), key=itemgetter(0))
 
     if grouping is Grouping.WHOLE_SAMPLE:
-        buckets = {"all": list(entries)}
+        buckets = {"all": rows}
     else:
         buckets = {}
-        for entry in entries:
-            buckets.setdefault(entry.language.value, []).append(entry)
-
+        for row in rows:
+            buckets.setdefault(row[2], []).append(row)
     warnings: list[AnalysisWarning] = []
     stats_by_label: dict[str, GroupStats] = {}
     for label in sorted(buckets):
-        stats, ws = group_stats(label, [e.vector for e in buckets[label]])
-        stats_by_label[label] = stats
+        stats_by_label[label], ws = _group_stats(label, [row[3:10] for row in buckets[label]])
         warnings.extend(ws)
 
-    ranked: list[tuple[Fraction, SampleEntry, str, Coefficients]] = []
-    for label, bucket in buckets.items():
-        stats = stats_by_label[label]
-        by_language: dict[Language, Coefficients] = {}
-        for entry in bucket:
-            coefficients = by_language.get(entry.language)
-            if coefficients is None:
-                profile = profiles.get(entry.language, default_profile(entry.language))
-                coefficients = by_language[entry.language] = Coefficients.of(stats, profile)
-            ranked.append((coefficients.overall(entry.vector), entry, label, coefficients))
+    # Per language, its Scoring and the Score of each distinct vector key
+    # met so far; a group holds one language, or the whole sample.
+    by_language: dict[str, tuple[Scoring, dict[tuple, Score]]] = {}
+    by_profile: dict[tuple[str, WeightProfile], tuple[Scoring, dict[tuple, Score]]] = {}
+    scores: list[Score] = []
+    for row in rows:
+        found = by_language.get(row[2])
+        if found is None:
+            label = "all" if grouping is Grouping.WHOLE_SAMPLE else row[2]
+            language = Language(row[2])
+            profile = profiles.get(language, default_profile(language))
+            found = by_profile.get((label, profile))
+            if found is None:
+                found = by_profile[label, profile] = (Scoring(label, Coefficients.of(stats_by_label[label], profile)), {})
+            by_language[row[2]] = found
+        scoring, memo = found
+        key = row[3:10]
+        score = memo.get(key)
+        if score is None:
+            score = memo[key] = Score(scoring, key, scoring.coefficients.overall(key))
+        scores.append(score)
 
-    # By name first, so equal values keep name order in the stable sort.
-    ranked.sort(key=lambda r: r[1].name)
-    ranked = [ranked[i] for i in exact_order([r[0] for r in ranked])]
+    # Rank the distinct values; equal ones share a rank, so their rows
+    # stay in name order.
+    distinct = [score for _, memo in by_profile.values() for score in memo.values()]
+    ratios = [score.overall for score in distinct]
+    ranks: dict[Score, int] = {}
+    rank = -1
+    for i in ratio_order(ratios):
+        p, q = ratios[i]
+        if rank < 0 or p * top[1] != top[0] * q:
+            rank, top = rank + 1, ratios[i]
+        ranks[distinct[i]] = rank
+    order = sorted(range(len(rows)), key=[ranks[score] for score in scores].__getitem__)
 
-    scale = Fraction(1)
-    if normalize and ranked[-1][0] > 0:
-        scale = Fraction(100) / ranked[-1][0]
-        ranked = [(oc * scale, *rest) for oc, *rest in ranked]
-    results = [
-        PouResult(entry.name, entry.kind, entry.language, entry.vector, label, coefficients, oc, scale, entry.tag)
-        for oc, entry, label, coefficients in ranked
-    ]
+    if normalize and top[0] > 0:
+        scale = Fraction(100 * top[1], top[0])
+        for scoring, _ in by_profile.values():
+            scoring.scale = scale
+        for score in distinct:
+            p, q = score.overall
+            score.overall = p * scale.numerator, q * scale.denominator
     stats_list = [stats_by_label[label] for label in sorted(stats_by_label)]
-    return results, stats_list, warnings
+    return Ranking([rows[i] for i in order], [scores[i] for i in order], stats_list, warnings)

@@ -9,9 +9,10 @@ deterministic text: same results, same bytes.
 
 from __future__ import annotations
 
+import io
 import re
 
-from .aggregate import PouResult
+from .aggregate import PouResult, Ranking, Score, metric_ratios
 from .metrics import METRIC_CLASSES, METRIC_KEYS
 
 # One fill per metric, grouped visually by complexity class.
@@ -41,55 +42,69 @@ def _esc(text: str) -> str:
     return text
 
 
-def render_chart(results: list[PouResult]) -> str:
-    """Render the ranked results as a standalone SVG document."""
-    rows = list(results)
-    # int / int is correctly rounded, so these are float(r.oc_rel).
-    totals = [r.oc_rel.numerator / r.oc_rel.denominator for r in rows]
-    span = max(max(totals, default=0.0), 100.0)
+# One rect per metric, with %-slots for the POU's name, x, y and width.
+_RECTS = tuple(
+    '<rect data-pou="%%s" data-metric="%s" x="%%.4f" y="%%s" width="%%.4f" height="%.4f" fill="%s"/>\n'
+    % (key, _BAR_HEIGHT, fill)
+    for key, fill in zip(METRIC_KEYS, METRIC_FILLS)
+)
+
+
+def _bar(score: Score) -> tuple[str, int, float]:
+    """The text of the bar of the POUs that share `score`, with %-slots
+    for the y of its label, the label, the name and y of each segment,
+    and the y of its total; the number of segments; and the total.  Only
+    the name and the position differ between those POUs.  Every y is a
+    whole number, so its slot "%d.0000" writes it as "%.4f" does."""
+    scoring = score.scoring
+    c, scale = scoring.coefficients, scoring.scale
+    sn, den = scale.numerator, c.denominator * scale.denominator
+    parts = ['<text x="%.4f" y="%%d.0000" text-anchor="end">%%s</text>\n' % (_LEFT_MARGIN - 8)]
+    x = float(_LEFT_MARGIN)
+    # int / int is correctly rounded, so this is float(segment(i)).
+    for rect, (n, d), k in zip(_RECTS, metric_ratios(score.key), c.weighted):
+        seg = k * n * sn / (den * d) * _PX_PER_PERCENT
+        if seg <= 0:
+            continue
+        parts.append(rect % ("%s", x, "%d.0000", seg))
+        x += seg
+    # int / int is correctly rounded, so this is float(oc_rel).
+    total = score.overall[0] / score.overall[1]
+    parts.append('<text x="%.4f" y="%%d.0000">%.1f</text>\n' % (x + 6, total))
+    return "".join(parts), len(parts) - 2, total
+
+
+def write_chart(ranking: Ranking, out) -> None:
+    """Write the ranking as a standalone SVG document to `out`, one bar
+    at a time.  The POUs that share a Score share their bar's text."""
+    bars = {score: _bar(score) for score in dict.fromkeys(ranking.scores)}
+    count = len(ranking.rows)
+    span = max(max((total for _, _, total in bars.values()), default=0.0), 100.0)
     width = _LEFT_MARGIN + span * _PX_PER_PERCENT + _RIGHT_PAD
-    height = _TOP_MARGIN + len(rows) * (_BAR_HEIGHT + _BAR_GAP) + _LEGEND_HEIGHT
-
-    out: list[str] = []
-    out.append(
+    height = _TOP_MARGIN + count * (_BAR_HEIGHT + _BAR_GAP) + _LEGEND_HEIGHT
+    out.write(
         '<svg xmlns="http://www.w3.org/2000/svg" width="%.4f" height="%.4f" '
-        'viewBox="0 0 %.4f %.4f" font-family="sans-serif" font-size="12">' % (width, height, width, height)
+        'viewBox="0 0 %.4f %.4f" font-family="sans-serif" font-size="12">\n' % (width, height, width, height)
     )
-    out.append('<rect x="0" y="0" width="%.4f" height="%.4f" fill="#ffffff"/>' % (width, height))
+    out.write('<rect x="0" y="0" width="%.4f" height="%.4f" fill="#ffffff"/>\n' % (width, height))
 
-    bars_bottom = _TOP_MARGIN + len(rows) * (_BAR_HEIGHT + _BAR_GAP)
-    rects = [
-        '<rect data-pou="%%s" data-metric="%s" x="%%.4f" y="%%s" width="%%.4f" height="%.4f" fill="%s"/>'
-        % (key, _BAR_HEIGHT, fill)
-        for key, fill in zip(METRIC_KEYS, METRIC_FILLS)
-    ]
-    for row_index, (result, total) in enumerate(zip(rows, totals)):
+    for row_index, (row, score) in enumerate(zip(ranking.rows, ranking.scores)):
         y = _TOP_MARGIN + row_index * (_BAR_HEIGHT + _BAR_GAP)
-        name, bar_y = _esc(result.name), "%.4f" % y
-        label = _esc("%s [%s]" % (result.name, result.tag)) if result.tag else name
-        out.append(
-            '<text x="%.4f" y="%.4f" text-anchor="end">%s</text>' % (_LEFT_MARGIN - 8, y + _BAR_HEIGHT - 5, label)
-        )
-        c, scale = result.coefficients, result.scale
-        sn, den = scale.numerator, c.denominator * scale.denominator
-        x = float(_LEFT_MARGIN)
-        # int / int is correctly rounded, so this is float(segment(i)).
-        for rect, value, k in zip(rects, result.vector, c.weighted):
-            seg = k * value.numerator * sn / (den * value.denominator) * _PX_PER_PERCENT
-            if seg <= 0:
-                continue
-            out.append(rect % (name, x, bar_y, seg))
-            x += seg
-        out.append('<text x="%.4f" y="%.4f">%.1f</text>' % (x + 6, y + _BAR_HEIGHT - 5, total))
+        text_y = y + _BAR_HEIGHT - 5
+        name = _esc(row[0])
+        label = _esc("%s [%s]" % (row[0], row[10])) if row[10] else name
+        text, segments, _ = bars[score]
+        out.write(text % ((text_y, label) + (name, y) * segments + (text_y,)))
 
     # Reference line where a bar exactly matches the group medians.
+    bars_bottom = _TOP_MARGIN + count * (_BAR_HEIGHT + _BAR_GAP)
     ref_x = _LEFT_MARGIN + 100.0 * _PX_PER_PERCENT
-    out.append(
-        '<line x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" stroke="#555555" stroke-dasharray="4 3"/>'
+    out.write(
+        '<line x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" stroke="#555555" stroke-dasharray="4 3"/>\n'
         % (ref_x, _TOP_MARGIN - 6, ref_x, bars_bottom)
     )
-    out.append(
-        '<text x="%.4f" y="%.4f" text-anchor="middle" fill="#555555">100</text>' % (ref_x, bars_bottom + 14)
+    out.write(
+        '<text x="%.4f" y="%.4f" text-anchor="middle" fill="#555555">100</text>\n' % (ref_x, bars_bottom + 14)
     )
 
     legend_y = bars_bottom + 28
@@ -99,12 +114,18 @@ def render_chart(results: list[PouResult]) -> str:
         cls = METRIC_CLASSES[key]
         label = cls if cls not in drawn else None
         drawn.add(cls)
-        out.append(
-            '<rect x="%.4f" y="%.4f" width="12" height="12" fill="%s"/>' % (x, legend_y, METRIC_FILLS[metric_index])
+        out.write(
+            '<rect x="%.4f" y="%.4f" width="12" height="12" fill="%s"/>\n' % (x, legend_y, METRIC_FILLS[metric_index])
         )
         x += 16.0
         if label is not None:
-            out.append('<text x="%.4f" y="%.4f">%s</text>' % (x, legend_y + 11, _esc(label)))
+            out.write('<text x="%.4f" y="%.4f">%s</text>\n' % (x, legend_y + 11, _esc(label)))
             x += 9.0 * len(label) + 18.0
-    out.append("</svg>\n")
-    return "\n".join(out)
+    out.write("</svg>\n")
+
+
+def render_chart(results: list[PouResult]) -> str:
+    """Render the ranked results as a standalone SVG document."""
+    out = io.StringIO()
+    write_chart(Ranking.of_results(results, []), out)
+    return out.getvalue()

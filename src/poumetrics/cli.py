@@ -5,20 +5,26 @@
 Analyzes every POU found under the given files or directories, prints a
 ranking to stdout (most complex first) and optionally writes JSON, CSV
 and SVG reports.  Exit status: 0 clean, 2 finished but some POUs were
-skipped, 1 fatal problem.
+skipped, 1 fatal problem, or an output that could not be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
 from .aggregate import Grouping
-from .chart import render_chart
+from .chart import write_chart
 from .config import AnalysisConfig, load_config
 from .errors import AnalysisError, InvalidConfig, NoPousFound
-from .report import analyze_paths, emit_csv, emit_json, render_table
+from .report import analyze_paths, render_table, write_csv, write_json
+
+# perfbench/tracing.py looks the writers' string forms up here; main
+# streams each report to its file through the `write_*` form instead.
+from .chart import render_chart  # noqa: F401
+from .report import emit_csv, emit_json  # noqa: F401
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,28 +72,56 @@ def main(argv=None) -> int:
             raise InvalidConfig("--top must not be negative, got %d" % args.top)
         cfg = _resolve_config(args)
         run = analyze_paths(args.paths, cfg)
-
-        for warning in run.warnings:
-            print(warning.render(), file=sys.stderr)
-
-        if args.json_path:
-            with open(args.json_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(emit_json(run))
-        if args.csv_path:
-            with open(args.csv_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(emit_csv(run))
-        if args.chart_path:
-            with open(args.chart_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(render_chart(run.results))
     except (AnalysisError, OSError) as exc:
         # The warnings say why no POU survived: they come before the error.
-        for warning in exc.warnings if isinstance(exc, NoPousFound) else ():
-            print(warning.render(), file=sys.stderr)
-        print("error: %s" % exc, file=sys.stderr)
+        warnings = exc.warnings if isinstance(exc, NoPousFound) else ()
+        _put(sys.stderr, "".join(w.render() + "\n" for w in warnings) + "error: %s\n" % exc)
         return 1
 
-    sys.stdout.write(render_table(run, args.top))
+    # Each output is written whatever became of the ones before it, and
+    # the first that failed is the run's one error line.
+    failures = []
+    failure = _put(sys.stderr, "".join(w.render() + "\n" for w in run.warnings))
+    if failure is not None:
+        failures.append("cannot write to stderr: %s" % failure)
+    for path, write, source in (
+        (args.json_path, write_json, run),
+        (args.csv_path, write_csv, run),
+        (args.chart_path, write_chart, run.ranking),
+    ):
+        if path:
+            try:
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    write(source, fh)
+            except OSError as exc:
+                failures.append(str(exc))
+    failure = _put(sys.stdout, render_table(run, args.top))
+    if failure is not None:
+        failures.append("cannot write to stdout: %s" % failure)
+    if failures:
+        _put(sys.stderr, "error: %s\n" % failures[0])
+        return 1
     return run.exit_code
+
+
+def _put(stream, text: str) -> OSError | None:
+    """Write `text` to a standard stream and flush it: None, or the error
+    that stopped it.  A stream that failed is pointed at os.devnull, so
+    that neither a later write nor the flush at exit fails again."""
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, stream.fileno())
+            finally:
+                os.close(devnull)
+        except (OSError, ValueError):  # no file descriptor behind the stream
+            pass
+        return exc
+    return None
 
 
 if __name__ == "__main__":

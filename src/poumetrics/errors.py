@@ -30,6 +30,12 @@ class ParseError(AnalysisError):
         self.detail = "%s: %s" % (element, detail) if element else detail
         super().__init__("%s%s%s" % (path or "<source>", ":" if line and not element else ": ", self.detail))
 
+    @property
+    def fields(self) -> tuple[str, str, int, int, str]:
+        """The arguments that build this error again: plain values, which
+        no traceback outlives."""
+        return (self.message, self.path, self.line, self.column, self.element)
+
 
 class UnterminatedComment(ParseError):
     pass

@@ -513,7 +513,7 @@ def walk_pous(root: ET.Element, path: str) -> list[WalkedPou]:
         except ParseError as exc:
             if kind is PouKind.FUNCTION_BLOCK and name and decls is None:
                 raise
-            error = (exc.message, exc.path, exc.line, exc.column, exc.element)
+            error = exc.fields
         ref = SourceRef(path, element=pou_el.get("globalId", ""))
         return_spec = return_spec if kind is PouKind.FUNCTION else None
         walked.append(WalkedPou(name, ref, kind, language, decls, return_spec, acc, error))

@@ -9,6 +9,10 @@ complexity, information flow, vocabulary, difficulty, declaration
 weight); c1..c6 are the same metrics as a percentage of their group
 median; oc_rel is the weighted overall value.  Exact rational cells are
 rendered with four fractional digits, ties rounded to even.
+
+Each report has one writer that writes it to an open file a POU at a
+time (`write_json`, `write_csv`, and `chart.write_chart`); `emit_json`,
+`emit_csv` and `chart.render_chart` return the same text as one string.
 """
 
 from __future__ import annotations
@@ -18,11 +22,10 @@ import gc
 import io
 import json
 from fractions import Fraction
-from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .aggregate import GroupStats, PouResult, SampleEntry, aggregate
+from .aggregate import GroupStats, PouResult, Ranking, Score, Scoring, aggregate, metric_ratios, sample_row
 from .config import AnalysisConfig, Grouping
 from .errors import SKIP_CODES, AnalysisWarning, NoPousFound
 from .ir import Pou
@@ -56,33 +59,58 @@ def fmt4_ratio(numerator: int, denominator: int) -> str:
 
 
 class RunResult:
+    """One analysis run: the `ranking` every report is written from (see
+    `aggregate.Ranking`), the run's warnings and its grouping.  `results`
+    is the ranking as PouResult records, built on first read; a run built
+    from such records ranks them as given."""
+
     def __init__(
         self,
         results: list[PouResult] | None = None,
         stats: list[GroupStats] | None = None,
         warnings: list[AnalysisWarning] | None = None,
         grouping: str = Grouping.WHOLE_SAMPLE.value,
+        ranking: Ranking | None = None,
     ):
-        self.results = [] if results is None else results
-        self.stats = [] if stats is None else stats
+        if ranking is None:
+            ranking = Ranking.of_results([] if results is None else results, [] if stats is None else stats)
+        self.ranking = ranking
         self.warnings = [] if warnings is None else warnings
         self.grouping = grouping
+        self._cells: dict[Score, tuple] = {}
+        self._relative: dict[tuple, str] = {}
 
-    @cached_property
-    def rows(self) -> list[tuple]:
-        """Per result, its CELL_COLUMNS cells, formatted once for every
-        report that shows them: m1..m6 (ints, difficulty as text), c1..c6
-        (text, None where the metric is dropped) and oc_rel (text)."""
-        rows = []
-        for r in self.results:
-            sn, sd = r.scale.numerator, r.scale.denominator
-            values = r.vector
-            relative = [
-                None if p is None else fmt4_ratio(v.numerator * p[0] * sn, v.denominator * p[1] * sd)
-                for v, p in zip(values, r.coefficients.percent)
-            ]
-            rows.append((*values[:4], fmt4(values[4]), values[5], *relative, fmt4(r.oc_rel)))
-        return rows
+    @property
+    def results(self) -> list[PouResult]:
+        return self.ranking.results
+
+    @property
+    def stats(self) -> list[GroupStats]:
+        return self.ranking.stats
+
+    def cells(self, score: Score) -> tuple:
+        """The CELL_COLUMNS cells of the POUs that share `score`, formatted
+        once for every report that shows them: m1..m6 (ints, difficulty as
+        text), c1..c6 (text, None where the metric is dropped) and oc_rel
+        (text).  A relative cell depends on its scoring, column and value
+        alone, so each is formatted once per run."""
+        cells = self._cells.get(score)
+        if cells is None:
+            scoring = score.scoring
+            sn, sd = scoring.scale.numerator, scoring.scale.denominator
+            relative = []
+            for column, (ratio, percent) in enumerate(zip(metric_ratios(score.key), scoring.coefficients.percent)):
+                text = None
+                if percent is not None:
+                    memo = (scoring, column, ratio)
+                    text = self._relative.get(memo)
+                    if text is None:
+                        n, d = ratio[0] * percent[0] * sn, ratio[1] * percent[1] * sd
+                        text = self._relative[memo] = fmt4_ratio(n, d)
+                relative.append(text)
+            m1, m2, m3, m4, p, q, m6 = score.key
+            cells = self._cells[score] = (m1, m2, m3, m4, fmt4_ratio(p, q), m6, *relative, fmt4_ratio(*score.overall))
+        return cells
 
     @property
     def exit_code(self) -> int:
@@ -107,27 +135,17 @@ def analyze_paths(paths, cfg: AnalysisConfig | None = None) -> RunResult:
 
 
 def _analyze(paths, cfg: AnalysisConfig) -> RunResult:
-    def entry(pou: Pou) -> SampleEntry:
+    def row(pou: Pou) -> tuple:
         # Runs in the process that walked the POU's file, so only the
-        # entry, not the POU, reaches this one.
-        return SampleEntry(
-            name=pou.name,
-            kind=pou.kind,
-            language=pou.language,
-            vector=compute_vector(pou, cfg.weight_table),
-            tag=cfg.annotations.get(pou.name.casefold(), ""),
-        )
+        # row, not the POU, reaches this one.
+        tag = cfg.annotations.get(pou.name.casefold(), "")
+        return sample_row(pou.name, pou.kind, pou.language, compute_vector(pou, cfg.weight_table), tag)
 
-    sample = load_sample(paths, cfg.array_sub_cap, entry)
+    sample = load_sample(paths, cfg.array_sub_cap, row)
     if not sample.pous:
         raise NoPousFound("no POUs found under: %s" % ", ".join(str(p) for p in paths), sample.warnings)
-    results, stats, agg_warnings = aggregate(sample.pous, cfg.grouping, cfg.profiles, cfg.normalize)
-    return RunResult(
-        results=results,
-        stats=stats,
-        warnings=sample.warnings + agg_warnings,
-        grouping=cfg.grouping.value,
-    )
+    ranking = aggregate(sample.pous, cfg.grouping, cfg.profiles, cfg.normalize)
+    return RunResult(warnings=sample.warnings + ranking.warnings, grouping=cfg.grouping.value, ranking=ranking)
 
 
 # ------------------------- serialization -------------------------
@@ -138,7 +156,7 @@ def _report_parts(run: RunResult) -> tuple[dict, list, list]:
     meta = {
         "tool": "poumetrics",
         "version": __version__,
-        "pou_count": len(run.results),
+        "pou_count": len(run.ranking.rows),
         "grouping": run.grouping,
     }
     groups = [
@@ -161,91 +179,101 @@ def report_object(run: RunResult) -> dict:
     """The report as plain data, ready for json.dump."""
     meta, groups, warnings = _report_parts(run)
     pous = []
-    for result, cells in zip(run.results, run.rows):
-        # Each writer reads an enum member's `_value_`, a plain attribute;
-        # `.value` is a descriptor that runs in Python.
-        row = {"name": result.name, "kind": result.kind._value_, "language": result.language._value_}
-        row.update(zip(CELL_COLUMNS, cells))
-        row["group"] = result.group
-        row["tag"] = result.tag
-        pous.append(row)
+    for row, score in zip(run.ranking.rows, run.ranking.scores):
+        pou = {"name": row[0], "kind": row[1], "language": row[2]}
+        pou.update(zip(CELL_COLUMNS, run.cells(score)))
+        pou["group"] = score.scoring.group
+        pou["tag"] = row[10]
+        pous.append(pou)
     return {"run": meta, "pous": pous, "groups": groups, "warnings": warnings}
 
 
-def _row_template(percent: tuple) -> str:
-    """The JSON text of one `pous` entry as json.dumps(indent=2) writes
-    it, with a %-slot for each of: the encoded name, kind, language, the
-    CELL_COLUMNS cells, and the encoded group and tag.  A metric that
-    `percent` drops has a None cell, which "%.0s" consumes before its
-    null."""
-    dropped = {col for col, p in zip(RELATIVE_COLUMNS, percent) if p is None}
-    quoted = {"kind", "language", "m5", "oc_rel", *RELATIVE_COLUMNS}
+# One `pous` entry as json.dumps(indent=2) writes it: the separator before
+# it, the encoded name, kind, language, the entry's cells and group (see
+# `_cells_template`) and the encoded tag.
+_JSON_POU = '%s{\n      "name": %s,\n      "kind": "%s",\n      "language": "%s",\n      %s,\n      "tag": %s\n    }'
+
+
+def _cells_template(scoring: Scoring) -> str:
+    """The JSON text of the CELL_COLUMNS cells and the group of a `pous`
+    entry of `scoring`, with a %-slot for each cell: ints as they are,
+    text quoted.  A metric the scoring drops has a None cell, which
+    "%.0s" consumes before its null."""
+    dropped = {col for col, p in zip(RELATIVE_COLUMNS, scoring.coefficients.percent) if p is None}
+    quoted = {"m5", "oc_rel", *RELATIVE_COLUMNS}
 
     def slot(column: str) -> str:
         if column in dropped:
             return '"%s": %%.0snull' % column
         return ('"%s": "%%s"' if column in quoted else '"%s": %%s') % column
 
-    columns = ("name", "kind", "language") + CELL_COLUMNS + ("group", "tag")
-    return "{\n      " + ",\n      ".join(map(slot, columns)) + "\n    }"
+    group = '"group": %s' % encode_basestring_ascii(scoring.group).replace("%", "%%")
+    return ",\n      ".join([*map(slot, CELL_COLUMNS), group])
+
+
+def write_json(run: RunResult, out) -> None:
+    """Write json.dumps(report_object(run), indent=2) plus a newline to
+    `out`, one `pous` entry at a time.  The entries that share a Score
+    share their cells' text; names and tags go through the encoder
+    json.dumps uses."""
+    meta, groups, warnings = (
+        # ensure_ascii escapes every newline inside a string, so each line
+        # break of json.dumps's text is one to indent.
+        json.dumps(x, indent=2).replace("\n", "\n  ")
+        for x in _report_parts(run)
+    )
+    out.write('{\n  "run": %s,\n  "pous": ' % meta)
+    templates: dict[Scoring, str] = {}
+    texts: dict[Score, str] = {}
+    separator = "[\n    "
+    for row, score in zip(run.ranking.rows, run.ranking.scores):
+        text = texts.get(score)
+        if text is None:
+            template = templates.get(score.scoring)
+            if template is None:
+                template = templates[score.scoring] = _cells_template(score.scoring)
+            text = texts[score] = template % run.cells(score)
+        out.write(
+            _JSON_POU
+            % (separator, encode_basestring_ascii(row[0]), row[1], row[2], text, encode_basestring_ascii(row[10]))
+        )
+        separator = ",\n    "
+    out.write("\n  ]" if run.ranking.rows else "[]")
+    out.write(',\n  "groups": %s,\n  "warnings": %s\n}\n' % (groups, warnings))
 
 
 def emit_json(run: RunResult) -> str:
-    """json.dumps(report_object(run), indent=2) plus a newline.  Each POU
-    row is one %-format of a template that the POUs sharing coefficients
-    share: names, groups and tags go through the encoder json.dumps uses,
-    and the cells are already text or ints."""
-    meta, groups, warnings = _report_parts(run)
-    templates: dict[int, str] = {}
-    rows = []
-    for r, cells in zip(run.results, run.rows):
-        template = templates.get(id(r.coefficients))
-        if template is None:
-            template = templates[id(r.coefficients)] = _row_template(r.coefficients.percent)
-        rows.append(
-            template
-            % (
-                encode_basestring_ascii(r.name),
-                r.kind._value_,
-                r.language._value_,
-                *cells,
-                encode_basestring_ascii(r.group),
-                encode_basestring_ascii(r.tag),
-            )
-        )
-    pous = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
-    # ensure_ascii escapes every newline inside a string, so each line
-    # break of json.dumps's text is one to indent.
-    meta, groups, warnings = (json.dumps(x, indent=2).replace("\n", "\n  ") for x in (meta, groups, warnings))
-    return '{\n  "run": %s,\n  "pous": %s,\n  "groups": %s,\n  "warnings": %s\n}\n' % (meta, pous, groups, warnings)
+    out = io.StringIO()
+    write_json(run, out)
+    return out.getvalue()
+
+
+def write_csv(run: RunResult, out) -> None:
+    """Write the CSV report to `out`, one row at a time."""
+    writer = csv.writer(out)  # writes an int as str() and None as ""
+    writer.writerow(CSV_HEADER)
+    cells = run.cells
+    writer.writerows(row[:3] + cells(score) + row[10:] for row, score in zip(run.ranking.rows, run.ranking.scores))
 
 
 def emit_csv(run: RunResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)  # writes an int as str() and None as ""
-    writer.writerow(CSV_HEADER)
-    writer.writerows(
-        (result.name, result.kind._value_, result.language._value_, *cells, result.tag)
-        for result, cells in zip(run.results, run.rows)
-    )
-    return buf.getvalue()
+    out = io.StringIO()
+    write_csv(run, out)
+    return out.getvalue()
 
 
 def render_table(run: RunResult, top: int | None = None) -> str:
     """Plain-text ranking, most complex first, for terminal output."""
-    ranked = list(zip(reversed(run.results), reversed(run.rows)))
+    ranked = list(zip(reversed(run.ranking.rows), reversed(run.ranking.scores)))
     if top is not None:
         ranked = ranked[:top]
     header = ("#", "name", "language", "oc_rel", "tag")
     rows = [
-        (str(i + 1), r.name, r.language._value_, cells[-1], r.tag)
-        for i, (r, cells) in enumerate(ranked)
+        (str(i + 1), row[0], row[2], run.cells(score)[-1], row[10])
+        for i, (row, score) in enumerate(ranked)
     ]
     widths = [max(len(h), *(len(row[col]) for row in rows)) if rows else len(h) for col, h in enumerate(header)]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip(),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+    line = "  ".join("%%-%ds" % w for w in widths)  # each cell left-justified to its column's width
+    lines = [(line % header).rstrip(), "  ".join("-" * w for w in widths)]
+    lines.extend((line % row).rstrip() for row in rows)
     return "\n".join(lines) + "\n"

@@ -957,11 +957,16 @@ def _parse_var_sections(cur: _Cursor) -> list[RawDecl]:
         cur.take()
 
 
-def interface_of_unit(cur: _Cursor) -> tuple[str, PouKind, list[RawDecl], TypeSpec | None]:
+def interface_of_unit(
+    cur: _Cursor,
+) -> tuple[str, PouKind, list[RawDecl] | None, TypeSpec | None, tuple[str, str, int, int, str] | None]:
     """Head and declarations of the POU unit that `cur` starts at: name,
-    kind, raw declarations and the function return type (None for other
-    kinds).  `cur` is left at the first body token.  An empty or blank
-    quoted name is a ParseError at the head, as a nameless XML <pou> is."""
+    kind, raw declarations, the function return type (None for other
+    kinds) and None, with `cur` left at the first body token.  When the
+    declarations or the return type do not parse, the last item holds
+    the arguments of that ParseError and both are None, so the error
+    keeps the POU's name.  An empty or blank quoted name is a ParseError
+    at the head, as a nameless XML <pou> is."""
     head = cur.take()
     kind = _POU_KINDS[head.key][0]
     name_tok = cur.cur()
@@ -973,11 +978,14 @@ def interface_of_unit(cur: _Cursor) -> tuple[str, PouKind, list[RawDecl], TypeSp
     if not name.strip():
         raise cur.fail("pou without a name skipped", head)
     return_spec: TypeSpec | None = None
-    if kind is PouKind.FUNCTION and cur.at(":"):
-        cur.take()
-        return_spec = parse_type_spec(cur)
-    decls = _parse_var_sections(cur)
-    return name, kind, decls, return_spec
+    try:
+        if kind is PouKind.FUNCTION and cur.at(":"):
+            cur.take()
+            return_spec = parse_type_spec(cur)
+        decls = _parse_var_sections(cur)
+    except ParseError as exc:
+        return name, kind, None, None, exc.fields
+    return name, kind, decls, return_spec, None
 
 
 def finalize_body(
@@ -1036,18 +1044,18 @@ class WalkedPou(NamedTuple):
 
 
 def walk_pou_unit(unit: StUnit, path: str) -> WalkedPou:
-    """Pass 1 for one POU unit: one parser reads its declarations (a
-    ParseError there propagates) and walks its body, which needs no other
-    file.  A body that does not parse still leaves the POU's name and
-    interface to the sample."""
+    """Pass 1 for one POU unit: one parser reads its declarations and
+    walks its body, which needs no other file.  Declarations that do not
+    parse leave the POU's name to the sample, and a body that does not
+    parse its interface too; only a nameless head raises."""
     parser = _BodyParser(unit.tokens, path, unit.lines, _BodyResult(), unit.end)
-    name, kind, decls, return_spec = interface_of_unit(parser)
+    name, kind, decls, return_spec, error = interface_of_unit(parser)
     head = SourceRef(path, *unit.lines.position(unit.tokens[0].offset))
-    error = None
-    try:
-        parser.parse_body()
-    except ParseError as exc:
-        error = (exc.message, exc.path, exc.line, exc.column, exc.element)
+    if error is None:
+        try:
+            parser.parse_body()
+        except ParseError as exc:
+            error = exc.fields
     return WalkedPou(name, head, kind, Language.ST, decls, return_spec, parser.res, error)
 
 

@@ -66,8 +66,8 @@ GRAPH_BODY = (
 )
 
 # Files are read in name order.  Pass 1 warns about whole files and
-# declarations that do not parse; each POU's own warnings follow, ST
-# POUs first.  The FBD block of type LaterFb becomes a call although the
+# units that are not POUs; each POU's own warnings follow, ST POUs
+# first, declarations that do not parse among them.  The FBD block of type LaterFb becomes a call although the
 # FB is declared only in a file read after the XML project.
 MIXED_SAMPLE = {
     "a_bad.st": (
@@ -97,7 +97,6 @@ MIXED_SAMPLE = {
 }
 
 MIXED_WARNINGS = [
-    ("pou-parse-error", "b_iface.st", "", "2:9: expected a type, found ';'"),
     ("xml-malformed", "d_broken.xml", "", "no element found: line 1, column 15"),
     ("pou-parse-error", "f_garbage.st", "", "1:1: unexpected top-level token 'garbage'"),
     ("pou-parse-error", "a_bad.st", "Bad", "3:6: unexpected ';' in expression"),
@@ -107,6 +106,7 @@ MIXED_WARNINGS = [
         "Good",
         "type 'AlsoNope' of 'y' is not defined; treated as Complex without sub-variables",
     ),
+    ("pou-parse-error", "b_iface.st", "BadIface", "2:9: expected a type, found ';'"),
     (
         "unknown-type",
         "c_project.xml",
@@ -143,6 +143,29 @@ def test_warnings_and_pous_keep_their_order_across_files(tmp_path):
     assert got == MIXED_WARNINGS
     assert [p.name for p in sample.pous] == ["Good", "LaterFb", "Graph"]
     assert sample.pous[2].body.calls == (CallSite("f1", 1, 1),)
+
+
+# A POU whose declarations do not parse, in either frontend: it is
+# skipped under its own name, and the name stays among the POU names.
+NAMED_FAILURES = {
+    "i.st": "PROGRAM Good x := 1; END_PROGRAM\nPROGRAM BadIface VAR z : ; END_VAR END_PROGRAM\n",
+    "i.xml": XML_HEAD
+    + '<pou name="Good" pouType="program"><interface/><body><ST>x := 1;</ST></body></pou>'
+    + '<pou name="BadIface" pouType="program">%s<body><ST>x := 1;</ST></body></pou>'
+    % local_var("z", '<array><dimension lower="2" upper="1"/><baseType><INT/></baseType></array>')
+    + XML_TAIL,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_FAILURES))
+def test_a_pou_whose_declarations_fail_is_skipped_by_name(tmp_path, name):
+    path = tmp_path / name
+    path.write_text(NAMED_FAILURES[name])
+    declared, _ = load._walk_file(path)
+    assert declared.names == ["good", "badiface"] and declared.warnings == []
+    sample = load_sample([str(path)])
+    assert [p.name for p in sample.pous] == ["Good"]
+    assert [(w.code, w.path, w.pou) for w in sample.warnings] == [("pou-parse-error", str(path), "BadIface")]
 
 
 def test_interface_of_unit_runs_once_per_st_pou_unit(monkeypatch):
@@ -618,9 +641,9 @@ def test_forked_pass_one_applies_each_file_in_order(monkeypatch, tmp_path):
         "t": 3,
     }
     assert [(w.code, Path(w.path).name, w.pou) for w in sample.warnings] == [
-        ("pou-parse-error", "b_bad.st", ""),
         ("xml-malformed", "c_broken.xml", ""),
         ("pou-parse-error", "b_bad.st", "Bad"),
+        ("pou-parse-error", "b_bad.st", "BadIface"),
     ]
     assert sample.global_names == {"g"}
 

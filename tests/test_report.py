@@ -23,12 +23,13 @@ from poumetrics import (
     fmt4,
     render_table,
 )
-from poumetrics.aggregate import SampleEntry, aggregate
+from poumetrics.aggregate import PouResult, SampleEntry, aggregate, sample_row
+from poumetrics.chart import render_chart, write_chart
 from poumetrics.cli import main
 from poumetrics.errors import AnalysisWarning
 from poumetrics.ir import Language, PouKind
 from poumetrics.metrics import MetricVector
-from poumetrics.report import CSV_HEADER, RunResult, report_object
+from poumetrics.report import CSV_HEADER, RELATIVE_COLUMNS, RunResult, report_object
 
 from conftest import CORPUS
 from golden_reports import GOLDEN, report_digests
@@ -217,6 +218,86 @@ def test_json_and_csv_match_the_plain_writers(run):
     assert emit_csv(run) == buf.getvalue()
 
 
+# The row path: many POUs share a vector, spread over every language
+# group, with dropped metrics (a zero median), zeros and huge values.
+# Program length is never zero, so some metric always stays.
+_POOL_VALUE = st.sampled_from([0, 1, 2, 3, 7, 10**40])
+_POOL_VECTOR = st.builds(
+    MetricVector,
+    st.sampled_from([1, 2, 5, 10**40]),
+    _POOL_VALUE,
+    _POOL_VALUE,
+    _POOL_VALUE,
+    st.sampled_from([F(0), F(1, 2), F(7, 3), F(10**40, 3)]),
+    _POOL_VALUE,
+)
+
+
+@st.composite
+def _pooled_runs(draw):
+    pool = draw(st.lists(_POOL_VECTOR, min_size=1, max_size=4))
+    count = draw(st.integers(1, 40))
+    rows = [
+        sample_row(
+            "p%02d" % (i * 7 % count) + "_%d" % i,
+            draw(st.sampled_from(list(PouKind))),
+            draw(st.sampled_from(list(Language))),
+            draw(st.sampled_from(pool)),
+            draw(st.sampled_from(["", "hot"])),
+        )
+        for i in range(count)
+    ]
+    grouping = draw(st.sampled_from(list(Grouping)))
+    ranking = aggregate(rows, grouping, normalize=draw(st.booleans()))
+    return RunResult(grouping=grouping.value, ranking=ranking)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_pooled_runs())
+def test_row_cells_segments_and_ranking_match_the_exact_math(run):
+    import xml.etree.ElementTree as ET
+
+    from test_chart import data_rects
+
+    results = run.results
+    pous = report_object(run)["pous"]
+    for result, pou in zip(results, pous):
+        assert result.name == pou["name"]
+        # The report shows relative values scaled as the overall value is.
+        relative = [None if rel is None else fmt4(rel * result.scale) for rel in result.relative]
+        assert [pou[col] for col in RELATIVE_COLUMNS] == relative
+        assert result.oc_rel == sum(result.segment(i) for i in range(6))
+        assert pou["oc_rel"] == fmt4(result.oc_rel)
+    assert [r.name for r in results] == [r.name for r in sorted(results, key=lambda r: (r.oc_rel, r.name))]
+
+    widths: dict[str, list[str]] = {}
+    for rect in data_rects(ET.fromstring(render_chart(results))):
+        widths.setdefault(rect.get("data-pou"), []).append(rect.get("width"))
+    for result in results:
+        segments = [float(result.segment(i)) * 3.0 for i in range(6)]
+        assert widths.get(result.name, []) == ["%.4f" % seg for seg in segments if seg > 0]
+    with io.StringIO() as out:
+        write_chart(run.ranking, out)
+        assert out.getvalue() == render_chart(results)
+
+
+def test_cli_builds_no_per_pou_record(tmp_path, monkeypatch, capsys):
+    """Both passes, the ranking and every report run on plain rows: no
+    process of `main` builds a PouResult or a SampleEntry."""
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("%s built" % cls.__name__)
+
+    monkeypatch.setattr(PouResult, "__new__", refuse)
+    monkeypatch.setattr(SampleEntry, "__new__", refuse)
+    argv = ["analyze", str(CORPUS), "--group-by-language", "--normalize"]
+    for flag in ("--json", "--csv", "--chart"):
+        argv += [flag, str(tmp_path / ("report" + flag.replace("-", ".")))]
+    assert main(argv) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert all((tmp_path / ("report" + flag.replace("-", "."))).stat().st_size for flag in ("--json", "--csv", "--chart"))
+
+
 def test_json_of_an_empty_run_is_json_dumps():
     run = RunResult()
     assert emit_json(run) == json.dumps(report_object(run), indent=2) + "\n"
@@ -307,10 +388,12 @@ def test_analysis_leaves_no_reference_cycles(tmp_path):
     try:
         run = analyze_paths(paths)
         assert gc.collect() == 0
+        assert run.exit_code == 2
+        del run  # nor does the run, once dropped
+        assert gc.collect() == 0
     finally:
         if was_enabled:
             gc.enable()
-    assert run.exit_code == 2
 
 
 # ------------------------- command line -------------------------
@@ -342,6 +425,46 @@ def test_cli_writes_all_reports(tmp_path, capsys):
     assert json.loads(out_json.read_text())["pous"]
     assert out_csv.read_text().startswith("name,kind,language")
     assert out_svg.read_text().startswith("<svg")
+
+
+def _analyze_beside_a_closed_pipe(tmp_path, stream: str):
+    """`poumetrics analyze` of one POU with one warning, with `stream`
+    ("stdout" or "stderr") a pipe whose read end is closed: the process,
+    the JSON report it wrote, and the JSON report of a run with both
+    streams open."""
+    import os
+    import subprocess
+    import sys
+
+    (tmp_path / "a.st").write_text("PROGRAM A VAR x : Nope; END_VAR x := 1; END_PROGRAM\n")
+    env = dict(os.environ, PYTHONPATH=str(CORPUS.parents[1] / "src"))
+    argv = [sys.executable, "-m", "poumetrics.cli", "analyze", "a.st", "--json"]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write}
+        proc = subprocess.run(argv + ["e.json"], cwd=tmp_path, env=env, timeout=120, **streams)
+    finally:
+        os.close(write)
+    subprocess.run(argv + ["open.json"], cwd=tmp_path, env=env, timeout=120, capture_output=True, check=True)
+    return proc, (tmp_path / "e.json").read_bytes(), (tmp_path / "open.json").read_bytes()
+
+
+def test_cli_with_stdout_closed_writes_the_reports_and_one_error_line(tmp_path):
+    proc, report, expected = _analyze_beside_a_closed_pipe(tmp_path, "stdout")
+    assert proc.returncode == 1
+    assert report == expected
+    lines = proc.stderr.decode().splitlines()
+    assert lines[0].startswith("[unknown-type] a.st:A: ")
+    assert lines[-1] == "error: cannot write to stdout: [Errno 32] Broken pipe"
+    assert "Traceback" not in proc.stderr.decode() and "Exception ignored" not in proc.stderr.decode()
+
+
+def test_cli_with_stderr_closed_writes_the_reports_and_the_table(tmp_path):
+    proc, report, expected = _analyze_beside_a_closed_pipe(tmp_path, "stderr")
+    assert proc.returncode == 1
+    assert report == expected
+    assert proc.stdout.decode().splitlines()[2].split() == ["1", "A", "ST", "100.0000"]
 
 
 def test_cli_missing_path_is_fatal(tmp_path, capsys):
