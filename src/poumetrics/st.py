@@ -21,8 +21,31 @@ Classification rules for bodies:
 THEN/DO/OF/TO/BY/UNTIL, END_* keywords and CASE label colons are folded
 into their construct's token.  Comments and {pragmas} produce nothing.
 
+A token's lexeme is its text as written and its identity that text
+casefolded, except: `&` is `and`, an index bracket `[` is `[]`, a
+grouping `(` is `()`, and an invocation's lexeme is its callee path
+joined by `.` (`fb.Run`), its identity that path casefolded plus `()`.
+The closing `]` and `)` produce nothing.
+
 Decision points: IF, each ELSIF, each CASE label group (ELSE never),
 FOR, WHILE, REPEAT, EXIT.
+
+Accesses and calls, each name casefolded:
+
+* an invocation is a callee path `name {. name}` right before `(`,
+  whose names are no statement keyword, operator word or TRUE/FALSE;
+* every other identifier in an expression, but TRUE and FALSE, starts
+  a variable reference: its root is read, and so is (root, first member)
+  when the first member comes before any subscript.  A direct address in
+  an expression is read.  Formal parameter names and CASE labels read
+  nothing;
+* the roots of an assignment target and of an output binding `=> target`,
+  and a FOR variable, are written; names in a target's subscripts are read;
+* a call's arguments passed are its positional and `:=` arguments; its
+  returns used are its `=>` bindings, plus one when its value feeds an
+  expression.  A call that is a whole statement feeds none, except the
+  last statement of a fragment whose value a surrounding construct
+  consumes, such as an SFC transition condition.
 """
 
 from __future__ import annotations
@@ -181,8 +204,15 @@ _BINARY = {op: op for op in ("=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/"
 _LABEL_BREAKERS = _STMT_START | frozenset(
     {"ELSE", "ELSIF", "THEN", "DO", "OF", "TO", "BY", "UNTIL", "AND", "OR", "XOR", "NOT", "MOD"}
 )
+# prefix operators
+_PREFIX = frozenset({"NOT", "-", "+"})
+# identifiers that are literals
+_BOOL_LITERALS = frozenset({"TRUE", "FALSE"})
+# what can follow the root of a reference that is more than a name:
+# member access, a subscript or an argument list
+_REF_TAIL = frozenset({".", "[", "("})
 # words that can never name an invoked POU
-_NOT_CALLEES = _STMT_START | frozenset({"AND", "OR", "XOR", "NOT", "MOD", "TRUE", "FALSE"})
+_NOT_CALLEES = _STMT_START | _BOOL_LITERALS | frozenset({"AND", "OR", "XOR", "NOT", "MOD"})
 
 
 class _RawCall:
@@ -229,11 +259,12 @@ _MAX_NESTING = 100
 class _Cursor:
     """Position in a token list, shared by the declaration parser and the
     body walker.  The list, which the cursor reads in place, ends with one
-    `_EOF`, which `take()` never steps past, so neither the current token
-    nor the one after a token that is not `_EOF` needs a bounds check.
-    `lines` maps the tokens' offsets to positions.  An error at `_EOF`
-    takes its position from `end` (a unit's closing keyword) when given;
-    bare fragments have none."""
+    `_EOF`, and no method steps `i` past it: `take()` stays there.  So
+    `toks[i]` is always a token, and `toks[i + 1]` is one whenever
+    `toks[i]` is not `_EOF`; neither read needs a bounds check.  `lines`
+    maps the tokens' offsets to positions.  An error at `_EOF` takes its
+    position from `end` (a unit's closing keyword) when given; bare
+    fragments have none."""
 
     def __init__(self, toks: list[RawTok], path: str, lines: LineTable, end: RawTok = _EOF):
         self.toks = toks
@@ -268,11 +299,12 @@ class _Cursor:
         return self.toks[self.i].key == key
 
     def expect(self, key: str) -> RawTok:
-        t = self.cur()
+        t = self.toks[self.i]
         if t.key != key:
             wanted = key if key.isidentifier() else repr(key)
             raise self.fail("expected %s, found %r" % (wanted, t.text or "end of input"))
-        return self.take()
+        self.i += 1  # a token that matched is not `_EOF`
+        return t
 
     def before(self, key: str, what: str) -> bool:
         """Whether the current token is not yet `key`; end of input
@@ -284,10 +316,11 @@ class _Cursor:
         return True
 
     def expect_ident(self) -> RawTok:
-        t = self.cur()
+        t = self.toks[self.i]
         if t.kind != "ident":
             raise self.fail("expected identifier, found %r" % (t.text or "end of input"))
-        return self.take()
+        self.i += 1
+        return t
 
     def skip_initializer(self):
         """Consume `:= <value>` up to the terminating ';' at depth 0."""
@@ -314,7 +347,15 @@ class _Cursor:
 
 class _BodyParser(_Cursor):
     """Statement-list walker over raw tokens.  Emits classified tokens in
-    source order; never builds an AST."""
+    source order; never builds an AST.
+
+    The per-token paths read `self.toks[self.i]` and step `self.i`
+    themselves, under `_Cursor`'s contract: they step only over a token
+    they have matched, which is never `_EOF`, and read `toks[i + 1]` only
+    at such a token.  `_Cursor`'s methods serve the rarer constructs and
+    the errors.  A plain operand is an identifier other than TRUE/FALSE
+    whose next token is not `.`, `[` or `(`: a variable named by itself,
+    which `primary` emits and reads in one step."""
 
     def __init__(
         self,
@@ -357,8 +398,9 @@ class _BodyParser(_Cursor):
         """Statements up to the end of input or a word in `stop`; a CASE
         branch also ends where the next label group starts."""
         self.descend()
+        toks = self.toks
         while True:
-            t = self.cur()
+            t = toks[self.i]
             if t is _EOF or t.key in stop or (case_branch and self.looks_like_case_label()):
                 self.depth -= 1
                 return
@@ -370,9 +412,11 @@ class _BodyParser(_Cursor):
         return t is _EOF or t.key.startswith("END_") or t.key in ("ELSE", "ELSIF", "UNTIL")
 
     def statement(self):
-        word = self.cur().key
+        t = self.toks[self.i]
+        word = t.key
         if word == ";":
-            self.op(self.take())
+            self.res.tokens.append(Token.operator(";"))
+            self.i += 1
         elif word == "IF":
             self.if_statement()
         elif word == "CASE":
@@ -384,10 +428,10 @@ class _BodyParser(_Cursor):
         elif word == "REPEAT":
             self.repeat_statement()
         elif word in ("RETURN", "EXIT", "CONTINUE"):
-            kw = self.take()
-            self.op(kw, word.lower())
+            self.i += 1
+            self.op(t, word.lower())
             if word == "EXIT":
-                self.decision("exit", kw)
+                self.decision("exit", t)
             self.end_of_statement()
         elif word in ("ELSE", "ELSIF", "UNTIL") or word.startswith("END_"):
             raise self.fail("unexpected %s" % word)
@@ -395,33 +439,48 @@ class _BodyParser(_Cursor):
             self.expr_statement()
 
     def end_of_statement(self):
-        if self.at(";"):
-            self.op(self.take())
+        if self.toks[self.i].key == ";":
+            self.res.tokens.append(Token.operator(";"))
+            self.i += 1
         elif not self.at_close():  # a fragment or the last statement of a block needs no ';'
             raise self.fail("expected ';'")
 
     def expr_statement(self):
-        t = self.cur()
-        if t.kind not in ("ident", "address"):
-            raise self.fail("unexpected %r" % (t.text or "end of input"))
+        i = self.i
+        t = self.toks[i]
         self.last_bare_call = None
-        ref = self.reference(register=None)
-        if self.at(":="):
+        if t.kind == "ident" and self.toks[i + 1].key == ":=":
+            # A plain target, `name :=`, needs no reference to parse.
+            self.res.tokens.append(Token.operand(t.text))
+            self.i = i + 1
+            root_key = t.text.casefold()
+        else:
+            if t.kind not in ("ident", "address"):
+                raise self.fail("unexpected %r" % (t.text or "end of input"))
+            if t.key in _BOOL_LITERALS:  # a condition such as `TRUE`, which reads nothing
+                self.primary()
+                self.continue_binary()
+                self.end_of_statement()
+                return
+            ref = self.reference(register=None)
+            if not self.at(":="):
+                if ref.call is not None:
+                    if self.at(";") or self.at_close():
+                        self.last_bare_call = ref.call
+                    else:
+                        ref.call.returns += 1  # the value feeds a larger expression
+                else:
+                    self.register_ref_read(ref)
+                self.continue_binary()
+                self.end_of_statement()
+                return
             if ref.call is not None:
                 raise self.fail("cannot assign to a call result")
-            self.op(self.take())
-            self.res.writes.add(ref.root_key)
-            self.expression()
-            self.end_of_statement()
-            return
-        if ref.call is not None:
-            if self.at(";") or self.at_close():
-                self.last_bare_call = ref.call
-            else:
-                ref.call.returns += 1  # the value feeds a larger expression
-        else:
-            self.register_ref_read(ref)
-        self.continue_binary()
+            root_key = ref.root_key
+        self.res.tokens.append(Token.operator(":="))
+        self.i += 1
+        self.res.writes.add(root_key)
+        self.expression()
         self.end_of_statement()
 
     def if_statement(self):
@@ -541,25 +600,40 @@ class _BodyParser(_Cursor):
         # Tokens are emitted in source order and no tree is built, so
         # operator precedence never changes the result: an expression is
         # a flat `unary {binary-operator unary}` sequence.
-        while (identity := _BINARY.get(self.cur().key)) is not None:
-            self.op(self.take(), identity)
+        toks = self.toks
+        while (identity := _BINARY.get(toks[self.i].key)) is not None:
+            self.res.tokens.append(Token.operator(toks[self.i].text, identity))
+            self.i += 1
             self.unary()
 
     def unary(self):
         # Prefix operators are consumed in a loop: a chain of them is
         # not nesting and needs no recursion.
-        while True:
-            key = self.cur().key
-            if key == "NOT":
-                self.op(self.take(), "not")
-            elif key in ("-", "+"):
-                self.op(self.take())
-            else:
-                break
+        toks = self.toks
+        while (key := toks[self.i].key) in _PREFIX:
+            self.op(toks[self.i], "not" if key == "NOT" else None)
+            self.i += 1
         self.primary()
 
     def primary(self):
-        t = self.cur()
+        i = self.i
+        t = self.toks[i]
+        kind = t.kind
+        if kind == "ident" and t.key not in _BOOL_LITERALS:
+            if self.toks[i + 1].key not in _REF_TAIL:
+                # A plain operand: one step, with no reference to parse.
+                self.res.tokens.append(Token.operand(t.text))
+                self.res.reads.add(t.text.casefold())
+                self.i = i + 1
+                return
+            ref = self.reference(register="read")
+            if ref.call is not None:
+                ref.call.returns += 1  # expression context consumes the value
+            return
+        if kind in ("number", "string", "ident"):  # a literal, TRUE and FALSE too
+            self.res.tokens.append(Token.operand(t.text))
+            self.i = i + 1
+            return
         if t.key == "(":
             self.op(self.take(), "()")
             self.descend()
@@ -567,20 +641,9 @@ class _BodyParser(_Cursor):
             self.depth -= 1
             self.expect(")")
             return
-        if t.kind in ("number", "string"):
-            self.operand(self.take())
-            return
-        if t.kind == "address":
+        if kind == "address":
             self.operand(self.take())
             self.res.reads.add(t.text.casefold())
-            return
-        if t.kind == "ident":
-            if t.key in ("TRUE", "FALSE"):
-                self.operand(self.take())
-                return
-            ref = self.reference(register="read")
-            if ref.call is not None:
-                ref.call.returns += 1  # expression context consumes the value
             return
         raise self.fail("unexpected %r in expression" % (t.text or "end of input"))
 
@@ -606,9 +669,12 @@ class _BodyParser(_Cursor):
                 self.res.reads.add(key)
             return self._Ref(key)
 
-        path = self.call_lookahead()
-        if path is not None:
-            return self.invocation(path)
+        # A call starts at an identifier followed by `(` or `.`; `toks[i + 1]`
+        # is read only past an identifier, so never past `_EOF`.
+        if t.kind == "ident" and self.peek().key in ("(", "."):
+            path = self.call_lookahead()
+            if path is not None:
+                return self.invocation(path)
 
         root = self.take()
         self.operand(root)

@@ -67,6 +67,19 @@ def long_sum(n: int) -> str:
     return program("x : INT; y : INT;", "y := %s;" % " + ".join(["x"] * n))
 
 
+def not_chain(n: int) -> str:
+    """`a0 AND NOT a1 AND NOT a2 ...`: a prefix operator after each binary one."""
+    names = ["a%d" % i for i in range(n)]
+    return program("".join("%s : BOOL;\n" % v for v in names) + "y : BOOL;", "y := %s;" % " AND NOT ".join(names))
+
+
+def member_subscript_sum(n: int) -> str:
+    """A sum of member and subscript references, `r.a + buf[1] + r.a + ...`."""
+    terms = ["r.a" if i % 2 == 0 else "buf[%d]" % (i % 8) for i in range(n)]
+    types = "TYPE\nR : STRUCT a : INT; b : INT; END_STRUCT;\nEND_TYPE\n"
+    return types + program("r : R; buf : ARRAY[0..7] OF INT; y : INT;", "y := %s;" % " + ".join(terms))
+
+
 def locals_(n: int) -> str:
     return program("".join("v%d : INT;\n" % i for i in range(n)), "v0 := 1;")
 
@@ -141,6 +154,8 @@ FAMILIES = {
     "elsif-chain": ("p.st", elsif_chain),
     "case-labels": ("p.st", case_labels),
     "long-sum": ("p.st", long_sum),
+    "not-chain": ("p.st", not_chain),
+    "member-subscript-sum": ("p.st", member_subscript_sum),
     "locals": ("p.st", locals_),
     "fbs-per-file": ("p.st", fbs_per_file),
     "alias-chain": ("p.st", alias_chain),

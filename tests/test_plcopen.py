@@ -632,6 +632,25 @@ def test_jump_step_target_is_resolved_by_name(tmp_path, target, unreachable):
     assert [w.message.split("'")[1] for w in warnings] == unreachable
 
 
+# A body or condition that ends right after an output binding `=>`:
+# extra files, the XML POU that holds it, and the POU it skips.
+TRUNCATED_BINDING = {
+    "st-file": ({"bad.st": "PROGRAM Bad F(a => END_PROGRAM"}, "", "Bad"),
+    "xml-st-body": ({}, pou_xml("BadX", "program", "<ST>F(a =&gt;</ST>"), "BadX"),
+    "sfc-condition": ({}, pou_xml("BadX", "program", JUMP_SFC.replace(">go<", ">F(a =&gt;<") % "Far"), "BadX"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRUNCATED_BINDING))
+def test_truncated_output_binding_skips_only_its_pou(tmp_path, case):
+    files, bad_xml, bad = TRUNCATED_BINDING[case]
+    good = pou_xml("GoodX", "program", "<ST>x := 1;</ST>")
+    sample = load_doc(tmp_path, doc(bad_xml + good), files)
+    assert [p.name for p in sample.pous] == ["GoodX"]
+    assert [(w.code, w.pou) for w in sample.warnings] == [("pou-parse-error", bad)]
+    assert "expected ')', found 'end of input'" in sample.warnings[0].message
+
+
 def test_named_transition_reference_merges_once(tmp_path):
     transitions = (
         "<transitions><transition name=\"tShared\"><body>"

@@ -14,6 +14,7 @@ from poumetrics import (
     ParseError,
     PouKind,
     StSource,
+    TokenClass,
     TypeClass,
     VarSection,
     parse_st_pou,
@@ -440,6 +441,71 @@ def test_global_names_are_looked_up_not_copied():
     assert pou.body.external_writes == frozenset({"gcount"})
 
 
+# A prefix operator right after a binary operator is an operator, never
+# the start of a plain operand; TRUE is an operand but no read, and a
+# direct address is a read under its casefolded text.
+OPD, OPR = TokenClass.OPERAND, TokenClass.OPERATOR
+PREFIX_AFTER_BINARY = {
+    "x := a AND NOT b;": (
+        [("x", OPD, "x"), (":=", OPR, ":="), ("a", OPD, "a"), ("AND", OPR, "and"), ("NOT", OPR, "not"),
+         ("b", OPD, "b"), (";", OPR, ";")],
+        {"a", "b"},
+        {"x"},
+    ),
+    "x := a * -b;": (
+        [("x", OPD, "x"), (":=", OPR, ":="), ("a", OPD, "a"), ("*", OPR, "*"), ("-", OPR, "-"), ("b", OPD, "b"),
+         (";", OPR, ";")],
+        {"a", "b"},
+        {"x"},
+    ),
+    "y := NOT NOT y;": (
+        [("y", OPD, "y"), (":=", OPR, ":="), ("NOT", OPR, "not"), ("NOT", OPR, "not"), ("y", OPD, "y"),
+         (";", OPR, ";")],
+        {"y"},
+        {"y"},
+    ),
+    "x := - - x;": (
+        [("x", OPD, "x"), (":=", OPR, ":="), ("-", OPR, "-"), ("-", OPR, "-"), ("x", OPD, "x"), (";", OPR, ";")],
+        {"x"},
+        {"x"},
+    ),
+    "y := fb.Q AND NOT fb.Q;": (
+        [("y", OPD, "y"), (":=", OPR, ":="), ("fb", OPD, "fb"), (".", OPR, "."), ("Q", OPD, "q"),
+         ("AND", OPR, "and"), ("NOT", OPR, "not"), ("fb", OPD, "fb"), (".", OPR, "."), ("Q", OPD, "q"),
+         (";", OPR, ";")],
+        {"fb"},
+        {"y"},
+    ),
+    "x := arr[i] * -arr[1];": (
+        [("x", OPD, "x"), (":=", OPR, ":="), ("arr", OPD, "arr"), ("[", OPR, "[]"), ("i", OPD, "i"),
+         ("*", OPR, "*"), ("-", OPR, "-"), ("arr", OPD, "arr"), ("[", OPR, "[]"), ("1", OPD, "1"),
+         (";", OPR, ";")],
+        {"arr", "i"},
+        {"x"},
+    ),
+    "y := a OR TRUE;": (
+        [("y", OPD, "y"), (":=", OPR, ":="), ("a", OPD, "a"), ("OR", OPR, "or"), ("TRUE", OPD, "true"),
+         (";", OPR, ";")],
+        {"a"},
+        {"y"},
+    ),
+    "x := a + %IW2;": (
+        [("x", OPD, "x"), (":=", OPR, ":="), ("a", OPD, "a"), ("+", OPR, "+"), ("%IW2", OPD, "%iw2"),
+         (";", OPR, ";")],
+        {"a", "%iw2"},
+        {"x"},
+    ),
+}
+
+
+@pytest.mark.parametrize("text", sorted(PREFIX_AFTER_BINARY))
+def test_prefix_operator_after_a_binary_operator(text):
+    tokens, reads, writes = PREFIX_AFTER_BINARY[text]
+    facts = st_fragment_facts(text)
+    assert [(t.lexeme, t.cls, t.identity_key) for t in facts.tokens] == tokens
+    assert (facts.reads, facts.writes) == (reads, writes)
+
+
 # ------------------------- errors -------------------------
 
 
@@ -483,6 +549,8 @@ ERROR_TEXTS = {
     "end-of-input-in-if": ("IF a THEN x := 1;", "<test>:3:1: expected END_IF, found 'end of input'"),
     "end-of-input-in-expression": ("x := (1 +", "<test>:3:1: unexpected 'end of input' in expression"),
     "leftover-end-if": ("x := 1;\nEND_IF", "<test>:3:1: unexpected END_IF"),
+    "end-of-input-after-output-binding": ("F(a =>", "<test>:3:1: expected ')', found 'end of input'"),
+    "end-of-input-after-nested-output-binding": ("x := F(a =>", "<test>:3:1: expected ')', found 'end of input'"),
 }
 
 
@@ -492,6 +560,30 @@ def test_parse_error_text(case):
     with pytest.raises(ParseError) as err:
         parse("PROGRAM P\n%s\nEND_PROGRAM" % body)
     assert str(err.value) == expected
+
+
+# Fragments cut off where the walker looks one token ahead: each is a
+# ParseError, never an IndexError past the end-of-input token.
+TRUNCATED = {
+    "F(a =>": "<t>: expected ')', found 'end of input'",
+    "x := F(a =>": "<t>: expected ')', found 'end of input'",
+    "F(a => b": "<t>: expected ')', found 'end of input'",
+    "x := a AND": "<t>: unexpected 'end of input' in expression",
+    "x := NOT": "<t>: unexpected 'end of input' in expression",
+    "x :=": "<t>: unexpected 'end of input' in expression",
+    "fb.": "<t>: expected member name after '.'",
+    "x := fb.": "<t>: expected member name after '.'",
+    "arr[": "<t>: unexpected 'end of input' in expression",
+    "fb.m(": "<t>: unexpected 'end of input' in expression",
+    "F(a :=": "<t>: unexpected 'end of input' in expression",
+}
+
+
+@pytest.mark.parametrize("text", sorted(TRUNCATED))
+def test_truncated_fragment_is_a_parse_error(text):
+    with pytest.raises(ParseError) as err:
+        st_fragment_facts(text, "<t>")
+    assert str(err.value) == TRUNCATED[text]
 
 
 # A unit whose closing keyword never comes is reported at its opening keyword.
