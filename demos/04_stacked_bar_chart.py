@@ -82,7 +82,7 @@ with tempfile.TemporaryDirectory() as workdir:
         (root / name).write_text(text)
     run = analyze_paths([str(root)])
 
-svg = render_chart(run.results)
+svg = render_chart(run)
 out = Path("complexity_chart.svg")
 out.write_text(svg)
 

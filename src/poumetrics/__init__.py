@@ -16,11 +16,11 @@ from .aggregate import (
     UNIFORM_PROFILE,
     Grouping,
     GroupStats,
-    SampleEntry,
     WeightProfile,
     aggregate,
     default_profile,
     median_of,
+    sample_row,
 )
 from .chart import render_chart, write_chart
 from .config import AnalysisConfig, config_from_mapping, load_config
@@ -86,7 +86,6 @@ __all__ = [
     "ParseError",
     "Pou",
     "PouKind",
-    "SampleEntry",
     "SFC_PROFILE",
     "SourceRef",
     "StSource",
@@ -119,6 +118,7 @@ __all__ = [
     "program_length",
     "render_chart",
     "render_table",
+    "sample_row",
     "st_fragment_facts",
     "validate_pou",
     "vocabulary",

@@ -17,8 +17,8 @@ asked for.
 The sample arrives as plain rows (`sample_row`).  The POUs of one group
 and weight profile whose vectors are equal share one `Score`, so their
 overall value is worked out once, and the writers format its cells and
-its chart bar once.  `PouResult` records are built only for a caller
-that reads them.
+its chart bar once.  `Ranking.results` builds `PouResult` records for
+a caller that reads them; nothing ranks or writes from such records.
 
 Ranking and medians order exact values through `ratio_order`: one sort
 on floats, which never contradict the exact order, then an exact sort
@@ -94,27 +94,14 @@ class Grouping(Enum):
     PER_LANGUAGE = "per-language"
 
 
-class SampleEntry(NamedTuple):
-    name: str
-    kind: PouKind
-    language: Language
-    vector: MetricVector
-    tag: str = ""
-
-
-def vector_key(vector: MetricVector) -> tuple:
-    """A vector as plain values: m1..m4, the difficulty as numerator and
-    denominator, then m6."""
-    m1, m2, m3, m4, difficulty, m6 = vector
-    return (m1, m2, m3, m4, difficulty.numerator, difficulty.denominator, m6)
-
-
 def sample_row(name: str, kind: PouKind, language: Language, vector: MetricVector, tag: str = "") -> tuple:
     """The plain row that `aggregate` ranks: name, kind value and
-    language value at 0, 1 and 2, the vector's key at `row[3:10]`, and
-    the tag at 10.  It holds no record, enum member or Fraction, so the
-    processes of a load pass it on cheaply."""
-    return (name, kind._value_, language._value_) + vector_key(vector) + (tag,)
+    language value at 0, 1 and 2, the vector's key at `row[3:10]` (m1..m4,
+    the difficulty as numerator and denominator, then m6), and the tag at
+    10.  It holds no record, enum member or Fraction, so the processes of
+    a load pass it on cheaply."""
+    m1, m2, m3, m4, difficulty, m6 = vector
+    return (name, kind._value_, language._value_, m1, m2, m3, m4, difficulty.numerator, difficulty.denominator, m6, tag)
 
 
 def metric_ratios(key: tuple) -> tuple[tuple[int, int], ...]:
@@ -224,10 +211,6 @@ def _medians(keys: list[tuple]) -> tuple[Fraction, ...]:
     return (*medians[:4], difficulty, medians[4])
 
 
-def compute_medians(vectors: list[MetricVector]) -> tuple[Fraction, ...]:
-    return _medians([vector_key(v) for v in vectors])
-
-
 def _group_stats(label: str, keys: list[tuple]) -> tuple[GroupStats, list[AnalysisWarning]]:
     medians = _medians(keys)
     excluded = frozenset(i for i, m in enumerate(medians) if m == 0)
@@ -240,10 +223,6 @@ def _group_stats(label: str, keys: list[tuple]) -> tuple[GroupStats, list[Analys
         for i in sorted(excluded)
     ]
     return GroupStats(label, len(keys), medians, excluded), warnings
-
-
-def group_stats(label: str, vectors: list[MetricVector]) -> tuple[GroupStats, list[AnalysisWarning]]:
-    return _group_stats(label, [vector_key(v) for v in vectors])
 
 
 # ------------------------- integer coefficients -------------------------
@@ -365,19 +344,13 @@ class Score:
 
 class Ranking:
     """A ranked sample as plain rows (see `sample_row`): `rows` ascending
-    by reported value, equal values in name order, and each row's Score
-    in `scores`.  As a sequence it is (results, stats, warnings), where
-    `results` is the same ranking as PouResult records, built on first
-    read."""
+    by reported value, equal values in name order, each row's Score in
+    `scores`, the per-group statistics and the degenerate-median
+    warnings.  `results` is the same ranking as PouResult records, built
+    on first read."""
 
     def __init__(self, rows: list[tuple], scores: list[Score], stats: list[GroupStats], warnings: list[AnalysisWarning]):
         self.rows, self.scores, self.stats, self.warnings = rows, scores, stats, warnings
-
-    def __len__(self) -> int:
-        return 3
-
-    def __getitem__(self, index):
-        return (self.results, self.stats, self.warnings)[index]
 
     @cached_property
     def results(self) -> list[PouResult]:
@@ -396,46 +369,23 @@ class Ranking:
             )
         return results
 
-    @staticmethod
-    def of_results(results: list[PouResult], stats: list[GroupStats]) -> "Ranking":
-        """The ranking that `results`, in rank order, show."""
-        scorings: dict[tuple, tuple[Scoring, dict[tuple, Score]]] = {}
-        rows, scores = [], []
-        for r in results:
-            found = scorings.get((id(r.coefficients), r.scale, r.group))
-            if found is None:
-                found = scorings[id(r.coefficients), r.scale, r.group] = (Scoring(r.group, r.coefficients, r.scale), {})
-            scoring, memo = found
-            row = sample_row(r.name, r.kind, r.language, r.vector, r.tag)
-            score = memo.get(row[3:10])
-            if score is None:
-                score = memo[row[3:10]] = Score(scoring, row[3:10], (r.oc_rel.numerator, r.oc_rel.denominator))
-            rows.append(row)
-            scores.append(score)
-        ranking = Ranking(rows, scores, stats, [])
-        ranking.results = results
-        return ranking
-
 
 def aggregate(
-    entries: list,
+    rows: list[tuple],
     grouping: Grouping = Grouping.WHOLE_SAMPLE,
     profiles: dict[Language, WeightProfile] | None = None,
     normalize: bool = False,
 ) -> Ranking:
-    """Rank a sample of POUs by overall relative complexity.
-
-    `entries` are SampleEntry records or their `sample_row`s.  Returns
-    the Ranking: unpacked, the results sorted ascending by the reported
-    value (ties broken by name), the per-group statistics, and any
-    degenerate-median warnings.  Each overall value is worked out once
-    per group, weight profile and distinct vector.
+    """Rank a sample of POUs, given as `sample_row`s, by overall relative
+    complexity: ascending by the reported value, ties broken by name.
+    Each overall value is worked out once per group, weight profile and
+    distinct vector.
     """
-    if not entries:
+    if not rows:
         raise EmptySample("cannot aggregate an empty sample")
     profiles = profiles or {}
     # By name first, so equal values keep name order in the stable sort.
-    rows = sorted((e if type(e) is tuple else sample_row(*e) for e in entries), key=itemgetter(0))
+    rows = sorted(rows, key=itemgetter(0))
 
     if grouping is Grouping.WHOLE_SAMPLE:
         buckets = {"all": rows}

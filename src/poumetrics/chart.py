@@ -4,7 +4,7 @@ Each POU gets one horizontal bar; the bar's segments are the weighted
 per-metric contributions, so segment lengths sum to the reported overall
 value.  Segments are colored by complexity class; the two vocabulary and
 difficulty segments share the class hue in two shades.  Output is plain
-deterministic text: same results, same bytes.
+deterministic text: same run, same bytes.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from __future__ import annotations
 import io
 import re
 
-from .aggregate import PouResult, Ranking, Score, metric_ratios
+from .aggregate import Score, metric_ratios
 from .metrics import METRIC_CLASSES, METRIC_KEYS
+from .report import RunResult
 
 # One fill per metric, grouped visually by complexity class.
 METRIC_FILLS = (
@@ -74,9 +75,10 @@ def _bar(score: Score) -> tuple[str, int, float]:
     return "".join(parts), len(parts) - 2, total
 
 
-def write_chart(ranking: Ranking, out) -> None:
-    """Write the ranking as a standalone SVG document to `out`, one bar
-    at a time.  The POUs that share a Score share their bar's text."""
+def write_chart(run: RunResult, out) -> None:
+    """Write the run's ranking as a standalone SVG document to `out`, one
+    bar at a time.  The POUs that share a Score share their bar's text."""
+    ranking = run.ranking
     bars = {score: _bar(score) for score in dict.fromkeys(ranking.scores)}
     count = len(ranking.rows)
     span = max(max((total for _, _, total in bars.values()), default=0.0), 100.0)
@@ -124,8 +126,8 @@ def write_chart(ranking: Ranking, out) -> None:
     out.write("</svg>\n")
 
 
-def render_chart(results: list[PouResult]) -> str:
-    """Render the ranked results as a standalone SVG document."""
+def render_chart(run: RunResult) -> str:
+    """The SVG document that `write_chart` writes, as one string."""
     out = io.StringIO()
-    write_chart(Ranking.of_results(results, []), out)
+    write_chart(run, out)
     return out.getvalue()

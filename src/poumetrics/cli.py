@@ -84,15 +84,11 @@ def main(argv=None) -> int:
     failure = _put(sys.stderr, "".join(w.render() + "\n" for w in run.warnings))
     if failure is not None:
         failures.append("cannot write to stderr: %s" % failure)
-    for path, write, source in (
-        (args.json_path, write_json, run),
-        (args.csv_path, write_csv, run),
-        (args.chart_path, write_chart, run.ranking),
-    ):
+    for path, write in ((args.json_path, write_json), (args.csv_path, write_csv), (args.chart_path, write_chart)):
         if path:
             try:
                 with open(path, "w", encoding="utf-8", newline="") as fh:
-                    write(source, fh)
+                    write(run, fh)
             except OSError as exc:
                 failures.append(str(exc))
     failure = _put(sys.stdout, render_table(run, args.top))

@@ -10,9 +10,11 @@ weight); c1..c6 are the same metrics as a percentage of their group
 median; oc_rel is the weighted overall value.  Exact rational cells are
 rendered with four fractional digits, ties rounded to even.
 
-Each report has one writer that writes it to an open file a POU at a
-time (`write_json`, `write_csv`, and `chart.write_chart`); `emit_json`,
-`emit_csv` and `chart.render_chart` return the same text as one string.
+Every report is written from a `RunResult`, which `analyze_paths`
+builds from the plain rows of the sample.  Each report has one writer
+that writes it to an open file a POU at a time (`write_json`,
+`write_csv`, and `chart.write_chart`); `emit_json`, `emit_csv` and
+`chart.render_chart` return the same text as one string.
 """
 
 from __future__ import annotations
@@ -61,22 +63,10 @@ def fmt4_ratio(numerator: int, denominator: int) -> str:
 class RunResult:
     """One analysis run: the `ranking` every report is written from (see
     `aggregate.Ranking`), the run's warnings and its grouping.  `results`
-    is the ranking as PouResult records, built on first read; a run built
-    from such records ranks them as given."""
+    and `stats` read through to the ranking."""
 
-    def __init__(
-        self,
-        results: list[PouResult] | None = None,
-        stats: list[GroupStats] | None = None,
-        warnings: list[AnalysisWarning] | None = None,
-        grouping: str = Grouping.WHOLE_SAMPLE.value,
-        ranking: Ranking | None = None,
-    ):
-        if ranking is None:
-            ranking = Ranking.of_results([] if results is None else results, [] if stats is None else stats)
-        self.ranking = ranking
-        self.warnings = [] if warnings is None else warnings
-        self.grouping = grouping
+    def __init__(self, ranking: Ranking, warnings: list[AnalysisWarning], grouping: str = Grouping.WHOLE_SAMPLE.value):
+        self.ranking, self.warnings, self.grouping = ranking, warnings, grouping
         self._cells: dict[Score, tuple] = {}
         self._relative: dict[tuple, str] = {}
 
@@ -145,7 +135,7 @@ def _analyze(paths, cfg: AnalysisConfig) -> RunResult:
     if not sample.pous:
         raise NoPousFound("no POUs found under: %s" % ", ".join(str(p) for p in paths), sample.warnings)
     ranking = aggregate(sample.pous, cfg.grouping, cfg.profiles, cfg.normalize)
-    return RunResult(warnings=sample.warnings + ranking.warnings, grouping=cfg.grouping.value, ranking=ranking)
+    return RunResult(ranking, sample.warnings + ranking.warnings, cfg.grouping.value)
 
 
 # ------------------------- serialization -------------------------

@@ -455,11 +455,9 @@ class _BodyParser(_Cursor):
             self.i = i + 1
             root_key = t.text.casefold()
         else:
-            if t.kind not in ("ident", "address"):
-                raise self.fail("unexpected %r" % (t.text or "end of input"))
-            if t.key in _BOOL_LITERALS:  # a condition such as `TRUE`, which reads nothing
-                self.primary()
-                self.continue_binary()
+            if t.kind not in ("ident", "address") or t.key in ("NOT", "TRUE", "FALSE"):
+                # A bare expression, such as the condition `NOT done`.
+                self.expression()
                 self.end_of_statement()
                 return
             ref = self.reference(register=None)

@@ -22,7 +22,6 @@ from poumetrics import (
     Language,
     MetricVector,
     SFC_PROFILE,
-    SampleEntry,
     StSource,
     UNIFORM_PROFILE,
     WeightProfile,
@@ -35,8 +34,10 @@ from poumetrics import (
     load_sample,
     parse_st_pou,
     render_chart,
+    sample_row,
 )
 from poumetrics.ir import PouKind, TokenClass
+from poumetrics.report import RunResult
 
 from stgen import generate_program, sprinkle_comments
 
@@ -50,8 +51,8 @@ def _verdict(criterion: int, failures: list) -> None:
     assert not failures, "\n".join(str(f) for f in failures)
 
 
-def _entry(name: str, vector: MetricVector, language=Language.ST) -> SampleEntry:
-    return SampleEntry(name, PouKind.PROGRAM, language, vector)
+def _entry(name: str, vector: MetricVector, language=Language.ST) -> tuple:
+    return sample_row(name, PouKind.PROGRAM, language, vector)
 
 
 # ---------------------------------------------------------------
@@ -143,13 +144,14 @@ def test_criterion_04_scaling_one_metric_changes_nothing():
         column = rng.randrange(6)
         factor = F(rng.randint(1, 40), rng.randint(1, 40))
         scaled = []
-        for e in entries:
-            cells = list(e.vector)
+        for e, vec in zip(entries, vectors):
+            cells = list(vec)
             cells[column] = cells[column] * factor
-            scaled.append(SampleEntry(e.name, e.kind, e.language, MetricVector(*cells)))
+            scaled.append(_entry(e[0], MetricVector(*cells), Language(e[2])))
 
-        base_res, base_stats, _ = aggregate(entries)
-        scaled_res, scaled_stats, _ = aggregate(scaled)
+        base, changed = aggregate(entries), aggregate(scaled)
+        base_res, base_stats = base.results, base.stats
+        scaled_res, scaled_stats = changed.results, changed.stats
 
         if [r.name for r in base_res] != [r.name for r in scaled_res]:
             failures.append("case %d: ranking changed" % case)
@@ -170,7 +172,8 @@ def test_criterion_05_identical_sample_sits_at_100():
     failures = []
     same = MetricVector(14, 3, 6, 9, F(7, 2), 5)
     entries = [_entry("p%d" % i, same) for i in range(7)]
-    results, _, warnings = aggregate(entries)
+    ranking = aggregate(entries)
+    results, warnings = ranking.results, ranking.warnings
     for r in results:
         if r.oc_rel != 100:
             failures.append("%s: overall %s != 100" % (r.name, r.oc_rel))
@@ -222,8 +225,9 @@ def test_criterion_08_degenerate_median_drops_and_renormalizes():
         _entry("b", MetricVector(12, 3, 0, 8, F(5, 2), 5)),
         _entry("c", MetricVector(14, 4, 0, 9, F(7, 2), 6)),
     ]
-    results, stats, warnings = aggregate(entries)
-    (group,) = stats
+    ranking = aggregate(entries)
+    results, warnings = ranking.results, ranking.warnings
+    (group,) = ranking.stats
     if group.excluded != frozenset({2}):
         failures.append("excluded set is %s, expected the flow metric alone" % (group.excluded,))
     for r in results:
@@ -248,8 +252,8 @@ def test_criterion_09_determinism_and_chart_report_consistency(corpus_run):
         failures.append("JSON output changed between identical runs")
     if emit_csv(corpus_run) != emit_csv(second):
         failures.append("CSV output changed between identical runs")
-    svg = render_chart(corpus_run.results)
-    if svg != render_chart(second.results):
+    svg = render_chart(corpus_run)
+    if svg != render_chart(second):
         failures.append("SVG output changed between identical runs")
 
     root = ET.fromstring(svg)
@@ -285,7 +289,8 @@ def test_criterion_10_chart_shape_on_synthetic_sample():
         )
         for i in range(10)
     ]
-    results, _, warnings = aggregate(entries)
+    ranking = aggregate(entries)
+    results, warnings = ranking.results, ranking.warnings
     if warnings:
         failures.append("synthetic sample raised warnings: %s" % [w.code for w in warnings])
     overall = [r.oc_rel for r in results]
@@ -296,7 +301,7 @@ def test_criterion_10_chart_shape_on_synthetic_sample():
             if r.segment(i) != r.weights[i] * r.relative[i]:
                 failures.append("%s: segment %d is not weight x relative" % (r.name, i))
 
-    svg = render_chart(results)
+    svg = render_chart(RunResult(ranking, warnings))
     root = ET.fromstring(svg)
     ns = "{http://www.w3.org/2000/svg}"
     per_pou = {}

@@ -15,21 +15,17 @@ from poumetrics import (
     MetricVector,
     PouKind,
     SFC_PROFILE,
-    SampleEntry,
     UNIFORM_PROFILE,
     WeightProfile,
     WeightSumViolation,
     aggregate,
     default_profile,
     median_of,
+    sample_row,
 )
 from poumetrics.errors import AnalysisWarning
 from poumetrics.metrics import METRIC_KEYS
-from poumetrics.aggregate import (
-    compute_medians,
-    effective_weights,
-    group_stats,
-)
+from poumetrics.aggregate import effective_weights
 
 F = Fraction
 
@@ -46,7 +42,20 @@ def vec(m1=1, m2=1, m3=1, m4=1, m5=F(1), m6=1) -> MetricVector:
 
 
 def entry(name, vector, language=Language.ST, tag=""):
-    return SampleEntry(name=name, kind=PouKind.PROGRAM, language=language, vector=vector, tag=tag)
+    return sample_row(name, PouKind.PROGRAM, language, vector, tag)
+
+
+def vector_of(row) -> MetricVector:
+    m1, m2, m3, m4, p, q, m6 = row[3:10]
+    return MetricVector(m1, m2, m3, m4, F(p, q), m6)
+
+
+def stats_of(vectors):
+    """The one group's statistics and the warnings of a whole-sample
+    ranking of `vectors`."""
+    ranking = aggregate([entry("p%d" % i, v) for i, v in enumerate(vectors)])
+    (stats,) = ranking.stats
+    return stats, ranking.warnings
 
 
 # ------------------------- medians -------------------------
@@ -87,9 +96,9 @@ def test_median_matches_statistics_module():
         assert median_of(values) == F(statistics.median(values))
 
 
-def test_compute_medians_per_column():
+def test_medians_per_column():
     vectors = [vec(m1=2), vec(m1=4), vec(m1=10)]
-    medians = compute_medians(vectors)
+    medians = stats_of(vectors)[0].medians
     assert medians[0] == F(4)
     assert medians[1] == F(1)
 
@@ -139,7 +148,7 @@ def test_float_weights_would_break_exactness():
 
 def test_identity_pou_sits_at_100_percent():
     vectors = [vec(m1=2, m2=2, m3=2, m4=2, m5=2, m6=2)] * 3
-    stats, warnings = group_stats("all", vectors)
+    stats, warnings = stats_of(vectors)
     assert warnings == []
     rel = ref_relative_vector(vectors[0], stats)
     assert rel == tuple([F(100)] * 6)
@@ -159,7 +168,7 @@ def test_one_metric_doubled():
 
 def test_relative_values_are_exact():
     vectors = [vec(m1=3), vec(m1=7), vec(m1=9)]
-    stats, _ = group_stats("all", vectors)
+    stats, _ = stats_of(vectors)
     rel = ref_relative_vector(vectors[0], stats)
     assert rel[0] == F(300, 7)
 
@@ -169,7 +178,7 @@ def test_relative_values_are_exact():
 
 def test_zero_median_drops_metric_for_group():
     vectors = [vec(m3=0), vec(m3=0), vec(m3=5)]
-    stats, warnings = group_stats("all", vectors)
+    stats, warnings = stats_of(vectors)
     assert stats.excluded == frozenset({2})
     assert [w.code for w in warnings] == ["metric-dropped"]
     rel = ref_relative_vector(vectors[2], stats)
@@ -208,7 +217,7 @@ def test_aggregate_sorts_ascending_with_name_ties():
         entry("a", vec(m1=4)),
         entry("c", vec(m1=2)),
     ]
-    results, stats, warnings = aggregate(entries)
+    results = aggregate(entries).results
     assert [r.name for r in results] == ["c", "a", "b"]
     assert results[0].oc_rel < results[1].oc_rel
     assert results[1].oc_rel == results[2].oc_rel
@@ -216,8 +225,9 @@ def test_aggregate_sorts_ascending_with_name_ties():
 
 def test_aggregate_whole_sample_single_group():
     entries = [entry("a", vec()), entry("b", vec(m1=3))]
-    results, stats, _ = aggregate(entries)
-    assert [s.label for s in stats] == ["all"]
+    ranking = aggregate(entries)
+    results = ranking.results
+    assert [s.label for s in ranking.stats] == ["all"]
     assert all(r.group == "all" for r in results)
 
 
@@ -227,8 +237,9 @@ def test_aggregate_per_language_groups():
         entry("st2", vec(m1=4), Language.ST),
         entry("ld1", vec(m1=6), Language.LD),
     ]
-    results, stats, _ = aggregate(entries, grouping=Grouping.PER_LANGUAGE)
-    assert sorted(s.label for s in stats) == ["LD", "ST"]
+    ranking = aggregate(entries, grouping=Grouping.PER_LANGUAGE)
+    results = ranking.results
+    assert sorted(s.label for s in ranking.stats) == ["LD", "ST"]
     by_name = {r.name: r for r in results}
     assert by_name["ld1"].group == "LD"
     # ld1 is alone in its group, so it sits at its own median
@@ -240,14 +251,14 @@ def test_aggregate_applies_sfc_profile_by_default():
         entry("s", vec(m1=2), Language.SFC),
         entry("t", vec(m1=2), Language.SFC),
     ]
-    results, _, _ = aggregate(entries)
+    results = aggregate(entries).results
     assert results[0].weights == SFC_PROFILE.weights
 
 
 def test_aggregate_profile_override():
     custom = WeightProfile.of(1, 0, 0, 0, 0, 0)
     entries = [entry("a", vec(m1=2)), entry("b", vec(m1=6))]
-    results, _, _ = aggregate(entries, profiles={Language.ST: custom})
+    results = aggregate(entries, profiles={Language.ST: custom}).results
     by_name = {r.name: r for r in results}
     # medians: m1 -> 4; a sits at 50%, b at 150%
     assert by_name["a"].oc_rel == F(50)
@@ -256,7 +267,7 @@ def test_aggregate_profile_override():
 
 def test_aggregate_normalize_scales_max_to_100():
     entries = [entry("a", vec(m1=2)), entry("b", vec(m1=6))]
-    results, _, _ = aggregate(entries, normalize=True)
+    results = aggregate(entries, normalize=True).results
     top = results[-1]
     assert top.oc_rel == F(100)
     assert top.scale < 1
@@ -275,13 +286,13 @@ def test_segments_sum_to_overall_without_normalization():
         entry("b", vec(m1=6, m2=1, m3=2, m4=3, m5=F(1, 2), m6=8)),
         entry("c", vec(m1=4, m2=2, m3=3, m4=4, m5=F(2), m6=6)),
     ]
-    results, _, _ = aggregate(entries)
+    results = aggregate(entries).results
     for result in results:
         assert sum(result.segment(i) for i in range(6)) == result.oc_rel
 
 
 def test_group_stats_shape():
-    stats, _ = group_stats("all", [vec()])
+    stats, _ = stats_of([vec()])
     assert isinstance(stats, GroupStats)
     assert stats.size == 1
     assert len(stats.medians) == 6
@@ -344,8 +355,9 @@ def ref_overall_complexity(relative, weights):
 
 
 def ref_aggregate(entries, grouping=Grouping.WHOLE_SAMPLE, profiles=None, normalize=False):
-    """(name, group, relative, weights, oc_rel, segments) per POU in
-    ranked order, the group statistics and the warnings."""
+    """(name, group, relative, weights, oc_rel, segments) per POU of the
+    `sample_row`s `entries` in ranked order, the group statistics and the
+    warnings."""
     if not entries:
         raise EmptySample("cannot aggregate an empty sample")
     profiles = profiles or {}
@@ -354,21 +366,22 @@ def ref_aggregate(entries, grouping=Grouping.WHOLE_SAMPLE, profiles=None, normal
     else:
         buckets = {}
         for e in entries:
-            buckets.setdefault(e.language.value, []).append(e)
+            buckets.setdefault(e[2], []).append(e)
     warnings = []
     stats_by_label = {}
     for label in sorted(buckets):
-        stats, ws = ref_group_stats(label, [e.vector for e in buckets[label]])
+        stats, ws = ref_group_stats(label, [vector_of(e) for e in buckets[label]])
         stats_by_label[label] = stats
         warnings.extend(ws)
     raw = []
     for label, bucket in buckets.items():
         stats = stats_by_label[label]
         for e in bucket:
-            profile = profiles.get(e.language, default_profile(e.language))
+            language = Language(e[2])
+            profile = profiles.get(language, default_profile(language))
             weights = ref_effective_weights(profile, stats.excluded)
-            relative = ref_relative_vector(e.vector, stats)
-            raw.append([e.name, label, relative, weights, ref_overall_complexity(relative, weights)])
+            relative = ref_relative_vector(vector_of(e), stats)
+            raw.append([e[0], label, relative, weights, ref_overall_complexity(relative, weights)])
     scale = Fraction(1)
     if normalize:
         top = max((r[4] for r in raw), default=Fraction(0))
@@ -436,13 +449,13 @@ def test_aggregate_matches_the_fraction_reference(sample):
 def _assert_matches_the_reference(entries, grouping, profiles, normalize):
     expected = _outcome(lambda: ref_aggregate(entries, grouping, profiles, normalize))
     got = _outcome(lambda: aggregate(entries, grouping, profiles, normalize))
-    if expected[0] == "raised" or got[0] == "raised":
+    if expected[0] == "raised" or type(got) is tuple:  # ("raised", message)
         assert got == expected
         return
     ref_results, ref_stats, ref_warnings = expected
-    results, stats, warnings = got
-    assert stats == ref_stats
-    assert warnings == ref_warnings
+    results = got.results
+    assert got.stats == ref_stats
+    assert got.warnings == ref_warnings
     assert [r.name for r in results] == [r[0] for r in ref_results]
     for result, (name, label, relative, weights, oc_rel, segments) in zip(results, ref_results):
         assert result.group == label
@@ -472,7 +485,7 @@ def test_unequal_values_that_share_a_float_are_ordered_exactly():
     # past the float range as well
     assert median_of([F(10**400), F(10**400 + 1), F(1, 3)]) == F(10**400)
     assert median_of([10**400 + 1, 10**400, 10**400 + 2]) == 10**400 + 1
-    results, _, _ = aggregate([entry("a", vec(m5=NEAR_THIRD)), entry("b", vec(m5=THIRD))])
+    results = aggregate([entry("a", vec(m5=NEAR_THIRD)), entry("b", vec(m5=THIRD))]).results
     assert [r.name for r in results] == ["b", "a"]
     assert float(results[0].oc_rel) == float(results[1].oc_rel)
 
@@ -509,6 +522,6 @@ def _close_samples(draw):
 )
 def test_aggregate_and_median_match_the_reference_where_floats_tie(sample):
     entries = sample[0]
-    difficulties = [e.vector.difficulty for e in entries]
+    difficulties = [vector_of(e).difficulty for e in entries]
     assert median_of(difficulties) == ref_median_of(difficulties)
     _assert_matches_the_reference(*sample)

@@ -5,7 +5,9 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 
 from poumetrics import COMPLEXITY_CLASSES, render_chart
+from poumetrics.aggregate import Ranking
 from poumetrics.chart import METRIC_FILLS
+from poumetrics.report import RunResult
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 PX_PER_PERCENT = 3.0
@@ -16,25 +18,25 @@ def data_rects(root):
 
 
 def test_chart_is_well_formed_xml(corpus_run):
-    root = ET.fromstring(render_chart(corpus_run.results))
+    root = ET.fromstring(render_chart(corpus_run))
     assert root.tag == SVG_NS + "svg"
 
 
 def test_every_bar_row_has_its_pou(corpus_run):
-    root = ET.fromstring(render_chart(corpus_run.results))
+    root = ET.fromstring(render_chart(corpus_run))
     names = {r.get("data-pou") for r in data_rects(root)}
     assert names == {r.name for r in corpus_run.results}
 
 
 def test_segments_carry_metric_attribute(corpus_run):
-    root = ET.fromstring(render_chart(corpus_run.results))
+    root = ET.fromstring(render_chart(corpus_run))
     metrics = {r.get("data-metric") for r in data_rects(root)}
     assert metrics <= {"program_length", "cyclomatic", "fifo", "vocabulary", "difficulty", "data_structure"}
     assert "program_length" in metrics
 
 
 def test_segment_widths_match_weighted_contributions(corpus_run):
-    root = ET.fromstring(render_chart(corpus_run.results))
+    root = ET.fromstring(render_chart(corpus_run))
     by_pou = {r.name: r for r in corpus_run.results}
     keys = ("program_length", "cyclomatic", "fifo", "vocabulary", "difficulty", "data_structure")
     checked = 0
@@ -49,7 +51,7 @@ def test_segment_widths_match_weighted_contributions(corpus_run):
 
 
 def test_segments_of_a_bar_sum_to_its_total(corpus_run):
-    root = ET.fromstring(render_chart(corpus_run.results))
+    root = ET.fromstring(render_chart(corpus_run))
     widths: dict[str, float] = {}
     for rect in data_rects(root):
         widths[rect.get("data-pou")] = widths.get(rect.get("data-pou"), 0.0) + float(rect.get("width"))
@@ -59,14 +61,14 @@ def test_segments_of_a_bar_sum_to_its_total(corpus_run):
 
 
 def test_reference_line_sits_at_100_percent(corpus_run):
-    root = ET.fromstring(render_chart(corpus_run.results))
+    root = ET.fromstring(render_chart(corpus_run))
     (line,) = list(root.iter(SVG_NS + "line"))
     assert float(line.get("x1")) == 220 + 100.0 * PX_PER_PERCENT
     assert line.get("stroke-dasharray")
 
 
 def test_legend_names_every_complexity_class(corpus_run):
-    text = render_chart(corpus_run.results)
+    text = render_chart(corpus_run)
     for cls in COMPLEXITY_CLASSES:
         assert ">%s<" % cls in text
     # the two software-science shades both appear
@@ -78,31 +80,17 @@ def test_labels_are_escaped():
     # a name with markup characters must not break the document
     from fractions import Fraction
 
-    from poumetrics import Language, MetricVector, PouKind
-    from poumetrics.aggregate import Coefficients, PouResult
+    from poumetrics import Language, MetricVector, PouKind, aggregate, sample_row
 
-    vec = MetricVector(1, 1, 1, 1, Fraction(1), 1)
-    result = PouResult(
-        name="A<B>&\"C\"",
-        kind=PouKind.PROGRAM,
-        language=Language.ST,
-        vector=vec,
-        group="all",
-        # each metric at its median of 1, so at 100%, weighted 1/6 each
-        coefficients=Coefficients(
-            weights=tuple([Fraction(1, 6)] * 6), percent=((100, 1),) * 6, weighted=(50,) * 6, denominator=3
-        ),
-        oc_rel=Fraction(100),
-        scale=Fraction(1),
-    )
-    root = ET.fromstring(render_chart([result]))
+    row = sample_row('A<B>&"C"', PouKind.PROGRAM, Language.ST, MetricVector(1, 1, 1, 1, Fraction(1), 1))
+    root = ET.fromstring(render_chart(RunResult(aggregate([row]), [])))
     assert data_rects(root)[0].get("data-pou") == 'A<B>&"C"'
 
 
 def test_chart_bytes_deterministic(corpus_run):
-    assert render_chart(corpus_run.results) == render_chart(corpus_run.results)
+    assert render_chart(corpus_run) == render_chart(corpus_run)
 
 
 def test_empty_chart_still_renders():
-    root = ET.fromstring(render_chart([]))
+    root = ET.fromstring(render_chart(RunResult(Ranking([], [], [], []), [])))
     assert root.tag == SVG_NS + "svg"

@@ -199,9 +199,13 @@ def statement_lists(draw) -> Prediction:
 @st_strat.composite
 def conditions(draw) -> Prediction:
     """A bare expression whose value a surrounding construct consumes, as
-    an SFC transition condition is: a leading call uses its return."""
+    an SFC transition condition is: a leading call uses its return.  It
+    starts with any primary, or with a prefix operator."""
     p = Prediction()
-    first = draw(st_strat.sampled_from(["name", "bool", "address", "reference", "call"]))
+    first = draw(st_strat.sampled_from(["name", "bool", "address", "reference", "call", "number", "parens", "prefix"]))
+    if first == "prefix":
+        p.operator(*draw(st_strat.sampled_from(PREFIX)))
+        first = None
     expression(draw, p, draw(st_strat.integers(1, 3)), first)
     return p
 

@@ -22,7 +22,6 @@ from poumetrics import (
     MetricVector,
     Pou,
     PouKind,
-    SampleEntry,
     SourceRef,
     Token,
     TokenClass,
@@ -30,6 +29,7 @@ from poumetrics import (
     VariableDecl,
     VarSection,
     load_sample,
+    sample_row,
     validate_pou,
 )
 from poumetrics import load, plcopen, st
@@ -102,7 +102,7 @@ def test_records_that_pass_1_pickles_round_trip_field_by_field():
         spec,
         RawDecl("v", VarSection.IN_OUT, spec),
         # the rows that round 2 sends back
-        SampleEntry("P", PouKind.FUNCTION_BLOCK, Language.SFC, vector, "hot"),
+        sample_row("P", PouKind.FUNCTION_BLOCK, Language.SFC, vector, "hot"),
     ):
         data = pickle.dumps(record, pickle.HIGHEST_PROTOCOL)
         copy = pickle.loads(data)

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as strat
 
 from golden_ir import CORPUS
-from poumetrics import AnalysisError, CallSite, ParseError, SampleEntry, compute_vector, load_sample
+from poumetrics import AnalysisError, CallSite, ParseError, compute_vector, load_sample, sample_row
 from poumetrics import load, plcopen, st
 from poumetrics.cli import main
 from poumetrics.ir import Language, VarSection
@@ -933,7 +933,7 @@ def test_the_records_that_cross_the_pipes_pickle_as_constructor_calls(tmp_path):
     assert shared.context.definitions and shared.context.fb_interfaces and warnings
 
     def entry(pou):
-        return SampleEntry(pou.name, pou.kind, pou.language, compute_vector(pou), "tag")
+        return sample_row(pou.name, pou.kind, pou.language, compute_vector(pou), "tag")
 
     finished = [load._finish_file(*w, shared, entry) for w in walked]
     assert any(done.warnings for done in finished)

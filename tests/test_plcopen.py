@@ -625,6 +625,19 @@ def test_jump_step_keeps_target_reachable(tmp_path):
     assert [w.code for w in warnings] == []
 
 
+def test_sfc_condition_that_starts_with_not_is_ranked(tmp_path, capsys):
+    (tmp_path / "t.xml").write_text(doc(pou_xml("Seq", "program", JUMP_SFC.replace(">go<", ">NOT done<") % "Far")))
+    assert main(["analyze", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert "pou-parse-error" not in err and out.splitlines()[2].split()[:3] == ["1", "Seq", "SFC"]
+    pou, _ = one_pou(tmp_path, (tmp_path / "t.xml").read_text())
+    assert [(c, k) for c, k in tokens_of(pou) if k in ("not", "done")] == [
+        (TokenClass.OPERATOR, "not"),
+        (TokenClass.OPERAND, "done"),
+    ]
+    assert pou.body.external_reads == frozenset()  # `done` is no global
+
+
 @pytest.mark.parametrize("target, unreachable", [("Nowhere", ["far"]), ("FAR", [])], ids=["unknown", "other-case"])
 def test_jump_step_target_is_resolved_by_name(tmp_path, target, unreachable):
     _, warnings = one_pou(tmp_path, doc(pou_xml("P", "program", JUMP_SFC % target)))

@@ -261,7 +261,7 @@ def test_scaling_all_vectors_preserves_relative_position(seed, factor):
     # multiplying every raw metric by the same positive factor scales the
     # medians identically, so relative values and the overall number are
     # unchanged
-    from poumetrics import Language, MetricVector, PouKind, SampleEntry, aggregate
+    from poumetrics import Language, MetricVector, PouKind, aggregate, sample_row
 
     import random
 
@@ -281,11 +281,11 @@ def test_scaling_all_vectors_preserves_relative_position(seed, factor):
 
     def entries(vecs):
         return [
-            SampleEntry("p%d" % i, PouKind.PROGRAM, Language.ST, v)
+            sample_row("p%d" % i, PouKind.PROGRAM, Language.ST, v)
             for i, v in enumerate(vecs)
         ]
 
-    base_results, _, _ = aggregate(entries(vectors))
+    base_results = aggregate(entries(vectors)).results
     scaled = [
         MetricVector(
             program_length=v.program_length * factor,
@@ -297,7 +297,7 @@ def test_scaling_all_vectors_preserves_relative_position(seed, factor):
         )
         for v in vectors
     ]
-    scaled_results, _, _ = aggregate(entries(scaled))
+    scaled_results = aggregate(entries(scaled)).results
     assert [r.name for r in base_results] == [r.name for r in scaled_results]
     for a, b in zip(base_results, scaled_results):
         assert a.oc_rel == b.oc_rel

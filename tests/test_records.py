@@ -3,6 +3,7 @@ the two weight records check their values whenever one is built."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -26,7 +27,6 @@ from poumetrics import (
     MetricVector,
     Pou,
     PouKind,
-    SampleEntry,
     SourceRef,
     StSource,
     Token,
@@ -89,12 +89,6 @@ RECORDS = [
         dict(zip(MetricVector._fields, VECTOR)),
         {},
         ("difficulty", Fraction(1, 2)),
-    ),
-    (
-        SampleEntry,
-        {"name": "P", "kind": PouKind.PROGRAM, "language": Language.ST, "vector": VECTOR},
-        {"tag": ""},
-        ("tag", "hot"),
     ),
     (
         GroupStats,
@@ -273,3 +267,44 @@ def test_importing_the_cli_generates_no_code():
         check=True,
     )
     assert loaded.stdout.split() == []
+
+
+def unused_imports(text: str) -> list[str]:
+    """The names that a module's imports bind but the module never reads
+    and does not list in `__all__`.  An import whose first line is marked
+    `# noqa: F401` is kept on purpose and not counted."""
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "# noqa: F401" not in lines[node.lineno - 1]:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return ["%d: %s" % (line, name) for name, line in sorted(imported.items(), key=lambda item: item[1]) if name not in used]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    stale = {path.name: unused_imports(path.read_text()) for path in sorted((SRC / "poumetrics").glob("*.py"))}
+    assert {name: names for name, names in stale.items() if names} == {}
+
+
+def test_the_unused_import_guard_sees_each_kind_of_import():
+    text = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import xml.etree.ElementTree as ET\n"
+        "from json import dumps, loads\n"
+        "from .chart import render_chart  # noqa: F401\n"
+        "from .report import emit_csv\n"
+        "__all__ = ['emit_csv']\n"
+        "def f() -> ET.Element:\n"
+        "    import re\n"
+        "    return loads(os.sep)\n"
+    )
+    assert unused_imports(text) == ["4: dumps", "9: re"]

@@ -23,7 +23,7 @@ from poumetrics import (
     fmt4,
     render_table,
 )
-from poumetrics.aggregate import PouResult, SampleEntry, aggregate, sample_row
+from poumetrics.aggregate import PouResult, Ranking, aggregate, sample_row
 from poumetrics.chart import render_chart, write_chart
 from poumetrics.cli import main
 from poumetrics.errors import AnalysisWarning
@@ -193,16 +193,16 @@ _VECTOR = st.builds(
 def _runs(draw):
     vectors = draw(st.lists(_VECTOR, min_size=1, max_size=8))
     names = draw(st.lists(_TEXT, min_size=len(vectors), max_size=len(vectors), unique_by=str.casefold))
-    entries = [
-        SampleEntry(
+    rows = [
+        sample_row(
             name, draw(st.sampled_from(list(PouKind))), draw(st.sampled_from(list(Language))), v, draw(_TEXT)
         )
         for name, v in zip(names, vectors)
     ]
     grouping = draw(st.sampled_from(list(Grouping)))
-    results, stats, warnings = aggregate(entries, grouping, normalize=draw(st.booleans()))
-    warnings += draw(st.lists(st.builds(AnalysisWarning, _TEXT, _TEXT, _TEXT, _TEXT), max_size=3))
-    return RunResult(results, stats, warnings, grouping.value)
+    ranking = aggregate(rows, grouping, normalize=draw(st.booleans()))
+    warnings = ranking.warnings + draw(st.lists(st.builds(AnalysisWarning, _TEXT, _TEXT, _TEXT, _TEXT), max_size=3))
+    return RunResult(ranking, warnings, grouping.value)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -249,7 +249,7 @@ def _pooled_runs(draw):
     ]
     grouping = draw(st.sampled_from(list(Grouping)))
     ranking = aggregate(rows, grouping, normalize=draw(st.booleans()))
-    return RunResult(grouping=grouping.value, ranking=ranking)
+    return RunResult(ranking, ranking.warnings, grouping.value)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -271,25 +271,24 @@ def test_row_cells_segments_and_ranking_match_the_exact_math(run):
     assert [r.name for r in results] == [r.name for r in sorted(results, key=lambda r: (r.oc_rel, r.name))]
 
     widths: dict[str, list[str]] = {}
-    for rect in data_rects(ET.fromstring(render_chart(results))):
+    for rect in data_rects(ET.fromstring(render_chart(run))):
         widths.setdefault(rect.get("data-pou"), []).append(rect.get("width"))
     for result in results:
         segments = [float(result.segment(i)) * 3.0 for i in range(6)]
         assert widths.get(result.name, []) == ["%.4f" % seg for seg in segments if seg > 0]
     with io.StringIO() as out:
-        write_chart(run.ranking, out)
-        assert out.getvalue() == render_chart(results)
+        write_chart(run, out)
+        assert out.getvalue() == render_chart(run)
 
 
 def test_cli_builds_no_per_pou_record(tmp_path, monkeypatch, capsys):
     """Both passes, the ranking and every report run on plain rows: no
-    process of `main` builds a PouResult or a SampleEntry."""
+    process of `main` builds a PouResult."""
 
     def refuse(cls, *args, **kwargs):
         raise AssertionError("%s built" % cls.__name__)
 
     monkeypatch.setattr(PouResult, "__new__", refuse)
-    monkeypatch.setattr(SampleEntry, "__new__", refuse)
     argv = ["analyze", str(CORPUS), "--group-by-language", "--normalize"]
     for flag in ("--json", "--csv", "--chart"):
         argv += [flag, str(tmp_path / ("report" + flag.replace("-", ".")))]
@@ -299,7 +298,7 @@ def test_cli_builds_no_per_pou_record(tmp_path, monkeypatch, capsys):
 
 
 def test_json_of_an_empty_run_is_json_dumps():
-    run = RunResult()
+    run = RunResult(Ranking([], [], [], []), [])
     assert emit_json(run) == json.dumps(report_object(run), indent=2) + "\n"
 
 

@@ -443,7 +443,9 @@ def test_global_names_are_looked_up_not_copied():
 
 # A prefix operator right after a binary operator is an operator, never
 # the start of a plain operand; TRUE is an operand but no read, and a
-# direct address is a read under its casefolded text.
+# direct address is a read under its casefolded text.  A statement that
+# starts with a prefix operator, a literal or `(`, as an SFC transition
+# condition may, is one expression.
 OPD, OPR = TokenClass.OPERAND, TokenClass.OPERATOR
 PREFIX_AFTER_BINARY = {
     "x := a AND NOT b;": (
@@ -495,15 +497,20 @@ PREFIX_AFTER_BINARY = {
         {"a", "%iw2"},
         {"x"},
     ),
+    "NOT done": ([("NOT", OPR, "not"), ("done", OPD, "done")], {"done"}, set()),
+    "0 < x": ([("0", OPD, "0"), ("<", OPR, "<"), ("x", OPD, "x")], {"x"}, set()),
+    "(a OR b)": ([("(", OPR, "()"), ("a", OPD, "a"), ("OR", OPR, "or"), ("b", OPD, "b")], {"a", "b"}, set()),
+    "-x > 1": ([("-", OPR, "-"), ("x", OPD, "x"), (">", OPR, ">"), ("1", OPD, "1")], {"x"}, set()),
 }
 
 
 @pytest.mark.parametrize("text", sorted(PREFIX_AFTER_BINARY))
 def test_prefix_operator_after_a_binary_operator(text):
     tokens, reads, writes = PREFIX_AFTER_BINARY[text]
-    facts = st_fragment_facts(text)
-    assert [(t.lexeme, t.cls, t.identity_key) for t in facts.tokens] == tokens
-    assert (facts.reads, facts.writes) == (reads, writes)
+    for value_context in (False, True):
+        facts = st_fragment_facts(text, value_context=value_context)
+        assert [(t.lexeme, t.cls, t.identity_key) for t in facts.tokens] == tokens
+        assert (facts.reads, facts.writes) == (reads, writes)
 
 
 # ------------------------- errors -------------------------
@@ -549,6 +556,8 @@ ERROR_TEXTS = {
     "end-of-input-in-if": ("IF a THEN x := 1;", "<test>:3:1: expected END_IF, found 'end of input'"),
     "end-of-input-in-expression": ("x := (1 +", "<test>:3:1: unexpected 'end of input' in expression"),
     "leftover-end-if": ("x := 1;\nEND_IF", "<test>:3:1: unexpected END_IF"),
+    "statement-starting-with-close-paren": (")", "<test>:2:1: unexpected ')' in expression"),
+    "statement-starting-with-not-then-assign": ("NOT x := 1;", "<test>:2:7: expected ';'"),
     "end-of-input-after-output-binding": ("F(a =>", "<test>:3:1: expected ')', found 'end of input'"),
     "end-of-input-after-nested-output-binding": ("x := F(a =>", "<test>:3:1: expected ')', found 'end of input'"),
 }
