@@ -83,6 +83,7 @@ SKIP_CODES = frozenset(
         "pou-parse-error",
         "xml-malformed",
         "body-language-unsupported",
+        "body-missing",
     }
 )
 

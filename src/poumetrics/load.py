@@ -106,6 +106,11 @@ def discover_inputs(paths) -> list[Path]:
     files count, but neither a symlinked nor an unreadable directory is
     entered.  A file found there is kept when its suffix, in any case, is
     an ST or XML one; a file named outright is kept whatever its suffix."""
+    return [Path(s) for s in _discover(paths)]
+
+
+def _discover(paths) -> list[str]:
+    """`discover_inputs` as the sorted strings that its paths spell."""
     found: set[str] = set()
     for raw in paths:
         p = Path(raw)
@@ -115,7 +120,7 @@ def discover_inputs(paths) -> list[Path]:
             found.add(str(p))
         else:
             raise AnalysisError("input path does not exist: %s" % p)
-    return [Path(s) for s in sorted(found)]
+    return sorted(found)
 
 
 def _scan(top: str, found: set[str]) -> None:
@@ -162,7 +167,7 @@ def load_sample(paths, array_sub_cap: int | None = None, finish=None) -> LoadedS
     `finish`, when given, is applied to each POU in the process that
     walked its file, and `pous` holds its results in place of the POUs.
     """
-    files = discover_inputs(paths)
+    files = _discover(paths)
     shared, warnings, finished = _run_passes(files, TypeContext(array_sub_cap=array_sub_cap), finish or _same)
     results: list = []
     by_name: dict[str, str] = {}
@@ -195,7 +200,7 @@ def _threaded() -> bool:
 
 
 def _run_passes(
-    files: list[Path], context: TypeContext, finish
+    files: list[str], context: TypeContext, finish
 ) -> tuple[_Shared, list[AnalysisWarning], list[_Finished]]:
     """Both passes over `files`: the sample's shared knowledge, built in
     `context`, pass 1's warnings in file order, and what pass 2 made of
@@ -337,7 +342,7 @@ def _reap(child: _Child, kill: bool = True) -> bool:
     return status == 0
 
 
-def _fork_walker(files: list[Path], claims: int, run: int, finish, siblings) -> _Child | None:
+def _fork_walker(files: list[str], claims: int, run: int, finish, siblings) -> _Child | None:
     """Fork a child that walks the files it claims from the pipe `claims`,
     then writes upward the list of their indices and each one's
     `_Declared`, reads the `_Shared` knowledge, and writes upward the list
@@ -418,16 +423,15 @@ def _finish_file(is_xml: bool, walked: list[st.WalkedPou], shared: _Shared, fini
     )
 
 
-def _walk_file(path: Path) -> tuple[_Declared, tuple[bool, list[st.WalkedPou]]]:
-    """Pass 1 for one file: its knowledge, and whether it is PLCopen XML
-    with its walked POUs.  A file that does not parse gives a warning; a
-    PLCopen file is skipped whole when it is malformed or a data type or
-    FB interface does not parse."""
-    label = str(path)
-    text = _decode(path.read_bytes())
-    is_xml = path.suffix.casefold() in XML_SUFFIXES or (
-        path.suffix.casefold() not in ST_SUFFIXES and _looks_like_xml(text)
-    )
+def _walk_file(label: str) -> tuple[_Declared, tuple[bool, list[st.WalkedPou]]]:
+    """Pass 1 for the file that `label` names: its knowledge, and whether
+    it is PLCopen XML with its walked POUs.  A file that does not parse
+    gives a warning; a PLCopen file is skipped whole when it is malformed
+    or a data type or FB interface does not parse."""
+    with open(label, "rb") as fh:
+        text = _decode(fh.read())
+    suffix = _suffix(os.path.basename(label)).casefold()
+    is_xml = suffix in XML_SUFFIXES or (suffix not in ST_SUFFIXES and _looks_like_xml(text))
     declared = _Declared([], [], [], [], [])
     pous: list[st.WalkedPou] = []
     try:

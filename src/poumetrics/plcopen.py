@@ -526,8 +526,10 @@ def _walk_body(acc: _Acc, pou_el: ET.Element, path: str) -> Language | None:
     body_el = pou_el.find("body")
     content = [] if body_el is None else [c for c in body_el if c.tag not in ("documentation", "addData")]
     lang_el = next((c for c in content if c.tag in _BODY_LANGUAGES or c.tag == "IL"), None)
-    if lang_el is None and not content:
-        return Language.ST  # no body, or one without content: ranked as an empty ST POU
+    if not content:
+        # no body, or one without content: no language to rank it in
+        acc.warn("body-missing", "pou has no body content; pou skipped")
+        return None
     if lang_el is None:
         # a body with content in no language we know is skipped,
         # not reported as an empty POU with zero complexity

@@ -6,6 +6,14 @@ emits one classified token per lexical element, records decision points
 with their source spans, collects call sites and tracks which external
 names are read or written.
 
+The lexer splits a text with one regular expression call.  Each token
+is the one `RawTok` of its text, shared by every occurrence in the
+process (up to a cap), and the tokens' offsets sit in a list beside
+them.  The parsers read an offset by token index, and a text's
+`LineTable` turns it into line and column only for a reported position.
+A nested or unclosed comment, or a character no token starts with,
+stops the bulk scan: the rest of the text is lexed one token at a time.
+
 Classification rules for bodies:
 
 * operands: identifiers, literals (numeric, string, time/date, typed,
@@ -55,11 +63,13 @@ import sys
 from array import array
 from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate, islice
 from sys import intern
 from typing import NamedTuple
 
 from .errors import AnalysisWarning, ParseError, UnterminatedComment, UnterminatedString, clip
 from .ir import (
+    _TOKEN_CACHE_SIZE,
     BodyFacts,
     CallSite,
     DecisionSpan,
@@ -74,32 +84,46 @@ from .typesys import RawDecl, TypeContext, TypeSpec, named
 
 # ---------------------- raw lexer ----------------------
 
-# One match per token: the whitespace before it, then one named group
-# per kind, tried in this order (typed literals such as T#5s before
-# identifiers, `(*` before the `(` operator).  `comment` takes a `(* *)`
-# comment that holds no nested `(*`; `nest` takes the opener of one that
-# does (or that is never closed), which `lex` skips with a depth count.
-# `bad` takes a character no kind can start with, or the opener of an
-# unclosed string or pragma.  Each match starts where the previous one
-# ended: whitespace is never `bad`, so only trailing whitespace ends the
-# scan.
+# One match per token: the separator before it, then the token.  The
+# separator is whitespace, `(* *)` comments that hold no nested `(*`,
+# `//` comments and {pragmas}.  The lookahead takes all of it and `\1`
+# consumes what it took, which stands in for an atomic group (Python
+# 3.10 has none): the separator is never tried shorter.  The token is,
+# in the order tried: an identifier, or the typed literal it starts
+# (T#5s); `(*`, before the `(` operator; a string; a direct address; a
+# number, based (16#FF), real or integer; an operator; any other
+# character but whitespace; or the end of the text, which takes the
+# trailing separator.  So a match is made at every position.  Two kinds
+# of token stop the bulk scan: `(*`, which opens a comment that nests or
+# is never closed, and a character no token starts with (the opener of
+# an unclosed string or pragma too).
+#
+# `lex` hands each text to `split` once.  Every third piece is a token,
+# and the running sum of the pieces' lengths gives each token's offset.
+# Each token text is looked up in `_RECORDS`, which holds the one
+# `RawTok` of each text and classifies a new text on its first lookup;
+# a stop token has none.  From the first stop token on, the text is
+# scanned with `finditer`, one token at a time: a nested comment is
+# skipped by counting `(*` and `*)`, and any other stop raises.  The
+# split is never made again, so each character is scanned at most twice.
 _NEXT_TOKEN = re.compile(
     r"""
-    [ \t\r\n]*
-    (?:
-      (?P<comment>\(\*[^*(]*(?:(?:\*(?!\))|\((?!\*))[^*(]*)*\*\)|//[^\n]*|\{[^}]*\})
-    | (?P<nest>\(\*)
-    | (?P<string>'(?:\$[\s\S]|[^'\n$])*'|"(?:\$[\s\S]|[^"\n$])*")
-    | (?P<address>%[IQMiqm][XBWDLxbwdl]?\d+(?:\.\d+)*)
-    | (?P<number>
-          [A-Za-z_][A-Za-z0-9_]*\#(?:\d[\d_]*\#)?[0-9A-Za-z_.:+-]+
-        | \d[\d_]*\#[0-9A-Fa-f_]+
-        | \d[\d_]*\.\d[\d_]*(?:[eE][+-]?\d+)?
-        | \d[\d_]*(?:[eE][+-]?\d+)?
-      )
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<op>:=|=>|<>|<=|>=|\*\*|\.\.|[-+*/=<>()\[\];,.:&])
-    | (?P<bad>[^ \t\r\n])
+    (?=(
+      (?: [ \t\r\n]+
+        | \(\*[^*(]*(?:(?:\*(?!\))|\((?!\*))[^*(]*)*\*\)
+        | //[^\n]*
+        | \{[^}]*\}
+      )*
+    ))\1
+    (
+      [A-Za-z_][A-Za-z0-9_]*(?:\#(?:\d[\d_]*\#)?[0-9A-Za-z_.:+-]+)?
+    | \(\*
+    | '(?:\$[\s\S]|[^'\n$])*'|"(?:\$[\s\S]|[^"\n$])*"
+    | %[IQMiqm][XBWDLxbwdl]?\d+(?:\.\d+)*
+    | \d[\d_]*(?:\#[0-9A-Fa-f_]+|\.\d[\d_]*(?:[eE][+-]?\d+)?|[eE][+-]?\d+)?
+    | :=|=>|<>|<=|>=|\*\*|\.\.|[-+*/=<>()\[\];,.:&]
+    | [^ \t\r\n]
+    | \Z
     )
     """,
     re.VERBOSE,
@@ -107,18 +131,57 @@ _NEXT_TOKEN = re.compile(
 _COMMENT_MARK = re.compile(r"\(\*|\*\)")
 _NEWLINE = re.compile(r"\n")
 _new_tuple = tuple.__new__
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_OPERATORS = frozenset({":=", "=>", "<>", "<=", ">=", "**", "..", *"-+*/=<>()[];,.:&"})
 
 
 class RawTok(NamedTuple):
     kind: str  # ident | number | string | address | op
     text: str
-    # Index of the token's first character in the lexed text; line and
-    # column come from the text's `LineTable` where a position is reported.
-    offset: int
     # What parsers match on: an identifier's upper-cased text (interned,
     # so the many copies of one keyword share a string), an operator's
     # text, "" for literals and addresses.
     key: str
+
+
+class _Records(dict):
+    """Token text -> the one `RawTok` of that text, shared by all its
+    occurrences.  A new text is classified by its first character, as
+    `_NEXT_TOKEN`'s alternatives tell the kinds apart; a stop token's
+    text has no record and raises KeyError.  Holding `_TOKEN_CACHE_SIZE`
+    texts, the memo starts afresh: sharing is lost, nothing else."""
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> RawTok:
+        first = text[:1]
+        if first in _IDENT_START:
+            kind = "number" if "#" in text else "ident"
+        elif first.isdecimal():  # `\d` matches every Unicode decimal digit
+            kind = "number"
+        elif first in ("'", '"', "%") and len(text) > 1:
+            kind = "address" if first == "%" else "string"
+        elif text in _OPERATORS:
+            kind = "op"
+        else:
+            raise KeyError(text)
+        if len(self) >= _TOKEN_CACHE_SIZE:
+            self.clear()
+        key = intern(text.upper()) if kind == "ident" else text if kind == "op" else ""
+        # tuple.__new__ skips RawTok's Python-level __new__
+        tok = self[text] = _new_tuple(RawTok, (kind, text, key))
+        return tok
+
+
+_RECORDS = _Records()
+
+
+class Lexed(list):
+    """The tokens of one text, and beside them `offsets`: the index of
+    each token's first character in the text.  Line and column come from
+    the text's `LineTable` where a position is reported."""
+
+    __slots__ = ("offsets",)
 
 
 class LineTable:
@@ -142,51 +205,58 @@ class LineTable:
         return line, offset - self._starts[line - 1] + 1
 
 
-def lex(text: str, path: str = "") -> list[RawTok]:
-    """Split ST source into raw tokens, dropping comments and pragmas.
-
-    One `finditer` scan does the work; a nested comment stops it, is
-    skipped by counting `(*` and `*)`, and the scan resumes after it."""
-    toks: list[RawTok] = []
-    append = toks.append
-    # token text -> (text, key), so that the repeats of one text share one
-    # string and one key for as long as the tokens are kept
-    memo: dict[str, tuple[str, str]] = {}
-    pos = 0
+def lex(text: str, path: str = "") -> Lexed:
+    """Split ST source into raw tokens, dropping comments and pragmas:
+    the tokens, with their offsets beside them."""
+    pieces = _NEXT_TOKEN.split(text)
+    texts = pieces[2::3]
+    del texts[-1]  # the empty match at the end of the text
+    if texts and not texts[-1]:
+        del texts[-1]  # the trailing separator, taken with `\Z`
+    offsets = list(islice(accumulate(map(len, pieces)), 1, 3 * len(texts), 3))
+    try:
+        toks = Lexed(map(_RECORDS.__getitem__, texts))
+    except KeyError as stop:
+        # A text that stops stops wherever it occurs, so its first
+        # occurrence is the first stop token.
+        k = texts.index(stop.args[0])
+    else:
+        toks.offsets = offsets
+        return toks
+    toks = Lexed(map(_RECORDS.__getitem__, texts[:k]))
+    toks.offsets = offsets
+    pos = offsets[k]
+    del offsets[k:]
+    append, place = toks.append, offsets.append
     while True:
+        # The last match is the empty token at the end, which has no record.
         for m in _NEXT_TOKEN.finditer(text, pos):
-            kind = m.lastgroup
-            if kind == "comment":
-                continue
-            if kind == "nest" or kind == "bad":
+            try:
+                append(_RECORDS[m[2]])
+            except KeyError:
                 break
-            tok = m[kind]
-            hit = memo.get(tok)
-            if hit is None:
-                key = intern(tok.upper()) if kind == "ident" else tok if kind == "op" else ""
-                hit = memo[tok] = (tok, key)
-            # tuple.__new__ skips RawTok's Python-level __new__
-            append(_new_tuple(RawTok, (kind, hit[0], m.start(kind), hit[1])))
-        else:
+            place(m.start(2))
+        start = m.start(2)
+        if start == len(text):
             return toks
-        start = m.start(kind)
-        if kind == "bad":
-            line, col = LineTable(text).position(start)
-            ch = text[start]
-            if ch in "'\"":
-                raise UnterminatedString("string literal is never closed", path, line, col)
-            if ch == "{":
-                raise ParseError("unterminated pragma", path, line, col)
-            raise ParseError("unexpected character %r" % ch, path, line, col)
-        depth = 1
-        for mark in _COMMENT_MARK.finditer(text, m.end()):
-            depth += 1 if mark.group() == "(*" else -1
-            if not depth:
-                pos = mark.end()
-                break
-        else:
-            line, col = LineTable(text).position(start)
-            raise UnterminatedComment("comment opened here is never closed", path, line, col)
+        if text.startswith("(*", start):
+            depth = 1
+            for mark in _COMMENT_MARK.finditer(text, start + 2):
+                depth += 1 if mark.group() == "(*" else -1
+                if not depth:
+                    pos = mark.end()
+                    break
+            else:
+                line, col = LineTable(text).position(start)
+                raise UnterminatedComment("comment opened here is never closed", path, line, col)
+            continue
+        line, col = LineTable(text).position(start)
+        ch = text[start]
+        if ch in "'\"":
+            raise UnterminatedString("string literal is never closed", path, line, col)
+        if ch == "{":
+            raise ParseError("unterminated pragma", path, line, col)
+        raise ParseError("unexpected character %r" % ch, path, line, col)
 
 
 # ---------------------- body walker ----------------------
@@ -247,7 +317,7 @@ class _BodyResult:
         self.depth = 0
 
 
-_EOF = RawTok("eof", "", -1, "")
+_EOF = RawTok("eof", "", "")
 
 # Deepest nesting of blocks, brackets, argument lists and ARRAY/STRUCT
 # types a parser accepts.  Deeper input is a ParseError, not a
@@ -261,14 +331,15 @@ class _Cursor:
     body walker.  The list, which the cursor reads in place, ends with one
     `_EOF`, and no method steps `i` past it: `take()` stays there.  So
     `toks[i]` is always a token, and `toks[i + 1]` is one whenever
-    `toks[i]` is not `_EOF`; neither read needs a bounds check.  `lines`
-    maps the tokens' offsets to positions.  An error at `_EOF` takes its
-    position from `end` (a unit's closing keyword) when given; bare
-    fragments have none."""
+    `toks[i]` is not `_EOF`; neither read needs a bounds check.
+    `offsets[i]` is the offset of `toks[i]`, which `lines` maps to a
+    position.  Beside `_EOF` it is that of a unit's closing keyword,
+    where an error at the end of input is reported, or -1 for no
+    position, as in a bare fragment."""
 
-    def __init__(self, toks: list[RawTok], path: str, lines: LineTable, end: RawTok = _EOF):
+    def __init__(self, toks: list[RawTok], offsets: list[int], path: str, lines: LineTable):
         self.toks = toks
-        self.end = end
+        self.offsets = offsets
         self.path = path
         self.lines = lines
         self.i = 0
@@ -286,14 +357,13 @@ class _Cursor:
             self.i += 1
         return t
 
-    def fail(self, message: str, tok: RawTok | None = None) -> ParseError:
-        """The error `message` at `tok`, by default the current token."""
-        t = self.cur() if tok is None else tok
-        if t is _EOF:
-            t = self.end
-            if t is _EOF:
-                return ParseError(message, self.path)
-        return ParseError(message, self.path, *self.lines.position(t.offset))
+    def fail(self, message: str, at: int | None = None) -> ParseError:
+        """The error `message` at the token of index `at`, by default the
+        current token."""
+        offset = self.offsets[self.i if at is None else at]
+        if offset < 0:
+            return ParseError(message, self.path)
+        return ParseError(message, self.path, *self.lines.position(offset))
 
     def at(self, key: str) -> bool:
         return self.toks[self.i].key == key
@@ -360,12 +430,12 @@ class _BodyParser(_Cursor):
     def __init__(
         self,
         toks: list[RawTok],
+        offsets: list[int],
         path: str,
         lines: LineTable,
         res: _BodyResult,
-        end: RawTok = _EOF,
     ):
-        super().__init__(toks, path, lines, end)
+        super().__init__(toks, offsets, path, lines)
         self.res = res
         self.depth = res.depth
         # set when the last parsed statement was a bare invocation
@@ -379,8 +449,9 @@ class _BodyParser(_Cursor):
     def operand(self, tok: RawTok):
         self.res.tokens.append(Token.operand(tok.text))
 
-    def decision(self, kind: str, tok: RawTok):
-        self.res.decisions.append(DecisionSpan(kind, SourceRef(self.path, *self.lines.position(tok.offset))))
+    def decision(self, kind: str, at: int):
+        """Record a decision point at the token of index `at`."""
+        self.res.decisions.append(DecisionSpan(kind, SourceRef(self.path, *self.lines.position(self.offsets[at]))))
 
     # --- statements ---
 
@@ -428,10 +499,10 @@ class _BodyParser(_Cursor):
         elif word == "REPEAT":
             self.repeat_statement()
         elif word in ("RETURN", "EXIT", "CONTINUE"):
+            if word == "EXIT":
+                self.decision("exit", self.i)
             self.i += 1
             self.op(t, word.lower())
-            if word == "EXIT":
-                self.decision("exit", t)
             self.end_of_statement()
         elif word in ("ELSE", "ELSIF", "UNTIL") or word.startswith("END_"):
             raise self.fail("unexpected %s" % word)
@@ -482,16 +553,14 @@ class _BodyParser(_Cursor):
         self.end_of_statement()
 
     def if_statement(self):
-        kw = self.expect("IF")
-        self.op(kw, "if")
-        self.decision("if", kw)
+        self.decision("if", self.i)
+        self.op(self.expect("IF"), "if")
         self.expression()
         self.expect("THEN")
         self.stmt_list(frozenset({"ELSIF", "ELSE", "END_IF"}))
         while self.at("ELSIF"):
-            kw = self.take()
-            self.op(kw, "elsif")
-            self.decision("elsif", kw)
+            self.decision("elsif", self.i)
+            self.op(self.take(), "elsif")
             self.expression()
             self.expect("THEN")
             self.stmt_list(frozenset({"ELSIF", "ELSE", "END_IF"}))
@@ -519,7 +588,7 @@ class _BodyParser(_Cursor):
         self.expect("END_CASE")
 
     def case_group(self):
-        self.decision("case-label", self.cur())
+        self.decision("case-label", self.i)
         self.case_label_atom()
         while self.cur().key in (",", ".."):
             self.op(self.take())
@@ -551,9 +620,8 @@ class _BodyParser(_Cursor):
         return seen_atom and self.toks[j].key == ":"
 
     def for_statement(self):
-        kw = self.expect("FOR")
-        self.op(kw, "for")
-        self.decision("for", kw)
+        self.decision("for", self.i)
+        self.op(self.expect("FOR"), "for")
         var = self.cur()
         if var.kind != "ident":
             raise self.fail("expected loop variable")
@@ -571,18 +639,16 @@ class _BodyParser(_Cursor):
         self.expect("END_FOR")
 
     def while_statement(self):
-        kw = self.expect("WHILE")
-        self.op(kw, "while")
-        self.decision("while", kw)
+        self.decision("while", self.i)
+        self.op(self.expect("WHILE"), "while")
         self.expression()
         self.expect("DO")
         self.stmt_list(frozenset({"END_WHILE"}))
         self.expect("END_WHILE")
 
     def repeat_statement(self):
-        kw = self.expect("REPEAT")
-        self.op(kw, "repeat")
-        self.decision("repeat", kw)
+        self.decision("repeat", self.i)
+        self.op(self.expect("REPEAT"), "repeat")
         self.stmt_list(frozenset({"UNTIL"}))
         self.expect("UNTIL")
         self.expression()
@@ -776,8 +842,9 @@ def st_fragment_facts(
     bare expression whose result a surrounding construct consumes.  The
     walk starts inside `into.depth` levels of nesting."""
     toks = lex(text, path)
-    toks.append(_EOF)
-    return _BodyParser(toks, path, LineTable(text), into or _BodyResult()).parse_body(value_context)
+    offsets = toks.offsets
+    offsets.append(-1)
+    return _BodyParser([*toks, _EOF], offsets, path, LineTable(text), into or _BodyResult()).parse_body(value_context)
 
 
 # ---------------------- declarations ----------------------
@@ -823,19 +890,22 @@ class StSource(NamedTuple):
 
 class StUnit(NamedTuple):
     """Top-level construct found in an ST file.  `tokens`, the list its
-    cursor reads, holds the tokens before the closing keyword `end` (and
-    END_VAR too for a VAR_GLOBAL list), then `_EOF`.  `lines` is the
-    file's line table, shared by all its units."""
+    cursor reads, holds the tokens before the closing keyword (and
+    END_VAR too for a VAR_GLOBAL list), then `_EOF`.  `offsets` holds
+    their offsets, and beside `_EOF` that of the closing keyword, or -1
+    for a VAR_GLOBAL list.  `lines` is the file's line table, shared by
+    all its units."""
 
     kind: str  # "pou" | "types" | "globals"
     tokens: list[RawTok]
-    end: RawTok
+    offsets: list[int]
     lines: LineTable
 
 
 def split_st_units(source: StSource) -> list[StUnit]:
     """Slice a file into POUs, TYPE blocks and VAR_GLOBAL lists."""
     toks = lex(source.text, source.path)
+    offsets = toks.offsets
     lines = LineTable(source.text)
     units: list[StUnit] = []
     i = 0
@@ -844,23 +914,28 @@ def split_st_units(source: StSource) -> list[StUnit]:
         word = t.key
         if word in _UNIT_ENDS:
             kind, end_kw = _UNIT_ENDS[word]
-            j = _find_kw(toks, i + 1, end_kw, source.path, lines, t)
-            unit = toks[i : j + 1] if kind == "globals" else toks[i:j]
+            j = _find_kw(toks, i + 1, end_kw, source.path, lines, offsets[i])
+            at = offsets[i : j + 1]
+            if kind == "globals":
+                unit = toks[i : j + 1]
+                at.append(-1)
+            else:
+                unit = toks[i:j]
             unit.append(_EOF)
-            units.append(StUnit(kind, unit, toks[j], lines))
+            units.append(StUnit(kind, unit, at, lines))
             i = j + 1
         elif word == ";":
             i += 1
         else:
-            raise ParseError("unexpected top-level token %r" % t.text, source.path, *lines.position(t.offset))
+            raise ParseError("unexpected top-level token %r" % t.text, source.path, *lines.position(offsets[i]))
     return units
 
 
-def _find_kw(toks, start, word, path, lines, open_tok) -> int:
+def _find_kw(toks, start, word, path, lines, open_offset) -> int:
     for j in range(start, len(toks)):
         if toks[j].key == word:
             return j
-    raise ParseError("missing %s" % word, path, *lines.position(open_tok.offset))
+    raise ParseError("missing %s" % word, path, *lines.position(open_offset))
 
 
 def parse_type_spec(cur: _Cursor) -> TypeSpec:
@@ -939,7 +1014,7 @@ def _type_and_init(cur: _Cursor) -> TypeSpec:
 
 
 def _parse_range(cur: _Cursor) -> tuple[int, int]:
-    start = cur.cur()
+    start = cur.i
     lo = _parse_bound(cur)
     cur.expect("..")
     hi = _parse_bound(cur)
@@ -986,7 +1061,7 @@ def parse_type_block(unit: StUnit, path: str) -> list[tuple[str, TypeSpec]]:
     that does not parse raises, so it defines none of its types.  Its
     END_TYPE is the end of input, so a construct it cuts short is
     unterminated."""
-    cur = _Cursor(unit.tokens, path, unit.lines, unit.end)
+    cur = _Cursor(unit.tokens, unit.offsets, path, unit.lines)
     cur.take()  # TYPE
     definitions: list[tuple[str, TypeSpec]] = []
     while cur.cur() is not _EOF:
@@ -997,7 +1072,7 @@ def parse_type_block(unit: StUnit, path: str) -> list[tuple[str, TypeSpec]]:
 
 def parse_global_names(unit: StUnit, path: str) -> list[str]:
     """Names declared in a standalone VAR_GLOBAL .. END_VAR list."""
-    return [d.name for d in _parse_var_sections(_Cursor(unit.tokens, path, unit.lines))]
+    return [d.name for d in _parse_var_sections(_Cursor(unit.tokens, unit.offsets, path, unit.lines))]
 
 
 def _parse_var_sections(cur: _Cursor) -> list[RawDecl]:
@@ -1031,8 +1106,8 @@ def interface_of_unit(
     the arguments of that ParseError and both are None, so the error
     keeps the POU's name.  An empty or blank quoted name is a ParseError
     at the head, as a nameless XML <pou> is."""
-    head = cur.take()
-    kind = _POU_KINDS[head.key][0]
+    head = cur.i
+    kind = _POU_KINDS[cur.take().key][0]
     name_tok = cur.cur()
     if name_tok.kind == "string":
         name = name_tok.text[1:-1]
@@ -1112,9 +1187,9 @@ def walk_pou_unit(unit: StUnit, path: str) -> WalkedPou:
     walks its body, which needs no other file.  Declarations that do not
     parse leave the POU's name to the sample, and a body that does not
     parse its interface too; only a nameless head raises."""
-    parser = _BodyParser(unit.tokens, path, unit.lines, _BodyResult(), unit.end)
+    parser = _BodyParser(unit.tokens, unit.offsets, path, unit.lines, _BodyResult())
     name, kind, decls, return_spec, error = interface_of_unit(parser)
-    head = SourceRef(path, *unit.lines.position(unit.tokens[0].offset))
+    head = SourceRef(path, *unit.lines.position(unit.offsets[0]))
     if error is None:
         try:
             parser.parse_body()

@@ -73,6 +73,12 @@ def not_chain(n: int) -> str:
     return program("".join("%s : BOOL;\n" % v for v in names) + "y : BOOL;", "y := %s;" % " AND NOT ".join(names))
 
 
+def nested_comments(n: int) -> str:
+    """n nested comments in one body: the first stops the bulk scan, and
+    the rest of the text is lexed one token at a time."""
+    return program("x : INT;", "".join("x := %d; (* a (* b *) c *)\n" % i for i in range(n)))
+
+
 def member_subscript_sum(n: int) -> str:
     """A sum of member and subscript references, `r.a + buf[1] + r.a + ...`."""
     terms = ["r.a" if i % 2 == 0 else "buf[%d]" % (i % 8) for i in range(n)]
@@ -155,6 +161,7 @@ FAMILIES = {
     "case-labels": ("p.st", case_labels),
     "long-sum": ("p.st", long_sum),
     "not-chain": ("p.st", not_chain),
+    "nested-comments": ("p.st", nested_comments),
     "member-subscript-sum": ("p.st", member_subscript_sum),
     "locals": ("p.st", locals_),
     "fbs-per-file": ("p.st", fbs_per_file),

@@ -10,7 +10,6 @@ import shutil
 import tracemalloc
 import weakref
 from fractions import Fraction
-from pathlib import Path
 
 from golden_ir import CORPUS, GOLDEN, canonical_ir
 from stgen import generate_program
@@ -191,9 +190,10 @@ def test_load_frees_each_unit_and_xml_tree_once_its_pous_are_built(monkeypatch, 
     def alive():
         return sum(ref() is not None for ref in made)
 
-    def read_bytes(self, real=Path.read_bytes):
+    # Each file's bytes are decoded as soon as they are read.
+    def decode(data, real=load._decode):
         alive_at_read.append(alive())
-        return real(self)
+        return real(data)
 
     class Tokens(list):
         """A unit's token list, which a weak reference can watch."""
@@ -210,7 +210,7 @@ def test_load_frees_each_unit_and_xml_tree_once_its_pous_are_built(monkeypatch, 
         made.append(weakref.ref(root))
         return root
 
-    monkeypatch.setattr(Path, "read_bytes", read_bytes)
+    monkeypatch.setattr(load, "_decode", decode)
     monkeypatch.setattr(st, "split_st_units", split_st_units)
     monkeypatch.setattr(plcopen, "parse_xml", parse_xml)
     sample = load_sample([str(tmp_path)])

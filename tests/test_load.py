@@ -161,7 +161,7 @@ NAMED_FAILURES = {
 def test_a_pou_whose_declarations_fail_is_skipped_by_name(tmp_path, name):
     path = tmp_path / name
     path.write_text(NAMED_FAILURES[name])
-    declared, _ = load._walk_file(path)
+    declared, _ = load._walk_file(str(path))
     assert declared.names == ["good", "badiface"] and declared.warnings == []
     sample = load_sample([str(path)])
     assert [p.name for p in sample.pous] == ["Good"]
@@ -316,9 +316,11 @@ def test_discovery_searches_directories_as_rglob_does(monkeypatch, tmp_path):
         "..st", ".hidden.gvl", "B.st", "a.ST", "dir.st/f.scl", "link.st", "notes.txt",
         "sub.d/e.pou", "sub/c.Xml", "sub/deep/d.typ",
     ]
-    inputs = load.discover_inputs([top, top / "sub", str(top / "a.ST"), top / "notes.txt", str(top) + "/"])
+    given = [top, top / "sub", str(top / "a.ST"), top / "notes.txt", str(top) + "/"]
+    inputs = load.discover_inputs(given)
     assert all(type(p) is type(top) for p in inputs)
     assert [str(p) for p in inputs] == [str(top / rel) for rel in found]
+    assert load._discover(given) == [str(p) for p in inputs]  # the labels the loader walks
     monkeypatch.chdir(top)
     assert [str(p) for p in load.discover_inputs(["."])] == [rel for rel in found if rel != "notes.txt"]
 
@@ -367,6 +369,19 @@ def test_a_file_of_another_suffix_is_xml_when_its_text_starts_with_a_tag(tmp_pat
     (tmp_path / "program.txt").write_text(lead + "PROGRAM Q\nx := 1;\nEND_PROGRAM\n")
     for name, pou, language in (("project.txt", "FbdAdd", Language.FBD), ("program.txt", "Q", Language.ST)):
         sample = load_sample([str(tmp_path / name)])
+        assert [(p.name, p.language) for p in sample.pous] == [(pou, language)]
+        assert sample.warnings == []
+
+
+def test_the_suffix_comes_from_the_file_name_not_its_directory(tmp_path):
+    """A file without a suffix in a directory named `d.xml` is ST by its
+    text, and `p.XML` in a directory named `d.st` is XML."""
+    (tmp_path / "d.xml").mkdir()
+    (tmp_path / "d.xml" / "p").write_text("PROGRAM Q\nx := 1;\nEND_PROGRAM\n")
+    (tmp_path / "d.st").mkdir()
+    (tmp_path / "d.st" / "p.XML").write_text((CORPUS / "fbd_add.xml").read_text())
+    for rel, pou, language in (("d.xml/p", "Q", Language.ST), ("d.st/p.XML", "FbdAdd", Language.FBD)):
+        sample = load_sample([str(tmp_path / rel)])
         assert [(p.name, p.language) for p in sample.pous] == [(pou, language)]
         assert sample.warnings == []
 
@@ -462,7 +477,7 @@ def log_walks(monkeypatch, log: Path):
 
     def walk_file(path):
         with open(log, "a") as out:
-            out.write("%d %s\n" % (os.getpid(), path.name))
+            out.write("%d %s\n" % (os.getpid(), os.path.basename(path)))
         return real_walk(path)
 
     def walked_by() -> dict[int, list[str]]:
@@ -928,7 +943,7 @@ def test_the_records_that_cross_the_pipes_pickle_as_constructor_calls(tmp_path):
     """No BUILD opcode: each record is rebuilt by its constructor, with no
     per-instance state set after it in Python."""
     sample_dir = write_sample(tmp_path / "sample", MIXED_SAMPLE)
-    declared, walked = zip(*(load._walk_file(p) for p in load.discover_inputs([str(CORPUS), str(sample_dir)])))
+    declared, walked = zip(*(load._walk_file(p) for p in load._discover([str(CORPUS), str(sample_dir)])))
     shared, warnings = load._share(declared, TypeContext())
     assert shared.context.definitions and shared.context.fb_interfaces and warnings
 
@@ -966,12 +981,12 @@ def test_the_pipes_carry_each_function_block_as_its_interface(tmp_path):
     for n in (3, 300):
         path = tmp_path / ("wide%d.st" % n)
         path.write_text(wide_function_block(n))
-        declared, _ = load._walk_file(path)
+        declared, _ = load._walk_file(str(path))
         assert [(name, len(members)) for name, members in declared.fbs] == [("Wide", n)]
         calls.append(constructor_calls(declared))
     assert calls[0] == calls[1]
 
-    shared, _ = load._share([load._walk_file(p)[0] for p in load.discover_inputs([str(CORPUS)])], TypeContext())
+    shared, _ = load._share([load._walk_file(p)[0] for p in load._discover([str(CORPUS)])], TypeContext())
     members = sum(map(len, shared.context.fb_interfaces.values()))
     without = shared._replace(context=TypeContext(None, shared.context.definitions, {}))
     assert constructor_calls(shared) - constructor_calls(without) <= len(VarSection) < members

@@ -24,6 +24,7 @@ from poumetrics import (
 )
 from poumetrics import plcopen
 from poumetrics.cli import main
+from poumetrics.errors import AnalysisWarning
 from poumetrics.plcopen import parse_xml
 
 from conftest import CORPUS
@@ -160,33 +161,24 @@ def test_unknown_body_language_skips_pou(tmp_path):
     assert [w.code for w in sample.warnings] == ["body-language-unsupported"]
 
 
-def test_body_with_only_documentation_is_kept_empty(tmp_path):
-    text = doc(pou_xml("P", "program", "<documentation>notes</documentation>"))
-    pou, warnings = one_pou(tmp_path, text)
-    assert pou.body.tokens == ()
-    assert [w.code for w in warnings] == []
-
-
 @pytest.mark.parametrize(
     "body",
     ["", "<body/>", "<body><documentation>notes</documentation></body>"],
     ids=["no-body", "empty-body", "documentation-only"],
 )
-def test_pou_without_body_content_is_ranked_as_an_empty_st_pou(tmp_path, body):
-    """Pins today's reading, which is not a design: a POU with no body,
-    or a body without content, is ranked as an empty ST POU, with the ST
-    weight profile and in the ST group, beside a graphical POU of its
-    own file."""
+def test_pou_without_body_content_is_skipped(tmp_path, body):
+    """A POU with no body, or a body without content (documentation
+    only counts as none), has no language to be ranked in: it is skipped
+    with `body-missing`, while a graphical POU of its own file and an ST
+    POU beside it are ranked in their own groups."""
     graph = pou_xml("Graph", "program", '<FBD><inVariable localId="1"><expression>a</expression></inVariable></FBD>')
     (tmp_path / "t.xml").write_text(doc('<pou name="Empty" pouType="program">%s%s</pou>' % (EMPTY_IFACE, body) + graph))
     (tmp_path / "a.st").write_text("PROGRAM Real\nVAR x : INT; END_VAR\nx := x + 1;\nEND_PROGRAM\n")
     run = analyze_paths([str(tmp_path)], AnalysisConfig(grouping=Grouping.PER_LANGUAGE))
-    by_name = {r.name: r for r in run.results}
-    empty, real = by_name["Empty"], by_name["Real"]
-    assert (empty.language, empty.group, empty.vector[:2]) == (Language.ST, "ST", (0, 1))
-    assert empty.coefficients is real.coefficients  # one per group and language, so the ST profile
-    assert by_name["Graph"].group == "FBD"
-    assert [w for w in run.warnings if w.pou == "Empty"] == []
+    assert sorted((r.name, r.group) for r in run.results) == [("Graph", "FBD"), ("Real", "ST")]
+    assert [w for w in run.warnings if w.pou == "Empty"] == [
+        AnalysisWarning("body-missing", "pou has no body content; pou skipped", str(tmp_path / "t.xml"), "Empty")
+    ]
 
 
 def test_function_return_type_becomes_output(tmp_path):

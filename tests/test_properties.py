@@ -30,6 +30,7 @@ from poumetrics.cli import main
 from poumetrics.errors import UnterminatedComment, UnterminatedString
 from poumetrics.plcopen import _local_id_key
 from poumetrics.report import fmt4, fmt4_ratio
+from poumetrics import st as st_module
 from poumetrics.st import LineTable, lex
 
 from conftest import CORPUS
@@ -188,12 +189,13 @@ def test_lexed_tokens_sit_at_their_positions(text):
             line_offsets.append(i + 1)
     lines = LineTable(text)
     end = 0
-    for tok in toks:
-        line, col = lines.position(tok.offset)
-        assert line_offsets[line - 1] + col - 1 == tok.offset
-        assert tok.offset >= end  # no overlap, so offsets strictly increase
-        assert text[tok.offset : tok.offset + len(tok.text)] == tok.text
-        end = tok.offset + len(tok.text)
+    assert len(toks.offsets) == len(toks)
+    for tok, offset in zip(toks, toks.offsets):
+        line, col = lines.position(offset)
+        assert line_offsets[line - 1] + col - 1 == offset
+        assert offset >= end  # no overlap, so offsets strictly increase
+        assert text[offset : offset + len(tok.text)] == tok.text
+        end = offset + len(tok.text)
 
 
 # Whole words and symbols of the ST grammar, so random lists stop every
@@ -452,7 +454,9 @@ def assert_lexes_like_reference(text: str):
         assert (err.value.line, err.value.column) == (exc.line, exc.column)
         return
     lines = LineTable(text)
-    assert [(t.kind, t.text, *lines.position(t.offset), t.key) for t in lex(text, "f.st")] == expected
+    toks = lex(text, "f.st")
+    assert len(toks.offsets) == len(toks)
+    assert [(t.kind, t.text, *lines.position(at), t.key) for t, at in zip(toks, toks.offsets)] == expected
 
 
 NESTED_COMMENT = "(* a (* b\n *) c *)"
@@ -480,6 +484,77 @@ def test_lex_matches_reference_on_mutated_corpus_files(source, edits, comment_po
         i = position % (len(text) + 1)
         text = text[:i] + NESTED_COMMENT + text[i:]
     assert_lexes_like_reference(text)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(SEEDS, SEEDS)
+def test_lex_matches_reference_on_generated_pous(seed, noise_seed):
+    text = sprinkle_comments(generate_program(seed).source, noise_seed)
+    assert_lexes_like_reference(text)
+    assert_lexes_like_reference(text.rstrip("\n"))  # a `//` comment may end the text
+
+
+# Texts at the edges of the bulk scan: a comment with no newline after
+# it at the end, nothing to lex, and a stop token (a nested or unclosed
+# comment, or a character no token starts with) first, last or right
+# after a nested comment.
+EDGE_TEXTS = {
+    "ends-in-comment": "x := 1; (* done *)",
+    "ends-in-pragma": "x := 1; {attribute 'done'}",
+    "ends-in-line-comment": "x := 1; // done",
+    "ends-in-nested-comment": "x := 1; (* a (* b *) *)",
+    "empty": "",
+    "blank": " \t\r\n \n",
+    "comment-only": "(* only *)",
+    "pragma-only": "{only}",
+    "line-comment-only": "// only",
+    "comments-only": "(* a *)\n// b\n{c} (* (* d *) *)\n",
+    "stop-first": "?x := 1;",
+    "stop-last": "x := 1;?",
+    "stop-after-nested-comment": "x (* (* *) *)?",
+    "stop-after-nested-comment-spaced": "x (* (*\n *) *)\n ? y",
+    "unclosed-string-first": "'x := 1;",
+    "unclosed-pragma-last": "x := 1; {",
+    "unclosed-comment-last": "x := 1; (*",
+    "unclosed-after-nested-comment": "(* (* *) *) x (*",
+    "nested-comment-first": "(* (* *) *) x := 1;",
+    "nested-comments-back-to-back": "x(* (* *) *)(* (* *) *)y",
+}
+
+
+@pytest.mark.parametrize("text", list(EDGE_TEXTS.values()), ids=list(EDGE_TEXTS))
+def test_lex_matches_reference_at_the_edges(text):
+    assert_lexes_like_reference(text)
+
+
+def test_lex_gives_the_same_in_any_order_and_past_the_memo_cap(monkeypatch):
+    """Each token is the one record of its text, shared by every text
+    lexed.  Lexing the corpus forward, in reverse, after the shared memo
+    has overflowed its cap, and with a cap so small that it overflows
+    within one text, gives the same tokens and offsets, and the memo
+    never holds more texts than its cap."""
+    texts = [p.read_bytes().decode("latin-1") for p in ST_CORPUS_FILES]
+
+    def lexed(order, cap):
+        out = {}
+        for i in order:
+            toks = lex(texts[i], "f.st")
+            assert len(st_module._RECORDS) <= cap
+            out[i] = (list(toks), toks.offsets)
+        return out
+
+    def overflow(cap):
+        lex(" ".join("v%d" % i for i in range(cap + 10)))  # more texts than the memo holds
+        assert 0 < len(st_module._RECORDS) <= cap
+
+    cap = st_module._TOKEN_CACHE_SIZE
+    forward = lexed(range(len(texts)), cap)
+    assert lexed(reversed(range(len(texts))), cap) == forward
+    overflow(cap)
+    assert lexed(range(len(texts)), cap) == forward
+    monkeypatch.setattr(st_module, "_TOKEN_CACHE_SIZE", 8)
+    overflow(8)
+    assert lexed(reversed(range(len(texts))), 8) == forward
 
 
 # ------------------- one odd attribute or config value -------------------

@@ -117,7 +117,7 @@ RECORDS = [
         ("oc_rel", Fraction(50)),
     ),
     (StSource, {"path": "p.st", "text": "PROGRAM P END_PROGRAM"}, {}, ("path", "q.st")),
-    (StUnit, {"kind": "pou", "tokens": [_EOF], "end": _EOF, "lines": LineTable("")}, {}, ("kind", "types")),
+    (StUnit, {"kind": "pou", "tokens": [_EOF], "offsets": [-1], "lines": LineTable("")}, {}, ("kind", "types")),
     (
         WalkedPou,
         {
@@ -267,6 +267,35 @@ def test_importing_the_cli_generates_no_code():
         check=True,
     )
     assert loaded.stdout.split() == []
+
+
+def test_importing_the_cli_compiles_six_patterns():
+    """Each regular expression compiled at import costs every run about
+    half a millisecond, so a fresh import of the CLI leaves exactly these
+    module-level patterns in the package: one lexer pattern, not two."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import poumetrics.cli, re, sys; "
+            "print(' '.join(sorted('%s.%s' % (name, attr) for name, module in list(sys.modules.items()) "
+            "if name.startswith('poumetrics') for attr, value in vars(module).items() "
+            "if isinstance(value, re.Pattern))))",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert loaded.stdout.split() == [
+        "poumetrics.config._EXPONENT",
+        "poumetrics.plcopen._IDENT_ROOT",
+        "poumetrics.st._BASED_INT",
+        "poumetrics.st._COMMENT_MARK",
+        "poumetrics.st._NEWLINE",
+        "poumetrics.st._NEXT_TOKEN",
+    ]
 
 
 def unused_imports(text: str) -> list[str]:

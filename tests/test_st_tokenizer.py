@@ -122,8 +122,8 @@ def test_line_and_column_tracking():
     for text, line, col in cases:
         toks = lex(text)
         lines = LineTable(text)
-        assert lines.position(toks[0].offset) == (1, 1)
-        assert (toks[-1].text, *lines.position(toks[-1].offset)) == ("b", line, col)
+        assert lines.position(toks.offsets[0]) == (1, 1)
+        assert (toks[-1].text, *lines.position(toks.offsets[-1])) == ("b", line, col)
 
 
 @pytest.mark.parametrize(

@@ -55,6 +55,12 @@ ROWS = {
         "P",
         "body language 'XYZ' is not supported; pou skipped",
     ),
+    "body-missing": (
+        {**GOOD, "p.xml": xml_pou("<documentation>notes</documentation>")},
+        "p.xml",
+        "P",
+        "pou has no body content; pou skipped",
+    ),
     "missing-interface": (
         {"p.xml": doc('<pou name="P" pouType="program"><body><ST>x := 1;</ST></body></pou>')},
         "p.xml",
