@@ -161,6 +161,13 @@ def test_unknown_body_language_skips_pou(tmp_path):
     assert [w.code for w in sample.warnings] == ["body-language-unsupported"]
 
 
+def test_body_with_only_documentation_is_skipped(tmp_path):
+    text = doc(pou_xml("P", "program", "<documentation>notes</documentation>"))
+    sample = load_doc(tmp_path, text)
+    assert sample.pous == []
+    assert [w.code for w in sample.warnings] == ["body-missing"]
+
+
 @pytest.mark.parametrize(
     "body",
     ["", "<body/>", "<body><documentation>notes</documentation></body>"],
