@@ -127,7 +127,7 @@ def _type_spec_of(type_el: ET.Element | None, path: str, depth: int = 0) -> Type
         fields = []
         for var in inner.findall("variable"):
             _type_spec_of(var.find("type"), path, depth + 1)  # parsed for its errors and nesting only
-            fields.append(var.get("name", ""))
+            fields.append(_var_name(var, path))
         return TypeSpec("struct", fields=tuple(fields))
     if tag == "enum":
         return TypeSpec("enum", name="ENUM")
@@ -161,8 +161,18 @@ def _interface_vars(interface: ET.Element, path: str) -> tuple[list[RawDecl], Ty
         if section is None:
             continue
         for var in section_el.findall("variable"):
-            out.append(RawDecl(var.get("name", ""), section, _type_spec_of(var.find("type"), path)))
+            spec = _type_spec_of(var.find("type"), path)
+            out.append(RawDecl(_var_name(var, path), section, spec))
     return out, return_spec
+
+
+def _var_name(var: ET.Element, path: str) -> str:
+    """The name of an interface <variable> or struct member.  A missing
+    or blank one is a ParseError, as a nameless ST declaration is."""
+    name = var.get("name", "")
+    if not name.strip():
+        raise ParseError("variable without a name", path)
+    return name
 
 
 def register_project_types(root: ET.Element, path: str) -> list[tuple[str, TypeSpec]]:

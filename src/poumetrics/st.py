@@ -874,6 +874,8 @@ _VAR_SECTIONS = {
 }
 
 _VAR_QUALIFIERS = frozenset({"RETAIN", "NON_RETAIN", "CONSTANT", "PERSISTENT"})
+# Type words that `parse_type_spec` does not read as a plain type name.
+_TYPE_WORDS = frozenset({"ARRAY", "STRUCT", "STRING", "WSTRING"})
 
 _BASED_INT = re.compile(r"2#[01]+|8#[0-7]+|16#[0-9A-Fa-f]+")  # once `_` is removed
 # Decimal digits Python converts between int and str; 0 is no limit, as
@@ -1077,6 +1079,7 @@ def parse_global_names(unit: StUnit, path: str) -> list[str]:
 
 def _parse_var_sections(cur: _Cursor) -> list[RawDecl]:
     decls: list[RawDecl] = []
+    toks = cur.toks
     while True:
         section = _VAR_SECTIONS.get(cur.cur().key)
         if section is None:
@@ -1084,7 +1087,19 @@ def _parse_var_sections(cur: _Cursor) -> list[RawDecl]:
         cur.take()
         while cur.cur().key in _VAR_QUALIFIERS:
             cur.take()
-        while cur.before("END_VAR", "VAR section"):
+        while True:
+            i = cur.i
+            t = toks[i]
+            if t.kind == "ident" and t.key != "END_VAR" and toks[i + 1].key == ":":
+                type_tok = toks[i + 2]
+                if type_tok.kind == "ident" and type_tok.key not in _TYPE_WORDS and toks[i + 3].key == ";":
+                    # A plain `name : TYPE;` in one step, read as the
+                    # general path below reads it.
+                    decls.append(_new_tuple(RawDecl, (t.text, section, named(type_tok.text))))
+                    cur.i = i + 4
+                    continue
+            if not cur.before("END_VAR", "VAR section"):
+                break
             names = _declared_names(cur)
             if cur.at("AT"):
                 cur.take()

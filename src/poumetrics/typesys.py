@@ -14,7 +14,9 @@ import sys
 from typing import NamedTuple
 
 from .errors import AnalysisWarning
-from .ir import TypeClass, VariableDecl, VarSection
+from .ir import _TOKEN_CACHE_SIZE, TypeClass, VariableDecl, VarSection
+
+_new_tuple = tuple.__new__
 
 # Elementary IEC types: single value, Simple weight class.
 ELEMENTARY_TYPES = frozenset(
@@ -68,8 +70,20 @@ class TypeSpec(NamedTuple):
         return n
 
 
+# Type name -> its one shared `TypeSpec`.  Holding `_TOKEN_CACHE_SIZE`
+# names, the memo starts afresh: sharing is lost, nothing else.
+_NAMED: dict[str, TypeSpec] = {}
+
+
 def named(name: str) -> TypeSpec:
-    return TypeSpec("named", name=name)
+    """The one `TypeSpec` of a type name, shared by every declaration of
+    that name, so a context classifies it once."""
+    spec = _NAMED.get(name)
+    if spec is None:
+        if len(_NAMED) >= _TOKEN_CACHE_SIZE:
+            _NAMED.clear()
+        spec = _NAMED[name] = TypeSpec("named", name=name)
+    return spec
 
 
 class RawDecl(NamedTuple):
@@ -123,14 +137,18 @@ class TypeContext:
         self.fb_interfaces = {} if fb_interfaces is None else fb_interfaces
         # casefolded user-defined type name -> what `_resolve` found for it
         self._resolved: dict[str, tuple[range, str]] = {}
+        # spec -> (type class, rendered name, sub-variables), for the
+        # specs whose classification gave no warning
+        self._classified: dict[TypeSpec, tuple[TypeClass, str, range]] = {}
 
     def __reduce__(self):
-        # Pickled as a constructor call, without the memo.
+        # Pickled as a constructor call, without the memos.
         return TypeContext, (self.array_sub_cap, self.definitions, self.fb_interfaces)
 
     def define(self, name: str, spec: TypeSpec) -> None:
         self.definitions[name.casefold()] = spec
         self._resolved.clear()
+        self._classified.clear()
 
     def lookup(self, name: str) -> TypeSpec | None:
         return self.definitions.get(name.casefold())
@@ -140,6 +158,7 @@ class TypeContext:
         of each input, output and in/out declaration, kept as given."""
         self.fb_interfaces[name.casefold()] = members
         self._resolved.clear()
+        self._classified.clear()
 
     def fb_members(self, type_name: str) -> tuple[tuple[str, VarSection], ...] | None:
         key = type_name.casefold()
@@ -163,15 +182,25 @@ class TypeContext:
 
         A function's return value comes first, as an output named after
         the POU.  Warnings are attributed to `pou_name` in file `path`.
+        Each distinct spec is classified once per context; one that warns
+        is classified again, so each warning names its own variable.
         """
         if return_spec is not None:
             decls = [RawDecl(pou_name, VarSection.OUTPUT, return_spec), *decls]
         variables: list[VariableDecl] = []
         warnings: list[AnalysisWarning] = []
-        for d in decls:
-            type_class, subs, ws = self.classify(d.spec, d.name)
-            variables.append(VariableDecl(d.name, d.section, type_class, d.spec.render(), subs))
-            warnings.extend(w._replace(path=path, pou=pou_name) for w in ws)
+        classified = self._classified
+        for name, section, spec in decls:
+            known = classified.get(spec)
+            if known is None:
+                type_class, subs, ws = self.classify(spec, name)
+                known = type_class, spec.render(), subs
+                if ws:
+                    warnings.extend(w._replace(path=path, pou=pou_name) for w in ws)
+                else:
+                    classified[spec] = known
+            # tuple.__new__ skips VariableDecl's Python-level __new__
+            variables.append(_new_tuple(VariableDecl, (name, section, *known)))
         return variables, warnings
 
     def classify(

@@ -90,6 +90,20 @@ def locals_(n: int) -> str:
     return program("".join("v%d : INT;\n" % i for i in range(n)), "v0 := 1;")
 
 
+def general_decls(n: int) -> str:
+    """Declarations that are not a plain `name : TYPE;`: a name list with
+    an array type and an initializer, and an addressed one."""
+    decls = "".join("a%d, b%d : ARRAY[1..2] OF INT := [1, 2];\ns%d AT %%MW%d : INT := 5;\n" % (i, i, i, i) for i in range(n))
+    return program(decls, "s0 := a0[1];")
+
+
+def user_types(n: int) -> str:
+    """n variables, each of its own user type, each type in its own TYPE
+    block: every spec is distinct, so each is classified once."""
+    types = "".join("TYPE T%d : STRUCT a : INT; b : BOOL; END_STRUCT; END_TYPE\n" % i for i in range(n))
+    return types + program("".join("v%d : T%d;\n" % (i, i) for i in range(n)), "v0.a := 1;")
+
+
 def fbs_per_file(n: int) -> str:
     return "".join(
         "FUNCTION_BLOCK Fb%d\nVAR_INPUT a : INT; END_VAR\nVAR_OUTPUT q : INT; END_VAR\nq := a + %d;\n"
@@ -164,6 +178,8 @@ FAMILIES = {
     "nested-comments": ("p.st", nested_comments),
     "member-subscript-sum": ("p.st", member_subscript_sum),
     "locals": ("p.st", locals_),
+    "general-decls": ("p.st", general_decls),
+    "user-types": ("p.st", user_types),
     "fbs-per-file": ("p.st", fbs_per_file),
     "alias-chain": ("p.st", alias_chain),
     "nested-structs": ("p.st", nested_structs),

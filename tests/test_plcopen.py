@@ -311,6 +311,47 @@ def test_array_bound_past_the_int_digit_limit_is_named_too_long(tmp_path, upper,
     ]
 
 
+NAMELESS = {
+    "missing": '<variable><type><INT/></type></variable>',
+    "empty": '<variable name=""><type><INT/></type></variable>',
+    "blank": '<variable name=" \t"><type><INT/></type></variable>',
+    "struct-member": '<variable name="s"><type><struct><variable name="a"><type><INT/></type></variable>'
+    "<variable><type><BOOL/></type></variable></struct></type></variable>",
+}
+
+
+@pytest.mark.parametrize(
+    "variable, pou_type, kept, skipped",
+    [
+        *((NAMELESS[k], "program", ["Good"], "Bad") for k in sorted(NAMELESS)),
+        # A named function block whose interface fails skips the file.
+        (NAMELESS["empty"], "functionBlock", [], ""),
+        (NAMELESS["struct-member"], "functionBlock", [], ""),
+    ],
+    ids=[*sorted(NAMELESS), "fb-empty", "fb-struct-member"],
+)
+def test_a_variable_without_a_name_is_a_parse_error(tmp_path, variable, pou_type, kept, skipped):
+    """As `x, : INT;` does not parse in ST, an interface variable or a
+    struct member without a name skips its POU, not only the variable."""
+    iface = "<interface><localVars>%s</localVars></interface>" % variable
+    body = '<ST><xhtml xmlns="http://www.w3.org/1999/xhtml">x := 1;</xhtml></ST>'
+    sample = load_doc(tmp_path, doc(pou_xml("Bad", pou_type, body, iface) + pou_xml("Good", "program", body)))
+    assert [p.name for p in sample.pous] == kept
+    assert [(w.code, w.pou, w.message) for w in sample.warnings] == [
+        ("pou-parse-error", skipped, "variable without a name")
+    ]
+
+
+def test_a_data_type_with_a_nameless_struct_member_skips_the_file(tmp_path):
+    struct = '<struct><variable name="a"><type><INT/></type></variable><variable name=""><type><INT/></type></variable></struct>'
+    data_types = '<dataTypes><dataType name="T"><baseType>%s</baseType></dataType></dataTypes>' % struct
+    body = '<ST><xhtml xmlns="http://www.w3.org/1999/xhtml">x := 1;</xhtml></ST>'
+    sample = load_doc(tmp_path, doc(pou_xml("Good", "program", body)).replace("<dataTypes/>", data_types))
+    assert sample.pous == []
+    assert [(w.code, w.pou, w.message) for w in sample.warnings] == [("pou-parse-error", "", "variable without a name")]
+    assert sample.context.lookup("T") is None
+
+
 def deep_inline_doc(depth, inner="<FBD/>"):
     """POUs Deep and Good.  Deep's FBD body holds action blocks with inline
     FBD bodies, nested `depth` levels deep; the innermost inline body is

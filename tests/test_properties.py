@@ -11,6 +11,7 @@ import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st_strat
@@ -19,6 +20,7 @@ from poumetrics import (
     ParseError,
     StSource,
     TokenClass,
+    VarSection,
     compute_vector,
     load_sample,
     parse_st_pou,
@@ -30,8 +32,9 @@ from poumetrics.cli import main
 from poumetrics.errors import UnterminatedComment, UnterminatedString
 from poumetrics.plcopen import _local_id_key
 from poumetrics.report import fmt4, fmt4_ratio
-from poumetrics import st as st_module
-from poumetrics.st import LineTable, lex
+from poumetrics import st as st_module, typesys
+from poumetrics.st import LineTable, lex, parse_pou_unit, split_st_units, walk_pou_unit
+from poumetrics.typesys import RawDecl, TypeContext, TypeSpec, named
 
 from conftest import CORPUS
 from stgen import generate_program, sprinkle_comments
@@ -555,6 +558,131 @@ def test_lex_gives_the_same_in_any_order_and_past_the_memo_cap(monkeypatch):
     monkeypatch.setattr(st_module, "_TOKEN_CACHE_SIZE", 8)
     overflow(8)
     assert lexed(reversed(range(len(texts))), 8) == forward
+
+
+# ------------------- declarations against their generator -------------------
+
+# Each generated declaration is a pair: its text and the `TypeSpec` it
+# declares, so the generator's own `RawDecl`s are the oracle.  Names mix
+# plain ones with keywords, which a declaration reads as names too; no
+# name is a section qualifier (read as one after the section keyword),
+# END_VAR or a POU's closing keyword.
+DECL_NAMES = st_strat.sampled_from(
+    ["a", "b1", "x_y", "Motor", "IF", "OF", "AT", "ARRAY", "STRING", "VAR", "VAR_INPUT", "TRUE", "INT", "TON", "END_IF"]
+)
+NAME_LISTS = st_strat.lists(DECL_NAMES, min_size=1, max_size=3)
+PLAIN_TYPES = st_strat.sampled_from(["INT", "bool", "T1", "Motor", "TON", "IF", "OF", "AT", "END_VAR", "END_IF"]).map(
+    lambda name: (name, named(name))
+)
+STRING_TYPES = st_strat.tuples(
+    st_strat.sampled_from(["STRING", "WSTRING", "string"]), st_strat.sampled_from(["", "[20]", "(8)"])
+).map(lambda p: (p[0] + p[1], TypeSpec("string", name=p[0].upper())))
+SUBRANGE_TYPES = st_strat.sampled_from(["INT", "UINT", "T1"]).map(
+    lambda name: ("%s (0..100)" % name, TypeSpec("subrange", name=name, element=named(name)))
+)
+ENUM_TYPES = st_strat.sampled_from(["(Red, Green)", "(Idle := 0, Busy := 1)"]).map(lambda text: (text, TypeSpec("enum")))
+DIMS = st_strat.lists(
+    st_strat.tuples(st_strat.integers(-3, 3), st_strat.integers(0, 4)).map(lambda p: (p[0], p[0] + p[1])),
+    min_size=1,
+    max_size=3,
+)
+INITS = st_strat.sampled_from(["", " := 5", " := [1, 2]", " := (a := 1, b := 'x;y')", " := T#5s"])
+ADDRESSES = st_strat.sampled_from(["", " AT %IX0.1", " AT %MW3"])
+SECTION_WORDS = {
+    "VAR_INPUT": VarSection.INPUT,
+    "VAR_OUTPUT": VarSection.OUTPUT,
+    "VAR_IN_OUT": VarSection.IN_OUT,
+    "VAR": VarSection.LOCAL,
+    "VAR_TEMP": VarSection.TEMP,
+    "VAR_EXTERNAL": VarSection.EXTERNAL,
+    "VAR_GLOBAL": VarSection.GLOBAL,
+}
+
+
+def array_type(dims, element):
+    text = "ARRAY[%s] OF %s" % (", ".join("%d..%d" % d for d in dims), element[0])
+    return text, TypeSpec("array", dims=tuple(dims), element=element[1])
+
+
+def struct_type(fields):
+    text = " ".join("%s : %s%s;" % (", ".join(names), type_[0], init) for names, type_, init in fields)
+    return "STRUCT %s END_STRUCT" % text, TypeSpec("struct", fields=tuple(n for names, _, _ in fields for n in names))
+
+
+LEAF_TYPES = st_strat.one_of(PLAIN_TYPES, STRING_TYPES, SUBRANGE_TYPES, ENUM_TYPES)
+DECL_TYPES = st_strat.recursive(
+    LEAF_TYPES,
+    lambda inner: st_strat.one_of(
+        st_strat.builds(array_type, DIMS, inner),
+        st_strat.lists(st_strat.tuples(NAME_LISTS, inner, INITS), min_size=1, max_size=3).map(struct_type),
+    ),
+    max_leaves=4,
+)
+# (section word, qualifier, [(names, address, (type text, spec), initializer)])
+VAR_SECTIONS = st_strat.tuples(
+    st_strat.sampled_from(sorted(SECTION_WORDS)),
+    st_strat.sampled_from(["", " RETAIN", " CONSTANT"]),
+    st_strat.lists(
+        st_strat.one_of(
+            # one name and no address or initializer: a plain type is the
+            # one-step form, and any other type just misses it
+            st_strat.tuples(DECL_NAMES.map(lambda name: [name]), st_strat.just(""), LEAF_TYPES, st_strat.just("")),
+            st_strat.tuples(NAME_LISTS, ADDRESSES, DECL_TYPES, INITS),
+        ),
+        max_size=4,
+    ),
+)
+
+
+def section_text(section) -> str:
+    word, qualifier, decls = section
+    lines = "".join(
+        "  %s%s : %s%s;\n" % (", ".join(names), address, type_[0], init) for names, address, type_, init in decls
+    )
+    return "%s%s\n%sEND_VAR\n" % (word, qualifier, lines)
+
+
+def section_decls(section) -> list[RawDecl]:
+    word, _, decls = section
+    return [RawDecl(name, SECTION_WORDS[word], type_[1]) for names, _, type_, _ in decls for name in names]
+
+
+def walked_pou(text: str):
+    (unit,) = split_st_units(StSource(path="d.st", text=text))
+    return walk_pou_unit(unit, "d.st")
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st_strat.lists(VAR_SECTIONS, max_size=3))
+def test_declarations_read_as_generated_and_every_cut_is_a_parse_error(sections):
+    """The parsed declarations are the generated ones, each plain type
+    name one shared spec.  The text cut at any token boundary inside a
+    section ends as a `pou-parse-error`, never as another exception; cut
+    before a section, it holds the sections before it.  Past the cap of
+    the `named` memo the declarations and their classes are the same."""
+    head, tail = "PROGRAM P\n", "\nEND_PROGRAM\n"
+    texts = [section_text(s) for s in sections]
+    expected = [section_decls(s) for s in sections]
+    walked = walked_pou(head + "".join(texts) + tail)
+    assert walked.error is None
+    decls = walked.decls
+    assert decls == [d for part in expected for d in part]
+    assert all(d.spec is named(d.spec.name) for d in decls if d.spec.kind == "named")
+    for s, text in enumerate(texts):
+        before = head + "".join(texts[:s])
+        cut = walked_pou(before + tail)
+        assert cut.error is None and cut.decls == [d for part in expected[:s] for d in part]
+        for offset in lex(text).offsets[1:]:
+            cut = walked_pou(before + text[:offset] + tail)
+            assert cut.error is not None, text[:offset]
+            pou, warnings = parse_pou_unit(cut, TypeContext(), frozenset())
+            assert pou is None and [w.code for w in warnings] == ["pou-parse-error"]
+    classified = TypeContext().declare("P", decls)
+    with mock.patch.object(typesys, "_TOKEN_CACHE_SIZE", 2):
+        assert named("T1") is named("T1")
+        again = walked_pou(head + "".join(texts) + tail).decls
+        assert again == decls
+        assert TypeContext().declare("P", again) == classified
 
 
 # ------------------- one odd attribute or config value -------------------

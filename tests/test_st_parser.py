@@ -20,7 +20,7 @@ from poumetrics import (
     parse_st_pou,
     st_fragment_facts,
 )
-from poumetrics.st import split_st_units
+from poumetrics.st import split_st_units, walk_pou_unit
 from poumetrics.typesys import RawDecl, TypeContext, TypeSpec, named
 
 
@@ -89,6 +89,24 @@ def test_variable_qualifiers_are_tolerated():
         """
     )
     assert [v.name for v in pou.variables] == ["n"]
+
+
+def test_type_words_and_keywords_in_short_declarations():
+    """`name : TYPE;` with a string word is a string type, as it is with a
+    length; any other identifier after the colon, a keyword too, is a
+    type name, and any identifier but END_VAR a declared name."""
+    (unit,) = split_st_units(
+        StSource("d.st", "PROGRAM P\nVAR s : STRING; w : wstring; e : END_VAR; IF : OF; AT : INT; END_VAR\nEND_PROGRAM\n")
+    )
+    walked = walk_pou_unit(unit, "d.st")
+    assert walked.error is None
+    assert [(d.name, d.spec) for d in walked.decls] == [
+        ("s", TypeSpec("string", name="STRING")),
+        ("w", TypeSpec("string", name="WSTRING")),
+        ("e", named("END_VAR")),
+        ("IF", named("OF")),
+        ("AT", named("INT")),
+    ]
 
 
 def test_initializers_do_not_leak_into_body_tokens():
@@ -550,6 +568,15 @@ ERROR_TEXTS = {
         "<test>:2:21: array lower bound 5 exceeds upper bound 1",
     ),
     "at-without-address": ("VAR a AT : BOOL; END_VAR", "<test>:2:10: expected a direct address after AT"),
+    # Close to `name : TYPE;`, but not of that form.
+    "end-var-as-name": ("VAR END_VAR : INT; END_VAR", "<test>:2:13: unexpected ':' in expression"),
+    "number-as-name": ("VAR 5 : INT; END_VAR", "<test>:2:5: expected identifier, found '5'"),
+    "number-as-type": ("VAR x : 5; END_VAR", "<test>:2:9: expected a type, found '5'"),
+    "type-without-semicolon": ("VAR x : INT END_VAR", "<test>:2:13: expected ';', found 'END_VAR'"),
+    "member-after-type": ("VAR x : INT. END_VAR", "<test>:2:12: expected ';', found '.'"),
+    "array-word-alone": ("VAR x : ARRAY; END_VAR", "<test>:2:14: expected '[', found ';'"),
+    "struct-word-alone": ("VAR x : STRUCT; END_VAR", "<test>:2:15: expected identifier, found ';'"),
+    "second-semicolon": ("VAR x : INT;; END_VAR", "<test>:2:13: expected identifier, found ';'"),
     "unterminated-var": ("VAR a : INT;", "<test>:3:1: unterminated VAR section"),
     "unterminated-struct": ("VAR s : STRUCT a : INT;", "<test>:3:1: unterminated STRUCT"),
     "unterminated-initializer": ("VAR x : INT := (1;", "<test>:3:1: unterminated initializer"),
