@@ -5,13 +5,15 @@ Drawing the stacked complexity chart
 Analyzes the same mini project as the ranking demo and renders the
 SVG chart: one horizontal bar per POU, six stacked segments per bar,
 bars sorted so the least complex POU comes first. The file lands in
-the current working directory.
+the current working directory. The bar order and lengths are listed
+from the JSON report, whose `pous` entries come in the same order.
 """
 
+import json
 import tempfile
 from pathlib import Path
 
-from poumetrics import analyze_paths, fmt4, render_chart
+from poumetrics import analyze_paths, emit_json, render_chart
 
 SOURCES = {
     "conveyor.st": """\
@@ -89,5 +91,5 @@ out.write_text(svg)
 print("wrote", out.resolve())
 print()
 print("bar order (least complex first):")
-for result in run.results:
-    print("  %-10s overall %s%%" % (result.name, fmt4(result.oc_rel)))
+for pou in json.loads(emit_json(run))["pous"]:
+    print("  %-10s overall %s%%" % (pou["name"], pou["oc_rel"]))

@@ -8,15 +8,19 @@ per-language metric weight profile (how the six relative values blend
 into one overall value). This script turns both.
 """
 
+import json
 import tempfile
 from pathlib import Path
 
 from poumetrics import (
+    AnalysisConfig,
+    Language,
     StSource,
     WeightTable,
     analyze_paths,
     compute_vector,
     config_from_mapping,
+    emit_json,
     fmt4,
     parse_st_pou,
 )
@@ -78,13 +82,15 @@ cfg = config_from_mapping(
     }
 )
 
+configs = {"uniform profile": AnalysisConfig(), "control-flow heavy": cfg}
 with tempfile.TemporaryDirectory() as workdir:
     (Path(workdir) / "mixer.st").write_text(SOURCE)
-    plain = analyze_paths([workdir])
-    tuned = analyze_paths([workdir], cfg)
+    reports = {label: json.loads(emit_json(analyze_paths([workdir], config))) for label, config in configs.items()}
 
-for label, run in (("uniform profile", plain), ("control-flow heavy", tuned)):
-    result = run.results[0]
+# The JSON report is the data contract: one entry per POU, ranked.
+for label, config in configs.items():
+    (pou,) = reports[label]["pous"]
     print("%s:" % label)
-    print("  weights :", " ".join(fmt4(w) for w in result.weights))
-    print("  overall : %s%%" % fmt4(result.oc_rel))
+    print("  weights :", " ".join(fmt4(w) for w in config.profiles[Language.ST].weights))
+    print("  m6      :", pou["m6"])
+    print("  overall : %s%%" % pou["oc_rel"])

@@ -19,7 +19,6 @@ from .aggregate import (
     WeightProfile,
     aggregate,
     default_profile,
-    median_of,
     sample_row,
 )
 from .chart import render_chart, write_chart
@@ -113,7 +112,6 @@ __all__ = [
     "information_flow",
     "load_config",
     "load_sample",
-    "median_of",
     "parse_st_pou",
     "program_length",
     "render_chart",

@@ -10,19 +10,18 @@ group, with the remaining weights rescaled so they still sum to exactly
 
 Each group folds its medians and effective weights into integer
 coefficients over one common denominator (`Coefficients`), so a POU's
-overall value is one integer sum over one denominator.  Its relative
-values and chart segments come from the same integers when they are
-asked for.
+overall value is one integer sum over one denominator.  The report
+writers work out its relative values and chart segments from the same
+integers.
 
-The sample arrives as plain rows (`sample_row`).  The POUs of one group
-and weight profile whose vectors are equal share one `Score`, so their
-overall value is worked out once, and the writers format its cells and
-its chart bar once.  `Ranking.results` builds `PouResult` records for
-a caller that reads them; nothing ranks or writes from such records.
+The sample arrives as plain rows (`sample_row`) and is ranked as rows:
+the POUs of one group and weight profile whose vectors are equal share
+one `Score`, so their overall value is worked out once, and the writers
+format its cells and its chart bar once.
 
-Ranking and medians order exact values through `ratio_order`: one sort
-on floats, which never contradict the exact order, then an exact sort
-of each run of equal floats.
+The ranking and the difficulty median order exact values through
+`ratio_order`: one sort on floats, which never contradict the exact
+order, then an exact sort of each run of equal floats.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import math
 from collections import Counter
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -127,19 +125,10 @@ class GroupStats(NamedTuple):
 # ------------------------- ordering and medians -------------------------
 
 
-def exact_order(values: list) -> list[int]:
-    """The indexes of `values` (ints and Fractions) in ascending order of
-    value, equal values in their given order: what
-    `sorted(range(len(values)), key=values.__getitem__)` returns, without
-    a Python-level Fraction compare per pair (see `ratio_order`)."""
-    if all(type(v) is int for v in values):
-        return sorted(range(len(values)), key=values.__getitem__)
-    return ratio_order([(v.numerator, v.denominator) for v in values])
-
-
 def ratio_order(ratios: list[tuple[int, int]]) -> list[int]:
-    """exact_order of the values p / q of (p, q) pairs with q > 0, which
-    need not be reduced.
+    """The indexes of (p, q) pairs with q > 0, which need not be reduced,
+    in ascending order of p / q, equal values in their given order,
+    without a Python-level Fraction compare per pair.
 
     Python's int / int is correctly rounded, hence monotonic, so sorting
     on p / q never puts a larger value before a smaller one.  One sort on
@@ -182,15 +171,6 @@ def _middle(order: list[int], counts: list[int]) -> tuple[int, int]:
     return middle[0], middle[1]
 
 
-def median_of(values: list) -> Fraction:
-    """Sample median of ints or Fractions, as a Fraction; ties of even
-    length average the middle pair."""
-    if not values:
-        raise EmptySample("cannot take the median of an empty sample")
-    i, j = _middle(exact_order(values), [1] * len(values))
-    return Fraction(values[i] + values[j], 2)
-
-
 def _medians(keys: list[tuple]) -> tuple[Fraction, ...]:
     """The median of each metric over vector keys.  Only each column's
     distinct values are sorted, and difficulties as their (numerator,
@@ -202,7 +182,7 @@ def _medians(keys: list[tuple]) -> tuple[Fraction, ...]:
     for c in (0, 1, 2, 3, 6):
         counts = Counter(column[c])
         values = list(counts)
-        i, j = _middle(exact_order(values), list(counts.values()))
+        i, j = _middle(sorted(range(len(values)), key=values.__getitem__), list(counts.values()))
         medians.append(Fraction(values[i] + values[j], 2))
     counts = Counter(zip(column[4], column[5]))
     ratios = list(counts)
@@ -248,7 +228,6 @@ class Coefficients(NamedTuple):
     denominator.  A dropped metric has None in percent and 0 in
     weighted."""
 
-    weights: tuple[Fraction, ...]  # the effective (renormalized) profile
     percent: tuple[tuple[int, int] | None, ...]
     weighted: tuple[int, ...]
     denominator: int
@@ -262,7 +241,6 @@ class Coefficients(NamedTuple):
         ]
         denominator = math.lcm(*(r.denominator for r in rates if r is not None))
         return Coefficients(
-            weights=weights,
             percent=tuple(
                 None if i in stats.excluded else (100 * m.denominator, m.numerator)
                 for i, m in enumerate(stats.medians)
@@ -279,39 +257,6 @@ class Coefficients(NamedTuple):
         m1, m2, m3, m4, p, q, m6 = key
         k1, k2, k3, k4, k5, k6 = self.weighted
         return (k1 * m1 + k2 * m2 + k3 * m3 + k4 * m4 + k6 * m6) * q + k5 * p, q * self.denominator
-
-
-class PouResult(NamedTuple):
-    name: str
-    kind: PouKind
-    language: Language
-    vector: MetricVector
-    group: str
-    coefficients: Coefficients  # shared by the group's POUs of one profile
-    oc_rel: Fraction  # reported overall value (scaled when normalization is on)
-    scale: Fraction = Fraction(1)  # normalization factor applied to oc_rel and segments
-    tag: str = ""
-
-    @property
-    def weights(self) -> tuple[Fraction, ...]:
-        """The effective (renormalized) weight profile."""
-        return self.coefficients.weights
-
-    @property
-    def relative(self) -> tuple[Fraction | None, ...]:
-        """Each metric as a percent of its group median, None when dropped."""
-        return tuple(
-            None if p is None else Fraction(value.numerator * p[0], value.denominator * p[1])
-            for value, p in zip(self.vector, self.coefficients.percent)
-        )
-
-    def segment(self, index: int) -> Fraction:
-        """Contribution of one metric to the reported overall value."""
-        value = self.vector[index]
-        return Fraction(
-            self.coefficients.weighted[index] * value.numerator * self.scale.numerator,
-            self.coefficients.denominator * self.scale.denominator * value.denominator,
-        )
 
 
 # ------------------------- the ranking -------------------------
@@ -337,37 +282,15 @@ class Score:
     def __init__(self, scoring: Scoring, key: tuple, overall: tuple[int, int]):
         self.scoring, self.key, self.overall = scoring, key, overall
 
-    @property
-    def oc_rel(self) -> Fraction:
-        return Fraction(*self.overall)
-
 
 class Ranking:
     """A ranked sample as plain rows (see `sample_row`): `rows` ascending
     by reported value, equal values in name order, each row's Score in
     `scores`, the per-group statistics and the degenerate-median
-    warnings.  `results` is the same ranking as PouResult records, built
-    on first read."""
+    warnings."""
 
     def __init__(self, rows: list[tuple], scores: list[Score], stats: list[GroupStats], warnings: list[AnalysisWarning]):
         self.rows, self.scores, self.stats, self.warnings = rows, scores, stats, warnings
-
-    @cached_property
-    def results(self) -> list[PouResult]:
-        vectors: dict[Score, MetricVector] = {}
-        results = []
-        for row, score in zip(self.rows, self.scores):
-            vector = vectors.get(score)
-            if vector is None:
-                m1, m2, m3, m4, p, q, m6 = score.key
-                vector = vectors[score] = MetricVector(m1, m2, m3, m4, Fraction(p, q), m6)
-            s = score.scoring
-            results.append(
-                PouResult(
-                    row[0], PouKind(row[1]), Language(row[2]), vector, s.group, s.coefficients, score.oc_rel, s.scale, row[10]
-                )
-            )
-        return results
 
 
 def aggregate(

@@ -102,15 +102,15 @@ def parse_xml(text: str, path: str = "") -> ET.Element:
 
 
 def _type_spec_of(type_el: ET.Element | None, path: str, depth: int = 0) -> TypeSpec:
-    """Build a TypeSpec from a <type> wrapper (or a bare type element).
-    Array, struct and subrange types nested deeper than the ST parser
-    accepts are a ParseError."""
+    """Build a TypeSpec from a <type>, <baseType> or <returnType> wrapper,
+    whose one child is the type element.  A missing or empty wrapper is
+    the unnamed type.  Array, struct and subrange types nested deeper
+    than the ST parser accepts are a ParseError."""
     if depth > _MAX_NESTING:
         raise ParseError("nesting deeper than %d levels" % _MAX_NESTING, path)
-    if type_el is None:
+    inner = None if type_el is None else next(iter(type_el), None)
+    if inner is None:
         return named("")
-    # A bare type element (recursive call) stands for itself.
-    inner = next(iter(type_el), type_el)
     tag = inner.tag
     if tag == "derived":
         return named(inner.get("name", ""))

@@ -11,7 +11,9 @@ median; oc_rel is the weighted overall value.  Exact rational cells are
 rendered with four fractional digits, ties rounded to even.
 
 Every report is written from a `RunResult`, which `analyze_paths`
-builds from the plain rows of the sample.  Each report has one writer
+builds from the plain rows of the sample: the ranked rows, their Scores
+and the cells `RunResult.cells` formats once per Score are the one view
+of the ranking that every writer reads.  Each report has one writer
 that writes it to an open file a POU at a time (`write_json`,
 `write_csv`, and `chart.write_chart`); `emit_json`, `emit_csv` and
 `chart.render_chart` return the same text as one string.
@@ -27,7 +29,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .aggregate import GroupStats, PouResult, Ranking, Score, Scoring, aggregate, metric_ratios, sample_row
+from .aggregate import GroupStats, Ranking, Score, Scoring, aggregate, metric_ratios, sample_row
 from .config import AnalysisConfig, Grouping
 from .errors import SKIP_CODES, AnalysisWarning, NoPousFound
 from .ir import Pou
@@ -62,17 +64,13 @@ def fmt4_ratio(numerator: int, denominator: int) -> str:
 
 class RunResult:
     """One analysis run: the `ranking` every report is written from (see
-    `aggregate.Ranking`), the run's warnings and its grouping.  `results`
-    and `stats` read through to the ranking."""
+    `aggregate.Ranking`), the run's warnings and its grouping.  `stats`
+    reads through to the ranking."""
 
     def __init__(self, ranking: Ranking, warnings: list[AnalysisWarning], grouping: str = Grouping.WHOLE_SAMPLE.value):
         self.ranking, self.warnings, self.grouping = ranking, warnings, grouping
         self._cells: dict[Score, tuple] = {}
         self._relative: dict[tuple, str] = {}
-
-    @property
-    def results(self) -> list[PouResult]:
-        return self.ranking.results
 
     @property
     def stats(self) -> list[GroupStats]:
@@ -165,19 +163,6 @@ def _report_parts(run: RunResult) -> tuple[dict, list, list]:
     return meta, groups, warnings
 
 
-def report_object(run: RunResult) -> dict:
-    """The report as plain data, ready for json.dump."""
-    meta, groups, warnings = _report_parts(run)
-    pous = []
-    for row, score in zip(run.ranking.rows, run.ranking.scores):
-        pou = {"name": row[0], "kind": row[1], "language": row[2]}
-        pou.update(zip(CELL_COLUMNS, run.cells(score)))
-        pou["group"] = score.scoring.group
-        pou["tag"] = row[10]
-        pous.append(pou)
-    return {"run": meta, "pous": pous, "groups": groups, "warnings": warnings}
-
-
 # One `pous` entry as json.dumps(indent=2) writes it: the separator before
 # it, the encoded name, kind, language, the entry's cells and group (see
 # `_cells_template`) and the encoded tag.
@@ -202,10 +187,12 @@ def _cells_template(scoring: Scoring) -> str:
 
 
 def write_json(run: RunResult, out) -> None:
-    """Write json.dumps(report_object(run), indent=2) plus a newline to
-    `out`, one `pous` entry at a time.  The entries that share a Score
-    share their cells' text; names and tags go through the encoder
-    json.dumps uses."""
+    """Write the JSON report to `out`, one `pous` entry at a time, as
+    json.dumps(report, indent=2) plus a newline would write it: the run
+    metadata, one entry per row in ranked order (name, kind, language,
+    the CELL_COLUMNS cells, group and tag), the groups and the warnings.
+    The entries that share a Score share their cells' text; names and
+    tags go through the encoder json.dumps uses."""
     meta, groups, warnings = (
         # ensure_ascii escapes every newline inside a string, so each line
         # break of json.dumps's text is one to indent.

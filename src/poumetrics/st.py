@@ -817,6 +817,12 @@ class _BodyParser(_Cursor):
                 self.expression()
             else:
                 call.returns += 1
+                # The target is what an assignment target can be.
+                t = self.cur()
+                if t.kind not in ("ident", "address") or t.key in ("NOT", "TRUE", "FALSE"):
+                    if t is _EOF:
+                        self.expect(")")  # the argument list is what is left open
+                    raise self.fail("expected a variable after '=>', found %r" % t.text)
                 target = self.reference(register=None)
                 if target.call is None:
                     self.res.writes.add(target.root_key)

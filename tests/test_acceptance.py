@@ -39,6 +39,7 @@ from poumetrics import (
 from poumetrics.ir import PouKind, TokenClass
 from poumetrics.report import RunResult
 
+import reference
 from stgen import generate_program, sprinkle_comments
 
 F = Fraction
@@ -53,6 +54,13 @@ def _verdict(criterion: int, failures: list) -> None:
 
 def _entry(name: str, vector: MetricVector, language=Language.ST) -> tuple:
     return sample_row(name, PouKind.PROGRAM, language, vector)
+
+
+def _ranked(ranking) -> list[tuple]:
+    """(name, exact overall value, report cells) per POU of `ranking`,
+    in ranked order."""
+    run = RunResult(ranking, [])
+    return [(row[0], F(*score.overall), run.cells(score)) for row, score in zip(ranking.rows, ranking.scores)]
 
 
 # ---------------------------------------------------------------
@@ -150,16 +158,14 @@ def test_criterion_04_scaling_one_metric_changes_nothing():
             scaled.append(_entry(e[0], MetricVector(*cells), Language(e[2])))
 
         base, changed = aggregate(entries), aggregate(scaled)
-        base_res, base_stats = base.results, base.stats
-        scaled_res, scaled_stats = changed.results, changed.stats
+        base_res, base_stats = _ranked(base), base.stats
+        scaled_res, scaled_stats = _ranked(changed), changed.stats
 
-        if [r.name for r in base_res] != [r.name for r in scaled_res]:
+        if [r[0] for r in base_res] != [r[0] for r in scaled_res]:
             failures.append("case %d: ranking changed" % case)
             break
-        if any(
-            a.oc_rel != b.oc_rel or tuple(a.relative) != tuple(b.relative)
-            for a, b in zip(base_res, scaled_res)
-        ):
+        # the overall value, the relative cells c1..c6 and oc_rel
+        if any(a[1] != b[1] or a[2][6:] != b[2][6:] for a, b in zip(base_res, scaled_res)):
             failures.append("case %d: a relative value moved" % case)
             break
         if [g.excluded for g in base_stats] != [g.excluded for g in scaled_stats]:
@@ -173,12 +179,12 @@ def test_criterion_05_identical_sample_sits_at_100():
     same = MetricVector(14, 3, 6, 9, F(7, 2), 5)
     entries = [_entry("p%d" % i, same) for i in range(7)]
     ranking = aggregate(entries)
-    results, warnings = ranking.results, ranking.warnings
-    for r in results:
-        if r.oc_rel != 100:
-            failures.append("%s: overall %s != 100" % (r.name, r.oc_rel))
-        if any(cell != 100 for cell in r.relative):
-            failures.append("%s: a relative cell is off 100" % r.name)
+    warnings = ranking.warnings
+    for name, overall, cells in _ranked(ranking):
+        if overall != 100:
+            failures.append("%s: overall %s != 100" % (name, overall))
+        if cells[6:12] != ("100.0000",) * 6:
+            failures.append("%s: a relative cell is off 100" % name)
     if warnings:
         failures.append("unexpected warnings: %s" % [w.code for w in warnings])
     _verdict(5, failures)
@@ -226,17 +232,22 @@ def test_criterion_08_degenerate_median_drops_and_renormalizes():
         _entry("c", MetricVector(14, 4, 0, 9, F(7, 2), 6)),
     ]
     ranking = aggregate(entries)
-    results, warnings = ranking.results, ranking.warnings
+    warnings = ranking.warnings
     (group,) = ranking.stats
     if group.excluded != frozenset({2}):
         failures.append("excluded set is %s, expected the flow metric alone" % (group.excluded,))
-    for r in results:
-        if sum(r.weights) != 1:
-            failures.append("%s: weights sum to %s after renormalization" % (r.name, sum(r.weights)))
-        if r.weights[2] != 0:
-            failures.append("%s: dropped metric still carries weight" % r.name)
-        if r.relative[2] is not None:
-            failures.append("%s: dropped metric still has a relative value" % r.name)
+    # The five remaining metrics weigh 1/5 each: the overall value is the
+    # mean of their relative values.
+    medians = (F(12), F(3), None, F(8), F(5, 2), F(5))
+    rows = {e[0]: e for e in entries}
+    for name, overall, cells in _ranked(ranking):
+        e = rows[name]
+        vector = (e[3], e[4], e[5], e[6], F(e[7], e[8]), e[9])
+        expected = sum(F(100) * v / m for v, m in zip(vector, medians) if m is not None) / 5
+        if overall != expected:
+            failures.append("%s: overall %s, expected %s with the weights rescaled" % (name, overall, expected))
+        if cells[8] is not None:
+            failures.append("%s: dropped metric still has a relative value" % name)
     dropped = [w for w in warnings if w.code == "metric-dropped"]
     if not dropped:
         failures.append("no metric-dropped warning emitted")
@@ -258,7 +269,7 @@ def test_criterion_09_determinism_and_chart_report_consistency(corpus_run):
 
     root = ET.fromstring(svg)
     ns = "{http://www.w3.org/2000/svg}"
-    by_pou = {r.name: r for r in corpus_run.results}
+    by_pou = {pou.name: pou for pou in reference.rank(corpus_run.ranking.rows).pous}
     rects = [el for el in root.iter(ns + "rect") if el.get("data-pou")]
     if not rects:
         failures.append("no data rectangles found")
@@ -268,7 +279,7 @@ def test_criterion_09_determinism_and_chart_report_consistency(corpus_run):
             failures.append("unknown pou %r in chart" % rect.get("data-pou"))
             continue
         index = METRIC_FIELDS.index(rect.get("data-metric"))
-        expected = float(result.segment(index)) * 3.0
+        expected = float(result.segments[index]) * 3.0
         got = float(rect.get("width"))
         if expected > 0 and abs(got - expected) / expected > 1e-4:
             failures.append(
@@ -290,16 +301,15 @@ def test_criterion_10_chart_shape_on_synthetic_sample():
         for i in range(10)
     ]
     ranking = aggregate(entries)
-    results, warnings = ranking.results, ranking.warnings
+    warnings = ranking.warnings
     if warnings:
         failures.append("synthetic sample raised warnings: %s" % [w.code for w in warnings])
-    overall = [r.oc_rel for r in results]
+    overall = [F(*score.overall) for score in ranking.scores]
     if overall != sorted(overall):
         failures.append("bars are not ordered ascending by overall value")
-    for r in results:
-        for i in range(6):
-            if r.segment(i) != r.weights[i] * r.relative[i]:
-                failures.append("%s: segment %d is not weight x relative" % (r.name, i))
+    results = reference.rank(entries).pous
+    if [(r.name, r.oc_rel) for r in results] != [(row[0], o) for row, o in zip(ranking.rows, overall)]:
+        failures.append("ranking differs from the reference")
 
     svg = render_chart(RunResult(ranking, warnings))
     root = ET.fromstring(svg)
@@ -314,7 +324,7 @@ def test_criterion_10_chart_shape_on_synthetic_sample():
             failures.append("%s: %d segments drawn, expected 6" % (r.name, len(bars)))
         for rect in bars:
             index = METRIC_FIELDS.index(rect.get("data-metric"))
-            expected = float(r.weights[index] * r.relative[index]) * 3.0
+            expected = float(r.weights[index] * r.relative[index]) * 3.0  # weight x relative
             got = float(rect.get("width"))
             if abs(got - expected) / expected > 1e-4:
                 failures.append("%s/%d: segment geometry off" % (r.name, index))
@@ -336,15 +346,15 @@ def test_supplement_overall_values_recomputed_from_tally(corpus_run, oracle):
     medians = {f: F(statistics.median(vals)) for f, vals in columns.items()}
     if any(m == 0 for m in medians.values()):
         failures.append("unexpected zero median in corpus")
-    by_name = {r.name: r for r in corpus_run.results}
+    ranking = corpus_run.ranking
+    by_name = {row[0]: (F(*score.overall), corpus_run.cells(score)) for row, score in zip(ranking.rows, ranking.scores)}
     for name, entry in oracle.items():
         weights = SFC_PROFILE.weights if entry["language"] == "SFC" else UNIFORM_PROFILE.weights
         cells = [F(100) * F(entry[f]) / medians[f] for f in METRIC_FIELDS]
         expected = sum(w * c for w, c in zip(weights, cells))
-        if by_name[name].oc_rel != expected:
-            failures.append(
-                "%s: overall %s != recomputed %s" % (name, by_name[name].oc_rel, expected)
-            )
-        if tuple(by_name[name].relative) != tuple(cells):
+        overall, got_cells = by_name[name]
+        if overall != expected:
+            failures.append("%s: overall %s != recomputed %s" % (name, overall, expected))
+        if got_cells[6:12] != tuple(map(reference.fmt4, cells)):
             failures.append("%s: relative cells mismatch" % name)
     assert not failures, "\n".join(failures)

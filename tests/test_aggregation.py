@@ -1,4 +1,9 @@
-"""Median baselines, relative values and the weighted overall number."""
+"""Median baselines, relative values and the weighted overall number.
+
+Expected values come from hand computation or from the Fraction
+reference in `reference.py`; the ranking is read as the package writes
+it: its rows, `Fraction(*score.overall)`, the report cells and the
+chart."""
 
 from __future__ import annotations
 
@@ -20,12 +25,13 @@ from poumetrics import (
     WeightSumViolation,
     aggregate,
     default_profile,
-    median_of,
     sample_row,
 )
-from poumetrics.errors import AnalysisWarning
-from poumetrics.metrics import METRIC_KEYS
-from poumetrics.aggregate import effective_weights
+from poumetrics.aggregate import _medians, effective_weights
+from poumetrics.report import RunResult
+
+import reference
+from test_chart import chart_widths, reference_widths
 
 F = Fraction
 
@@ -45,11 +51,6 @@ def entry(name, vector, language=Language.ST, tag=""):
     return sample_row(name, PouKind.PROGRAM, language, vector, tag)
 
 
-def vector_of(row) -> MetricVector:
-    m1, m2, m3, m4, p, q, m6 = row[3:10]
-    return MetricVector(m1, m2, m3, m4, F(p, q), m6)
-
-
 def stats_of(vectors):
     """The one group's statistics and the warnings of a whole-sample
     ranking of `vectors`."""
@@ -58,32 +59,54 @@ def stats_of(vectors):
     return stats, ranking.warnings
 
 
+def sample_median(values):
+    """The median `aggregate` takes of `values` as difficulties, checked
+    against the median of the same values as program lengths where they
+    are whole numbers."""
+    median = _medians([entry("p", vec(m5=v))[3:10] for v in values])[4]
+    if all(F(v).denominator == 1 for v in values):
+        assert _medians([entry("p", vec(m1=int(v)))[3:10] for v in values])[0] == median
+    return median
+
+
+def ranked(rows, grouping=Grouping.WHOLE_SAMPLE, profiles=None, normalize=False):
+    """The ranking of `rows` as the reports show it: (row, exact overall
+    value, report cells) per POU in ranked order."""
+    ranking = aggregate(rows, grouping, profiles, normalize)
+    run = RunResult(ranking, ranking.warnings, grouping.value)
+    return [(row, F(*score.overall), run.cells(score)) for row, score in zip(ranking.rows, ranking.scores)]
+
+
+def overall_by_name(rows, **options):
+    return {row[0]: overall for row, overall, _ in ranked(rows, **options)}
+
+
 # ------------------------- medians -------------------------
 
 
 def test_median_odd_sample_picks_middle():
-    assert median_of([F(2), F(4), F(10)]) == F(4)
+    assert sample_median([F(2), F(4), F(10)]) == F(4)
 
 
 def test_median_even_sample_means_middle_pair():
-    assert median_of([F(2), F(4)]) == F(3)
+    assert sample_median([F(2), F(4)]) == F(3)
 
 
 def test_median_is_exact_fraction():
-    assert median_of([F(1), F(2)]) == F(3, 2)
+    assert sample_median([F(1), F(2)]) == F(3, 2)
 
 
 def test_median_singleton():
-    assert median_of([F(7)]) == F(7)
+    assert sample_median([F(7)]) == F(7)
 
 
 def test_median_unsorted_input():
-    assert median_of([F(10), F(2), F(4)]) == F(4)
+    assert sample_median([F(10), F(2), F(4)]) == F(4)
 
 
 def test_median_empty_raises():
     with pytest.raises(EmptySample):
-        median_of([])
+        _medians([])
 
 
 def test_median_matches_statistics_module():
@@ -93,7 +116,7 @@ def test_median_matches_statistics_module():
     rng = random.Random(3)
     for _ in range(200):
         values = [F(rng.randint(0, 50)) for _ in range(rng.randint(1, 15))]
-        assert median_of(values) == F(statistics.median(values))
+        assert sample_median(values) == F(statistics.median(values))
 
 
 def test_medians_per_column():
@@ -143,6 +166,11 @@ def test_float_weights_would_break_exactness():
     assert sum(p.weights) == 1
 
 
+def test_the_reference_restates_the_default_profiles():
+    assert reference.UNIFORM == UNIFORM_PROFILE.weights
+    assert reference.SFC == SFC_PROFILE.weights
+
+
 # ------------------------- relative and overall -------------------------
 
 
@@ -150,26 +178,37 @@ def test_identity_pou_sits_at_100_percent():
     vectors = [vec(m1=2, m2=2, m3=2, m4=2, m5=2, m6=2)] * 3
     stats, warnings = stats_of(vectors)
     assert warnings == []
-    rel = ref_relative_vector(vectors[0], stats)
+    rows = [entry("p%d" % i, v) for i, v in enumerate(vectors)]
+    for _, overall, cells in ranked(rows):
+        assert overall == F(100)
+        assert cells[6:] == ("100.0000",) * 7
+    rel = reference.relative_vector(reference.vector_of(rows[0]), stats.medians, stats.excluded)
     assert rel == tuple([F(100)] * 6)
-    assert ref_overall_complexity(rel, UNIFORM_PROFILE.weights) == F(100)
+    assert reference.overall(rel, reference.UNIFORM) == F(100)
 
 
 def test_one_metric_sixty_percent_above_median():
+    # median program length 5; b is at 160 percent, every other cell at 100
+    rows = [entry("a", vec(m1=5)), entry("b", vec(m1=8)), entry("c", vec(m1=5))]
+    assert overall_by_name(rows)["b"] == F(110)
     rel = (F(160), F(100), F(100), F(100), F(100), F(100))
-    assert ref_overall_complexity(rel, UNIFORM_PROFILE.weights) == F(110)
+    assert reference.overall(rel, reference.UNIFORM) == F(110)
 
 
 def test_one_metric_doubled():
+    rows = [entry("a", vec(m1=5)), entry("b", vec(m1=10)), entry("c", vec(m1=5))]
+    assert overall_by_name(rows)["b"] == F(350, 3)  # 116.66..., exactly
     rel = (F(200), F(100), F(100), F(100), F(100), F(100))
-    value = ref_overall_complexity(rel, UNIFORM_PROFILE.weights)
-    assert value == F(350, 3)  # 116.66..., exactly
+    assert reference.overall(rel, reference.UNIFORM) == F(350, 3)
 
 
 def test_relative_values_are_exact():
     vectors = [vec(m1=3), vec(m1=7), vec(m1=9)]
+    rows = [entry("p%d" % i, v) for i, v in enumerate(vectors)]
+    cells = {row[0]: cells for row, _, cells in ranked(rows)}
+    assert cells["p0"][6] == "42.8571"  # 300/7 percent
     stats, _ = stats_of(vectors)
-    rel = ref_relative_vector(vectors[0], stats)
+    rel = reference.relative_vector(reference.vector_of(rows[0]), stats.medians, stats.excluded)
     assert rel[0] == F(300, 7)
 
 
@@ -181,7 +220,9 @@ def test_zero_median_drops_metric_for_group():
     stats, warnings = stats_of(vectors)
     assert stats.excluded == frozenset({2})
     assert [w.code for w in warnings] == ["metric-dropped"]
-    rel = ref_relative_vector(vectors[2], stats)
+    rows = [entry("p%d" % i, v) for i, v in enumerate(vectors)]
+    assert all(cells[8] is None for _, _, cells in ranked(rows))  # c3
+    rel = reference.relative_vector(reference.vector_of(rows[2]), stats.medians, stats.excluded)
     assert rel[2] is None
 
 
@@ -203,9 +244,12 @@ def test_all_weight_on_dropped_metric_raises():
 
 
 def test_dropped_metric_contributes_nothing():
+    # program length drops (median 0); every other metric sits at its
+    # median, so c's large program length changes nothing
+    rows = [entry("a", vec(m1=0)), entry("b", vec(m1=0)), entry("c", vec(m1=3))]
+    assert set(overall_by_name(rows).values()) == {F(100)}
     rel = (None, F(100), F(100), F(100), F(100), F(100))
-    weights = effective_weights(UNIFORM_PROFILE, frozenset({0}))
-    assert ref_overall_complexity(rel, weights) == F(100)
+    assert reference.overall(rel, reference.effective_weights(reference.UNIFORM, {0})) == F(100)
 
 
 # ------------------------- whole-sample driver -------------------------
@@ -217,18 +261,17 @@ def test_aggregate_sorts_ascending_with_name_ties():
         entry("a", vec(m1=4)),
         entry("c", vec(m1=2)),
     ]
-    results = aggregate(entries).results
-    assert [r.name for r in results] == ["c", "a", "b"]
-    assert results[0].oc_rel < results[1].oc_rel
-    assert results[1].oc_rel == results[2].oc_rel
+    results = ranked(entries)
+    assert [row[0] for row, _, _ in results] == ["c", "a", "b"]
+    assert results[0][1] < results[1][1]
+    assert results[1][1] == results[2][1]
 
 
 def test_aggregate_whole_sample_single_group():
     entries = [entry("a", vec()), entry("b", vec(m1=3))]
     ranking = aggregate(entries)
-    results = ranking.results
     assert [s.label for s in ranking.stats] == ["all"]
-    assert all(r.group == "all" for r in results)
+    assert all(score.scoring.group == "all" for score in ranking.scores)
 
 
 def test_aggregate_per_language_groups():
@@ -238,41 +281,44 @@ def test_aggregate_per_language_groups():
         entry("ld1", vec(m1=6), Language.LD),
     ]
     ranking = aggregate(entries, grouping=Grouping.PER_LANGUAGE)
-    results = ranking.results
     assert sorted(s.label for s in ranking.stats) == ["LD", "ST"]
-    by_name = {r.name: r for r in results}
-    assert by_name["ld1"].group == "LD"
+    groups = {row[0]: score.scoring.group for row, score in zip(ranking.rows, ranking.scores)}
+    assert groups["ld1"] == "LD"
     # ld1 is alone in its group, so it sits at its own median
-    assert by_name["ld1"].relative[0] == F(100)
+    cells = {row[0]: cells for row, _, cells in ranked(entries, grouping=Grouping.PER_LANGUAGE)}
+    assert cells["ld1"][6] == "100.0000"
 
 
 def test_aggregate_applies_sfc_profile_by_default():
     entries = [
         entry("s", vec(m1=2), Language.SFC),
-        entry("t", vec(m1=2), Language.SFC),
+        entry("t", vec(m1=4), Language.SFC),
     ]
-    results = aggregate(entries).results
-    assert results[0].weights == SFC_PROFILE.weights
+    # s is at 200/3 percent in program length, at 100 in the rest: the
+    # sequential-chart profile weighs that 4/12, the uniform one 1/6
+    assert overall_by_name(entries)["s"] == F(4, 12) * F(200, 3) + F(8, 12) * 100 == F(800, 9)
+    assert [pou.oc_rel for pou in reference.rank(entries).pous] == [F(800, 9), F(1000, 9)]
 
 
 def test_aggregate_profile_override():
     custom = WeightProfile.of(1, 0, 0, 0, 0, 0)
     entries = [entry("a", vec(m1=2)), entry("b", vec(m1=6))]
-    results = aggregate(entries, profiles={Language.ST: custom}).results
-    by_name = {r.name: r for r in results}
+    by_name = overall_by_name(entries, profiles={Language.ST: custom})
     # medians: m1 -> 4; a sits at 50%, b at 150%
-    assert by_name["a"].oc_rel == F(50)
-    assert by_name["b"].oc_rel == F(150)
+    assert by_name["a"] == F(50)
+    assert by_name["b"] == F(150)
 
 
 def test_aggregate_normalize_scales_max_to_100():
     entries = [entry("a", vec(m1=2)), entry("b", vec(m1=6))]
-    results = aggregate(entries, normalize=True).results
-    top = results[-1]
-    assert top.oc_rel == F(100)
-    assert top.scale < 1
+    ranking = aggregate(entries, normalize=True)
+    top = ranking.scores[-1]
+    assert F(*top.overall) == F(100)
+    assert top.scoring.scale < 1
     # segments rescale with the same factor and still sum to the total
-    assert sum(top.segment(i) for i in range(6)) == top.oc_rel
+    (_, ref_top) = reference.rank(entries, normalize=True).pous
+    assert ref_top.oc_rel == F(100) and sum(ref_top.segments) == ref_top.oc_rel
+    assert chart_widths(RunResult(ranking, []))["b"] == reference_widths(ref_top)
 
 
 def test_aggregate_empty_sample_raises():
@@ -286,9 +332,11 @@ def test_segments_sum_to_overall_without_normalization():
         entry("b", vec(m1=6, m2=1, m3=2, m4=3, m5=F(1, 2), m6=8)),
         entry("c", vec(m1=4, m2=2, m3=3, m4=4, m5=F(2), m6=6)),
     ]
-    results = aggregate(entries).results
-    for result in results:
-        assert sum(result.segment(i) for i in range(6)) == result.oc_rel
+    ranking = aggregate(entries)
+    widths = chart_widths(RunResult(ranking, []))
+    for pou, score in zip(reference.rank(entries).pous, ranking.scores):
+        assert sum(pou.segments) == pou.oc_rel == F(*score.overall)
+        assert widths[pou.name] == reference_widths(pou)
 
 
 def test_group_stats_shape():
@@ -296,105 +344,6 @@ def test_group_stats_shape():
     assert isinstance(stats, GroupStats)
     assert stats.size == 1
     assert len(stats.medians) == 6
-
-
-# ------------------------- reference implementation -------------------------
-#
-# The ranking as it was computed before it moved to integers over a
-# per-group denominator: every value a Fraction, built per POU and
-# metric.  `aggregate` must agree with it exactly.
-
-
-def ref_median_of(values):
-    if not values:
-        raise EmptySample("cannot take the median of an empty sample")
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
-
-
-def ref_group_stats(label, vectors):
-    columns = zip(*vectors)
-    medians = tuple(ref_median_of([Fraction(x) for x in column]) for column in columns)
-    excluded = frozenset(i for i, m in enumerate(medians) if m == 0)
-    warnings = [
-        AnalysisWarning(
-            code="metric-dropped",
-            message="median of %s is zero in group %r; the metric is dropped for this group and the remaining weights are rescaled"
-            % (METRIC_KEYS[i], label),
-        )
-        for i in sorted(excluded)
-    ]
-    return GroupStats(label, len(vectors), medians, excluded), warnings
-
-
-def ref_relative_vector(vector, stats):
-    return tuple(
-        None if i in stats.excluded else Fraction(100 * value) / stats.medians[i]
-        for i, value in enumerate(vector)
-    )
-
-
-def ref_effective_weights(profile, excluded):
-    if not excluded:
-        return profile.weights
-    active_sum = sum((w for i, w in enumerate(profile.weights) if i not in excluded), Fraction(0))
-    if active_sum == 0:
-        raise WeightSumViolation("all remaining metric weights are zero after dropping degenerate metrics")
-    return tuple(Fraction(0) if i in excluded else w / active_sum for i, w in enumerate(profile.weights))
-
-
-def ref_overall_complexity(relative, weights):
-    total = Fraction(0)
-    for rel, weight in zip(relative, weights):
-        if rel is not None:
-            total += weight * rel
-    return total
-
-
-def ref_aggregate(entries, grouping=Grouping.WHOLE_SAMPLE, profiles=None, normalize=False):
-    """(name, group, relative, weights, oc_rel, segments) per POU of the
-    `sample_row`s `entries` in ranked order, the group statistics and the
-    warnings."""
-    if not entries:
-        raise EmptySample("cannot aggregate an empty sample")
-    profiles = profiles or {}
-    if grouping is Grouping.WHOLE_SAMPLE:
-        buckets = {"all": list(entries)}
-    else:
-        buckets = {}
-        for e in entries:
-            buckets.setdefault(e[2], []).append(e)
-    warnings = []
-    stats_by_label = {}
-    for label in sorted(buckets):
-        stats, ws = ref_group_stats(label, [vector_of(e) for e in buckets[label]])
-        stats_by_label[label] = stats
-        warnings.extend(ws)
-    raw = []
-    for label, bucket in buckets.items():
-        stats = stats_by_label[label]
-        for e in bucket:
-            language = Language(e[2])
-            profile = profiles.get(language, default_profile(language))
-            weights = ref_effective_weights(profile, stats.excluded)
-            relative = ref_relative_vector(vector_of(e), stats)
-            raw.append([e[0], label, relative, weights, ref_overall_complexity(relative, weights)])
-    scale = Fraction(1)
-    if normalize:
-        top = max((r[4] for r in raw), default=Fraction(0))
-        if top > 0:
-            scale = Fraction(100) / top
-    results = []
-    for name, label, relative, weights, oc in raw:
-        segments = tuple(
-            Fraction(0) if rel is None else weight * rel * scale for rel, weight in zip(relative, weights)
-        )
-        results.append((name, label, relative, weights, oc * scale, segments))
-    results.sort(key=lambda r: (r[4], r[0]))
-    return results, [stats_by_label[label] for label in sorted(stats_by_label)], warnings
 
 
 # Small values so that ties and zero medians are common; difficulty is
@@ -447,29 +396,30 @@ def test_aggregate_matches_the_fraction_reference(sample):
 
 
 def _assert_matches_the_reference(entries, grouping, profiles, normalize):
-    expected = _outcome(lambda: ref_aggregate(entries, grouping, profiles, normalize))
+    """The ranking, report cells and chart of `entries` are those of the
+    reference: names in ranked order, groups, exact overall values,
+    every cell text and every segment width."""
+    ref_profiles = {language.value: profile.weights for language, profile in profiles.items()}
+    expected = _outcome(lambda: reference.rank(entries, grouping.value, ref_profiles, normalize))
     got = _outcome(lambda: aggregate(entries, grouping, profiles, normalize))
     if expected[0] == "raised" or type(got) is tuple:  # ("raised", message)
         assert got == expected
         return
-    ref_results, ref_stats, ref_warnings = expected
-    results = got.results
-    assert got.stats == ref_stats
-    assert got.warnings == ref_warnings
-    assert [r.name for r in results] == [r[0] for r in ref_results]
-    for result, (name, label, relative, weights, oc_rel, segments) in zip(results, ref_results):
-        assert result.group == label
-        assert result.relative == relative
-        assert result.weights == weights
-        assert result.oc_rel == oc_rel
-        assert tuple(result.segment(i) for i in range(6)) == segments
-        exact = [result.oc_rel, result.scale, *result.weights, *(result.segment(i) for i in range(6))]
-        assert all(type(x) is Fraction for x in exact + [rel for rel in result.relative if rel is not None])
+    assert got.stats == expected.stats
+    assert got.warnings == expected.warnings
+    assert [row[0] for row in got.rows] == [pou.name for pou in expected.pous]
+    run = RunResult(got, got.warnings, grouping.value)
+    widths = chart_widths(run)
+    for score, pou in zip(got.scores, expected.pous):
+        assert score.scoring.group == pou.group
+        assert F(*score.overall) == pou.oc_rel == sum(pou.segments)
+        assert run.cells(score) == pou.cells
+        assert widths.get(pou.name, []) == reference_widths(pou)
 
 
 # ------------------------- exact order where floats tie -------------------------
 #
-# Ranking and medians sort on floats first.  With N2 and n2 near 10**17,
+# The ranking and the difficulty median sort on floats first.  With N2 and n2 near 10**17,
 # unequal difficulties, and so unequal overall values, round to one
 # float, and only the exact sort within such a run orders them.
 
@@ -479,15 +429,15 @@ NEAR_THIRD = F(2, 2) * F(10**17 + 1, 3 * 10**17)
 
 def test_unequal_values_that_share_a_float_are_ordered_exactly():
     assert THIRD < NEAR_THIRD and float(THIRD) == float(NEAR_THIRD)
-    assert median_of([NEAR_THIRD, THIRD, THIRD]) == THIRD
-    assert median_of([NEAR_THIRD, THIRD, NEAR_THIRD]) == NEAR_THIRD
-    assert median_of([NEAR_THIRD, THIRD]) == (THIRD + NEAR_THIRD) / 2
+    assert sample_median([NEAR_THIRD, THIRD, THIRD]) == THIRD
+    assert sample_median([NEAR_THIRD, THIRD, NEAR_THIRD]) == NEAR_THIRD
+    assert sample_median([NEAR_THIRD, THIRD]) == (THIRD + NEAR_THIRD) / 2
     # past the float range as well
-    assert median_of([F(10**400), F(10**400 + 1), F(1, 3)]) == F(10**400)
-    assert median_of([10**400 + 1, 10**400, 10**400 + 2]) == 10**400 + 1
-    results = aggregate([entry("a", vec(m5=NEAR_THIRD)), entry("b", vec(m5=THIRD))]).results
-    assert [r.name for r in results] == ["b", "a"]
-    assert float(results[0].oc_rel) == float(results[1].oc_rel)
+    assert sample_median([F(10**400), F(10**400 + 1), F(1, 3)]) == F(10**400)
+    assert sample_median([10**400 + 1, 10**400, 10**400 + 2]) == 10**400 + 1
+    results = ranked([entry("a", vec(m5=NEAR_THIRD)), entry("b", vec(m5=THIRD))])
+    assert [row[0] for row, _, _ in results] == ["b", "a"]
+    assert results[0][1] < results[1][1] and float(results[0][1]) == float(results[1][1])
 
 
 _CLOSE_DIFFICULTY = st.builds(
@@ -522,6 +472,6 @@ def _close_samples(draw):
 )
 def test_aggregate_and_median_match_the_reference_where_floats_tie(sample):
     entries = sample[0]
-    difficulties = [vector_of(e).difficulty for e in entries]
-    assert median_of(difficulties) == ref_median_of(difficulties)
+    difficulties = [reference.vector_of(e)[4] for e in entries]
+    assert _medians([e[3:10] for e in entries])[4] == reference.median(difficulties)
     _assert_matches_the_reference(*sample)

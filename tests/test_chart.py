@@ -9,12 +9,35 @@ from poumetrics.aggregate import Ranking
 from poumetrics.chart import METRIC_FILLS
 from poumetrics.report import RunResult
 
+import reference
+
 SVG_NS = "{http://www.w3.org/2000/svg}"
 PX_PER_PERCENT = 3.0
 
 
 def data_rects(root):
     return [el for el in root.iter(SVG_NS + "rect") if el.get("data-pou")]
+
+
+def chart_widths(run) -> dict[str, list[str]]:
+    """The width of each drawn segment, per POU, in drawing order."""
+    widths: dict[str, list[str]] = {}
+    for rect in data_rects(ET.fromstring(render_chart(run))):
+        widths.setdefault(rect.get("data-pou"), []).append(rect.get("width"))
+    return widths
+
+
+def reference_widths(pou) -> list[str]:
+    """The widths the chart draws for the segments of a POU of
+    `reference.rank`: 3 px per percent, a segment that is not positive
+    left out."""
+    return ["%.4f" % (float(segment) * PX_PER_PERCENT) for segment in pou.segments if segment > 0]
+
+
+def reference_pous(run) -> dict:
+    """The POUs of `reference.rank` of the run's rows, by name, for a run
+    of the default configuration."""
+    return {pou.name: pou for pou in reference.rank(run.ranking.rows).pous}
 
 
 def test_chart_is_well_formed_xml(corpus_run):
@@ -25,7 +48,7 @@ def test_chart_is_well_formed_xml(corpus_run):
 def test_every_bar_row_has_its_pou(corpus_run):
     root = ET.fromstring(render_chart(corpus_run))
     names = {r.get("data-pou") for r in data_rects(root)}
-    assert names == {r.name for r in corpus_run.results}
+    assert names == {row[0] for row in corpus_run.ranking.rows}
 
 
 def test_segments_carry_metric_attribute(corpus_run):
@@ -36,18 +59,13 @@ def test_segments_carry_metric_attribute(corpus_run):
 
 
 def test_segment_widths_match_weighted_contributions(corpus_run):
-    root = ET.fromstring(render_chart(corpus_run))
-    by_pou = {r.name: r for r in corpus_run.results}
+    by_pou = reference_pous(corpus_run)
     keys = ("program_length", "cyclomatic", "fifo", "vocabulary", "difficulty", "data_structure")
-    checked = 0
-    for rect in data_rects(root):
-        result = by_pou[rect.get("data-pou")]
-        index = keys.index(rect.get("data-metric"))
-        expected = float(result.segment(index)) * PX_PER_PERCENT
-        got = float(rect.get("width"))
-        assert abs(got - expected) <= max(expected, 1.0) * 1e-4
-        checked += 1
-    assert checked >= 6 * len(by_pou) - 6  # a few zero segments may be omitted
+    for rect in data_rects(ET.fromstring(render_chart(corpus_run))):
+        segment = by_pou[rect.get("data-pou")].segments[keys.index(rect.get("data-metric"))]
+        assert rect.get("width") == "%.4f" % (float(segment) * PX_PER_PERCENT)
+    # every positive segment is drawn, in metric order
+    assert chart_widths(corpus_run) == {name: reference_widths(pou) for name, pou in by_pou.items()}
 
 
 def test_segments_of_a_bar_sum_to_its_total(corpus_run):
@@ -55,9 +73,9 @@ def test_segments_of_a_bar_sum_to_its_total(corpus_run):
     widths: dict[str, float] = {}
     for rect in data_rects(root):
         widths[rect.get("data-pou")] = widths.get(rect.get("data-pou"), 0.0) + float(rect.get("width"))
-    for result in corpus_run.results:
-        expected = float(result.oc_rel) * PX_PER_PERCENT
-        assert abs(widths[result.name] - expected) < 0.01
+    for name, pou in reference_pous(corpus_run).items():
+        expected = float(pou.oc_rel) * PX_PER_PERCENT
+        assert abs(widths[name] - expected) < 0.01
 
 
 def test_reference_line_sits_at_100_percent(corpus_run):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from collections import Counter
@@ -16,10 +17,12 @@ from poumetrics import (
     Language,
     PouKind,
     TokenClass,
+    TypeClass,
     VarSection,
     XmlMalformed,
     analyze_paths,
     compute_vector,
+    emit_json,
     load_sample,
 )
 from poumetrics import plcopen
@@ -182,7 +185,8 @@ def test_pou_without_body_content_is_skipped(tmp_path, body):
     (tmp_path / "t.xml").write_text(doc('<pou name="Empty" pouType="program">%s%s</pou>' % (EMPTY_IFACE, body) + graph))
     (tmp_path / "a.st").write_text("PROGRAM Real\nVAR x : INT; END_VAR\nx := x + 1;\nEND_PROGRAM\n")
     run = analyze_paths([str(tmp_path)], AnalysisConfig(grouping=Grouping.PER_LANGUAGE))
-    assert sorted((r.name, r.group) for r in run.results) == [("Graph", "FBD"), ("Real", "ST")]
+    pous = json.loads(emit_json(run))["pous"]
+    assert sorted((pou["name"], pou["group"]) for pou in pous) == [("Graph", "FBD"), ("Real", "ST")]
     assert [w for w in run.warnings if w.pou == "Empty"] == [
         AnalysisWarning("body-missing", "pou has no body content; pou skipped", str(tmp_path / "t.xml"), "Empty")
     ]
@@ -200,6 +204,31 @@ def test_function_return_type_becomes_output(tmp_path):
     assert pou.kind is PouKind.FUNCTION
     outs = [v for v in pou.variables if v.section is VarSection.OUTPUT]
     assert [v.name for v in outs] == ["Twice"]
+
+
+@pytest.mark.parametrize(
+    "pou_type, interface, data_type, declared",
+    [
+        ("program", '<localVars><variable name="x"><type/></variable></localVars>', "", ("x", "")),
+        ("function", "<returnType/>", "", ("F", "")),
+        (
+            "program",
+            '<localVars><variable name="x"><type><derived name="T"/></type></variable></localVars>',
+            '<dataType name="T"><baseType/></dataType>',
+            ("x", "T"),
+        ),
+    ],
+    ids=["type", "returnType", "baseType"],
+)
+def test_empty_type_wrapper_names_no_type(tmp_path, pou_type, interface, data_type, declared):
+    """An empty <type/>, <returnType/> or <baseType/> reads as a missing
+    type, as a variable without <type> does: Complex, without a warning,
+    never a type named after the wrapper, which is not defined."""
+    body = '<ST><xhtml xmlns="http://www.w3.org/1999/xhtml">a := 1;</xhtml></ST>'
+    text = doc(pou_xml("F", pou_type, body, "<interface>%s</interface>" % interface))
+    pou, warnings = one_pou(tmp_path, text.replace("<dataTypes/>", "<dataTypes>%s</dataTypes>" % data_type))
+    assert warnings == []
+    assert [(v.name, v.type_name, v.type_class) for v in pou.variables] == [(*declared, TypeClass.COMPLEX)]
 
 
 def deep_type_docs(depth):

@@ -27,7 +27,7 @@ from poumetrics import (
     st_fragment_facts,
     validate_pou,
 )
-from poumetrics.aggregate import median_of
+from poumetrics.aggregate import _medians
 from poumetrics.cli import main
 from poumetrics.errors import UnterminatedComment, UnterminatedString
 from poumetrics.plcopen import _local_id_key
@@ -230,6 +230,9 @@ def test_st_parsers_return_or_raise_parse_error(text):
 @settings(max_examples=200, derandomize=True)
 @given(st_strat.lists(st_strat.fractions(min_value=0, max_value=1000), min_size=1, max_size=25))
 def test_median_bounds_and_permutation_invariance(values):
+    def median_of(values):  # the median `aggregate` takes of a difficulty column
+        return _medians([(1, 1, 1, 1, v.numerator, v.denominator, 1) for v in values])[4]
+
     med = median_of(values)
     assert min(values) <= med <= max(values)
     assert median_of(list(reversed(sorted(values)))) == med
@@ -267,6 +270,7 @@ def test_scaling_all_vectors_preserves_relative_position(seed, factor):
     # medians identically, so relative values and the overall number are
     # unchanged
     from poumetrics import Language, MetricVector, PouKind, aggregate, sample_row
+    from poumetrics.report import RunResult
 
     import random
 
@@ -284,13 +288,14 @@ def test_scaling_all_vectors_preserves_relative_position(seed, factor):
             )
         )
 
-    def entries(vecs):
-        return [
-            sample_row("p%d" % i, PouKind.PROGRAM, Language.ST, v)
-            for i, v in enumerate(vecs)
-        ]
+    def ranked(vecs):
+        """(name, exact overall value, relative cells) per ranked POU."""
+        rows = [sample_row("p%d" % i, PouKind.PROGRAM, Language.ST, v) for i, v in enumerate(vecs)]
+        run = RunResult(aggregate(rows), [])
+        ranked = zip(run.ranking.rows, run.ranking.scores)
+        return [(row[0], Fraction(*score.overall), run.cells(score)[6:]) for row, score in ranked]
 
-    base_results = aggregate(entries(vectors)).results
+    base_results = ranked(vectors)
     scaled = [
         MetricVector(
             program_length=v.program_length * factor,
@@ -302,11 +307,7 @@ def test_scaling_all_vectors_preserves_relative_position(seed, factor):
         )
         for v in vectors
     ]
-    scaled_results = aggregate(entries(scaled)).results
-    assert [r.name for r in base_results] == [r.name for r in scaled_results]
-    for a, b in zip(base_results, scaled_results):
-        assert a.oc_rel == b.oc_rel
-        assert a.relative == b.relative
+    assert ranked(scaled) == base_results
 
 
 # ------------------------- whole-run robustness -------------------------

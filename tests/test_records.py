@@ -38,7 +38,7 @@ from poumetrics import (
     WeightSumViolation,
     WeightTable,
 )
-from poumetrics.aggregate import Coefficients, PouResult
+from poumetrics.aggregate import Coefficients
 from poumetrics.errors import AnalysisWarning
 from poumetrics.load import LoadedSample
 from poumetrics.st import StUnit, WalkedPou, _BodyResult, _EOF, LineTable
@@ -48,7 +48,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 VECTOR = MetricVector(10, 2, 4, 6, Fraction(7, 3), 5)
 REF = SourceRef("a.st", 3, 7)
-COEFFICIENTS = Coefficients((Fraction(1, 6),) * 6, ((100, 1),) * 6, (1,) * 6, 6)
 
 # Per record: the fields given, the defaults of those left out, and one
 # field to replace with another value.
@@ -98,23 +97,9 @@ RECORDS = [
     ),
     (
         Coefficients,
-        {"weights": (Fraction(1, 6),) * 6, "percent": ((100, 1),) * 6, "weighted": (1,) * 6, "denominator": 6},
+        {"percent": ((100, 1),) * 6, "weighted": (1,) * 6, "denominator": 6},
         {},
         ("denominator", 12),
-    ),
-    (
-        PouResult,
-        {
-            "name": "P",
-            "kind": PouKind.PROGRAM,
-            "language": Language.ST,
-            "vector": VECTOR,
-            "group": "all",
-            "coefficients": COEFFICIENTS,
-            "oc_rel": Fraction(100),
-        },
-        {"scale": Fraction(1), "tag": ""},
-        ("oc_rel", Fraction(50)),
     ),
     (StSource, {"path": "p.st", "text": "PROGRAM P END_PROGRAM"}, {}, ("path", "q.st")),
     (StUnit, {"kind": "pou", "tokens": [_EOF], "offsets": [-1], "lines": LineTable("")}, {}, ("kind", "types")),

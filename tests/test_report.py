@@ -23,16 +23,18 @@ from poumetrics import (
     fmt4,
     render_table,
 )
-from poumetrics.aggregate import PouResult, Ranking, aggregate, sample_row
+from poumetrics.aggregate import Ranking, aggregate, sample_row
 from poumetrics.chart import render_chart, write_chart
 from poumetrics.cli import main
 from poumetrics.errors import AnalysisWarning
 from poumetrics.ir import Language, PouKind
 from poumetrics.metrics import MetricVector
-from poumetrics.report import CSV_HEADER, RELATIVE_COLUMNS, RunResult, report_object
+from poumetrics.report import CSV_HEADER, RunResult
 
+import reference
 from conftest import CORPUS
 from golden_reports import GOLDEN, report_digests
+from test_chart import chart_widths, reference_widths
 
 F = Fraction
 
@@ -53,6 +55,11 @@ END_PROGRAM
 def small_run(tmp_path):
     (tmp_path / "two.st").write_text(TWO_POUS)
     return analyze_paths([str(tmp_path)])
+
+
+def report_of(run) -> dict:
+    """The JSON report of `run`, as a reader of the report sees it."""
+    return json.loads(emit_json(run))
 
 
 # ------------------------- fmt4 -------------------------
@@ -87,11 +94,11 @@ def test_fmt4_never_uses_scientific_notation():
     assert "e" not in fmt4(F(1, 99999999)).casefold()
 
 
-# ------------------------- report object -------------------------
+# ------------------------- the JSON report -------------------------
 
 
 def test_report_structure(small_run):
-    obj = report_object(small_run)
+    obj = report_of(small_run)
     assert set(obj) == {"run", "pous", "groups", "warnings"}
     assert [row["name"] for row in obj["pous"]] == ["Alpha", "Beta"]
     row = obj["pous"][0]
@@ -102,7 +109,7 @@ def test_report_structure(small_run):
 
 
 def test_report_run_metadata(small_run):
-    meta = report_object(small_run)["run"]
+    meta = report_of(small_run)["run"]
     assert meta["tool"] == "poumetrics"
     assert meta["version"] == poumetrics.__version__
     assert meta["pou_count"] == 2
@@ -110,7 +117,7 @@ def test_report_run_metadata(small_run):
 
 
 def test_raw_cells_are_ints_except_difficulty(small_run):
-    row = report_object(small_run)["pous"][1]  # Beta
+    row = report_of(small_run)["pous"][1]  # Beta
     # a := a + 2 ;   if a > 0   a := 0 ;   ;  -> 8 operators, 7 operands
     assert row["m1"] == 15 and isinstance(row["m1"], int)
     assert row["m2"] == 2
@@ -120,7 +127,7 @@ def test_raw_cells_are_ints_except_difficulty(small_run):
 def test_dropped_metric_serializes_null_and_empty(small_run):
     # neither POU moves data in or out, so the information-flow median
     # is zero and the metric drops for the whole group
-    obj = report_object(small_run)
+    obj = report_of(small_run)
     assert obj["groups"][0]["excluded"] == ["m3"]
     assert all(row["c3"] is None for row in obj["pous"])
     csv_text = emit_csv(small_run)
@@ -130,19 +137,19 @@ def test_dropped_metric_serializes_null_and_empty(small_run):
 
 
 def test_group_medians_render_fmt4(small_run):
-    medians = report_object(small_run)["groups"][0]["medians"]
+    medians = report_of(small_run)["groups"][0]["medians"]
     assert medians["m1"] == "9.5000"  # mean of 4 and 15
     assert medians["m2"] == "1.5000"
     assert medians["m5"] == fmt4((F(1) + F(35, 6)) / 2)
 
 
 def test_metric_dropped_warning_present(small_run):
-    codes = [w["code"] for w in report_object(small_run)["warnings"]]
+    codes = [w["code"] for w in report_of(small_run)["warnings"]]
     assert "metric-dropped" in codes
 
 
 def test_relative_cells_match_exact_arithmetic(small_run):
-    obj = report_object(small_run)
+    obj = report_of(small_run)
     beta = obj["pous"][1]
     assert beta["c1"] == fmt4(F(100) * 15 / F(19, 2))
     assert beta["c2"] == fmt4(F(100) * 2 / F(3, 2))
@@ -150,9 +157,10 @@ def test_relative_cells_match_exact_arithmetic(small_run):
 
 def test_weighted_overall_consistent_with_cells(small_run):
     # five active metrics at 1/5 each after the drop
-    (beta,) = [r for r in small_run.results if r.name == "Beta"]
-    total = sum(beta.segment(i) for i in range(6))
-    assert total == beta.oc_rel
+    (beta,) = [pou for pou in reference.rank(small_run.ranking.rows).pous if pou.name == "Beta"]
+    assert beta.weights == (F(1, 5), F(1, 5), 0, F(1, 5), F(1, 5), F(1, 5))
+    assert sum(beta.segments) == beta.oc_rel == F(*small_run.ranking.scores[-1].overall)
+    assert report_of(small_run)["pous"][1]["oc_rel"] == reference.fmt4(beta.oc_rel)
 
 
 # ------------------------- CSV / JSON text -------------------------
@@ -176,7 +184,7 @@ def test_csv_quotes_fields_with_commas(tmp_path):
 def test_json_ends_with_newline_and_round_trips(small_run):
     text = emit_json(small_run)
     assert text.endswith("\n")
-    assert json.loads(text) == report_object(small_run)
+    assert json.loads(text) == reference.report(reference.rank(small_run.ranking.rows))
 
 
 # Names and tags with quotes, backslashes, commas, control and non-ASCII
@@ -191,6 +199,8 @@ _VECTOR = st.builds(
 
 @st.composite
 def _runs(draw):
+    """A run of drawn rows and load warnings, and the report object the
+    reference gives for it."""
     vectors = draw(st.lists(_VECTOR, min_size=1, max_size=8))
     names = draw(st.lists(_TEXT, min_size=len(vectors), max_size=len(vectors), unique_by=str.casefold))
     rows = [
@@ -199,16 +209,18 @@ def _runs(draw):
         )
         for name, v in zip(names, vectors)
     ]
-    grouping = draw(st.sampled_from(list(Grouping)))
-    ranking = aggregate(rows, grouping, normalize=draw(st.booleans()))
-    warnings = ranking.warnings + draw(st.lists(st.builds(AnalysisWarning, _TEXT, _TEXT, _TEXT, _TEXT), max_size=3))
-    return RunResult(ranking, warnings, grouping.value)
+    grouping, normalize = draw(st.sampled_from(list(Grouping))), draw(st.booleans())
+    load_warnings = draw(st.lists(st.builds(AnalysisWarning, _TEXT, _TEXT, _TEXT, _TEXT), max_size=3))
+    ranking = aggregate(rows, grouping, normalize=normalize)
+    ranked = reference.rank(rows, grouping.value, normalize=normalize)
+    expected = reference.report(ranked, grouping.value, load_warnings)
+    return RunResult(ranking, load_warnings + ranking.warnings, grouping.value), expected
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(_runs())
-def test_json_and_csv_match_the_plain_writers(run):
-    obj = report_object(run)
+def test_json_and_csv_match_the_plain_writers(sample):
+    run, obj = sample
     assert emit_json(run) == json.dumps(obj, indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -247,59 +259,34 @@ def _pooled_runs(draw):
         )
         for i in range(count)
     ]
-    grouping = draw(st.sampled_from(list(Grouping)))
-    ranking = aggregate(rows, grouping, normalize=draw(st.booleans()))
-    return RunResult(ranking, ranking.warnings, grouping.value)
+    grouping, normalize = draw(st.sampled_from(list(Grouping))), draw(st.booleans())
+    ranking = aggregate(rows, grouping, normalize=normalize)
+    expected = reference.rank(rows, grouping.value, normalize=normalize)
+    return RunResult(ranking, ranking.warnings, grouping.value), expected
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(_pooled_runs())
-def test_row_cells_segments_and_ranking_match_the_exact_math(run):
-    import xml.etree.ElementTree as ET
-
-    from test_chart import data_rects
-
-    results = run.results
-    pous = report_object(run)["pous"]
-    for result, pou in zip(results, pous):
-        assert result.name == pou["name"]
+def test_row_cells_segments_and_ranking_match_the_exact_math(sample):
+    run, expected = sample
+    ranking = run.ranking
+    assert [row[0] for row in ranking.rows] == [pou.name for pou in expected.pous]
+    for score, pou in zip(ranking.scores, expected.pous):
         # The report shows relative values scaled as the overall value is.
-        relative = [None if rel is None else fmt4(rel * result.scale) for rel in result.relative]
-        assert [pou[col] for col in RELATIVE_COLUMNS] == relative
-        assert result.oc_rel == sum(result.segment(i) for i in range(6))
-        assert pou["oc_rel"] == fmt4(result.oc_rel)
-    assert [r.name for r in results] == [r.name for r in sorted(results, key=lambda r: (r.oc_rel, r.name))]
+        assert run.cells(score) == pou.cells
+        assert F(*score.overall) == pou.oc_rel == sum(pou.segments)
 
-    widths: dict[str, list[str]] = {}
-    for rect in data_rects(ET.fromstring(render_chart(run))):
-        widths.setdefault(rect.get("data-pou"), []).append(rect.get("width"))
-    for result in results:
-        segments = [float(result.segment(i)) * 3.0 for i in range(6)]
-        assert widths.get(result.name, []) == ["%.4f" % seg for seg in segments if seg > 0]
+    widths = chart_widths(run)
+    for pou in expected.pous:
+        assert widths.get(pou.name, []) == reference_widths(pou)
     with io.StringIO() as out:
         write_chart(run, out)
         assert out.getvalue() == render_chart(run)
 
 
-def test_cli_builds_no_per_pou_record(tmp_path, monkeypatch, capsys):
-    """Both passes, the ranking and every report run on plain rows: no
-    process of `main` builds a PouResult."""
-
-    def refuse(cls, *args, **kwargs):
-        raise AssertionError("%s built" % cls.__name__)
-
-    monkeypatch.setattr(PouResult, "__new__", refuse)
-    argv = ["analyze", str(CORPUS), "--group-by-language", "--normalize"]
-    for flag in ("--json", "--csv", "--chart"):
-        argv += [flag, str(tmp_path / ("report" + flag.replace("-", ".")))]
-    assert main(argv) == 0
-    assert "Traceback" not in capsys.readouterr().err
-    assert all((tmp_path / ("report" + flag.replace("-", "."))).stat().st_size for flag in ("--json", "--csv", "--chart"))
-
-
 def test_json_of_an_empty_run_is_json_dumps():
     run = RunResult(Ranking([], [], [], []), [])
-    assert emit_json(run) == json.dumps(report_object(run), indent=2) + "\n"
+    assert emit_json(run) == json.dumps(reference.report(reference.Ranked([], [], [])), indent=2) + "\n"
 
 
 def test_emitters_are_deterministic(small_run, tmp_path):
@@ -340,7 +327,7 @@ def test_annotations_tag_rows(tmp_path):
     (tmp_path / "p.st").write_text("PROGRAM Alpha x := 1; END_PROGRAM")
     cfg = AnalysisConfig(annotations={"alpha": "legacy"})
     run = analyze_paths([str(tmp_path)], cfg)
-    assert run.results[0].tag == "legacy"
+    assert report_of(run)["pous"][0]["tag"] == "legacy"
 
 
 def test_exit_code_zero_clean(corpus_sample, small_run):

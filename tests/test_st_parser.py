@@ -587,6 +587,11 @@ ERROR_TEXTS = {
     "statement-starting-with-not-then-assign": ("NOT x := 1;", "<test>:2:7: expected ';'"),
     "end-of-input-after-output-binding": ("F(a =>", "<test>:3:1: expected ')', found 'end of input'"),
     "end-of-input-after-nested-output-binding": ("x := F(a =>", "<test>:3:1: expected ')', found 'end of input'"),
+    # An output binding writes its target, which must be a variable.
+    "literal-as-output-target": ("F(a => 5);", "<test>:2:8: expected a variable after '=>', found '5'"),
+    "close-paren-as-output-target": ("F(a => ));", "<test>:2:8: expected a variable after '=>', found ')'"),
+    "true-as-output-target": ("F(a => TRUE);", "<test>:2:8: expected a variable after '=>', found 'TRUE'"),
+    "not-as-output-target": ("x := F(a => NOT b);", "<test>:2:13: expected a variable after '=>', found 'NOT'"),
 }
 
 
