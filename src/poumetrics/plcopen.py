@@ -14,11 +14,17 @@ Counting rules for graphical languages:
   a user POU or function block become call sites: inputs wired in are
   arguments, distinct outputs wired onward are used returns.
 * LD: every contact and coil is one operator (keyed by its kind) plus
-  one operand for the bound variable; every contact adds one decision,
-  as do wired jumps and wired returns.
+  one operand for its variable.  A contact reads its variable and adds
+  one decision; a coil writes its variable.  Wired jumps and wired
+  returns add a decision each.
 * SFC: every step, transition and action association is one operator;
   every transition adds one decision.  Transition conditions and action
   bodies are tokenized in their own language and merged into the POU.
+
+A variable element (an FBD in/out variable, or the variable of a contact
+or coil) accesses the direct address its text is, or else the root
+identifier of its text, unless that is TRUE, FALSE or the type of a
+typed literal (`T#5s`).
 
 Every walk of one POU, network or ST fragment, writes into one
 collector, the POU's `_Acc` (an `st._BodyResult`).  `walk_pous` fills
@@ -69,7 +75,21 @@ _BODY_LANGUAGES = {"ST": Language.ST, "FBD": Language.FBD, "LD": Language.LD, "S
 # Blocks that pick one of several inputs; each occurrence is a branch.
 _SELECTOR_BLOCKS = frozenset({"sel", "mux", "limit"})
 
-_IDENT_ROOT = re.compile(r"[A-Za-z_]\w*")
+# An identifier that `#` follows names the type of a literal.
+_IDENT_ROOT = re.compile(r"[A-Za-z_]\w*(?![\w#])")
+
+# The operator of an LD element: its tag -> the (attribute, value, kind)
+# tests, the first that holds naming its kind, and the kind when none does.
+_LD_KINDS = {
+    "contact": (
+        (("negated", "true", "contact-nc"), ("edge", "rising", "contact-p"), ("edge", "falling", "contact-n")),
+        "contact-no",
+    ),
+    "coil": (
+        (("storage", "set", "coil-set"), ("storage", "reset", "coil-reset"), ("negated", "true", "coil-negated")),
+        "coil",
+    ),
+}
 
 
 def _text_of(el: ET.Element | None) -> str:
@@ -215,10 +235,8 @@ class _Acc(_BodyResult):
     def decide(self, kind: str, element_id: str) -> None:
         self.decisions.append(DecisionSpan(kind, SourceRef(self.path, element=element_id)))
 
-    def register_access(self, expression: str, read: bool, write: bool) -> None:
-        text = expression.strip()
-        if not text:
-            return
+    def register_access(self, text: str, read: bool, write: bool) -> None:
+        """Register the access of a variable element's stripped text."""
         if text.startswith("%"):
             key = text.casefold()
         else:
@@ -292,10 +310,8 @@ def _walk_network(acc: _Acc, body_el: ET.Element, language: Language, named: dic
             expr = _text_of(el.find("expression"))
             acc.tokens.append(Token.operand(expr or "?"))
             acc.register_access(expr, read=tag != "outVariable", write=tag != "inVariable")
-        elif tag == "contact":
-            _walk_contact(acc, el, lid)
-        elif tag == "coil":
-            _walk_coil(acc, el, lid)
+        elif tag in _LD_KINDS:
+            _walk_ld_element(acc, el, lid)
         elif tag == "jump":
             if incoming[el]:
                 acc.tokens.append(Token.operator(el.get("targetName", "jump"), "jump"))
@@ -352,42 +368,23 @@ def _walk_block(acc: _Acc, el: ET.Element, lid: str, inbound: dict[str, set[str]
     acc.blocks.append((type_name, instance or type_name, args, len(ports)))
 
 
-def _walk_contact(acc: _Acc, el: ET.Element, lid: str) -> None:
-    if el.get("negated", "").casefold() == "true":
-        kind = "contact-nc"
-    elif el.get("edge", "").casefold() == "rising":
-        kind = "contact-p"
-    elif el.get("edge", "").casefold() == "falling":
-        kind = "contact-n"
-    else:
-        kind = "contact-no"
+def _walk_ld_element(acc: _Acc, el: ET.Element, lid: str) -> None:
+    tag = el.tag
+    tests, kind = _LD_KINDS[tag]
+    for attr, value, named_kind in tests:
+        if el.get(attr, "").casefold() == value:
+            kind = named_kind
+            break
     acc.tokens.append(Token.operator(kind))
-    acc.decide("contact", lid)
+    contact = tag == "contact"
+    if contact:
+        acc.decide("contact", lid)
     var = _text_of(el.find("variable"))
     if var:
         acc.tokens.append(Token.operand(var))
-        acc.register_access(var, read=True, write=False)
+        acc.register_access(var, read=contact, write=not contact)
     else:
-        acc.warn("unbound-contact", "contact %s has no variable" % (lid or "?"))
-
-
-def _walk_coil(acc: _Acc, el: ET.Element, lid: str) -> None:
-    storage = el.get("storage", "").casefold()
-    if storage == "set":
-        kind = "coil-set"
-    elif storage == "reset":
-        kind = "coil-reset"
-    elif el.get("negated", "").casefold() == "true":
-        kind = "coil-negated"
-    else:
-        kind = "coil"
-    acc.tokens.append(Token.operator(kind))
-    var = _text_of(el.find("variable"))
-    if var:
-        acc.tokens.append(Token.operand(var))
-        acc.register_access(var, read=False, write=True)
-    else:
-        acc.warn("unbound-contact", "coil %s has no variable" % (lid or "?"))
+        acc.warn("unbound-contact", "%s %s has no variable" % (tag, lid or "?"))
 
 
 def _named_bodies(pou_el: ET.Element) -> dict[str, ET.Element]:

@@ -47,8 +47,10 @@ Accesses and calls, each name casefolded:
   when the first member comes before any subscript.  A direct address in
   an expression is read.  Formal parameter names and CASE labels read
   nothing;
-* the roots of an assignment target and of an output binding `=> target`,
-  and a FOR variable, are written; names in a target's subscripts are read;
+* an assignment and an output binding `=> target` write their target's
+  root, an identifier other than TRUE, FALSE and NOT, or a direct
+  address; a FOR variable is such an identifier only; a call is never
+  written.  Names in a target's subscripts are read;
 * a call's arguments passed are its positional and `:=` arguments; its
   returns used are its `=>` bindings, plus one when its value feeds an
   expression.  A call that is a whole statement feeds none, except the
@@ -278,6 +280,8 @@ _LABEL_BREAKERS = _STMT_START | frozenset(
 _PREFIX = frozenset({"NOT", "-", "+"})
 # identifiers that are literals
 _BOOL_LITERALS = frozenset({"TRUE", "FALSE"})
+# identifiers that can never be written
+_UNWRITABLE = _BOOL_LITERALS | {"NOT"}
 # what can follow the root of a reference that is more than a name:
 # member access, a subscript or an argument list
 _REF_TAIL = frozenset({".", "[", "("})
@@ -385,6 +389,15 @@ class _Cursor:
             raise self.fail("unterminated %s" % what)
         return True
 
+    def skip_bracketed(self, what: str):
+        """Consume the `(` or `[` at the cursor and the tokens up to the
+        first `)` or `]` of its kind, that one too; end of input first is
+        the error `unterminated <what>`."""
+        closer = ")" if self.take().key == "(" else "]"
+        while self.before(closer, what):
+            self.take()
+        self.take()
+
     def expect_ident(self) -> RawTok:
         t = self.toks[self.i]
         if t.kind != "ident":
@@ -423,9 +436,9 @@ class _BodyParser(_Cursor):
     themselves, under `_Cursor`'s contract: they step only over a token
     they have matched, which is never `_EOF`, and read `toks[i + 1]` only
     at such a token.  `_Cursor`'s methods serve the rarer constructs and
-    the errors.  A plain operand is an identifier other than TRUE/FALSE
-    whose next token is not `.`, `[` or `(`: a variable named by itself,
-    which `primary` emits and reads in one step."""
+    the errors.  A plain operand is a direct address, or an identifier
+    other than TRUE/FALSE, whose next token is not `.`, `[` or `(`: a
+    variable named by itself, which `primary` emits and reads in one step."""
 
     def __init__(
         self,
@@ -520,35 +533,29 @@ class _BodyParser(_Cursor):
         i = self.i
         t = self.toks[i]
         self.last_bare_call = None
-        if t.kind == "ident" and self.toks[i + 1].key == ":=":
+        if t.kind == "ident" and self.toks[i + 1].key == ":=" and t.key not in _UNWRITABLE:
             # A plain target, `name :=`, needs no reference to parse.
             self.res.tokens.append(Token.operand(t.text))
             self.i = i + 1
-            root_key = t.text.casefold()
+            self.res.writes.add(t.text.casefold())
         else:
-            if t.kind not in ("ident", "address") or t.key in ("NOT", "TRUE", "FALSE"):
+            if t.kind not in ("ident", "address") or t.key in _UNWRITABLE:
                 # A bare expression, such as the condition `NOT done`.
                 self.expression()
                 self.end_of_statement()
                 return
-            ref = self.reference(register=None)
+            ref = self.reference()
             if not self.at(":="):
-                if ref.call is not None:
-                    if self.at(";") or self.at_close():
-                        self.last_bare_call = ref.call
-                    else:
-                        ref.call.returns += 1  # the value feeds a larger expression
+                if ref.call is not None and (self.at(";") or self.at_close()):
+                    self.last_bare_call = ref.call
                 else:
-                    self.register_ref_read(ref)
+                    self.register_ref_read(ref)  # a call's value feeds a larger expression
                 self.continue_binary()
                 self.end_of_statement()
                 return
-            if ref.call is not None:
-                raise self.fail("cannot assign to a call result")
-            root_key = ref.root_key
+            self.register_ref_write(ref)
         self.res.tokens.append(Token.operator(":="))
         self.i += 1
-        self.res.writes.add(root_key)
         self.expression()
         self.end_of_statement()
 
@@ -623,7 +630,7 @@ class _BodyParser(_Cursor):
         self.decision("for", self.i)
         self.op(self.expect("FOR"), "for")
         var = self.cur()
-        if var.kind != "ident":
+        if var.kind != "ident" or var.key in _UNWRITABLE:
             raise self.fail("expected loop variable")
         self.operand(self.take())
         self.res.writes.add(var.text.casefold())
@@ -683,16 +690,14 @@ class _BodyParser(_Cursor):
         i = self.i
         t = self.toks[i]
         kind = t.kind
-        if kind == "ident" and t.key not in _BOOL_LITERALS:
+        if (kind == "ident" and t.key not in _BOOL_LITERALS) or kind == "address":
             if self.toks[i + 1].key not in _REF_TAIL:
                 # A plain operand: one step, with no reference to parse.
                 self.res.tokens.append(Token.operand(t.text))
                 self.res.reads.add(t.text.casefold())
                 self.i = i + 1
                 return
-            ref = self.reference(register="read")
-            if ref.call is not None:
-                ref.call.returns += 1  # expression context consumes the value
+            self.register_ref_read(self.reference())
             return
         if kind in ("number", "string", "ident"):  # a literal, TRUE and FALSE too
             self.res.tokens.append(Token.operand(t.text))
@@ -704,10 +709,6 @@ class _BodyParser(_Cursor):
             self.expression()
             self.depth -= 1
             self.expect(")")
-            return
-        if kind == "address":
-            self.operand(self.take())
-            self.res.reads.add(t.text.casefold())
             return
         raise self.fail("unexpected %r in expression" % (t.text or "end of input"))
 
@@ -721,17 +722,14 @@ class _BodyParser(_Cursor):
             self.member = member  # first member when path is root.member
             self.call = call
 
-    def reference(self, register: str | None) -> "_BodyParser._Ref":
+    def reference(self) -> "_BodyParser._Ref":
         """Parse a variable reference or invocation starting at an
-        identifier/address.  register: "read" registers the root as a
-        read; None defers registration to the caller (assignment LHS)."""
+        identifier or address; the caller registers what it reads or
+        writes."""
         t = self.cur()
         if t.kind == "address":
             self.operand(self.take())
-            key = t.text.casefold()
-            if register == "read":
-                self.res.reads.add(key)
-            return self._Ref(key)
+            return self._Ref(t.text.casefold())
 
         # A call starts at an identifier followed by `(` or `.`; `toks[i + 1]`
         # is read only past an identifier, so never past `_EOF`.
@@ -766,15 +764,22 @@ class _BodyParser(_Cursor):
                 self.expect("]")
             else:
                 break
-        ref = self._Ref(root_key, first_member)
-        if register == "read":
-            self.register_ref_read(ref)
-        return ref
+        return self._Ref(root_key, first_member)
 
     def register_ref_read(self, ref: "_BodyParser._Ref"):
+        """A call's value is used; a variable's root is read, and so is
+        (root, first member)."""
+        if ref.call is not None:
+            ref.call.returns += 1
+            return
         self.res.reads.add(ref.root_key)
         if ref.member is not None:
             self.res.member_reads.add((ref.root_key, ref.member))
+
+    def register_ref_write(self, ref: "_BodyParser._Ref"):
+        if ref.call is not None:
+            raise self.fail("cannot assign to a call result")
+        self.res.writes.add(ref.root_key)
 
     def call_lookahead(self) -> list[RawTok] | None:
         """Detect `ident ('.' ident)* '('` without consuming anything."""
@@ -812,22 +817,16 @@ class _BodyParser(_Cursor):
             self.operand(self.take())  # formal parameter name
             binder = self.take()
             self.op(binder)
-            if binder.key == ":=":
-                call.args += 1
-                self.expression()
-            else:
+            if binder.key == "=>":
                 call.returns += 1
-                # The target is what an assignment target can be.
                 t = self.cur()
-                if t.kind not in ("ident", "address") or t.key in ("NOT", "TRUE", "FALSE"):
+                if t.kind not in ("ident", "address") or t.key in _UNWRITABLE:
                     if t is _EOF:
                         self.expect(")")  # the argument list is what is left open
                     raise self.fail("expected a variable after '=>', found %r" % t.text)
-                target = self.reference(register=None)
-                if target.call is None:
-                    self.res.writes.add(target.root_key)
-            return
-        call.args += 1
+                self.register_ref_write(self.reference())
+                return
+        call.args += 1  # a positional or `:=` argument
         self.expression()
 
 
@@ -977,26 +976,17 @@ def parse_type_spec(cur: _Cursor) -> TypeSpec:
     if word in ("STRING", "WSTRING"):
         cur.take()
         if cur.at("(") or cur.at("["):
-            closer = ")" if cur.take().key == "(" else "]"
-            while cur.before(closer, "string length"):
-                cur.take()
-            cur.take()
+            cur.skip_bracketed("string length")
         return TypeSpec("string", name=word)
     if word == "(":
-        cur.take()
-        while cur.before(")", "enumeration"):
-            cur.take()
-        cur.take()
+        cur.skip_bracketed("enumeration")
         return TypeSpec("enum")
     if t.kind != "ident":
         raise cur.fail("expected a type, found %r" % (t.text or "end of input"))
     name_tok = cur.take()
     if cur.at("("):
         # Subrange such as INT (0..100).
-        cur.take()
-        while cur.before(")", "subrange"):
-            cur.take()
-        cur.take()
+        cur.skip_bracketed("subrange")
         return TypeSpec("subrange", name=name_tok.text, element=named(name_tok.text))
     return named(name_tok.text)
 

@@ -6,14 +6,17 @@ parentheses, subscripts and argument lists.
 A small grammar writes a fragment and, beside it, predicts what the body
 walker must report: the token sequence (lexeme, class, identity), the
 names read and written, the (root, first member) reads, and each call's
-arguments passed and returns used.  The prediction follows the rules of
-the `poumetrics.st` module docstring and uses nothing from poumetrics."""
+arguments passed and returns used.  It also writes statements whose
+target no form that writes accepts, and predicts that the walk fails
+there.  The prediction follows the rules of the `poumetrics.st` module
+docstring and uses nothing from poumetrics."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st_strat
 
-from poumetrics import TokenClass, st_fragment_facts
+from poumetrics import ParseError, TokenClass, st_fragment_facts
 
 OPERAND, OPERATOR = TokenClass.OPERAND, TokenClass.OPERATOR
 
@@ -210,6 +213,36 @@ def conditions(draw) -> Prediction:
     return p
 
 
+# The forms that write a target, the target written as `%s`.
+WRITING_FORMS = {"assignment": "%s := 1 ;", "output": "F ( IN => %s ) ;", "loop": "FOR %s := 1 TO 2 DO END_FOR ;"}
+
+
+@st_strat.composite
+def rejected_writes(draw) -> tuple[str, int]:
+    """A statement list, then a statement whose target is none: TRUE,
+    FALSE, NOT, a literal or a call written by `:=` or `=>`, or anything
+    but an identifier as a FOR variable.  Returns the text and the column
+    the rejected statement starts at."""
+    p = draw(statement_lists())
+    form = draw(st_strat.sampled_from(sorted(WRITING_FORMS)))
+    kinds = ["bool", "not", "number", "call"] + (["address", "reference"] if form == "loop" else [])
+    kind = draw(st_strat.sampled_from(kinds))
+    q = Prediction()
+    if kind == "bool":
+        q.operand(draw(st_strat.sampled_from(BOOLS)))
+    elif kind == "not":
+        q.operator(draw(st_strat.sampled_from(["NOT", "not"])), "not")
+    elif kind == "number":
+        q.operand(str(draw(st_strat.integers(0, 999))))
+    elif kind == "call":
+        call(draw, q, draw(st_strat.integers(1, 3)))
+    elif kind == "address":
+        q.operand(draw(st_strat.sampled_from(WRITE_ADDRESSES)))
+    else:
+        reference(draw, q, draw(st_strat.integers(1, 3)), read=False)
+    return p.text + " " + WRITING_FORMS[form] % q.text, len(p.text) + 2
+
+
 def facts_of(text: str, value_context: bool = False):
     res = st_fragment_facts(text, "<oracle>", value_context)
     return {
@@ -241,3 +274,12 @@ def test_statement_lists_match_the_oracle(p):
 @given(conditions())
 def test_conditions_match_the_oracle(p):
     assert facts_of(p.text, value_context=True) == predicted(p), p.text
+
+
+@settings(max_examples=200, derandomize=True)
+@given(rejected_writes())
+def test_rejected_targets_are_parse_errors(case):
+    text, start = case
+    with pytest.raises(ParseError) as err:
+        st_fragment_facts(text, "<oracle>")
+    assert err.value.line == 1 and err.value.column >= start, (text, str(err.value))

@@ -866,7 +866,24 @@ def test_a_child_killed_after_claiming_has_exactly_those_files_walked_here(monke
     assert walks[here][-3:] == claimed
 
 
-@pytest.mark.parametrize("failure", [None, "raises-here"])
+def raise_in_the_loading_process(monkeypatch, claims: bool = True) -> None:
+    """Make the loading process raise while the children wait for the
+    shared knowledge, which only it builds, whatever files it claimed;
+    with `claims` False it claims none."""
+    here = os.getpid()
+    real_claims = load._claims
+
+    def share(declared, context):
+        raise RuntimeError("loading process failed")
+
+    def claim(fd, run, count):
+        return real_claims(fd, run, count) if claims or os.getpid() != here else iter(())
+
+    monkeypatch.setattr(load, "_share", share)
+    monkeypatch.setattr(load, "_claims", claim)
+
+
+@pytest.mark.parametrize("failure", [None, "raises-here", "raises-here-claiming-nothing"])
 def test_every_child_is_reaped_and_every_pipe_closed(monkeypatch, failure):
     here = os.getpid()
     fds: list[int] = []
@@ -881,14 +898,7 @@ def test_every_child_is_reaped_and_every_pipe_closed(monkeypatch, failure):
     monkeypatch.setattr(os, "pipe", pipe)
     pids = run_forked(monkeypatch, 3)
     if failure:
-        real_walk = load._walk_file
-
-        def walk_file(path):
-            if os.getpid() == here:
-                raise RuntimeError("loading process failed")
-            return real_walk(path)
-
-        monkeypatch.setattr(load, "_walk_file", walk_file)
+        raise_in_the_loading_process(monkeypatch, claims=failure == "raises-here")
     with pytest.raises(RuntimeError) if failure else contextlib.nullcontext():
         load_sample([str(CORPUS)])
     assert len(pids) == 2
@@ -993,16 +1003,8 @@ def test_the_pipes_carry_each_function_block_as_its_interface(tmp_path):
 
 
 def test_no_child_outlives_a_raise_in_the_loading_process(monkeypatch):
-    here = os.getpid()
-    real_walk = load._walk_file
-
-    def walk_file(path):
-        if os.getpid() == here:
-            raise RuntimeError("loading process failed")
-        return real_walk(path)
-
     pids = run_forked(monkeypatch, 3)
-    monkeypatch.setattr(load, "_walk_file", walk_file)
+    raise_in_the_loading_process(monkeypatch)
     with pytest.raises(RuntimeError, match="loading process failed"):
         load_sample([str(CORPUS)])
     assert len(pids) == 2

@@ -481,6 +481,37 @@ def test_literal_expressions_are_not_access_candidates(tmp_path):
     assert [c for c, _ in tokens_of(pou)] == [TokenClass.OPERAND]
 
 
+def typed_literal_pous(text: str) -> str:
+    """An ST, an FBD and an LD POU that each read `text` beside a global T."""
+    iface = (
+        '<interface><localVars><variable name="out"><type><TIME/></type></variable></localVars>'
+        '<externalVars><variable name="T"><type><TIME/></type></variable></externalVars></interface>'
+    )
+    bodies = {
+        "St": '<ST><xhtml xmlns="http://www.w3.org/1999/xhtml">out := %s;</xhtml></ST>' % text,
+        "Fbd": '<FBD><inVariable localId="1"><connectionPointOut/><expression>%s</expression></inVariable>'
+        '<outVariable localId="2"><connectionPointIn><connection refLocalId="1"/></connectionPointIn>'
+        "<expression>out</expression></outVariable></FBD>" % text,
+        "Ld": '<LD><contact localId="1"><connectionPointOut/><variable>%s</variable></contact>'
+        '<coil localId="2"><connectionPointIn><connection refLocalId="1"/></connectionPointIn>'
+        "<variable>out</variable></coil></LD>" % text,
+    }
+    return "".join(pou_xml(name, "program", body, iface) for name, body in bodies.items())
+
+
+@pytest.mark.parametrize(
+    "text, reads", [("T", {"t"}), ("T#5s", set()), ("TIME#1h", set()), ("DINT#5", set()), ("t#1h_2m", set())]
+)
+def test_a_typed_literal_reads_no_variable_in_any_language(tmp_path, text, reads):
+    configurations = (
+        '<configurations><configuration name="c"><resource name="r"><globalVars>'
+        '<variable name="T"><type><TIME/></type></variable>'
+        "</globalVars></resource></configuration></configurations>"
+    )
+    sample = load_doc(tmp_path, doc(typed_literal_pous(text), configurations))
+    assert {p.name: p.body.external_reads for p in sample.pous} == {"St": reads, "Fbd": reads, "Ld": reads}
+
+
 def test_wired_en_adds_guard_decision(tmp_path):
     body = (
         '<FBD><inVariable localId="1"><connectionPointOut/><expression>go</expression></inVariable>'

@@ -580,6 +580,9 @@ ERROR_TEXTS = {
     "unterminated-var": ("VAR a : INT;", "<test>:3:1: unterminated VAR section"),
     "unterminated-struct": ("VAR s : STRUCT a : INT;", "<test>:3:1: unterminated STRUCT"),
     "unterminated-initializer": ("VAR x : INT := (1;", "<test>:3:1: unterminated initializer"),
+    "unterminated-string-length": ("VAR s : WSTRING[10; END_VAR", "<test>:3:1: unterminated string length"),
+    "unterminated-enumeration": ("VAR e : (A, B; END_VAR", "<test>:3:1: unterminated enumeration"),
+    "unterminated-subrange": ("VAR r : INT (0..10; END_VAR", "<test>:3:1: unterminated subrange"),
     "end-of-input-in-if": ("IF a THEN x := 1;", "<test>:3:1: expected END_IF, found 'end of input'"),
     "end-of-input-in-expression": ("x := (1 +", "<test>:3:1: unexpected 'end of input' in expression"),
     "leftover-end-if": ("x := 1;\nEND_IF", "<test>:3:1: unexpected END_IF"),
@@ -592,6 +595,23 @@ ERROR_TEXTS = {
     "close-paren-as-output-target": ("F(a => ));", "<test>:2:8: expected a variable after '=>', found ')'"),
     "true-as-output-target": ("F(a => TRUE);", "<test>:2:8: expected a variable after '=>', found 'TRUE'"),
     "not-as-output-target": ("x := F(a => NOT b);", "<test>:2:13: expected a variable after '=>', found 'NOT'"),
+    # The targets of `WRITE_TARGETS` that a form rejects.
+    "true-as-assignment-target": ("TRUE := 1;", "<test>:2:6: expected ';'"),
+    "false-as-assignment-target": ("FALSE := 1;", "<test>:2:7: expected ';'"),
+    "bare-not-as-assignment-target": ("NOT := 1;", "<test>:2:5: unexpected ':=' in expression"),
+    "call-as-assignment-target": ("G(x) := 1;", "<test>:2:6: cannot assign to a call result"),
+    "literal-as-assignment-target": ("5 := 1;", "<test>:2:3: expected ';'"),
+    "false-as-output-target": ("F(a => FALSE);", "<test>:2:8: expected a variable after '=>', found 'FALSE'"),
+    "bare-not-as-output-target": ("F(a => NOT);", "<test>:2:8: expected a variable after '=>', found 'NOT'"),
+    "call-as-output-target": ("F(a => G(x));", "<test>:2:12: cannot assign to a call result"),
+    "member-as-loop-target": ("FOR a.b := 1 TO 2 DO END_FOR;", "<test>:2:6: expected ':=', found '.'"),
+    "subscript-as-loop-target": ("FOR a[i] := 1 TO 2 DO END_FOR;", "<test>:2:6: expected ':=', found '['"),
+    "address-as-loop-target": ("FOR %QX0.1 := 1 TO 2 DO END_FOR;", "<test>:2:5: expected loop variable"),
+    "true-as-loop-target": ("FOR TRUE := 1 TO 2 DO END_FOR;", "<test>:2:5: expected loop variable"),
+    "false-as-loop-target": ("FOR FALSE := 1 TO 2 DO END_FOR;", "<test>:2:5: expected loop variable"),
+    "bare-not-as-loop-target": ("FOR NOT := 1 TO 2 DO END_FOR;", "<test>:2:5: expected loop variable"),
+    "call-as-loop-target": ("FOR G(x) := 1 TO 2 DO END_FOR;", "<test>:2:6: expected ':=', found '('"),
+    "literal-as-loop-target": ("FOR 5 := 1 TO 2 DO END_FOR;", "<test>:2:5: expected loop variable"),
 }
 
 
@@ -601,6 +621,39 @@ def test_parse_error_text(case):
     with pytest.raises(ParseError) as err:
         parse("PROGRAM P\n%s\nEND_PROGRAM" % body)
     assert str(err.value) == expected
+
+
+# What a statement may write: a target by name -> its text and the root
+# that `X := 1;` and `F(a => X);` write, None where they reject it.  A
+# FOR variable is a name alone.  A rejected target's error is pinned in
+# `ERROR_TEXTS` as "<name>-as-<form>-target".
+WRITE_TARGETS = {
+    "name": ("Speed", "speed"),
+    "member": ("a.b", "a"),
+    "subscript": ("a[i]", "a"),
+    "address": ("%QX0.1", "%qx0.1"),
+    "true": ("TRUE", None),
+    "false": ("FALSE", None),
+    "bare-not": ("NOT", None),
+    "call": ("G(x)", None),
+    "literal": ("5", None),
+}
+WRITE_FORMS = {"assignment": "%s := 1;", "output": "F(a => %s);", "loop": "FOR %s := 1 TO 2 DO END_FOR;"}
+
+
+@pytest.mark.parametrize("form", sorted(WRITE_FORMS))
+@pytest.mark.parametrize("target", sorted(WRITE_TARGETS))
+def test_write_target_rule(target, form):
+    text, root = WRITE_TARGETS[target]
+    if form == "loop" and target != "name":
+        root = None
+    body = WRITE_FORMS[form] % text
+    if root is None:
+        assert ERROR_TEXTS["%s-as-%s-target" % (target, form)][0] == body
+        with pytest.raises(ParseError):
+            st_fragment_facts(body)
+    else:
+        assert st_fragment_facts(body).writes == {root}
 
 
 # Fragments cut off where the walker looks one token ahead: each is a
@@ -654,7 +707,9 @@ def deep_pous(depth):
         "case": "CASE a OF 1: " * depth + "a := 0;" + " END_CASE;" * depth,
         "parens": "a := " + "(" * depth + "a" + ")" * depth + ";",
         "calls": "a := " + "1 + F(x := 1 + " * depth + "a" + ")" * depth + ";",
-        "output-calls": "F(" + "y => G(" * depth + ")" * depth + ");",
+        # A call result is never written: the target of `=>` nests in
+        # its subscripts, one level below the argument list.
+        "output-calls": "F(y => a" + "[a" * (depth - 1) + "]" * (depth - 1) + ");",
         "subscripts": "a := " + "a[" * depth + "1" + "]" * depth + ";",
     }
     pous = {k: "PROGRAM Deep VAR a : INT; END_VAR %s END_PROGRAM" % b for k, b in bodies.items()}
