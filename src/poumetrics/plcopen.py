@@ -23,8 +23,9 @@ Counting rules for graphical languages:
 
 A variable element (an FBD in/out variable, or the variable of a contact
 or coil) accesses the direct address its text is, or else the root
-identifier of its text, unless that is TRUE, FALSE or the type of a
-typed literal (`T#5s`).
+identifier of its text, unless that is the type of a typed literal
+(`T#5s`) or a keyword of the ST frontend (`st._KEYWORDS`: TRUE, FALSE,
+NOT, IF, ...), which names nothing.
 
 Every walk of one POU, network or ST fragment, writes into one
 collector, the POU's `_Acc` (an `st._BodyResult`).  `walk_pous` fills
@@ -51,7 +52,7 @@ from .ir import (
     Token,
     VarSection,
 )
-from .st import _MAX_NESTING, WalkedPou, _BodyResult, _bound_error, parse_pou_unit, st_fragment_facts
+from .st import _KEYWORDS, _MAX_NESTING, WalkedPou, _BodyResult, _bound_error, parse_pou_unit, st_fragment_facts
 from .typesys import RawDecl, TypeContext, TypeSpec, named
 
 _POU_TYPE_MAP = {
@@ -241,11 +242,9 @@ class _Acc(_BodyResult):
             key = text.casefold()
         else:
             m = _IDENT_ROOT.match(text)
-            if m is None:
+            if m is None or m.group(0).upper() in _KEYWORDS:
                 return
             key = m.group(0).casefold()
-            if key in ("true", "false"):
-                return
         if read:
             self.reads.add(key)
         if write:
@@ -456,17 +455,19 @@ def _walk_action_block(acc: _Acc, el: ET.Element, named: dict[str, ET.Element]) 
 
 def _check_reachability(acc: _Acc, elements: list[ET.Element], incoming: dict[ET.Element, list[ET.Element]]) -> None:
     """Warn of each step of an SFC network that no connection or jump
-    leads to from an initial step.  A network without one is not checked."""
-    step_names: dict[str, str] = {}
+    leads to from an initial step.  A network without one is not checked.
+    Steps are told apart by localId, and their names only resolve jumps."""
+    steps: list[tuple[str, str]] = []  # (casefolded name, localId) of each step
     seen: set[str] = set()
     for el in elements:
         if el.tag in ("step", "macroStep"):
             lid = el.get("localId", "")
-            step_names[el.get("name", "").casefold()] = lid
+            steps.append((el.get("name", "").casefold(), lid))
             if el.get("initialStep", "").casefold() == "true":
                 seen.add(lid)
     if not seen:
         return
+    step_names = dict(steps)
     edges: dict[str, set[str]] = {}
     for el in elements:
         lid = el.get("localId", "")
@@ -484,7 +485,7 @@ def _check_reachability(acc: _Acc, elements: list[ET.Element], incoming: dict[ET
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    for name, lid in sorted(step_names.items()):
+    for name, lid in sorted(steps):
         if lid not in seen:
             acc.warn("unreachable-step", "step %r is not reachable from an initial step" % name)
 

@@ -38,19 +38,19 @@ The closing `]` and `)` produce nothing.
 Decision points: IF, each ELSIF, each CASE label group (ELSE never),
 FOR, WHILE, REPEAT, EXIT.
 
-Accesses and calls, each name casefolded:
+Accesses and calls, each name casefolded.  A name is an identifier: a
+keyword, any word the grammar matches (`_KEYWORDS`, TRUE and FALSE too),
+names nothing, so one where a name belongs, in a body or a declaration,
+is a parse error.
 
-* an invocation is a callee path `name {. name}` right before `(`,
-  whose names are no statement keyword, operator word or TRUE/FALSE;
-* every other identifier in an expression, but TRUE and FALSE, starts
-  a variable reference: its root is read, and so is (root, first member)
-  when the first member comes before any subscript.  A direct address in
-  an expression is read.  Formal parameter names and CASE labels read
-  nothing;
+* an invocation is a callee path `name {. name}` right before `(`;
+* every other name in an expression starts a variable reference: its
+  root is read, and so is (root, first member) when the first member
+  comes before any subscript.  A direct address in an expression is
+  read.  Formal parameter names and CASE labels read nothing;
 * an assignment and an output binding `=> target` write their target's
-  root, an identifier other than TRUE, FALSE and NOT, or a direct
-  address; a FOR variable is such an identifier only; a call is never
-  written.  Names in a target's subscripts are read;
+  root, a name or a direct address; a FOR variable is a name only; a
+  call is never written.  Names in a target's subscripts are read;
 * a call's arguments passed are its positional and `:=` arguments; its
   returns used are its `=>` bindings, plus one when its value feeds an
   expression.  A call that is a whole statement feeds none, except the
@@ -135,30 +135,38 @@ _NEWLINE = re.compile(r"\n")
 _new_tuple = tuple.__new__
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _OPERATORS = frozenset({":=", "=>", "<>", "<=", ">=", "**", "..", *"-+*/=<>()[];,.:&"})
+# Every word the grammar matches by key.  The lexer gives these the kind
+# "keyword", not "ident", so none of them can name anything.
+_KEYWORDS = frozenset("""IF THEN ELSIF ELSE END_IF CASE OF END_CASE FOR TO BY DO END_FOR WHILE END_WHILE REPEAT UNTIL
+    END_REPEAT RETURN EXIT CONTINUE AND OR XOR NOT MOD TRUE FALSE AT ARRAY STRUCT END_STRUCT STRING WSTRING
+    VAR VAR_INPUT VAR_OUTPUT VAR_IN_OUT VAR_TEMP VAR_EXTERNAL VAR_GLOBAL END_VAR RETAIN NON_RETAIN CONSTANT PERSISTENT
+    TYPE END_TYPE PROGRAM END_PROGRAM FUNCTION END_FUNCTION FUNCTION_BLOCK END_FUNCTION_BLOCK ORGANIZATION_BLOCK
+    END_ORGANIZATION_BLOCK""".split())
 
 
 class RawTok(NamedTuple):
-    kind: str  # ident | number | string | address | op
+    kind: str  # ident | keyword | number | string | address | op
     text: str
-    # What parsers match on: an identifier's upper-cased text (interned,
-    # so the many copies of one keyword share a string), an operator's
-    # text, "" for literals and addresses.
+    # What parsers match on: an identifier's or keyword's upper-cased
+    # text (interned, so the many copies of one word share a string), an
+    # operator's text, "" for literals and addresses.
     key: str
 
 
 class _Records(dict):
     """Token text -> the one `RawTok` of that text, shared by all its
     occurrences.  A new text is classified by its first character, as
-    `_NEXT_TOKEN`'s alternatives tell the kinds apart; a stop token's
-    text has no record and raises KeyError.  Holding `_TOKEN_CACHE_SIZE`
-    texts, the memo starts afresh: sharing is lost, nothing else."""
+    `_NEXT_TOKEN`'s alternatives tell the kinds apart, and a word of
+    `_KEYWORDS` is a keyword; a stop token's text has no record and
+    raises KeyError.  Holding `_TOKEN_CACHE_SIZE` texts, the memo starts
+    afresh: sharing is lost, nothing else."""
 
     __slots__ = ()
 
     def __missing__(self, text: str) -> RawTok:
         first = text[:1]
         if first in _IDENT_START:
-            kind = "number" if "#" in text else "ident"
+            kind = "number" if "#" in text else "keyword" if text.upper() in _KEYWORDS else "ident"
         elif first.isdecimal():  # `\d` matches every Unicode decimal digit
             kind = "number"
         elif first in ("'", '"', "%") and len(text) > 1:
@@ -169,7 +177,7 @@ class _Records(dict):
             raise KeyError(text)
         if len(self) >= _TOKEN_CACHE_SIZE:
             self.clear()
-        key = intern(text.upper()) if kind == "ident" else text if kind == "op" else ""
+        key = intern(text.upper()) if kind in ("ident", "keyword") else text if kind == "op" else ""
         # tuple.__new__ skips RawTok's Python-level __new__
         tok = self[text] = _new_tuple(RawTok, (kind, text, key))
         return tok
@@ -263,7 +271,6 @@ def lex(text: str, path: str = "") -> Lexed:
 
 # ---------------------- body walker ----------------------
 
-_STMT_START = frozenset({"IF", "CASE", "FOR", "WHILE", "REPEAT", "RETURN", "EXIT", "CONTINUE"})
 # binary operators and their identities
 _BINARY = {op: op for op in ("=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/", "**")} | {
     "&": "and",
@@ -272,21 +279,13 @@ _BINARY = {op: op for op in ("=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/"
     "XOR": "xor",
     "MOD": "mod",
 }
-# words that can never be part of a CASE label group
-_LABEL_BREAKERS = _STMT_START | frozenset(
-    {"ELSE", "ELSIF", "THEN", "DO", "OF", "TO", "BY", "UNTIL", "AND", "OR", "XOR", "NOT", "MOD"}
-)
 # prefix operators
 _PREFIX = frozenset({"NOT", "-", "+"})
-# identifiers that are literals
+# keywords that are literals
 _BOOL_LITERALS = frozenset({"TRUE", "FALSE"})
-# identifiers that can never be written
-_UNWRITABLE = _BOOL_LITERALS | {"NOT"}
 # what can follow the root of a reference that is more than a name:
 # member access, a subscript or an argument list
 _REF_TAIL = frozenset({".", "[", "("})
-# words that can never name an invoked POU
-_NOT_CALLEES = _STMT_START | _BOOL_LITERALS | frozenset({"AND", "OR", "XOR", "NOT", "MOD"})
 
 
 class _RawCall:
@@ -436,9 +435,9 @@ class _BodyParser(_Cursor):
     themselves, under `_Cursor`'s contract: they step only over a token
     they have matched, which is never `_EOF`, and read `toks[i + 1]` only
     at such a token.  `_Cursor`'s methods serve the rarer constructs and
-    the errors.  A plain operand is a direct address, or an identifier
-    other than TRUE/FALSE, whose next token is not `.`, `[` or `(`: a
-    variable named by itself, which `primary` emits and reads in one step."""
+    the errors.  A plain operand is a direct address or an identifier
+    whose next token is not `.`, `[` or `(`: a variable named by itself,
+    which `primary` emits and reads in one step."""
 
     def __init__(
         self,
@@ -533,13 +532,13 @@ class _BodyParser(_Cursor):
         i = self.i
         t = self.toks[i]
         self.last_bare_call = None
-        if t.kind == "ident" and self.toks[i + 1].key == ":=" and t.key not in _UNWRITABLE:
+        if t.kind == "ident" and self.toks[i + 1].key == ":=":
             # A plain target, `name :=`, needs no reference to parse.
             self.res.tokens.append(Token.operand(t.text))
             self.i = i + 1
             self.res.writes.add(t.text.casefold())
         else:
-            if t.kind not in ("ident", "address") or t.key in _UNWRITABLE:
+            if t.kind != "ident" and t.kind != "address":
                 # A bare expression, such as the condition `NOT done`.
                 self.expression()
                 self.end_of_statement()
@@ -606,7 +605,7 @@ class _BodyParser(_Cursor):
     def case_label_atom(self):
         if self.cur().key in ("-", "+"):
             self.op(self.take())
-        if self.cur().kind not in ("number", "string", "ident"):
+        if self.cur().kind not in ("number", "string", "ident") and self.cur().key not in _BOOL_LITERALS:
             raise self.fail("expected CASE label")
         self.operand(self.take())  # an identifier is an enum value or a named constant
 
@@ -615,11 +614,7 @@ class _BodyParser(_Cursor):
         seen_atom = False
         while True:
             t = self.toks[j]
-            if t.kind == "ident":
-                if t.key in _LABEL_BREAKERS or t.key.startswith("END_"):
-                    break
-                seen_atom = True
-            elif t.kind in ("number", "string"):
+            if t.kind in ("number", "string", "ident") or t.key in _BOOL_LITERALS:
                 seen_atom = True
             elif t.key not in (",", "..", "-", "+"):
                 break
@@ -630,7 +625,7 @@ class _BodyParser(_Cursor):
         self.decision("for", self.i)
         self.op(self.expect("FOR"), "for")
         var = self.cur()
-        if var.kind != "ident" or var.key in _UNWRITABLE:
+        if var.kind != "ident":
             raise self.fail("expected loop variable")
         self.operand(self.take())
         self.res.writes.add(var.text.casefold())
@@ -690,7 +685,7 @@ class _BodyParser(_Cursor):
         i = self.i
         t = self.toks[i]
         kind = t.kind
-        if (kind == "ident" and t.key not in _BOOL_LITERALS) or kind == "address":
+        if kind == "ident" or kind == "address":
             if self.toks[i + 1].key not in _REF_TAIL:
                 # A plain operand: one step, with no reference to parse.
                 self.res.tokens.append(Token.operand(t.text))
@@ -699,7 +694,7 @@ class _BodyParser(_Cursor):
                 return
             self.register_ref_read(self.reference())
             return
-        if kind in ("number", "string", "ident"):  # a literal, TRUE and FALSE too
+        if kind in ("number", "string") or t.key in _BOOL_LITERALS:
             self.res.tokens.append(Token.operand(t.text))
             self.i = i + 1
             return
@@ -787,7 +782,7 @@ class _BodyParser(_Cursor):
         path = []
         while True:
             t = toks[j]
-            if t.kind != "ident" or t.key in _NOT_CALLEES:
+            if t.kind != "ident":
                 return None
             path.append(t)
             if toks[j + 1].key != ".":
@@ -820,7 +815,7 @@ class _BodyParser(_Cursor):
             if binder.key == "=>":
                 call.returns += 1
                 t = self.cur()
-                if t.kind not in ("ident", "address") or t.key in _UNWRITABLE:
+                if t.kind != "ident" and t.kind != "address":
                     if t is _EOF:
                         self.expect(")")  # the argument list is what is left open
                     raise self.fail("expected a variable after '=>', found %r" % t.text)
@@ -879,8 +874,6 @@ _VAR_SECTIONS = {
 }
 
 _VAR_QUALIFIERS = frozenset({"RETAIN", "NON_RETAIN", "CONSTANT", "PERSISTENT"})
-# Type words that `parse_type_spec` does not read as a plain type name.
-_TYPE_WORDS = frozenset({"ARRAY", "STRUCT", "STRING", "WSTRING"})
 
 _BASED_INT = re.compile(r"2#[01]+|8#[0-7]+|16#[0-9A-Fa-f]+")  # once `_` is removed
 # Decimal digits Python converts between int and str; 0 is no limit, as
@@ -1086,9 +1079,9 @@ def _parse_var_sections(cur: _Cursor) -> list[RawDecl]:
         while True:
             i = cur.i
             t = toks[i]
-            if t.kind == "ident" and t.key != "END_VAR" and toks[i + 1].key == ":":
+            if t.kind == "ident" and toks[i + 1].key == ":":
                 type_tok = toks[i + 2]
-                if type_tok.kind == "ident" and type_tok.key not in _TYPE_WORDS and toks[i + 3].key == ";":
+                if type_tok.kind == "ident" and toks[i + 3].key == ";":
                     # A plain `name : TYPE;` in one step, read as the
                     # general path below reads it.
                     decls.append(_new_tuple(RawDecl, (t.text, section, named(type_tok.text))))

@@ -7,8 +7,8 @@ A small grammar writes a fragment and, beside it, predicts what the body
 walker must report: the token sequence (lexeme, class, identity), the
 names read and written, the (root, first member) reads, and each call's
 arguments passed and returns used.  It also writes statements whose
-target no form that writes accepts, and predicts that the walk fails
-there.  The prediction follows the rules of the `poumetrics.st` module
+target no form that writes accepts, and statements with a keyword where
+a name belongs, and predicts that the walk fails there.  The prediction follows the rules of the `poumetrics.st` module
 docstring and uses nothing from poumetrics."""
 
 from __future__ import annotations
@@ -36,6 +36,13 @@ BINARY = [
     ("AND", "and"), ("and", "and"), ("&", "and"), ("OR", "or"), ("Xor", "xor"),
 ]
 PREFIX = [("NOT", "not"), ("not", "not"), ("-", "-"), ("+", "+")]
+# Keywords in several cases, but TRUE and FALSE, which are literals.
+KEYWORDS = [
+    "IF", "then", "ElsIf", "ELSE", "end_if", "CASE", "Of", "END_CASE", "FOR", "to", "BY", "do", "END_FOR", "While",
+    "END_WHILE", "REPEAT", "until", "End_Repeat", "RETURN", "exit", "Continue", "AND", "or", "XOR", "Mod", "NOT",
+    "VAR", "End_Var", "VAR_INPUT", "AT", "array", "STRUCT", "String", "WSTRING", "RETAIN", "CONSTANT", "TYPE",
+    "PROGRAM", "END_FUNCTION_BLOCK", "FUNCTION",
+]
 
 
 class Prediction:
@@ -243,6 +250,31 @@ def rejected_writes(draw) -> tuple[str, int]:
     return p.text + " " + WRITING_FORMS[form] % q.text, len(p.text) + 2
 
 
+# Each place in a statement where a name belongs, the name written as `%s`.
+NAME_PLACES = {
+    "operand": "x := %s ;",
+    "assignment-target": "%s := 1 ;",
+    "output-target": "F ( IN => %s ) ;",
+    "loop-variable": "FOR %s := 1 TO 2 DO END_FOR ;",
+    "member": "x := fb . %s ;",
+    "callee": "%s ( 1 ) ;",
+    "callee-member": "fb . %s ( 1 ) ;",
+    "formal-parameter": "F ( %s := 1 ) ;",
+}
+
+
+@st_strat.composite
+def keywords_as_names(draw) -> tuple[str, int]:
+    """A statement list, then a statement with a keyword where a name
+    belongs, which names nothing.  NOT before `(` is the prefix operator,
+    not a callee.  Returns the text and the keyword's column."""
+    p = draw(statement_lists())
+    place = draw(st_strat.sampled_from(sorted(NAME_PLACES)))
+    keyword = draw(st_strat.sampled_from([k for k in KEYWORDS if place != "callee" or k != "NOT"]))
+    form = NAME_PLACES[place]
+    return p.text + " " + form % keyword, len(p.text) + 2 + form.index("%s")
+
+
 def facts_of(text: str, value_context: bool = False):
     res = st_fragment_facts(text, "<oracle>", value_context)
     return {
@@ -283,3 +315,14 @@ def test_rejected_targets_are_parse_errors(case):
     with pytest.raises(ParseError) as err:
         st_fragment_facts(text, "<oracle>")
     assert err.value.line == 1 and err.value.column >= start, (text, str(err.value))
+
+
+@settings(max_examples=200, derandomize=True)
+@given(keywords_as_names())
+def test_keywords_as_names_are_parse_errors(case):
+    """The error is at or after the keyword, or at the end of input,
+    which a fragment reports at line 0."""
+    text, column = case
+    with pytest.raises(ParseError) as err:
+        st_fragment_facts(text, "<oracle>")
+    assert err.value.line == 0 or (err.value.line == 1 and err.value.column >= column), (text, str(err.value))

@@ -512,6 +512,16 @@ def test_a_typed_literal_reads_no_variable_in_any_language(tmp_path, text, reads
     assert {p.name: p.body.external_reads for p in sample.pous} == {"St": reads, "Fbd": reads, "Ld": reads}
 
 
+@pytest.mark.parametrize("text", ["NOT x", "IF", "true", "End_If"])
+def test_a_variable_element_named_by_a_keyword_reads_nothing(text):
+    """A variable element's root identifier that is an ST keyword names
+    nothing; the element is still one operand."""
+    body = '<FBD><inVariable localId="1"><connectionPointOut/><expression>%s</expression></inVariable></FBD>' % text
+    (walked,) = plcopen.walk_pous(parse_xml(doc(pou_xml("P", "program", body))), "t.xml")
+    assert walked.body.reads == set()
+    assert [(t.cls, t.lexeme) for t in walked.body.tokens] == [(TokenClass.OPERAND, text)]
+
+
 def test_wired_en_adds_guard_decision(tmp_path):
     body = (
         '<FBD><inVariable localId="1"><connectionPointOut/><expression>go</expression></inVariable>'
@@ -723,6 +733,28 @@ JUMP_SFC = (
 def test_jump_step_keeps_target_reachable(tmp_path):
     _, warnings = one_pou(tmp_path, doc(pou_xml("P", "program", JUMP_SFC % "Far")))
     assert [w.code for w in warnings] == []
+
+
+def test_a_step_whose_name_another_step_repeats_is_checked(tmp_path):
+    body = (
+        "<SFC>"
+        '<step localId="1" name="S0" initialStep="true"><connectionPointOut/></step>'
+        '<step localId="5" name="Lost"><connectionPointIn/></step>'
+        '<step localId="6" name="lost"><connectionPointIn><connection refLocalId="1"/></connectionPointIn></step>'
+        "</SFC>"
+    )
+    _, warnings = one_pou(tmp_path, doc(pou_xml("P", "program", body)))
+    assert [(w.code, w.message) for w in warnings] == [
+        ("unreachable-step", "step 'lost' is not reachable from an initial step")
+    ]
+
+
+def test_sfc_condition_that_is_a_keyword_skips_its_pou(tmp_path):
+    sample = load_doc(tmp_path, doc(pou_xml("Seq", "program", JUMP_SFC.replace(">go<", ">AND<") % "Far")))
+    assert sample.pous == []
+    assert [(w.code, w.pou, w.message) for w in sample.warnings] == [
+        ("pou-parse-error", "Seq", "transition localId=\"2\": 1:1: unexpected 'AND' in expression")
+    ]
 
 
 def test_sfc_condition_that_starts_with_not_is_ranked(tmp_path, capsys):

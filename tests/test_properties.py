@@ -33,7 +33,7 @@ from poumetrics.errors import UnterminatedComment, UnterminatedString
 from poumetrics.plcopen import _local_id_key
 from poumetrics.report import fmt4, fmt4_ratio
 from poumetrics import st as st_module, typesys
-from poumetrics.st import LineTable, lex, parse_pou_unit, split_st_units, walk_pou_unit
+from poumetrics.st import _KEYWORDS, LineTable, lex, parse_pou_unit, split_st_units, walk_pou_unit
 from poumetrics.typesys import RawDecl, TypeContext, TypeSpec, named
 
 from conftest import CORPUS
@@ -390,8 +390,9 @@ def test_cli_on_odd_local_id_exits_0_1_or_2(tmp_path, capsys, local_id):
 # ------------------------- lexer against the reference loop -------------------------
 
 # The lexer as it was before it scanned with one `finditer`: one match
-# per token and per whitespace run, line and column counted as it goes.
-# `lex` must give the same tokens, positions and errors.
+# per token and per whitespace run, line and column counted as it goes,
+# and an identifier that `_KEYWORDS` holds a keyword.  `lex` must give
+# the same tokens, positions and errors.
 _REFERENCE_TOKEN = re.compile(
     r"""
       (?P<ws>[ \t\r\n]+)
@@ -439,6 +440,8 @@ def reference_lex(text: str, path: str) -> list[tuple[str, str, int, int, str]]:
         elif kind not in ("ws", "comment"):
             tok = m.group()
             key = tok.upper() if kind == "ident" else tok if kind == "op" else ""
+            if key in _KEYWORDS:
+                kind = "keyword"
             toks.append((kind, tok, line, col, key))
         newlines = text.count("\n", pos, end)
         if newlines:
@@ -564,17 +567,12 @@ def test_lex_gives_the_same_in_any_order_and_past_the_memo_cap(monkeypatch):
 # ------------------- declarations against their generator -------------------
 
 # Each generated declaration is a pair: its text and the `TypeSpec` it
-# declares, so the generator's own `RawDecl`s are the oracle.  Names mix
-# plain ones with keywords, which a declaration reads as names too; no
-# name is a section qualifier (read as one after the section keyword),
-# END_VAR or a POU's closing keyword.
-DECL_NAMES = st_strat.sampled_from(
-    ["a", "b1", "x_y", "Motor", "IF", "OF", "AT", "ARRAY", "STRING", "VAR", "VAR_INPUT", "TRUE", "INT", "TON", "END_IF"]
-)
+# declares, so the generator's own `RawDecl`s are the oracle.  No name is
+# a keyword: a keyword names nothing, and one put in place of a name
+# makes the text a parse error.
+DECL_NAMES = st_strat.sampled_from(["a", "b1", "x_y", "Motor", "INT", "TON", "Int2", "end_x"])
 NAME_LISTS = st_strat.lists(DECL_NAMES, min_size=1, max_size=3)
-PLAIN_TYPES = st_strat.sampled_from(["INT", "bool", "T1", "Motor", "TON", "IF", "OF", "AT", "END_VAR", "END_IF"]).map(
-    lambda name: (name, named(name))
-)
+PLAIN_TYPES = st_strat.sampled_from(["INT", "bool", "T1", "Motor", "TON", "end_t"]).map(lambda name: (name, named(name)))
 STRING_TYPES = st_strat.tuples(
     st_strat.sampled_from(["STRING", "WSTRING", "string"]), st_strat.sampled_from(["", "[20]", "(8)"])
 ).map(lambda p: (p[0] + p[1], TypeSpec("string", name=p[0].upper())))
@@ -654,13 +652,14 @@ def walked_pou(text: str):
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(st_strat.lists(VAR_SECTIONS, max_size=3))
-def test_declarations_read_as_generated_and_every_cut_is_a_parse_error(sections):
+@given(st_strat.lists(VAR_SECTIONS, max_size=3), st_strat.sampled_from(sorted(_KEYWORDS)), st_strat.integers(0, 99))
+def test_declarations_read_as_generated_and_every_cut_is_a_parse_error(sections, keyword, pick):
     """The parsed declarations are the generated ones, each plain type
     name one shared spec.  The text cut at any token boundary inside a
     section ends as a `pou-parse-error`, never as another exception; cut
-    before a section, it holds the sections before it.  Past the cap of
-    the `named` memo the declarations and their classes are the same."""
+    before a section, it holds the sections before it.  A keyword in
+    place of a declared name is a parse error.  Past the cap of the
+    `named` memo the declarations and their classes are the same."""
     head, tail = "PROGRAM P\n", "\nEND_PROGRAM\n"
     texts = [section_text(s) for s in sections]
     expected = [section_decls(s) for s in sections]
@@ -678,6 +677,15 @@ def test_declarations_read_as_generated_and_every_cut_is_a_parse_error(sections)
             assert cut.error is not None, text[:offset]
             pou, warnings = parse_pou_unit(cut, TypeContext(), frozenset())
             assert pou is None and [w.code for w in warnings] == ["pou-parse-error"]
+    spots = [(s, d, n) for s, (_, _, ds) in enumerate(sections) for d, decl in enumerate(ds) for n in range(len(decl[0]))]
+    if spots:
+        s, d, n = spots[pick % len(spots)]
+        word, qualifier, ds = sections[s]
+        names, *rest = ds[d]
+        renamed = (word, qualifier, [*ds[:d], (names[:n] + [keyword] + names[n + 1 :], *rest), *ds[d + 1 :]])
+        text = head + "".join(texts[:s]) + section_text(renamed) + "".join(texts[s + 1 :]) + tail
+        with pytest.raises(ParseError):
+            parse_st_pou(StSource("d.st", text))
     classified = TypeContext().declare("P", decls)
     with mock.patch.object(typesys, "_TOKEN_CACHE_SIZE", 2):
         assert named("T1") is named("T1")

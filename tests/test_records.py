@@ -322,3 +322,57 @@ def test_the_unused_import_guard_sees_each_kind_of_import():
         "    return loads(os.sep)\n"
     )
     assert unused_imports(text) == ["4: dumps", "9: re"]
+
+
+def unread_private_names(texts: dict[str, str]) -> list[str]:
+    """The private names that a module of `texts` (file name -> source)
+    binds at its top level but no module reads: by name, as an attribute
+    (`st._KEYWORDS`) or by importing it.  Dunders are exempt."""
+    trees = {name: ast.parse(text) for name, text in texts.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [
+                "%s:%d: %s" % (name, node.lineno, b)
+                for b in bound
+                if b.startswith("_") and not (b.startswith("__") and b.endswith("__")) and b not in read
+            ]
+    return unread
+
+
+def test_no_module_binds_a_private_name_nothing_reads():
+    texts = {path.name: path.read_text() for path in sorted((SRC / "poumetrics").glob("*.py"))}
+    assert unread_private_names(texts) == []
+
+
+def test_the_unread_name_guard_sees_each_kind_of_binding():
+    texts = {
+        "a.py": (
+            "__version__ = '1'\n"
+            "_WORDS = frozenset({'IF'})\n"
+            "_LIST: list = []\n"
+            "_count = 0\n"
+            "def _helper(): pass\n"
+            "class _Rec: pass\n"
+            "def f(x): return x in _WORDS\n"
+            "_count += 1\n"
+        ),
+        "b.py": "from .a import _helper\nfrom . import a\nprint(a._LIST, _helper)\n",
+    }
+    assert unread_private_names(texts) == ["a.py:4: _count", "a.py:6: _Rec"]

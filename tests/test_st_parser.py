@@ -93,20 +93,19 @@ def test_variable_qualifiers_are_tolerated():
 
 def test_type_words_and_keywords_in_short_declarations():
     """`name : TYPE;` with a string word is a string type, as it is with a
-    length; any other identifier after the colon, a keyword too, is a
-    type name, and any identifier but END_VAR a declared name."""
-    (unit,) = split_st_units(
-        StSource("d.st", "PROGRAM P\nVAR s : STRING; w : wstring; e : END_VAR; IF : OF; AT : INT; END_VAR\nEND_PROGRAM\n")
-    )
+    length; any other identifier after the colon is a type name.  A
+    keyword names no type and no variable: `e : END_VAR;`, `IF : OF;` and
+    `AT : INT;` are errors, pinned in `ERROR_TEXTS`."""
+    (unit,) = split_st_units(StSource("d.st", "PROGRAM P\nVAR s : STRING; w : wstring; t : Motor; END_VAR\nEND_PROGRAM\n"))
     walked = walk_pou_unit(unit, "d.st")
     assert walked.error is None
     assert [(d.name, d.spec) for d in walked.decls] == [
         ("s", TypeSpec("string", name="STRING")),
         ("w", TypeSpec("string", name="WSTRING")),
-        ("e", named("END_VAR")),
-        ("IF", named("OF")),
-        ("AT", named("INT")),
+        ("t", named("Motor")),
     ]
+    rejected = {"VAR e : END_VAR; END_VAR", "VAR IF : OF; END_VAR", "VAR AT : INT; END_VAR"}
+    assert rejected <= {text for text, _ in ERROR_TEXTS.values()}
 
 
 def test_initializers_do_not_leak_into_body_tokens():
@@ -562,6 +561,18 @@ ERROR_TEXTS = {
     "missing-semicolon": ("x := 1 y := 2;", "<test>:2:8: expected ';'"),
     "unclosed-subscript": ("x := a[1;", "<test>:2:9: expected ']', found ';'"),
     "for-without-assign": ("FOR i = 1 TO 3 DO x := i; END_FOR;", "<test>:2:7: expected ':=', found '='"),
+    # A keyword names nothing: not a declared variable or type, nor any
+    # name in a body.  The targets of `:=`, `=>` and FOR are in `WRITE_TARGETS`.
+    "end-var-as-type": ("VAR e : END_VAR; END_VAR", "<test>:2:9: expected a type, found 'END_VAR'"),
+    "keyword-as-declared-name": ("VAR IF : OF; END_VAR", "<test>:2:5: expected identifier, found 'IF'"),
+    "at-as-declared-name": ("VAR AT : INT; END_VAR", "<test>:2:5: expected identifier, found 'AT'"),
+    "keyword-declared-then-written": ("VAR IF : INT; END_VAR\nIF := 1;", "<test>:2:5: expected identifier, found 'IF'"),
+    "keyword-as-operand": ("x := IF;", "<test>:2:6: unexpected 'IF' in expression"),
+    "end-keyword-as-operand": ("x := END_IF;", "<test>:2:6: unexpected 'END_IF' in expression"),
+    "keyword-as-member": ("x := fb.THEN;", "<test>:2:9: expected member name after '.'"),
+    "keyword-as-callee": ("x := AND(1);", "<test>:2:6: unexpected 'AND' in expression"),
+    "keyword-as-formal-parameter": ("F(IF := 1);", "<test>:2:3: unexpected 'IF' in expression"),
+    "operator-word-as-output-target": ("F(a => XOR);", "<test>:2:8: expected a variable after '=>', found 'XOR'"),
     "array-without-of": ("VAR a : ARRAY[1..2] INT; END_VAR", "<test>:2:21: expected OF"),
     "reversed-array-bounds": (
         "VAR a : ARRAY[1..2, 5..1] OF INT; END_VAR",
@@ -612,6 +623,9 @@ ERROR_TEXTS = {
     "bare-not-as-loop-target": ("FOR NOT := 1 TO 2 DO END_FOR;", "<test>:2:5: expected loop variable"),
     "call-as-loop-target": ("FOR G(x) := 1 TO 2 DO END_FOR;", "<test>:2:6: expected ':=', found '('"),
     "literal-as-loop-target": ("FOR 5 := 1 TO 2 DO END_FOR;", "<test>:2:5: expected loop variable"),
+    "keyword-as-assignment-target": ("THEN := 1;", "<test>:2:1: unexpected 'THEN' in expression"),
+    "keyword-as-output-target": ("F(a => THEN);", "<test>:2:8: expected a variable after '=>', found 'THEN'"),
+    "keyword-as-loop-target": ("FOR THEN := 1 TO 2 DO END_FOR;", "<test>:2:5: expected loop variable"),
 }
 
 
@@ -637,6 +651,7 @@ WRITE_TARGETS = {
     "bare-not": ("NOT", None),
     "call": ("G(x)", None),
     "literal": ("5", None),
+    "keyword": ("THEN", None),
 }
 WRITE_FORMS = {"assignment": "%s := 1;", "output": "F(a => %s);", "loop": "FOR %s := 1 TO 2 DO END_FOR;"}
 
@@ -695,6 +710,27 @@ def test_unit_without_its_closing_keyword_is_a_parse_error(case):
     with pytest.raises(ParseError) as err:
         split_st_units(StSource(path="u.st", text=text))
     assert str(err.value) == expected
+
+
+# A keyword that names a TYPE, a POU, a global or a return type: the
+# file's warning, and the POU it names.
+KEYWORD_UNIT_NAMES = {
+    "type-name": ("TYPE THEN : INT; END_TYPE\n", "", "1:6: expected identifier, found 'THEN'"),
+    "pou-name": ("PROGRAM IF\nEND_PROGRAM\n", "", "1:9: expected identifier, found 'IF'"),
+    "global-name": ("VAR_GLOBAL AT : INT; END_VAR\n", "", "1:12: expected identifier, found 'AT'"),
+    "return-type": ("FUNCTION F : END_IF\nEND_FUNCTION\n", "F", "1:14: expected a type, found 'END_IF'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEYWORD_UNIT_NAMES))
+def test_a_keyword_names_no_unit_or_type(tmp_path, case):
+    from poumetrics import load_sample
+
+    text, pou, message = KEYWORD_UNIT_NAMES[case]
+    (tmp_path / "k.st").write_text(text)
+    sample = load_sample([str(tmp_path)])
+    assert sample.pous == []
+    assert [(w.code, w.pou, w.message) for w in sample.warnings] == [("pou-parse-error", pou, message)]
 
 
 # ------------------------- nesting -------------------------

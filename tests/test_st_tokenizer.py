@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import ast
+import re
+from pathlib import Path
+
 import pytest
 
-from poumetrics import ParseError, TokenClass, st_fragment_facts
+from poumetrics import ParseError, TokenClass, st, st_fragment_facts
 from poumetrics.errors import UnterminatedComment, UnterminatedString
-from poumetrics.st import LineTable, lex
+from poumetrics.st import _KEYWORDS, LineTable, lex
 
 
 def tokenize_st(text):
@@ -51,6 +55,52 @@ def test_line_comment_at_eof():
 
 def test_pragma_is_dropped():
     assert kinds("{attribute qualified} x") == [("ident", "x")]
+
+
+def test_keywords_are_their_own_kind_in_any_case():
+    assert kinds("If iff THEN then_ true END_VAR end_x") == [
+        ("keyword", "If"),
+        ("ident", "iff"),
+        ("keyword", "THEN"),
+        ("ident", "then_"),
+        ("keyword", "true"),
+        ("keyword", "END_VAR"),
+        ("ident", "end_x"),
+    ]
+    assert [t.key for t in lex("If end_x")] == ["IF", "END_X"]
+
+
+# The tables of `st.py` whose keys the parsers match tokens against.
+KEY_TABLES = {"_BINARY", "_PREFIX", "_BOOL_LITERALS", "_POU_KINDS", "_UNIT_ENDS", "_VAR_SECTIONS", "_VAR_QUALIFIERS"}
+GRAMMAR_WORD = re.compile(r"[A-Z][A-Z_]*")
+
+
+def grammar_words(source: str) -> set[str]:
+    """Every all-caps word that the parsers of `source` match by key: the
+    first argument of each `at`, `expect` and `before`, the words in the
+    key tables, and the words compared in any test."""
+    found: list[ast.AST] = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("at", "expect", "before"):
+            found.append(node.args[0])
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) in KEY_TABLES for t in node.targets):
+            found.append(node.value)
+        elif isinstance(node, ast.Compare):
+            found.append(node)
+    return {
+        n.value
+        for node in found
+        for n in ast.walk(node)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str) and GRAMMAR_WORD.fullmatch(n.value)
+    }
+
+
+def test_the_keyword_table_holds_every_grammar_word():
+    """So no word the grammar matches can be read as a name, and the
+    table holds no word the grammar does not match."""
+    words = grammar_words(Path(st.__file__).read_text(encoding="utf-8"))
+    assert {"IF", "END_VAR", "AT", "TRUE", "MOD", "END_STRUCT", "WSTRING", "END_TYPE", "PERSISTENT"} <= words
+    assert (words - _KEYWORDS, _KEYWORDS - words) == (set(), set())
 
 
 def test_unterminated_pragma_raises():

@@ -3,7 +3,7 @@ CLI.  Each row pins the rendered line, the JSON warning's `path` and
 `pou`, and the exit code: 2 when the code skips a POU or file, else 0.
 A warning names its file and POU where it has them; `metric-dropped`
 names neither.  The codes come from the source, so a new code without a
-row fails here."""
+row fails here, and so does one missing from the README's table."""
 
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from poumetrics.errors import SKIP_CODES
 from test_plcopen import doc, pou_xml
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "poumetrics"
+README = SRC.parents[1] / "README.md"
 
 # A POU that gives no warning but metric-dropped, so a run that skips the
 # row's POU or file still has one to rank.
@@ -130,6 +131,18 @@ def emitted_codes() -> set[str]:
 
 def test_every_emitted_code_has_a_row():
     assert emitted_codes() == set(ROWS)
+
+
+def readme_codes() -> dict[str, bool]:
+    """Each code of the README's "Warning codes" table -> whether its row
+    says it skips the POU."""
+    section = README.read_text(encoding="utf-8").split("## Warning codes\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip("|").split("|") for line in section.splitlines() if line.startswith("| `")]
+    return {code.strip().strip("`"): skips.strip().startswith("yes") for code, _, skips in rows}
+
+
+def test_the_readme_table_lists_every_code_and_what_it_skips():
+    assert readme_codes() == {code: code in SKIP_CODES for code in emitted_codes()}
 
 
 @pytest.mark.parametrize("code", sorted(ROWS))
