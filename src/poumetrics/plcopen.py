@@ -189,10 +189,13 @@ def _interface_vars(interface: ET.Element, path: str) -> tuple[list[RawDecl], Ty
 
 def _var_name(var: ET.Element, path: str) -> str:
     """The name of an interface <variable> or struct member.  A missing
-    or blank one is a ParseError, as a nameless ST declaration is."""
+    or blank name, or a keyword, is a ParseError, as in ST."""
     name = var.get("name", "")
-    if not name.strip():
+    word = name.strip()
+    if not word:
         raise ParseError("variable without a name", path)
+    if word.upper() in _KEYWORDS:
+        raise ParseError("variable name %r is a keyword" % word, path)
     return name
 
 
@@ -457,17 +460,17 @@ def _check_reachability(acc: _Acc, elements: list[ET.Element], incoming: dict[ET
     """Warn of each step of an SFC network that no connection or jump
     leads to from an initial step.  A network without one is not checked.
     Steps are told apart by localId, and their names only resolve jumps."""
-    steps: list[tuple[str, str]] = []  # (casefolded name, localId) of each step
+    steps: list[tuple[str, str, str]] = []  # (casefolded name, localId, name) of each step
     seen: set[str] = set()
     for el in elements:
         if el.tag in ("step", "macroStep"):
-            lid = el.get("localId", "")
-            steps.append((el.get("name", "").casefold(), lid))
+            lid, name = el.get("localId", ""), el.get("name", "")
+            steps.append((name.casefold(), lid, name))
             if el.get("initialStep", "").casefold() == "true":
                 seen.add(lid)
     if not seen:
         return
-    step_names = dict(steps)
+    step_names = {key: lid for key, lid, _ in steps}
     edges: dict[str, set[str]] = {}
     for el in elements:
         lid = el.get("localId", "")
@@ -485,9 +488,9 @@ def _check_reachability(acc: _Acc, elements: list[ET.Element], incoming: dict[ET
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    for name, lid in sorted(steps):
+    for _, lid, name in sorted(steps):
         if lid not in seen:
-            acc.warn("unreachable-step", "step %r is not reachable from an initial step" % name)
+            acc.warn("unreachable-step", "step %r (localId %s) is not reachable from an initial step" % (name, lid))
 
 
 # ------------------------- POU extraction -------------------------

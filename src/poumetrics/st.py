@@ -29,6 +29,11 @@ Classification rules for bodies:
 THEN/DO/OF/TO/BY/UNTIL, END_* keywords and CASE label colons are folded
 into their construct's token.  Comments and {pragmas} produce nothing.
 
+Where a construct ends: a statement list ends at the end of input or at
+a word of `_CLOSERS`, and the construct around it expects its own
+closer.  A bracketed type part or an initializer ends at its first
+closer outside `()` and `[]`.
+
 A token's lexeme is its text as written and its identity that text
 casefolded, except: `&` is `and`, an index bracket `[` is `[]`, a
 grouping `(` is `()`, and an invocation's lexeme is its callee path
@@ -286,6 +291,8 @@ _BOOL_LITERALS = frozenset({"TRUE", "FALSE"})
 # what can follow the root of a reference that is more than a name:
 # member access, a subscript or an argument list
 _REF_TAIL = frozenset({".", "[", "("})
+# the words that end a statement list
+_CLOSERS = frozenset({"ELSIF", "ELSE", "END_IF", "END_CASE", "END_FOR", "END_WHILE", "UNTIL", "END_REPEAT"})
 
 
 class _RawCall:
@@ -388,13 +395,22 @@ class _Cursor:
             raise self.fail("unterminated %s" % what)
         return True
 
-    def skip_bracketed(self, what: str):
-        """Consume the `(` or `[` at the cursor and the tokens up to the
-        first `)` or `]` of its kind, that one too; end of input first is
-        the error `unterminated <what>`."""
-        closer = ")" if self.take().key == "(" else "]"
-        while self.before(closer, what):
+    def skip_to(self, key: str, what: str):
+        """Consume the tokens before the first `key` outside `()` and `[]`;
+        end of input first is the error `unterminated <what>`."""
+        depth = 0
+        while (t := self.cur()).key != key or depth:
+            if t is _EOF:
+                raise self.fail("unterminated %s" % what)
+            if t.key in ("(", "["):
+                depth += 1
+            elif t.key in (")", "]"):
+                depth -= 1
             self.take()
+
+    def skip_bracketed(self, what: str):
+        """Consume the `(` or `[` at the cursor, the tokens inside and its closer."""
+        self.skip_to(")" if self.take().key == "(" else "]", what)
         self.take()
 
     def expect_ident(self) -> RawTok:
@@ -403,21 +419,6 @@ class _Cursor:
             raise self.fail("expected identifier, found %r" % (t.text or "end of input"))
         self.i += 1
         return t
-
-    def skip_initializer(self):
-        """Consume `:= <value>` up to the terminating ';' at depth 0."""
-        depth = 0
-        while True:
-            t = self.cur()
-            if t is _EOF:
-                raise self.fail("unterminated initializer")
-            if t.key in ("(", "["):
-                depth += 1
-            elif t.key in (")", "]"):
-                depth -= 1
-            elif t.key == ";" and depth == 0:
-                return
-            self.take()
 
     def descend(self):
         """Enter one nested construct; leave it with `self.depth -= 1`.
@@ -468,31 +469,30 @@ class _BodyParser(_Cursor):
     # --- statements ---
 
     def parse_body(self, value_context: bool = False) -> _BodyResult:
-        self.stmt_list(frozenset())
-        if self.cur() is not _EOF:
-            raise self.fail("unexpected %r" % self.cur().text)
+        self.stmt_list()
+        if self.cur() is not _EOF:  # a closer that closes nothing
+            raise self.fail("unexpected %s" % self.cur().key)
         if value_context and self.last_bare_call is not None:
             # The fragment is an expression whose result a surrounding
             # construct (e.g. a transition condition) consumes.
             self.last_bare_call.returns += 1
         return self.res
 
-    def stmt_list(self, stop: frozenset[str], case_branch: bool = False):
-        """Statements up to the end of input or a word in `stop`; a CASE
-        branch also ends where the next label group starts."""
+    def stmt_list(self, case_branch: bool = False):
+        """Statements up to the end of input or a word of `_CLOSERS`; a
+        CASE branch also ends where the next label group starts."""
         self.descend()
         toks = self.toks
-        while True:
-            t = toks[self.i]
-            if t is _EOF or t.key in stop or (case_branch and self.looks_like_case_label()):
-                self.depth -= 1
-                return
+        while (t := toks[self.i]) is not _EOF and t.key not in _CLOSERS:
+            if case_branch and self.looks_like_case_label():
+                break
             self.statement()
+        self.depth -= 1
 
     def at_close(self) -> bool:
-        """End of input, or a word that closes the enclosing construct."""
+        """End of input, or a word that ends a statement list."""
         t = self.cur()
-        return t is _EOF or t.key.startswith("END_") or t.key in ("ELSE", "ELSIF", "UNTIL")
+        return t is _EOF or t.key in _CLOSERS
 
     def statement(self):
         t = self.toks[self.i]
@@ -516,8 +516,6 @@ class _BodyParser(_Cursor):
             self.i += 1
             self.op(t, word.lower())
             self.end_of_statement()
-        elif word in ("ELSE", "ELSIF", "UNTIL") or word.startswith("END_"):
-            raise self.fail("unexpected %s" % word)
         else:
             self.expr_statement()
 
@@ -559,38 +557,28 @@ class _BodyParser(_Cursor):
         self.end_of_statement()
 
     def if_statement(self):
-        self.decision("if", self.i)
-        self.op(self.expect("IF"), "if")
-        self.expression()
-        self.expect("THEN")
-        self.stmt_list(frozenset({"ELSIF", "ELSE", "END_IF"}))
-        while self.at("ELSIF"):
-            self.decision("elsif", self.i)
-            self.op(self.take(), "elsif")
+        kind = "if"
+        while kind:  # IF, then each ELSIF
+            self.decision(kind, self.i)
+            self.op(self.take(), kind)
             self.expression()
             self.expect("THEN")
-            self.stmt_list(frozenset({"ELSIF", "ELSE", "END_IF"}))
+            self.stmt_list()
+            kind = "elsif" if self.at("ELSIF") else ""
         if self.at("ELSE"):
             self.op(self.take(), "else")
-            self.stmt_list(frozenset({"END_IF"}))
+            self.stmt_list()
         self.expect("END_IF")
 
     def case_statement(self):
-        kw = self.expect("CASE")
-        self.op(kw, "case")
+        self.op(self.take(), "case")
         self.expression()
         self.expect("OF")
-        stops = frozenset({"ELSE", "END_CASE"})
-        while True:
-            t = self.cur()
-            if t is _EOF:
-                raise self.fail("unterminated CASE")
-            if t.key in stops:
-                break
+        while not self.at_close():
             self.case_group()
         if self.at("ELSE"):
             self.op(self.take(), "else")
-            self.stmt_list(frozenset({"END_CASE"}))
+            self.stmt_list()
         self.expect("END_CASE")
 
     def case_group(self):
@@ -600,7 +588,7 @@ class _BodyParser(_Cursor):
             self.op(self.take())
             self.case_label_atom()
         self.expect(":")  # label colon folds into the CASE construct
-        self.stmt_list(frozenset({"ELSE", "END_CASE"}), case_branch=True)
+        self.stmt_list(case_branch=True)
 
     def case_label_atom(self):
         if self.cur().key in ("-", "+"):
@@ -623,7 +611,7 @@ class _BodyParser(_Cursor):
 
     def for_statement(self):
         self.decision("for", self.i)
-        self.op(self.expect("FOR"), "for")
+        self.op(self.take(), "for")
         var = self.cur()
         if var.kind != "ident":
             raise self.fail("expected loop variable")
@@ -637,21 +625,21 @@ class _BodyParser(_Cursor):
             self.take()
             self.expression()
         self.expect("DO")
-        self.stmt_list(frozenset({"END_FOR"}))
+        self.stmt_list()
         self.expect("END_FOR")
 
     def while_statement(self):
         self.decision("while", self.i)
-        self.op(self.expect("WHILE"), "while")
+        self.op(self.take(), "while")
         self.expression()
         self.expect("DO")
-        self.stmt_list(frozenset({"END_WHILE"}))
+        self.stmt_list()
         self.expect("END_WHILE")
 
     def repeat_statement(self):
         self.decision("repeat", self.i)
-        self.op(self.expect("REPEAT"), "repeat")
-        self.stmt_list(frozenset({"UNTIL"}))
+        self.op(self.take(), "repeat")
+        self.stmt_list()
         self.expect("UNTIL")
         self.expression()
         self.expect("END_REPEAT")
@@ -998,8 +986,7 @@ def _type_and_init(cur: _Cursor) -> TypeSpec:
     cur.expect(":")
     spec = parse_type_spec(cur)
     if cur.at(":="):
-        cur.take()
-        cur.skip_initializer()
+        cur.skip_to(";", "initializer")
     cur.expect(";")
     return spec
 

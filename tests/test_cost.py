@@ -86,6 +86,11 @@ def member_subscript_sum(n: int) -> str:
     return types + program("r : R; buf : ARRAY[0..7] OF INT; y : INT;", "y := %s;" % " + ".join(terms))
 
 
+def nested_initializer(n: int) -> str:
+    """One initializer nested 2n brackets deep, `([([1])])`."""
+    return program("x : INT := %s1%s;" % ("([" * n, "])" * n), "x := 1;")
+
+
 def locals_(n: int) -> str:
     return program("".join("v%d : INT;\n" % i for i in range(n)), "v0 := 1;")
 
@@ -179,6 +184,7 @@ FAMILIES = {
     "member-subscript-sum": ("p.st", member_subscript_sum),
     "locals": ("p.st", locals_),
     "general-decls": ("p.st", general_decls),
+    "nested-initializer": ("p.st", nested_initializer),
     "user-types": ("p.st", user_types),
     "fbs-per-file": ("p.st", fbs_per_file),
     "alias-chain": ("p.st", alias_chain),

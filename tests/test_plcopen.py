@@ -371,6 +371,49 @@ def test_a_variable_without_a_name_is_a_parse_error(tmp_path, variable, pou_type
     ]
 
 
+# An interface variable or struct member named by a keyword -> the name
+# its warning gives, stripped.
+KEYWORD_NAMED = {
+    "local": ('<variable name="IF"><type><INT/></type></variable>', "IF"),
+    "padded-lower-case": ('<variable name=" end_var "><type><INT/></type></variable>', "end_var"),
+    "struct-member": (
+        '<variable name="s"><type><struct><variable name="TRUE"><type><BOOL/></type></variable>'
+        "</struct></type></variable>",
+        "TRUE",
+    ),
+}
+
+
+@pytest.mark.parametrize("pou_type, kept, skipped", [("program", ["Good"], "Bad"), ("functionBlock", [], "")])
+@pytest.mark.parametrize("case", sorted(KEYWORD_NAMED))
+def test_a_variable_named_by_a_keyword_is_a_parse_error(tmp_path, case, pou_type, kept, skipped):
+    """As `VAR IF : INT;` does not parse in ST, an interface variable or a
+    struct member named by a keyword skips its POU, and a named function
+    block's skips the file."""
+    variable, word = KEYWORD_NAMED[case]
+    iface = '<interface><localVars>%s<variable name="x"><type><INT/></type></variable></localVars></interface>'
+    body = '<ST><xhtml xmlns="http://www.w3.org/1999/xhtml">x := 1;</xhtml></ST>'
+    sample = load_doc(tmp_path, doc(pou_xml("Bad", pou_type, body, iface % variable) + pou_xml("Good", "program", body)))
+    assert [p.name for p in sample.pous] == kept
+    assert [(w.code, w.pou, w.message) for w in sample.warnings] == [
+        ("pou-parse-error", skipped, "variable name %r is a keyword" % word)
+    ]
+
+
+def test_a_data_type_with_a_keyword_member_skips_the_file(tmp_path):
+    struct = (
+        '<struct><variable name="a"><type><INT/></type></variable>'
+        '<variable name="Or"><type><INT/></type></variable></struct>'
+    )
+    data_types = '<dataTypes><dataType name="T"><baseType>%s</baseType></dataType></dataTypes>' % struct
+    body = '<ST><xhtml xmlns="http://www.w3.org/1999/xhtml">x := 1;</xhtml></ST>'
+    sample = load_doc(tmp_path, doc(pou_xml("Good", "program", body)).replace("<dataTypes/>", data_types))
+    assert sample.pous == []
+    assert [(w.code, w.pou, w.message) for w in sample.warnings] == [
+        ("pou-parse-error", "", "variable name 'Or' is a keyword")
+    ]
+
+
 def test_a_data_type_with_a_nameless_struct_member_skips_the_file(tmp_path):
     struct = '<struct><variable name="a"><type><INT/></type></variable><variable name=""><type><INT/></type></variable></struct>'
     data_types = '<dataTypes><dataType name="T"><baseType>%s</baseType></dataType></dataTypes>' % struct
@@ -745,7 +788,7 @@ def test_a_step_whose_name_another_step_repeats_is_checked(tmp_path):
     )
     _, warnings = one_pou(tmp_path, doc(pou_xml("P", "program", body)))
     assert [(w.code, w.message) for w in warnings] == [
-        ("unreachable-step", "step 'lost' is not reachable from an initial step")
+        ("unreachable-step", "step 'Lost' (localId 5) is not reachable from an initial step")
     ]
 
 
@@ -770,7 +813,7 @@ def test_sfc_condition_that_starts_with_not_is_ranked(tmp_path, capsys):
     assert pou.body.external_reads == frozenset()  # `done` is no global
 
 
-@pytest.mark.parametrize("target, unreachable", [("Nowhere", ["far"]), ("FAR", [])], ids=["unknown", "other-case"])
+@pytest.mark.parametrize("target, unreachable", [("Nowhere", ["Far"]), ("FAR", [])], ids=["unknown", "other-case"])
 def test_jump_step_target_is_resolved_by_name(tmp_path, target, unreachable):
     _, warnings = one_pou(tmp_path, doc(pou_xml("P", "program", JUMP_SFC % target)))
     assert [w.code for w in warnings] == ["unreachable-step"] * len(unreachable)

@@ -574,18 +574,22 @@ DECL_NAMES = st_strat.sampled_from(["a", "b1", "x_y", "Motor", "INT", "TON", "In
 NAME_LISTS = st_strat.lists(DECL_NAMES, min_size=1, max_size=3)
 PLAIN_TYPES = st_strat.sampled_from(["INT", "bool", "T1", "Motor", "TON", "end_t"]).map(lambda name: (name, named(name)))
 STRING_TYPES = st_strat.tuples(
-    st_strat.sampled_from(["STRING", "WSTRING", "string"]), st_strat.sampled_from(["", "[20]", "(8)"])
+    st_strat.sampled_from(["STRING", "WSTRING", "string"]), st_strat.sampled_from(["", "[20]", "(8)", "[(2) * 10]"])
 ).map(lambda p: (p[0] + p[1], TypeSpec("string", name=p[0].upper())))
-SUBRANGE_TYPES = st_strat.sampled_from(["INT", "UINT", "T1"]).map(
-    lambda name: ("%s (0..100)" % name, TypeSpec("subrange", name=name, element=named(name)))
+SUBRANGE_TYPES = st_strat.tuples(
+    st_strat.sampled_from(["INT", "UINT", "T1"]), st_strat.sampled_from(["(0..100)", "(-(5)..5)", "((0)..(2 * [50]))"])
+).map(lambda p: ("%s %s" % p, TypeSpec("subrange", name=p[0], element=named(p[0]))))
+ENUM_TYPES = st_strat.sampled_from(["(Red, Green)", "(Idle := 0, Busy := 1)", "(A := (1), B := (2 + (3)))"]).map(
+    lambda text: (text, TypeSpec("enum"))
 )
-ENUM_TYPES = st_strat.sampled_from(["(Red, Green)", "(Idle := 0, Busy := 1)"]).map(lambda text: (text, TypeSpec("enum")))
 DIMS = st_strat.lists(
     st_strat.tuples(st_strat.integers(-3, 3), st_strat.integers(0, 4)).map(lambda p: (p[0], p[0] + p[1])),
     min_size=1,
     max_size=3,
 )
-INITS = st_strat.sampled_from(["", " := 5", " := [1, 2]", " := (a := 1, b := 'x;y')", " := T#5s"])
+INITS = st_strat.sampled_from(
+    ["", " := 5", " := [1, 2]", " := (a := 1, b := 'x;y')", " := T#5s", " := ((1 + 2) * [3, (4)])", " := [(1), 2]"]
+)
 ADDRESSES = st_strat.sampled_from(["", " AT %IX0.1", " AT %MW3"])
 SECTION_WORDS = {
     "VAR_INPUT": VarSection.INPUT,

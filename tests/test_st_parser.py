@@ -20,7 +20,7 @@ from poumetrics import (
     parse_st_pou,
     st_fragment_facts,
 )
-from poumetrics.st import split_st_units, walk_pou_unit
+from poumetrics.st import _CLOSERS, split_st_units, walk_pou_unit
 from poumetrics.typesys import RawDecl, TypeContext, TypeSpec, named
 
 
@@ -552,11 +552,11 @@ def test_error_carries_path_and_line():
 
 # Exact messages, so a parser rewrite cannot change them unnoticed.
 ERROR_TEXTS = {
-    "end-for-in-if": ("IF a THEN\n  END_FOR\nEND_IF;", "<test>:3:3: unexpected END_FOR"),
-    "second-else": ("IF a THEN x := 1; ELSE x := 2; ELSE x := 3; END_IF;", "<test>:2:32: unexpected ELSE"),
+    "end-for-in-if": ("IF a THEN\n  END_FOR\nEND_IF;", "<test>:3:3: expected END_IF, found 'END_FOR'"),
+    "second-else": ("IF a THEN x := 1; ELSE x := 2; ELSE x := 3; END_IF;", "<test>:2:32: expected END_IF, found 'ELSE'"),
     "missing-then": ("IF a x := 1; END_IF;", "<test>:2:6: expected THEN, found 'x'"),
-    "until-as-case-label": ("CASE a OF\n1: x := 1;\nUNTIL: x := 2;\nEND_CASE;", "<test>:4:1: unexpected UNTIL"),
-    "unterminated-case": ("CASE a OF\n1: x := 1;", "<test>:4:1: unterminated CASE"),
+    "until-as-case-label": ("CASE a OF\n1: x := 1;\nUNTIL: x := 2;\nEND_CASE;", "<test>:4:1: expected END_CASE, found 'UNTIL'"),
+    "unterminated-case": ("CASE a OF\n1: x := 1;", "<test>:4:1: expected END_CASE, found 'end of input'"),
     "empty-assignment": ("x := ;", "<test>:2:6: unexpected ';' in expression"),
     "missing-semicolon": ("x := 1 y := 2;", "<test>:2:8: expected ';'"),
     "unclosed-subscript": ("x := a[1;", "<test>:2:9: expected ']', found ';'"),
@@ -597,6 +597,10 @@ ERROR_TEXTS = {
     "end-of-input-in-if": ("IF a THEN x := 1;", "<test>:3:1: expected END_IF, found 'end of input'"),
     "end-of-input-in-expression": ("x := (1 +", "<test>:3:1: unexpected 'end of input' in expression"),
     "leftover-end-if": ("x := 1;\nEND_IF", "<test>:3:1: unexpected END_IF"),
+    # An END_* word that closes no statement list is read as any keyword is.
+    "end-var-as-statement": ("x := 1; END_VAR", "<test>:2:9: unexpected 'END_VAR' in expression"),
+    # END_X is a name, so it starts the next statement.
+    "end-word-name-after-statement": ("IF a THEN x := 1 END_X := 2; END_IF;", "<test>:2:18: expected ';'"),
     "statement-starting-with-close-paren": (")", "<test>:2:1: unexpected ')' in expression"),
     "statement-starting-with-not-then-assign": ("NOT x := 1;", "<test>:2:7: expected ';'"),
     "end-of-input-after-output-binding": ("F(a =>", "<test>:3:1: expected ')', found 'end of input'"),
@@ -635,6 +639,62 @@ def test_parse_error_text(case):
     with pytest.raises(ParseError) as err:
         parse("PROGRAM P\n%s\nEND_PROGRAM" % body)
     assert str(err.value) == expected
+
+
+# Each position a statement list takes -> its text up to a stray word,
+# the closer the construct around it expects (None at the top of a
+# body) and the words of `_CLOSERS` that continue the construct there.
+LIST_POSITIONS = {
+    "if": ("IF a THEN x := 1; ", "END_IF", {"ELSIF", "ELSE", "END_IF"}),
+    "elsif": ("IF a THEN x := 1; ELSIF b THEN x := 2; ", "END_IF", {"ELSIF", "ELSE", "END_IF"}),
+    "else": ("IF a THEN x := 1; ELSE x := 2; ", "END_IF", {"END_IF"}),
+    "case-branch": ("CASE a OF 1: x := 1; ", "END_CASE", {"ELSE", "END_CASE"}),
+    "case-else": ("CASE a OF 1: x := 1; ELSE x := 2; ", "END_CASE", {"END_CASE"}),
+    "for": ("FOR i := 1 TO 2 DO x := 1; ", "END_FOR", {"END_FOR"}),
+    "while": ("WHILE a DO x := 1; ", "END_WHILE", {"END_WHILE"}),
+    "repeat": ("REPEAT x := 1; ", "UNTIL", {"UNTIL"}),
+    "top": ("x := 1; ", None, set()),
+}
+
+
+@pytest.mark.parametrize("position", sorted(LIST_POSITIONS))
+def test_a_closer_out_of_place_is_reported_at_the_closer(position):
+    """A statement list ends at any word of `_CLOSERS`; a word that does
+    not continue the construct around the list is its error."""
+    head, closer, continuing = LIST_POSITIONS[position]
+    strays = sorted(_CLOSERS - continuing)
+    assert len(strays) == len(_CLOSERS) - len(continuing)
+    for word in strays:
+        with pytest.raises(ParseError) as err:
+            st_fragment_facts(head + word + " y := 2;", "<t>")
+        found = "unexpected %s" % word if closer is None else "expected %s, found '%s'" % (closer, word)
+        assert str(err.value) == "<t>:1:%d: %s" % (len(head) + 1, found)
+
+
+def test_a_name_that_starts_with_end_is_written():
+    (unit,) = split_st_units(StSource("<test>", "PROGRAM P\nVAR END_X : INT; END_VAR\nEND_X := 1;\nEND_PROGRAM\n"))
+    walked = walk_pou_unit(unit, "<test>")
+    assert walked.error is None
+    assert [d.name for d in walked.decls] == ["END_X"] and walked.body.writes == {"end_x"}
+
+
+# Brackets nest in a type part and in an initializer: each declaration
+# parses, with the spec it declares.
+NESTED_BRACKETS = {
+    "e : (A := (1), B);": TypeSpec("enum"),
+    "r : INT (-(5)..5);": TypeSpec("subrange", name="INT", element=named("INT")),
+    "s : STRING[(10)];": TypeSpec("string", name="STRING"),
+    "w : WSTRING((2) * [4]);": TypeSpec("string", name="WSTRING"),
+    "x : INT := ((1 + [2, (3)]) * 2);": named("INT"),
+}
+
+
+@pytest.mark.parametrize("decl", sorted(NESTED_BRACKETS))
+def test_brackets_nest_in_a_declaration(decl):
+    (unit,) = split_st_units(StSource("<test>", "PROGRAM P\nVAR %s END_VAR\nEND_PROGRAM\n" % decl))
+    walked = walk_pou_unit(unit, "<test>")
+    assert walked.error is None
+    assert [d.spec for d in walked.decls] == [NESTED_BRACKETS[decl]]
 
 
 # What a statement may write: a target by name -> its text and the root

@@ -71,7 +71,9 @@ def test_keywords_are_their_own_kind_in_any_case():
 
 
 # The tables of `st.py` whose keys the parsers match tokens against.
-KEY_TABLES = {"_BINARY", "_PREFIX", "_BOOL_LITERALS", "_POU_KINDS", "_UNIT_ENDS", "_VAR_SECTIONS", "_VAR_QUALIFIERS"}
+KEY_TABLES = {
+    "_BINARY", "_PREFIX", "_BOOL_LITERALS", "_CLOSERS", "_POU_KINDS", "_UNIT_ENDS", "_VAR_SECTIONS", "_VAR_QUALIFIERS"
+}
 GRAMMAR_WORD = re.compile(r"[A-Z][A-Z_]*")
 
 
@@ -101,6 +103,24 @@ def test_the_keyword_table_holds_every_grammar_word():
     words = grammar_words(Path(st.__file__).read_text(encoding="utf-8"))
     assert {"IF", "END_VAR", "AT", "TRUE", "MOD", "END_STRUCT", "WSTRING", "END_TYPE", "PERSISTENT"} <= words
     assert (words - _KEYWORDS, _KEYWORDS - words) == (set(), set())
+
+
+def test_the_closer_table_holds_the_end_of_every_statement_list():
+    """A statement list ends at ELSIF, ELSE, UNTIL and at each END_* word
+    that a construct of the body walker expects, and at no other word."""
+    tree = ast.parse(Path(st.__file__).read_text(encoding="utf-8"))
+    (walker,) = (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_BodyParser")
+    ends = {
+        node.args[0].value
+        for node in ast.walk(walker)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) in ("at", "expect")
+        and isinstance(node.args[0], ast.Constant)
+        and str(node.args[0].value).startswith("END_")
+    }
+    assert ends == {"END_IF", "END_CASE", "END_FOR", "END_WHILE", "END_REPEAT"}
+    assert st._CLOSERS == {"ELSIF", "ELSE", "UNTIL"} | ends
+    assert st._CLOSERS <= _KEYWORDS
 
 
 def test_unterminated_pragma_raises():

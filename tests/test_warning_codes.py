@@ -100,7 +100,7 @@ ROWS = {
         },
         "p.xml",
         "P",
-        "step 'orphan' is not reachable from an initial step",
+        "step 'Orphan' (localId 9) is not reachable from an initial step",
     ),
     "metric-dropped": (
         GOOD,
